@@ -1,11 +1,12 @@
 //! Criterion benches of the dataflow runtime itself: task throughput of the
-//! engine (the per-task overhead a PaRSEC-style system pays), PTG compile
-//! cost, and the numeric end-to-end pipeline at small scale.
+//! engine (the per-task overhead a PaRSEC-style system pays) and the numeric
+//! end-to-end pipeline at small scale.
 
-use bst_contract::{DeviceConfig, ExecutionPlan, GridConfig, PlannerConfig, ProblemSpec};
+use bst_contract::{
+    DeviceConfig, ExecOptions, ExecutionPlan, GridConfig, PlannerConfig, ProblemSpec,
+};
 use bst_runtime::engine::{infallible, Engine};
 use bst_runtime::graph::{TaskGraph, WorkerId};
-use bst_runtime::ptg::{space_2d, PtgProgram};
 use bst_sparse::generate::{generate, SyntheticParams};
 use bst_sparse::matrix::tile_seed;
 use bst_sparse::BlockSparseMatrix;
@@ -72,36 +73,6 @@ fn bench_engine_throughput(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_ptg_compile(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ptg");
-    group.sample_size(10);
-    group.bench_function("compile_wavefront_64x64", |b| {
-        b.iter(|| {
-            let mut prog = PtgProgram::new();
-            prog.add_class(
-                "cell",
-                space_2d(64, 64),
-                |p| WorkerId {
-                    node: (p[0] % 4) as usize,
-                    lane: 0,
-                },
-                |p| {
-                    let mut d = Vec::new();
-                    if p[0] > 0 {
-                        d.push((0, vec![p[0] - 1, p[1]]));
-                    }
-                    if p[1] > 0 {
-                        d.push((0, vec![p[0], p[1] - 1]));
-                    }
-                    d
-                },
-            );
-            prog.compile()
-        });
-    });
-    group.finish();
-}
-
 fn bench_numeric_end_to_end(c: &mut Criterion) {
     let prob = generate(&SyntheticParams {
         m: 120,
@@ -126,21 +97,16 @@ fn bench_numeric_end_to_end(c: &mut Criterion) {
     let mut group = c.benchmark_group("numeric_pipeline");
     group.sample_size(10);
     group.throughput(Throughput::Elements(flops));
-    group.bench_function("execute_numeric_4nodes_8gpus", |b| {
+    group.bench_function("execute_4nodes_8gpus", |b| {
         b.iter(|| {
             let b_gen = |k: usize, j: usize, r: usize, cc: usize, pool: &bst_tile::TilePool| {
                 Ok(std::sync::Arc::new(pool.random(r, cc, tile_seed(2, k, j))))
             };
-            bst_contract::exec::execute_numeric(&spec, &plan, &a, &b_gen).unwrap()
+            bst_contract::engine::execute(&spec, &plan, &a, &b_gen, ExecOptions::default()).unwrap()
         });
     });
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_engine_throughput,
-    bench_ptg_compile,
-    bench_numeric_end_to_end
-);
+criterion_group!(benches, bench_engine_throughput, bench_numeric_end_to_end);
 criterion_main!(benches);

@@ -5,10 +5,11 @@
 //!
 //! * **ABCD as a generated instance** — the fused term
 //!   `R^{ij}_{ab} = Σ_{cd} T^{ij}_{cd} V^{cd}_{ab}` evaluated twice over
-//!   identical inputs: through the legacy `contract_abcd` entry point and
-//!   through `Einsum::new("ijcd,cdab->ijab")` directly. The two must be
-//!   **bit-identical** (`max |diff| == 0.0`): the shim *is* the spec-driven
-//!   path, and this leg holds that collapse honest;
+//!   identical inputs: as a hand-matricised `T · V` product at plan level
+//!   (`ProblemSpec` → `ExecutionPlan::build` → `engine::execute`) and
+//!   through `Einsum::new("ijcd,cdab->ijab")`. The two must be
+//!   **bit-identical** (`max |diff| == 0.0`): the einsum lowering has to
+//!   arrive at exactly the product one would plan by hand;
 //! * **chain vs dense** — the two-term chain `"ij,jk,kl->il"` with the last
 //!   factor generated on demand, lowered into two planned products with a
 //!   screened intermediate, gated at ≤ 1e-10 against a dense reference
@@ -27,9 +28,10 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use bst_bench::{minijson, tiny_numeric_spec};
-use bst_contract::api::contract_abcd;
 use bst_contract::einsum::Einsum;
-use bst_contract::{DeviceConfig, GridConfig, PlannerConfig, ProblemSpec};
+use bst_contract::{
+    DeviceConfig, ExecOptions, ExecutionPlan, GridConfig, PlannerConfig, ProblemSpec,
+};
 use bst_sparse::generate::{generate, SyntheticParams};
 use bst_sparse::matrix::tile_seed;
 use bst_sparse::tensor::{BlockSparseTensor4, Tensor4Meta};
@@ -60,7 +62,7 @@ fn main() {
         DeviceConfig { gpus_per_node: 2, gpu_mem_bytes: 1 << 22 },
     );
 
-    // ---- Leg 1: ABCD bit-identity — shim vs spec-driven path --------------
+    // ---- Leg 1: ABCD bit-identity — plan-level run vs einsum lowering -----
     let (o, u) = if tiny {
         (Tiling::from_sizes(&[2, 2]), Tiling::from_sizes(&[3, 2, 3]))
     } else {
@@ -76,9 +78,18 @@ fn main() {
     };
 
     let t0 = Instant::now();
-    let (r_legacy, legacy_report) =
-        contract_abcd(&t, &v_struct, &v_gen, None, config).expect("contract_abcd");
-    let legacy_elapsed = t0.elapsed().as_secs_f64();
+    let abcd_spec =
+        ProblemSpec::new(t.matricised().structure().clone(), v_struct.clone(), None);
+    let abcd_plan = ExecutionPlan::build(&abcd_spec, config).expect("plan T·V");
+    let (r_plan, plan_report) = bst_contract::engine::execute(
+        &abcd_spec,
+        &abcd_plan,
+        t.matricised(),
+        &v_gen,
+        ExecOptions::default(),
+    )
+    .expect("plan-level T·V");
+    let plan_elapsed = t0.elapsed().as_secs_f64();
 
     let t1 = Instant::now();
     let abcd = Einsum::new("ijcd,cdab->ijab")
@@ -88,11 +99,11 @@ fn main() {
         .expect("einsum ijcd,cdab->ijab");
     let einsum_elapsed = t1.elapsed().as_secs_f64();
     let r_einsum = abcd.tensor4().expect("rank-4 outcome");
-    let abcd_diff = r_einsum.matricised().max_abs_diff(r_legacy.matricised());
+    let abcd_diff = r_einsum.matricised().max_abs_diff(&r_plan);
     let abcd_gemms = abcd.report().gemm_tasks;
 
     println!(
-        "# ABCD {}x{} · {}x{}: {} GEMMs, einsum-vs-contract_abcd max |diff| = {abcd_diff:.3e}",
+        "# ABCD {}x{} · {}x{}: {} GEMMs, einsum-vs-plan-level max |diff| = {abcd_diff:.3e}",
         t.matricised().structure().rows(),
         t.matricised().structure().cols(),
         v_struct.rows(),
@@ -157,14 +168,14 @@ fn main() {
     let json = format!(
         "{{\n  \"tiny\": {tiny},\n  \
 \"abcd\": {{\"rows\": {}, \"cols\": {}, \"gemm_tasks\": {abcd_gemms}, \
-\"legacy_gemm_tasks\": {}, \"bit_diff\": {abcd_diff:.3e}, \
-\"einsum_s\": {einsum_elapsed:.4}, \"contract_abcd_s\": {legacy_elapsed:.4}}},\n  \
+\"plan_level_gemm_tasks\": {}, \"bit_diff\": {abcd_diff:.3e}, \
+\"einsum_s\": {einsum_elapsed:.4}, \"plan_level_s\": {plan_elapsed:.4}}},\n  \
 \"chain\": {{\"m\": {}, \"n\": {}, \"terms\": {}, \"gemm_tasks\": {chain_gemms}, \
 \"max_diff\": {chain_diff:.3e}, \"elapsed_s\": {chain_elapsed:.4}}},\n  \
 \"validated\": {validated}\n}}\n",
         t.matricised().structure().rows(),
         v_struct.cols(),
-        legacy_report.gemm_tasks,
+        plan_report.gemm_tasks,
         spec.a.rows(),
         d_struct.cols(),
         chain.reports.len(),
@@ -180,7 +191,7 @@ fn main() {
     let mut errors = Vec::new();
     if abcd_diff != 0.0 {
         errors.push(format!(
-            "einsum \"ijcd,cdab->ijab\" diverged from contract_abcd by {abcd_diff:.3e} \
+            "einsum \"ijcd,cdab->ijab\" diverged from the plan-level run by {abcd_diff:.3e} \
 (must be bit-identical)"
         ));
     }

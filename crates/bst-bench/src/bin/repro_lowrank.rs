@@ -94,9 +94,9 @@ fn main() {
         Ok(Arc::new(Tile::random_lowrank(rows, cols, tile_seed(B_SEED, kk, j), decay)))
     };
     let run = |opts: ExecOptions| {
-        bst_contract::exec::execute_numeric_with(&spec, &plan, &a, &b_gen, opts).expect("run")
+        bst_contract::engine::execute(&spec, &plan, &a, &b_gen, opts).expect("run")
     };
-    let sent = |rep: &bst_contract::exec::ExecReport| {
+    let sent = |rep: &bst_contract::ExecReport| {
         rep.comm.iter().map(|s| s.sent_bytes).sum::<u64>()
     };
 

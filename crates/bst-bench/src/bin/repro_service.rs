@@ -112,7 +112,7 @@ fn main() {
     let mut oneshot_results = Vec::with_capacity(sweeps);
     for a in &amplitudes {
         let plan = ExecutionPlan::build(&spec, config).expect("plan");
-        let (c, _) = bst_contract::exec::execute_numeric_with(
+        let (c, _) = bst_contract::engine::execute(
             &spec,
             &plan,
             a,

@@ -11,7 +11,7 @@
 //!   tilings v1/v2/v3) for Figures 7, 8 and 9.
 
 use bst_chem::{CcsdProblem, TilingSpec};
-use bst_contract::exec::execute_numeric_with;
+use bst_contract::engine::execute;
 use bst_contract::{
     DeviceConfig, ExecOptions, ExecReport, ExecutionPlan, GridConfig, PlannerConfig, ProblemSpec,
 };
@@ -198,7 +198,7 @@ pub fn traced_numeric_run(
     let plan = ExecutionPlan::build(spec, config).expect("traced plan must build");
     let a = BlockSparseMatrix::random_from_structure(spec.a.clone(), seed);
     let b_gen = bst_sparse::matrix::random_b_gen(seed ^ 0xB);
-    execute_numeric_with(
+    execute(
         spec,
         &plan,
         &a,

@@ -499,8 +499,7 @@ pub fn run(cli: &Cli, out: &mut dyn std::io::Write) -> Result<(), Box<dyn std::e
                 builder = builder.fault_plan(bst_contract::FaultPlan::transient(fault_seed, 0.08));
             }
             let opts = builder.build();
-            let (c, report) =
-                bst_contract::exec::execute_numeric_with(&spec, &plan, &a, &b_gen, opts)?;
+            let (c, report) = bst_contract::engine::execute(&spec, &plan, &a, &b_gen, opts)?;
             if let Some(fault_seed) = cli.opts.faults {
                 let r = &report.recovery;
                 writeln!(

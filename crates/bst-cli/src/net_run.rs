@@ -14,8 +14,8 @@
 
 use crate::{build_problem, parse_synthetic, Cli, Command, ProblemKind};
 use bst_contract::error::BstError;
-use bst_contract::exec::{execute_numeric_distributed, execute_numeric_with, ExecOptions};
-use bst_contract::{DeviceConfig, ExecutionPlan, GridConfig, PlannerConfig};
+use bst_contract::engine::{execute, execute_rank};
+use bst_contract::{DeviceConfig, ExecOptions, ExecutionPlan, GridConfig, PlannerConfig};
 use bst_net::{launch, LaunchConfig, LaunchOutcome, NetError, SocketWire, Transport, WorkerConfig};
 use bst_runtime::comm::DeliveryPolicy;
 use bst_sparse::BlockSparseMatrix;
@@ -134,9 +134,8 @@ pub fn worker_job(
     let a = BlockSparseMatrix::random_from_structure(spec.a.clone(), job.cli.seed);
     let b_gen = bst_sparse::matrix::random_b_gen(job.cli.seed ^ 0xB);
     let opts = exec_options(&job.cli, job.reorder);
-    let (c, _report) =
-        execute_numeric_distributed(&spec, &plan, &a, &b_gen, opts, rank, wire)
-            .map_err(|e| e.to_string())?;
+    let (c, _report) = execute_rank(&spec, &plan, &a, &b_gen, opts, rank, wire)
+        .map_err(|e| e.to_string())?;
     if rank == 0 {
         Ok(c.iter_tiles().map(|(&(i, j), t)| (i as u32, j as u32, t.clone())).collect())
     } else {
@@ -202,8 +201,7 @@ pub fn run_launch(cli: &Cli, lc: &LaunchConfig) -> Result<NetRunReport, BstError
     // Reference: fault-free, in-order, single-process — the bit-identity
     // baseline even when the socket run reorders deliveries or loses a
     // worker.
-    let (c_ref, _) =
-        execute_numeric_with(&spec, &plan, &a, &b_gen, exec_options(cli, None))?;
+    let (c_ref, _) = execute(&spec, &plan, &a, &b_gen, exec_options(cli, None))?;
 
     let outcome = launch(lc).map_err(BstError::Net)?;
     let mut c = BlockSparseMatrix::zeros(

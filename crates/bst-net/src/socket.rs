@@ -36,6 +36,10 @@ use std::sync::{Arc, Mutex};
 /// corruption rather than an allocation request.
 const MAX_PAYLOAD: usize = 1 << 30;
 
+/// Most payload memory [`read_msg`] reserves before any payload byte has
+/// arrived.
+const FIRST_CHUNK: usize = 16 << 20;
+
 /// Which stream-socket family a run uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Transport {
@@ -218,14 +222,14 @@ pub fn read_msg<R: Read>(r: &mut R) -> Result<Option<Msg>, NetError> {
         return Err(NetError::Codec(codec::CodecError::Overflow));
     }
     let declared_crc = u32::from_le_bytes(header[12..16].try_into().unwrap());
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            NetError::Codec(codec::CodecError::Truncated { needed: len, have: 0 })
-        } else {
-            NetError::from(e)
-        }
-    })?;
+    // `len` sits outside the CRC, so a corrupt header can declare anything
+    // up to `MAX_PAYLOAD`: reserve a bounded first chunk and let the buffer
+    // grow with the bytes that actually arrive.
+    let mut payload = Vec::with_capacity(len.min(FIRST_CHUNK));
+    let have = r.by_ref().take(len as u64).read_to_end(&mut payload)?;
+    if have < len {
+        return Err(NetError::Codec(codec::CodecError::Truncated { needed: len, have }));
+    }
     let got_crc = codec::crc32(&payload);
     if got_crc != declared_crc {
         return Err(NetError::Codec(codec::CodecError::BadCrc {
@@ -437,6 +441,38 @@ mod tests {
         let got = w1.recv().expect("frame should arrive");
         assert!(matches!(got, WireFrame::Tile { dst: 1, .. }));
         w1.close_inbound();
+    }
+
+    /// A header is 16 bytes: magic, version, kind, pad, `len`, CRC. `len`
+    /// is outside the CRC, so `read_msg` must neither trust it for an
+    /// up-front allocation nor misreport how much payload arrived.
+    fn header_declaring(len: u32) -> Vec<u8> {
+        let mut h = Vec::new();
+        h.extend_from_slice(&codec::MAGIC.to_le_bytes());
+        h.extend_from_slice(&codec::VERSION.to_le_bytes());
+        h.extend_from_slice(&[0, 0]);
+        h.extend_from_slice(&len.to_le_bytes());
+        h.extend_from_slice(&0u32.to_le_bytes());
+        h
+    }
+
+    #[test]
+    fn short_payload_reports_the_bytes_that_arrived() {
+        let mut stream = header_declaring(MAX_PAYLOAD as u32);
+        stream.extend_from_slice(&[7u8; 10]);
+        assert_eq!(
+            read_msg(&mut stream.as_slice()).unwrap_err(),
+            NetError::Codec(codec::CodecError::Truncated { needed: 1 << 30, have: 10 })
+        );
+    }
+
+    #[test]
+    fn oversized_declared_length_is_overflow() {
+        let stream = header_declaring(MAX_PAYLOAD as u32 + 1);
+        assert_eq!(
+            read_msg(&mut stream.as_slice()).unwrap_err(),
+            NetError::Codec(codec::CodecError::Overflow)
+        );
     }
 
     #[test]

@@ -734,15 +734,6 @@ impl CommFabric {
         }
     }
 
-    /// Whether `key` has been delivered into `node` (non-blocking).
-    pub fn is_delivered(&self, node: usize, key: DataKey) -> bool {
-        self.endpoints[node]
-            .delivered
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .contains(&key)
-    }
-
     /// Sends the completion control frame to every node. Each progress
     /// thread finishes delivering everything already in flight (FIFO
     /// inboxes guarantee nothing is skipped), then exits. Call after all

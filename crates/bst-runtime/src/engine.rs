@@ -1,29 +1,22 @@
 //! The single policy-driven execution engine.
 //!
-//! Historically [`TaskGraph`] grew six `execute*` entry points — the
-//! cartesian product of {plain, traced} × {infallible, fallible} × {own
-//! clock, caller clock} — each a hand-written copy of the same scheduler
-//! loop. [`Engine::run`] replaces all of them with **one** scheduler generic
-//! over three orthogonal policy objects:
+//! [`Engine::run`] is **one** scheduler, configured along three orthogonal
+//! axes:
 //!
 //! * [`Tracer`] — whether task life-cycle events are recorded
 //!   ([`NoTracer`] / [`Recorder`]); a compile-time choice, so the untraced
 //!   path monomorphizes the recording away entirely;
-//! * [`Clock`] — the timestamp source ([`TraceClock`] by default; a
-//!   caller-supplied epoch lets handlers timestamp their own side channels
-//!   — e.g. device-memory occupancy samples — on the engine's timeline);
-//! * [`RetryPolicy`] — per-task attempt budget and backoff applied to
-//!   [`TaskError::Transient`] handler failures ([`RetryOptions`] is the
-//!   canonical implementation; [`RetryOptions::none`] makes every transient
-//!   error terminal, which is how [`infallible`] handlers run).
+//! * the clock — a [`TraceClock`]; a caller-supplied epoch lets handlers
+//!   timestamp their own side channels (e.g. device-memory occupancy
+//!   samples) on the engine's timeline;
+//! * the retry options — per-task attempt budget and backoff applied to
+//!   [`TaskError::Transient`] handler failures ([`RetryOptions::none`]
+//!   makes every transient error terminal, which is how [`infallible`]
+//!   handlers run).
 //!
-//! Policies compose instead of multiplying entry points: tracing × faults ×
-//! virtual time are picked independently with [`Engine::tracing`],
+//! The axes are picked independently with [`Engine::tracing`],
 //! [`Engine::with_clock`] and [`Engine::with_retry`], and every combination
-//! reaches the same scheduler body. (The former `TaskGraph::execute*`
-//! methods were deprecated wrappers over this engine for one release and
-//! are gone; handlers that cannot fail go through the [`infallible`]
-//! adapter instead.)
+//! reaches the same scheduler body.
 //!
 //! # Scheduler semantics
 //!
@@ -42,6 +35,7 @@ use crate::graph::{FallibleRun, RetryOptions, RunAbort, TaskError, TaskGraph, Ta
 use crate::trace::{ExecTrace, TraceClock, TraceEvent, TracePhase, WorkerTrace};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::convert::Infallible;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -76,38 +70,6 @@ impl Tracer for Recorder {
     const ENABLED: bool = true;
 }
 
-/// Clock policy: the engine's timestamp source. All trace timestamps are
-/// nanoseconds from this clock.
-pub trait Clock: Copy + Send + Sync {
-    /// Nanoseconds since this clock's epoch.
-    fn now_ns(&self) -> u64;
-}
-
-impl Clock for TraceClock {
-    fn now_ns(&self) -> u64 {
-        TraceClock::now_ns(self)
-    }
-}
-
-/// Retry policy: how many attempts each task gets and how long its worker
-/// backs off between them. [`RetryOptions`] is the canonical implementation.
-pub trait RetryPolicy: Copy + Send + Sync {
-    /// Maximum handler attempts per task (≥ 1; 0 is treated as 1).
-    fn budget(&self) -> u32;
-    /// Backoff after failed attempt number `attempt` (1-based), µs.
-    fn backoff_us(&self, attempt: u32) -> u64;
-}
-
-impl RetryPolicy for RetryOptions {
-    fn budget(&self) -> u32 {
-        self.budget
-    }
-
-    fn backoff_us(&self, attempt: u32) -> u64 {
-        RetryOptions::backoff_us(self, attempt)
-    }
-}
-
 /// The policy-driven task-DAG execution engine — see the [module
 /// docs](self) for what each policy controls.
 ///
@@ -132,10 +94,10 @@ impl RetryPolicy for RetryOptions {
 /// assert!(run.trace.is_some());
 /// ```
 #[derive(Clone, Copy, Debug)]
-pub struct Engine<T = NoTracer, C = TraceClock, R = RetryOptions> {
-    tracer: T,
-    clock: C,
-    retry: R,
+pub struct Engine<T = NoTracer> {
+    tracer: PhantomData<T>,
+    clock: TraceClock,
+    retry: RetryOptions,
 }
 
 impl Engine {
@@ -143,7 +105,7 @@ impl Engine {
     /// no retries (every transient error is terminal).
     pub fn new() -> Self {
         Self {
-            tracer: NoTracer,
+            tracer: PhantomData,
             clock: TraceClock::start(),
             retry: RetryOptions::none(),
         }
@@ -156,31 +118,26 @@ impl Default for Engine {
     }
 }
 
-impl<T, C, R> Engine<T, C, R> {
+impl<T> Engine<T> {
     /// This engine with life-cycle recording on ([`Recorder`]);
     /// [`FallibleRun::trace`] will be `Some`.
-    pub fn tracing(self) -> Engine<Recorder, C, R> {
-        self.with_tracer(Recorder)
-    }
-
-    /// This engine with tracing policy `tracer`.
-    pub fn with_tracer<T2: Tracer>(self, tracer: T2) -> Engine<T2, C, R> {
-        Engine { tracer, clock: self.clock, retry: self.retry }
+    pub fn tracing(self) -> Engine<Recorder> {
+        Engine { tracer: PhantomData, clock: self.clock, retry: self.retry }
     }
 
     /// This engine timestamping from `clock` — lets the caller share one
     /// epoch between the engine and its handlers' side channels.
-    pub fn with_clock<C2: Clock>(self, clock: C2) -> Engine<T, C2, R> {
-        Engine { tracer: self.tracer, clock, retry: self.retry }
+    pub fn with_clock(self, clock: TraceClock) -> Self {
+        Self { clock, ..self }
     }
 
     /// This engine retrying transient failures under `retry`.
-    pub fn with_retry<R2: RetryPolicy>(self, retry: R2) -> Engine<T, C, R2> {
-        Engine { tracer: self.tracer, clock: self.clock, retry }
+    pub fn with_retry(self, retry: RetryOptions) -> Self {
+        Self { retry, ..self }
     }
 }
 
-impl<T: Tracer, C: Clock, R: RetryPolicy> Engine<T, C, R> {
+impl<T: Tracer> Engine<T> {
     /// Executes `graph` to completion under this engine's policies.
     ///
     /// * `workers` — every lane that tasks are pinned to (a task pinned to a
@@ -244,7 +201,7 @@ impl<T: Tracer, C: Clock, R: RetryPolicy> Engine<T, C, R> {
         let channels: Vec<(Sender<TaskId>, Receiver<TaskId>)> =
             (0..sorted.len()).map(|_| unbounded()).collect();
         let remaining = AtomicUsize::new(graph.len());
-        let budget = self.retry.budget().max(1);
+        let budget = self.retry.budget.max(1);
         let retry = self.retry;
         let attempts: Vec<AtomicU32> = (0..graph.len()).map(|_| AtomicU32::new(0)).collect();
         // First fatal / budget-exhausting error wins; later ones (from

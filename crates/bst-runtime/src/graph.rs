@@ -10,7 +10,7 @@
 //! worker; each worker pulls ready tasks from its own FIFO; completing a
 //! task decrements the indegree of its successors, enqueueing those that
 //! become ready onto *their* worker's FIFO. Worker panics propagate to the
-//! caller. Tracing, clocks and retry are composed as policies on
+//! caller. Tracing, the clock and retry are chosen on
 //! [`Engine`](crate::engine::Engine) (fluent
 //! `.tracing()/.with_clock()/.with_retry()`); infallible handlers go
 //! through the [`infallible`](crate::engine::infallible) adapter.
@@ -32,9 +32,8 @@ pub struct WorkerId {
 /// Identifier of a task within its graph.
 pub type TaskId = usize;
 
-/// Retry options for the engine's
-/// [`RetryPolicy`](crate::engine::RetryPolicy): how many attempts each
-/// task gets and how long the worker backs off between them.
+/// Retry options of [`Engine`](crate::engine::Engine): how many attempts
+/// each task gets and how long the worker backs off between them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RetryOptions {
     /// Maximum handler attempts per task (≥ 1; a value of 0 is treated as
@@ -389,8 +388,8 @@ mod tests {
 
     #[test]
     fn untraced_execution_unchanged_by_tracing_support() {
-        // `execute` must keep returning unit and running everything exactly
-        // once — tracing must be strictly opt-in.
+        // An untraced run executes everything exactly once — tracing is
+        // strictly opt-in.
         let mut g: TaskGraph<u64> = TaskGraph::new();
         for i in 0..200 {
             g.add_task(i, w(i as usize % 3, 0));

@@ -17,10 +17,9 @@
 //!   uniformly, exactly like PTG control flows);
 //! * [`engine`] — the single policy-driven scheduler ([`engine::Engine`]):
 //!   one OS thread per *worker* (a CPU lane or a GPU lane of a simulated
-//!   node), with tracing, timestamping and transient-failure retry chosen
-//!   by composable [`engine::Tracer`] / [`engine::Clock`] /
-//!   [`engine::RetryPolicy`] policy objects instead of hand-written entry
-//!   points per combination;
+//!   node), with tracing ([`engine::Tracer`]), the timestamp clock and
+//!   transient-failure retry ([`graph::RetryOptions`]) chosen independently
+//!   on the one scheduler;
 //! * [`data`] — per-node [`data::TileStore`]s with consumer reference
 //!   counts: a tile is retained while tasks still need it and dropped after
 //!   its last consumer, reproducing PaRSEC's data life-cycle management;
@@ -49,7 +48,6 @@ pub mod data;
 pub mod device;
 pub mod engine;
 pub mod graph;
-pub mod ptg;
 pub mod trace;
 
 pub use bst_tile::pool::{PoolStats, TilePool};
@@ -59,7 +57,6 @@ pub use comm::{
 };
 pub use data::{BCacheKey, BCacheStats, BTileCache, DataKey, TileStore};
 pub use device::{DeviceMemory, NodeResidency};
-pub use engine::{infallible, Clock, Engine, NoTracer, Recorder, Tracer};
+pub use engine::{infallible, Engine, NoTracer, Recorder, Tracer};
 pub use graph::{FallibleRun, RetryOptions, RunAbort, TaskError, TaskGraph, WorkerId};
-pub use ptg::PtgProgram;
 pub use trace::{ExecTrace, TaskRecord, TraceEvent, TracePhase};

@@ -1,26 +1,11 @@
-//! Parity gates for the collapsed engine: every tracing / clock / retry
-//! combination is a policy stack on `Engine::run` — gated byte-identical
-//! against the plain stack on a deterministic dataflow graph — plus one
-//! canary for the `infallible` handler adapter and the numeric
-//! fault-free-vs-faulted agreement gate.
-//!
-//! Two levels:
-//!
-//! * **runtime level** — a deterministic dataflow graph (every task's value
-//!   is a pure function of its dependencies' values) executed through each
-//!   `Engine` policy stack, gated **byte-identical**, with every recorded
-//!   trace invariant-clean. One test exercises the [`infallible`] adapter
-//!   (the migration target of the removed `TaskGraph::execute*` wrappers)
-//!   as a compatibility canary;
-//! * **core level** — the repro binaries' tiny numeric instance
-//!   (`repro_trace --numeric --tiny`), fault-free vs `--faults`-style
-//!   transient injection, gated at ≤ 1e-10 (fp accumulation order may
-//!   differ across schedules) with both traces invariant-clean.
+//! Policy gates for [`Engine::run`]: every tracing / clock / retry
+//! combination is gated **byte-identical** against the plain stack on a
+//! deterministic dataflow graph (every task's value is a pure function of
+//! its dependencies' values), with every recorded trace invariant-clean,
+//! plus one canary for the [`infallible`] handler adapter.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use bst_bench::{tiny_numeric_spec, traced_numeric_run};
-use bst_contract::{validate_trace_invariants, ExecOptions, FaultPlan};
 use bst_runtime::engine::{infallible, Engine};
 use bst_runtime::graph::{RetryOptions, TaskError, TaskGraph, WorkerId};
 
@@ -115,10 +100,10 @@ fn tracing_and_clock_policies_match_plain_engine_byte_for_byte() {
     assert_eq!(plain, clocked, "shared-clock policy changed the bytes");
 }
 
-/// Compatibility canary for the `execute*` wrapper removal: an infallible
-/// handler wrapped through [`infallible`] must delegate to the same
-/// scheduler — byte-identical to an explicit `Result`-returning handler on
-/// `Engine::new().run` over the same graph.
+/// Canary for the [`infallible`] adapter: an infallible handler wrapped
+/// through it must delegate to the same scheduler — byte-identical to an
+/// explicit `Result`-returning handler on `Engine::new().run` over the
+/// same graph.
 #[test]
 fn infallible_adapter_matches_explicit_handler() {
     let (graph, workers) = build_graph();
@@ -232,37 +217,4 @@ fn retry_policy_stacks_recover_to_identical_bytes() {
         Engine::new().run(g, &workers, |_| (), wrapped).unwrap();
     });
     assert_eq!(plain_retry, fault_free, "recovered bytes differ from fault-free");
-}
-
-/// The `repro_trace --numeric --tiny` instance: a fault-free run and a
-/// `--faults`-style transient-injection run must agree to ≤ 1e-10, both
-/// traces must be invariant-clean, and only the faulted run may report
-/// recovery activity.
-#[test]
-fn tiny_numeric_instance_agrees_fault_free_vs_faulted() {
-    let gpu_mem = 1 << 21;
-    let spec = tiny_numeric_spec(42);
-
-    let clean_opts = ExecOptions::builder().tracing(true).build();
-    let (c_clean, r_clean) = traced_numeric_run(&spec, 2, 2, gpu_mem, 42, clean_opts);
-
-    let faulted_opts = ExecOptions::builder()
-        .tracing(true)
-        .fault_plan(FaultPlan::transient(42, 0.08))
-        .build();
-    let (c_faulted, r_faulted) = traced_numeric_run(&spec, 2, 2, gpu_mem, 42, faulted_opts);
-
-    let diff = c_clean.max_abs_diff(&c_faulted);
-    assert!(diff <= 1e-10, "faulted run diverged by {diff}");
-    assert!(!r_clean.recovery.any(), "clean run reported recovery");
-    assert!(r_faulted.recovery.any(), "0.08 injection rate never fired");
-
-    assert_eq!(
-        validate_trace_invariants(&r_clean, clean_opts, gpu_mem),
-        Vec::<String>::new()
-    );
-    assert_eq!(
-        validate_trace_invariants(&r_faulted, faulted_opts, gpu_mem),
-        Vec::<String>::new()
-    );
 }

@@ -9,7 +9,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use bst_contract::exec::execute_numeric_with;
+use bst_contract::engine::execute;
 use bst_contract::{
     validate_trace_invariants, DeviceConfig, ExecOptions, ExecReport, ExecutionPlan, GridConfig,
     PlannerConfig, ProblemSpec,
@@ -63,7 +63,7 @@ fn numeric_and_simulated_runs_execute_the_same_dag() {
     let b_gen = |k: usize, j: usize, r: usize, c: usize, pool: &TilePool| {
         Ok(Arc::new(pool.random(r, c, tile_seed(3 ^ 0xB, k, j))))
     };
-    let (_c, numeric) = execute_numeric_with(&spec, &plan, &a, &b_gen, opts).unwrap();
+    let (_c, numeric) = execute(&spec, &plan, &a, &b_gen, opts).unwrap();
 
     let mut platform = Platform::summit(4);
     platform.gpus_per_node = 2;
@@ -101,7 +101,7 @@ fn simulated_device_accounting_matches_numeric_peaks() {
     let b_gen = |k: usize, j: usize, r: usize, c: usize, pool: &TilePool| {
         Ok(Arc::new(pool.random(r, c, tile_seed(3 ^ 0xB, k, j))))
     };
-    let (_c, numeric) = execute_numeric_with(&spec, &plan, &a, &b_gen, opts).unwrap();
+    let (_c, numeric) = execute(&spec, &plan, &a, &b_gen, opts).unwrap();
     let mut platform = Platform::summit(4);
     platform.gpus_per_node = 2;
     let simulated = replay_dag(&spec, &plan, &platform, &opts);
@@ -139,7 +139,7 @@ fn genb_fanout_lowers_identically_for_both_consumers() {
     let b_gen = |k: usize, j: usize, r: usize, c: usize, pool: &TilePool| {
         Ok(Arc::new(pool.random(r, c, tile_seed(3 ^ 0xB, k, j))))
     };
-    let (_c, numeric) = execute_numeric_with(&spec, &plan, &a, &b_gen, opts).unwrap();
+    let (_c, numeric) = execute(&spec, &plan, &a, &b_gen, opts).unwrap();
     let mut platform = Platform::summit(4);
     platform.gpus_per_node = 2;
     let simulated = replay_dag(&spec, &plan, &platform, &opts);

@@ -218,11 +218,6 @@ impl BlockSparseTensor4 {
         &self.matricised
     }
 
-    /// Consumes the tensor, returning the matricised matrix.
-    pub fn into_matricised(self) -> crate::BlockSparseMatrix {
-        self.matricised
-    }
-
     /// The fused tile holding tensor tile `(t0, t1, t2, t3)`, if present.
     pub fn tile(&self, t0: usize, t1: usize, t2: usize, t3: usize) -> Option<&bst_tile::Tile> {
         self.matricised

@@ -30,11 +30,9 @@
 //! [`Einsum::contract`] runs each term through the one-shot engine;
 //! [`Einsum::contract_on`] routes each term through a
 //! [`ContractionService`], so plan caching and per-node B-tile caching
-//! apply per term. The legacy entry points
-//! [`multiply`](crate::api::multiply),
-//! [`multiply_on_demand`](crate::api::multiply_on_demand) and
-//! [`contract_abcd`](crate::api::contract_abcd) are thin shims over this
-//! builder.
+//! apply per term. Callers that already hold a [`ProblemSpec`] and an
+//! [`ExecutionPlan`] skip the builder and call
+//! [`engine::execute`](crate::engine::execute) directly.
 //!
 //! ```
 //! use bst_contract::einsum::Einsum;
@@ -69,7 +67,7 @@ use crate::config::PlannerConfig;
 use crate::engine::policies::ExecOptions;
 use crate::engine::report::ExecReport;
 use crate::error::{BstError, GenError, ServiceError};
-use crate::exec::{execute_numeric_with, BGen};
+use crate::engine::{execute, BGen};
 use crate::plan::ExecutionPlan;
 use crate::service::{ContractionRequest, ContractionService, RequestStats, ServiceBGen};
 use crate::spec::ProblemSpec;
@@ -322,7 +320,7 @@ impl<'a> Einsum<'a> {
     }
 
     /// Screens the **final** result to `shape` (tile-level sparsity of the
-    /// output), like the `c_shape` of the legacy entry points.
+    /// output) — the `c_shape` of the final term's [`ProblemSpec`].
     pub fn output_shape(mut self, shape: SparseShape) -> Self {
         self.output_shape = Some(shape);
         self
@@ -484,7 +482,7 @@ impl<'a> Einsum<'a> {
         let pspec = ProblemSpec::new(a_structure, b_structure, c_shape);
         let plan = ExecutionPlan::build(&pspec, config)?;
         let run = |b_gen: BGen<'_>| {
-            execute_numeric_with(&pspec, &plan, a_mat, b_gen, self.opts).map_err(BstError::from)
+            execute(&pspec, &plan, a_mat, b_gen, self.opts).map_err(BstError::from)
         };
         match b_mat {
             Some(b) => {

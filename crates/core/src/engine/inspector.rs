@@ -161,7 +161,8 @@ pub fn owner_of(p: usize, q: usize, i: usize, k: usize) -> usize {
     (i % p) * q + (k % q)
 }
 
-/// A node's CPU lane (lane 0: `SendA` hops, plus legacy serialised `GenB`).
+/// A node's CPU lane (lane 0: `SendA` hops, plus `GenB` when
+/// `genb_workers == 0`).
 pub fn cpu_lane(node: usize) -> WorkerId {
     WorkerId { node, lane: 0 }
 }

@@ -1,11 +1,32 @@
 //! The execution engine: one policy-driven path from plan to result.
 //!
-//! Formerly a single 1,700-line `exec.rs` monolith, the engine is split by
-//! responsibility:
+//! The plan is lowered to a task DAG with the same structure the paper's
+//! generic PTG executes over PaRSEC (§4):
+//!
+//! * **dataflow tasks** — `SendA` (A-tile broadcast across a grid row),
+//!   `GenB` (on-demand generation of B tiles on the node that needs them,
+//!   fanned across a small pool of CPU worker lanes — see
+//!   [`ExecOptions::genb_workers`]), `LoadBlock`/`LoadA` (host→device
+//!   transfers), `Gemm` (the computation, dispatched to a shape-selected
+//!   kernel — see [`KernelSelect`]), `EvictChunk`/`FlushBlock` (device
+//!   memory recycling and C write-back);
+//! * **control-flow edges** — `LoadBlock(b+1)` waits for `FlushBlock(b)`
+//!   (blocks are transferred blockingly, §3.2.2), and the `LoadA` tasks of
+//!   chunk `n` wait for `EvictChunk(n−2)` (one chunk computing + one chunk
+//!   prefetching, §3.2.3). These edges never change the result — removing
+//!   them only breaks the device-memory budget, which
+//!   [`bst_runtime::DeviceMemory`] then reports as an OOM, exactly like the
+//!   real GPU would.
+//!
+//! Every node's tiles live in its private [`bst_runtime::TileStore`]; `A`
+//! starts 2D-cyclic-distributed and crosses node boundaries only through
+//! explicit `SendA` tasks.
+//!
+//! The engine is split by responsibility:
 //!
 //! * [`inspector`] — **plan → DAG**: materialises the task graph with its
-//!   dataflow and control-flow edges (the paper's §4 PTG). Data-free, so
-//!   `bst-sim` replays the *same* lowering it can never drift from;
+//!   dataflow and control-flow edges. Data-free, so `bst-sim` replays the
+//!   *same* lowering it can never drift from;
 //! * [`policies`] — [`policies::ExecOptions`]: the composable
 //!   knob surface (control edges, tracing, kernels, GenB fan-out, faults,
 //!   retry);
@@ -16,11 +37,13 @@
 //! * [`report`] — [`report::ExecReport`], recovery statistics,
 //!   and the trace-invariant checker.
 //!
-//! The crate-private `run` function is the **only** execution path. Tracing
-//! on/off, faults on/off, retry budgets — every combination is a policy
-//! selection on the `bst-runtime` [`bst_runtime::engine::Engine`], not a
-//! separate code path; `crate::exec::execute_numeric*` and the `crate::api`
-//! entry points are thin wrappers over this function.
+//! [`execute`] and [`execute_rank`] are the plan-level entry points — for
+//! callers that already hold a [`ProblemSpec`] and an [`ExecutionPlan`];
+//! callers starting from operands use [`crate::einsum::Einsum`]. Both, and
+//! the contraction service, are thin over the crate-private `run`, the
+//! **only** execution path: tracing on/off, faults on/off, retry budgets —
+//! every combination is a policy selection on the `bst-runtime`
+//! [`bst_runtime::engine::Engine`], not a separate code path.
 
 pub mod inspector;
 pub mod policies;
@@ -32,7 +55,7 @@ mod memory;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use bst_runtime::comm::{CommConfig, CommFabric};
+use bst_runtime::comm::{CommConfig, CommFabric, RemoteLink, Wire};
 use bst_runtime::device::NodeResidency;
 use bst_runtime::engine::Engine;
 use bst_runtime::graph::{FallibleRun, RunAbort, WorkerId};
@@ -52,7 +75,7 @@ use crate::spec::ProblemSpec;
 use handlers::{Counters, HandlerEnv};
 use inspector::{owner_of, Op};
 use memory::{Ctx, MemoryManager};
-use policies::{ExecOptions, KernelSelect};
+use policies::{Collectives, ExecOptions, KernelSelect};
 use report::{DeviceMemLog, ExecReport, ExecTraceData, RecoveryStats};
 
 /// The node that accumulates C partial sums (flush handlers ship their
@@ -84,15 +107,68 @@ pub(crate) struct BCaches<'a> {
     pub ident: u64,
 }
 
-/// Executes `plan` numerically under `opts` — the single engine path every
-/// public entry point funnels into.
+/// Executes `plan` numerically under `opts`: `A` given as a block-sparse
+/// matrix (conceptually pre-distributed 2D-cyclically), `B` generated on
+/// demand by `b_gen` on the node that needs each tile. Returns the result
+/// `C` and an execution report, or a typed [`ExecError`] when the execution
+/// fails beyond recovery (device OOM, a permanent generator failure, or a
+/// retry budget spent on a transient one).
+///
+/// Running without the control edges ([`ExecOptions::prefetch_window`],
+/// [`ExecOptions::block_serialization`]) is only safe when the devices are
+/// large enough to hold everything the scheduler may co-schedule.
+pub fn execute(
+    spec: &ProblemSpec,
+    plan: &ExecutionPlan,
+    a: &BlockSparseMatrix,
+    b_gen: BGen<'_>,
+    opts: ExecOptions,
+) -> Result<(BlockSparseMatrix, ExecReport), ExecError> {
+    run(spec, plan, a, b_gen, opts, None, None)
+}
+
+/// [`execute`] as **one rank of a multi-process run**: this process
+/// executes only node `rank`'s tasks of the plan; frames for other ranks
+/// leave over `wire` and inbound frames are pumped back in (the `bst-net`
+/// socket transports implement [`Wire`]).
+///
+/// Every participating process must call this with the same spec, plan,
+/// `a` and options (SPMD — each seeds only its own 2D-cyclic A slice).
+/// Only `rank == 0` assembles a meaningful `C`: partial sums reduce to the
+/// root's process; every other rank returns an empty matrix plus its local
+/// execution report.
+///
+/// A `rank` outside the plan's `p × q` grid, or [`Collectives::Unicast`]
+/// (the unicast root has no structural count to block on, so its final take
+/// would race the wire), is rejected with [`ExecError::InvalidRank`].
+pub fn execute_rank(
+    spec: &ProblemSpec,
+    plan: &ExecutionPlan,
+    a: &BlockSparseMatrix,
+    b_gen: BGen<'_>,
+    opts: ExecOptions,
+    rank: usize,
+    wire: Arc<dyn Wire>,
+) -> Result<(BlockSparseMatrix, ExecReport), ExecError> {
+    let invalid = |reason: String| Err(ExecError::InvalidRank { rank, reason });
+    let ranks = plan.config.grid.p * plan.config.grid.q;
+    if rank >= ranks {
+        return invalid(format!("the plan's grid has {ranks} ranks"));
+    }
+    if opts.collectives != Collectives::Tree {
+        return invalid("multi-process execution requires tree collectives".into());
+    }
+    run(spec, plan, a, b_gen, opts, None, Some(RemoteLink { rank, wire }))
+}
+
+/// The single engine path [`execute`], [`execute_rank`] and the contraction
+/// service funnel into.
 ///
 /// With `remote: Some(link)`, the engine runs **SPMD over processes**: it
 /// lowers the full plan, restricts the DAG to `link.rank`'s tasks, seeds
 /// only that rank's A slice, and plugs `link.wire` into the fabric so
 /// frames for other ranks leave the process (and inbound frames are pumped
-/// back in). Every participating process must call with the same spec,
-/// plan and options for the global DAG to be consistent.
+/// back in).
 pub(crate) fn run(
     spec: &ProblemSpec,
     plan: &ExecutionPlan,
@@ -100,7 +176,7 @@ pub(crate) fn run(
     b_gen: BGen<'_>,
     opts: ExecOptions,
     b_caches: Option<BCaches<'_>>,
-    remote: Option<bst_runtime::comm::RemoteLink>,
+    remote: Option<RemoteLink>,
 ) -> Result<(BlockSparseMatrix, ExecReport), ExecError> {
     // ---- Degraded re-planning on a permanent node loss -------------------
     // The dead node's B columns move to its surviving row peers; its host
@@ -217,7 +293,7 @@ pub(crate) fn run(
 
     let mk_ctx = |w: WorkerId| {
         if w.lane == 0 || w.lane > g {
-            Ctx::Cpu // lane 0: SendA (+ legacy GenB); lanes > g: GenB workers
+            Ctx::Cpu // lane 0: SendA (+ GenB without GenB lanes); lanes > g: GenB workers
         } else {
             Ctx::Gpu(Box::new(MemoryManager::new(
                 w.lane - 1,

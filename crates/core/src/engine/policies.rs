@@ -3,7 +3,7 @@
 //! [`ExecOptions`] is the single knob surface of the engine — control-flow
 //! edges, tracing, kernel selection, GenB fan-out, fault injection and retry
 //! policy all compose here and reach one execution path
-//! (`crate::engine::run`), never separate entry points.
+//! ([`crate::engine::execute`]), never separate entry points.
 
 use crate::fault::{FaultPlan, RetryPolicy};
 use bst_runtime::comm::{DeliveryPolicy, LinkShaper, DEFAULT_CREDIT_WINDOW};
@@ -70,10 +70,10 @@ pub struct ExecOptions {
     pub tracing: bool,
     /// GEMM kernel selection policy (see [`KernelSelect`]).
     pub kernel: KernelSelect,
-    /// Dedicated `GenB` worker lanes per node. `0` keeps the legacy
-    /// behaviour (generation serialised on the node's CPU lane, interleaved
-    /// with `SendA`); `w > 0` fans `GenB` tasks round-robin across `w`
-    /// extra lanes so generation overlaps with communication and compute.
+    /// Dedicated `GenB` worker lanes per node. `0` serialises generation
+    /// on the node's CPU lane, interleaved with `SendA`; `w > 0` fans
+    /// `GenB` tasks round-robin across `w` extra lanes so generation
+    /// overlaps with communication and compute.
     pub genb_workers: usize,
     /// Deterministic fault-injection schedule (see [`FaultPlan`]); `None`
     /// disables injection entirely (the default). Injected transient faults
@@ -83,7 +83,7 @@ pub struct ExecOptions {
     pub fault_plan: Option<FaultPlan>,
     /// Per-task retry budget and exponential backoff applied to transient
     /// failures (injected or reported by the generator —
-    /// see [`BGen`](crate::exec::BGen)).
+    /// see [`BGen`](crate::engine::BGen)).
     pub retry: RetryPolicy,
     /// Credit window of the **inter-node** transport: frames simultaneously
     /// in flight toward any one node over the NIC (see

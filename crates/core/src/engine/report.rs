@@ -63,8 +63,8 @@ impl RecoveryStats {
 /// Per-run B-tile cache counters — what one execution took from and gave to
 /// a persistent [`BTileCache`](bst_runtime::BTileCache). Present only when
 /// the run was driven through a cache-equipped entry point (the
-/// `ContractionService`); the one-shot `execute_numeric*` paths leave it
-/// `None`.
+/// `ContractionService`); the one-shot [`execute`](crate::engine::execute)
+/// path leaves it `None`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BCacheRunStats {
     /// `GenB` tasks served from the cache (generator not called).

@@ -1,12 +1,13 @@
 //! Typed errors for the fallible execution API.
 //!
-//! The public entry points (`multiply`, `multiply_on_demand`,
-//! `contract_abcd`) and the executor (`execute_numeric*`) return `Result`
-//! instead of panicking: anomalies that a distributed deployment must
+//! The public entry points ([`Einsum`](crate::einsum::Einsum), the
+//! contraction service) and the executor
+//! ([`engine::execute`](crate::engine::execute)) return `Result` instead of
+//! panicking: anomalies that a distributed deployment must
 //! survive — a generator backend failing, device memory exhausted, a
 //! transfer dropped — surface as values the caller can match on.
 //! [`BstError`] is the union the API surface exposes; [`GenError`] is what a
-//! [`BGen`](crate::exec::BGen) callback reports; [`ExecError`] is what the
+//! [`BGen`](crate::engine::BGen) callback reports; [`ExecError`] is what the
 //! executor reports after its retry budget is spent.
 
 use crate::config::PlanError;
@@ -140,6 +141,15 @@ pub enum ExecError {
         /// The underlying wire error, rendered.
         reason: String,
     },
+    /// [`engine::execute_rank`](crate::engine::execute_rank) was asked for
+    /// something no rank of an SPMD run can do: a rank outside the plan's
+    /// grid, or collectives the multi-process path does not support.
+    InvalidRank {
+        /// The rank the caller asked to execute.
+        rank: usize,
+        /// Why it cannot run.
+        reason: String,
+    },
 }
 
 impl fmt::Display for ExecError {
@@ -160,6 +170,9 @@ impl fmt::Display for ExecError {
             ExecError::Replan(e) => write!(f, "degraded re-planning failed: {e}"),
             ExecError::Wire { dst, detail, reason } => {
                 write!(f, "wire send to rank {dst} failed during {detail}: {reason}")
+            }
+            ExecError::InvalidRank { rank, reason } => {
+                write!(f, "cannot execute as rank {rank}: {reason}")
             }
         }
     }

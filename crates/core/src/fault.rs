@@ -234,50 +234,9 @@ impl FaultPlan {
 }
 
 /// Per-task retry policy of the executor: attempt budget and exponential
-/// backoff bounds. Thin, `Copy` mirror of the engine-level
-/// [`bst_runtime::graph::RetryOptions`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Maximum handler attempts per task (first attempt included).
-    pub budget: u32,
-    /// Backoff before the first retry, microseconds (doubles per retry).
-    pub backoff_base_us: u64,
-    /// Upper bound on a single backoff, microseconds.
-    pub backoff_max_us: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        let d = bst_runtime::graph::RetryOptions::default();
-        Self {
-            budget: d.budget,
-            backoff_base_us: d.backoff_base_us,
-            backoff_max_us: d.backoff_max_us,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The engine-level options this policy lowers to.
-    pub fn to_engine(self) -> bst_runtime::graph::RetryOptions {
-        bst_runtime::graph::RetryOptions {
-            budget: self.budget,
-            backoff_base_us: self.backoff_base_us,
-            backoff_max_us: self.backoff_max_us,
-        }
-    }
-}
-
-// The executor hands this policy straight to `Engine::run`.
-impl bst_runtime::engine::RetryPolicy for RetryPolicy {
-    fn budget(&self) -> u32 {
-        self.budget
-    }
-
-    fn backoff_us(&self, attempt: u32) -> u64 {
-        bst_runtime::engine::RetryPolicy::backoff_us(&self.to_engine(), attempt)
-    }
-}
+/// backoff bounds — the engine-level options, under the name
+/// [`ExecOptions::retry`](crate::engine::policies::ExecOptions::retry) uses.
+pub use bst_runtime::graph::RetryOptions as RetryPolicy;
 
 #[cfg(test)]
 mod tests {
@@ -369,13 +328,5 @@ mod tests {
             .find(|&k| fp.stall(k).is_some())
             .expect("stall_rate 0.5 must fire within 100 keys");
         assert_eq!(fp.stall(key), Some(Duration::from_micros(20)));
-    }
-
-    #[test]
-    fn retry_policy_lowers_to_engine_options() {
-        let p = RetryPolicy { budget: 6, backoff_base_us: 10, backoff_max_us: 100 };
-        let e = p.to_engine();
-        assert_eq!((e.budget, e.backoff_base_us, e.backoff_max_us), (6, 10, 100));
-        assert_eq!(RetryPolicy::default().budget, 4);
     }
 }

@@ -25,21 +25,25 @@
 //! The [`plan`] module runs all of the above as an *inspector* producing an
 //! [`plan::ExecutionPlan`] — the same inspector/executor split the paper
 //! implements over PaRSEC's PTG — and the [`engine`] module tree executes a
-//! plan numerically on the `bst-runtime` dataflow runtime (with [`exec`] as
-//! its signature-stable facade). The performance simulator (`bst-sim`)
-//! replays the same inspector lowering against a Summit platform model.
+//! plan numerically on the `bst-runtime` dataflow runtime. The performance
+//! simulator (`bst-sim`) replays the same inspector lowering against a
+//! Summit platform model.
+//!
+//! There are two doors into the engine: callers holding operands describe
+//! the contraction to [`Einsum`] (`contract` / `contract_on`); callers
+//! already holding a [`ProblemSpec`] and an [`ExecutionPlan`] call
+//! [`engine::execute`] (or [`engine::execute_rank`] as one process of an
+//! SPMD run).
 //! For iterative solvers that issue the same contraction shape repeatedly,
 //! the [`service`] module keeps a persistent engine: plans and generated B
 //! tiles are cached across requests behind a bounded, concurrent frontend.
 
-pub mod api;
 pub mod assign;
 pub mod chunk;
 pub mod config;
 pub mod einsum;
 pub mod engine;
 pub mod error;
-pub mod exec;
 pub mod fault;
 pub mod partition;
 pub mod plan;
@@ -50,11 +54,10 @@ pub mod stationary_c;
 pub use config::{DeviceConfig, GridConfig, PlanError, PlannerConfig};
 pub use einsum::{Einsum, EinsumOutcome, EinsumSpec, SpecError};
 pub use error::{BstError, ExecError, GenError, ServiceError};
-pub use exec::{
-    validate_trace_invariants, Collectives, ExecOptions, ExecOptionsBuilder, ExecReport,
-    ExecTraceData, KernelSelect, RecoveryStats,
+pub use engine::policies::{Collectives, ExecOptions, ExecOptionsBuilder, KernelSelect};
+pub use engine::report::{
+    validate_trace_invariants, BCacheRunStats, ExecReport, ExecTraceData, RecoveryStats,
 };
-pub use engine::report::BCacheRunStats;
 pub use fault::{FaultPlan, FaultSite, RetryPolicy};
 pub use plan::{ExecutionPlan, PlanStats};
 pub use service::{

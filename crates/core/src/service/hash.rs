@@ -109,13 +109,7 @@ fn pack_tag(p: PackPolicy) -> u64 {
     }
 }
 
-/// Digest of every [`PlannerConfig`] field the planner reads.
-pub fn config_hash(cfg: &PlannerConfig) -> u64 {
-    let mut d = Digest::new();
-    push_config(&mut d, cfg);
-    d.finish()
-}
-
+/// Folds every [`PlannerConfig`] field the planner reads into `d`.
 fn push_config(d: &mut Digest, cfg: &PlannerConfig) {
     d.push(cfg.grid.p as u64);
     d.push(cfg.grid.q as u64);
@@ -128,13 +122,8 @@ fn push_config(d: &mut Digest, cfg: &PlannerConfig) {
     d.push(cfg.prefetch_depth as u64);
 }
 
-/// Digest of a full problem spec: both operands plus the optional C shape.
-pub fn spec_hash(spec: &ProblemSpec) -> u64 {
-    let mut d = Digest::new();
-    push_spec(&mut d, spec);
-    d.finish()
-}
-
+/// Folds a full problem spec into `d`: both operands plus the optional C
+/// shape.
 fn push_spec(d: &mut Digest, spec: &ProblemSpec) {
     d.push(0xA5);
     push_structure(d, &spec.a);

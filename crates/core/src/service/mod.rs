@@ -56,7 +56,7 @@ use crate::spec::ProblemSpec;
 pub use plan_cache::{PlanCache, PlanCacheStats};
 
 /// An owned, shareable B-tile generator — the service-side analogue of the
-/// borrowed [`BGen`](crate::exec::BGen), `Arc`ed so requests can outlive
+/// borrowed [`BGen`](crate::engine::BGen), `Arc`ed so requests can outlive
 /// the submitting thread's stack frame.
 pub type ServiceBGen = Arc<
     dyn Fn(usize, usize, usize, usize, &TilePool) -> Result<Arc<Tile>, GenError> + Send + Sync,
@@ -342,14 +342,6 @@ impl ContractionService {
             out.b_peak_bytes += s.peak_bytes;
         }
         out
-    }
-
-    /// Drops every cached B tile (plans stay). Mainly for tests exercising
-    /// regeneration; counters survive the clear.
-    pub fn clear_b_cache(&self) {
-        for cache in self.inner.b_caches.lock().unwrap().iter() {
-            cache.clear();
-        }
     }
 
     /// Closes the queue and joins the workers. Already-admitted requests

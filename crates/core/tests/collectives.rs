@@ -3,7 +3,7 @@
 //! unicast comparison baseline, and fault recovery through interior tree
 //! hops — all over the real `bst-comm` transport.
 
-use bst_contract::exec::execute_numeric_with;
+use bst_contract::engine::execute;
 use bst_contract::{
     validate_trace_invariants, Collectives, DeliveryPolicy, DeviceConfig, ExecOptions, ExecReport,
     ExecutionPlan, FaultPlan, GridConfig, LinkClass, LinkShaper, PlannerConfig, ProblemSpec,
@@ -42,7 +42,7 @@ fn run_nodes(spec: &ProblemSpec, nodes: usize, opts: ExecOptions) -> (BlockSpars
     let b_gen = move |k: usize, j: usize, r: usize, c: usize, pool: &bst_tile::TilePool| {
         Ok(std::sync::Arc::new(pool.random(r, c, tile_seed(42 ^ 0xB, k, j))))
     };
-    execute_numeric_with(spec, &plan, &a, &b_gen, opts).expect("execution")
+    execute(spec, &plan, &a, &b_gen, opts).expect("execution")
 }
 
 fn reference(spec: &ProblemSpec) -> BlockSparseMatrix {

@@ -2,7 +2,7 @@
 //! multi-node runs against the dense reference, bit-identity across delivery
 //! policies, dropped-message recovery, and the transport trace invariants.
 
-use bst_contract::exec::execute_numeric_with;
+use bst_contract::engine::execute;
 use bst_contract::{
     validate_trace_invariants, DeliveryPolicy, DeviceConfig, ExecOptions, ExecReport,
     ExecutionPlan, FaultPlan, GridConfig, LinkShaper, PlannerConfig, ProblemSpec,
@@ -40,7 +40,7 @@ fn run_nodes(spec: &ProblemSpec, nodes: usize, opts: ExecOptions) -> (BlockSpars
     let b_gen = move |k: usize, j: usize, r: usize, c: usize, pool: &bst_tile::TilePool| {
         Ok(std::sync::Arc::new(pool.random(r, c, tile_seed(42 ^ 0xB, k, j))))
     };
-    execute_numeric_with(spec, &plan, &a, &b_gen, opts).expect("execution")
+    execute(spec, &plan, &a, &b_gen, opts).expect("execution")
 }
 
 fn reference(spec: &ProblemSpec) -> BlockSparseMatrix {

@@ -1,5 +1,5 @@
 //! SPMD execution over an in-process wire mesh: every rank runs
-//! `execute_numeric_distributed` on its own thread with a private
+//! `engine::execute_rank` on its own thread with a private
 //! channel-backed `Wire`, and rank 0's assembled C must be bit-identical
 //! to the single-process channel-transport run of the same problem.
 //!
@@ -10,11 +10,10 @@ use std::collections::HashMap;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 
-use bst_contract::exec::{
-    execute_numeric_distributed, execute_numeric_with, ExecOptions,
-};
+use bst_contract::engine::{execute, execute_rank};
 use bst_contract::{
-    DeviceConfig, ExecutionPlan, GridConfig, PlannerConfig, ProblemSpec,
+    Collectives, DeviceConfig, ExecError, ExecOptions, ExecutionPlan, GridConfig, PlannerConfig,
+    ProblemSpec,
 };
 use bst_runtime::comm::{DeliveryPolicy, Wire, WireError, WireFrame};
 use bst_sparse::generate::{generate, SyntheticParams};
@@ -108,7 +107,7 @@ fn run_mesh(
                 let wire: Arc<dyn Wire> = Arc::clone(wire) as Arc<dyn Wire>;
                 let (a, b_gen, opts) = (&a, &b_gen, opts.clone());
                 s.spawn(move || {
-                    execute_numeric_distributed(spec, plan, a, b_gen, opts, rank, wire)
+                    execute_rank(spec, plan, a, b_gen, opts, rank, wire)
                         .expect("rank failed")
                 })
             })
@@ -133,7 +132,7 @@ fn mesh_run_is_bit_identical_to_single_process() {
     let b_gen = bst_sparse::matrix::random_b_gen(42 ^ 0xB);
     let opts = ExecOptions::builder().build();
     let (c_ref, _) =
-        execute_numeric_with(&spec, &plan, &a, &b_gen, opts.clone()).expect("reference");
+        execute(&spec, &plan, &a, &b_gen, opts.clone()).expect("reference");
 
     let c = run_mesh(&spec, &plan, nodes, &opts);
     assert_eq!(c.max_abs_diff(&c_ref), 0.0, "mesh run diverged");
@@ -146,7 +145,7 @@ fn mesh_run_survives_delivery_reorder() {
     let plan = ExecutionPlan::build(&spec, config).expect("plan");
     let a = BlockSparseMatrix::random_from_structure(spec.a.clone(), 42);
     let b_gen = bst_sparse::matrix::random_b_gen(42 ^ 0xB);
-    let (c_ref, _) = execute_numeric_with(
+    let (c_ref, _) = execute(
         &spec,
         &plan,
         &a,
@@ -160,4 +159,27 @@ fn mesh_run_survives_delivery_reorder() {
         .build();
     let c = run_mesh(&spec, &plan, nodes, &reorder);
     assert_eq!(c.max_abs_diff(&c_ref), 0.0, "reorder changed the result");
+}
+
+/// A bad job description is a typed error at the SPMD door, not a panic in
+/// the worker process: a rank outside the plan's grid, and unicast
+/// collectives (whose root has no structural count to block on).
+#[test]
+fn bad_rank_and_unicast_are_typed_errors() {
+    let nodes = 2;
+    let (spec, config) = problem(nodes);
+    let plan = ExecutionPlan::build(&spec, config).expect("plan");
+    let a = BlockSparseMatrix::random_from_structure(spec.a.clone(), 42);
+    let b_gen = bst_sparse::matrix::random_b_gen(42 ^ 0xB);
+    let run = |opts: ExecOptions, rank: usize| {
+        let wire: Arc<dyn Wire> = mesh(nodes).swap_remove(0);
+        execute_rank(&spec, &plan, &a, &b_gen, opts, rank, wire).unwrap_err()
+    };
+
+    let err = run(ExecOptions::default(), nodes);
+    assert!(matches!(err, ExecError::InvalidRank { rank: 2, .. }), "got {err}");
+
+    let unicast = ExecOptions::builder().collectives(Collectives::Unicast).build();
+    let err = run(unicast, 0);
+    assert!(matches!(err, ExecError::InvalidRank { rank: 0, .. }), "got {err}");
 }

@@ -1,16 +1,18 @@
 //! Integration + property tests for the einsum frontend: generated
-//! instances must agree with dense references, the legacy entry points
-//! must stay bit-identical to their spec-driven shims, chains must thread
+//! instances must agree with dense references and be bit-identical to an
+//! independent plan-level run (hand-built `ProblemSpec` →
+//! `ExecutionPlan::build` → `engine::execute`), chains must thread
 //! screened intermediates correctly through both execution paths, and
 //! malformed specs or bindings must come back as typed errors.
 
 use std::sync::Arc;
 
-use bst_contract::api::{contract_abcd, multiply};
 use bst_contract::einsum::{Einsum, SpecError};
+use bst_contract::engine::{self, BGen};
+use bst_contract::error::GenError;
 use bst_contract::{
-    BstError, ContractionService, DeviceConfig, GridConfig, PlannerConfig, ServiceBGen,
-    ServiceConfig,
+    BstError, ContractionService, DeviceConfig, ExecOptions, ExecutionPlan, GridConfig,
+    PlannerConfig, ProblemSpec, ServiceBGen, ServiceConfig,
 };
 use bst_sparse::generate::{generate, SyntheticParams};
 use bst_sparse::matrix::tile_seed;
@@ -40,28 +42,54 @@ fn reference(a: &BlockSparseMatrix, b: &BlockSparseMatrix) -> BlockSparseMatrix 
     c
 }
 
+/// The independent reference of the bit-identity gates: the product the
+/// einsum lowering should arrive at, built by hand and run through the
+/// plan-level door.
+fn plan_level(
+    a: &BlockSparseMatrix,
+    b_structure: &MatrixStructure,
+    b_gen: BGen<'_>,
+    config: PlannerConfig,
+) -> BlockSparseMatrix {
+    let spec = ProblemSpec::new(a.structure().clone(), b_structure.clone(), None);
+    let plan = ExecutionPlan::build(&spec, config).unwrap();
+    engine::execute(&spec, &plan, a, b_gen, ExecOptions::default()).unwrap().0
+}
+
+/// Single-term einsum on a generated block-sparse instance over a `1 × q`
+/// grid with 2 GPUs per node: the result agrees with the dense reference
+/// and is bit-identical to the plan-level run of the same product.
+fn check_single_term(seed: u64, q: usize) {
+    let prob = generate(&SyntheticParams {
+        m: 20, n: 40, k: 30, density: 0.6, tile_min: 3, tile_max: 8, seed,
+    });
+    let a = BlockSparseMatrix::random_from_structure(prob.a, seed ^ 1);
+    let b = BlockSparseMatrix::random_from_structure(prob.b, seed ^ 2);
+    let out = Einsum::new("ik,kj->ij")
+        .operand(&a)
+        .operand(&b)
+        .contract(cfg(1, q, 2))
+        .unwrap();
+    assert_eq!(out.output_labels(), "ij");
+    assert!(out.matrix().max_abs_diff(&reference(&a, &b)) <= 1e-10);
+    let serve_b = |k: usize, j: usize, _r: usize, _c: usize, _pool: &TilePool| {
+        b.tile_arc(k, j).cloned().ok_or(GenError::MissingTile { k, j })
+    };
+    let c = plan_level(&a, b.structure(), &serve_b, cfg(1, q, 2));
+    assert_eq!(out.matrix().max_abs_diff(&c), 0.0);
+}
+
+#[test]
+fn single_term_on_a_1x2_grid_matches_dense_reference() {
+    check_single_term(4, 2);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Single-term einsum on a generated block-sparse instance: the result
-    /// agrees with the dense reference and is bit-identical to the legacy
-    /// `multiply` entry point (which is now a shim over the same path).
     #[test]
     fn single_term_matches_dense_reference(seed in 0u64..200, q in 1usize..3) {
-        let prob = generate(&SyntheticParams {
-            m: 20, n: 40, k: 30, density: 0.6, tile_min: 3, tile_max: 8, seed,
-        });
-        let a = BlockSparseMatrix::random_from_structure(prob.a, seed ^ 1);
-        let b = BlockSparseMatrix::random_from_structure(prob.b, seed ^ 2);
-        let out = Einsum::new("ik,kj->ij")
-            .operand(&a)
-            .operand(&b)
-            .contract(cfg(1, q, 2))
-            .unwrap();
-        prop_assert_eq!(out.output_labels(), "ij");
-        prop_assert!(out.matrix().max_abs_diff(&reference(&a, &b)) <= 1e-10);
-        let legacy = multiply(&a, &b, cfg(1, q, 2)).unwrap();
-        prop_assert_eq!(out.matrix().max_abs_diff(&legacy), 0.0);
+        check_single_term(seed, q);
     }
 
     /// A two-term chain `A·B·D` with randomized tilings: the screened
@@ -94,12 +122,12 @@ proptest! {
     }
 }
 
-/// The ABCD contraction as a *generated instance* of the frontend: driving
-/// the builder directly with the same spec and operands the legacy
-/// `contract_abcd` shim uses must be bit-identical (same plan, same
+/// The ABCD contraction as a *generated instance* of the frontend: the
+/// builder's lowering of `"ijcd,cdab->ijab"` must be bit-identical to the
+/// hand-matricised `T · V` product run at plan level (same plan, same
 /// reduction order), and both agree with a dense evaluation.
 #[test]
-fn abcd_generated_instance_is_bit_identical_to_contract_abcd() {
+fn abcd_generated_instance_is_bit_identical_to_plan_level_run() {
     let o = Tiling::from_sizes(&[2, 2]);
     let u = Tiling::from_sizes(&[3, 2, 3]);
     let t_meta = Tensor4Meta::new([o.clone(), o.clone(), u.clone(), u.clone()]);
@@ -112,7 +140,7 @@ fn abcd_generated_instance_is_bit_identical_to_contract_abcd() {
         Ok(Arc::new(pool.random(r, c, tile_seed(12, k, j))))
     };
 
-    let (r_legacy, _) = contract_abcd(&t, &v_struct, &v_gen, None, cfg(1, 1, 1)).unwrap();
+    let r_plan = plan_level(t.matricised(), &v_struct, &v_gen, cfg(1, 1, 1));
 
     let out = Einsum::new("ijcd,cdab->ijab")
         .tensor(&t)
@@ -120,11 +148,12 @@ fn abcd_generated_instance_is_bit_identical_to_contract_abcd() {
         .contract(cfg(1, 1, 1))
         .unwrap();
     assert_eq!(out.output_labels(), "ijab");
+    assert!(out.reports[0].gemm_tasks > 0);
     let r = out.tensor4().unwrap();
     assert_eq!(
-        r.matricised().max_abs_diff(r_legacy.matricised()),
+        r.matricised().max_abs_diff(&r_plan),
         0.0,
-        "the generated instance must be bit-identical to contract_abcd"
+        "the generated instance must be bit-identical to the plan-level run"
     );
 
     // Dense agreement: R(i,j,a,b) = sum_{c,d} T(i,j,c,d) V(c,d,a,b).
@@ -170,6 +199,37 @@ fn swapped_orientation_keeps_first_operand_stationary() {
         Tile::random(rr, cc, tile_seed(9, k, j))
     });
     assert!(out.matrix().max_abs_diff(&reference(&a, &b)) <= 1e-10);
+}
+
+/// An on-demand B on a 2×1 grid: the outcome carries the term's execution
+/// report, and a permanent generator failure surfaces as a typed
+/// [`BstError::Exec`] instead of a panic.
+#[test]
+fn on_demand_b_reports_and_surfaces_generator_errors() {
+    let prob = generate(&SyntheticParams {
+        m: 16, n: 24, k: 24, density: 0.8, tile_min: 3, tile_max: 6, seed: 5,
+    });
+    let a = BlockSparseMatrix::random_from_structure(prob.a.clone(), 1);
+    let b_gen = |k: usize, j: usize, r: usize, c: usize, pool: &TilePool| {
+        Ok(Arc::new(pool.random(r, c, tile_seed(9, k, j))))
+    };
+    let out = Einsum::new("ik,kj->ij")
+        .operand(&a)
+        .on_demand(&prob.b, &b_gen)
+        .contract(cfg(2, 1, 1))
+        .unwrap();
+    assert!(out.reports[0].gemm_tasks > 0);
+    assert!(out.matrix().num_tiles() > 0);
+
+    let no_backend = |k: usize, j: usize, _r: usize, _c: usize, _pool: &TilePool| {
+        Err(GenError::Failed { k, j, reason: "no backend".into(), transient: false })
+    };
+    let err = Einsum::new("ik,kj->ij")
+        .operand(&a)
+        .on_demand(&prob.b, &no_backend)
+        .contract(cfg(1, 1, 1))
+        .unwrap_err();
+    assert!(matches!(err, BstError::Exec(_)), "got {err}");
 }
 
 /// A chain routed through a [`ContractionService`] is bit-identical to the
@@ -285,24 +345,29 @@ fn invalid_specs_and_bindings_are_typed_errors() {
     assert!(matches!(e, SpecError::Unlowerable { term: 0, .. }), "{e}");
 }
 
-/// Regression for the `contract_abcd` metadata fix: a `v_structure` whose
-/// tilings disagree with `T`'s unoccupied modes used to silently mislabel
-/// the result's column tilings; it is now a typed rejection.
+/// A `v_structure` whose tilings disagree with the matricisation of its
+/// declared order-4 frame would mislabel the result's column tilings; it is
+/// a typed rejection.
 #[test]
-fn contract_abcd_rejects_mismatched_v_tilings() {
+fn abcd_rejects_mismatched_v_tilings() {
     let o = Tiling::from_sizes(&[2, 2]);
     let u = Tiling::from_sizes(&[3, 2, 3]);
     let t_meta = Tensor4Meta::new([o.clone(), o.clone(), u.clone(), u.clone()]);
     let t_struct = t_meta.matricise(|_, _, _, _| 1.0);
     let t = BlockSparseTensor4::random_from_structure(t_meta, t_struct, 11);
+    let v_meta = Tensor4Meta::new([u.clone(), u.clone(), u.clone(), u.clone()]);
 
     // Same 64x64 element space, but tiled uniformly instead of with the
-    // fused (u,u) tiling the T frame implies.
+    // fused (u,u) tiling the V frame implies.
     let v_bad = MatrixStructure::dense(Tiling::uniform(64, 8), Tiling::uniform(64, 8));
     let v_gen = |k: usize, j: usize, r: usize, c: usize, pool: &TilePool| {
         Ok(Arc::new(pool.random(r, c, tile_seed(12, k, j))))
     };
-    let err = contract_abcd(&t, &v_bad, &v_gen, None, cfg(1, 1, 1)).unwrap_err();
+    let err = Einsum::new("ijcd,cdab->ijab")
+        .tensor(&t)
+        .on_demand_tensor4(&v_meta, &v_bad, &v_gen)
+        .contract(cfg(1, 1, 1))
+        .unwrap_err();
     match err {
         BstError::Spec(SpecError::MatricisationMismatch { term: 1, .. }) => {}
         other => panic!("expected MatricisationMismatch on term 1, got {other}"),

@@ -1,11 +1,10 @@
 //! End-to-end numeric-execution tests, exercised purely through the public
-//! facade (`bst_contract::exec`). Formerly the unit-test module of the
-//! `exec.rs` monolith; after the engine split they live here so they keep
-//! gating the *public* surface, not the engine internals.
+//! plan-level door (`bst_contract::engine::execute`), so they gate the
+//! *public* surface, not the engine internals.
 
 use std::sync::Arc;
 
-use bst_contract::exec::{execute_numeric, execute_numeric_with};
+use bst_contract::engine::execute;
 use bst_contract::{
     DeviceConfig, ExecError, ExecOptions, ExecutionPlan, FaultPlan, GenError, GridConfig,
     KernelSelect, PlannerConfig, ProblemSpec, RetryPolicy,
@@ -37,7 +36,7 @@ fn check(spec: &ProblemSpec, config: PlannerConfig, seed: u64) {
         assert_eq!(b.tile(k, j).unwrap(), &t, "b_gen consistent with matrix");
         Ok(Arc::new(t))
     };
-    let (c, report) = execute_numeric(spec, &plan, &a, &b_gen).expect("fault-free run");
+    let (c, report) = execute(spec, &plan, &a, &b_gen, ExecOptions::default()).expect("fault-free run");
 
     let mut c_ref =
         BlockSparseMatrix::zeros(spec.a.row_tiling().clone(), spec.b.col_tiling().clone());
@@ -171,7 +170,7 @@ fn removing_control_edges_causes_device_oom() {
     };
     // Sanity: with the control edges the very same plan runs fine
     // (checked by `tight_memory_forces_many_blocks_and_chunks`).
-    let err = execute_numeric_with(
+    let err = execute(
         &spec,
         &plan,
         &am,
@@ -199,7 +198,7 @@ fn tracing_populates_metrics_and_trace() {
     let b_gen = |_k: usize, _j: usize, r: usize, c: usize, pool: &TilePool| {
         Ok(Arc::new(pool.random(r, c, 0)))
     };
-    let (_c, report) = execute_numeric_with(
+    let (_c, report) = execute(
         &spec,
         &plan,
         &am,
@@ -245,7 +244,7 @@ fn untraced_report_has_no_trace() {
     let b_gen = |_k: usize, _j: usize, r: usize, c: usize, pool: &TilePool| {
         Ok(Arc::new(pool.random(r, c, 0)))
     };
-    let (_c, report) = execute_numeric(&spec, &plan, &am, &b_gen).unwrap();
+    let (_c, report) = execute(&spec, &plan, &am, &b_gen, ExecOptions::default()).unwrap();
     assert!(report.trace.is_none());
     assert!(report.metrics.is_empty());
     assert!(!report.recovery.any(), "zero-fault run reported recovery");
@@ -265,7 +264,7 @@ fn broadcast_tree_forwards_through_non_owners() {
     let b_gen = |k: usize, j: usize, r: usize, c: usize, pool: &TilePool| {
         Ok(Arc::new(pool.random(r, c, tile_seed(2, k, j))))
     };
-    let (c, report) = execute_numeric(&spec, &plan, &am, &b_gen).unwrap();
+    let (c, report) = execute(&spec, &plan, &am, &b_gen, ExecOptions::default()).unwrap();
     assert!(
         report.a_forward_messages > 0,
         "expected tree forwarding ({} messages total)",
@@ -296,7 +295,7 @@ fn report_counts_network_and_gemms() {
     let b_gen = |_k: usize, _j: usize, r: usize, c: usize, pool: &TilePool| {
         Ok(Arc::new(pool.random(r, c, 0)))
     };
-    let (_c, report) = execute_numeric(&spec, &plan, &am, &b_gen).unwrap();
+    let (_c, report) = execute(&spec, &plan, &am, &b_gen, ExecOptions::default()).unwrap();
     assert_eq!(report.gemm_tasks, 4 * 4 * 4);
     let expect_net = plan.stats(&spec).a_network_bytes;
     assert_eq!(report.a_network_bytes, expect_net);
@@ -320,7 +319,7 @@ fn kernel_modes_agree_and_pools_recycle() {
     };
 
     let run = |kernel: KernelSelect| {
-        execute_numeric_with(
+        execute(
             &spec,
             &plan,
             &am,
@@ -353,7 +352,7 @@ fn kernel_modes_agree_and_pools_recycle() {
 /// `ExecReport::max_concurrent_genb` measures real overlap from the trace:
 /// the fan-out executor reaches > 1, the serialized one stays at 1.
 #[test]
-fn genb_fanout_overlaps_and_legacy_serializes() {
+fn genb_fanout_overlaps_and_zero_workers_serializes() {
     let a = MatrixStructure::dense(Tiling::uniform(12, 3), Tiling::uniform(36, 3));
     let b = MatrixStructure::dense(Tiling::uniform(36, 3), Tiling::uniform(36, 3));
     let spec = ProblemSpec::new(a, b, None);
@@ -376,7 +375,7 @@ fn genb_fanout_overlaps_and_legacy_serializes() {
         Ok(Arc::new(t))
     };
     let run = |genb_workers: usize| {
-        execute_numeric_with(
+        execute(
             &spec,
             &plan,
             &am,
@@ -390,7 +389,7 @@ fn genb_fanout_overlaps_and_legacy_serializes() {
         .1
     };
     assert!(run(4).max_concurrent_genb() > 1, "4 GenB workers never overlapped");
-    assert_eq!(run(0).max_concurrent_genb(), 1, "legacy path must serialize");
+    assert_eq!(run(0).max_concurrent_genb(), 1, "genb_workers = 0 must serialize");
 }
 
 /// A permanent generator failure aborts the run with the typed error;
@@ -415,7 +414,7 @@ fn generator_failures_abort_or_recover_by_transience() {
             Ok(Arc::new(pool.random(r, c, 0)))
         }
     };
-    let err = execute_numeric(&spec, &plan, &am, &permanent).unwrap_err();
+    let err = execute(&spec, &plan, &am, &permanent, ExecOptions::default()).unwrap_err();
     assert_eq!(
         err,
         ExecError::Gen(GenError::Failed {
@@ -440,7 +439,7 @@ fn generator_failures_abort_or_recover_by_transience() {
             Ok(Arc::new(pool.random(r, c, tile_seed(7, k, j))))
         }
     };
-    let (c, report) = execute_numeric(&spec, &plan, &am, &flaky).unwrap();
+    let (c, report) = execute(&spec, &plan, &am, &flaky, ExecOptions::default()).unwrap();
     assert_eq!(report.recovery.retried_tasks, report.b_tiles_generated);
     assert_eq!(report.recovery.max_attempts, 2);
     let bm = BlockSparseMatrix::from_structure(spec.b.clone(), |k, j, r, cc| {
@@ -469,7 +468,7 @@ fn retry_budget_exhaustion_reports_exhausted() {
             transient: true,
         })
     };
-    let err = execute_numeric_with(
+    let err = execute(
         &spec,
         &plan,
         &am,
@@ -542,11 +541,11 @@ fn lossy_pair(tol: f64) -> (BlockSparseMatrix, BlockSparseMatrix, u64, u64) {
     };
     let run = |tol: f64| {
         let opts = ExecOptions::builder().compress_tol(tol).build();
-        execute_numeric_with(&spec, &plan, &am, &b_gen, opts).expect("run")
+        execute(&spec, &plan, &am, &b_gen, opts).expect("run")
     };
     let (c_dense, rep_dense) = run(0.0);
     let (c_lossy, rep_lossy) = run(tol);
-    let sent = |rep: &bst_contract::exec::ExecReport| {
+    let sent = |rep: &bst_contract::ExecReport| {
         rep.comm.iter().map(|n| n.sent_bytes).sum::<u64>()
     };
     (c_dense, c_lossy, sent(&rep_dense), sent(&rep_lossy))

@@ -10,7 +10,7 @@
 //! * a permanently-failed node's B columns re-plan onto its surviving row
 //!   peers and the degraded execution still produces the right numbers.
 
-use bst_contract::exec::execute_numeric_with;
+use bst_contract::engine::execute;
 use bst_contract::{
     validate_trace_invariants, DeviceConfig, ExecError, ExecOptions, ExecReport, ExecutionPlan,
     FaultPlan, GridConfig, PlannerConfig, ProblemSpec, RetryPolicy,
@@ -51,7 +51,7 @@ fn run(spec: &ProblemSpec, cfg: PlannerConfig, opts: ExecOptions) -> (BlockSpars
     let b_gen = |k: usize, j: usize, r: usize, c: usize, pool: &bst_tile::TilePool| {
         Ok(Arc::new(pool.random(r, c, tile_seed(21 ^ 0xB, k, j))))
     };
-    execute_numeric_with(spec, &plan, &a, &b_gen, opts).expect("execution recovers")
+    execute(spec, &plan, &a, &b_gen, opts).expect("execution recovers")
 }
 
 /// 8% transient faults on every site: the executor retries through them,
@@ -152,7 +152,7 @@ fn dead_node_replans_columns_and_stays_correct() {
     let b_gen = |k: usize, j: usize, r: usize, c: usize, pool: &bst_tile::TilePool| {
         Ok(Arc::new(pool.random(r, c, tile_seed(21 ^ 0xB, k, j))))
     };
-    let err = execute_numeric_with(
+    let err = execute(
         &s,
         &plan,
         &a,
@@ -176,7 +176,7 @@ fn streak_beyond_budget_aborts_with_typed_error() {
     // Streaks up to 4 failures, but only 2 attempts allowed.
     let mut fp = FaultPlan::transient(3, 0.10);
     fp.max_consecutive = 4;
-    let err = execute_numeric_with(
+    let err = execute(
         &s,
         &plan,
         &a,

@@ -10,7 +10,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use bst_contract::exec::execute_numeric_with;
+use bst_contract::engine::execute;
 use bst_contract::{
     validate_trace_invariants, DeviceConfig, ExecOptions, ExecutionPlan, FaultPlan, GridConfig,
     PlannerConfig, ProblemSpec,
@@ -69,7 +69,7 @@ fn every_policy_combination_runs_and_agrees() {
                     faults.is_some()
                 );
 
-                let (c, report) = execute_numeric_with(&spec, &plan, &a, &b_gen, opts)
+                let (c, report) = execute(&spec, &plan, &a, &b_gen, opts)
                     .unwrap_or_else(|e| panic!("{combo}: {e}"));
 
                 // One answer, whatever the policies.
@@ -126,7 +126,7 @@ fn traced_faulted_fanout_records_retries_on_their_lanes() {
         .genb_workers(3)
         .fault_plan(FaultPlan::transient(5, 0.2))
         .build();
-    let (_c, report) = execute_numeric_with(&spec, &plan, &a, &b_gen, opts).unwrap();
+    let (_c, report) = execute(&spec, &plan, &a, &b_gen, opts).unwrap();
 
     assert!(report.recovery.any(), "0.2 injection never fired");
     let trace = report.trace.as_ref().unwrap();

@@ -5,7 +5,7 @@
 
 use std::sync::{Arc, Condvar, Mutex};
 
-use bst_contract::exec::execute_numeric_with;
+use bst_contract::engine::execute;
 use bst_contract::{
     BstError, ContractionRequest, ContractionService, DeviceConfig, ExecOptions, ExecutionPlan,
     FaultPlan, GridConfig, PlannerConfig, ProblemSpec, ServiceBGen, ServiceConfig, ServiceError,
@@ -65,7 +65,7 @@ fn one_shot(spec: &ProblemSpec, a: &BlockSparseMatrix, cfg: PlannerConfig) -> Bl
     let b_gen = |k: usize, j: usize, r: usize, c: usize, pool: &TilePool| {
         Ok(Arc::new(pool.random(r, c, tile_seed(SEED ^ 0xB, k, j))))
     };
-    let (c, _) = execute_numeric_with(spec, &plan, a, &b_gen, ExecOptions::default()).unwrap();
+    let (c, _) = execute(spec, &plan, a, &b_gen, ExecOptions::default()).unwrap();
     c
 }
 

@@ -7,7 +7,7 @@
 //! [`bst_contract::validate_trace_invariants`] helper the repro binaries
 //! gate on.
 
-use bst_contract::exec::execute_numeric_with;
+use bst_contract::engine::execute;
 use bst_contract::{
     validate_trace_invariants, DeviceConfig, ExecOptions, ExecReport, ExecutionPlan, GridConfig,
     PlannerConfig, ProblemSpec,
@@ -70,7 +70,7 @@ fn traced_run_full(spec: &ProblemSpec, opts: ExecOptions) -> (BlockSparseMatrix,
         }
         Ok(std::sync::Arc::new(t))
     };
-    let (c, report) = execute_numeric_with(
+    let (c, report) = execute(
         spec,
         &plan,
         &a,

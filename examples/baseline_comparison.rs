@@ -7,8 +7,10 @@
 //! cargo run --release --example baseline_comparison
 //! ```
 
-use bst::contract::exec::execute_numeric;
-use bst::contract::{DeviceConfig, ExecutionPlan, GridConfig, PlannerConfig, ProblemSpec};
+use bst::contract::engine::execute;
+use bst::contract::{
+    DeviceConfig, ExecOptions, ExecutionPlan, GridConfig, PlannerConfig, ProblemSpec,
+};
 use bst::dbcsr::cannon_multiply;
 use bst::sparse::generate::{generate, SyntheticParams};
 use bst::sparse::matrix::tile_seed;
@@ -65,7 +67,8 @@ fn main() {
     let b_gen = |k: usize, j: usize, r: usize, c: usize, pool: &bst_tile::TilePool| {
         Ok(std::sync::Arc::new(pool.random(r, c, tile_seed(2, k, j))))
     };
-    let (c_bst, report) = execute_numeric(&spec, &plan, &a, &b_gen).expect("execution");
+    let (c_bst, report) =
+        execute(&spec, &plan, &a, &b_gen, ExecOptions::default()).expect("execution");
     println!(
         "B-stationary 2x2x2: {} GEMMs, A over network {:.1} MB ({} msgs, {} forwarded), B never moves; |diff| = {:.2e}",
         report.gemm_tasks,

@@ -12,7 +12,9 @@
 //! it, and verifies the result against a dense reference.
 
 use bst::chem::{CcsdProblem, Molecule, ProblemTraits, ScreeningParams, TilingSpec};
-use bst::contract::{DeviceConfig, ExecutionPlan, GridConfig, PlannerConfig, ProblemSpec};
+use bst::contract::{
+    DeviceConfig, ExecOptions, ExecutionPlan, GridConfig, PlannerConfig, ProblemSpec,
+};
 use bst::sparse::matrix::tile_seed;
 use bst::sparse::BlockSparseMatrix;
 use bst::tile::Tile;
@@ -63,7 +65,8 @@ fn main() {
         Ok(std::sync::Arc::new(pool.random(r, c, tile_seed(v_seed, k, j))))
     };
     let (r, report) =
-        bst::contract::exec::execute_numeric(&spec, &plan, &t, &v_gen).expect("execution");
+        bst::contract::engine::execute(&spec, &plan, &t, &v_gen, ExecOptions::default())
+            .expect("execution");
     println!(
         "executed: {} GEMMs, {} V tiles generated on demand",
         report.gemm_tasks, report.b_tiles_generated

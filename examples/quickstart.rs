@@ -12,7 +12,9 @@
 //!    (simulated nodes, GPUs and explicit communication),
 //! 4. validate against the single-threaded reference product.
 
-use bst::contract::{DeviceConfig, ExecutionPlan, GridConfig, PlannerConfig, ProblemSpec};
+use bst::contract::{
+    DeviceConfig, ExecOptions, ExecutionPlan, GridConfig, PlannerConfig, ProblemSpec,
+};
 use bst::sparse::generate::{generate, SyntheticParams};
 use bst::sparse::matrix::tile_seed;
 use bst::sparse::BlockSparseMatrix;
@@ -66,7 +68,8 @@ fn main() {
         Ok(std::sync::Arc::new(pool.random(r, c, tile_seed(b_seed, k, j))))
     };
     let (c, report) =
-        bst::contract::exec::execute_numeric(&spec, &plan, &a, &b_gen).expect("execution");
+        bst::contract::engine::execute(&spec, &plan, &a, &b_gen, ExecOptions::default())
+            .expect("execution");
     println!(
         "executed {} GEMMs on {} simulated devices; {} B tiles generated, {:.1} MB of A over the network",
         report.gemm_tasks,

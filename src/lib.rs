@@ -5,7 +5,7 @@
 //! normally depend on the individual crates instead.
 //!
 //! ```
-//! use bst::contract::api::multiply;
+//! use bst::contract::Einsum;
 //! use bst::contract::{DeviceConfig, GridConfig, PlannerConfig};
 //! use bst::sparse::{BlockSparseMatrix, MatrixStructure};
 //! use bst::tile::Tiling;
@@ -23,9 +23,9 @@
 //!     GridConfig { p: 1, q: 1 },
 //!     DeviceConfig { gpus_per_node: 1, gpu_mem_bytes: 1 << 20 },
 //! );
-//! let c = multiply(&a, &b, config).unwrap();
-//! assert_eq!(c.structure().rows(), 5);
-//! assert_eq!(c.structure().cols(), 6);
+//! let out = Einsum::new("ik,kj->ij").operand(&a).operand(&b).contract(config).unwrap();
+//! assert_eq!(out.matrix().structure().rows(), 5);
+//! assert_eq!(out.matrix().structure().cols(), 6);
 //! ```
 
 pub use bst_chem as chem;

@@ -4,8 +4,7 @@
 //! future-work molecules) through the same code path as the alkanes.
 
 use bst::chem::{CcsdProblem, Molecule, ScreeningParams, TilingSpec};
-use bst::contract::api::{contract_abcd, multiply_on_demand};
-use bst::contract::{DeviceConfig, GridConfig, PlannerConfig};
+use bst::contract::{DeviceConfig, Einsum, GridConfig, PlannerConfig};
 use bst::sparse::matrix::tile_seed;
 use bst::sparse::tensor::{BlockSparseTensor4, Tensor4Meta};
 use bst::sparse::BlockSparseMatrix;
@@ -33,9 +32,14 @@ fn check_molecule(molecule: &Molecule, seed: u64) {
     let v_gen = move |k: usize, j: usize, r: usize, c: usize, pool: &bst_tile::TilePool| {
         Ok(std::sync::Arc::new(pool.random(r, c, tile_seed(seed ^ 0xF, k, j))))
     };
-    let (r, report) = multiply_on_demand(&t, &problem.v, &v_gen, spec.c_shape.clone(), config(2, 2))
+    let out = Einsum::new("ik,kj->ij")
+        .operand(&t)
+        .on_demand(&problem.v, &v_gen)
+        .output_shape(problem.r.shape().clone())
+        .contract(config(2, 2))
         .expect("plan");
-    assert!(report.gemm_tasks > 0, "{}: no work", molecule.formula());
+    assert!(out.report().gemm_tasks > 0, "{}: no work", molecule.formula());
+    let r = out.matrix();
 
     // Verify a sample of produced tiles against a direct per-tile
     // reference: R_ij = sum_k T_ik V_kj (forming the whole dense reference
@@ -106,10 +110,16 @@ fn tensor_level_abcd_on_molecule() {
     let t = BlockSparseTensor4::random_from_structure(meta, problem.t.clone(), 3);
     let v_gen =
         |k: usize, j: usize, r: usize, c: usize, pool: &bst_tile::TilePool| Ok(std::sync::Arc::new(pool.random(r, c, tile_seed(4, k, j))));
-    let (r, report) =
-        contract_abcd(&t, &problem.v, &v_gen, Some(problem.r.shape().clone()), config(1, 2))
-            .expect("contract");
-    assert!(report.gemm_tasks > 0);
+    let ao = problem.ao.tiling();
+    let v_meta = Tensor4Meta::new([ao.clone(), ao.clone(), ao.clone(), ao]);
+    let out = Einsum::new("ijcd,cdab->ijab")
+        .tensor(&t)
+        .on_demand_tensor4(&v_meta, &problem.v, &v_gen)
+        .output_shape(problem.r.shape().clone())
+        .contract(config(1, 2))
+        .expect("contract");
+    assert!(out.report().gemm_tasks > 0);
+    let r = out.tensor4().expect("rank-4 outcome");
     // Spot-check one element against the matricised reference.
     let v = BlockSparseMatrix::from_structure(problem.v.clone(), |k, j, rr, cc| {
         Tile::random(rr, cc, tile_seed(4, k, j))

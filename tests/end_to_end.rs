@@ -2,8 +2,10 @@
 //! verified contraction result, plus distributed-vs-baseline agreement.
 
 use bst::chem::{CcsdProblem, Molecule, ScreeningParams, TilingSpec};
-use bst::contract::exec::execute_numeric;
-use bst::contract::{DeviceConfig, ExecutionPlan, GridConfig, PlannerConfig, ProblemSpec};
+use bst::contract::engine::execute;
+use bst::contract::{
+    DeviceConfig, ExecOptions, ExecutionPlan, GridConfig, PlannerConfig, ProblemSpec,
+};
 use bst::dbcsr::cannon_multiply;
 use bst::sparse::generate::{generate, SyntheticParams};
 use bst::sparse::matrix::tile_seed;
@@ -48,7 +50,7 @@ fn parsec_style_and_cannon_agree_on_synthetic_problem() {
     let plan = ExecutionPlan::build(&spec, cfg(2, 2, 2, 1 << 20)).unwrap();
     let b_gen =
         |k: usize, j: usize, r: usize, c: usize, pool: &bst_tile::TilePool| Ok(std::sync::Arc::new(pool.random(r, c, tile_seed(2, k, j))));
-    let (c_parsec, _) = execute_numeric(&spec, &plan, &a, &b_gen).unwrap();
+    let (c_parsec, _) = execute(&spec, &plan, &a, &b_gen, ExecOptions::default()).unwrap();
 
     // The DBCSR-style baseline.
     let (c_cannon, _) = cannon_multiply(&a, &b, 3);
@@ -78,7 +80,7 @@ fn abcd_term_end_to_end_small_molecule() {
     let t = BlockSparseMatrix::random_from_structure(problem.t.clone(), 5);
     let v_gen =
         |k: usize, j: usize, r: usize, c: usize, pool: &bst_tile::TilePool| Ok(std::sync::Arc::new(pool.random(r, c, tile_seed(6, k, j))));
-    let (r, report) = execute_numeric(&spec, &plan, &t, &v_gen).unwrap();
+    let (r, report) = execute(&spec, &plan, &t, &v_gen, ExecOptions::default()).unwrap();
     assert!(report.gemm_tasks > 0);
 
     let v = BlockSparseMatrix::from_structure(problem.v.clone(), |k, j, rr, cc| {
@@ -110,7 +112,7 @@ fn plan_stats_match_numeric_execution() {
     let a = BlockSparseMatrix::random_from_structure(prob.a, 3);
     let b_gen =
         |k: usize, j: usize, r: usize, c: usize, pool: &bst_tile::TilePool| Ok(std::sync::Arc::new(pool.random(r, c, tile_seed(4, k, j))));
-    let (_c, report) = execute_numeric(&spec, &plan, &a, &b_gen).unwrap();
+    let (_c, report) = execute(&spec, &plan, &a, &b_gen, ExecOptions::default()).unwrap();
     assert_eq!(report.gemm_tasks, stats.total_tasks);
     assert_eq!(report.a_network_bytes, stats.a_network_bytes);
     // Device h2d totals are bounded by the plan's A-traffic plus the B
@@ -148,7 +150,7 @@ fn simulator_and_numeric_executor_count_same_work() {
     let a = BlockSparseMatrix::random_from_structure(prob.a, 3);
     let b_gen =
         |k: usize, j: usize, r: usize, c: usize, pool: &bst_tile::TilePool| Ok(std::sync::Arc::new(pool.random(r, c, tile_seed(4, k, j))));
-    let (_c, report) = execute_numeric(&spec, &plan, &a, &b_gen).unwrap();
+    let (_c, report) = execute(&spec, &plan, &a, &b_gen, ExecOptions::default()).unwrap();
 
     assert_eq!(sim.total_tasks, report.gemm_tasks);
     assert_eq!(sim.a_network_bytes, report.a_network_bytes);
@@ -180,7 +182,7 @@ fn shrunken_gpu_memory_still_correct_with_more_blocks() {
         let stats = plan.stats(&spec);
         assert!(stats.num_blocks >= last_blocks);
         last_blocks = stats.num_blocks;
-        let (c, _) = execute_numeric(&spec, &plan, &a, &b_gen).unwrap();
+        let (c, _) = execute(&spec, &plan, &a, &b_gen, ExecOptions::default()).unwrap();
         assert!(
             c.max_abs_diff(&c_ref) < 1e-9,
             "wrong result at {mem} B of GPU memory"
@@ -218,7 +220,7 @@ fn oversized_column_splitting_keeps_result_exact() {
     let b = BlockSparseMatrix::random_from_structure(prob.b.clone(), 2);
     let b_gen =
         |k: usize, j: usize, r: usize, c: usize, pool: &bst_tile::TilePool| Ok(std::sync::Arc::new(pool.random(r, c, tile_seed(2, k, j))));
-    let (c, _) = execute_numeric(&spec, &plan, &a, &b_gen).unwrap();
+    let (c, _) = execute(&spec, &plan, &a, &b_gen, ExecOptions::default()).unwrap();
     assert!(c.max_abs_diff(&reference(&a, &b)) < 1e-9);
 }
 
@@ -238,8 +240,8 @@ fn determinism_across_runs() {
     let a = BlockSparseMatrix::random_from_structure(prob.a, 3);
     let b_gen =
         |k: usize, j: usize, r: usize, c: usize, pool: &bst_tile::TilePool| Ok(std::sync::Arc::new(pool.random(r, c, tile_seed(4, k, j))));
-    let (c1, _) = execute_numeric(&spec, &plan, &a, &b_gen).unwrap();
-    let (c2, _) = execute_numeric(&spec, &plan, &a, &b_gen).unwrap();
+    let (c1, _) = execute(&spec, &plan, &a, &b_gen, ExecOptions::default()).unwrap();
+    let (c2, _) = execute(&spec, &plan, &a, &b_gen, ExecOptions::default()).unwrap();
     // Scheduling is nondeterministic but the result must not be: within a
     // destination tile, accumulation order is fixed by the chunk order.
     assert_eq!(c1.max_abs_diff(&c2), 0.0);

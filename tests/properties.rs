@@ -2,8 +2,10 @@
 //! grids and memory budgets, with the single-threaded block-sparse product
 //! as the oracle.
 
-use bst::contract::exec::execute_numeric;
-use bst::contract::{DeviceConfig, ExecutionPlan, GridConfig, PlannerConfig, ProblemSpec};
+use bst::contract::engine::execute;
+use bst::contract::{
+    DeviceConfig, ExecOptions, ExecutionPlan, GridConfig, PlannerConfig, ProblemSpec,
+};
 use bst::sparse::generate::{generate, SyntheticParams};
 use bst::sparse::matrix::tile_seed;
 use bst::sparse::BlockSparseMatrix;
@@ -59,7 +61,7 @@ proptest! {
         let b_gen = |k: usize, j: usize, r: usize, c: usize, pool: &bst_tile::TilePool| {
             Ok(std::sync::Arc::new(pool.random(r, c, tile_seed(params.seed ^ 0xB, k, j))))
         };
-        let (c, _) = execute_numeric(&spec, &plan, &a, &b_gen).unwrap();
+        let (c, _) = execute(&spec, &plan, &a, &b_gen, ExecOptions::default()).unwrap();
         let mut c_ref = BlockSparseMatrix::zeros(
             prob.a.row_tiling().clone(),
             prob.b.col_tiling().clone(),
