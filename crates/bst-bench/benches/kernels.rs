@@ -1,25 +1,23 @@
 //! Criterion benches of the tile GEMM kernels — the compute substrate the
-//! simulated GPU executors run on. Measures the naive / blocked / parallel
+//! simulated GPU executors run on. Measures the naive / blocked / packed
 //! kernels across the tile shapes the paper cares about (small irregular
 //! tiles up to the ~728-edge "peak" tile).
 
 use bst_tile::gemm::{
     gemm_blocked, gemm_naive, gemm_packed, gemm_packed_4x8, gemm_packed_8x4, gemm_packed_8x8,
-    gemm_parallel,
 };
-use bst_tile::kernel::select_heuristic;
+use bst_tile::kernel::{select_heuristic, GemmFn};
 use bst_tile::Tile;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 fn bench_kernels(c: &mut Criterion) {
-    let variants: [(&str, fn(f64, &Tile, &Tile, &mut Tile)); 7] = [
+    let variants: [(&str, GemmFn); 6] = [
         ("naive", gemm_naive),
         ("blocked", gemm_blocked),
         ("packed4x4", gemm_packed),
         ("packed8x4", gemm_packed_8x4),
         ("packed4x8", gemm_packed_4x8),
         ("packed8x8", gemm_packed_8x8),
-        ("parallel", gemm_parallel),
     ];
     let mut group = c.benchmark_group("tile_gemm");
     for &edge in &[32usize, 64, 128, 256] {

@@ -8,14 +8,14 @@
 //!
 //! 1. builds a synthetic contraction and takes the *plan-derived* GEMM
 //!    shape histogram (the exact `(m, n, k)` mix the executor would run);
-//! 2. for the heaviest shapes, checks every candidate kernel against
+//! 2. for the heaviest shapes, checks every [`KernelKind`] against
 //!    `gemm_naive` to 1e-10 (any divergence exits non-zero — this is the
 //!    same bar as the property tests, but on the real shapes);
-//! 3. measures each candidate's flop rate through the cache-cold operand
-//!    ring used by the autotuner, and records the measured winner;
-//! 4. runs the one-shot autotuner on the full histogram and records its
-//!    per-shape-class choices;
-//! 5. writes everything as JSON and re-parses the document with
+//! 3. measures each kernel's flop rate through a cache-cold operand ring,
+//!    and records the measured winner beside the kernel
+//!    [`select_heuristic`] dispatches — the offline table the heuristic's
+//!    thresholds are re-derived from;
+//! 4. writes everything as JSON and re-parses the document with
 //!    [`bst_bench::minijson`] — a malformed file also exits non-zero, so
 //!    CI can gate on this binary end to end.
 //!
@@ -30,15 +30,60 @@ use bst_contract::{
 };
 use bst_sparse::generate::{generate, SyntheticParams};
 use bst_tile::gemm::{gemm_flops, gemm_naive};
-use bst_tile::kernel::{candidates, measure_gflops, KernelKind, KernelTable};
+use bst_tile::kernel::{select_heuristic, KernelKind};
 use bst_tile::Tile;
 use std::fmt::Write as _;
+use std::time::Instant;
 
 const USAGE: &str = "usage: repro_kernels [--tiny] [--out FILE]";
 
-/// Shapes benchmarked in full (the heaviest by total flops; the histogram
-/// tail only feeds the autotuner).
+/// Shapes benchmarked (the heaviest by total flops).
 const MAX_SHAPES: usize = 8;
+
+/// Operand working set the timing ring is sized to exceed, so successive
+/// iterations read mostly cache-cold tiles — the executor streams distinct
+/// A/B tiles per Gemm, and a single-pair loop would overstate kernels whose
+/// packing cost is hidden by cache-hot reruns.
+const TIMING_RING_BYTES: usize = 4 << 20;
+
+/// Measured flop rate of `kind` on an `m × n × k` product, in Gflop/s.
+///
+/// Calls rotate through a ring of distinct `(a, b)` operand pairs
+/// accumulating into a single shared `c` — the executor's cache profile:
+/// every Gemm of a block streams fresh A/B tiles but accumulates into a C
+/// tile that stays resident across the block's whole k-loop. The batch is
+/// adaptively repeated until the sample is long enough to trust.
+fn measure_gflops(kind: KernelKind, m: usize, n: usize, k: usize) -> f64 {
+    let per_set = 8 * (m * k + k * n);
+    let len = (TIMING_RING_BYTES / per_set.max(1)).clamp(1, 64);
+    let sets: Vec<(Tile, Tile)> = (0..len as u64)
+        .map(|i| {
+            let seed = 0x5eed_0000 + i;
+            (Tile::random(m, k, seed), Tile::random(k, n, seed ^ 0xB))
+        })
+        .collect();
+    let mut c = Tile::zeros(m, n);
+    let mut next = 0;
+    let mut run = || {
+        let (a, b) = &sets[next];
+        kind.run(1.0, a, b, &mut c);
+        next = (next + 1) % len;
+    };
+    run(); // warm the pack scratch and instruction cache
+    let mut iters: u32 = 1;
+    let secs = loop {
+        let t0 = Instant::now();
+        for _ in 0..iters {
+            run();
+        }
+        let dt = t0.elapsed();
+        if dt.as_micros() >= 200 || iters >= 1 << 16 {
+            break dt.as_secs_f64() / f64::from(iters);
+        }
+        iters *= 4;
+    };
+    gemm_flops(m as u64, n as u64, k as u64) as f64 / secs / 1e9
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -101,16 +146,14 @@ fn main() {
 
     let mut shapes_json = String::new();
     for (si, &((m, n, k), count, _)) in weighted.iter().enumerate() {
-        let cands = candidates(m, n, k);
-
-        // Correctness gate: every candidate must agree with the naive
-        // triple loop on this exact shape.
+        // Correctness gate: every kernel must agree with the naive triple
+        // loop on this exact shape.
         let a = Tile::random(m, k, 0xA0 + si as u64);
         let b = Tile::random(k, n, 0xB0 + si as u64);
         let c0 = Tile::random(m, n, 0xC0 + si as u64);
         let mut c_ref = c0.clone();
         gemm_naive(1.0, &a, &b, &mut c_ref);
-        for &kind in &cands {
+        for kind in KernelKind::ALL {
             let mut c = c0.clone();
             kind.run(1.0, &a, &b, &mut c);
             let diff = c.max_abs_diff(&c_ref);
@@ -125,13 +168,7 @@ fn main() {
 
         // Flop rates through the cache-cold ring (the executor streams
         // distinct operand tiles, so a hot single-pair loop would lie).
-        // Naive is always measured — it is the reference the others are
-        // judged against, even where it is no dispatch candidate.
-        let mut measured = cands.clone();
-        if !measured.contains(&KernelKind::Naive) {
-            measured.insert(0, KernelKind::Naive);
-        }
-        let mut rates: Vec<(KernelKind, f64)> = measured
+        let rates: Vec<(KernelKind, f64)> = KernelKind::ALL
             .iter()
             .map(|&kind| (kind, measure_gflops(kind, m, n, k)))
             .collect();
@@ -140,8 +177,8 @@ fn main() {
             .cloned()
             .max_by(|x, y| x.1.total_cmp(&y.1))
             .map(|(kind, _)| kind)
-            .expect("at least one candidate");
-        rates.sort_by_key(|&(kind, _)| kind.index());
+            .expect("KernelKind::ALL is non-empty");
+        let heuristic = select_heuristic(m, n, k);
 
         let mut rate_strs = Vec::new();
         let mut rate_json = String::new();
@@ -153,9 +190,10 @@ fn main() {
             write!(rate_json, "\"{}\": {:.4}", kind.name(), g).unwrap();
         }
         println!(
-            "  {m}x{n}x{k} (x{count}): {}  -> {}",
+            "  {m}x{n}x{k} (x{count}): {}  -> {} (heuristic: {})",
             rate_strs.join(" "),
-            winner.name()
+            winner.name(),
+            heuristic.name()
         );
 
         if si > 0 {
@@ -164,32 +202,16 @@ fn main() {
         write!(
             shapes_json,
             "    {{\"m\": {m}, \"n\": {n}, \"k\": {k}, \"tasks\": {count}, \
-             \"gflops\": {{{rate_json}}}, \"winner\": \"{}\"}}",
-            winner.name()
+             \"gflops\": {{{rate_json}}}, \"winner\": \"{}\", \"heuristic\": \"{}\"}}",
+            winner.name(),
+            heuristic.name()
         )
         .unwrap();
     }
-
-    // The autotuner's verdict on the full histogram (what the executor's
-    // `KernelSelect::Autotune` mode would dispatch).
-    let table = KernelTable::autotune(&hist);
-    let mut table_json = String::new();
-    for (i, (key, kind)) in table.entries().enumerate() {
-        if i > 0 {
-            table_json.push_str(",\n");
-        }
-        write!(
-            table_json,
-            "    {{\"class\": \"{key:#06x}\", \"kernel\": \"{}\"}}",
-            kind.name()
-        )
-        .unwrap();
-    }
-    println!("# autotuned {} shape classes", table.len());
 
     let json = format!(
         "{{\n  \"problem\": {{\"m\": {}, \"n\": {}, \"k\": {}, \"tiny\": {tiny}}},\n  \
-         \"shapes\": [\n{shapes_json}\n  ],\n  \"autotune\": [\n{table_json}\n  ]\n}}\n",
+         \"shapes\": [\n{shapes_json}\n  ]\n}}\n",
         spec.a.rows(),
         spec.b.cols(),
         spec.a.cols(),
@@ -202,7 +224,7 @@ fn main() {
     std::fs::write(&out_path, &json).expect("write BENCH JSON");
 
     // Self-validation: the emitted document must re-parse, and must carry a
-    // measured rate for every candidate of every shape.
+    // measured rate for every kernel of every shape.
     let doc = match minijson::parse(&json) {
         Ok(doc) => doc,
         Err(e) => {
@@ -223,7 +245,7 @@ fn main() {
             s.get("n").and_then(|v| v.as_num()).unwrap() as usize,
             s.get("k").and_then(|v| v.as_num()).unwrap() as usize,
         );
-        for kind in candidates(m, n, k) {
+        for kind in KernelKind::ALL {
             let rate = s
                 .get("gflops")
                 .and_then(|g| g.get(kind.name()))

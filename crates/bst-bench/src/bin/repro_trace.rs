@@ -26,7 +26,7 @@
 //! repro_trace --numeric [--tiny] [--out FILE] [--faults SEED]   # traced numeric run
 //! ```
 
-use bst_bench::{check_chrome_trace, tiny_numeric_spec, traced_numeric_report, traced_numeric_run};
+use bst_bench::{check_chrome_trace, tiny_numeric_spec, traced_numeric_run};
 use bst_chem::{CcsdProblem, Molecule, ScreeningParams, TilingSpec};
 use bst_contract::{
     validate_trace_invariants, DeviceConfig, ExecOptions, ExecutionPlan, FaultPlan, GridConfig,
@@ -97,58 +97,8 @@ fn numeric_mode(args: &[String]) {
         faults_mode(&spec, nodes, gpu_mem, seed, &out_path);
         return;
     }
-    // Three legs. The Gemm comparison (baseline vs kernel leg) holds the
-    // thread structure fixed — GenB serialized in both — so per-task spans
-    // are not skewed by preemption from extra worker threads; the fan-out
-    // effect is then shown separately as GenB span overlap.
-    let baseline_opts = ExecOptions {
-        kernel: bst_contract::KernelSelect::Baseline,
-        genb_workers: 0,
-        ..ExecOptions::default()
-    };
-    let kernel_opts = ExecOptions {
-        kernel: bst_contract::KernelSelect::Autotune,
-        genb_workers: 0,
-        ..ExecOptions::default()
-    };
-    let opts = ExecOptions {
-        kernel: bst_contract::KernelSelect::Autotune,
-        ..ExecOptions::default()
-    };
-    // Interleave the two timing legs three times and score each leg by its
-    // per-task best-of-3 Gemm time: the same deterministic task set runs in
-    // every repetition, so taking each task's fastest span filters out the
-    // preemption hits an oversubscribed host injects, and interleaving
-    // cancels slow drift. (Totals of a single run swing by 2x on a busy
-    // single-core box — per-task minima are stable.)
-    let mut baseline: Option<bst_contract::ExecReport> = None;
-    let mut kernel_leg: Option<bst_contract::ExecReport> = None;
-    let mut baseline_best: std::collections::HashMap<String, u64> = Default::default();
-    let mut kernel_best: std::collections::HashMap<String, u64> = Default::default();
-    let fold_best = |best: &mut std::collections::HashMap<String, u64>,
-                     r: &bst_contract::ExecReport| {
-        for rec in &r.trace.as_ref().expect("traced").records {
-            if rec.kind == "Gemm" {
-                let ns = rec.span.end_ns - rec.span.start_ns;
-                best.entry(rec.detail.clone())
-                    .and_modify(|b| *b = (*b).min(ns))
-                    .or_insert(ns);
-            }
-        }
-    };
-    for _ in 0..3 {
-        let b = traced_numeric_report(&spec, nodes, 2, gpu_mem, 42, baseline_opts);
-        fold_best(&mut baseline_best, &b);
-        baseline = Some(b);
-        let k = traced_numeric_report(&spec, nodes, 2, gpu_mem, 42, kernel_opts);
-        fold_best(&mut kernel_best, &k);
-        kernel_leg = Some(k);
-    }
-    let (baseline, kernel_leg) = (baseline.unwrap(), kernel_leg.unwrap());
-    let gemm_best_ms =
-        |best: &std::collections::HashMap<String, u64>| best.values().sum::<u64>() as f64 / 1e6;
-    let (baseline_gemm_ms, kernel_gemm_ms) = (gemm_best_ms(&baseline_best), gemm_best_ms(&kernel_best));
-    let report = traced_numeric_report(&spec, nodes, 2, gpu_mem, 42, opts);
+    let opts = ExecOptions::default();
+    let (_c, report) = traced_numeric_run(&spec, nodes, 2, gpu_mem, 42, opts);
 
     println!(
         "# traced numeric contraction — {}x{}x{} on {nodes} nodes x 2 GPUs ({} MiB each)",
@@ -158,7 +108,7 @@ fn numeric_mode(args: &[String]) {
         gpu_mem >> 20
     );
     print!("{}", report.text_summary(gpu_mem));
-    print_hot_path_comparison(baseline_gemm_ms, kernel_gemm_ms, &baseline, &kernel_leg, &report);
+    print_hot_path(&report);
 
     let trace = report.trace.as_ref().expect("tracing was enabled");
     let json = trace.chrome_trace_json();
@@ -247,34 +197,22 @@ fn faults_mode(spec: &ProblemSpec, nodes: usize, gpu_mem: u64, seed: u64, out_pa
     println!("# fault-injection smoke OK ({} task records)", trace.records.len());
 }
 
-/// Prints the baseline-vs-tuned hot-path deltas the PR-1 tracer measures:
-/// per-kind Gemm time (kernel dispatch, at identical thread structure), the
-/// kernel mix the autotuner chose, GenB span overlap from the worker
-/// fan-out, and tile-pool recycling.
-fn print_hot_path_comparison(
-    baseline_gemm_ms: f64,
-    kernel_gemm_ms: f64,
-    baseline: &bst_contract::ExecReport,
-    kernel_leg: &bst_contract::ExecReport,
-    tuned: &bst_contract::ExecReport,
-) {
-    println!("# hot path vs baseline (blocked kernel, serialized GenB):");
-    println!(
-        "#   Gemm time, per-task best of 3 (autotuned dispatch, same thread layout): {baseline_gemm_ms:.1} ms -> {kernel_gemm_ms:.1} ms ({:+.1}%)",
-        (kernel_gemm_ms - baseline_gemm_ms) / baseline_gemm_ms * 100.0
-    );
-    let kernels: Vec<String> = kernel_leg
+/// Prints the hot-path counters of the traced run: the kernel mix
+/// `select_heuristic` dispatched, GenB span overlap across the node's GenB
+/// lanes, and tile-pool recycling.
+fn print_hot_path(report: &bst_contract::ExecReport) {
+    let kernels: Vec<String> = report
         .gemm_kernel_counts
         .iter()
         .map(|(name, n)| format!("{name}:{n}"))
         .collect();
+    println!("# hot path:");
     println!("#   kernel mix: {}", kernels.join(" "));
     println!(
-        "#   GenB max concurrency per node: {} -> {} (workers fanned out)",
-        baseline.max_concurrent_genb(),
-        tuned.max_concurrent_genb()
+        "#   GenB max concurrency per node: {} (GenB-overlap across the worker lanes)",
+        report.max_concurrent_genb()
     );
-    let (hits, misses): (u64, u64) = tuned
+    let (hits, misses): (u64, u64) = report
         .pool_stats
         .iter()
         .fold((0, 0), |(h, m), s| (h + s.hits, m + s.misses));

@@ -177,9 +177,8 @@ pub fn tiny_numeric_spec(seed: u64) -> ProblemSpec {
 
 /// Runs a numeric execution of `spec` with tracing enabled on a simulated
 /// `nodes`-node machine (`gpus` per node, `gpu_mem` bytes each) and returns
-/// the result matrix plus the traced report. The `--faults` smoke mode
-/// compares the matrices of a faulted and a fault-free run, so unlike
-/// [`traced_numeric_report`] this keeps the numbers.
+/// the result matrix plus the traced report (the `--faults` smoke mode
+/// compares the matrices of a faulted and a fault-free run).
 pub fn traced_numeric_run(
     spec: &ProblemSpec,
     nodes: usize,
@@ -211,21 +210,6 @@ pub fn traced_numeric_run(
     .expect("traced execution must recover")
 }
 
-/// Runs a numeric execution of `spec` with tracing enabled on a simulated
-/// `nodes`-node machine (`gpus` per node, `gpu_mem` bytes each) and returns
-/// the traced report. The result matrix is discarded — callers want the
-/// trace, summary and metrics.
-pub fn traced_numeric_report(
-    spec: &ProblemSpec,
-    nodes: usize,
-    gpus: usize,
-    gpu_mem: u64,
-    seed: u64,
-    opts: ExecOptions,
-) -> ExecReport {
-    traced_numeric_run(spec, nodes, gpus, gpu_mem, seed, opts).1
-}
-
 /// Runs the tiny traced numeric problem on a 2-node × 2-GPU machine with a
 /// 2 MiB device budget (small enough to force several blocks per GPU),
 /// writes its Chrome trace to `path`, self-validates the emitted JSON and
@@ -234,11 +218,11 @@ pub fn emit_numeric_trace(path: &str) -> Result<String, String> {
     let gpu_mem = 1 << 21;
     let opts = ExecOptions::default();
     let spec = tiny_numeric_spec(42);
-    let report = traced_numeric_report(&spec, 2, 2, gpu_mem, 42, opts);
+    let (_c, report) = traced_numeric_run(&spec, 2, 2, gpu_mem, 42, opts);
     let json = report
         .trace
         .as_ref()
-        .expect("traced_numeric_report enables tracing")
+        .expect("traced_numeric_run enables tracing")
         .chrome_trace_json();
     std::fs::write(path, &json).map_err(|e| format!("writing {path}: {e}"))?;
     check_chrome_trace(&json).map_err(|e| format!("{path} is not a valid trace: {e}"))?;

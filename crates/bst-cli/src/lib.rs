@@ -77,7 +77,12 @@ impl RunOpts {
     /// keys that are not shared options.
     pub fn set(&mut self, key: &str, raw: &str) -> Result<bool, CliError> {
         match key {
-            "nodes" => self.nodes = raw.parse().map_err(|_| err("bad --nodes"))?,
+            "nodes" => {
+                self.nodes = raw.parse().map_err(|_| err("bad --nodes"))?;
+                if self.nodes == 0 {
+                    return Err(err("--nodes must be >= 1"));
+                }
+            }
             "node-size" | "node_size" => {
                 self.node_size = raw.parse().map_err(|_| err("bad --node-size"))?;
                 if self.node_size == 0 {
@@ -299,7 +304,23 @@ pub fn parse(args: &[String]) -> Result<Cli, CliError> {
             }
         }
     }
+    check_grid(&cli)?;
     Ok(cli)
+}
+
+/// Rejects a process grid the planner would assert on: `1 <= p <= nodes`
+/// and at least one GPU per node.
+pub(crate) fn check_grid(cli: &Cli) -> Result<(), CliError> {
+    if cli.p == 0 || cli.p > cli.opts.nodes {
+        return Err(err(format!(
+            "--p must be in 1..={} (the node count), got {}",
+            cli.opts.nodes, cli.p
+        )));
+    }
+    if cli.gpus == 0 {
+        return Err(err("--gpus must be >= 1"));
+    }
+    Ok(())
 }
 
 /// Parses a `MxNxK:density` synthetic-problem descriptor — the value of
@@ -313,17 +334,21 @@ pub fn parse_synthetic(v: &str) -> Result<ProblemKind, CliError> {
     if parts.len() != 3 {
         return Err(err("--synthetic wants MxNxK:density"));
     }
-    let parse_u = |s: &str| {
-        s.parse::<u64>()
-            .map_err(|_| err(format!("bad dimension {s}")))
+    // Tile sizes are clamped to the extent, so any extent >= 1 fits the
+    // tile range `build_problem` derives from it.
+    let parse_u = |s: &str| match s.parse::<u64>() {
+        Ok(d) if d >= 1 => Ok(d),
+        _ => Err(err(format!("bad dimension {s} (want an integer >= 1)"))),
+    };
+    let density = match density.parse::<f64>() {
+        Ok(d) if d > 0.0 && d <= 1.0 => d,
+        _ => return Err(err(format!("bad density {density} (want 0 < density <= 1)"))),
     };
     Ok(ProblemKind::Synthetic {
         m: parse_u(parts[0])?,
         n: parse_u(parts[1])?,
         k: parse_u(parts[2])?,
-        density: density
-            .parse()
-            .map_err(|_| err(format!("bad density {density}")))?,
+        density,
     })
 }
 
@@ -790,6 +815,23 @@ mod tests {
         assert!(parse(&args("info --synthetic nope")).is_err());
         assert!(parse(&args("info --nodes")).is_err());
         assert!(parse(&args("info --bogus 3")).is_err());
+    }
+
+    /// Out-of-range values the planner and generators assert on are
+    /// rejected at the door with a message, not a panic.
+    #[test]
+    fn parse_rejects_out_of_range_input() {
+        for (line, want) in [
+            ("plan --synthetic 100x800x800:0.6 --nodes 2 --p 3", "--p"),
+            ("verify --synthetic 100x800x800:0.6 --nodes 0", "--nodes"),
+            ("launch --synthetic 100x800x800:0.6 -n 0", "--nodes"),
+            ("plan --synthetic 100x800x800:0.6 --gpus 0", "--gpus"),
+            ("plan --synthetic 0x800x800:0.6", "dimension"),
+            ("plan --synthetic 100x800x800:1.5", "density"),
+        ] {
+            let e = parse(&args(line)).expect_err(line);
+            assert!(e.0.contains(want), "{line}: {}", e.0);
+        }
     }
 
     #[test]

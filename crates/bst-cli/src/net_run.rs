@@ -96,6 +96,7 @@ pub fn parse_job_config(text: &str) -> Result<Job, NetError> {
             }
         }
     }
+    crate::check_grid(&cli).map_err(|e| proto(e.0))?;
     Ok(Job { cli, dead_node, reorder })
 }
 

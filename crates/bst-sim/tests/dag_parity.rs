@@ -130,10 +130,10 @@ fn simulated_device_accounting_matches_numeric_peaks() {
 
 #[test]
 fn genb_fanout_lowers_identically_for_both_consumers() {
-    // The fan-out knob changes the lowering (GenB moves to dedicated
-    // lanes); both consumers must see the same moved DAG.
+    // GenB runs on dedicated lanes above the GPU lanes; both consumers
+    // must see the same lowering of them.
     let (spec, plan, config) = problem();
-    let opts = ExecOptions::builder().tracing(true).genb_workers(3).build();
+    let opts = ExecOptions::builder().tracing(true).build();
 
     let a = BlockSparseMatrix::random_from_structure(spec.a.clone(), 3);
     let b_gen = |k: usize, j: usize, r: usize, c: usize, pool: &TilePool| {

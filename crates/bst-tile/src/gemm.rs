@@ -9,18 +9,16 @@
 //!   [`gemm_packed_8x8`] — GotoBLAS-style packed panels with an `MR × NR`
 //!   register-blocked micro-kernel; both operands are packed (A into
 //!   `MR`-row panels, B into `NR`-column panels) so the micro-kernel
-//!   streams everything with unit stride;
-//! * [`gemm_parallel`] — rayon-parallel over column panels, used by the
-//!   simulated GPU executors (a stand-in for cuBLAS: one device = one rayon
-//!   pool slice).
+//!   streams everything with unit stride.
 //!
-//! Picking between them by tile shape is the job of [`crate::kernel`].
+//! Every kernel runs on the calling thread: one Gemm task is one kernel
+//! call, and all concurrency comes from the engine's device lanes. Picking
+//! between them by tile shape is the job of [`crate::kernel`].
 //!
 //! All kernels compute `C ← alpha * A * B + C` exactly (no fused scaling of
 //! C; the paper's contraction uses `beta = 1` accumulation).
 
 use crate::tile::Tile;
-use rayon::prelude::*;
 use std::cell::RefCell;
 
 /// Cache block edge for the blocked kernel, sized so three blocks fit in L1.
@@ -64,11 +62,6 @@ pub fn gemm_blocked(alpha: f64, a: &Tile, b: &Tile, c: &mut Tile) {
     let (m, n, kk) = (a.rows(), b.cols(), a.cols());
     let (ad, bd) = (a.data(), b.data());
     let cd = c.data_mut();
-    gemm_blocked_raw(alpha, m, n, kk, ad, bd, cd);
-}
-
-/// Blocked kernel on raw column-major buffers; `cd` has leading dimension `m`.
-fn gemm_blocked_raw(alpha: f64, m: usize, n: usize, kk: usize, ad: &[f64], bd: &[f64], cd: &mut [f64]) {
     for jb in (0..n).step_by(BLOCK) {
         let jend = (jb + BLOCK).min(n);
         for lb in (0..kk).step_by(BLOCK) {
@@ -212,42 +205,6 @@ pub fn gemm_packed_8x8(alpha: f64, a: &Tile, b: &Tile, c: &mut Tile) {
     gemm_packed_generic::<8, 8>(alpha, a, b, c);
 }
 
-/// Column-panel width used by [`gemm_parallel`] for `n` columns across
-/// `threads` workers: `ceil(n / threads)` clamped below so panels are never
-/// degenerately thin. The minimum clamp never exceeds `ceil(n / 2)` and the
-/// divisor is at least 2, which together guarantee at least 2 panels
-/// whenever `n >= 2 * threads` (and in fact whenever `n >= 2`) — the old
-/// `BLOCK.max(...)` sizing collapsed small-`n` problems into one chunk and
-/// ran the "parallel" kernel serially.
-pub fn parallel_panel_cols(n: usize, threads: usize) -> usize {
-    let t = threads.max(2);
-    let min_panel = 8.min(n.div_ceil(2)).max(1);
-    n.div_ceil(t).max(min_panel)
-}
-
-/// Rayon-parallel kernel: column panels of `C` are independent, so they are
-/// processed with a parallel iterator (data-race freedom by construction —
-/// each panel borrows a disjoint `&mut` slice).
-pub fn gemm_parallel(alpha: f64, a: &Tile, b: &Tile, c: &mut Tile) {
-    check_shapes(c, a, b);
-    let (m, n, kk) = (a.rows(), b.cols(), a.cols());
-    // Small problems: parallel dispatch costs more than it saves.
-    if m * n * kk < 64 * 64 * 64 {
-        return gemm_blocked(alpha, a, b, c);
-    }
-    let (ad, bd) = (a.data(), b.data());
-    let cd = c.data_mut();
-    let panel = parallel_panel_cols(n, rayon::current_num_threads());
-    cd.par_chunks_mut(panel * m)
-        .enumerate()
-        .for_each(|(pi, cpanel)| {
-            let j0 = pi * panel;
-            let ncols = cpanel.len() / m;
-            let bpanel = &bd[j0 * kk..(j0 + ncols) * kk];
-            gemm_blocked_raw(alpha, m, ncols, kk, ad, bpanel, cpanel);
-        });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -323,40 +280,6 @@ mod tests {
                     "{name} mismatch at {m}x{n}x{k}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn parallel_panels_split_work() {
-        // At least 2 panels whenever n >= 2 * threads...
-        for threads in 1..=16 {
-            for n in (2 * threads)..(2 * threads + 40) {
-                let panel = parallel_panel_cols(n, threads);
-                let panels = n.div_ceil(panel);
-                assert!(
-                    panels >= 2,
-                    "n={n} threads={threads}: panel={panel} gives a single chunk"
-                );
-            }
-        }
-        // ...and never more panels than columns, with a sane floor.
-        assert_eq!(parallel_panel_cols(1, 8), 1);
-        assert_eq!(parallel_panel_cols(1000, 4), 250);
-        assert_eq!(parallel_panel_cols(1000, 0), 500);
-        assert_eq!(parallel_panel_cols(9, 16), 5);
-    }
-
-    #[test]
-    fn parallel_matches_naive() {
-        for &(m, n, k) in &[(16usize, 16usize, 16usize), (100, 300, 80), (257, 129, 65)] {
-            let a = Tile::random(m, k, 20);
-            let b = Tile::random(k, n, 21);
-            let c0 = Tile::random(m, n, 22);
-            let mut c1 = c0.clone();
-            let mut c2 = c0.clone();
-            gemm_naive(1.0, &a, &b, &mut c1);
-            gemm_parallel(1.0, &a, &b, &mut c2);
-            assert!(c1.max_abs_diff(&c2) < 1e-10, "mismatch at {m}x{n}x{k}");
         }
     }
 

@@ -2,41 +2,29 @@
 //!
 //! Small-block GEMM throughput lives or dies on picking the right kernel for
 //! each tile shape (DBCSR makes the same observation for its libcusmm /
-//! libxsmm backends): a 3×200×3 sliver wants the plain blocked loop, a
-//! 40×40×40 cube wants a packed register-blocked micro-kernel, and a
-//! 512-edge tile wants the thread-parallel panels. This module provides:
+//! libxsmm backends, whose parameter tables are tuned offline): a 3×200×3
+//! sliver wants the plain blocked loop, a 40×40×40 cube stays cache-resident
+//! without packing, and a 256-edge tile wants a packed register-blocked
+//! micro-kernel. This module provides:
 //!
 //! * [`KernelKind`] — an enumeration of every kernel in [`crate::gemm`],
 //!   with [`KernelKind::run`] dispatching to the implementation;
-//! * [`select_heuristic`] — a zero-cost shape rule (the default);
-//! * [`KernelTable`] — a one-shot micro-autotune: given the tile-shape
-//!   histogram of an instance (from the execution plan), it times every
-//!   candidate kernel on a representative shape per *shape class* and caches
-//!   the winner. Shapes are classed by the ceil-log2 of each dimension, so
-//!   the table stays tiny (tens of entries) while nearby shapes share an
-//!   entry; lookups outside the table fall back to the heuristic.
+//! * [`select_heuristic`] — the shape rule; the only place a kernel is
+//!   chosen. Its thresholds are re-derived offline from
+//!   `results/BENCH_kernels.json` (`repro_kernels`), never by timing inside
+//!   an execution.
 //!
 //! Every kernel has identical `C ← alpha·A·B + C` semantics, so dispatch is
 //! a pure performance decision — the property tests in `tests/proptests.rs`
 //! hold all of them to `gemm_naive` behaviour.
 
 use crate::gemm::{
-    gemm_blocked, gemm_flops, gemm_naive, gemm_packed, gemm_packed_4x8, gemm_packed_8x4,
-    gemm_packed_8x8, gemm_parallel,
+    gemm_blocked, gemm_naive, gemm_packed, gemm_packed_4x8, gemm_packed_8x4, gemm_packed_8x8,
 };
 use crate::tile::Tile;
-use std::time::Instant;
 
 /// The common signature of every tile GEMM kernel.
 pub type GemmFn = fn(f64, &Tile, &Tile, &mut Tile);
-
-/// Problem volume (`m·n·k`) from which the thread-parallel kernel is worth
-/// its dispatch overhead when competing with the packed kernels.
-const PARALLEL_MIN_VOL: usize = 192 * 192 * 192;
-
-/// Problem volume below which the naive loop is allowed to compete (packing
-/// and blocking overheads dominate at this size).
-const NAIVE_MAX_VOL: usize = 16 * 16 * 16;
 
 /// One of the GEMM implementations in [`crate::gemm`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -53,20 +41,17 @@ pub enum KernelKind {
     Packed4x8,
     /// Packed panels, 8×8 micro-tile ([`gemm_packed_8x8`]).
     Packed8x8,
-    /// Rayon column-panel parallel ([`gemm_parallel`]).
-    Parallel,
 }
 
 impl KernelKind {
     /// Every kernel, in a stable order (used by benches and reports).
-    pub const ALL: [KernelKind; 7] = [
+    pub const ALL: [KernelKind; 6] = [
         KernelKind::Naive,
         KernelKind::Blocked,
         KernelKind::Packed4x4,
         KernelKind::Packed8x4,
         KernelKind::Packed4x8,
         KernelKind::Packed8x8,
-        KernelKind::Parallel,
     ];
 
     /// Stable display name (also the key used in `BENCH_kernels.json`).
@@ -78,7 +63,6 @@ impl KernelKind {
             KernelKind::Packed8x4 => "packed8x4",
             KernelKind::Packed4x8 => "packed4x8",
             KernelKind::Packed8x8 => "packed8x8",
-            KernelKind::Parallel => "parallel",
         }
     }
 
@@ -91,7 +75,6 @@ impl KernelKind {
             KernelKind::Packed8x4 => gemm_packed_8x4,
             KernelKind::Packed4x8 => gemm_packed_4x8,
             KernelKind::Packed8x8 => gemm_packed_8x8,
-            KernelKind::Parallel => gemm_parallel,
         }
     }
 
@@ -130,22 +113,16 @@ impl KernelKind {
 /// Shape-rule dispatch: pick a kernel for an `m × n × k` product without
 /// any measurement.
 ///
-/// The rules, in order: huge problems go thread-parallel; problems too thin
-/// for a register micro-tile (either output dimension under 4) or with a
-/// trivial inner dimension stay on the blocked loop (the packed variants
-/// would only fall back anyway, after a useless shape check); large tiles
-/// take the packed path, whose panel reuse beats the blocked loop once the
-/// working set outgrows L1; mid-sized tiles (roughly 24–48 edges) stay
-/// blocked — they fit cache without packing, so the pack traffic is pure
-/// overhead; small-but-micro-tileable shapes pack too, widened along
-/// whichever output dimension has room. These crossovers are rules of
-/// thumb — [`KernelTable::autotune`] re-derives them by measurement on the
-/// instance's actual shape mix and overrides this function per class.
+/// The rules, in order: problems too thin for a register micro-tile (either
+/// output dimension under 4) or with a trivial inner dimension stay on the
+/// blocked loop (the packed variants would only fall back anyway, after a
+/// useless shape check); large tiles take the packed path, whose panel reuse
+/// beats the blocked loop once the working set outgrows L1; mid-sized tiles
+/// (roughly 24–48 edges) stay blocked — they fit cache without packing, so
+/// the pack traffic is pure overhead; small-but-micro-tileable shapes pack
+/// too, widened along whichever output dimension has room.
 pub fn select_heuristic(m: usize, n: usize, k: usize) -> KernelKind {
     let vol = m * n * k;
-    if vol >= PARALLEL_MIN_VOL {
-        return KernelKind::Parallel;
-    }
     if m < 4 || n < 4 || k < 2 {
         return KernelKind::Blocked;
     }
@@ -159,219 +136,6 @@ pub fn select_heuristic(m: usize, n: usize, k: usize) -> KernelKind {
         (true, true) | (false, true) => KernelKind::Packed4x8,
         (true, false) => KernelKind::Packed8x4,
         (false, false) => KernelKind::Packed4x4,
-    }
-}
-
-/// The kernels worth timing for a given shape (those that would not merely
-/// fall back to another candidate).
-pub fn candidates(m: usize, n: usize, k: usize) -> Vec<KernelKind> {
-    let vol = m * n * k;
-    let mut out = Vec::new();
-    if vol <= NAIVE_MAX_VOL {
-        out.push(KernelKind::Naive);
-    }
-    out.push(KernelKind::Blocked);
-    if m >= 4 && n >= 4 {
-        out.push(KernelKind::Packed4x4);
-    }
-    if m >= 8 && n >= 4 {
-        out.push(KernelKind::Packed8x4);
-    }
-    if m >= 4 && n >= 8 {
-        out.push(KernelKind::Packed4x8);
-    }
-    if m >= 8 && n >= 8 {
-        out.push(KernelKind::Packed8x8);
-    }
-    if vol >= 64 * 64 * 64 {
-        out.push(KernelKind::Parallel);
-    }
-    out
-}
-
-/// Ceil-log2 shape class of one dimension (`1 → 0`, `2 → 1`, `3..=4 → 2`,
-/// `5..=8 → 3`, ...).
-fn dim_class(d: usize) -> u32 {
-    debug_assert!(d > 0);
-    (usize::BITS - (d - 1).leading_zeros()).min(63)
-}
-
-/// Packed shape-class key for an `m × n × k` product.
-fn shape_class(m: usize, n: usize, k: usize) -> u32 {
-    (dim_class(m) << 12) | (dim_class(n) << 6) | dim_class(k)
-}
-
-/// Operand working set the timing ring is sized to exceed, so successive
-/// iterations read mostly cache-cold tiles — the executor streams distinct
-/// A/B tiles per Gemm, and a single-pair loop would overstate kernels whose
-/// packing cost is hidden by cache-hot reruns.
-const TIMING_RING_BYTES: usize = 4 << 20;
-
-/// A ring of distinct `(a, b)` operand pairs for one shape, accumulating
-/// into a single shared `c` — the executor's cache profile: every Gemm of a
-/// block streams fresh A/B tiles but accumulates into a C tile that stays
-/// resident across the block's whole k-loop.
-struct TimingRing {
-    sets: Vec<(Tile, Tile)>,
-    c: Tile,
-    next: usize,
-}
-
-impl TimingRing {
-    fn new(m: usize, n: usize, k: usize) -> Self {
-        let per_set = 8 * (m * k + k * n);
-        let len = (TIMING_RING_BYTES / per_set.max(1)).clamp(1, 64);
-        let sets = (0..len)
-            .map(|i| {
-                let seed = 0x5eed_0000 + i as u64;
-                (Tile::random(m, k, seed), Tile::random(k, n, seed ^ 0xB))
-            })
-            .collect();
-        Self {
-            sets,
-            c: Tile::zeros(m, n),
-            next: 0,
-        }
-    }
-
-    fn run(&mut self, kind: KernelKind) {
-        let (a, b) = &self.sets[self.next];
-        kind.run(1.0, a, b, &mut self.c);
-        self.next = (self.next + 1) % self.sets.len();
-    }
-}
-
-/// Times one `kernel(a, b) → c` call over a rotating operand ring,
-/// adaptively repeating until the sample is long enough to trust; returns
-/// seconds per call.
-fn time_kernel(kind: KernelKind, ring: &mut TimingRing) -> f64 {
-    ring.run(kind); // warm the pack scratch and instruction cache
-    let mut iters: u32 = 1;
-    loop {
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            ring.run(kind);
-        }
-        let dt = t0.elapsed();
-        if dt.as_micros() >= 200 || iters >= 1 << 16 {
-            return dt.as_secs_f64() / f64::from(iters);
-        }
-        iters *= 4;
-    }
-}
-
-/// Measured flop rate of `kind` on an `m × n × k` product, in Gflop/s.
-/// Operands rotate through a multi-megabyte ring so the rate reflects
-/// streaming (cache-cold) tiles, like the executor's Gemm stream.
-pub fn measure_gflops(kind: KernelKind, m: usize, n: usize, k: usize) -> f64 {
-    let mut ring = TimingRing::new(m, n, k);
-    let secs = time_kernel(kind, &mut ring);
-    gemm_flops(m as u64, n as u64, k as u64) as f64 / secs / 1e9
-}
-
-/// How many shape classes the autotuner will measure (the heaviest by total
-/// flops; the rest fall back to the heuristic).
-const AUTOTUNE_MAX_CLASSES: usize = 16;
-
-/// A cached kernel choice per shape class, produced by a one-shot
-/// micro-benchmark over an instance's tile-shape distribution.
-///
-/// Keys are shape-class buckets (ceil-log2 per dimension), sorted for
-/// binary-search lookup. Shapes with no entry dispatch through
-/// [`select_heuristic`], so an empty table *is* the heuristic.
-#[derive(Clone, Debug, Default)]
-pub struct KernelTable {
-    entries: Vec<(u32, KernelKind)>,
-}
-
-impl KernelTable {
-    /// The empty table: every lookup falls back to [`select_heuristic`].
-    pub fn heuristic() -> Self {
-        Self::default()
-    }
-
-    /// Number of tuned shape classes.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the table has no tuned entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Builds a table by timing candidate kernels on the given shape
-    /// histogram (`((m, n, k), task_count)` pairs, e.g. from
-    /// `ExecutionPlan::gemm_shape_histogram`).
-    ///
-    /// Shapes are grouped into shape classes; each class is represented by
-    /// its most frequent shape, and only the `AUTOTUNE_MAX_CLASSES` classes
-    /// heaviest by total flops are measured — this bounds tuning cost to a
-    /// few milliseconds however large the instance is.
-    pub fn autotune(histogram: &[((usize, usize, usize), u64)]) -> Self {
-        // class key -> (representative shape, rep count, class flop weight)
-        type ClassEntry = (u32, (usize, usize, usize), u64, u128);
-        let mut classes: Vec<ClassEntry> = Vec::new();
-        let mut sorted = histogram.to_vec();
-        sorted.sort(); // deterministic regardless of caller's ordering
-        for &((m, n, k), count) in &sorted {
-            if m == 0 || n == 0 || k == 0 || count == 0 {
-                continue;
-            }
-            let key = shape_class(m, n, k);
-            let flops = gemm_flops(m as u64, n as u64, k as u64) as u128 * count as u128;
-            match classes.iter_mut().find(|c| c.0 == key) {
-                Some(cls) => {
-                    cls.3 += flops;
-                    if count > cls.2 {
-                        cls.1 = (m, n, k);
-                        cls.2 = count;
-                    }
-                }
-                None => classes.push((key, (m, n, k), count, flops)),
-            }
-        }
-        classes.sort_by(|a, b| b.3.cmp(&a.3).then(a.0.cmp(&b.0)));
-        classes.truncate(AUTOTUNE_MAX_CLASSES);
-
-        let mut entries = Vec::with_capacity(classes.len());
-        for (key, (m, n, k), _, _) in classes {
-            let mut ring = TimingRing::new(m, n, k);
-            let cands = candidates(m, n, k);
-            // Alternate over the candidates several times and keep each
-            // one's fastest pass: a single timing is easily corrupted by a
-            // scheduler preemption on a loaded host, and a corrupted
-            // measurement here mis-dispatches every Gemm of the class.
-            let mut best_secs = vec![f64::INFINITY; cands.len()];
-            for _ in 0..3 {
-                for (i, &kind) in cands.iter().enumerate() {
-                    best_secs[i] = best_secs[i].min(time_kernel(kind, &mut ring));
-                }
-            }
-            let best = cands
-                .into_iter()
-                .zip(best_secs)
-                .min_by(|x, y| x.1.total_cmp(&y.1))
-                .map(|(kind, _)| kind)
-                .unwrap_or(KernelKind::Blocked);
-            entries.push((key, best));
-        }
-        entries.sort_by_key(|e| e.0);
-        Self { entries }
-    }
-
-    /// The kernel to use for an `m × n × k` product.
-    pub fn select(&self, m: usize, n: usize, k: usize) -> KernelKind {
-        let key = shape_class(m, n, k);
-        match self.entries.binary_search_by_key(&key, |e| e.0) {
-            Ok(i) => self.entries[i].1,
-            Err(_) => select_heuristic(m, n, k),
-        }
-    }
-
-    /// Iterates the tuned `(shape_class_key, kernel)` entries.
-    pub fn entries(&self) -> impl Iterator<Item = (u32, KernelKind)> + '_ {
-        self.entries.iter().copied()
     }
 }
 
@@ -396,19 +160,8 @@ mod tests {
     }
 
     #[test]
-    fn dim_class_is_ceil_log2() {
-        assert_eq!(dim_class(1), 0);
-        assert_eq!(dim_class(2), 1);
-        assert_eq!(dim_class(3), 2);
-        assert_eq!(dim_class(4), 2);
-        assert_eq!(dim_class(5), 3);
-        assert_eq!(dim_class(64), 6);
-        assert_eq!(dim_class(65), 7);
-    }
-
-    #[test]
     fn heuristic_respects_shape() {
-        assert_eq!(select_heuristic(512, 512, 512), KernelKind::Parallel);
+        assert_eq!(select_heuristic(512, 512, 512), KernelKind::Packed4x4);
         assert_eq!(select_heuristic(2, 200, 50), KernelKind::Blocked);
         assert_eq!(select_heuristic(200, 2, 50), KernelKind::Blocked);
         // Large tiles pack, mid-size tiles stay blocked (cache-resident
@@ -419,64 +172,5 @@ mod tests {
         assert_eq!(select_heuristic(16, 5, 16), KernelKind::Packed8x4);
         assert_eq!(select_heuristic(5, 16, 16), KernelKind::Packed4x8);
         assert_eq!(select_heuristic(5, 5, 16), KernelKind::Packed4x4);
-    }
-
-    #[test]
-    fn candidates_never_empty_and_gated() {
-        for &(m, n, k) in &[(1usize, 1usize, 1usize), (3, 100, 7), (40, 40, 40), (130, 130, 130)] {
-            let cands = candidates(m, n, k);
-            assert!(cands.contains(&KernelKind::Blocked));
-            if m < 8 {
-                assert!(!cands.contains(&KernelKind::Packed8x4));
-                assert!(!cands.contains(&KernelKind::Packed8x8));
-            }
-        }
-        assert!(candidates(512, 512, 512).contains(&KernelKind::Parallel));
-        assert!(!candidates(8, 8, 8).contains(&KernelKind::Parallel));
-    }
-
-    #[test]
-    fn empty_table_is_heuristic() {
-        let t = KernelTable::heuristic();
-        assert!(t.is_empty());
-        for &(m, n, k) in &[(1usize, 7usize, 3usize), (40, 40, 40), (300, 300, 300)] {
-            assert_eq!(t.select(m, n, k), select_heuristic(m, n, k));
-        }
-    }
-
-    #[test]
-    fn autotune_builds_sorted_entries_and_selects_valid_kernels() {
-        let hist = vec![
-            ((20usize, 20usize, 20usize), 500u64),
-            ((21, 19, 22), 300), // same class as above
-            ((4, 4, 4), 1000),
-            ((130, 130, 130), 2),
-        ];
-        let table = KernelTable::autotune(&hist);
-        assert!(!table.is_empty());
-        assert!(table.len() <= 3, "three distinct classes expected");
-        let keys: Vec<u32> = table.entries().map(|e| e.0).collect();
-        let mut sorted = keys.clone();
-        sorted.sort_unstable();
-        assert_eq!(keys, sorted);
-        // Tuned selections must be runnable and numerically correct.
-        for &(m, n, k) in &[(20usize, 20usize, 20usize), (4, 4, 4)] {
-            let kind = table.select(m, n, k);
-            let a = Tile::random(m, k, 1);
-            let b = Tile::random(k, n, 2);
-            let c0 = Tile::random(m, n, 3);
-            let mut c1 = c0.clone();
-            let mut c2 = c0.clone();
-            gemm_naive(1.0, &a, &b, &mut c1);
-            kind.run(1.0, &a, &b, &mut c2);
-            assert!(c1.max_abs_diff(&c2) < 1e-10, "{:?} diverged", kind);
-        }
-        // Untouched class falls back to the heuristic.
-        assert_eq!(table.select(1000, 1000, 1000), KernelKind::Parallel);
-    }
-
-    #[test]
-    fn measure_gflops_is_positive() {
-        assert!(measure_gflops(KernelKind::Blocked, 16, 16, 16) > 0.0);
     }
 }

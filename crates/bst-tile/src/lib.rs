@@ -14,18 +14,16 @@
 //!   low-rank factorization ([`Repr`]);
 //! * [`lowrank`] — the pivoted-QR truncation kernel and the rank-aware
 //!   GEMM routing behind [`kernel`] dispatch;
-//! * [`gemm`] — `C += A * B` kernels (naive reference, cache-blocked, a
-//!   family of packed register-blocked micro-kernels, and a rayon-parallel
-//!   variant) used by the simulated GPU executors;
-//! * [`kernel`] — shape-aware dispatch between the kernels, with a one-shot
-//!   micro-autotune ([`kernel::KernelTable`]) over an instance's tile-shape
-//!   distribution;
+//! * [`gemm`] — `C += A * B` kernels (naive reference, cache-blocked and a
+//!   family of packed register-blocked micro-kernels) used by the simulated
+//!   GPU executors; each runs on the calling thread;
+//! * [`kernel`] — shape-aware dispatch between the kernels
+//!   ([`kernel::select_heuristic`]);
 //! * [`pool`] — a recycling buffer arena ([`pool::TilePool`]) so hot-path
 //!   tile allocations reuse freed buffers.
 //!
 //! Everything in this crate is deterministic and platform independent; random
-//! builders take explicit seeds (kernel *selection* by the autotuner is the
-//! one wall-clock-dependent choice, and it never affects results).
+//! builders take explicit seeds.
 
 pub mod gemm;
 pub mod kernel;
@@ -34,7 +32,7 @@ pub mod pool;
 pub mod tile;
 pub mod tiling;
 
-pub use kernel::{KernelKind, KernelTable};
+pub use kernel::KernelKind;
 pub use pool::TilePool;
 pub use tile::{Repr, Tile};
 pub use tiling::Tiling;

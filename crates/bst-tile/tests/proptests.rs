@@ -1,7 +1,7 @@
 //! Property tests for tilings, GEMM kernels and low-rank compression.
 
-use bst_tile::gemm::{gemm_blocked, gemm_naive, gemm_packed, gemm_parallel};
-use bst_tile::kernel::{select_heuristic, KernelKind, KernelTable};
+use bst_tile::gemm::{gemm_blocked, gemm_naive, gemm_packed};
+use bst_tile::kernel::{select_heuristic, KernelKind};
 use bst_tile::{Tile, Tiling};
 use proptest::prelude::*;
 
@@ -20,14 +20,16 @@ fn frob_diff(a: &Tile, b: &Tile) -> f64 {
 
 /// Dimension generator biased to the adversarial edges of the kernels'
 /// blocking parameters: degenerate (1..5), around the cache block
-/// (63..66), and past it (127..130).
+/// (63..66), and past it (127..130) — plus the whole 1..=400 edge range the
+/// engine's tiles come from, so every `select_heuristic` threshold is
+/// crossed, including the 192–400 edges that dispatch to `Packed4x4`.
 fn ragged_dim() -> impl Strategy<Value = usize> {
-    prop_oneof![1usize..=5, 63usize..=66, 127usize..=130]
+    prop_oneof![1usize..=5, 63usize..=66, 127usize..=130, 1usize..=400]
 }
 
 proptest! {
     /// Every kernel variant — including the widened packed micro-kernels and
-    /// whatever a dispatch table selects — matches `gemm_naive` on
+    /// whatever `select_heuristic` picks — matches `gemm_naive` on
     /// ragged/adversarial shapes and alphas including 0 and negative.
     #[test]
     fn all_kernel_variants_match_naive_on_ragged_shapes(
@@ -52,11 +54,8 @@ proptest! {
             );
         }
         // Dispatch never changes results either.
-        let heuristic = select_heuristic(m, n, k);
-        let table = KernelTable::heuristic();
-        prop_assert_eq!(table.select(m, n, k), heuristic);
         let mut c = c0.clone();
-        heuristic.run(alpha, &a, &b, &mut c);
+        select_heuristic(m, n, k).run(alpha, &a, &b, &mut c);
         prop_assert!(reference.max_abs_diff(&c) < 1e-10);
     }
 
@@ -74,15 +73,12 @@ proptest! {
         let c0 = Tile::random(m, n, seed ^ 2);
         let mut c1 = c0.clone();
         let mut c2 = c0.clone();
-        let mut c3 = c0.clone();
-        let mut c4 = c0;
+        let mut c3 = c0;
         gemm_naive(alpha, &a, &b, &mut c1);
         gemm_blocked(alpha, &a, &b, &mut c2);
-        gemm_parallel(alpha, &a, &b, &mut c3);
-        gemm_packed(alpha, &a, &b, &mut c4);
+        gemm_packed(alpha, &a, &b, &mut c3);
         prop_assert!(c1.max_abs_diff(&c2) < 1e-10);
         prop_assert!(c1.max_abs_diff(&c3) < 1e-10);
-        prop_assert!(c1.max_abs_diff(&c4) < 1e-10);
     }
 
     /// GEMM is linear in alpha: C(2a) - C(a) == C(a) - C(0).

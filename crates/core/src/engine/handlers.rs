@@ -1,8 +1,8 @@
 //! Task-body handlers: what each [`Op`] does when its turn comes.
 //!
 //! [`HandlerEnv`] bundles the shared, read-mostly state of one execution —
-//! problem, plan, stores, comm fabric, pools, kernel table, fault plan,
-//! counters — and exposes the single fallible entry point
+//! problem, plan, stores, comm fabric, pools, fault plan, counters — and
+//! exposes the single fallible entry point
 //! [`HandlerEnv::handle`] that the engine drives for every task. Fault
 //! injection happens **at handler entry**, before any side effect, so a
 //! retried attempt re-runs from a clean slate and recovery is idempotent by
@@ -25,7 +25,7 @@ use bst_runtime::data::{BCacheKey, DataKey};
 use bst_runtime::device::DeviceStats;
 use bst_runtime::graph::{TaskError, WorkerId};
 use bst_runtime::TileStore;
-use bst_tile::kernel::{KernelKind, KernelTable};
+use bst_tile::kernel::select_heuristic;
 use bst_tile::pool::TilePool;
 use parking_lot::Mutex;
 
@@ -81,7 +81,6 @@ pub(crate) struct HandlerEnv<'a> {
     pub stores: &'a [TileStore],
     pub fabric: &'a CommFabric,
     pub pools: &'a [TilePool],
-    pub ktable: Option<KernelTable>,
     pub kernel_counts: Vec<AtomicU64>,
     pub fault: Option<FaultPlan>,
     /// `(p, q)` of the process grid (for `A` ownership).
@@ -308,10 +307,7 @@ impl HandlerEnv<'_> {
             }
             (Op::Gemm { i, k, j }, Ctx::Gpu(mm)) => {
                 let (at, bt, ct) = mm.gemm_operands(*i, *k, *j);
-                let kind = match &self.ktable {
-                    None => KernelKind::Blocked,
-                    Some(table) => table.select(ct.rows(), ct.cols(), at.cols()),
-                };
+                let kind = select_heuristic(ct.rows(), ct.cols(), at.cols());
                 kind.run_recompress(1.0, &at, &bt, ct, self.compress_tol);
                 self.kernel_counts[kind.index()].fetch_add(1, Ordering::Relaxed);
                 c.gemms.fetch_add(1, Ordering::Relaxed);

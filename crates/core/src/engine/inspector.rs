@@ -161,8 +161,7 @@ pub fn owner_of(p: usize, q: usize, i: usize, k: usize) -> usize {
     (i % p) * q + (k % q)
 }
 
-/// A node's CPU lane (lane 0: `SendA` hops, plus `GenB` when
-/// `genb_workers == 0`).
+/// A node's CPU lane (lane 0: `SendA`/`RecvA` hops and `ReduceC`).
 pub fn cpu_lane(node: usize) -> WorkerId {
     WorkerId { node, lane: 0 }
 }
@@ -172,8 +171,12 @@ pub fn gpu_lane(node: usize, gpu: usize) -> WorkerId {
     WorkerId { node, lane: 1 + gpu }
 }
 
+/// Dedicated `GenB` worker lanes per node: generation is dealt round-robin
+/// across them so it overlaps with communication (lane 0) and compute.
+pub const GENB_LANES: usize = 2;
+
 /// A node's dedicated `GenB` worker lane; these sit above the GPU lanes
-/// (`lane = 1 + gpus_per_node + worker`).
+/// (`lane = 1 + gpus_per_node + worker`, `worker < GENB_LANES`).
 pub fn genb_lane(gpus_per_node: usize, node: usize, worker: usize) -> WorkerId {
     WorkerId {
         node,
@@ -405,13 +408,8 @@ pub fn lower(spec: &ProblemSpec, plan: &ExecutionPlan, opts: &ExecOptions) -> Lo
                 if genb_ids.contains_key(&key) {
                     continue;
                 }
-                let worker = if opts.genb_workers == 0 {
-                    cpu_lane(ni)
-                } else {
-                    let w = genb_rr[ni] % opts.genb_workers;
-                    genb_rr[ni] += 1;
-                    genb_lane(g, ni, w)
-                };
+                let worker = genb_lane(g, ni, genb_rr[ni] % GENB_LANES);
+                genb_rr[ni] += 1;
                 let id = graph.add_task(
                     Op::GenB {
                         k: k as u32,
@@ -621,7 +619,7 @@ pub fn lower(spec: &ProblemSpec, plan: &ExecutionPlan, opts: &ExecOptions) -> Lo
         for gi in 0..g {
             workers.push(gpu_lane(ni, gi));
         }
-        for wi in 0..opts.genb_workers {
+        for wi in 0..GENB_LANES {
             workers.push(genb_lane(g, ni, wi));
         }
     }

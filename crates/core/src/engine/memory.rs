@@ -19,8 +19,7 @@ use bst_tile::Tile;
 /// Per-worker mutable context: CPU lanes carry no state; GPU lanes own a
 /// [`MemoryManager`].
 pub(crate) enum Ctx {
-    /// Lane 0 (`SendA`, plus `GenB` when `genb_workers == 0`) and the
-    /// dedicated `GenB` lanes.
+    /// Lane 0 (`SendA`/`RecvA`, `ReduceC`) and the dedicated `GenB` lanes.
     Cpu,
     /// A GPU executor lane.
     Gpu(Box<MemoryManager>),

@@ -5,11 +5,11 @@
 //!
 //! * **dataflow tasks** — `SendA` (A-tile broadcast across a grid row),
 //!   `GenB` (on-demand generation of B tiles on the node that needs them,
-//!   fanned across a small pool of CPU worker lanes — see
-//!   [`ExecOptions::genb_workers`]), `LoadBlock`/`LoadA` (host→device
-//!   transfers), `Gemm` (the computation, dispatched to a shape-selected
-//!   kernel — see [`KernelSelect`]), `EvictChunk`/`FlushBlock` (device
-//!   memory recycling and C write-back);
+//!   fanned across [`inspector::GENB_LANES`] CPU worker lanes),
+//!   `LoadBlock`/`LoadA` (host→device transfers), `Gemm` (the computation:
+//!   one call of the kernel [`bst_tile::kernel::select_heuristic`] picks
+//!   for the tile shape, on the device lane's own thread),
+//!   `EvictChunk`/`FlushBlock` (device memory recycling and C write-back);
 //! * **control-flow edges** — `LoadBlock(b+1)` waits for `FlushBlock(b)`
 //!   (blocks are transferred blockingly, §3.2.2), and the `LoadA` tasks of
 //!   chunk `n` wait for `EvictChunk(n−2)` (one chunk computing + one chunk
@@ -28,8 +28,7 @@
 //!   dataflow and control-flow edges. Data-free, so `bst-sim` replays the
 //!   *same* lowering it can never drift from;
 //! * [`policies`] — [`policies::ExecOptions`]: the composable
-//!   knob surface (control edges, tracing, kernels, GenB fan-out, faults,
-//!   retry);
+//!   knob surface (control edges, tracing, transport shape, faults, retry);
 //! * `memory` — the per-GPU `MemoryManager`: residency, eviction, OOM, and
 //!   occupancy sampling behind one interface;
 //! * `handlers` — the task bodies (`GenB`/`SendA`/`Gemm`/loads/evictions)
@@ -62,7 +61,7 @@ use bst_runtime::graph::{FallibleRun, RunAbort, WorkerId};
 use bst_runtime::trace::{aggregate_by_kind, TaskRecord, TraceClock};
 use bst_runtime::TileStore;
 use bst_sparse::BlockSparseMatrix;
-use bst_tile::kernel::{KernelKind, KernelTable};
+use bst_tile::kernel::KernelKind;
 use bst_tile::pool::TilePool;
 use bst_tile::Tile;
 use parking_lot::Mutex;
@@ -75,7 +74,7 @@ use crate::spec::ProblemSpec;
 use handlers::{Counters, HandlerEnv};
 use inspector::{owner_of, Op};
 use memory::{Ctx, MemoryManager};
-use policies::{Collectives, ExecOptions, KernelSelect};
+use policies::{Collectives, ExecOptions};
 use report::{DeviceMemLog, ExecReport, ExecTraceData, RecoveryStats};
 
 /// The node that accumulates C partial sums (flush handlers ship their
@@ -241,13 +240,8 @@ pub(crate) fn run(
         }
     }
 
-    // ---- Per-node buffer pools & kernel selection -------------------------
+    // ---- Per-node buffer pools --------------------------------------------
     let pools: Vec<TilePool> = (0..n_nodes).map(|_| TilePool::new()).collect();
-    let ktable: Option<KernelTable> = match opts.kernel {
-        KernelSelect::Baseline => None,
-        KernelSelect::Heuristic => Some(KernelTable::heuristic()),
-        KernelSelect::Autotune => Some(KernelTable::autotune(&plan.gemm_shape_histogram(spec))),
-    };
 
     // ---- Execute ----------------------------------------------------------
     let registries: Vec<Arc<NodeResidency>> =
@@ -281,7 +275,6 @@ pub(crate) fn run(
         stores: &stores,
         fabric: &fabric,
         pools: &pools,
-        ktable,
         kernel_counts: KernelKind::ALL.iter().map(|_| AtomicU64::new(0)).collect(),
         fault: opts.fault_plan.filter(FaultPlan::is_active),
         grid: (p, q),

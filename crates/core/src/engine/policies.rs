@@ -1,8 +1,8 @@
 //! Execution policies: the option set a numeric run is configured with.
 //!
 //! [`ExecOptions`] is the single knob surface of the engine — control-flow
-//! edges, tracing, kernel selection, GenB fan-out, fault injection and retry
-//! policy all compose here and reach one execution path
+//! edges, tracing, transport shape, fault injection and retry policy all
+//! compose here and reach one execution path
 //! ([`crate::engine::execute`]), never separate entry points.
 
 use crate::fault::{FaultPlan, RetryPolicy};
@@ -26,28 +26,6 @@ pub enum Collectives {
     Tree,
 }
 
-/// How the executor picks a GEMM kernel for each `Gemm` task.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum KernelSelect {
-    /// Always `gemm_blocked` — the pre-dispatch behaviour, kept as the
-    /// comparison baseline for the traced perf reports.
-    Baseline,
-    /// Shape-rule dispatch ([`bst_tile::kernel::select_heuristic`]): zero
-    /// startup cost, good choices for common shapes. The default.
-    #[default]
-    Heuristic,
-    /// One-shot micro-autotune: benchmark the candidate kernels on the
-    /// plan's actual tile-shape distribution
-    /// ([`ExecutionPlan::gemm_shape_histogram`]) before executing, and
-    /// dispatch through the resulting [`KernelTable`]. Costs a few
-    /// milliseconds at startup; worth it for anything but tiny runs.
-    ///
-    /// [`ExecutionPlan::gemm_shape_histogram`]:
-    ///     crate::plan::ExecutionPlan::gemm_shape_histogram
-    /// [`KernelTable`]: bst_tile::kernel::KernelTable
-    Autotune,
-}
-
 /// Which control-flow edges to emit when lowering the plan. Both default to
 /// on — disabling either reproduces the failure mode the paper's §4 control
 /// DAG exists to prevent (the scheduler "selecting a GEMM that is ready but
@@ -68,13 +46,6 @@ pub struct ExecOptions {
     /// [`ExecReport::metrics`]: crate::engine::report::ExecReport::metrics
     /// [`ExecReport::trace`]: crate::engine::report::ExecReport::trace
     pub tracing: bool,
-    /// GEMM kernel selection policy (see [`KernelSelect`]).
-    pub kernel: KernelSelect,
-    /// Dedicated `GenB` worker lanes per node. `0` serialises generation
-    /// on the node's CPU lane, interleaved with `SendA`; `w > 0` fans
-    /// `GenB` tasks round-robin across `w` extra lanes so generation
-    /// overlaps with communication and compute.
-    pub genb_workers: usize,
     /// Deterministic fault-injection schedule (see [`FaultPlan`]); `None`
     /// disables injection entirely (the default). Injected transient faults
     /// are recovered through [`ExecOptions::retry`]; a
@@ -128,8 +99,6 @@ impl Default for ExecOptions {
             prefetch_window: true,
             block_serialization: true,
             tracing: false,
-            kernel: KernelSelect::default(),
-            genb_workers: 2,
             fault_plan: None,
             retry: RetryPolicy::default(),
             comm_window: DEFAULT_CREDIT_WINDOW,
@@ -177,18 +146,6 @@ impl ExecOptionsBuilder {
     /// Sets [`ExecOptions::tracing`].
     pub fn tracing(mut self, on: bool) -> Self {
         self.opts.tracing = on;
-        self
-    }
-
-    /// Sets [`ExecOptions::kernel`].
-    pub fn kernel(mut self, kernel: KernelSelect) -> Self {
-        self.opts.kernel = kernel;
-        self
-    }
-
-    /// Sets [`ExecOptions::genb_workers`].
-    pub fn genb_workers(mut self, workers: usize) -> Self {
-        self.opts.genb_workers = workers;
         self
     }
 

@@ -54,7 +54,7 @@ pub mod stationary_c;
 pub use config::{DeviceConfig, GridConfig, PlanError, PlannerConfig};
 pub use einsum::{Einsum, EinsumOutcome, EinsumSpec, SpecError};
 pub use error::{BstError, ExecError, GenError, ServiceError};
-pub use engine::policies::{Collectives, ExecOptions, ExecOptionsBuilder, KernelSelect};
+pub use engine::policies::{Collectives, ExecOptions, ExecOptionsBuilder};
 pub use engine::report::{
     validate_trace_invariants, BCacheRunStats, ExecReport, ExecTraceData, RecoveryStats,
 };

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use bst_contract::engine::execute;
 use bst_contract::{
     DeviceConfig, ExecError, ExecOptions, ExecutionPlan, FaultPlan, GenError, GridConfig,
-    KernelSelect, PlannerConfig, ProblemSpec, RetryPolicy,
+    PlannerConfig, ProblemSpec, RetryPolicy,
 };
 use bst_sparse::generate::{generate, SyntheticParams};
 use bst_sparse::matrix::tile_seed;
@@ -303,40 +303,30 @@ fn report_counts_network_and_gemms() {
     assert_eq!(report.devices.len(), 2);
 }
 
-/// All three kernel-selection modes produce the same numbers (within
-/// fp associativity), the report names the variants that ran, and the
+/// The dispatched kernels produce the reference's numbers (within fp
+/// associativity), the report names the variants that ran, and the
 /// per-node tile pools actually recycle buffers on a multi-block run.
 #[test]
-fn kernel_modes_agree_and_pools_recycle() {
+fn dispatched_kernels_match_reference_and_pools_recycle() {
     let a = MatrixStructure::dense(Tiling::uniform(16, 4), Tiling::uniform(24, 4));
     let b = MatrixStructure::dense(Tiling::uniform(24, 4), Tiling::uniform(24, 4));
     let spec = ProblemSpec::new(a, b, None);
     let config = cfg(1, 1, 1, 2600); // tight: many blocks → pool reuse
     let plan = ExecutionPlan::build(&spec, config).unwrap();
     let am = BlockSparseMatrix::random_from_structure(spec.a.clone(), 5);
+    let bm = BlockSparseMatrix::random_from_structure(spec.b.clone(), 5 ^ 0xB);
     let b_gen = |k: usize, j: usize, r: usize, c: usize, pool: &TilePool| {
         Ok(Arc::new(pool.random(r, c, tile_seed(5 ^ 0xB, k, j))))
     };
+    let (c, r_heur) = execute(&spec, &plan, &am, &b_gen, ExecOptions::default()).unwrap();
 
-    let run = |kernel: KernelSelect| {
-        execute(
-            &spec,
-            &plan,
-            &am,
-            &b_gen,
-            ExecOptions::builder().kernel(kernel).build(),
-        )
-        .unwrap()
-    };
-    let (c_base, r_base) = run(KernelSelect::Baseline);
-    let (c_heur, r_heur) = run(KernelSelect::Heuristic);
-    let (c_auto, _r_auto) = run(KernelSelect::Autotune);
-    assert!(c_base.max_abs_diff(&c_heur) < 1e-10);
-    assert!(c_base.max_abs_diff(&c_auto) < 1e-10);
+    let mut c_ref =
+        BlockSparseMatrix::zeros(spec.a.row_tiling().clone(), spec.b.col_tiling().clone());
+    c_ref.gemm_acc_reference(&am, &bm);
+    assert!(c.max_abs_diff(&c_ref) < 1e-10);
 
-    // Baseline pins every Gemm to the blocked kernel; the dispatcher
-    // reports whatever it actually chose, totalling all Gemm tasks.
-    assert_eq!(r_base.gemm_kernel_counts, vec![("blocked", r_base.gemm_tasks)]);
+    // The dispatcher reports whatever it actually chose, totalling all
+    // Gemm tasks.
     let dispatched: u64 = r_heur.gemm_kernel_counts.iter().map(|&(_, n)| n).sum();
     assert_eq!(dispatched, r_heur.gemm_tasks);
     assert!(!r_heur.gemm_kernel_counts.is_empty());
@@ -350,9 +340,9 @@ fn kernel_modes_agree_and_pools_recycle() {
 }
 
 /// `ExecReport::max_concurrent_genb` measures real overlap from the trace:
-/// the fan-out executor reaches > 1, the serialized one stays at 1.
+/// the node's GenB lanes reach > 1.
 #[test]
-fn genb_fanout_overlaps_and_zero_workers_serializes() {
+fn genb_fanout_overlaps() {
     let a = MatrixStructure::dense(Tiling::uniform(12, 3), Tiling::uniform(36, 3));
     let b = MatrixStructure::dense(Tiling::uniform(36, 3), Tiling::uniform(36, 3));
     let spec = ProblemSpec::new(a, b, None);
@@ -361,8 +351,7 @@ fn genb_fanout_overlaps_and_zero_workers_serializes() {
     // On a loaded (or single-core) machine two short GenB spans may never
     // be preempted mid-task, so force a rendezvous: the first generator
     // call spins until a second call is in flight. With real fan-out the
-    // second worker arrives and both spans overlap; on the serialized
-    // path the spin times out alone and no spans ever overlap.
+    // second worker arrives and both spans overlap.
     let entered = std::sync::atomic::AtomicUsize::new(0);
     let b_gen = |k: usize, j: usize, r: usize, c: usize, pool: &TilePool| {
         use std::sync::atomic::Ordering;
@@ -374,22 +363,9 @@ fn genb_fanout_overlaps_and_zero_workers_serializes() {
         }
         Ok(Arc::new(t))
     };
-    let run = |genb_workers: usize| {
-        execute(
-            &spec,
-            &plan,
-            &am,
-            &b_gen,
-            ExecOptions::builder()
-                .tracing(true)
-                .genb_workers(genb_workers)
-                .build(),
-        )
-        .unwrap()
-        .1
-    };
-    assert!(run(4).max_concurrent_genb() > 1, "4 GenB workers never overlapped");
-    assert_eq!(run(0).max_concurrent_genb(), 1, "genb_workers = 0 must serialize");
+    let opts = ExecOptions::builder().tracing(true).build();
+    let (_c, report) = execute(&spec, &plan, &am, &b_gen, opts).unwrap();
+    assert!(report.max_concurrent_genb() > 1, "the GenB lanes never overlapped");
 }
 
 /// A permanent generator failure aborts the run with the typed error;
@@ -496,24 +472,19 @@ fn builder_matches_default_and_sets_knobs() {
     let d = ExecOptions::default();
     let b = ExecOptions::builder().build();
     assert_eq!(
-        (b.prefetch_window, b.block_serialization, b.tracing, b.genb_workers),
-        (d.prefetch_window, d.block_serialization, d.tracing, d.genb_workers)
+        (b.prefetch_window, b.block_serialization, b.tracing),
+        (d.prefetch_window, d.block_serialization, d.tracing)
     );
-    assert_eq!(b.kernel, d.kernel);
     assert!(b.fault_plan.is_none());
     let fp = FaultPlan::transient(9, 0.05);
     let o = ExecOptions::builder()
         .prefetch_window(false)
         .block_serialization(false)
         .tracing(true)
-        .kernel(KernelSelect::Baseline)
-        .genb_workers(7)
         .fault_plan(fp)
         .retry(RetryPolicy { budget: 9, backoff_base_us: 1, backoff_max_us: 2 })
         .build();
     assert!(!o.prefetch_window && !o.block_serialization && o.tracing);
-    assert_eq!(o.kernel, KernelSelect::Baseline);
-    assert_eq!(o.genb_workers, 7);
     assert_eq!(o.fault_plan, Some(fp));
     assert_eq!(o.retry.budget, 9);
 }

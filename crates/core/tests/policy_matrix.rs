@@ -1,7 +1,7 @@
 //! Policy-combination matrix over the single execution path.
 //!
-//! The engine collapse means tracing, fault injection and `GenB` fan-out are
-//! *policies* composed onto one scheduler, not separate entry points — so
+//! The engine collapse means tracing and fault injection are *policies*
+//! composed onto one scheduler, not separate entry points — so
 //! every combination must run, produce the same numeric answer (≤ 1e-10;
 //! accumulation order varies across schedules), expose a trace exactly when
 //! tracing was requested, and pass the trace-invariant checker whenever a
@@ -56,57 +56,50 @@ fn every_policy_combination_runs_and_agrees() {
     let mut counters: Option<(u64, u64, u64)> = None;
     for tracing in [false, true] {
         for faults in [None, Some(FaultPlan::transient(9, 0.15))] {
-            for genb_workers in [0usize, 2] {
-                let mut builder = ExecOptions::builder()
-                    .tracing(tracing)
-                    .genb_workers(genb_workers);
-                if let Some(fp) = faults {
-                    builder = builder.fault_plan(fp);
-                }
-                let opts = builder.build();
-                let combo = format!(
-                    "tracing={tracing} faults={} genb_workers={genb_workers}",
-                    faults.is_some()
-                );
-
-                let (c, report) = execute(&spec, &plan, &a, &b_gen, opts)
-                    .unwrap_or_else(|e| panic!("{combo}: {e}"));
-
-                // One answer, whatever the policies.
-                match &baseline {
-                    None => baseline = Some(c),
-                    Some(base) => {
-                        let diff = base.max_abs_diff(&c);
-                        assert!(diff <= 1e-10, "{combo}: diverged by {diff}");
-                    }
-                }
-
-                // Same work, whatever the policies.
-                let work = (
-                    report.gemm_tasks,
-                    report.b_tiles_generated,
-                    report.a_messages,
-                );
-                match counters {
-                    None => counters = Some(work),
-                    Some(expect) => assert_eq!(work, expect, "{combo}: work differs"),
-                }
-
-                // Trace exists exactly when requested — and is always clean.
-                assert_eq!(report.trace.is_some(), tracing, "{combo}");
-                assert_eq!(!report.metrics.is_empty(), tracing, "{combo}");
-                if tracing {
-                    assert_eq!(
-                        validate_trace_invariants(&report, opts, GPU_MEM),
-                        Vec::<String>::new(),
-                        "{combo}"
-                    );
-                }
-
-                // Faults recover through the same path and leave evidence;
-                // clean runs must report none.
-                assert_eq!(report.recovery.any(), faults.is_some(), "{combo}");
+            let mut builder = ExecOptions::builder().tracing(tracing);
+            if let Some(fp) = faults {
+                builder = builder.fault_plan(fp);
             }
+            let opts = builder.build();
+            let combo = format!("tracing={tracing} faults={}", faults.is_some());
+
+            let (c, report) = execute(&spec, &plan, &a, &b_gen, opts)
+                .unwrap_or_else(|e| panic!("{combo}: {e}"));
+
+            // One answer, whatever the policies.
+            match &baseline {
+                None => baseline = Some(c),
+                Some(base) => {
+                    let diff = base.max_abs_diff(&c);
+                    assert!(diff <= 1e-10, "{combo}: diverged by {diff}");
+                }
+            }
+
+            // Same work, whatever the policies.
+            let work = (
+                report.gemm_tasks,
+                report.b_tiles_generated,
+                report.a_messages,
+            );
+            match counters {
+                None => counters = Some(work),
+                Some(expect) => assert_eq!(work, expect, "{combo}: work differs"),
+            }
+
+            // Trace exists exactly when requested — and is always clean.
+            assert_eq!(report.trace.is_some(), tracing, "{combo}");
+            assert_eq!(!report.metrics.is_empty(), tracing, "{combo}");
+            if tracing {
+                assert_eq!(
+                    validate_trace_invariants(&report, opts, GPU_MEM),
+                    Vec::<String>::new(),
+                    "{combo}"
+                );
+            }
+
+            // Faults recover through the same path and leave evidence;
+            // clean runs must report none.
+            assert_eq!(report.recovery.any(), faults.is_some(), "{combo}");
         }
     }
 }
@@ -123,7 +116,6 @@ fn traced_faulted_fanout_records_retries_on_their_lanes() {
     };
     let opts = ExecOptions::builder()
         .tracing(true)
-        .genb_workers(3)
         .fault_plan(FaultPlan::transient(5, 0.2))
         .build();
     let (_c, report) = execute(&spec, &plan, &a, &b_gen, opts).unwrap();
