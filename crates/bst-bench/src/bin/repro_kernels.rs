@@ -24,11 +24,8 @@
 //! repro_kernels [--tiny] [--out BENCH_kernels.json]
 //! ```
 
-use bst_bench::{minijson, tiny_numeric_spec};
-use bst_contract::{
-    DeviceConfig, ExecutionPlan, GridConfig, PlannerConfig, ProblemSpec,
-};
-use bst_sparse::generate::{generate, SyntheticParams};
+use bst_bench::{minijson, numeric_bench_problem};
+use bst_contract::{DeviceConfig, ExecutionPlan, GridConfig, PlannerConfig};
 use bst_tile::gemm::{gemm_flops, gemm_naive};
 use bst_tile::kernel::{select_heuristic, KernelKind};
 use bst_tile::Tile;
@@ -102,20 +99,7 @@ fn main() {
 
     // The same problems the traced reproduction (`repro_trace --numeric`)
     // runs, so the shape mix matches the executor measurements.
-    let (spec, gpu_mem): (ProblemSpec, u64) = if tiny {
-        (tiny_numeric_spec(42), 1 << 21)
-    } else {
-        let prob = generate(&SyntheticParams {
-            m: 400,
-            n: 3200,
-            k: 3200,
-            density: 0.5,
-            tile_min: 48,
-            tile_max: 128,
-            seed: 42,
-        });
-        (ProblemSpec::new(prob.a, prob.b, None), 1 << 23)
-    };
+    let (spec, gpu_mem) = numeric_bench_problem(tiny);
     let config = PlannerConfig::paper(
         GridConfig::from_nodes(2, 1),
         DeviceConfig {

@@ -26,7 +26,7 @@
 //! repro_trace --numeric [--tiny] [--out FILE] [--faults SEED]   # traced numeric run
 //! ```
 
-use bst_bench::{check_chrome_trace, tiny_numeric_spec, traced_numeric_run};
+use bst_bench::{check_chrome_trace, numeric_bench_problem, traced_numeric_run};
 use bst_chem::{CcsdProblem, Molecule, ScreeningParams, TilingSpec};
 use bst_contract::{
     validate_trace_invariants, DeviceConfig, ExecOptions, ExecutionPlan, FaultPlan, GridConfig,
@@ -34,7 +34,6 @@ use bst_contract::{
 };
 use bst_sim::replay::{simulate_traced, Trace};
 use bst_sim::Platform;
-use bst_sparse::generate::{generate, SyntheticParams};
 
 const USAGE: &str = "usage: repro_trace [v1|v2|v3] | repro_trace --numeric \
 [--tiny] [--nodes N] [--out FILE] [--faults SEED]";
@@ -78,20 +77,7 @@ fn numeric_mode(args: &[String]) {
 
     // --tiny: the CI-sized problem (sub-second). Default: a ~10x larger
     // synthetic contraction so the profile has visible phases.
-    let (spec, gpu_mem): (ProblemSpec, u64) = if tiny {
-        (tiny_numeric_spec(42), 1 << 21)
-    } else {
-        let prob = generate(&SyntheticParams {
-            m: 400,
-            n: 3200,
-            k: 3200,
-            density: 0.5,
-            tile_min: 48,
-            tile_max: 128,
-            seed: 42,
-        });
-        (ProblemSpec::new(prob.a, prob.b, None), 1 << 23)
-    };
+    let (spec, gpu_mem) = numeric_bench_problem(tiny);
 
     if let Some(seed) = faults {
         faults_mode(&spec, nodes, gpu_mem, seed, &out_path);

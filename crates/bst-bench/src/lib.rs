@@ -12,8 +12,10 @@
 
 use bst_chem::{CcsdProblem, TilingSpec};
 use bst_contract::engine::execute;
+use bst_contract::engine::inspector::{block_c_tiles, lower};
 use bst_contract::{
-    DeviceConfig, ExecOptions, ExecReport, ExecutionPlan, GridConfig, PlannerConfig, ProblemSpec,
+    DeviceConfig, ExecOptions, ExecReport, ExecutionPlan, GridConfig, LinkClass, PlannerConfig,
+    ProblemSpec,
 };
 use bst_sim::dbcsr::{simulate_dbcsr, DbcsrOom, DbcsrReport};
 use bst_sim::replay::simulate_best_p;
@@ -175,6 +177,90 @@ pub fn tiny_numeric_spec(seed: u64) -> ProblemSpec {
     ProblemSpec::new(prob.a, prob.b, None)
 }
 
+/// The problem the numeric repro binaries (`repro_comm`, `repro_trace`,
+/// `repro_kernels`) run, with its per-GPU memory budget: the CI-sized
+/// [`tiny_numeric_spec`] or a ~10x larger synthetic contraction.
+pub fn numeric_bench_problem(tiny: bool) -> (ProblemSpec, u64) {
+    if tiny {
+        return (tiny_numeric_spec(42), 1 << 21);
+    }
+    let prob = generate(&SyntheticParams {
+        m: 400,
+        n: 3200,
+        k: 3200,
+        density: 0.5,
+        tile_min: 48,
+        tile_max: 128,
+        seed: 42,
+    });
+    (ProblemSpec::new(prob.a, prob.b, None), 1 << 23)
+}
+
+/// The plan of a numeric run on a `1 × nodes` grid.
+fn numeric_plan(spec: &ProblemSpec, nodes: usize, gpus: usize, gpu_mem: u64) -> ExecutionPlan {
+    let config = PlannerConfig::paper(
+        GridConfig::from_nodes(nodes, 1),
+        DeviceConfig {
+            gpus_per_node: gpus,
+            gpu_mem_bytes: gpu_mem,
+        },
+    );
+    ExecutionPlan::build(spec, config).expect("numeric plan must build")
+}
+
+/// Bytes the unicast baseline moves, summed over nodes.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct BaselineBytes {
+    /// Every byte sent to another rank (A tiles + C partials).
+    pub total: u64,
+    /// Of `total`, the bytes crossing an inter-node link.
+    pub inter: u64,
+    /// Of `inter`, the A-tile bytes.
+    pub a_inter: u64,
+}
+
+/// The point-to-point baseline the tree collectives are compared against:
+/// the owner sends `A(i,k)` to every consumer in turn (a star over
+/// [`Lowered::sends`](bst_contract::engine::inspector::Lowered::sends)) and
+/// every flushed C partial ships straight to rank 0. The lowering fixes
+/// these byte counts, so they are summed here instead of measured on an
+/// execution.
+pub fn unicast_baseline(
+    spec: &ProblemSpec,
+    nodes: usize,
+    gpus: usize,
+    gpu_mem: u64,
+    node_size: usize,
+) -> BaselineBytes {
+    let plan = numeric_plan(spec, nodes, gpus, gpu_mem);
+    let low = lower(spec, &plan, &ExecOptions::builder().node_size(node_size).build());
+    let mut out = BaselineBytes::default();
+    let mut count = |bytes: u64, src: usize, dst: usize, is_a: bool| {
+        out.total += bytes;
+        if low.topology.link_class(src, dst) == LinkClass::Inter {
+            out.inter += bytes;
+            if is_a {
+                out.a_inter += bytes;
+            }
+        }
+    };
+    for (&(owner, (i, k)), dests) in &low.sends {
+        let bytes = spec.a.tile_bytes(i as usize, k as usize);
+        for &dst in dests {
+            count(bytes, owner, dst, true);
+        }
+    }
+    for (ni, node) in plan.nodes.iter().enumerate().skip(1) {
+        for bp in node.gpus.iter().flat_map(|gpu| &gpu.blocks) {
+            for (i, j) in block_c_tiles(spec, &bp.block, node.grid_row, plan.config.grid.p) {
+                let bytes = spec.a.row_tiling().size(i) * spec.b.col_tiling().size(j) * 8;
+                count(bytes, ni, 0, false);
+            }
+        }
+    }
+    out
+}
+
 /// Runs a numeric execution of `spec` with tracing enabled on a simulated
 /// `nodes`-node machine (`gpus` per node, `gpu_mem` bytes each) and returns
 /// the result matrix plus the traced report (the `--faults` smoke mode
@@ -187,14 +273,7 @@ pub fn traced_numeric_run(
     seed: u64,
     opts: ExecOptions,
 ) -> (BlockSparseMatrix, ExecReport) {
-    let config = PlannerConfig::paper(
-        GridConfig::from_nodes(nodes, 1),
-        DeviceConfig {
-            gpus_per_node: gpus,
-            gpu_mem_bytes: gpu_mem,
-        },
-    );
-    let plan = ExecutionPlan::build(spec, config).expect("traced plan must build");
+    let plan = numeric_plan(spec, nodes, gpus, gpu_mem);
     let a = BlockSparseMatrix::random_from_structure(spec.a.clone(), seed);
     let b_gen = bst_sparse::matrix::random_b_gen(seed ^ 0xB);
     execute(

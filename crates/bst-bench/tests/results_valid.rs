@@ -5,6 +5,7 @@
 //! artifact fails `cargo test` instead of silently shipping.
 
 use bst_bench::minijson::{parse, Value};
+use bst_bench::{numeric_bench_problem, unicast_baseline};
 use std::path::{Path, PathBuf};
 
 fn results_dir() -> PathBuf {
@@ -54,10 +55,27 @@ fn check_comm(doc: &Value, f: &str) {
     );
     assert!(num(doc, f, "a_inter_reduction") >= 2.0, "{f}: broadcast tree below 2x");
     assert_eq!(arr(doc, f, "per_node").len(), 16, "{f}: per_node row count");
-    for row in arr(doc, f, "sweep") {
+    // The unicast columns are a function of the lowering alone: the
+    // committed values must equal what the current lowering yields.
+    let (spec, gpu_mem) = numeric_bench_problem(false);
+    let baseline = |nodes: f64, node_size: f64| {
+        let b = unicast_baseline(&spec, nodes as usize, 2, gpu_mem, node_size as usize);
+        [b.total as f64, b.inter as f64, b.a_inter as f64]
+    };
+    let headline = ["unicast_bytes_moved", "unicast_inter_bytes", "unicast_a_inter_bytes"];
+    assert_eq!(baseline(16.0, 4.0), headline.map(|k| num(doc, f, k)), "{f}: unicast baseline");
+    let sweep = arr(doc, f, "sweep");
+    assert_eq!(sweep.len(), 6, "{f}: sweep row count");
+    for row in sweep {
         assert!(
             num(row, f, "tree_inter_bytes") <= num(row, f, "unicast_inter_bytes"),
             "{f}: a sweep point regressed above unicast"
+        );
+        let keys = ["unicast_bytes", "unicast_inter_bytes", "unicast_a_inter_bytes"];
+        assert_eq!(
+            baseline(num(row, f, "nodes"), num(row, f, "node_size")),
+            keys.map(|k| num(row, f, k)),
+            "{f}: a sweep point's unicast baseline"
         );
     }
 }

@@ -305,6 +305,12 @@ pub fn parse(args: &[String]) -> Result<Cli, CliError> {
         }
     }
     check_grid(&cli)?;
+    if let Some(rank) = cli.kill.filter(|&rank| rank >= cli.opts.nodes) {
+        return Err(err(format!(
+            "--kill must name a rank in 0..{} (the node count), got {rank}",
+            cli.opts.nodes
+        )));
+    }
     Ok(cli)
 }
 
@@ -357,22 +363,23 @@ pub fn build_molecule(spec: &str) -> Result<Molecule, CliError> {
     let (kind, args) = spec
         .split_once(':')
         .ok_or_else(|| err("--molecule wants KIND:ARGS, e.g. alkane:65"))?;
+    // The `Molecule` constructors assert on a zero extent.
+    let extent = |s: &str, what: &str| match s.parse::<usize>() {
+        Ok(n) if n >= 1 => Ok(n),
+        _ => Err(err(format!("{what}, an integer >= 1, got {s}"))),
+    };
     match kind {
-        "alkane" => Ok(Molecule::alkane(
-            args.parse().map_err(|_| err("alkane wants a carbon count"))?,
-        )),
+        "alkane" => Ok(Molecule::alkane(extent(args, "alkane wants a carbon count")?)),
         "sheet" => {
             let (a, b) = args
                 .split_once('x')
                 .ok_or_else(|| err("sheet wants AxB"))?;
             Ok(Molecule::sheet(
-                a.parse().map_err(|_| err("bad sheet dims"))?,
-                b.parse().map_err(|_| err("bad sheet dims"))?,
+                extent(a, "sheet wants AxB dims")?,
+                extent(b, "sheet wants AxB dims")?,
             ))
         }
-        "cluster" => Ok(Molecule::cluster3d(
-            args.parse().map_err(|_| err("cluster wants an edge count"))?,
-        )),
+        "cluster" => Ok(Molecule::cluster3d(extent(args, "cluster wants an edge count")?)),
         other => Err(err(format!("unknown molecule kind {other}"))),
     }
 }
@@ -828,6 +835,7 @@ mod tests {
             ("plan --synthetic 100x800x800:0.6 --gpus 0", "--gpus"),
             ("plan --synthetic 0x800x800:0.6", "dimension"),
             ("plan --synthetic 100x800x800:1.5", "density"),
+            ("launch --synthetic 100x800x800:0.6 -n 2 --kill 5", "--kill"),
         ] {
             let e = parse(&args(line)).expect_err(line);
             assert!(e.0.contains(want), "{line}: {}", e.0);
@@ -841,6 +849,10 @@ mod tests {
         assert!(build_molecule("cluster:2").is_ok());
         assert!(build_molecule("dna:1").is_err());
         assert!(build_molecule("alkane").is_err());
+        for zero in ["alkane:0", "sheet:0x3", "sheet:2x0", "cluster:0"] {
+            let e = build_molecule(zero).expect_err(zero);
+            assert!(e.0.contains(">= 1"), "{zero}: {}", e.0);
+        }
     }
 
     #[test]

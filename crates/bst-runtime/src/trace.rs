@@ -17,7 +17,7 @@
 //! * [`ExecTrace::validate`] — the well-formedness invariants every trace
 //!   must satisfy (used by the property tests and by `repro_trace
 //!   --validate`);
-//! * [`TaskRecord`] + [`chrome_trace_json`] — a `chrome://tracing` /
+//! * [`TaskRecord`] + [`chrome_trace_json_full`] — a `chrome://tracing` /
 //!   Perfetto-compatible JSON exporter (hand-rolled; no serialization
 //!   dependency);
 //! * [`text_summary`] — a plain-text per-kind time breakdown.
@@ -554,27 +554,19 @@ impl ChromeTraceBuilder {
     }
 }
 
-/// Renders labeled task records (plus optional per-device memory-occupancy
-/// samples) as a Chrome-trace JSON document. Convention: `pid` = node,
-/// `tid` = lane (0 = CPU, `1+g` = GPU g); one extra counter track per
-/// sampled device.
-pub fn chrome_trace_json(
-    records: &[TaskRecord],
-    mem_samples: &[((usize, usize), Vec<MemSample>)],
-) -> String {
-    chrome_trace_json_full(records, mem_samples, &[])
-}
-
 /// The `tid` of a node's NIC track in the Chrome export — far above any
 /// real lane so the transport renders as its own row under each node.
 pub const NIC_TID: usize = 999;
 
-/// Like [`chrome_trace_json`], but also renders the transport's
-/// [`CommEvent`](crate::comm::CommEvent) stream: each delivered message
-/// becomes a slice on the destination node's `nic` track spanning `Sent →
-/// Received` (so transfer/wait time is visible next to the compute lanes),
-/// with byte counts and epoch in the detail pane; in-flight drops and
-/// suppressed duplicates render as zero-width marker slices.
+/// Renders labeled task records (plus optional per-device memory-occupancy
+/// samples) as a Chrome-trace JSON document. Convention: `pid` = node,
+/// `tid` = lane (0 = CPU, `1+g` = GPU g); one extra counter track per
+/// sampled device. The transport's
+/// [`CommEvent`](crate::comm::CommEvent) stream renders too: each delivered
+/// message becomes a slice on the destination node's `nic` track spanning
+/// `Sent → Received` (so transfer/wait time is visible next to the compute
+/// lanes), with byte counts and epoch in the detail pane; in-flight drops
+/// and suppressed duplicates render as zero-width marker slices.
 pub fn chrome_trace_json_full(
     records: &[TaskRecord],
     mem_samples: &[((usize, usize), Vec<MemSample>)],
@@ -789,7 +781,7 @@ mod tests {
             rec(1, "Gemm", w(1, 2), 500, 2_000, 9_000),
         ];
         let samples = vec![((0usize, 0usize), vec![(1_000u64, 64u64), (2_000, 0)])];
-        let json = chrome_trace_json(&records, &samples);
+        let json = chrome_trace_json_full(&records, &samples, &[]);
         // Structural sanity without a JSON parser dependency: balanced
         // brackets/braces, one object per event line.
         assert!(json.starts_with("[\n"));
@@ -928,7 +920,8 @@ mod tests {
     fn chrome_export_labels_retried_tasks() {
         let mut retried = rec(0, "GenB", w(0, 3), 0, 1_000, 2_000);
         retried.attempts = 3;
-        let json = chrome_trace_json(&[retried, rec(1, "Gemm", w(0, 1), 0, 2_000, 3_000)], &[]);
+        let json =
+            chrome_trace_json_full(&[retried, rec(1, "Gemm", w(0, 1), 0, 2_000, 3_000)], &[], &[]);
         assert!(json.contains("\"attempts\":\"3\""), "{json}");
         // Single-attempt tasks stay unlabeled.
         assert_eq!(json.matches("attempts").count(), 1, "{json}");

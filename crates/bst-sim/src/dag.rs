@@ -243,7 +243,7 @@ pub fn replay_dag(
                 // combined partial per key up the reduction tree is what
                 // costs — charged on the sender, over the link class of the
                 // tree edge.
-                let rn = &low.reduce.as_ref().expect("ReduceC lowered without a tree")[*node];
+                let rn = &low.reduce[*node];
                 match rn.parent {
                     None => 0,
                     Some(parent) => {
@@ -308,7 +308,7 @@ pub fn replay_dag(
                 });
             }
             Op::ReduceC { node } => {
-                let rn = &low.reduce.as_ref().expect("ReduceC lowered without a tree")[*node];
+                let rn = &low.reduce[*node];
                 if let Some(parent) = rn.parent {
                     let class = low.topology.link_class(*node, parent);
                     for &(i, j) in &rn.keys {

@@ -17,6 +17,7 @@
 //!   last flush.
 
 use crate::platform::Platform;
+use bst_contract::engine::inspector::{block_b_tiles, block_c_tiles, owner_of};
 use bst_contract::plan::ExecutionPlan;
 use bst_contract::ProblemSpec;
 
@@ -180,28 +181,13 @@ pub fn simulate_traced(
             let mut gpu_seen: std::collections::HashSet<(u32, u32)> = std::collections::HashSet::new();
             let mut blocks = Vec::with_capacity(gpu.blocks.len());
             for bp in &gpu.blocks {
-                let mut b_bytes = 0u64;
-                let mut b_tiles = 0u64;
-                for span in &bp.block.spans {
-                    let j = span.col as usize;
-                    for k in spec.b.shape().nonzero_rows_in_col(j) {
-                        if span.contains(k) {
-                            b_bytes += spec.b.tile_bytes(k, j);
-                            b_tiles += 1;
-                        }
-                    }
-                }
-                let mut c_bytes = 0u64;
-                let mut c_tiles = 0u64;
-                for j in bp.block.distinct_columns() {
-                    let support = spec.c_col_support(j, node.grid_row, plan.config.grid.p);
-                    c_tiles += support.len() as u64;
-                    let nj = spec.b.col_tiling().size(j);
-                    c_bytes += support
-                        .iter()
-                        .map(|&i| spec.a.row_tiling().size(i) * nj * 8)
-                        .sum::<u64>();
-                }
+                let b = block_b_tiles(spec, &bp.block);
+                let b_bytes: u64 = b.iter().map(|&(k, j)| spec.b.tile_bytes(k, j)).sum();
+                let c = block_c_tiles(spec, &bp.block, node.grid_row, p);
+                let c_bytes: u64 = c
+                    .iter()
+                    .map(|&(i, j)| spec.a.row_tiling().size(i) * spec.b.col_tiling().size(j) * 8)
+                    .sum();
                 let mut chunks = Vec::with_capacity(bp.chunks.len());
                 for chunk in &bp.chunks {
                     let mut cost = ChunkCost {
@@ -213,7 +199,7 @@ pub fn simulate_traced(
                         tasks: 0,
                     };
                     for &(i, k) in &chunk.tiles {
-                        if (k as usize) % q != node.grid_col {
+                        if owner_of(p, q, i as usize, k as usize) != node_idx {
                             let bytes = spec.a.tile_area(i as usize, k as usize) * 8;
                             if gpu_seen.insert((i, k)) {
                                 cost.remote_bytes += bytes;
@@ -236,9 +222,9 @@ pub fn simulate_traced(
                 }
                 blocks.push(BlockCost {
                     b_bytes,
-                    b_tiles,
+                    b_tiles: b.len() as u64,
                     c_bytes,
-                    c_tiles,
+                    c_tiles: c.len() as u64,
                     chunks,
                 });
             }

@@ -98,11 +98,6 @@ impl DenseMatrix {
             .map(|(a, b)| (a - b).abs())
             .fold(0.0, f64::max)
     }
-
-    /// Largest absolute element.
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().map(|x| x.abs()).fold(0.0, f64::max)
-    }
 }
 
 #[cfg(test)]
@@ -137,12 +132,5 @@ mod tests {
         c.gemm_acc(&eye, &b);
         assert_eq!(c.get(0, 0), 4.0);
         assert_eq!(c.get(2, 1), 6.0);
-    }
-
-    #[test]
-    fn max_abs_works() {
-        let mut m = DenseMatrix::zeros(2, 2);
-        *m.get_mut(1, 0) = -7.5;
-        assert_eq!(m.max_abs(), 7.5);
     }
 }

@@ -90,11 +90,6 @@ impl SparseShape {
         self.norms.iter().filter(|n| **n > 0.0).count()
     }
 
-    /// Tile-wise density (fraction of non-zero tiles).
-    pub fn tile_density(&self) -> f64 {
-        self.nnz_tiles() as f64 / (self.rows * self.cols) as f64
-    }
-
     /// Iterator over the coordinates of non-zero tiles, row-major.
     pub fn iter_nonzero(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         self.norms
@@ -231,7 +226,6 @@ mod tests {
     fn dense_and_empty() {
         let d = SparseShape::dense(2, 3);
         assert_eq!(d.nnz_tiles(), 6);
-        assert!((d.tile_density() - 1.0).abs() < 1e-12);
         let e = SparseShape::empty(2, 3);
         assert_eq!(e.nnz_tiles(), 0);
     }

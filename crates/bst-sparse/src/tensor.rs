@@ -38,17 +38,6 @@ impl ContractionDims {
     pub fn k(&self) -> u64 {
         self.u * self.u
     }
-
-    /// Aspect ratio `N / M = (U/O)²` (25–400 in the paper's applications).
-    pub fn aspect_ratio(&self) -> f64 {
-        self.k() as f64 / self.m() as f64
-    }
-
-    /// Dense flop count of the ABCD term, `2·O²·U⁴` (the paper's §5.2 quotes
-    /// 2·196²·1570⁴ ≈ 0.47 Exaflop for C65H132).
-    pub fn dense_flops(&self) -> u128 {
-        2 * (self.o as u128).pow(2) * (self.u as u128).pow(4)
-    }
 }
 
 /// Metadata of an order-4 block-sparse tensor: one tiling per mode.
@@ -261,10 +250,6 @@ mod tests {
         let d = ContractionDims { o: 196, u: 1570 };
         assert_eq!(d.m(), 38_416);
         assert_eq!(d.k(), 2_464_900);
-        assert!((d.aspect_ratio() - (1570.0f64 / 196.0).powi(2)).abs() < 1e-9);
-        // ≈ 0.467 Exaflop
-        let ef = d.dense_flops() as f64 / 1e18;
-        assert!((0.4..0.5).contains(&ef), "dense flops {ef} Eflop");
     }
 
     fn meta() -> Tensor4Meta {

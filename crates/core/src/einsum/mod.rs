@@ -25,14 +25,14 @@
 //! [`Einsum::screen_threshold`]) becomes the intermediate's `c_shape`, so a
 //! chain never materialises tiles the next term would screen away.
 //!
-//! # Entry points
+//! # Entry point
 //!
-//! [`Einsum::contract`] runs each term through the one-shot engine;
-//! [`Einsum::contract_on`] routes each term through a
-//! [`ContractionService`], so plan caching and per-node B-tile caching
-//! apply per term. Callers that already hold a [`ProblemSpec`] and an
-//! [`ExecutionPlan`] skip the builder and call
-//! [`engine::execute`](crate::engine::execute) directly.
+//! [`Einsum::contract`] runs each term through the engine. Callers that
+//! already hold a [`ProblemSpec`] and an [`ExecutionPlan`] skip the builder
+//! and call [`engine::execute`](crate::engine::execute) directly; callers
+//! that repeat one contraction shape submit
+//! [`ContractionRequest`](crate::service::ContractionRequest)s to a
+//! [`ContractionService`](crate::service::ContractionService).
 //!
 //! ```
 //! use bst_contract::einsum::Einsum;
@@ -61,15 +61,12 @@ pub mod spec;
 
 pub use spec::{EinsumSpec, SpecError};
 
-use std::sync::Arc;
-
 use crate::config::PlannerConfig;
 use crate::engine::policies::ExecOptions;
 use crate::engine::report::ExecReport;
-use crate::error::{BstError, GenError, ServiceError};
 use crate::engine::{execute, BGen};
+use crate::error::{BstError, GenError};
 use crate::plan::ExecutionPlan;
-use crate::service::{ContractionRequest, ContractionService, RequestStats, ServiceBGen};
 use crate::spec::ProblemSpec;
 use bst_sparse::shape::SparseShape;
 use bst_sparse::structure::product_structure;
@@ -78,14 +75,7 @@ use bst_sparse::{BlockSparseMatrix, MatrixStructure};
 use bst_tile::pool::TilePool;
 use bst_tile::Tiling;
 
-/// A B-tile generator bound to an operand: either borrowed for the direct
-/// path or `Arc`ed so the service path can ship it to worker threads.
-enum GenRef<'a> {
-    Borrowed(BGen<'a>),
-    Shared(ServiceBGen),
-}
-
-enum OperandKind<'a> {
+enum Operand<'a> {
     /// A materialised matrix.
     Matrix(&'a BlockSparseMatrix),
     /// A materialised order-4 tensor (consumed in its matricised frame).
@@ -96,15 +86,8 @@ enum OperandKind<'a> {
     OnDemand {
         structure: &'a MatrixStructure,
         meta: Option<Tensor4Meta>,
-        gen: GenRef<'a>,
+        gen: BGen<'a>,
     },
-}
-
-struct OperandEntry<'a> {
-    kind: OperandKind<'a>,
-    /// Operand value identity for the service path's B-tile cache (see
-    /// [`ContractionRequest::b_key`]).
-    b_key: u64,
 }
 
 /// The per-operand label/tiling view the symbolic lowering works on.
@@ -142,9 +125,6 @@ pub struct EinsumOutcome {
     col_tilings: Vec<Tiling>,
     /// One engine report per lowered term, in execution order.
     pub reports: Vec<ExecReport>,
-    /// Per-term service accounting; empty unless run via
-    /// [`Einsum::contract_on`].
-    pub request_stats: Vec<RequestStats>,
 }
 
 impl std::fmt::Debug for EinsumOutcome {
@@ -205,11 +185,10 @@ impl EinsumOutcome {
 /// Builder-style einsum entry point — see the [module docs](self).
 ///
 /// Bind one operand per spec term, in spec order, then call
-/// [`contract`](Einsum::contract) (one-shot engine) or
-/// [`contract_on`](Einsum::contract_on) (through a [`ContractionService`]).
+/// [`contract`](Einsum::contract).
 pub struct Einsum<'a> {
     spec: String,
-    operands: Vec<OperandEntry<'a>>,
+    operands: Vec<Operand<'a>>,
     output_shape: Option<SparseShape>,
     screen_threshold: f32,
     opts: ExecOptions,
@@ -217,8 +196,8 @@ pub struct Einsum<'a> {
 
 impl<'a> Einsum<'a> {
     /// Starts a contraction for `spec` (e.g. `"ijcd,cdab->ijab"`). The spec
-    /// is parsed and validated when a `contract*` method runs, so malformed
-    /// specs surface as typed errors, not panics.
+    /// is parsed and validated when [`contract`](Einsum::contract) runs, so
+    /// malformed specs surface as typed errors, not panics.
     pub fn new(spec: impl Into<String>) -> Self {
         Einsum {
             spec: spec.into(),
@@ -231,13 +210,13 @@ impl<'a> Einsum<'a> {
 
     /// Binds the next spec term to a materialised matrix.
     pub fn operand(mut self, m: &'a BlockSparseMatrix) -> Self {
-        self.operands.push(OperandEntry { kind: OperandKind::Matrix(m), b_key: 0 });
+        self.operands.push(Operand::Matrix(m));
         self
     }
 
     /// Binds the next spec term to a materialised order-4 tensor.
     pub fn tensor(mut self, t: &'a BlockSparseTensor4) -> Self {
-        self.operands.push(OperandEntry { kind: OperandKind::Tensor4(t), b_key: 0 });
+        self.operands.push(Operand::Tensor4(t));
         self
     }
 
@@ -246,10 +225,7 @@ impl<'a> Einsum<'a> {
     /// node first needs them. The operand must land on the stationary `B`
     /// side of its product.
     pub fn on_demand(mut self, structure: &'a MatrixStructure, gen: BGen<'a>) -> Self {
-        self.operands.push(OperandEntry {
-            kind: OperandKind::OnDemand { structure, meta: None, gen: GenRef::Borrowed(gen) },
-            b_key: 0,
-        });
+        self.operands.push(Operand::OnDemand { structure, meta: None, gen });
         self
     }
 
@@ -263,59 +239,7 @@ impl<'a> Einsum<'a> {
         structure: &'a MatrixStructure,
         gen: BGen<'a>,
     ) -> Self {
-        self.operands.push(OperandEntry {
-            kind: OperandKind::OnDemand {
-                structure,
-                meta: Some(meta.clone()),
-                gen: GenRef::Borrowed(gen),
-            },
-            b_key: 0,
-        });
-        self
-    }
-
-    /// [`Einsum::on_demand`] with an owned, shareable generator — required
-    /// for operands that should run through [`Einsum::contract_on`].
-    pub fn on_demand_shared(mut self, structure: &'a MatrixStructure, gen: ServiceBGen) -> Self {
-        self.operands.push(OperandEntry {
-            kind: OperandKind::OnDemand { structure, meta: None, gen: GenRef::Shared(gen) },
-            b_key: 0,
-        });
-        self
-    }
-
-    /// [`Einsum::on_demand_tensor4`] with an owned, shareable generator for
-    /// the service path.
-    pub fn on_demand_tensor4_shared(
-        mut self,
-        meta: &Tensor4Meta,
-        structure: &'a MatrixStructure,
-        gen: ServiceBGen,
-    ) -> Self {
-        self.operands.push(OperandEntry {
-            kind: OperandKind::OnDemand {
-                structure,
-                meta: Some(meta.clone()),
-                gen: GenRef::Shared(gen),
-            },
-            b_key: 0,
-        });
-        self
-    }
-
-    /// Sets the **value identity** of the most recently bound operand for
-    /// the service path's B-tile cache: operands with different values MUST
-    /// carry different keys, and the same key reuses cached tiles (see
-    /// [`ContractionRequest::b_key`]). Intermediate results derive their
-    /// identity by mixing the keys of every upstream operand.
-    ///
-    /// # Panics
-    /// Panics if no operand has been bound yet.
-    pub fn keyed(mut self, key: u64) -> Self {
-        self.operands
-            .last_mut()
-            .expect("keyed() must follow an operand binding")
-            .b_key = key;
+        self.operands.push(Operand::OnDemand { structure, meta: Some(meta.clone()), gen });
         self
     }
 
@@ -352,33 +276,9 @@ impl<'a> Einsum<'a> {
         self
     }
 
-    /// Parses, validates, lowers and executes the expression through the
-    /// one-shot engine, one planned product per binary term.
+    /// Parses, validates, lowers and executes the expression, one planned
+    /// product per binary term.
     pub fn contract(self, config: PlannerConfig) -> Result<EinsumOutcome, BstError> {
-        self.run_terms(config, None)
-    }
-
-    /// Like [`Einsum::contract`], but each term runs as a
-    /// [`ContractionRequest`] on `service`, so its plan cache and per-node
-    /// B-tile caches apply per term. Materialised operands are wrapped as
-    /// shared generators; on-demand operands must have been bound with the
-    /// `_shared` variants (a borrowed generator cannot outlive the
-    /// submitting stack frame and is rejected with
-    /// [`ServiceError::InvalidRequest`]).
-    pub fn contract_on(
-        self,
-        service: &ContractionService,
-        config: PlannerConfig,
-    ) -> Result<EinsumOutcome, BstError> {
-        self.run_terms(config, Some(service))
-    }
-
-    /// Shared driver for both execution paths.
-    fn run_terms(
-        self,
-        config: PlannerConfig,
-        service: Option<&ContractionService>,
-    ) -> Result<EinsumOutcome, BstError> {
         let spec = EinsumSpec::parse(&self.spec)?;
         if spec.num_operands() != self.operands.len() {
             return Err(SpecError::OperandCount {
@@ -388,7 +288,7 @@ impl<'a> Einsum<'a> {
             .into());
         }
         let views = build_views(&spec, &self.operands)?;
-        check_shared_tilings(&spec, &views)?;
+        check_shared_tilings(&views)?;
         let (plans, out_view) = plan_chain(&spec, &self.operands, &views)?;
         if let Some(shape) = &self.output_shape {
             let want_rows: usize = out_view.row_tilings.iter().map(Tiling::num_tiles).product();
@@ -405,7 +305,6 @@ impl<'a> Einsum<'a> {
         }
 
         let mut reports = Vec::with_capacity(plans.len());
-        let mut request_stats = Vec::new();
         let mut acc: Option<BlockSparseMatrix> = None;
         let last = plans.len() - 1;
         for (t, term) in plans.iter().enumerate() {
@@ -432,15 +331,8 @@ impl<'a> Einsum<'a> {
                         .clone(),
                 )
             };
-            let (c, report) = match service {
-                None => self.run_direct(term, &acc, a_structure, b_structure, c_shape, config)?,
-                Some(svc) => {
-                    let (c, report, stats) =
-                        self.run_service(svc, t, term, &mut acc, b_structure, c_shape, config)?;
-                    request_stats.push(stats);
-                    (c, report)
-                }
-            };
+            let (c, report) =
+                self.run_term(term, &acc, a_structure, b_structure, c_shape, config)?;
             reports.push(report);
             acc = Some(c);
         }
@@ -451,12 +343,11 @@ impl<'a> Einsum<'a> {
             row_tilings: out_view.row_tilings,
             col_tilings: out_view.col_tilings,
             reports,
-            request_stats,
         })
     }
 
-    /// Executes one lowered term through the one-shot engine.
-    fn run_direct(
+    /// Executes one lowered term.
+    fn run_term(
         &self,
         term: &TermPlan,
         acc: &Option<BlockSparseMatrix>,
@@ -469,120 +360,33 @@ impl<'a> Einsum<'a> {
             Side::Acc => acc.as_ref().expect("accumulator exists after term 0"),
             Side::Op(i) => self.materialised(i),
         };
-        // A materialised B side (operand or intermediate) is served straight
-        // from its tile map; only on-demand operands invoke a caller
-        // generator.
-        let b_mat: Option<&BlockSparseMatrix> = match term.b {
-            Side::Acc => Some(acc.as_ref().expect("accumulator exists after term 0")),
-            Side::Op(i) => match &self.operands[i].kind {
-                OperandKind::OnDemand { .. } => None,
-                OperandKind::Matrix(_) | OperandKind::Tensor4(_) => Some(self.materialised(i)),
-            },
-        };
         let pspec = ProblemSpec::new(a_structure, b_structure, c_shape);
         let plan = ExecutionPlan::build(&pspec, config)?;
         let run = |b_gen: BGen<'_>| {
             execute(&pspec, &plan, a_mat, b_gen, self.opts).map_err(BstError::from)
         };
-        match b_mat {
-            Some(b) => {
-                let f = move |k: usize, j: usize, _r: usize, _c: usize, _pool: &TilePool| {
-                    b.tile_arc(k, j).cloned().ok_or(GenError::MissingTile { k, j })
-                };
-                run(&f)
-            }
-            None => {
-                let Side::Op(i) = term.b else {
-                    unreachable!("an intermediate B side is always materialised")
-                };
-                match &self.operands[i].kind {
-                    OperandKind::OnDemand { gen: GenRef::Borrowed(g), .. } => run(*g),
-                    OperandKind::OnDemand { gen: GenRef::Shared(g), .. } => {
-                        let g = Arc::clone(g);
-                        let f = move |k: usize, j: usize, r: usize, c: usize, pool: &TilePool| {
-                            g(k, j, r, c, pool)
-                        };
-                        run(&f)
-                    }
-                    OperandKind::Matrix(_) | OperandKind::Tensor4(_) => {
-                        unreachable!("materialised operands are served via b_mat above")
-                    }
-                }
-            }
-        }
-    }
-
-    /// Executes one lowered term as a service request.
-    #[allow(clippy::too_many_arguments)]
-    fn run_service(
-        &self,
-        service: &ContractionService,
-        t: usize,
-        term: &TermPlan,
-        acc: &mut Option<BlockSparseMatrix>,
-        b_structure: MatrixStructure,
-        c_shape: Option<SparseShape>,
-        config: PlannerConfig,
-    ) -> Result<(BlockSparseMatrix, ExecReport, RequestStats), BstError> {
-        let a: Arc<BlockSparseMatrix> = match term.a {
-            // Hand the intermediate over without a deep copy; it is not the
-            // B side of this term (an orientation never uses one matrix on
-            // both sides).
-            Side::Acc => Arc::new(acc.take().expect("accumulator exists after term 0")),
-            Side::Op(i) => Arc::new(self.materialised(i).clone()),
+        // A materialised B side (operand or intermediate) is served straight
+        // from its tile map; only on-demand operands invoke a caller
+        // generator.
+        let b_mat: &BlockSparseMatrix = match term.b {
+            Side::Acc => acc.as_ref().expect("accumulator exists after term 0"),
+            Side::Op(i) => match &self.operands[i] {
+                Operand::OnDemand { gen, .. } => return run(*gen),
+                Operand::Matrix(_) | Operand::Tensor4(_) => self.materialised(i),
+            },
         };
-        let (b_gen, b_key): (ServiceBGen, u64) = match term.b {
-            Side::Acc => {
-                let b = Arc::new(acc.take().expect("accumulator exists after term 0"));
-                let gen: ServiceBGen = Arc::new(
-                    move |k: usize, j: usize, _r: usize, _c: usize, _pool: &TilePool| {
-                        b.tile_arc(k, j).cloned().ok_or(GenError::MissingTile { k, j })
-                    },
-                );
-                (gen, self.intermediate_key(t))
-            }
-            Side::Op(i) => {
-                let key = self.operands[i].b_key;
-                match &self.operands[i].kind {
-                    OperandKind::OnDemand { gen: GenRef::Shared(g), .. } => (Arc::clone(g), key),
-                    OperandKind::OnDemand { gen: GenRef::Borrowed(_), .. } => {
-                        return Err(ServiceError::InvalidRequest(format!(
-                            "operand {i} uses a borrowed on-demand generator; bind it with \
-on_demand_shared/on_demand_tensor4_shared to contract through a service"
-                        ))
-                        .into());
-                    }
-                    OperandKind::Matrix(_) | OperandKind::Tensor4(_) => {
-                        let b = Arc::new(self.materialised(i).clone());
-                        let gen: ServiceBGen = Arc::new(
-                            move |k: usize, j: usize, _r: usize, _c: usize, _pool: &TilePool| {
-                                b.tile_arc(k, j).cloned().ok_or(GenError::MissingTile { k, j })
-                            },
-                        );
-                        (gen, key)
-                    }
-                }
-            }
-        };
-        let outcome = service.run(ContractionRequest {
-            a,
-            b_structure,
-            b_gen,
-            b_key,
-            c_shape,
-            config,
-            opts: self.opts,
-        })?;
-        Ok((outcome.c, outcome.report, outcome.stats))
+        run(&|k: usize, j: usize, _r: usize, _c: usize, _pool: &TilePool| {
+            b_mat.tile_arc(k, j).cloned().ok_or(GenError::MissingTile { k, j })
+        })
     }
 
     /// The materialised matrix of operand `i` (its matricised frame for
     /// tensors). Must not be called for on-demand operands.
     fn materialised(&self, i: usize) -> &BlockSparseMatrix {
-        match &self.operands[i].kind {
-            OperandKind::Matrix(m) => m,
-            OperandKind::Tensor4(t) => t.matricised(),
-            OperandKind::OnDemand { .. } => {
+        match &self.operands[i] {
+            Operand::Matrix(m) => m,
+            Operand::Tensor4(t) => t.matricised(),
+            Operand::OnDemand { .. } => {
                 unreachable!("lowering keeps on-demand operands on the B side")
             }
         }
@@ -590,29 +394,11 @@ on_demand_shared/on_demand_tensor4_shared to contract through a service"
 
     /// The block structure of operand `i`.
     fn operand_structure(&self, i: usize) -> &MatrixStructure {
-        match &self.operands[i].kind {
-            OperandKind::Matrix(m) => m.structure(),
-            OperandKind::Tensor4(t) => t.matricised().structure(),
-            OperandKind::OnDemand { structure, .. } => structure,
+        match &self.operands[i] {
+            Operand::Matrix(m) => m.structure(),
+            Operand::Tensor4(t) => t.matricised().structure(),
+            Operand::OnDemand { structure, .. } => structure,
         }
-    }
-
-    /// Value identity of the intermediate consumed as B by binary term `t`:
-    /// an FNV-1a mix of every upstream operand's `b_key` (so two einsum
-    /// calls over operands with distinct declared identities never alias in
-    /// the service's B-tile cache) and the term index.
-    fn intermediate_key(&self, t: usize) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            h ^= v;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        };
-        mix(t as u64);
-        // The intermediate at term t combines operands 0..=t.
-        for entry in self.operands.iter().take(t + 1) {
-            mix(entry.b_key);
-        }
-        h
     }
 }
 
@@ -621,14 +407,14 @@ on_demand_shared/on_demand_tensor4_shared to contract through a service"
 /// tilings fuse to the supplied structure.
 fn build_views(
     spec: &EinsumSpec,
-    operands: &[OperandEntry<'_>],
+    operands: &[Operand<'_>],
 ) -> Result<Vec<OperandView>, SpecError> {
     let mut views = Vec::with_capacity(operands.len());
     for (i, (labels, entry)) in spec.inputs().iter().zip(operands).enumerate() {
-        let operand_rank = match &entry.kind {
-            OperandKind::Matrix(_) => 2,
-            OperandKind::Tensor4(_) => 4,
-            OperandKind::OnDemand { meta, .. } => {
+        let operand_rank = match entry {
+            Operand::Matrix(_) => 2,
+            Operand::Tensor4(_) => 4,
+            Operand::OnDemand { meta, .. } => {
                 if meta.is_some() {
                     4
                 } else {
@@ -643,23 +429,23 @@ fn build_views(
                 operand_rank,
             });
         }
-        let (row_tilings, col_tilings) = match &entry.kind {
-            OperandKind::Matrix(m) => (
+        let (row_tilings, col_tilings) = match entry {
+            Operand::Matrix(m) => (
                 vec![m.structure().row_tiling().clone()],
                 vec![m.structure().col_tiling().clone()],
             ),
-            OperandKind::Tensor4(t) => {
+            Operand::Tensor4(t) => {
                 let meta = t.meta();
                 check_fused(i, meta, t.matricised().structure())?;
                 let [t0, t1, t2, t3] = meta.mode_tilings().clone();
                 (vec![t0, t1], vec![t2, t3])
             }
-            OperandKind::OnDemand { structure, meta: Some(meta), .. } => {
+            Operand::OnDemand { structure, meta: Some(meta), .. } => {
                 check_fused(i, meta, structure)?;
                 let [t0, t1, t2, t3] = meta.mode_tilings().clone();
                 (vec![t0, t1], vec![t2, t3])
             }
-            OperandKind::OnDemand { structure, meta: None, .. } => (
+            Operand::OnDemand { structure, meta: None, .. } => (
                 vec![structure.row_tiling().clone()],
                 vec![structure.col_tiling().clone()],
             ),
@@ -692,7 +478,7 @@ fn check_fused(
 
 /// Checks that every index shared by two terms carries the same tiling in
 /// both.
-fn check_shared_tilings(spec: &EinsumSpec, views: &[OperandView]) -> Result<(), SpecError> {
+fn check_shared_tilings(views: &[OperandView]) -> Result<(), SpecError> {
     let mut seen: Vec<(char, usize, &Tiling)> = Vec::new();
     for (i, view) in views.iter().enumerate() {
         let modes = view
@@ -710,7 +496,6 @@ fn check_shared_tilings(spec: &EinsumSpec, views: &[OperandView]) -> Result<(), 
             }
         }
     }
-    let _ = spec;
     Ok(())
 }
 
@@ -719,11 +504,11 @@ fn check_shared_tilings(spec: &EinsumSpec, views: &[OperandView]) -> Result<(), 
 /// returns the lowered term plans plus the final result view.
 fn plan_chain(
     spec: &EinsumSpec,
-    operands: &[OperandEntry<'_>],
+    operands: &[Operand<'_>],
     views: &[OperandView],
 ) -> Result<(Vec<TermPlan>, OperandView), SpecError> {
     let is_on_demand =
-        |side: Side| matches!(side, Side::Op(i) if matches!(operands[i].kind, OperandKind::OnDemand { .. }));
+        |side: Side| matches!(side, Side::Op(i) if matches!(operands[i], Operand::OnDemand { .. }));
     let mut acc = views[0].clone();
     let mut acc_side = Side::Op(0);
     let mut plans = Vec::with_capacity(views.len() - 1);

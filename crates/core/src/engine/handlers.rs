@@ -14,9 +14,9 @@
 //! node's** store (`stores[w.node]`, with the reader declared — a
 //! cross-node read panics in debug builds). Data crosses nodes exclusively
 //! through [`CommFabric`]: `SendA` puts a tile on the wire, `RecvA` blocks
-//! until the destination's progress thread deposited it, and `FlushBlock`
-//! ships C partial sums to the reduction root instead of touching shared
-//! memory.
+//! until the destination's progress thread deposited it, and `ReduceC`
+//! ships combined C partial sums up the reduction tree instead of touching
+//! shared memory.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -341,22 +341,16 @@ impl HandlerEnv<'_> {
                         self.pools[*node].release_arc(arc);
                     }
                 }
-                // Under tree collectives a flush deposits its partials
-                // locally (loopback) — the node's ReduceC combines them and
-                // sends one message per C key up the reduction tree. Under
-                // unicast every partial ships straight to the root. Either
-                // way the origin ordinal makes each combine's accumulation
-                // order canonical, independent of delivery order.
-                let dst = if self.low.reduce.is_some() {
-                    w.node
-                } else {
-                    super::REDUCE_ROOT
-                };
+                // A flush deposits its partials locally (loopback) — the
+                // node's ReduceC combines them and sends one message per C
+                // key up the reduction tree. The origin ordinal makes each
+                // combine's accumulation order canonical, independent of
+                // delivery order.
                 for (i, j) in block_c_tiles(spec, &bp.block, row, self.grid.0) {
                     self.fabric
                         .reduce(
                             w.node,
-                            dst,
+                            w.node,
                             CPart {
                                 i,
                                 j,
@@ -377,8 +371,7 @@ impl HandlerEnv<'_> {
             }
             (Op::ReduceC { node }, Ctx::Cpu) => {
                 debug_assert_eq!(*node, w.node);
-                let rn = &self.low.reduce.as_ref().expect("ReduceC lowered without a tree")
-                    [w.node];
+                let rn = &self.low.reduce[w.node];
                 // The expected count is structural (own flush partials plus
                 // one combined partial per child key), so the taken set —
                 // and with it the summation bracketing — is fixed by the

@@ -30,7 +30,7 @@ use std::sync::Arc;
 use bst_runtime::comm::Topology;
 use bst_runtime::graph::{TaskGraph, TaskId, WorkerId};
 
-use super::policies::{Collectives, ExecOptions};
+use super::policies::ExecOptions;
 use crate::partition::Block;
 use crate::plan::ExecutionPlan;
 use crate::spec::ProblemSpec;
@@ -111,8 +111,8 @@ pub enum Op {
     },
     /// Combine the C partials delivered to this node in canonical
     /// `(i, j, origin)` order and forward the combined partials one hop up
-    /// the reduction tree (tree collectives only; the root re-deposits its
-    /// combined partials for final assembly).
+    /// the reduction tree (the root re-deposits its combined partials for
+    /// final assembly).
     ReduceC {
         /// The combining node.
         node: usize,
@@ -221,12 +221,10 @@ pub fn block_c_tiles(
 pub type NodeTile = (usize, (u32, u32));
 
 /// Broadcast fan-out: `(node, tile) → nodes that node forwards the tile
-/// to` — a topology-aware tree under [`Collectives::Tree`], a one-level
-/// star from the owner under [`Collectives::Unicast`].
+/// to`, a topology-aware tree rooted at the tile's owner.
 pub type TreeChildren = Arc<HashMap<NodeTile, Vec<usize>>>;
 
-/// One node's role in the fixed C-reduction tree
-/// ([`Collectives::Tree`] lowering only).
+/// One node's role in the fixed C-reduction tree.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ReduceNode {
     /// Parent one hop up the tree (`None` at the reduction root).
@@ -260,10 +258,8 @@ pub struct Lowered {
     pub tree_children: TreeChildren,
     /// The node-aware topology the trees were routed over.
     pub topology: Topology,
-    /// Per-node reduction-tree roles, indexed by node
-    /// ([`Collectives::Tree`] only; `None` under [`Collectives::Unicast`],
-    /// where every partial ships straight to the reduction root).
-    pub reduce: Option<Vec<ReduceNode>>,
+    /// Per-node reduction-tree roles, indexed by node.
+    pub reduce: Vec<ReduceNode>,
 }
 
 impl Lowered {
@@ -371,25 +367,15 @@ pub fn lower(spec: &ProblemSpec, plan: &ExecutionPlan, opts: &ExecOptions) -> Lo
             sends.entry((owner, t)).or_default().push(ni);
         }
     }
-    // Broadcast shapes: under Tree collectives, a node-aware hierarchical
-    // tree (binomial over physical-node leaders, binomial inside each node)
-    // spreads the forwarding load and crosses the inter-node link the
-    // minimum number of times; under Unicast, the owner sends to every
-    // destination point-to-point (the comparison baseline).
+    // Broadcast shapes: a node-aware hierarchical tree (binomial over
+    // physical-node leaders, binomial inside each node) spreads the
+    // forwarding load and crosses the inter-node link the minimum number of
+    // times.
     let topology = Topology::new(n_nodes, opts.node_size.max(1));
     let mut tree_children: HashMap<(usize, (u32, u32)), Vec<usize>> = HashMap::new();
     for (&(owner, t), dests) in &sends {
-        match opts.collectives {
-            Collectives::Unicast => {
-                let mut sorted = dests.clone();
-                sorted.sort_unstable();
-                tree_children.insert((owner, t), sorted);
-            }
-            Collectives::Tree => {
-                for (parent, child) in topology.bcast_children(owner, dests) {
-                    tree_children.entry((parent, t)).or_default().push(child);
-                }
-            }
+        for (parent, child) in topology.bcast_children(owner, dests) {
+            tree_children.entry((parent, t)).or_default().push(child);
         }
     }
     let tree_children = Arc::new(tree_children);
@@ -558,60 +544,54 @@ pub fn lower(spec: &ProblemSpec, plan: &ExecutionPlan, opts: &ExecOptions) -> Lo
         }
     }
 
-    // ReduceC tasks (Tree collectives): one combine per node, walking the
-    // fixed reduction tree of the topology. Children are lowered before
-    // parents (reduction parents always have lower rank), and each combine
-    // depends on its node's flushes plus its children's combines — so the
-    // *set* of partials a combine waits for is structural, and the
-    // summation bracketing is independent of delivery timing.
-    let reduce = match opts.collectives {
-        Collectives::Unicast => None,
-        Collectives::Tree => {
-            // Local partial counts and distinct local keys per node.
-            let mut local_count = vec![0usize; n_nodes];
-            let mut subtree_keys: Vec<BTreeSet<(usize, usize)>> =
-                vec![BTreeSet::new(); n_nodes];
-            for (ni, node) in plan.nodes.iter().enumerate() {
-                for gpu in &node.gpus {
-                    for bp in &gpu.blocks {
-                        let tiles = block_c_tiles(spec, &bp.block, node.grid_row, p);
-                        local_count[ni] += tiles.len();
-                        subtree_keys[ni].extend(tiles);
-                    }
-                }
+    // ReduceC tasks: one combine per node, walking the fixed reduction tree
+    // of the topology. Children are lowered before parents (reduction
+    // parents always have lower rank), and each combine depends on its
+    // node's flushes plus its children's combines — so the *set* of partials
+    // a combine waits for is structural, and the summation bracketing is
+    // independent of delivery timing.
+    //
+    // Local partial counts and distinct local keys per node.
+    let mut local_count = vec![0usize; n_nodes];
+    let mut subtree_keys: Vec<BTreeSet<(usize, usize)>> = vec![BTreeSet::new(); n_nodes];
+    for (ni, node) in plan.nodes.iter().enumerate() {
+        for gpu in &node.gpus {
+            for bp in &gpu.blocks {
+                let tiles = block_c_tiles(spec, &bp.block, node.grid_row, p);
+                local_count[ni] += tiles.len();
+                subtree_keys[ni].extend(tiles);
             }
-            // Fold children into parents, highest rank first (every child's
-            // rank exceeds its parent's), fixing expected counts and keys.
-            let mut nodes: Vec<ReduceNode> = (0..n_nodes)
-                .map(|ni| ReduceNode {
-                    parent: topology.reduce_parent(ni),
-                    expected: local_count[ni],
-                    keys: Vec::new(),
-                })
-                .collect();
-            for ni in (1..n_nodes).rev() {
-                let parent = nodes[ni].parent.expect("non-root has a parent");
-                nodes[parent].expected += subtree_keys[ni].len();
-                let keys = std::mem::take(&mut subtree_keys[ni]);
-                subtree_keys[parent].extend(keys.iter().copied());
-                nodes[ni].keys = keys.into_iter().collect();
-            }
-            nodes[0].keys = std::mem::take(&mut subtree_keys[0]).into_iter().collect();
-
-            let mut reduce_ids: Vec<Option<TaskId>> = vec![None; n_nodes];
-            for ni in (0..n_nodes).rev() {
-                let id = graph.add_task(Op::ReduceC { node: ni }, cpu_lane(ni));
-                for &f in &flush_ids[ni] {
-                    graph.add_dep(id, f);
-                }
-                for child in topology.reduce_children(ni) {
-                    graph.add_dep(id, reduce_ids[child].expect("children lowered first"));
-                }
-                reduce_ids[ni] = Some(id);
-            }
-            Some(nodes)
         }
-    };
+    }
+    // Fold children into parents, highest rank first (every child's rank
+    // exceeds its parent's), fixing expected counts and keys.
+    let mut reduce: Vec<ReduceNode> = (0..n_nodes)
+        .map(|ni| ReduceNode {
+            parent: topology.reduce_parent(ni),
+            expected: local_count[ni],
+            keys: Vec::new(),
+        })
+        .collect();
+    for ni in (1..n_nodes).rev() {
+        let parent = reduce[ni].parent.expect("non-root has a parent");
+        reduce[parent].expected += subtree_keys[ni].len();
+        let keys = std::mem::take(&mut subtree_keys[ni]);
+        subtree_keys[parent].extend(keys.iter().copied());
+        reduce[ni].keys = keys.into_iter().collect();
+    }
+    reduce[0].keys = std::mem::take(&mut subtree_keys[0]).into_iter().collect();
+
+    let mut reduce_ids: Vec<Option<TaskId>> = vec![None; n_nodes];
+    for ni in (0..n_nodes).rev() {
+        let id = graph.add_task(Op::ReduceC { node: ni }, cpu_lane(ni));
+        for &f in &flush_ids[ni] {
+            graph.add_dep(id, f);
+        }
+        for child in topology.reduce_children(ni) {
+            graph.add_dep(id, reduce_ids[child].expect("children lowered first"));
+        }
+        reduce_ids[ni] = Some(id);
+    }
 
     let mut workers: Vec<WorkerId> = Vec::new();
     for ni in 0..n_nodes {

@@ -74,12 +74,12 @@ use crate::spec::ProblemSpec;
 use handlers::{Counters, HandlerEnv};
 use inspector::{owner_of, Op};
 use memory::{Ctx, MemoryManager};
-use policies::{Collectives, ExecOptions};
+use policies::ExecOptions;
 use report::{DeviceMemLog, ExecReport, ExecTraceData, RecoveryStats};
 
-/// The node that accumulates C partial sums (flush handlers ship their
-/// partials here over the fabric).
-pub(crate) const REDUCE_ROOT: usize = 0;
+/// The root of the C reduction tree: its `ReduceC` re-deposits the fully
+/// combined partials here for the final assembly.
+const REDUCE_ROOT: usize = 0;
 
 /// Generator of `B` tiles:
 /// `(tile_row k, tile_col j, rows, cols, node pool) -> Result<Arc<Tile>, GenError>`.
@@ -137,9 +137,8 @@ pub fn execute(
 /// root's process; every other rank returns an empty matrix plus its local
 /// execution report.
 ///
-/// A `rank` outside the plan's `p × q` grid, or [`Collectives::Unicast`]
-/// (the unicast root has no structural count to block on, so its final take
-/// would race the wire), is rejected with [`ExecError::InvalidRank`].
+/// A `rank` outside the plan's `p × q` grid is rejected with
+/// [`ExecError::InvalidRank`].
 pub fn execute_rank(
     spec: &ProblemSpec,
     plan: &ExecutionPlan,
@@ -149,13 +148,9 @@ pub fn execute_rank(
     rank: usize,
     wire: Arc<dyn Wire>,
 ) -> Result<(BlockSparseMatrix, ExecReport), ExecError> {
-    let invalid = |reason: String| Err(ExecError::InvalidRank { rank, reason });
     let ranks = plan.config.grid.p * plan.config.grid.q;
     if rank >= ranks {
-        return invalid(format!("the plan's grid has {ranks} ranks"));
-    }
-    if opts.collectives != Collectives::Tree {
-        return invalid("multi-process execution requires tree collectives".into());
+        return Err(ExecError::InvalidRank { rank, ranks });
     }
     run(spec, plan, a, b_gen, opts, None, Some(RemoteLink { rank, wire }))
 }

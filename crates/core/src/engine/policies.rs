@@ -8,24 +8,6 @@
 use crate::fault::{FaultPlan, RetryPolicy};
 use bst_runtime::comm::{DeliveryPolicy, LinkShaper, DEFAULT_CREDIT_WINDOW};
 
-/// Which communication primitives the lowering emits for A broadcasts and
-/// C reductions.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Collectives {
-    /// Point-to-point baseline: the owner unicasts `A(i,k)` to every
-    /// consumer in turn, and every `CPart` is shipped straight to the
-    /// reduction root and summed there. Kept for byte-count comparison
-    /// (`repro_comm`'s unicast leg).
-    Unicast,
-    /// Topology-aware trees (the default): A tiles travel hierarchical
-    /// broadcast trees that cross the inter-node link at most
-    /// `physical_nodes − 1` times, and C partials combine pairwise up the
-    /// fixed reduction tree of [`bst_runtime::comm::Topology`] in canonical
-    /// `(i, j, origin)` order.
-    #[default]
-    Tree,
-}
-
 /// Which control-flow edges to emit when lowering the plan. Both default to
 /// on — disabling either reproduces the failure mode the paper's §4 control
 /// DAG exists to prevent (the scheduler "selecting a GEMM that is ready but
@@ -77,8 +59,6 @@ pub struct ExecOptions {
     /// (see [`bst_runtime::comm::Topology`]). `1` — the default — makes
     /// every remote link inter-node, the flat legacy behaviour.
     pub node_size: usize,
-    /// Communication primitives the lowering emits (see [`Collectives`]).
-    pub collectives: Collectives,
     /// Delivery ordering of each node's progress thread; the seeded
     /// [`DeliveryPolicy::Reorder`] stressor must not change any numeric
     /// result.
@@ -106,7 +86,6 @@ impl Default for ExecOptions {
             link_shaper: LinkShaper::off(),
             intra_shaper: LinkShaper::off(),
             node_size: 1,
-            collectives: Collectives::default(),
             delivery: DeliveryPolicy::InOrder,
             compress_tol: 0.0,
         }
@@ -188,12 +167,6 @@ impl ExecOptionsBuilder {
     /// Sets [`ExecOptions::node_size`] (clamped to ≥ 1).
     pub fn node_size(mut self, ranks_per_node: usize) -> Self {
         self.opts.node_size = ranks_per_node.max(1);
-        self
-    }
-
-    /// Sets [`ExecOptions::collectives`].
-    pub fn collectives(mut self, collectives: Collectives) -> Self {
-        self.opts.collectives = collectives;
         self
     }
 

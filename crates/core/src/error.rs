@@ -141,14 +141,13 @@ pub enum ExecError {
         /// The underlying wire error, rendered.
         reason: String,
     },
-    /// [`engine::execute_rank`](crate::engine::execute_rank) was asked for
-    /// something no rank of an SPMD run can do: a rank outside the plan's
-    /// grid, or collectives the multi-process path does not support.
+    /// [`engine::execute_rank`](crate::engine::execute_rank) was asked to
+    /// run as a rank outside the plan's grid.
     InvalidRank {
         /// The rank the caller asked to execute.
         rank: usize,
-        /// Why it cannot run.
-        reason: String,
+        /// Ranks in the plan's `p × q` grid.
+        ranks: usize,
     },
 }
 
@@ -171,8 +170,8 @@ impl fmt::Display for ExecError {
             ExecError::Wire { dst, detail, reason } => {
                 write!(f, "wire send to rank {dst} failed during {detail}: {reason}")
             }
-            ExecError::InvalidRank { rank, reason } => {
-                write!(f, "cannot execute as rank {rank}: {reason}")
+            ExecError::InvalidRank { rank, ranks } => {
+                write!(f, "cannot execute as rank {rank}: the plan's grid has {ranks} ranks")
             }
         }
     }

@@ -30,7 +30,7 @@
 //! Summit platform model.
 //!
 //! There are two doors into the engine: callers holding operands describe
-//! the contraction to [`Einsum`] (`contract` / `contract_on`); callers
+//! the contraction to [`Einsum`] and call [`Einsum::contract`]; callers
 //! already holding a [`ProblemSpec`] and an [`ExecutionPlan`] call
 //! [`engine::execute`] (or [`engine::execute_rank`] as one process of an
 //! SPMD run).
@@ -54,7 +54,7 @@ pub mod stationary_c;
 pub use config::{DeviceConfig, GridConfig, PlanError, PlannerConfig};
 pub use einsum::{Einsum, EinsumOutcome, EinsumSpec, SpecError};
 pub use error::{BstError, ExecError, GenError, ServiceError};
-pub use engine::policies::{Collectives, ExecOptions, ExecOptionsBuilder};
+pub use engine::policies::{ExecOptions, ExecOptionsBuilder};
 pub use engine::report::{
     validate_trace_invariants, BCacheRunStats, ExecReport, ExecTraceData, RecoveryStats,
 };

@@ -256,11 +256,6 @@ impl ContractionService {
         ContractionService { inner, workers: Mutex::new(workers) }
     }
 
-    /// Starts the service with the default configuration.
-    pub fn with_defaults() -> Self {
-        Self::start(ServiceConfig::default())
-    }
-
     /// Submits a request. Validation and admission happen synchronously:
     /// an `Err` means the request was never admitted ([`ServiceError`]);
     /// `Ok` returns a handle to [`wait`](PendingContraction::wait) on.
@@ -525,7 +520,7 @@ mod tests {
 
     #[test]
     fn invalid_request_is_rejected_before_admission() {
-        let service = ContractionService::with_defaults();
+        let service = ContractionService::start(ServiceConfig::default());
         let mut req = request(1);
         req.b_structure = MatrixStructure::dense(
             Tiling::from_sizes(&[5, 5]),
@@ -542,7 +537,7 @@ mod tests {
 
     #[test]
     fn shutdown_rejects_new_submissions() {
-        let service = ContractionService::with_defaults();
+        let service = ContractionService::start(ServiceConfig::default());
         service.shutdown();
         let err = service.submit(request(1)).unwrap_err();
         assert!(matches!(err, BstError::Service(ServiceError::ShuttingDown)));

@@ -12,7 +12,7 @@ use std::sync::{Arc, Mutex};
 
 use bst_contract::engine::{execute, execute_rank};
 use bst_contract::{
-    Collectives, DeviceConfig, ExecError, ExecOptions, ExecutionPlan, GridConfig, PlannerConfig,
+    DeviceConfig, ExecError, ExecOptions, ExecutionPlan, GridConfig, PlannerConfig,
     ProblemSpec,
 };
 use bst_runtime::comm::{DeliveryPolicy, Wire, WireError, WireFrame};
@@ -161,25 +161,17 @@ fn mesh_run_survives_delivery_reorder() {
     assert_eq!(c.max_abs_diff(&c_ref), 0.0, "reorder changed the result");
 }
 
-/// A bad job description is a typed error at the SPMD door, not a panic in
-/// the worker process: a rank outside the plan's grid, and unicast
-/// collectives (whose root has no structural count to block on).
+/// A rank outside the plan's grid is a typed error at the SPMD door, not a
+/// panic in the worker process.
 #[test]
-fn bad_rank_and_unicast_are_typed_errors() {
+fn out_of_grid_rank_is_a_typed_error() {
     let nodes = 2;
     let (spec, config) = problem(nodes);
     let plan = ExecutionPlan::build(&spec, config).expect("plan");
     let a = BlockSparseMatrix::random_from_structure(spec.a.clone(), 42);
     let b_gen = bst_sparse::matrix::random_b_gen(42 ^ 0xB);
-    let run = |opts: ExecOptions, rank: usize| {
-        let wire: Arc<dyn Wire> = mesh(nodes).swap_remove(0);
-        execute_rank(&spec, &plan, &a, &b_gen, opts, rank, wire).unwrap_err()
-    };
-
-    let err = run(ExecOptions::default(), nodes);
+    let wire: Arc<dyn Wire> = mesh(nodes).swap_remove(0);
+    let err = execute_rank(&spec, &plan, &a, &b_gen, ExecOptions::default(), nodes, wire)
+        .unwrap_err();
     assert!(matches!(err, ExecError::InvalidRank { rank: 2, .. }), "got {err}");
-
-    let unicast = ExecOptions::builder().collectives(Collectives::Unicast).build();
-    let err = run(unicast, 0);
-    assert!(matches!(err, ExecError::InvalidRank { rank: 0, .. }), "got {err}");
 }

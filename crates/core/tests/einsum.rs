@@ -2,8 +2,8 @@
 //! instances must agree with dense references and be bit-identical to an
 //! independent plan-level run (hand-built `ProblemSpec` →
 //! `ExecutionPlan::build` → `engine::execute`), chains must thread
-//! screened intermediates correctly through both execution paths, and
-//! malformed specs or bindings must come back as typed errors.
+//! screened intermediates correctly, and malformed specs or bindings must
+//! come back as typed errors.
 
 use std::sync::Arc;
 
@@ -11,8 +11,7 @@ use bst_contract::einsum::{Einsum, SpecError};
 use bst_contract::engine::{self, BGen};
 use bst_contract::error::GenError;
 use bst_contract::{
-    BstError, ContractionService, DeviceConfig, ExecOptions, ExecutionPlan, GridConfig,
-    PlannerConfig, ProblemSpec, ServiceBGen, ServiceConfig,
+    BstError, DeviceConfig, ExecOptions, ExecutionPlan, GridConfig, PlannerConfig, ProblemSpec,
 };
 use bst_sparse::generate::{generate, SyntheticParams};
 use bst_sparse::matrix::tile_seed;
@@ -230,60 +229,6 @@ fn on_demand_b_reports_and_surfaces_generator_errors() {
         .contract(cfg(1, 1, 1))
         .unwrap_err();
     assert!(matches!(err, BstError::Exec(_)), "got {err}");
-}
-
-/// A chain routed through a [`ContractionService`] is bit-identical to the
-/// direct path and reports per-term service accounting.
-#[test]
-fn chain_through_service_is_bit_identical_to_direct() {
-    let ti = Tiling::from_sizes(&[4, 3]);
-    let tj = Tiling::from_sizes(&[3, 4]);
-    let tk = Tiling::from_sizes(&[5, 2]);
-    let tl = Tiling::from_sizes(&[2, 5]);
-    let a = BlockSparseMatrix::random_from_structure(MatrixStructure::dense(ti, tj.clone()), 31);
-    let b = BlockSparseMatrix::random_from_structure(MatrixStructure::dense(tj, tk.clone()), 32);
-    let d_struct = MatrixStructure::dense(tk, tl);
-    let d_gen: ServiceBGen = Arc::new(|k, j, r, c, pool: &TilePool| {
-        Ok(Arc::new(pool.random(r, c, tile_seed(33, k, j))))
-    });
-
-    let build = || {
-        Einsum::new("ij,jk,kl->il")
-            .operand(&a)
-            .keyed(0xA1)
-            .operand(&b)
-            .keyed(0xB2)
-            .on_demand_shared(&d_struct, Arc::clone(&d_gen))
-            .keyed(0xD3)
-    };
-    let direct = build().contract(cfg(1, 1, 1)).unwrap();
-
-    let service = ContractionService::start(ServiceConfig::default());
-    let served = build().contract_on(&service, cfg(1, 1, 1)).unwrap();
-    assert_eq!(served.matrix().max_abs_diff(direct.matrix()), 0.0);
-    assert_eq!(served.request_stats.len(), 2, "one service request per term");
-    assert_eq!(direct.request_stats.len(), 0);
-}
-
-/// A borrowed on-demand generator cannot be shipped to service workers; the
-/// service path rejects it with a typed error instead of crossing the
-/// lifetime boundary.
-#[test]
-fn service_path_rejects_borrowed_generators() {
-    let prob = generate(&SyntheticParams {
-        m: 12, n: 16, k: 16, density: 1.0, tile_min: 3, tile_max: 5, seed: 8,
-    });
-    let a = BlockSparseMatrix::random_from_structure(prob.a.clone(), 1);
-    let b_gen = |k: usize, j: usize, r: usize, c: usize, pool: &TilePool| {
-        Ok(Arc::new(pool.random(r, c, tile_seed(9, k, j))))
-    };
-    let service = ContractionService::start(ServiceConfig::default());
-    let err = Einsum::new("ik,kj->ij")
-        .operand(&a)
-        .on_demand(&prob.b, &b_gen)
-        .contract_on(&service, cfg(1, 1, 1))
-        .unwrap_err();
-    assert!(matches!(err, BstError::Service(_)), "got {err}");
 }
 
 /// Spec and binding rejections surface as typed [`BstError::Spec`] values:
