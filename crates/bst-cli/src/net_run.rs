@@ -118,7 +118,8 @@ fn exec_options(cli: &Cli, reorder: Option<u64>) -> ExecOptions {
 }
 
 /// Executes a job text as rank `rank` of a multi-process run, shipping
-/// frames over `wire`. Returns rank 0's C tiles (empty on other ranks).
+/// frames over `wire`. Returns rank 0's C tiles, moved out of the assembled
+/// matrix (empty on other ranks).
 /// This is the closure `bst worker` hands to
 /// [`worker_session`](bst_net::worker_session); errors are rendered for
 /// the `Abort` control message.
@@ -138,7 +139,7 @@ pub fn worker_job(
     let (c, _report) = execute_rank(&spec, &plan, &a, &b_gen, opts, rank, wire)
         .map_err(|e| e.to_string())?;
     if rank == 0 {
-        Ok(c.iter_tiles().map(|(&(i, j), t)| (i as u32, j as u32, t.clone())).collect())
+        Ok(c.into_tiles().map(|((i, j), t)| (i as u32, j as u32, t)).collect())
     } else {
         Ok(Vec::new())
     }
@@ -240,6 +241,12 @@ pub fn run_launch_cmd(
             s.rank, s.sent_msgs, s.recv_msgs
         )?;
     }
+    let phases = report.outcome.phases;
+    writeln!(
+        out,
+        "phases: ready {:.3} s, compute {:.3} s, collect {:.3} s",
+        phases.ready_s, phases.compute_s, phases.collect_s
+    )?;
     if let Some(dead) = report.outcome.recovered_dead {
         writeln!(out, "rank {dead} died mid-run; fleet respawned with the node written off")?;
     }

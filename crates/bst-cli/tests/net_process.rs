@@ -1,12 +1,17 @@
-//! Process-level fault drills for the socket transport: real `bst worker`
-//! OS processes over loopback UDS, with one worker SIGKILLed mid-broadcast
-//! and with workers that never dial in. Both failure modes must surface as
-//! typed errors or a completed degraded run — never a hang.
+//! Process-level drills for the socket transport: real `bst worker` OS
+//! processes over loopback UDS — a result streamed back as several `Result`
+//! frames, one worker SIGKILLed mid-broadcast, and workers that never dial
+//! in. The failure modes must surface as typed errors or a completed
+//! degraded run — never a hang.
 
 use bst_cli::{launch_config, run_launch};
 use bst_contract::error::BstError;
-use bst_net::{launch, NetError};
-use std::time::Duration;
+use bst_net::codec::{Ctl, Msg};
+use bst_net::socket::{read_msg, write_msg};
+use bst_net::worker::RESULT_CHUNK_BYTES;
+use bst_net::{launch, LaunchConfig, NetError, Transport};
+use bst_tile::Tile;
+use std::time::{Duration, Instant};
 
 /// A small problem keeps each fleet run to a few seconds without making
 /// the broadcast tree trivial: 4 nodes on a 2x2 grid, multi-hop A
@@ -20,6 +25,83 @@ fn parse(args: &[&str]) -> bst_cli::Cli {
 
 fn worker_cmd() -> Vec<String> {
     vec![env!("CARGO_BIN_EXE_bst").to_string(), "worker".into()]
+}
+
+/// A C of ≈ 2.6 MB leaves rank 0 as at least three ≈ 1 MiB `Result` frames;
+/// the launcher must append them all, and the assembled matrix must be
+/// bit-identical to the channel run's.
+#[test]
+fn multi_frame_result_assembles_bit_identically() {
+    let cli = parse(&["launch", "--synthetic", "256x1280x1280:0.5", "-n", "2"]);
+    let lc = launch_config(&cli, worker_cmd()).expect("launch config");
+    let report = run_launch(&cli, &lc).expect("clean run completes");
+    // A frame closes once it holds a chunk, so it overshoots by < 1 tile.
+    let tile_bytes = || report.outcome.tiles.iter().map(|(_, _, t)| t.stored_bytes());
+    let (c_bytes, largest) = (tile_bytes().sum::<u64>(), tile_bytes().max().unwrap());
+    assert!(
+        c_bytes > 2 * (RESULT_CHUNK_BYTES + largest),
+        "C ({c_bytes} B, largest tile {largest} B) must not fit two Result frames"
+    );
+    assert_eq!(report.outcome.tiles.len(), report.c_ref.num_tiles());
+    assert_eq!(report.c.num_tiles(), report.c_ref.num_tiles(), "a frame's tiles were lost");
+    assert_eq!(report.max_diff, 0.0);
+    assert_eq!(report.outcome.attempts, 1);
+}
+
+/// The protocol step itself, against a scripted rank 0: the spawned
+/// "worker" is a shell that only records its argv, and a thread here dials
+/// the launcher in its place and answers `Start` with `Result`, `Result`,
+/// `Done`. The launcher must keep both frames' tiles, in order.
+#[cfg(unix)]
+#[test]
+fn launcher_appends_every_result_frame() {
+    let argv_file = std::env::temp_dir().join(format!("bst-net-argv-{}", std::process::id()));
+    let _ = std::fs::remove_file(&argv_file);
+    let script = format!(
+        "printf '%s\\n' \"$@\" > {0}.tmp && mv {0}.tmp {0}",
+        argv_file.to_string_lossy()
+    );
+    let lc = LaunchConfig::new(
+        1,
+        Transport::Uds,
+        vec!["sh".into(), "-c".into(), script, "sh".into()],
+        "scripted".into(),
+    );
+    let first = (0, 1, Tile::from_data(1, 2, vec![1.0, 2.0]));
+    let second = (3, 4, Tile::from_factors(2, 2, vec![0.5, -1.0], vec![4.0, 8.0], 1));
+    let frames = [vec![first.clone()], vec![second.clone()]];
+
+    let outcome = std::thread::scope(|s| {
+        s.spawn(|| {
+            let deadline = Instant::now() + Duration::from_secs(30);
+            let argv = loop {
+                match std::fs::read_to_string(&argv_file) {
+                    Ok(argv) => break argv,
+                    Err(_) if Instant::now() < deadline => {
+                        std::thread::sleep(Duration::from_millis(5))
+                    }
+                    Err(e) => panic!("the scripted worker never recorded its argv: {e}"),
+                }
+            };
+            let _ = std::fs::remove_file(&argv_file);
+            let mut args = argv.lines();
+            args.find(|a| *a == "--connect").expect("--connect in worker argv");
+            let mut conn = Transport::Uds.dial(args.next().expect("control address")).unwrap();
+            let send = |conn: &mut _, ctl| write_msg(conn, &Msg::Ctl(ctl)).expect("control write");
+            send(&mut conn, Ctl::Hello { rank: 0, addr: "unused".into() });
+            assert!(matches!(read_msg(&mut conn), Ok(Some(Msg::Ctl(Ctl::Config(_))))));
+            send(&mut conn, Ctl::Ready { rank: 0 });
+            assert!(matches!(read_msg(&mut conn), Ok(Some(Msg::Ctl(Ctl::Start)))));
+            for tiles in frames {
+                send(&mut conn, Ctl::Result { tiles });
+            }
+            send(&mut conn, Ctl::Done { rank: 0, sent_msgs: 0, recv_msgs: 0 });
+        });
+        launch(&lc)
+    })
+    .expect("scripted fleet completes");
+    assert_eq!(outcome.tiles, [first, second]);
+    assert_eq!(outcome.attempts, 1);
 }
 
 /// Kill a worker after its *first* data-frame send: with a 2x2 grid the

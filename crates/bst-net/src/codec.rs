@@ -19,6 +19,12 @@
 //! corrupted frame is rejected as a typed [`CodecError`] — never a panic,
 //! and never a silently wrong tile.
 //!
+//! A hop should cost about a memcpy, so the data path is slab-wise:
+//! [`crc32`] is slicing-by-8 (eight bytes per step), tile values are
+//! converted a whole slice at a time, and [`encode`] builds the frame in
+//! one buffer — payload appended behind a placeholder header whose `len`
+//! and `crc` are patched afterwards.
+//!
 //! Integers are little-endian; `f64`s travel as their IEEE-754 bit
 //! patterns (`to_bits`/`from_bits`), so a decoded tile is **bit-identical**
 //! to the encoded one — the transport can therefore never perturb the
@@ -35,6 +41,12 @@ pub const MAGIC: u32 = u32::from_le_bytes(*b"BSTW");
 pub const VERSION: u16 = 1;
 /// Header size in bytes.
 pub const HEADER_LEN: usize = 16;
+/// Largest payload a frame may carry: 64 MiB, a 2896² dense tile. The
+/// writer refuses to send more and the reader treats a larger declared
+/// length as corruption rather than an allocation request. (`Result` is
+/// chunked, so the largest legitimate frame is one tile plus a few dozen
+/// bytes.)
+pub const MAX_PAYLOAD: usize = 64 << 20;
 
 /// `kind` byte of a [`WireFrame::Tile`] frame.
 pub const KIND_TILE: u8 = 1;
@@ -102,8 +114,11 @@ impl std::error::Error for CodecError {}
 
 // ---- CRC32 (IEEE 802.3, reflected) -------------------------------------
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 tables: `T[0]` is the classic bytewise table and
+/// `T[k][b]` is the CRC of byte `b` followed by `k` zero bytes, so eight
+/// input bytes fold into the register with eight independent lookups.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -112,19 +127,44 @@ const fn crc32_table() -> [u32; 256] {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
-static CRC_TABLE: [u32; 256] = crc32_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
 
 /// CRC32 (IEEE) of `data` — the payload checksum carried in every header.
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = !0u32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut chunks = data.chunks_exact(8);
+    for w in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    // The < 8-byte tail.
+    for &b in chunks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -140,9 +180,10 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
 }
 
 fn put_f64s(out: &mut Vec<u8>, vals: &[f64]) {
-    out.reserve(vals.len() * 8);
-    for &v in vals {
-        out.extend_from_slice(&v.to_bits().to_le_bytes());
+    let start = out.len();
+    out.resize(start + vals.len() * 8, 0);
+    for (dst, v) in out[start..].chunks_exact_mut(8).zip(vals) {
+        dst.copy_from_slice(&v.to_le_bytes());
     }
 }
 
@@ -194,14 +235,9 @@ impl<'a> Reader<'a> {
     fn f64s(&mut self, n: usize) -> Result<Vec<f64>, CodecError> {
         let bytes = n.checked_mul(8).ok_or(CodecError::Overflow)?;
         self.need(bytes)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            let bits =
-                u64::from_le_bytes(self.buf[self.pos..self.pos + 8].try_into().unwrap());
-            out.push(f64::from_bits(bits));
-            self.pos += 8;
-        }
-        Ok(out)
+        let slab = &self.buf[self.pos..self.pos + bytes];
+        self.pos += bytes;
+        Ok(slab.chunks_exact(8).map(|c| f64::from_le_bytes(c.try_into().unwrap())).collect())
     }
 
     fn string(&mut self) -> Result<String, CodecError> {
@@ -427,47 +463,67 @@ pub enum Msg {
     Ctl(Ctl),
 }
 
-fn payload_of(msg: &Msg) -> (u8, Vec<u8>) {
-    let mut out = Vec::new();
+/// Appends `msg`'s payload to `out`, returning the frame kind.
+fn payload_of(out: &mut Vec<u8>, msg: &Msg) -> u8 {
     match msg {
         Msg::Wire(WireFrame::Tile { dst, msg }) => {
-            put_u64(&mut out, *dst as u64);
-            put_key(&mut out, msg.key);
-            put_u32(&mut out, msg.epoch);
-            put_u64(&mut out, msg.src as u64);
-            put_u64(&mut out, msg.consumers as u64);
-            put_tile(&mut out, &msg.payload);
-            (KIND_TILE, out)
+            put_u64(out, *dst as u64);
+            put_key(out, msg.key);
+            put_u32(out, msg.epoch);
+            put_u64(out, msg.src as u64);
+            put_u64(out, msg.consumers as u64);
+            put_tile(out, &msg.payload);
+            KIND_TILE
         }
         Msg::Wire(WireFrame::Part { dst, src, part }) => {
-            put_u64(&mut out, *dst as u64);
-            put_u64(&mut out, *src as u64);
-            put_u64(&mut out, part.i as u64);
-            put_u64(&mut out, part.j as u64);
-            put_u64(&mut out, part.origin.0 as u64);
-            put_u64(&mut out, part.origin.1 as u64);
-            put_u64(&mut out, part.origin.2 as u64);
-            put_tile(&mut out, &part.tile);
-            (KIND_PART, out)
+            put_u64(out, *dst as u64);
+            put_u64(out, *src as u64);
+            put_u64(out, part.i as u64);
+            put_u64(out, part.j as u64);
+            put_u64(out, part.origin.0 as u64);
+            put_u64(out, part.origin.1 as u64);
+            put_u64(out, part.origin.2 as u64);
+            put_tile(out, &part.tile);
+            KIND_PART
         }
         Msg::Ctl(ctl) => {
-            put_ctl(&mut out, ctl);
-            (KIND_CTL, out)
+            put_ctl(out, ctl);
+            KIND_CTL
         }
     }
 }
 
-/// Encodes `msg` as one complete frame (header + payload).
+/// Upper bound on `msg`'s payload size apart from strings — what [`encode`]
+/// reserves up front, so a tile-carrying frame is built without a growth
+/// reallocation: ≤ 56 bytes of frame fields, and per tile its values plus
+/// ≤ 21 bytes of shape, repr tag, rank and (in a `Result`) block indices.
+fn payload_hint(msg: &Msg) -> usize {
+    let tile = |t: &Tile| t.stored_bytes() as usize + 21;
+    56 + match msg {
+        Msg::Wire(WireFrame::Tile { msg, .. }) => tile(&msg.payload),
+        Msg::Wire(WireFrame::Part { part, .. }) => tile(&part.tile),
+        Msg::Ctl(Ctl::Result { tiles }) => tiles.iter().map(|(_, _, t)| tile(t)).sum(),
+        Msg::Ctl(_) => 0,
+    }
+}
+
+/// Encodes `msg` as one complete frame (header + payload) in one buffer:
+/// the payload is appended behind a placeholder header, then `len` and
+/// `crc` are patched in. A payload too long for the `u32` length field
+/// declares `u32::MAX`, which every reader rejects as
+/// [`CodecError::Overflow`] (and [`write_msg`](crate::socket::write_msg)
+/// refuses to send) instead of mis-parsing a truncated length.
 pub fn encode(msg: &Msg) -> Vec<u8> {
-    let (kind, payload) = payload_of(msg);
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    put_u32(&mut out, MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.push(kind);
-    out.push(0); // flags, reserved
-    put_u32(&mut out, payload.len() as u32);
-    put_u32(&mut out, crc32(&payload));
-    out.extend_from_slice(&payload);
+    let mut out = Vec::with_capacity(HEADER_LEN + payload_hint(msg));
+    out.resize(HEADER_LEN, 0);
+    let kind = payload_of(&mut out, msg);
+    let (header, payload) = out.split_at_mut(HEADER_LEN);
+    let len = u32::try_from(payload.len()).unwrap_or(u32::MAX);
+    header[0..4].copy_from_slice(&MAGIC.to_le_bytes());
+    header[4..6].copy_from_slice(&VERSION.to_le_bytes());
+    header[6] = kind; // header[7]: flags, reserved (0)
+    header[8..12].copy_from_slice(&len.to_le_bytes());
+    header[12..16].copy_from_slice(&crc32(payload).to_le_bytes());
     out
 }
 
@@ -539,12 +595,102 @@ pub fn decode(buf: &[u8]) -> Result<(Msg, usize), CodecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The bytewise table-driven CRC — the oracle slicing-by-8 must match.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut c = !0u32;
+        for &b in data {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        !c
+    }
 
     #[test]
     fn crc_reference_vector() {
         // The classic IEEE CRC32 check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn crc_matches_bytewise_oracle_at_every_length_and_offset() {
+        // Knuth's multiplicative hash: 72 well-mixed bytes.
+        let buf: Vec<u8> =
+            (1..=72u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8).collect();
+        for start in 0..8 {
+            for len in 0..=64 {
+                let s = &buf[start..start + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "start {start}, len {len}");
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn crc_matches_bytewise_oracle(data in prop::collection::vec(0u8..=255, 0..2048)) {
+            prop_assert_eq!(crc32(&data), crc32_bytewise(&data));
+        }
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// One dense `Tile` frame, one low-rank `Part` frame and one two-tile
+    /// `Ctl::Result` frame, with hand-picked values.
+    fn golden_msgs() -> [Msg; 3] {
+        let dense = Tile::from_data(2, 3, vec![1.0, -2.5, 3.25, 0.0, 1e-300, f64::MAX]);
+        let lowrank = Tile::from_factors(3, 2, vec![0.5, -1.0, 2.0], vec![4.0, -0.125], 1);
+        let tile = WireFrame::Tile {
+            dst: 2,
+            msg: TileMsg {
+                key: DataKey::A(4, 9),
+                payload: Arc::new(dense.clone()),
+                epoch: 3,
+                src: 1,
+                consumers: 2,
+            },
+        };
+        let part = WireFrame::Part {
+            dst: 0,
+            src: 3,
+            part: CPart { i: 1, j: 2, origin: (3, 1, 7), tile: lowrank.clone() },
+        };
+        let result = Ctl::Result { tiles: vec![(0, 1, dense), (5, 6, lowrank)] };
+        [Msg::Wire(tile), Msg::Wire(part), Msg::Ctl(result)]
+    }
+
+    /// Frames captured from the parent commit's `encode` (PR 15: per-element
+    /// loops, payload built in a second buffer). Byte-for-byte equality is
+    /// the proof that `VERSION` need not move.
+    #[test]
+    fn golden_frames_are_byte_identical_to_version_1() {
+        assert_eq!(VERSION, 1);
+        let golden = [
+            "42535457010001005e000000e6b8286c0200000000000000000400000009000000030000000100\
+             0000000000000200000000000000020000000300000000000000000000f03f00000000000004c0\
+             0000000000000a40000000000000000059f3f8c21f6ea501ffffffffffffef7f",
+            "42535457010002006d00000017e1f78700000000000000000300000000000000010000000000\
+             00000200000000000000030000000000000001000000000000000700000000000000030000000200\
+             00000101000000000000000000e03f000000000000f0bf00000000000000400000000000001040\
+             000000000000c0bf",
+            "4253545701000300830000001fa38d7505020000000000000001000000020000000300000000\
+             000000000000f03f00000000000004c00000000000000a40000000000000000059f3f8c21f6ea501\
+             ffffffffffffef7f050000000600000003000000020000000101000000000000000000e03f000000\
+             000000f0bf00000000000000400000000000001040000000000000c0bf",
+        ];
+        for (msg, want) in golden_msgs().iter().zip(golden) {
+            assert_eq!(hex(&encode(msg)), want, "{msg:?}");
+        }
+    }
+
+    #[test]
+    fn encode_reserves_the_whole_frame_up_front() {
+        for msg in golden_msgs() {
+            let frame = encode(&msg);
+            assert!(frame.len() <= HEADER_LEN + payload_hint(&msg), "{msg:?} outgrew its hint");
+        }
     }
 
     #[test]

@@ -89,13 +89,29 @@ pub struct WorkerStats {
     pub recv_msgs: u64,
 }
 
+/// Where a fleet's wall-clock went, as the launcher saw it (seconds; of the
+/// recovery rerun when one ran).
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct LaunchPhases {
+    /// Spawning the first worker → every rank `Ready` (process start, job
+    /// shipping, data mesh).
+    pub ready_s: f64,
+    /// `Start` → rank 0's first `Result` frame (the job itself).
+    pub compute_s: f64,
+    /// First `Result` frame → last `Done` (shipping C back).
+    pub collect_s: f64,
+}
+
 /// A completed multi-process run.
 #[derive(Clone, Debug)]
 pub struct LaunchOutcome {
-    /// Rank 0's assembled C tiles `(i, j, tile)`.
+    /// Rank 0's assembled C tiles `(i, j, tile)`, in the order its `Result`
+    /// frames carried them.
     pub tiles: Vec<(u32, u32, Tile)>,
     /// Per-rank wire statistics, sorted by rank.
     pub stats: Vec<WorkerStats>,
+    /// Launcher-side wall-clock phases.
+    pub phases: LaunchPhases,
     /// The rank that died and was written off, when recovery ran.
     pub recovered_dead: Option<usize>,
     /// Fleet launches performed (1 = clean run, 2 = one recovery rerun).
@@ -122,14 +138,8 @@ static LAUNCH_SEQ: AtomicU64 = AtomicU64::new(0);
 /// as a typed [`NetError`].
 pub fn launch(cfg: &LaunchConfig) -> Result<LaunchOutcome, NetError> {
     match run_attempt(cfg, None) {
-        Ok((tiles, stats)) => {
-            Ok(LaunchOutcome { tiles, stats, recovered_dead: None, attempts: 1 })
-        }
-        Err(NetError::WorkerDied { rank }) if cfg.max_respawns > 0 => {
-            let (tiles, stats) = run_attempt(cfg, Some(rank))?;
-            Ok(LaunchOutcome { tiles, stats, recovered_dead: Some(rank), attempts: 2 })
-        }
-        Err(e) => Err(e),
+        Err(NetError::WorkerDied { rank }) if cfg.max_respawns > 0 => run_attempt(cfg, Some(rank)),
+        outcome => outcome,
     }
 }
 
@@ -204,9 +214,6 @@ fn recv_by(rx: &Receiver<Event>, deadline: Instant) -> Result<Event, RecvTimeout
 
 type ControlConns = HashMap<usize, Arc<Mutex<Conn>>>;
 
-/// What one fleet attempt yields: rank 0's C tiles plus per-rank stats.
-type AttemptOutcome = Result<(Vec<(u32, u32, Tile)>, Vec<WorkerStats>), NetError>;
-
 fn send_to(conns: &ControlConns, rank: usize, msg: &Ctl) -> Result<(), NetError> {
     let conn = conns
         .get(&rank)
@@ -214,8 +221,10 @@ fn send_to(conns: &ControlConns, rank: usize, msg: &Ctl) -> Result<(), NetError>
     write_msg(&mut *conn.lock().unwrap(), &Msg::Ctl(msg.clone()))
 }
 
-fn run_attempt(cfg: &LaunchConfig, dead: Option<usize>) -> AttemptOutcome {
+/// One fleet attempt; `dead` is the rank a recovery rerun writes off.
+fn run_attempt(cfg: &LaunchConfig, dead: Option<usize>) -> Result<LaunchOutcome, NetError> {
     assert!(cfg.n >= 1 && !cfg.worker_cmd.is_empty());
+    let spawned = Instant::now();
     let listener = cfg.transport.bind(&control_hint())?;
     let control_addr = listener.local_addr()?;
 
@@ -260,7 +269,7 @@ fn run_attempt(cfg: &LaunchConfig, dead: Option<usize>) -> AttemptOutcome {
             .map_err(|e| NetError::Io(e.to_string()))?;
     }
 
-    let result = drive_fleet(cfg, dead, &rx);
+    let result = drive_fleet(cfg, dead, &rx, spawned);
     match &result {
         Ok(_) => {
             for child in children.iter_mut() {
@@ -272,7 +281,12 @@ fn run_attempt(cfg: &LaunchConfig, dead: Option<usize>) -> AttemptOutcome {
     result
 }
 
-fn drive_fleet(cfg: &LaunchConfig, dead: Option<usize>, rx: &Receiver<Event>) -> AttemptOutcome {
+fn drive_fleet(
+    cfg: &LaunchConfig,
+    dead: Option<usize>,
+    rx: &Receiver<Event>,
+    spawned: Instant,
+) -> Result<LaunchOutcome, NetError> {
     let mut conns: ControlConns = HashMap::new();
     let mut data_addrs: HashMap<usize, String> = HashMap::new();
 
@@ -322,27 +336,43 @@ fn drive_fleet(cfg: &LaunchConfig, dead: Option<usize>, rx: &Receiver<Event>) ->
         }
     }
 
-    // Phase 4: run, heartbeat, collect.
+    // Phase 4: run, heartbeat, collect. Rank 0's `Result` frames precede
+    // its `Done` on one ordered connection, so once every rank is done the
+    // tiles are complete.
+    let started = Instant::now();
     for rank in 0..cfg.n {
         send_to(&conns, rank, &Ctl::Start)?;
     }
     let ping_every = (cfg.heartbeat_timeout / 4).max(Duration::from_millis(50));
     let mut last_seen = vec![Instant::now(); cfg.n];
     let mut done: HashMap<usize, WorkerStats> = HashMap::new();
-    let mut tiles: Option<Vec<(u32, u32, Tile)>> = None;
+    let mut tiles: Vec<(u32, u32, Tile)> = Vec::new();
+    let mut first_result: Option<Instant> = None;
     let mut nonce = 0u64;
     loop {
         if done.len() == cfg.n {
-            if let Some(tiles) = tiles.take() {
+            if let Some(first_result) = first_result {
                 let mut stats: Vec<WorkerStats> = done.into_values().collect();
                 stats.sort_by_key(|s| s.rank);
-                return Ok((tiles, stats));
+                let phases = LaunchPhases {
+                    ready_s: (started - spawned).as_secs_f64(),
+                    compute_s: (first_result - started).as_secs_f64(),
+                    collect_s: first_result.elapsed().as_secs_f64(),
+                };
+                return Ok(LaunchOutcome {
+                    tiles,
+                    stats,
+                    phases,
+                    recovered_dead: dead,
+                    attempts: 1 + usize::from(dead.is_some()),
+                });
             }
         }
         match recv_by(rx, Instant::now() + ping_every) {
-            Ok(Event::Result { tiles: t }) => {
+            Ok(Event::Result { tiles: frame }) => {
                 last_seen[0] = Instant::now();
-                tiles = Some(t);
+                first_result.get_or_insert(last_seen[0]);
+                tiles.extend(frame);
             }
             Ok(Event::Done { stats }) => {
                 if stats.rank < cfg.n {

@@ -32,7 +32,7 @@ pub mod socket;
 pub mod worker;
 
 pub use codec::{Ctl, CodecError, Msg};
-pub use launch::{launch, LaunchConfig, LaunchOutcome, WorkerStats};
+pub use launch::{launch, LaunchConfig, LaunchOutcome, LaunchPhases, WorkerStats};
 pub use socket::{SocketWire, Transport};
 pub use worker::{worker_session, WorkerConfig};
 

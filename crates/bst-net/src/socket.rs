@@ -20,7 +20,7 @@
 //! [`Wire`]: bst_runtime::comm::Wire
 //! [`CommFabric::inject`]: bst_runtime::comm::CommFabric::inject
 
-use crate::codec::{self, Msg, HEADER_LEN};
+use crate::codec::{self, Msg, HEADER_LEN, MAX_PAYLOAD};
 use crate::NetError;
 use bst_runtime::comm::{Wire, WireError, WireFrame};
 use std::collections::HashMap;
@@ -31,10 +31,6 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
-
-/// Upper bound on a declared payload length; anything larger is treated as
-/// corruption rather than an allocation request.
-const MAX_PAYLOAD: usize = 1 << 30;
 
 /// Most payload memory [`read_msg`] reserves before any payload byte has
 /// arrived.
@@ -183,9 +179,15 @@ impl Write for Conn {
 }
 
 /// Encodes and writes one frame. The caller serializes concurrent writers
-/// (every shared connection in this crate sits behind a mutex).
+/// (every shared connection in this crate sits behind a mutex). A payload
+/// over [`MAX_PAYLOAD`] is [`CodecError::Overflow`](codec::CodecError) here,
+/// before a byte is written — the reader would only reject it, and the
+/// launcher would read that as the writer's death.
 pub fn write_msg<W: Write>(w: &mut W, msg: &Msg) -> Result<(), NetError> {
     let bytes = codec::encode(msg);
+    if bytes.len() - HEADER_LEN > MAX_PAYLOAD {
+        return Err(NetError::Codec(codec::CodecError::Overflow));
+    }
     w.write_all(&bytes)?;
     w.flush()?;
     Ok(())
@@ -462,8 +464,25 @@ mod tests {
         stream.extend_from_slice(&[7u8; 10]);
         assert_eq!(
             read_msg(&mut stream.as_slice()).unwrap_err(),
-            NetError::Codec(codec::CodecError::Truncated { needed: 1 << 30, have: 10 })
+            NetError::Codec(codec::CodecError::Truncated { needed: MAX_PAYLOAD, have: 10 })
         );
+    }
+
+    #[test]
+    fn oversized_payload_is_refused_by_the_writer() {
+        let fits = Msg::Ctl(codec::Ctl::Config("x".repeat(MAX_PAYLOAD - 5)));
+        let mut sink = Vec::new();
+        write_msg(&mut sink, &fits).expect("a payload of exactly MAX_PAYLOAD is legal");
+        assert_eq!(sink.len(), HEADER_LEN + MAX_PAYLOAD);
+        assert!(matches!(read_msg(&mut sink.as_slice()), Ok(Some(Msg::Ctl(_)))));
+
+        let too_big = Msg::Ctl(codec::Ctl::Config("x".repeat(MAX_PAYLOAD - 4)));
+        let mut sink = Vec::new();
+        assert_eq!(
+            write_msg(&mut sink, &too_big).unwrap_err(),
+            NetError::Codec(codec::CodecError::Overflow)
+        );
+        assert!(sink.is_empty(), "nothing may reach the stream");
     }
 
     #[test]

@@ -14,9 +14,12 @@
 //!    identifying the dialer) and sends [`Ctl::Ready`];
 //! 4. launcher sends [`Ctl::Start`]; the worker runs the job with its
 //!    [`SocketWire`];
-//! 5. rank 0 sends [`Ctl::Result`] with the assembled C tiles; every rank
-//!    sends [`Ctl::Done`] with its wire statistics (or [`Ctl::Abort`] with
-//!    the rendered error).
+//! 5. rank 0 streams the assembled C tiles as one or more [`Ctl::Result`]
+//!    frames of about [`RESULT_CHUNK_BYTES`] each — its encode/CRC/write of
+//!    one frame overlaps the launcher's read/CRC/decode of the previous
+//!    one, and neither side stages the whole of C; every rank then sends
+//!    [`Ctl::Done`] with its wire statistics (or [`Ctl::Abort`] with the
+//!    rendered error).
 //!
 //! [`Ctl::Ping`] probes are answered by a dedicated control-reader thread
 //! at any point in the session — including while the job is running — so a
@@ -33,6 +36,11 @@ use std::time::{Duration, Instant};
 /// How long a worker waits for the launcher's next protocol step before
 /// giving up on the session.
 const PROTOCOL_TIMEOUT: Duration = Duration::from_secs(120);
+
+/// Tile data per [`Ctl::Result`] frame: rank 0 closes a frame once it
+/// holds at least this many tile bytes (so a frame overshoots by at most
+/// one tile).
+pub const RESULT_CHUNK_BYTES: u64 = 1 << 20;
 
 /// One worker process's identity and connection parameters (parsed from
 /// the `bst worker` command line).
@@ -53,7 +61,8 @@ pub struct WorkerConfig {
 
 /// Runs one worker session to completion. `job` receives the launcher's
 /// config text and this rank's connected [`SocketWire`], and returns rank
-/// 0's C tiles (other ranks return an empty vec) or a rendered error.
+/// 0's C tiles by value (other ranks return an empty vec) or a rendered
+/// error.
 pub fn worker_session<F>(cfg: &WorkerConfig, job: F) -> Result<(), NetError>
 where
     F: FnOnce(&str, Arc<SocketWire>) -> Result<Vec<(u32, u32, Tile)>, String>,
@@ -163,7 +172,9 @@ where
         Ok(tiles) => {
             let mut w = control_writer.lock().unwrap();
             if cfg.rank == 0 {
-                write_msg(&mut *w, &Msg::Ctl(Ctl::Result { tiles }))?;
+                for frame in result_frames(tiles) {
+                    write_msg(&mut *w, &Msg::Ctl(frame))?;
+                }
             }
             let (sent_msgs, recv_msgs) = wire.stats();
             write_msg(
@@ -178,6 +189,27 @@ where
             Err(NetError::Job(reason))
         }
     }
+}
+
+/// Splits rank 0's C tiles, in order, into the [`Ctl::Result`] frames it
+/// streams: each frame closes once it holds [`RESULT_CHUNK_BYTES`] of tile
+/// data. Always at least one frame, so an empty C still reports a result.
+fn result_frames(tiles: Vec<(u32, u32, Tile)>) -> impl Iterator<Item = Ctl> {
+    let mut tiles = tiles.into_iter().peekable();
+    let mut first = true;
+    std::iter::from_fn(move || {
+        if !std::mem::take(&mut first) && tiles.peek().is_none() {
+            return None;
+        }
+        let mut chunk = Vec::new();
+        let mut bytes = 0;
+        while bytes < RESULT_CHUNK_BYTES {
+            let Some(tile) = tiles.next() else { break };
+            bytes += tile.2.stored_bytes();
+            chunk.push(tile);
+        }
+        Some(Ctl::Result { tiles: chunk })
+    })
 }
 
 fn next_ctl(rx: &std::sync::mpsc::Receiver<Ctl>) -> Result<Ctl, NetError> {
@@ -238,6 +270,24 @@ mod tests {
         let text = "nodes=4\npeers=0@a:1,1@b:2,2@c:3\nseed=9";
         let addrs = parse_peers(text, 3).unwrap();
         assert_eq!(addrs, vec!["a:1", "b:2", "c:3"]);
+    }
+
+    #[test]
+    fn result_is_chunked_in_order_and_never_empty_handed() {
+        // 64x64 dense tiles are 32 KiB: 32 of them fill one 1 MiB frame.
+        let tiles: Vec<(u32, u32, Tile)> =
+            (0..70).map(|t| (t, t + 1, Tile::from_data(64, 64, vec![t as f64; 4096]))).collect();
+        let frames: Vec<Vec<(u32, u32, Tile)>> = result_frames(tiles.clone())
+            .map(|f| match f {
+                Ctl::Result { tiles } => tiles,
+                other => panic!("not a Result: {other:?}"),
+            })
+            .collect();
+        assert_eq!(frames.iter().map(Vec::len).collect::<Vec<_>>(), [32, 32, 6]);
+        assert_eq!(frames.concat(), tiles);
+
+        let empty: Vec<Ctl> = result_frames(Vec::new()).collect();
+        assert_eq!(empty, [Ctl::Result { tiles: Vec::new() }]);
     }
 
     #[test]

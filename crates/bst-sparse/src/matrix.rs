@@ -145,6 +145,13 @@ impl BlockSparseMatrix {
         self.tiles.iter()
     }
 
+    /// Consumes the matrix into its `((r, c), tile)` pairs in unspecified
+    /// order, moving each tile out (a tile still shared elsewhere is
+    /// cloned).
+    pub fn into_tiles(self) -> impl Iterator<Item = ((usize, usize), Tile)> {
+        self.tiles.into_iter().map(|(k, t)| (k, Arc::unwrap_or_clone(t)))
+    }
+
     /// Expands to a dense matrix (testing/reference only).
     pub fn to_dense(&self) -> DenseMatrix {
         let mut out = DenseMatrix::zeros(self.structure.rows() as usize, self.structure.cols() as usize);
