@@ -1,5 +1,4 @@
-//! Shared driver code for the reproduction binaries (`src/bin/repro_*.rs`)
-//! and Criterion benches.
+//! Shared driver code for the reproduction binaries (`src/bin/repro_*.rs`).
 //!
 //! Each binary regenerates one table or figure of the paper; this library
 //! holds the sweep logic they share:

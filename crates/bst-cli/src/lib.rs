@@ -24,6 +24,15 @@ pub mod net_run;
 
 pub use net_run::{job_config_text, launch_config, run_launch, run_worker, NetRunReport};
 
+/// The planner configuration every subcommand (and every worker of a
+/// launched fleet) derives from the machine flags.
+pub fn planner_config(cli: &Cli) -> PlannerConfig {
+    PlannerConfig::paper(
+        GridConfig::from_nodes(cli.opts.nodes, cli.p),
+        DeviceConfig { gpus_per_node: cli.gpus, gpu_mem_bytes: 16 << 30 },
+    )
+}
+
 /// Options shared by every numeric subcommand (`verify`/`einsum`/`serve`/
 /// `launch`) — and by the `key=value` job text a launcher ships to its
 /// workers. One parser serves both surfaces, so the flags can't drift
@@ -311,16 +320,20 @@ pub fn parse(args: &[String]) -> Result<Cli, CliError> {
             cli.opts.nodes
         )));
     }
+    if cli.die_after == Some(0) {
+        return Err(err("--die-after must be >= 1 (the drill fires before the n-th send)"));
+    }
     Ok(cli)
 }
 
-/// Rejects a process grid the planner would assert on: `1 <= p <= nodes`
-/// and at least one GPU per node.
+/// Rejects a process grid the planner would assert on or silently shrink:
+/// `p` must divide `nodes` (the grid is `p x nodes/p`), and every node
+/// needs at least one GPU.
 pub(crate) fn check_grid(cli: &Cli) -> Result<(), CliError> {
-    if cli.p == 0 || cli.p > cli.opts.nodes {
+    if cli.p == 0 || cli.opts.nodes % cli.p != 0 {
         return Err(err(format!(
-            "--p must be in 1..={} (the node count), got {}",
-            cli.opts.nodes, cli.p
+            "--p must divide --nodes (the grid is p x nodes/p), got --p {} with --nodes {}",
+            cli.p, cli.opts.nodes
         )));
     }
     if cli.gpus == 0 {
@@ -434,13 +447,7 @@ pub fn run(cli: &Cli, out: &mut dyn std::io::Write) -> Result<(), Box<dyn std::e
         _ => {}
     }
     let (spec, chem) = build_problem(cli)?;
-    let config = PlannerConfig::paper(
-        GridConfig::from_nodes(cli.opts.nodes, cli.p),
-        DeviceConfig {
-            gpus_per_node: cli.gpus,
-            gpu_mem_bytes: 16 << 30,
-        },
-    );
+    let config = planner_config(cli);
     match cli.command {
         Command::Info => {
             writeln!(
@@ -753,7 +760,10 @@ received {} B / {} msgs ({} B inter-node)",
 /// extents — the accuracy measure the `--tolerance` smoke gates check the
 /// compressed runs against. Densifies both sides; fine for smoke-sized
 /// problems.
-fn relative_frobenius_error(x: &bst_sparse::BlockSparseMatrix, r: &bst_sparse::BlockSparseMatrix) -> f64 {
+pub fn relative_frobenius_error(
+    x: &bst_sparse::BlockSparseMatrix,
+    r: &bst_sparse::BlockSparseMatrix,
+) -> f64 {
     let xd = x.to_dense();
     let rd = r.to_dense();
     let (mut err2, mut ref2) = (0.0f64, 0.0f64);
@@ -830,12 +840,18 @@ mod tests {
     fn parse_rejects_out_of_range_input() {
         for (line, want) in [
             ("plan --synthetic 100x800x800:0.6 --nodes 2 --p 3", "--p"),
+            ("plan --synthetic 100x800x800:0.6 --p 0", "--p"),
+            ("plan --synthetic 100x800x800:0.6 --nodes 4 --p 3", "--p 3 with --nodes 4"),
+            ("verify --synthetic 100x800x800:0.6 --nodes 4 --p 3", "--p 3 with --nodes 4"),
+            ("simulate --synthetic 100x800x800:0.6 --nodes 4 --p 3", "--p 3 with --nodes 4"),
+            ("launch --synthetic 100x800x800:0.6 -n 4 --p 3", "--p 3 with --nodes 4"),
             ("verify --synthetic 100x800x800:0.6 --nodes 0", "--nodes"),
             ("launch --synthetic 100x800x800:0.6 -n 0", "--nodes"),
             ("plan --synthetic 100x800x800:0.6 --gpus 0", "--gpus"),
             ("plan --synthetic 0x800x800:0.6", "dimension"),
             ("plan --synthetic 100x800x800:1.5", "density"),
             ("launch --synthetic 100x800x800:0.6 -n 2 --kill 5", "--kill"),
+            ("launch --synthetic 100x800x800:0.6 -n 2 --kill 1 --die-after 0", "--die-after"),
         ] {
             let e = parse(&args(line)).expect_err(line);
             assert!(e.0.contains(want), "{line}: {}", e.0);

@@ -12,10 +12,10 @@
 //! flags use, so the launcher and its workers cannot disagree about what
 //! an option means.
 
-use crate::{build_problem, parse_synthetic, Cli, Command, ProblemKind};
+use crate::{build_problem, parse_synthetic, planner_config, Cli, Command, ProblemKind};
 use bst_contract::error::BstError;
 use bst_contract::engine::{execute, execute_rank};
-use bst_contract::{DeviceConfig, ExecOptions, ExecutionPlan, GridConfig, PlannerConfig};
+use bst_contract::{ExecOptions, ExecutionPlan};
 use bst_net::{launch, LaunchConfig, LaunchOutcome, NetError, SocketWire, Transport, WorkerConfig};
 use bst_runtime::comm::DeliveryPolicy;
 use bst_sparse::BlockSparseMatrix;
@@ -98,13 +98,6 @@ pub fn parse_job_config(text: &str) -> Result<Job, NetError> {
     }
     crate::check_grid(&cli).map_err(|e| proto(e.0))?;
     Ok(Job { cli, dead_node, reorder })
-}
-
-fn planner_config(cli: &Cli) -> PlannerConfig {
-    PlannerConfig::paper(
-        GridConfig::from_nodes(cli.opts.nodes, cli.p),
-        DeviceConfig { gpus_per_node: cli.gpus, gpu_mem_bytes: 16 << 30 },
-    )
 }
 
 fn exec_options(cli: &Cli, reorder: Option<u64>) -> ExecOptions {

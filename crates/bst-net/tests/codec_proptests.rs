@@ -234,7 +234,7 @@ proptest! {
                     matches!(result, Err(CodecError::BadVersion(_))),
                     "version flip at {} gave {:?}", pos, result
                 ),
-                6 | 7 | 8..=11 => {
+                6..=11 => {
                     // Kind, reserved flags and length flips surface as
                     // *some* typed error or a benign decode (a flags flip
                     // is ignored by design; a length flip may read as

@@ -234,11 +234,11 @@ mod tests {
             }
             assert!(reached.iter().all(|&r| r));
             let inter = t.bcast_inter_edges(root, &dests);
-            assert!(
-                inter <= t.physical_nodes() - 1,
-                "{inter} inter-node crossings on {ranks}/{node_size}"
+            assert_eq!(
+                inter,
+                t.physical_nodes() - 1,
+                "{inter} inter-node crossings on {ranks}/{node_size}: the hierarchy is tight"
             );
-            assert_eq!(inter, t.physical_nodes() - 1, "hierarchy is tight");
         }
     }
 

@@ -158,11 +158,10 @@ fn retry_policy_stacks_recover_to_identical_bytes() {
 
     // One shared fallible body: first attempt of a "faulty" task fails
     // transiently; the retry recomputes the identical value.
-    let run_with = |exec: &dyn Fn(
-        &TaskGraph<usize>,
-        &[AtomicU64],
-        &(dyn Fn(&usize, WorkerId, &mut (), u32) -> Result<(), TaskError<String>> + Sync),
-    )| {
+    type Body<'a> =
+        &'a (dyn Fn(&usize, WorkerId, &mut (), u32) -> Result<(), TaskError<String>> + Sync);
+    type Exec<'a> = &'a dyn Fn(&TaskGraph<usize>, &[AtomicU64], Body<'_>);
+    let run_with = |exec: Exec<'_>| {
         let out: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
         let (g, o) = (&graph, &out);
         let body = move |&id: &usize, _w: WorkerId, _c: &mut (), attempt: u32| {

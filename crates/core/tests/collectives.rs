@@ -7,8 +7,8 @@
 use bst_contract::engine::execute;
 use bst_contract::engine::inspector::{block_c_tiles, lower};
 use bst_contract::{
-    validate_trace_invariants, DeliveryPolicy, DeviceConfig, ExecOptions, ExecReport,
-    ExecutionPlan, FaultPlan, GridConfig, LinkClass, LinkShaper, PlannerConfig, ProblemSpec,
+    validate_trace_invariants, DeviceConfig, ExecOptions, ExecReport, ExecutionPlan, FaultPlan,
+    GridConfig, LinkClass, LinkShaper, PlannerConfig, ProblemSpec,
 };
 use bst_runtime::data::DataKey;
 use bst_runtime::trace::TracePhase;
@@ -49,43 +49,6 @@ fn run_nodes(spec: &ProblemSpec, nodes: usize, opts: ExecOptions) -> (BlockSpars
         Ok(std::sync::Arc::new(pool.random(r, c, tile_seed(42 ^ 0xB, k, j))))
     };
     execute(spec, &plan, &a, &b_gen, opts).expect("execution")
-}
-
-fn reference(spec: &ProblemSpec) -> BlockSparseMatrix {
-    let a = BlockSparseMatrix::random_from_structure(spec.a.clone(), 42);
-    let b = BlockSparseMatrix::from_structure(spec.b.clone(), |k, j, r, c| {
-        bst_tile::Tile::random(r, c, tile_seed(42 ^ 0xB, k, j))
-    });
-    let mut c_ref =
-        BlockSparseMatrix::zeros(spec.a.row_tiling().clone(), spec.b.col_tiling().clone());
-    c_ref.gemm_acc_reference(&a, &b);
-    c_ref
-}
-
-/// Tree reductions combine partials in canonical `(i, j, origin)` order up
-/// a fixed-shape tree, so seeded delivery reordering — which scrambles the
-/// arrival order of C partials at every combining node — must not change a
-/// single bit, on multi-rank physical nodes included.
-#[test]
-fn tree_reduction_reorder_is_bit_identical() {
-    let spec = tiny_spec();
-    let base = ExecOptions::builder().node_size(2).build();
-    let (c_fifo, _) = run_nodes(&spec, 8, base);
-    let diff_ref = c_fifo.max_abs_diff(&reference(&spec));
-    assert!(diff_ref <= 1e-10, "tree-collective run diverged from reference: {diff_ref:.3e}");
-    let (c_reorder, _) = run_nodes(
-        &spec,
-        8,
-        ExecOptions::builder()
-            .node_size(2)
-            .delivery(DeliveryPolicy::Reorder { seed: 0xD00D, window: 7 })
-            .build(),
-    );
-    assert_eq!(
-        c_fifo.max_abs_diff(&c_reorder),
-        0.0,
-        "delivery reorder changed the tree reduction's bits"
-    );
 }
 
 /// Inter-node bytes of the unicast baseline on `nodes` ranks —

@@ -1,11 +1,13 @@
 //! End-to-end tests of the numeric engine over the `bst-comm` transport:
-//! multi-node runs against the dense reference, bit-identity across delivery
-//! policies, dropped-message recovery, and the transport trace invariants.
+//! the bytes a multi-node run moves, dropped-message recovery, and the
+//! transport trace invariants. (Agreement with the dense reference and
+//! bit-identity across delivery policies and node counts are the generated
+//! matrix's, `crates/bst-cli/tests/matrix.rs`.)
 
 use bst_contract::engine::execute;
 use bst_contract::{
-    validate_trace_invariants, DeliveryPolicy, DeviceConfig, ExecOptions, ExecReport,
-    ExecutionPlan, FaultPlan, GridConfig, LinkShaper, PlannerConfig, ProblemSpec,
+    validate_trace_invariants, DeviceConfig, ExecOptions, ExecReport, ExecutionPlan, FaultPlan,
+    GridConfig, PlannerConfig, ProblemSpec,
 };
 use bst_runtime::trace::TracePhase;
 use bst_sparse::generate::{generate, SyntheticParams};
@@ -43,71 +45,18 @@ fn run_nodes(spec: &ProblemSpec, nodes: usize, opts: ExecOptions) -> (BlockSpars
     execute(spec, &plan, &a, &b_gen, opts).expect("execution")
 }
 
-fn reference(spec: &ProblemSpec) -> BlockSparseMatrix {
-    let a = BlockSparseMatrix::random_from_structure(spec.a.clone(), 42);
-    let b = BlockSparseMatrix::from_structure(spec.b.clone(), |k, j, r, c| {
-        bst_tile::Tile::random(r, c, tile_seed(42 ^ 0xB, k, j))
-    });
-    let mut c_ref =
-        BlockSparseMatrix::zeros(spec.a.row_tiling().clone(), spec.b.col_tiling().clone());
-    c_ref.gemm_acc_reference(&a, &b);
-    c_ref
-}
-
-/// A 4-node run over the real transport matches the dense reference, and the
-/// A broadcast actually crossed the fabric.
+/// The A broadcast of a 4-node run crosses the fabric; a 1-node grid moves
+/// nothing at all (loopback frames are not traffic).
 #[test]
-fn multi_node_run_matches_reference() {
+fn only_multi_node_runs_move_bytes() {
     let spec = tiny_spec();
-    let (c, report) = run_nodes(&spec, 4, ExecOptions::default());
-    let diff = c.max_abs_diff(&reference(&spec));
-    assert!(diff <= 1e-10, "diff vs reference {diff:.3e}");
-    let sent: u64 = report.comm.iter().map(|s| s.sent_bytes).sum();
-    assert!(sent > 0, "no bytes crossed the fabric on a 4-node run");
-    assert_eq!(report.comm.len(), 4);
-    assert_eq!(report.host_peak_bytes.len(), 4);
-}
-
-/// The engine is bit-deterministic across runs and across every transport
-/// policy: FIFO, seeded reorder, and a shaped link all produce the *same
-/// bytes* — delivery timing is numerically unobservable (the per-C-tile
-/// Gemm chain plus the sorted reduction fix the floating-point order).
-#[test]
-fn delivery_policy_is_numerically_unobservable() {
-    let spec = tiny_spec();
-    let (c_fifo, _) = run_nodes(&spec, 4, ExecOptions::default());
-    let (c_again, _) = run_nodes(&spec, 4, ExecOptions::default());
-    assert_eq!(c_fifo.max_abs_diff(&c_again), 0.0, "run-to-run determinism");
-    let (c_reorder, _) = run_nodes(
-        &spec,
-        4,
-        ExecOptions::builder()
-            .delivery(DeliveryPolicy::Reorder { seed: 0xBEEF, window: 6 })
-            .build(),
-    );
-    assert_eq!(c_fifo.max_abs_diff(&c_reorder), 0.0, "reorder must be unobservable");
-    let (c_shaped, _) = run_nodes(
-        &spec,
-        4,
-        ExecOptions::builder().link_shaper(LinkShaper::summit_nic()).build(),
-    );
-    assert_eq!(c_fifo.max_abs_diff(&c_shaped), 0.0, "shaping must be unobservable");
-}
-
-/// A 1-node grid (no cross-node traffic at all) produces the same bytes as
-/// the 4-node distributed run: per-node private stores plus the fabric are
-/// numerically transparent.
-#[test]
-fn single_node_and_multi_node_agree() {
-    let spec = tiny_spec();
-    let (c1, r1) = run_nodes(&spec, 1, ExecOptions::default());
-    let (c4, _) = run_nodes(&spec, 4, ExecOptions::default());
-    let diff = c1.max_abs_diff(&reference(&spec));
-    assert!(diff <= 1e-10, "single-node diff vs reference {diff:.3e}");
-    let diff14 = c1.max_abs_diff(&c4);
-    assert!(diff14 <= 1e-10, "1-node vs 4-node diff {diff14:.3e}");
-    // Loopback-only run: nothing crossed a NIC.
-    assert_eq!(r1.comm.iter().map(|s| s.sent_bytes).sum::<u64>(), 0);
+    let sent = |report: &ExecReport| report.comm.iter().map(|s| s.sent_bytes).sum::<u64>();
+    let (_, r4) = run_nodes(&spec, 4, ExecOptions::default());
+    assert!(sent(&r4) > 0, "no bytes crossed the fabric on a 4-node run");
+    assert_eq!(r4.comm.len(), 4);
+    assert_eq!(r4.host_peak_bytes.len(), 4);
+    let (_, r1) = run_nodes(&spec, 1, ExecOptions::default());
+    assert_eq!(sent(&r1), 0, "a 1-node run crossed a NIC");
 }
 
 /// Dropped `SendA` messages (the transport fault site) recover through

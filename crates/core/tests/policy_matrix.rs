@@ -2,10 +2,10 @@
 //!
 //! The engine collapse means tracing and fault injection are *policies*
 //! composed onto one scheduler, not separate entry points — so
-//! every combination must run, produce the same numeric answer (≤ 1e-10;
-//! accumulation order varies across schedules), expose a trace exactly when
-//! tracing was requested, and pass the trace-invariant checker whenever a
-//! trace exists.
+//! every combination must run, do the same work, expose a trace exactly
+//! when tracing was requested, and pass the trace-invariant checker whenever
+//! a trace exists. (That every combination also produces the same bits is
+//! the generated matrix's rule 2, `crates/bst-cli/tests/matrix.rs`.)
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -45,14 +45,13 @@ fn problem() -> (ProblemSpec, ExecutionPlan) {
 }
 
 #[test]
-fn every_policy_combination_runs_and_agrees() {
+fn every_policy_combination_runs_the_same_work() {
     let (spec, plan) = problem();
     let a = BlockSparseMatrix::random_from_structure(spec.a.clone(), 3);
     let b_gen = |k: usize, j: usize, r: usize, c: usize, pool: &TilePool| {
         Ok(Arc::new(pool.random(r, c, tile_seed(3 ^ 0xB, k, j))))
     };
 
-    let mut baseline: Option<BlockSparseMatrix> = None;
     let mut counters: Option<(u64, u64, u64)> = None;
     for tracing in [false, true] {
         for faults in [None, Some(FaultPlan::transient(9, 0.15))] {
@@ -63,17 +62,8 @@ fn every_policy_combination_runs_and_agrees() {
             let opts = builder.build();
             let combo = format!("tracing={tracing} faults={}", faults.is_some());
 
-            let (c, report) = execute(&spec, &plan, &a, &b_gen, opts)
+            let (_c, report) = execute(&spec, &plan, &a, &b_gen, opts)
                 .unwrap_or_else(|e| panic!("{combo}: {e}"));
-
-            // One answer, whatever the policies.
-            match &baseline {
-                None => baseline = Some(c),
-                Some(base) => {
-                    let diff = base.max_abs_diff(&c);
-                    assert!(diff <= 1e-10, "{combo}: diverged by {diff}");
-                }
-            }
 
             // Same work, whatever the policies.
             let work = (

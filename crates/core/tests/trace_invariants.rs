@@ -46,7 +46,8 @@ fn traced_run(spec: &ProblemSpec, opts: ExecOptions) -> ExecReport {
         },
     );
     let plan = ExecutionPlan::build(spec, config).unwrap();
-    let a = BlockSparseMatrix::random_from_structure(spec.a.clone(), 11);
+    let seed = 11u64;
+    let a = BlockSparseMatrix::random_from_structure(spec.a.clone(), seed);
     // Rendezvous the first four generator calls across the GenB lanes so
     // spans provably overlap even on a single-core machine where short
     // tasks are never preempted mid-span. Four in flight across two nodes
@@ -56,7 +57,7 @@ fn traced_run(spec: &ProblemSpec, opts: ExecOptions) -> ExecReport {
     let entered = std::sync::atomic::AtomicUsize::new(0);
     let b_gen = |k: usize, j: usize, r: usize, c: usize, pool: &bst_tile::TilePool| {
         use std::sync::atomic::Ordering;
-        let t = pool.random(r, c, tile_seed(11 ^ 0xB, k, j));
+        let t = pool.random(r, c, tile_seed(seed ^ 0xB, k, j));
         entered.fetch_add(1, Ordering::SeqCst);
         let deadline = std::time::Instant::now() + std::time::Duration::from_millis(500);
         while entered.load(Ordering::SeqCst) < 4 && std::time::Instant::now() < deadline {
