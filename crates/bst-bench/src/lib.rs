@@ -11,7 +11,7 @@
 
 use bst_chem::{CcsdProblem, TilingSpec};
 use bst_contract::engine::execute;
-use bst_contract::engine::inspector::{block_c_tiles, lower};
+use bst_contract::engine::inspector::{lower, REDUCE_ROOT};
 use bst_contract::{
     DeviceConfig, ExecOptions, ExecReport, ExecutionPlan, GridConfig, LinkClass, PlannerConfig,
     ProblemSpec,
@@ -218,12 +218,13 @@ pub struct BaselineBytes {
     pub a_inter: u64,
 }
 
-/// The point-to-point baseline the tree collectives are compared against:
+/// The point-to-point baseline the broadcast trees are compared against:
 /// the owner sends `A(i,k)` to every consumer in turn (a star over
 /// [`Lowered::sends`](bst_contract::engine::inspector::Lowered::sends)) and
-/// every flushed C partial ships straight to rank 0. The lowering fixes
-/// these byte counts, so they are summed here instead of measured on an
-/// execution.
+/// every rank ships its C tiles straight to rank 0 (the engine's own C
+/// path: [`Lowered::reduce`](bst_contract::engine::inspector::Lowered::reduce)
+/// lists each rank's keys). The lowering fixes these byte counts, so they
+/// are summed here instead of measured on an execution.
 pub fn unicast_baseline(
     spec: &ProblemSpec,
     nodes: usize,
@@ -249,12 +250,10 @@ pub fn unicast_baseline(
             count(bytes, owner, dst, true);
         }
     }
-    for (ni, node) in plan.nodes.iter().enumerate().skip(1) {
-        for bp in node.gpus.iter().flat_map(|gpu| &gpu.blocks) {
-            for (i, j) in block_c_tiles(spec, &bp.block, node.grid_row, plan.config.grid.p) {
-                let bytes = spec.a.row_tiling().size(i) * spec.b.col_tiling().size(j) * 8;
-                count(bytes, ni, 0, false);
-            }
+    for (ni, rn) in low.reduce.iter().enumerate().filter(|&(ni, _)| ni != REDUCE_ROOT) {
+        for &(i, j) in &rn.keys {
+            let bytes = spec.a.row_tiling().size(i) * spec.b.col_tiling().size(j) * 8;
+            count(bytes, ni, REDUCE_ROOT, false);
         }
     }
     out

@@ -12,7 +12,8 @@
 //!
 //! The argument grammar is deliberately tiny (no external parser): every
 //! subcommand accepts `--molecule KIND:ARGS` *or* `--synthetic MxNxK:D`,
-//! plus machine flags.
+//! plus machine flags. A flag only some subcommands read (`--gantt`,
+//! `--trace`, `--faults`, ...) is an error on the others, never ignored.
 
 use bst_chem::{CcsdProblem, Molecule, ProblemTraits, ScreeningParams, TilingSpec};
 use bst_contract::{DeviceConfig, ExecutionPlan, GridConfig, PlannerConfig, ProblemSpec};
@@ -180,12 +181,28 @@ pub enum Command {
     Einsum,
     /// Run one rank of a multi-process execution: dial the launcher, join
     /// the worker mesh, execute this node's slice of the plan against a
-    /// private `TileStore`, reduce results to rank 0.
+    /// private `TileStore`, send its C tiles to rank 0.
     Worker,
     /// Spawn `-n P` worker processes over loopback sockets, run the job
     /// across them, and gate the assembled result bit-identically against
     /// the in-process channel transport.
     Launch,
+}
+
+/// The subcommands whose [`run`] arm reads `flag`, or `None` for the
+/// problem and machine flags every subcommand takes. (A worker's tolerance
+/// and reorder seed come from the launcher's job text, not from its argv.)
+fn read_by(flag: &str) -> Option<&'static [&'static str]> {
+    Some(match flag {
+        "--gantt" => &["simulate"],
+        "--trace" | "--trace-summary" | "--faults" => &["verify"],
+        "--clients" | "--requests" => &["serve"],
+        "--kill" | "--reorder" => &["launch"],
+        "--die-after" => &["launch", "worker"],
+        "--rank" | "--ranks" | "--connect" => &["worker"],
+        "--tolerance" => &["verify", "einsum", "launch"],
+        _ => return None,
+    })
 }
 
 /// Where the problem comes from.
@@ -234,17 +251,17 @@ pub const USAGE: &str = "usage: bst <info|plan|simulate|verify|serve|einsum|laun
 /// Parses an argument vector (without the program name).
 pub fn parse(args: &[String]) -> Result<Cli, CliError> {
     let mut it = args.iter();
-    let command = match it.next().map(String::as_str) {
-        Some("info") => Command::Info,
-        Some("plan") => Command::Plan,
-        Some("simulate") => Command::Simulate,
-        Some("verify") => Command::Verify,
-        Some("serve") => Command::Serve,
-        Some("einsum") => Command::Einsum,
-        Some("worker") => Command::Worker,
-        Some("launch") => Command::Launch,
-        Some(other) => return Err(err(format!("unknown command {other}\n{USAGE}"))),
-        None => return Err(err(USAGE)),
+    let word = it.next().ok_or_else(|| err(USAGE))?.as_str();
+    let command = match word {
+        "info" => Command::Info,
+        "plan" => Command::Plan,
+        "simulate" => Command::Simulate,
+        "verify" => Command::Verify,
+        "serve" => Command::Serve,
+        "einsum" => Command::Einsum,
+        "worker" => Command::Worker,
+        "launch" => Command::Launch,
+        other => return Err(err(format!("unknown command {other}\n{USAGE}"))),
     };
     let mut cli = Cli {
         command,
@@ -268,6 +285,12 @@ pub fn parse(args: &[String]) -> Result<Cli, CliError> {
         reorder: None,
     };
     while let Some(flag) = it.next() {
+        if let Some(readers) = read_by(flag).filter(|r| !r.contains(&word)) {
+            return Err(err(format!(
+                "{flag} is not a flag of `bst {word}` (only of {})",
+                readers.join(", ")
+            )));
+        }
         let mut value = |name: &str| -> Result<String, CliError> {
             it.next()
                 .cloned()
@@ -852,6 +875,21 @@ mod tests {
             ("plan --synthetic 100x800x800:1.5", "density"),
             ("launch --synthetic 100x800x800:0.6 -n 2 --kill 5", "--kill"),
             ("launch --synthetic 100x800x800:0.6 -n 2 --kill 1 --die-after 0", "--die-after"),
+            // Flags the subcommand's `run` arm never reads.
+            ("plan --trace x.json", "--trace is not a flag of `bst plan`"),
+            ("launch -n 2 --trace-summary", "--trace-summary is not a flag of `bst launch`"),
+            ("verify --gantt", "--gantt is not a flag of `bst verify`"),
+            ("simulate --faults 3", "--faults is not a flag of `bst simulate`"),
+            ("simulate --tolerance 0.1", "--tolerance is not a flag of `bst simulate`"),
+            ("worker --tolerance 0.1", "--tolerance is not a flag of `bst worker`"),
+            ("verify --clients 2", "--clients is not a flag of `bst verify`"),
+            ("einsum --requests 2", "--requests is not a flag of `bst einsum`"),
+            ("verify --kill 1", "--kill is not a flag of `bst verify`"),
+            ("worker --reorder 5", "--reorder is not a flag of `bst worker`"),
+            ("verify --die-after 2", "--die-after is not a flag of `bst verify`"),
+            ("launch -n 2 --rank 1", "--rank is not a flag of `bst launch`"),
+            ("verify --ranks 2", "--ranks is not a flag of `bst verify`"),
+            ("launch -n 2 --connect /tmp/s", "--connect is not a flag of `bst launch`"),
         ] {
             let e = parse(&args(line)).expect_err(line);
             assert!(e.0.contains(want), "{line}: {}", e.0);

@@ -5,10 +5,11 @@
 //! A **class** is what fixes the plan, and with it the floating-point
 //! evaluation order: the synthetic instance (`m × n × k : density`, seed),
 //! the grid (`nodes`, `p | nodes`), `gpus` per node and the device memory.
-//! `node_size` is *outside* the class: every `C(i, j)` lives on one rank, so
-//! the reduction tree it shapes routes partials and never re-brackets a
-//! sum. Every class runs its channel / in-order / flat baseline plus
-//! variants drawn over transport {channel, mesh, uds, tcp} × delivery ×
+//! `node_size` is *outside* the class: it shapes the A-broadcast trees and
+//! the link class of each hop, never a sum — every `C(i, j)` is folded on
+//! the one rank that produces it and gathered to rank 0 as is. Every class
+//! runs its channel / in-order / flat baseline plus variants drawn over
+//! transport {channel, mesh, uds, tcp} × delivery ×
 //! `node_size | nodes` × link shaping × transient faults × tracing, one
 //! lossy (`tol > 0`) variant, and — one class in four — the kill drill.
 //! Two rules judge every run:
@@ -96,9 +97,9 @@ const CLI_GPU_MEM: u64 = 16 << 30;
 /// printed, and the hand-written legs it replaced whose grids the strategy
 /// does not reach.
 const REGRESSIONS: &[Config] = &[
-    // collectives.rs::tree_reduction_reorder_is_bit_identical: 8 ranks on
-    // 2-rank physical nodes, so C partials climb a two-level reduction tree
-    // (binomial inside a node, flat across the four) in a scrambled order.
+    // The hand-written leg this file replaced for 8 ranks on 2-rank
+    // physical nodes: seven ranks' C tiles and the A-broadcast hops are
+    // delivered in a scrambled order.
     Config {
         m: 160,
         n: 640,
@@ -367,8 +368,8 @@ enum Kind {
     /// keeps a surviving row peer (`p < nodes`).
     Drill,
     /// No fleet (the CLI fixes a worker's device memory): devices so small
-    /// that B columns split along `k`, so several partials per C tile meet
-    /// in the reduction tree and the sorted combine is what fixes the bits.
+    /// that B columns split along `k`, so a rank holds several partials per
+    /// C tile and its `ReduceC`'s sorted fold is what fixes the bits.
     Tight,
 }
 

@@ -28,14 +28,15 @@
 //!
 //! Which class a frame crosses is decided by the fabric's
 //! [`topology::Topology`] ([`CommConfig::node_size`] ranks per physical
-//! node); the collective tree shapes routed over it live in [`topology`].
+//! node); the broadcast tree routed over it lives in [`topology`].
 //!
 //! Frame vocabulary: `Frame::BcastA` carries one hop of an A-tile
 //! broadcast tree ([`TileMsg`]: `{key, payload, epoch}` — the epoch is the
 //! sending task's attempt number, which makes duplicate delivery
 //! detectable), `Frame::ReduceC` carries a C-block partial sum
-//! ([`CPart`]) one hop up the reduction tree, and `Frame::Shutdown` is
-//! the completion control frame. Credits are the flow-control frames
+//! ([`CPart`]) — a flush's partial into its own rank's buffer, or a rank's
+//! folded tile on its one hop to rank 0 — and `Frame::Shutdown` is the
+//! completion control frame. Credits are the flow-control frames
 //! collapsed into semaphores: releasing a credit *is* the credit-return
 //! message.
 //!
@@ -212,7 +213,8 @@ pub struct TileMsg {
     pub consumers: usize,
 }
 
-/// One C-block partial sum travelling one hop up the reduction tree.
+/// One C-block partial sum: deposited by a flush on its own rank, or a
+/// rank's folded tile gathered to rank 0.
 #[derive(Clone, Debug)]
 pub struct CPart {
     /// C block-row.
@@ -220,10 +222,10 @@ pub struct CPart {
     /// C block-column.
     pub j: usize,
     /// Deterministic ordinal of this partial — `(node, gpu, block)` of the
-    /// flush that produced it; an interior tree node's combined partial
-    /// carries the *minimum* origin of its subtree. Every combine step
-    /// sorts on `(i, j, origin)`, so with the fixed tree shape the
-    /// floating-point accumulation order is independent of delivery order.
+    /// flush that produced it; a folded tile carries the *minimum* origin
+    /// of the partials folded into it. A rank folds its partials sorted on
+    /// `(i, j, origin)`, so the floating-point accumulation order is
+    /// independent of delivery order.
     pub origin: (usize, usize, usize),
     /// The partial-sum tile.
     pub tile: Tile,
@@ -233,7 +235,8 @@ pub struct CPart {
 enum Frame {
     /// One hop of an A-tile broadcast tree.
     BcastA(TileMsg),
-    /// A C partial sum moving one hop up the reduction tree, from `src`.
+    /// A C partial sum from `src` (the receiving rank itself, or a rank
+    /// gathering its folded tile to the root).
     ReduceC {
         /// The partial.
         part: CPart,
@@ -419,7 +422,8 @@ struct Endpoint {
     /// Keys delivered into this node, ever (dedup + recv notification).
     delivered: Mutex<HashSet<DataKey>>,
     arrived: Condvar,
-    /// C partials delivered to this node (its reduction-tree inbox).
+    /// C partials delivered to this node and not yet taken: its own
+    /// flushes' and, on rank 0, every other rank's folded tiles.
     reduced: Mutex<Vec<CPart>>,
     /// Signalled on every `reduced` push (see
     /// [`CommFabric::take_reduced_at_least`]).
@@ -657,31 +661,30 @@ impl CommFabric {
         Ok(())
     }
 
-    /// Sends a C partial sum from `src` one hop up the reduction tree to
-    /// `dst`. Loopback (`src == dst`) frames still traverse the inbox (one
-    /// code path) but are neither shaped nor counted as network traffic.
+    /// Sends a C partial sum from `src` to `dst`: a flush deposits into its
+    /// own rank (`src == dst`), a rank's `ReduceC` sends its folded tiles
+    /// to rank 0. Loopback frames still traverse the inbox (one code path)
+    /// but are neither shaped nor counted as network traffic.
     /// In multi-process mode, partials for a remote rank leave over the
     /// wire ([`SendError::Wire`] on failure).
     pub fn reduce(&self, src: usize, dst: usize, part: CPart) -> Result<(), SendError> {
         let bytes = part.tile.stored_bytes();
         let class = self.topology.link_class(src, dst);
-        if let Some(remote) = self.remote.as_ref().filter(|r| dst != r.rank) {
-            self.endpoints[src].count_sent(bytes, class);
-            let key = DataKey::C(part.i as u32, part.j as u32);
-            self.record(TracePhase::Sent, key, src, dst, bytes, 0);
-            return remote
-                .wire
-                .send(WireFrame::Part { dst, src, part })
-                .map_err(SendError::Wire);
+        let remote = self.remote.as_ref().filter(|r| dst != r.rank);
+        if remote.is_none() {
+            self.endpoints[dst].credits[gate_of(class)].acquire();
         }
-        let ep = &self.endpoints[dst];
-        ep.credits[gate_of(class)].acquire();
         if src != dst {
             self.endpoints[src].count_sent(bytes, class);
             let key = DataKey::C(part.i as u32, part.j as u32);
             self.record(TracePhase::Sent, key, src, dst, bytes, 0);
         }
-        ep.tx
+        if let Some(remote) = remote {
+            let frame = WireFrame::Part { dst, src, part };
+            return remote.wire.send(frame).map_err(SendError::Wire);
+        }
+        self.endpoints[dst]
+            .tx
             .send(Frame::ReduceC { part, src })
             .unwrap_or_else(|_| panic!("node {dst}'s progress thread is gone"));
         Ok(())
@@ -694,30 +697,17 @@ impl CommFabric {
     /// the pump stalls, TCP/UDS backpressure stalls the sender). A frame
     /// arriving after the local fabric shut down is dropped harmlessly.
     pub fn inject(&self, frame: WireFrame) {
-        match frame {
-            WireFrame::Tile { dst, msg } => {
-                let class = self.topology.link_class(msg.src, dst);
-                let gate = &self.endpoints[dst].credits[gate_of(class)];
-                gate.acquire();
-                if self.endpoints[dst].tx.send(Frame::BcastA(msg)).is_err() {
-                    // Progress thread already exited (late frame after
-                    // shutdown): return the credit and drop the frame.
-                    gate.release();
-                }
-            }
-            WireFrame::Part { dst, src, part } => {
-                let class = self.topology.link_class(src, dst);
-                let gate = &self.endpoints[dst].credits[gate_of(class)];
-                gate.acquire();
-                if self
-                    .endpoints[dst]
-                    .tx
-                    .send(Frame::ReduceC { part, src })
-                    .is_err()
-                {
-                    gate.release();
-                }
-            }
+        let (dst, src, frame) = match frame {
+            WireFrame::Tile { dst, msg } => (dst, msg.src, Frame::BcastA(msg)),
+            WireFrame::Part { dst, src, part } => (dst, src, Frame::ReduceC { part, src }),
+        };
+        let class = self.topology.link_class(src, dst);
+        let gate = &self.endpoints[dst].credits[gate_of(class)];
+        gate.acquire();
+        if self.endpoints[dst].tx.send(frame).is_err() {
+            // Progress thread already exited (late frame after shutdown):
+            // return the credit and drop the frame.
+            gate.release();
         }
     }
 
@@ -746,16 +736,6 @@ impl CommFabric {
             ep.credits[gate_of(LinkClass::Loopback)].acquire();
             let _ = ep.tx.send(Frame::Shutdown);
         }
-    }
-
-    /// Takes the C partials delivered to `node` so far.
-    pub fn take_reduced(&self, node: usize) -> Vec<CPart> {
-        std::mem::take(
-            &mut *self.endpoints[node]
-                .reduced
-                .lock()
-                .unwrap_or_else(|e| e.into_inner()),
-        )
     }
 
     /// Blocks until at least `expected` C partials have been delivered to

@@ -1,5 +1,5 @@
 //! Node-aware process topology: which ranks share a physical node, and the
-//! collective tree shapes that exploit it.
+//! broadcast tree shape that exploits it.
 //!
 //! The paper's machine model (and Irmler et al., *Node-Aware Processor
 //! Grids*) distinguishes two link classes: ranks on the same physical node
@@ -7,25 +7,20 @@
 //! nodes cross the NIC at a fraction of that. A [`Topology`] models `P`
 //! ranks packed `node_size` per physical node (rank-major, so consecutive
 //! ranks share a node), classifies every `(src, dst)` pair into a
-//! [`LinkClass`], and builds the two collective tree shapes the transport
-//! uses:
+//! [`LinkClass`], and builds the one collective tree the transport uses:
+//! [`Topology::bcast_children`], a **hierarchical broadcast tree**. The
+//! member set is grouped by physical node, a binomial tree over the group
+//! *leaders* carries the payload across the slow inter-node links exactly
+//! `groups − 1` times (the provable minimum, ≤ ⌈P/node_size⌉ − 1), and each
+//! leader then fans out over a binomial tree inside its own node.
 //!
-//! * [`Topology::bcast_children`] — a **hierarchical broadcast tree**: the
-//!   member set is grouped by physical node, a binomial tree over the group
-//!   *leaders* carries the payload across the slow inter-node links exactly
-//!   `groups − 1` times (the provable minimum, ≤ ⌈P/node_size⌉ − 1), and
-//!   each leader then fans out over a binomial tree inside its own node;
-//! * [`Topology::reduce_parent`] / [`Topology::reduce_children`] — the
-//!   **reduction tree** toward rank 0: ranks combine into their node
-//!   leader over a binomial tree of intra-node links, and each leader
-//!   sends its node's combined partials straight to the root — every C
-//!   partial crosses the NIC exactly once (see [`Topology::reduce_parent`]
-//!   for why the inter level is flat rather than binomial).
+//! There is no reduction tree: every `C(i, j)` is produced on exactly one
+//! rank, so a hop through another rank would re-send a tile without
+//! combining anything. Each rank sends its folded C tiles straight to
+//! rank 0, over whichever link class `(rank, 0)` is.
 //!
-//! Both shapes are pure functions of `(ranks, node_size, member set)` —
-//! never of delivery timing — which is what lets the engine fix the
-//! floating-point combination order up the tree and keep results
-//! bit-identical across FIFO, reordered, shaped and fault-recovery runs.
+//! The tree shape is a pure function of `(ranks, node_size, member set)` —
+//! never of delivery timing.
 //!
 //! The grid placement is implicit: the engine numbers its `p × q` process
 //! grid row-major, so a grid row (the A-broadcast set) is a contiguous rank
@@ -54,8 +49,8 @@ pub struct Topology {
     pub node_size: usize,
 }
 
-/// Binomial-tree parent of 1-based... no: parent of index `i > 0` in a
-/// 0-indexed binomial tree — clear the highest set bit.
+/// Parent of index `i > 0` in a 0-indexed binomial tree: clear the highest
+/// set bit.
 fn binomial_parent(i: usize) -> usize {
     debug_assert!(i > 0);
     i - (1 << (usize::BITS - 1 - i.leading_zeros()))
@@ -69,11 +64,6 @@ impl Topology {
     pub fn new(ranks: usize, node_size: usize) -> Self {
         assert!(node_size >= 1, "node_size must be >= 1");
         Self { ranks, node_size }
-    }
-
-    /// Every rank its own physical node (all remote links inter-node).
-    pub fn flat(ranks: usize) -> Self {
-        Self::new(ranks, 1)
     }
 
     /// The physical node hosting `rank`.
@@ -153,41 +143,6 @@ impl Topology {
             .filter(|&&(p, c)| self.link_class(p, c) == LinkClass::Inter)
             .count()
     }
-
-    /// The parent of `rank` in the fixed reduction tree toward rank 0, or
-    /// `None` for the root. Non-leader ranks combine into their physical
-    /// node's leader (lowest rank on the node) over a binomial tree of
-    /// intra-node links; each non-root leader then sends its node's
-    /// combined partials straight to the root.
-    ///
-    /// The inter level is deliberately *flat*, unlike the broadcast's
-    /// binomial backbone: reduction subtrees carry mostly-disjoint C keys
-    /// (each C tile has one computing grid row), so an interior inter-node
-    /// hop would re-transmit its whole subtree across the NIC without
-    /// combining anything — every partial crosses the slow link exactly
-    /// once, the minimum, and the tree never moves more inter-node bytes
-    /// than the ship-everything-to-root baseline.
-    pub fn reduce_parent(&self, rank: usize) -> Option<usize> {
-        assert!(rank < self.ranks, "rank {rank} out of range");
-        let leader = self.physical_node(rank) * self.node_size;
-        if rank != leader {
-            // Binomial tree inside the node, indexed from the leader.
-            let idx = rank - leader;
-            return Some(leader + binomial_parent(idx));
-        }
-        if self.physical_node(rank) == 0 {
-            return None; // rank 0: the reduction root
-        }
-        Some(0)
-    }
-
-    /// The children of `rank` in the reduction tree (inverse of
-    /// [`Topology::reduce_parent`]), in ascending rank order.
-    pub fn reduce_children(&self, rank: usize) -> Vec<usize> {
-        (0..self.ranks)
-            .filter(|&r| self.reduce_parent(r) == Some(rank))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -201,7 +156,7 @@ mod tests {
         assert_eq!(t.link_class(0, 3), LinkClass::Intra);
         assert_eq!(t.link_class(3, 4), LinkClass::Inter);
         assert_eq!(t.physical_nodes(), 2);
-        let flat = Topology::flat(8);
+        let flat = Topology::new(8, 1);
         assert_eq!(flat.link_class(0, 1), LinkClass::Inter);
         assert_eq!(flat.physical_nodes(), 8);
     }
@@ -255,55 +210,12 @@ mod tests {
 
     #[test]
     fn flat_topology_matches_plain_binomial() {
-        let t = Topology::flat(8);
+        let t = Topology::new(8, 1);
         let dests: Vec<usize> = (1..8).collect();
         let edges = t.bcast_children(0, &dests);
         // All inter-node, 7 edges, binomial shape: 0→{1,2,4}, 1→{3,5}, ...
         assert_eq!(edges.len(), 7);
         assert!(edges.iter().all(|&(p, c)| t.link_class(p, c) == LinkClass::Inter));
         assert!(edges.contains(&(0, 1)) && edges.contains(&(0, 2)) && edges.contains(&(0, 4)));
-    }
-
-    /// The reduction tree is a proper tree rooted at 0 whose inter-node
-    /// edges number exactly `physical_nodes − 1`.
-    #[test]
-    fn reduce_tree_shape() {
-        for (ranks, node_size) in [(16, 4), (16, 1), (10, 4), (7, 3), (1, 4)] {
-            let t = Topology::new(ranks, node_size);
-            assert_eq!(t.reduce_parent(0), None);
-            let mut inter = 0;
-            for r in 1..ranks {
-                let mut hops = 0;
-                let mut cur = r;
-                while let Some(p) = t.reduce_parent(cur) {
-                    assert!(p < cur, "parents descend toward the root");
-                    if t.link_class(cur, p) == LinkClass::Inter {
-                        hops += 1;
-                    }
-                    cur = p;
-                }
-                assert_eq!(cur, 0, "every rank reaches the root");
-                let want = if t.same_node(r, 0) { 0 } else { 1 };
-                assert_eq!(hops, want, "one NIC crossing per off-node rank's partials");
-                let p = t.reduce_parent(r).unwrap();
-                if t.link_class(r, p) == LinkClass::Inter {
-                    inter += 1;
-                }
-            }
-            assert_eq!(inter, t.physical_nodes() - 1, "{ranks}/{node_size}");
-        }
-    }
-
-    #[test]
-    fn reduce_children_inverts_parent() {
-        let t = Topology::new(16, 4);
-        for r in 0..16 {
-            for &c in &t.reduce_children(r) {
-                assert_eq!(t.reduce_parent(c), Some(r));
-            }
-        }
-        // Rank 0's children: intra-node binomial {1, 2} plus every other
-        // node's leader {4, 8, 12}.
-        assert_eq!(t.reduce_children(0), vec![1, 2, 4, 8, 12]);
     }
 }

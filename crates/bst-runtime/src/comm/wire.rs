@@ -29,7 +29,7 @@ pub enum WireFrame {
         /// The broadcast hop.
         msg: TileMsg,
     },
-    /// A C partial sum moving one hop up the reduction tree.
+    /// A rank's folded C tile on its one hop to rank 0.
     Part {
         /// Destination rank.
         dst: usize,

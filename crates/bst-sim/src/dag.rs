@@ -17,7 +17,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use bst_contract::engine::inspector::{self, Op};
+use bst_contract::engine::inspector::{self, Op, REDUCE_ROOT};
 use bst_contract::{ExecOptions, ExecReport, ExecTraceData, ExecutionPlan, ProblemSpec};
 use bst_runtime::comm::{CommEvent, LinkClass, NodeCommStats};
 use bst_runtime::data::DataKey;
@@ -112,6 +112,13 @@ pub fn replay_dag(
     let b_bytes = |k: usize, j: usize| {
         cm.tile_bytes(spec.b.row_tiling().size(k), spec.b.col_tiling().size(j))
     };
+    let c_bytes =
+        |i: usize, j: usize| spec.a.row_tiling().size(i) * spec.b.col_tiling().size(j) * 8;
+    // The per-class link model bst_runtime::comm::LinkShaper applies.
+    let shaper_of = |src: usize, dst: usize| match low.topology.link_class(src, dst) {
+        LinkClass::Inter => platform.link_shaper(),
+        _ => platform.intra_shaper(),
+    };
     let (p, q) = (plan.config.grid.p, plan.config.grid.q);
     let n_nodes = p * q;
     let registries: Vec<Arc<NodeResidency>> =
@@ -157,14 +164,9 @@ pub fn replay_dag(
             }
             Op::RecvA { i, k, from } => {
                 // The shaped transfer: latency plus bytes over the link the
-                // hop actually crosses (NIC vs intra-node) — the same
-                // per-class model bst_runtime::comm::LinkShaper applies.
+                // hop actually crosses (NIC vs intra-node).
                 let bytes = a_bytes(*i as usize, *k as usize);
-                let shaper = match low.topology.link_class(*from, w.node) {
-                    LinkClass::Inter => platform.link_shaper(),
-                    _ => platform.intra_shaper(),
-                };
-                ns(shaper.delay_s(bytes))
+                ns(shaper_of(*from, w.node).delay_s(bytes))
             }
             Op::GenB { k, j } => {
                 bgens += 1;
@@ -186,8 +188,7 @@ pub fn replay_dag(
                     tiles += 1;
                 }
                 for (i, j) in inspector::block_c_tiles(spec, &bp.block, row, p) {
-                    let sz = spec.a.row_tiling().size(i) * spec.b.col_tiling().size(j) * 8;
-                    dev.alloc(DataKey::C(i as u32, j as u32), sz)
+                    dev.alloc(DataKey::C(i as u32, j as u32), c_bytes(i, j))
                         .expect("simulated device OOM on C allocation");
                 }
                 sample_after = Some((*node, *gpu));
@@ -231,111 +232,64 @@ pub fn replay_dag(
                 let (mut bytes, mut tiles) = (0u64, 0u64);
                 for (i, j) in inspector::block_c_tiles(spec, &bp.block, row, p) {
                     dev.evict(DataKey::C(i as u32, j as u32), true);
-                    bytes += spec.a.row_tiling().size(i) * spec.b.col_tiling().size(j) * 8;
+                    bytes += c_bytes(i, j);
                     tiles += 1;
                 }
                 sample_after = Some((*node, *gpu));
                 ns(bytes as f64 / platform.d2h_bw + tiles as f64 * platform.h2d_latency_s)
             }
-            Op::ReduceC { node } => {
-                // The combine itself is a handful of tile additions (HBM
-                // bound, negligible next to the wire); the forwarding of one
-                // combined partial per key up the reduction tree is what
-                // costs — charged on the sender, over the link class of the
-                // tree edge.
-                let rn = &low.reduce[*node];
-                match rn.parent {
-                    None => 0,
-                    Some(parent) => {
-                        let shaper = match low.topology.link_class(*node, parent) {
-                            LinkClass::Inter => platform.link_shaper(),
-                            _ => platform.intra_shaper(),
-                        };
-                        let mut t = 0.0;
-                        for &(i, j) in &rn.keys {
-                            let bytes =
-                                spec.a.row_tiling().size(i) * spec.b.col_tiling().size(j) * 8;
-                            t += platform.nic_msg_overhead_s + shaper.delay_s(bytes);
-                        }
-                        ns(t)
-                    }
-                }
+            // The fold itself is a handful of tile additions (HBM bound,
+            // negligible next to the wire); sending one folded tile per key
+            // to the root is what costs — charged on the sender, over the
+            // link class of `(node, root)`.
+            Op::ReduceC { node } if *node != REDUCE_ROOT => {
+                let shaper = shaper_of(*node, REDUCE_ROOT);
+                let keys = &low.reduce[*node].keys;
+                ns(keys
+                    .iter()
+                    .map(|&(i, j)| platform.nic_msg_overhead_s + shaper.delay_s(c_bytes(i, j)))
+                    .sum())
             }
+            Op::ReduceC { .. } => 0,
         };
 
         let end_ns = start_ns + dur;
         end[id] = end_ns;
         lane_free.insert(w, end_ns);
+        // Transport accounting, as `CommFabric` keeps it: a `Sent` is
+        // charged to the sender, a `Received` to the receiver.
+        let mut wire = |phase, key, src: usize, dst: usize, bytes: u64, epoch| {
+            let class = low.topology.link_class(src, dst);
+            let inter = u64::from(class == LinkClass::Inter);
+            if phase == TracePhase::Sent {
+                let s = &mut comm_stats[src];
+                s.sent_bytes += bytes;
+                s.sent_msgs += 1;
+                s.inter_sent_bytes += inter * bytes;
+                s.inter_sent_msgs += inter;
+            } else {
+                let s = &mut comm_stats[dst];
+                s.recv_bytes += bytes;
+                s.recv_msgs += 1;
+                s.inter_recv_bytes += inter * bytes;
+                s.inter_recv_msgs += inter;
+            }
+            comm_events.push(CommEvent { phase, key, src, dst, class, bytes, epoch, t_ns: end_ns });
+        };
         match op {
             Op::SendA { i, k, to } => {
                 let bytes = a_bytes(*i as usize, *k as usize);
-                let class = low.topology.link_class(w.node, *to);
-                comm_stats[w.node].sent_bytes += bytes;
-                comm_stats[w.node].sent_msgs += 1;
-                if class == LinkClass::Inter {
-                    comm_stats[w.node].inter_sent_bytes += bytes;
-                    comm_stats[w.node].inter_sent_msgs += 1;
-                }
-                comm_events.push(CommEvent {
-                    phase: TracePhase::Sent,
-                    key: DataKey::A(*i, *k),
-                    src: w.node,
-                    dst: *to,
-                    class,
-                    bytes,
-                    epoch: 1,
-                    t_ns: end_ns,
-                });
+                wire(TracePhase::Sent, DataKey::A(*i, *k), w.node, *to, bytes, 1);
             }
             Op::RecvA { i, k, from } => {
                 let bytes = a_bytes(*i as usize, *k as usize);
-                let class = low.topology.link_class(*from, w.node);
-                comm_stats[w.node].recv_bytes += bytes;
-                comm_stats[w.node].recv_msgs += 1;
-                if class == LinkClass::Inter {
-                    comm_stats[w.node].inter_recv_bytes += bytes;
-                    comm_stats[w.node].inter_recv_msgs += 1;
-                }
-                comm_events.push(CommEvent {
-                    phase: TracePhase::Received,
-                    key: DataKey::A(*i, *k),
-                    src: *from,
-                    dst: w.node,
-                    class,
-                    bytes,
-                    epoch: 1,
-                    t_ns: end_ns,
-                });
+                wire(TracePhase::Received, DataKey::A(*i, *k), *from, w.node, bytes, 1);
             }
-            Op::ReduceC { node } => {
-                let rn = &low.reduce[*node];
-                if let Some(parent) = rn.parent {
-                    let class = low.topology.link_class(*node, parent);
-                    for &(i, j) in &rn.keys {
-                        let bytes =
-                            spec.a.row_tiling().size(i) * spec.b.col_tiling().size(j) * 8;
-                        comm_stats[*node].sent_bytes += bytes;
-                        comm_stats[*node].sent_msgs += 1;
-                        comm_stats[parent].recv_bytes += bytes;
-                        comm_stats[parent].recv_msgs += 1;
-                        if class == LinkClass::Inter {
-                            comm_stats[*node].inter_sent_bytes += bytes;
-                            comm_stats[*node].inter_sent_msgs += 1;
-                            comm_stats[parent].inter_recv_bytes += bytes;
-                            comm_stats[parent].inter_recv_msgs += 1;
-                        }
-                        for phase in [TracePhase::Sent, TracePhase::Received] {
-                            comm_events.push(CommEvent {
-                                phase,
-                                key: DataKey::C(i as u32, j as u32),
-                                src: *node,
-                                dst: parent,
-                                class,
-                                bytes,
-                                epoch: 0,
-                                t_ns: end_ns,
-                            });
-                        }
+            Op::ReduceC { node } if *node != REDUCE_ROOT => {
+                for &(i, j) in &low.reduce[*node].keys {
+                    let key = DataKey::C(i as u32, j as u32);
+                    for phase in [TracePhase::Sent, TracePhase::Received] {
+                        wire(phase, key, *node, REDUCE_ROOT, c_bytes(i, j), 0);
                     }
                 }
             }

@@ -57,7 +57,8 @@ fn fingerprint(report: &ExecReport) -> BTreeMap<(usize, usize, String), u64> {
 #[test]
 fn numeric_and_simulated_runs_execute_the_same_dag() {
     let (spec, plan, config) = problem();
-    let opts = ExecOptions::builder().tracing(true).build();
+    // Two ranks per physical node, so both link classes carry traffic.
+    let opts = ExecOptions::builder().tracing(true).node_size(2).build();
 
     let a = BlockSparseMatrix::random_from_structure(spec.a.clone(), 3);
     let b_gen = |k: usize, j: usize, r: usize, c: usize, pool: &TilePool| {
@@ -68,6 +69,24 @@ fn numeric_and_simulated_runs_execute_the_same_dag() {
     let mut platform = Platform::summit(4);
     platform.gpus_per_node = 2;
     let simulated = replay_dag(&spec, &plan, &platform, &opts);
+
+    // The transport's own per-node accounting (A hops and the C gather)
+    // against the replay's: bytes and messages, each way, per link class.
+    let traffic = |report: &ExecReport| -> Vec<[u64; 8]> {
+        report
+            .comm
+            .iter()
+            .map(|s| {
+                [
+                    s.sent_bytes, s.sent_msgs, s.recv_bytes, s.recv_msgs,
+                    s.inter_sent_bytes, s.inter_sent_msgs, s.inter_recv_bytes, s.inter_recv_msgs,
+                ]
+            })
+            .collect()
+    };
+    assert_eq!(traffic(&numeric), traffic(&simulated));
+    assert!(numeric.comm.iter().any(|s| s.inter_sent_bytes > 0));
+    assert!(numeric.comm.iter().any(|s| s.sent_bytes > s.inter_sent_bytes));
 
     // Identical task multisets, worker by worker: the DAG is shared, not
     // re-derived, so the fingerprints must match exactly.

@@ -15,8 +15,8 @@
 //! cross-node read panics in debug builds). Data crosses nodes exclusively
 //! through [`CommFabric`]: `SendA` puts a tile on the wire, `RecvA` blocks
 //! until the destination's progress thread deposited it, and `ReduceC`
-//! ships combined C partial sums up the reduction tree instead of touching
-//! shared memory.
+//! sends its node's folded C tiles to the root instead of touching shared
+//! memory.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -29,7 +29,7 @@ use bst_tile::kernel::select_heuristic;
 use bst_tile::pool::TilePool;
 use parking_lot::Mutex;
 
-use super::inspector::{block_b_tiles, block_c_tiles, owner_of, Lowered, Op};
+use super::inspector::{block_b_tiles, block_c_tiles, owner_of, Lowered, Op, REDUCE_ROOT};
 use super::memory::Ctx;
 use super::report::DeviceMemLog;
 use super::BGen;
@@ -38,9 +38,9 @@ use crate::fault::{FaultPlan, FaultSite};
 use crate::plan::ExecutionPlan;
 use crate::spec::ProblemSpec;
 
-/// Maps a reduction-path send failure to a task error. `reduce` carries no
-/// drop injection, so the only possible failure is a dead wire peer —
-/// fatal, recovered by the launcher's degraded re-plan.
+/// Maps a send failure that is not an injected drop (`reduce` carries no
+/// drop injection; `SendA` matches its own first) to a task error: a dead
+/// wire peer — fatal, recovered by the launcher's degraded re-plan.
 fn wire_fatal(op: &Op, e: SendError) -> TaskError<ExecError> {
     match e {
         SendError::Wire(e) => TaskError::Fatal(ExecError::Wire {
@@ -48,7 +48,7 @@ fn wire_fatal(op: &Op, e: SendError) -> TaskError<ExecError> {
             detail: op.detail(),
             reason: e.reason,
         }),
-        SendError::Dropped => unreachable!("reduce frames are never drop-injected"),
+        SendError::Dropped => unreachable!("an injected drop is the SendA arm's to handle"),
     }
 }
 
@@ -97,6 +97,9 @@ pub(crate) struct HandlerEnv<'a> {
     pub dev_stats: Mutex<Vec<((usize, usize), DeviceStats)>>,
     /// Per-(node, gpu) occupancy samples (traced runs only).
     pub mem_log: Mutex<DeviceMemLog>,
+    /// All of C, one folded tile per key: left here by the root's `ReduceC`
+    /// for the final assembly to move into the result.
+    pub c_tiles: Mutex<Vec<CPart>>,
 }
 
 impl HandlerEnv<'_> {
@@ -199,11 +202,7 @@ impl HandlerEnv<'_> {
                     // The peer process is gone: retrying into a dead socket
                     // cannot succeed — fail fast so the launcher can run the
                     // degraded re-plan.
-                    Err(SendError::Wire(e)) => Err(TaskError::Fatal(ExecError::Wire {
-                        dst: e.dst,
-                        detail: op.detail(),
-                        reason: e.reason,
-                    })),
+                    Err(e @ SendError::Wire(_)) => Err(wire_fatal(op, e)),
                 }
             }
             (Op::RecvA { i, k, from: _ }, Ctx::Cpu) => {
@@ -342,10 +341,10 @@ impl HandlerEnv<'_> {
                     }
                 }
                 // A flush deposits its partials locally (loopback) — the
-                // node's ReduceC combines them and sends one message per C
-                // key up the reduction tree. The origin ordinal makes each
-                // combine's accumulation order canonical, independent of
-                // delivery order.
+                // node's ReduceC folds them and sends one message per C key
+                // to the root. The origin ordinal makes the fold's
+                // accumulation order canonical, independent of delivery
+                // order.
                 for (i, j) in block_c_tiles(spec, &bp.block, row, self.grid.0) {
                     self.fabric
                         .reduce(
@@ -372,40 +371,45 @@ impl HandlerEnv<'_> {
             (Op::ReduceC { node }, Ctx::Cpu) => {
                 debug_assert_eq!(*node, w.node);
                 let rn = &self.low.reduce[w.node];
-                // The expected count is structural (own flush partials plus
-                // one combined partial per child key), so the taken set —
-                // and with it the summation bracketing — is fixed by the
-                // plan, not by delivery timing. Safe to block: children's
-                // combines finished (DAG deps), so every expected frame is
-                // at least in flight, and the progress threads drain
-                // independently of this lane.
-                let mut parts = self.fabric.take_reduced_at_least(w.node, rn.expected);
+                // The expected count is structural, so the taken set is fixed
+                // by the plan, not by delivery timing. Safe to block:
+                // in-process, the flushes and (for the root) every other fold
+                // finished (DAG deps), so every expected frame is at least in
+                // flight; across processes the root waits on `restrict`'s
+                // wait lane, where it starves nothing.
+                let expected = self.low.reduce_expected(w.node);
+                let mut parts = self.fabric.take_reduced_at_least(w.node, expected);
                 parts.sort_by_key(|part| (part.i, part.j, part.origin));
-                let mut combined: Vec<CPart> = Vec::with_capacity(rn.keys.len());
+                let mut folded: Vec<CPart> = Vec::with_capacity(expected);
                 for part in parts {
-                    match combined.last_mut() {
+                    match folded.last_mut() {
                         // A run of equal (i, j) folds into its first (lowest
-                        // origin) partial, which then carries the subtree's
-                        // minimum origin upward.
+                        // origin) partial. Only a node's own flushes share a
+                        // key — the `k`-splits of one column.
                         Some(last) if (last.i, last.j) == (part.i, part.j) => {
+                            debug_assert_eq!(
+                                last.origin.0, part.origin.0,
+                                "C({}, {}) arrived from two nodes",
+                                part.i, part.j
+                            );
                             last.tile.add_assign(&part.tile);
                         }
-                        _ => combined.push(part),
+                        _ => folded.push(part),
                     }
                 }
                 debug_assert_eq!(
-                    combined.len(),
-                    rn.keys.len(),
-                    "combined keys diverge from the lowering on node {}",
+                    folded.len(),
+                    rn.keys.len() + expected - rn.partials,
+                    "folded keys diverge from the lowering on node {}",
                     w.node
                 );
-                // Forward one partial per key up the tree; the root
-                // re-deposits its fully-combined partials for the final
-                // assembly to take.
-                let dst = rn.parent.unwrap_or(w.node);
-                for part in combined {
+                if w.node == REDUCE_ROOT {
+                    *self.c_tiles.lock() = folded;
+                    return Ok(());
+                }
+                for part in folded {
                     self.fabric
-                        .reduce(w.node, dst, part)
+                        .reduce(w.node, REDUCE_ROOT, part)
                         .map_err(|e| wire_fatal(op, e))?;
                 }
                 Ok(())

@@ -109,12 +109,12 @@ pub enum Op {
         /// Block index within the GPU's sequence.
         block: usize,
     },
-    /// Combine the C partials delivered to this node in canonical
-    /// `(i, j, origin)` order and forward the combined partials one hop up
-    /// the reduction tree (the root re-deposits its combined partials for
-    /// final assembly).
+    /// Fold this node's C partials in canonical `(i, j, origin)` order and
+    /// send one tile per key straight to [`REDUCE_ROOT`]; the root's own
+    /// instance also waits for every other node's tiles and hands the lot
+    /// to the final assembly.
     ReduceC {
-        /// The combining node.
+        /// The folding node.
         node: usize,
     },
 }
@@ -224,18 +224,21 @@ pub type NodeTile = (usize, (u32, u32));
 /// to`, a topology-aware tree rooted at the tile's owner.
 pub type TreeChildren = Arc<HashMap<NodeTile, Vec<usize>>>;
 
-/// One node's role in the fixed C-reduction tree.
+/// The rank C is gathered on: every other rank's `ReduceC` sends its folded
+/// tiles here, in one hop.
+pub const REDUCE_ROOT: usize = 0;
+
+/// What one node contributes to C. Every `C(i, j)` is produced on exactly
+/// one node (the planner deals a B column to one node of a grid row, and a
+/// column split along `k` stays inside that node's blocks), so the key sets
+/// of different nodes are disjoint and nothing is combined across nodes.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ReduceNode {
-    /// Parent one hop up the tree (`None` at the reduction root).
-    pub parent: Option<usize>,
-    /// C partials delivered into this node before its combine runs: its own
-    /// flush partials plus one combined partial per key of each child.
-    /// Structural — from the plan, never from delivery timing — which is
-    /// what pins the summation bracketing.
-    pub expected: usize,
-    /// The distinct `(i, j)` keys this node's combined output carries
-    /// (sorted): the union of its local C tiles and its children's keys.
+    /// Partials this node's flushes deposit: one per C tile of each block,
+    /// so a key whose column splits along `k` counts once per block.
+    pub partials: usize,
+    /// The distinct `(i, j)` keys of those partials (sorted) — the tiles
+    /// this node's fold yields.
     pub keys: Vec<(usize, usize)>,
 }
 
@@ -258,7 +261,7 @@ pub struct Lowered {
     pub tree_children: TreeChildren,
     /// The node-aware topology the trees were routed over.
     pub topology: Topology,
-    /// Per-node reduction-tree roles, indexed by node.
+    /// Per-node C contributions, indexed by node.
     pub reduce: Vec<ReduceNode>,
 }
 
@@ -274,17 +277,30 @@ impl Lowered {
                 .unwrap_or(0)
     }
 
+    /// C partials delivered into `node` before its `ReduceC` folds: its own
+    /// flush partials plus, on [`REDUCE_ROOT`], one folded tile per key of
+    /// every other node. Structural — from the plan, never from delivery
+    /// timing.
+    pub fn reduce_expected(&self, node: usize) -> usize {
+        let rn = &self.reduce[node];
+        if node != REDUCE_ROOT {
+            return rn.partials;
+        }
+        let all_keys: usize = self.reduce.iter().map(|r| r.keys.len()).sum();
+        rn.partials + all_keys - rn.keys.len()
+    }
+
     /// The SPMD projection for multi-process execution: the sub-DAG of
     /// tasks pinned to node `rank`, with cross-node edges dropped.
     ///
     /// Every process lowers the *full* plan (so broadcast trees, consumer
-    /// refcounts and reduction shapes are globally consistent), then keeps
+    /// refcounts and C key counts are globally consistent), then keeps
     /// only its own node's tasks. The dropped edges are exactly the ones
     /// whose ordering the transport already enforces at runtime:
     /// `SendA → RecvA` (the `RecvA` body blocks in
     /// [`bst_runtime::comm::CommFabric::wait_delivered`] until the frame
-    /// arrives over the wire) and child-combine → parent-`ReduceC` (the
-    /// parent blocks in `take_reduced_at_least` for its structural count).
+    /// arrives over the wire) and every other `ReduceC` → the root's (the
+    /// root blocks in `take_reduced_at_least` for its structural count).
     /// Relative task order is preserved, so the `dep < task` lowering
     /// invariant keeps holding in the projection; the broadcast/consumption
     /// maps stay global — a forwarder still needs the full fan-out picture.
@@ -544,53 +560,40 @@ pub fn lower(spec: &ProblemSpec, plan: &ExecutionPlan, opts: &ExecOptions) -> Lo
         }
     }
 
-    // ReduceC tasks: one combine per node, walking the fixed reduction tree
-    // of the topology. Children are lowered before parents (reduction
-    // parents always have lower rank), and each combine depends on its
-    // node's flushes plus its children's combines — so the *set* of partials
-    // a combine waits for is structural, and the summation bracketing is
-    // independent of delivery timing.
-    //
-    // Local partial counts and distinct local keys per node.
-    let mut local_count = vec![0usize; n_nodes];
-    let mut subtree_keys: Vec<BTreeSet<(usize, usize)>> = vec![BTreeSet::new(); n_nodes];
-    for (ni, node) in plan.nodes.iter().enumerate() {
-        for gpu in &node.gpus {
-            for bp in &gpu.blocks {
+    // ReduceC tasks: one fold per node over its own flushes' partials. The
+    // root's is lowered last and also depends on every other node's, whose
+    // folded tiles it gathers — so the *set* of partials each fold waits
+    // for is structural, independent of delivery timing.
+    let reduce: Vec<ReduceNode> = plan
+        .nodes
+        .iter()
+        .map(|node| {
+            let mut partials = 0;
+            let mut keys = BTreeSet::new();
+            for bp in node.gpus.iter().flat_map(|gpu| &gpu.blocks) {
                 let tiles = block_c_tiles(spec, &bp.block, node.grid_row, p);
-                local_count[ni] += tiles.len();
-                subtree_keys[ni].extend(tiles);
+                partials += tiles.len();
+                keys.extend(tiles);
             }
-        }
-    }
-    // Fold children into parents, highest rank first (every child's rank
-    // exceeds its parent's), fixing expected counts and keys.
-    let mut reduce: Vec<ReduceNode> = (0..n_nodes)
-        .map(|ni| ReduceNode {
-            parent: topology.reduce_parent(ni),
-            expected: local_count[ni],
-            keys: Vec::new(),
+            ReduceNode {
+                partials,
+                keys: keys.into_iter().collect(),
+            }
         })
         .collect();
-    for ni in (1..n_nodes).rev() {
-        let parent = reduce[ni].parent.expect("non-root has a parent");
-        reduce[parent].expected += subtree_keys[ni].len();
-        let keys = std::mem::take(&mut subtree_keys[ni]);
-        subtree_keys[parent].extend(keys.iter().copied());
-        reduce[ni].keys = keys.into_iter().collect();
-    }
-    reduce[0].keys = std::mem::take(&mut subtree_keys[0]).into_iter().collect();
-
-    let mut reduce_ids: Vec<Option<TaskId>> = vec![None; n_nodes];
+    let mut senders: Vec<TaskId> = Vec::with_capacity(n_nodes.saturating_sub(1));
     for ni in (0..n_nodes).rev() {
         let id = graph.add_task(Op::ReduceC { node: ni }, cpu_lane(ni));
         for &f in &flush_ids[ni] {
             graph.add_dep(id, f);
         }
-        for child in topology.reduce_children(ni) {
-            graph.add_dep(id, reduce_ids[child].expect("children lowered first"));
+        if ni == REDUCE_ROOT {
+            for &sender in &senders {
+                graph.add_dep(id, sender);
+            }
+        } else {
+            senders.push(id);
         }
-        reduce_ids[ni] = Some(id);
     }
 
     let mut workers: Vec<WorkerId> = Vec::new();

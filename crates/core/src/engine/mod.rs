@@ -77,10 +77,6 @@ use memory::{Ctx, MemoryManager};
 use policies::ExecOptions;
 use report::{DeviceMemLog, ExecReport, ExecTraceData, RecoveryStats};
 
-/// The root of the C reduction tree: its `ReduceC` re-deposits the fully
-/// combined partials here for the final assembly.
-const REDUCE_ROOT: usize = 0;
-
 /// Generator of `B` tiles:
 /// `(tile_row k, tile_col j, rows, cols, node pool) -> Result<Arc<Tile>, GenError>`.
 ///
@@ -133,9 +129,9 @@ pub fn execute(
 ///
 /// Every participating process must call this with the same spec, plan,
 /// `a` and options (SPMD — each seeds only its own 2D-cyclic A slice).
-/// Only `rank == 0` assembles a meaningful `C`: partial sums reduce to the
-/// root's process; every other rank returns an empty matrix plus its local
-/// execution report.
+/// Only `rank == 0` assembles a meaningful `C`: every other rank sends its
+/// folded tiles to the root's process and returns an empty matrix plus its
+/// local execution report.
 ///
 /// A `rank` outside the plan's `p × q` grid is rejected with
 /// [`ExecError::InvalidRank`].
@@ -198,7 +194,7 @@ pub(crate) fn run(
 
     // ---- Inspector: lower the plan to the task DAG -----------------------
     // Multi-process mode lowers the full plan (global broadcast trees and
-    // reduction shapes), then keeps only this rank's tasks: the transport's
+    // C key counts), then keeps only this rank's tasks: the transport's
     // blocking waits replace the dropped cross-node edges.
     let low = inspector::lower(spec, plan, &opts);
     let low = match &remote {
@@ -277,11 +273,12 @@ pub(crate) fn run(
         counters: Counters::default(),
         dev_stats: Mutex::new(Vec::new()),
         mem_log: Mutex::new(DeviceMemLog::new()),
+        c_tiles: Mutex::new(Vec::new()),
     };
 
     let mk_ctx = |w: WorkerId| {
         if w.lane == 0 || w.lane > g {
-            Ctx::Cpu // lane 0: SendA (+ GenB without GenB lanes); lanes > g: GenB workers
+            Ctx::Cpu // lane 0: SendA/RecvA/ReduceC; lanes > g: GenB workers, the wait lane
         } else {
             Ctx::Gpu(Box::new(MemoryManager::new(
                 w.lane - 1,
@@ -392,14 +389,11 @@ pub(crate) fn run(
     };
 
     // ---- Assemble the result ----------------------------------------------
-    // The C partials all arrived at the reduction root over the fabric.
-    // Sorting by (i, j, origin) makes the floating-point accumulation order
-    // canonical — the result is bit-identical however delivery interleaved.
+    // The root's ReduceC left one folded tile per C key (nothing, on any
+    // other rank of a multi-process run): move each into the result.
     let mut out = BlockSparseMatrix::zeros(spec.a.row_tiling().clone(), spec.b.col_tiling().clone());
-    let mut parts = fabric.take_reduced(REDUCE_ROOT);
-    parts.sort_by_key(|part| (part.i, part.j, part.origin));
-    for part in &parts {
-        out.accumulate_tile(part.i, part.j, &part.tile);
+    for part in env.c_tiles.into_inner() {
+        out.insert_tile(part.i, part.j, part.tile);
     }
     let mut devices = env.dev_stats.into_inner();
     devices.sort_by_key(|(k, _)| *k);

@@ -1,5 +1,5 @@
 //! End-to-end tests of the collective communication primitives: node-aware
-//! broadcast trees for A tiles, the fixed-shape C reduction tree, the
+//! broadcast trees for A tiles, the one-hop gather of C to rank 0, the
 //! unicast byte baseline they are compared against, and fault
 //! recovery through interior tree hops — all over the real `bst-comm`
 //! transport.
@@ -51,43 +51,45 @@ fn run_nodes(spec: &ProblemSpec, nodes: usize, opts: ExecOptions) -> (BlockSpars
     execute(spec, &plan, &a, &b_gen, opts).expect("execution")
 }
 
-/// Inter-node bytes of the unicast baseline on `nodes` ranks —
-/// the owner sends `A(i,k)` to every consumer in turn and every flushed C
-/// partial ships straight to rank 0 — as `(A tiles, A tiles + C partials)`.
-/// A pure function of the lowering: `Lowered::sends` is the star's fan-out
-/// and `block_c_tiles` lists each block's partials.
-fn unicast_inter_bytes(spec: &ProblemSpec, nodes: usize, opts: ExecOptions) -> (u64, u64) {
+/// Bytes of the unicast baseline on `nodes` ranks — the owner sends
+/// `A(i,k)` to every consumer in turn and every flushed C partial ships
+/// straight to rank 0 — as `(inter-node A tiles, inter-node A tiles + C
+/// partials, every byte)`. A pure function of the lowering:
+/// `Lowered::sends` is the star's fan-out and `block_c_tiles` lists each
+/// block's partials.
+fn unicast_bytes(spec: &ProblemSpec, nodes: usize, opts: ExecOptions) -> (u64, u64, u64) {
     let plan = plan_for(spec, nodes);
     let low = lower(spec, &plan, &opts);
     let inter = |src: usize, dst: usize| low.topology.link_class(src, dst) == LinkClass::Inter;
-    let mut a_inter = 0u64;
+    let (mut a_inter, mut c_inter, mut total) = (0u64, 0u64, 0u64);
     for (&(owner, (i, k)), dests) in &low.sends {
         let bytes = spec.a.tile_bytes(i as usize, k as usize);
         a_inter += bytes * dests.iter().filter(|&&dst| inter(owner, dst)).count() as u64;
+        total += bytes * dests.len() as u64;
     }
-    let mut c_inter = 0u64;
-    for (ni, node) in plan.nodes.iter().enumerate() {
-        if !inter(ni, 0) {
-            continue;
-        }
+    for (ni, node) in plan.nodes.iter().enumerate().skip(1) {
         for bp in node.gpus.iter().flat_map(|gpu| &gpu.blocks) {
             for (i, j) in block_c_tiles(spec, &bp.block, node.grid_row, plan.config.grid.p) {
-                c_inter += spec.a.row_tiling().size(i) * spec.b.col_tiling().size(j) * 8;
+                let bytes = spec.a.row_tiling().size(i) * spec.b.col_tiling().size(j) * 8;
+                total += bytes;
+                if inter(ni, 0) {
+                    c_inter += bytes;
+                }
             }
         }
     }
-    (a_inter, a_inter + c_inter)
+    (a_inter, a_inter + c_inter, total)
 }
 
 /// On 4-rank physical nodes the broadcast trees move at most half the
-/// inter-node A-tile bytes of the unicast baseline, and the tree
-/// collectives' total inter-node traffic stays below it too.
+/// inter-node A-tile bytes of the unicast baseline, and the run's total
+/// inter-node traffic stays below it too.
 #[test]
 fn tree_halves_inter_node_a_bytes_vs_unicast() {
     let spec = tiny_spec();
     let opts = ExecOptions::builder().node_size(4).build();
     let (_, tree_report) = run_nodes(&spec, 8, opts);
-    let (uni_a, uni_inter) = unicast_inter_bytes(&spec, 8, opts);
+    let (uni_a, uni_inter, _) = unicast_bytes(&spec, 8, opts);
     let tree_a = tree_report.a_network_inter_bytes;
     assert!(uni_a > 0, "unicast baseline moves no inter-node A bytes");
     assert!(
@@ -98,14 +100,38 @@ fn tree_halves_inter_node_a_bytes_vs_unicast() {
     let tree_inter: u64 = tree_report.comm.iter().map(|s| s.inter_sent_bytes).sum();
     assert!(
         tree_inter <= uni_inter,
-        "tree collectives moved more inter-node bytes overall"
+        "the run moved more inter-node bytes than unicast overall"
     );
     // On a single-rank-per-node topology the tree degenerates gracefully:
     // same inter-node A bytes as unicast (every link is a NIC link, and
     // each destination still receives the tile exactly once).
     let (_, flat_tree) = run_nodes(&spec, 8, ExecOptions::default());
-    let (flat_uni_a, _) = unicast_inter_bytes(&spec, 8, ExecOptions::default());
+    let (flat_uni_a, _, _) = unicast_bytes(&spec, 8, ExecOptions::default());
     assert_eq!(flat_tree.a_network_inter_bytes, flat_uni_a);
+}
+
+/// C is gathered, not reduced: on 8 ranks packed 4 per physical node every
+/// C tile leaves its rank once, addressed to rank 0 — no rank forwards
+/// another's tiles — so the run moves exactly the bytes of the
+/// ship-to-root baseline.
+#[test]
+fn c_tiles_reach_the_root_in_one_hop() {
+    let spec = tiny_spec();
+    let opts = ExecOptions::builder().tracing(true).node_size(4).build();
+    let (_, report) = run_nodes(&spec, 8, opts);
+    let trace = report.trace.as_ref().expect("traced");
+    let mut sent = std::collections::HashSet::new();
+    for e in &trace.comm_events {
+        if let DataKey::C(i, j) = e.key {
+            assert_eq!(e.dst, 0, "C({i},{j}) sent {} -> {}", e.src, e.dst);
+            if e.phase == TracePhase::Sent {
+                assert!(sent.insert((i, j)), "C({i},{j}) sent twice");
+            }
+        }
+    }
+    assert!(!sent.is_empty(), "no C tile crossed the fabric on 8 ranks");
+    let sent_bytes: u64 = report.comm.iter().map(|s| s.sent_bytes).sum();
+    assert_eq!(sent_bytes, unicast_bytes(&spec, 8, opts).2);
 }
 
 /// Frame drops on *interior* broadcast-tree hops — a forwarder, not the

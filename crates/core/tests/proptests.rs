@@ -1,17 +1,22 @@
 //! Property tests for the planner's three heuristics (§3.2.1–§3.2.3), the
-//! column-splitting extension, and the service layer's cache machinery
+//! column-splitting extension, the lowering's "every C tile lives on one
+//! rank" invariant, and the service layer's cache machinery
 //! (structure-hash soundness, B-cache budget accounting, hit/miss
 //! reconciliation).
 
 use bst_contract::assign::assign_columns;
 use bst_contract::chunk::{build_chunks, needed_tiles_per_row};
+use bst_contract::engine::inspector::{block_c_tiles, lower, REDUCE_ROOT};
 use bst_contract::partition::{partition_spans, split_column, Block, ColumnSpan};
 use bst_contract::service::hash;
-use bst_contract::{DeviceConfig, GridConfig, PlannerConfig, ProblemSpec};
+use bst_contract::{
+    DeviceConfig, ExecOptions, ExecutionPlan, GridConfig, PlannerConfig, ProblemSpec,
+};
 use bst_runtime::{BCacheKey, BTileCache};
 use bst_sparse::generate::{generate, SyntheticParams};
 use bst_tile::Tile;
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 proptest! {
@@ -212,5 +217,83 @@ proptest! {
         prop_assert_eq!(s.hits + s.misses, lookups);
         // Residency is consistent with the insert/evict ledger.
         prop_assert_eq!(s.insertions - s.evictions, cache.len() as u64);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// What lets C be gathered instead of reduced across ranks: whatever the
+    /// grid, the device size (down to devices so small that B columns split
+    /// along `k` — there a rank holds several partials of one key) and the
+    /// degraded re-plan around a dead node, the ranks' C key sets are
+    /// pairwise disjoint and together are exactly C's kept structure; and
+    /// the root waits for its own partials plus one tile per key of every
+    /// other rank.
+    #[test]
+    fn c_keys_are_disjoint_across_ranks(
+        m in 40u64..=120,
+        n in 120u64..=480,
+        k in 120u64..=480,
+        tenths in 3u32..=10,
+        seed in 0u64..1000,
+        nodes_pick in 0usize..5,
+        p_pick in 0usize..8,
+        gpus in 1usize..=2,
+        mem_pick in 0usize..3,
+        dead_pick in 0usize..12,
+    ) {
+        let prob = generate(&SyntheticParams {
+            m, n, k, density: f64::from(tenths) / 10.0, tile_min: 4, tile_max: 16, seed,
+        });
+        let spec = ProblemSpec::new(prob.a, prob.b, None);
+        let nodes = [1, 2, 3, 4, 6][nodes_pick];
+        let divisors: Vec<usize> = (1..=nodes).filter(|d| nodes % d == 0).collect();
+        let p = divisors[p_pick % divisors.len()];
+        // One C column plus two B tiles per block (columns split along k),
+        // four times that, or everything resident.
+        let tight = 2 * (m * 16 * 8 + 2 * 16 * 16 * 8);
+        let gpu_mem_bytes = [tight, 4 * tight, 16 << 30][mem_pick];
+        let config = PlannerConfig::paper(
+            GridConfig::from_nodes(nodes, p),
+            DeviceConfig { gpus_per_node: gpus, gpu_mem_bytes },
+        );
+        // A dead node needs a surviving peer in its grid row.
+        let dead: Vec<usize> =
+            if nodes / p > 1 && dead_pick < nodes { vec![dead_pick] } else { Vec::new() };
+        let plan = ExecutionPlan::build_with(&spec, config, &dead).expect("plan builds");
+        let low = lower(&spec, &plan, &ExecOptions::default());
+
+        let mut union = BTreeSet::new();
+        let (mut others_keys, mut all_partials) = (0, 0);
+        for (rank, (rn, node)) in low.reduce.iter().zip(&plan.nodes).enumerate() {
+            let partials: usize = node
+                .gpus
+                .iter()
+                .flat_map(|gpu| &gpu.blocks)
+                .map(|bp| block_c_tiles(&spec, &bp.block, node.grid_row, p).len())
+                .sum();
+            prop_assert_eq!(rn.partials, partials);
+            all_partials += partials;
+            for &key in &rn.keys {
+                prop_assert!(union.insert(key), "C{key:?} is produced on two ranks");
+            }
+            if rank != REDUCE_ROOT {
+                others_keys += rn.keys.len();
+                prop_assert_eq!(low.reduce_expected(rank), partials);
+            }
+        }
+        let kept: BTreeSet<(usize, usize)> = (0..spec.tile_cols())
+            .flat_map(|j| spec.c_col_support(j, 0, 1).into_iter().map(move |i| (i, j)))
+            .collect();
+        prop_assert_eq!(&union, &kept);
+        prop_assert!(all_partials >= union.len());
+        prop_assert_eq!(
+            low.reduce_expected(REDUCE_ROOT),
+            low.reduce[REDUCE_ROOT].partials + others_keys
+        );
+        if dead.first().is_some_and(|&d| d != REDUCE_ROOT) {
+            prop_assert!(low.reduce[dead[0]].keys.is_empty());
+        }
     }
 }
