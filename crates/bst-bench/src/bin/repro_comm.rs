@@ -40,7 +40,8 @@
 //! ```
 
 use bst_bench::{
-    numeric_bench_problem, minijson, traced_numeric_run, unicast_baseline, BaselineBytes,
+    flag_value, minijson, numeric_bench_problem, traced_numeric_run, unicast_baseline, usage_exit,
+    BaselineBytes,
 };
 use bst_contract::{ExecOptions, ExecReport, LinkShaper, ProblemSpec};
 use bst_runtime::comm::LinkClass;
@@ -65,20 +66,19 @@ fn main() {
             "--tiny" => tiny = true,
             "--no-sweep" => sweep = false,
             "--nodes" => {
-                let s = it.next().unwrap_or_else(|| panic!("--nodes needs a count"));
-                nodes = s.parse().unwrap_or_else(|_| panic!("--nodes must be a usize, got {s}"));
-                assert!(nodes >= 1, "--nodes must be >= 1");
+                nodes = flag_value(USAGE, "--nodes", it.next());
+                if nodes < 1 {
+                    usage_exit(USAGE, "--nodes must be >= 1");
+                }
             }
             "--node-size" => {
-                let s = it.next().unwrap_or_else(|| panic!("--node-size needs a count"));
-                node_size =
-                    s.parse().unwrap_or_else(|_| panic!("--node-size must be a usize, got {s}"));
-                assert!(node_size >= 1, "--node-size must be >= 1");
+                node_size = flag_value(USAGE, "--node-size", it.next());
+                if node_size < 1 {
+                    usage_exit(USAGE, "--node-size must be >= 1");
+                }
             }
-            "--out" => {
-                out_path = it.next().unwrap_or_else(|| panic!("--out needs a file path")).clone()
-            }
-            other => panic!("unknown argument {other}\n{USAGE}"),
+            "--out" => out_path = flag_value(USAGE, "--out", it.next()),
+            other => usage_exit(USAGE, &format!("unknown argument {other}")),
         }
     }
 

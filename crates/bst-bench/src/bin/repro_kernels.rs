@@ -1,41 +1,67 @@
-//! Micro-benchmark of the tile GEMM kernel family on the shapes a real
-//! plan executes, emitting `BENCH_kernels.json`.
+//! Micro-benchmark of the tile GEMM kernel family, emitting
+//! `BENCH_kernels.json`.
 //!
 //! The paper's executor spends its GPU time in many small, irregular tile
 //! GEMMs; §5 observes that their arithmetic intensity, not peak flops,
 //! decides throughput. This binary grounds the kernel-dispatch layer
-//! (`bst_tile::kernel`) in that regime:
+//! (`bst_tile::kernel`) in the regimes the workloads live in:
 //!
-//! 1. builds a synthetic contraction and takes the *plan-derived* GEMM
-//!    shape histogram (the exact `(m, n, k)` mix the executor would run);
-//! 2. for the heaviest shapes, checks every [`KernelKind`] against
-//!    `gemm_naive` to 1e-10 (any divergence exits non-zero — this is the
-//!    same bar as the property tests, but on the real shapes);
-//! 3. measures each kernel's flop rate through a cache-cold operand ring,
-//!    and records the measured winner beside the kernel
-//!    [`select_heuristic`] dispatches — the offline table the heuristic's
-//!    thresholds are re-derived from;
-//! 4. writes everything as JSON and re-parses the document with
-//!    [`bst_bench::minijson`] — a malformed file also exits non-zero, so
-//!    CI can gate on this binary end to end.
+//! 1. takes the *plan-derived* GEMM shapes of a synthetic contraction (the
+//!    heaviest `(m, n, k)` of the mix the executor would run) and a fixed
+//!    **ladder** beside them — cubes from 8 to 384 and six ragged shapes —
+//!    because the plan's shapes are one point (≈ 111×119×120) and the
+//!    benchmark workloads' tiles span 16–384 edges;
+//! 2. checks every column — each [`KernelKind`], and the SIMD kernel with
+//!    each [`SimdDriver`] forced — against `gemm_naive` to 1e-10 (any
+//!    divergence exits non-zero: the property tests' bar, on these shapes);
+//! 3. measures each column's flop rate through a cache-cold operand ring and
+//!    records the measured winner beside the kernel [`select_heuristic`]
+//!    dispatches — the offline table the in-place / packed threshold of
+//!    `gemm_simd` and the rules of `select_heuristic` are read from;
+//! 4. records the host's `cpu` features (a file from a host without
+//!    AVX2+FMA measures the scalar fallback under the name `simd`), writes
+//!    everything as JSON and re-parses the document with
+//!    [`bst_bench::minijson`] — a malformed file also exits non-zero, so CI
+//!    can gate on this binary end to end.
 //!
 //! Usage:
 //! ```text
 //! repro_kernels [--tiny] [--out BENCH_kernels.json]
 //! ```
 
-use bst_bench::{minijson, numeric_bench_problem};
+use bst_bench::{flag_value, minijson, numeric_bench_problem, usage_exit};
 use bst_contract::{DeviceConfig, ExecutionPlan, GridConfig, PlannerConfig};
-use bst_tile::gemm::{gemm_flops, gemm_naive};
-use bst_tile::kernel::{select_heuristic, KernelKind};
+use bst_tile::gemm::{gemm_flops, gemm_naive, gemm_simd_with, SimdDriver};
+use bst_tile::kernel::{select_heuristic, GemmFn, KernelKind};
 use bst_tile::Tile;
 use std::fmt::Write as _;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 const USAGE: &str = "usage: repro_kernels [--tiny] [--out FILE]";
 
-/// Shapes benchmarked (the heaviest by total flops).
+/// Plan-derived shapes benchmarked (the heaviest by total flops).
 const MAX_SHAPES: usize = 8;
+
+/// The fixed ladder: cube edges spanning the benchmark workloads' tiles
+/// (`sparse_grid` 16–48, `ccsd_abcd` ≈ 25, `service_sweeps` 48–128,
+/// `dense_tiles` 192–384) ...
+const LADDER_CUBES: [usize; 11] = [8, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384];
+/// ... and ragged shapes: off the micro-tile grid in `m` and `n`, one
+/// short output edge each way, and two of `dense_tiles`' size whose A
+/// columns start at every alignment.
+const LADDER_RAGGED: [(usize, usize, usize); 6] =
+    [(16, 48, 24), (33, 17, 40), (5, 200, 64), (200, 5, 64), (217, 301, 263), (333, 205, 377)];
+
+/// Every measured column: the four kinds as dispatched, then the SIMD
+/// kernel with each driver forced (so the threshold between them is read
+/// off the file). The name is the JSON key.
+fn columns() -> Vec<(&'static str, GemmFn)> {
+    let mut cols: Vec<(&'static str, GemmFn)> =
+        KernelKind::ALL.iter().map(|k| (k.name(), k.func())).collect();
+    cols.push(("simd_inplace", |al, a, b, c| gemm_simd_with(SimdDriver::InPlace, al, a, b, c)));
+    cols.push(("simd_packed", |al, a, b, c| gemm_simd_with(SimdDriver::Packed, al, a, b, c)));
+    cols
+}
 
 /// Operand working set the timing ring is sized to exceed, so successive
 /// iterations read mostly cache-cold tiles — the executor streams distinct
@@ -43,16 +69,28 @@ const MAX_SHAPES: usize = 8;
 /// packing cost is hidden by cache-hot reruns.
 const TIMING_RING_BYTES: usize = 4 << 20;
 
-/// Measured flop rate of `kind` on an `m × n × k` product, in Gflop/s.
+/// Timed rounds per shape. Every round times one batch of every column in
+/// turn and the fastest batch of each is reported: the box's other tenants
+/// only ever add time, and a burst of theirs lands on one round of all the
+/// columns rather than on every batch of one.
+const ROUNDS: usize = 15;
+
+/// Measured flop rate of each of `columns` on an `m × n × k` product, in
+/// Gflop/s.
 ///
 /// Calls rotate through a ring of distinct `(a, b)` operand pairs
 /// accumulating into a single shared `c` — the executor's cache profile:
 /// every Gemm of a block streams fresh A/B tiles but accumulates into a C
-/// tile that stays resident across the block's whole k-loop. The batch is
-/// adaptively repeated until the sample is long enough to trust.
-fn measure_gflops(kind: KernelKind, m: usize, n: usize, k: usize) -> f64 {
+/// tile that stays resident across the block's whole k-loop. A column's
+/// batch is grown until it is long enough to trust, then repeated.
+fn measure_gflops(
+    columns: &[(&'static str, GemmFn)],
+    (m, n, k): (usize, usize, usize),
+    min_batch: Duration,
+) -> Vec<f64> {
     let per_set = 8 * (m * k + k * n);
-    let len = (TIMING_RING_BYTES / per_set.max(1)).clamp(1, 64);
+    // At least two sets: a ring of one would rerun the largest shapes hot.
+    let len = TIMING_RING_BYTES.div_ceil(per_set).clamp(2, 64);
     let sets: Vec<(Tile, Tile)> = (0..len as u64)
         .map(|i| {
             let seed = 0x5eed_0000 + i;
@@ -61,39 +99,54 @@ fn measure_gflops(kind: KernelKind, m: usize, n: usize, k: usize) -> f64 {
         .collect();
     let mut c = Tile::zeros(m, n);
     let mut next = 0;
-    let mut run = || {
-        let (a, b) = &sets[next];
-        kind.run(1.0, a, b, &mut c);
-        next = (next + 1) % len;
-    };
-    run(); // warm the pack scratch and instruction cache
-    let mut iters: u32 = 1;
-    let secs = loop {
+    let mut batch = |kernel: GemmFn, iters: u32| {
         let t0 = Instant::now();
         for _ in 0..iters {
-            run();
+            let (a, b) = &sets[next];
+            kernel(1.0, a, b, &mut c);
+            next = (next + 1) % len;
         }
-        let dt = t0.elapsed();
-        if dt.as_micros() >= 200 || iters >= 1 << 16 {
-            break dt.as_secs_f64() / f64::from(iters);
-        }
-        iters *= 4;
+        t0.elapsed()
     };
-    gemm_flops(m as u64, n as u64, k as u64) as f64 / secs / 1e9
+    let iters: Vec<u32> = columns
+        .iter()
+        .map(|&(_, kernel)| {
+            batch(kernel, 1); // warm the pack scratch and instruction cache
+            let mut iters = 1;
+            while batch(kernel, iters) < min_batch && iters < 1 << 16 {
+                iters *= 4;
+            }
+            iters
+        })
+        .collect();
+    let mut best = vec![Duration::MAX; columns.len()];
+    for _ in 0..ROUNDS {
+        for ((&(_, kernel), &iters), best) in columns.iter().zip(&iters).zip(&mut best) {
+            *best = (*best).min(batch(kernel, iters));
+        }
+    }
+    let flops = gemm_flops(m as u64, n as u64, k as u64) as f64;
+    iters.iter().zip(&best).map(|(&it, t)| flops * f64::from(it) / t.as_secs_f64() / 1e9).collect()
+}
+
+/// Whether this host has the features the SIMD kernel needs, asked of the
+/// CPU directly so the record does not depend on the code it qualifies.
+fn cpu_features() -> (bool, bool) {
+    #[cfg(target_arch = "x86_64")]
+    return (is_x86_feature_detected!("avx2"), is_x86_feature_detected!("fma"));
+    #[cfg(not(target_arch = "x86_64"))]
+    (false, false)
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut tiny = false;
     let mut out_path = "results/BENCH_kernels.json".to_string();
-    let mut it = args.iter();
+    let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
             "--tiny" => tiny = true,
-            "--out" => {
-                out_path = it.next().unwrap_or_else(|| panic!("--out needs a file path")).clone()
-            }
-            other => panic!("unknown argument {other}\n{USAGE}"),
+            "--out" => out_path = flag_value(USAGE, "--out", it.next()),
+            other => usage_exit(USAGE, &format!("unknown argument {other}")),
         }
     }
 
@@ -111,7 +164,9 @@ fn main() {
     let hist = plan.gemm_shape_histogram(&spec);
     assert!(!hist.is_empty(), "plan has no GEMM tasks");
 
-    // Heaviest shapes by total flops.
+    // Heaviest plan shapes by total flops, then the ladder (`tasks` = 0
+    // marks a shape no plan asked for). `--tiny` keeps the ladder's shapes
+    // of edge ≤ 200: CI checks the columns and the document, not the rates.
     let mut weighted: Vec<((usize, usize, usize), u64, u128)> = hist
         .iter()
         .map(|&((m, n, k), count)| {
@@ -121,30 +176,37 @@ fn main() {
         .collect();
     weighted.sort_by(|a, b| b.2.cmp(&a.2).then(a.0.cmp(&b.0)));
     weighted.truncate(MAX_SHAPES);
+    let mut shapes: Vec<((usize, usize, usize), u64)> =
+        weighted.iter().map(|&(shape, count, _)| (shape, count)).collect();
+    let max_edge = if tiny { 200 } else { usize::MAX };
+    let ladder = LADDER_CUBES.iter().map(|&e| (e, e, e)).chain(LADDER_RAGGED);
+    shapes.extend(ladder.filter(|&(m, n, k)| m.max(n).max(k) <= max_edge).map(|shape| (shape, 0)));
+    let min_batch = Duration::from_micros(if tiny { 200 } else { 4000 });
 
     println!(
-        "# kernel micro-benchmark — {} distinct shapes in plan, benchmarking top {}",
+        "# kernel micro-benchmark — {} distinct shapes in plan, benchmarking top {} + {} ladder shapes",
         hist.len(),
-        weighted.len()
+        weighted.len(),
+        shapes.len() - weighted.len()
     );
 
+    let columns = columns();
     let mut shapes_json = String::new();
-    for (si, &((m, n, k), count, _)) in weighted.iter().enumerate() {
-        // Correctness gate: every kernel must agree with the naive triple
+    for (si, &((m, n, k), count)) in shapes.iter().enumerate() {
+        // Correctness gate: every column must agree with the naive triple
         // loop on this exact shape.
         let a = Tile::random(m, k, 0xA0 + si as u64);
         let b = Tile::random(k, n, 0xB0 + si as u64);
         let c0 = Tile::random(m, n, 0xC0 + si as u64);
         let mut c_ref = c0.clone();
         gemm_naive(1.0, &a, &b, &mut c_ref);
-        for kind in KernelKind::ALL {
+        for &(name, kernel) in &columns {
             let mut c = c0.clone();
-            kind.run(1.0, &a, &b, &mut c);
+            kernel(1.0, &a, &b, &mut c);
             let diff = c.max_abs_diff(&c_ref);
             if diff >= 1e-10 {
                 eprintln!(
-                    "error: kernel {} diverges from naive on {m}x{n}x{k}: max |Δ| = {diff:.3e}",
-                    kind.name()
+                    "error: kernel {name} diverges from naive on {m}x{n}x{k}: max |Δ| = {diff:.3e}"
                 );
                 std::process::exit(1);
             }
@@ -152,32 +214,24 @@ fn main() {
 
         // Flop rates through the cache-cold ring (the executor streams
         // distinct operand tiles, so a hot single-pair loop would lie).
-        let rates: Vec<(KernelKind, f64)> = KernelKind::ALL
+        let rates: Vec<(&str, f64)> = columns
             .iter()
-            .map(|&kind| (kind, measure_gflops(kind, m, n, k)))
+            .map(|&(name, _)| name)
+            .zip(measure_gflops(&columns, (m, n, k), min_batch))
             .collect();
         let winner = rates
             .iter()
-            .cloned()
             .max_by(|x, y| x.1.total_cmp(&y.1))
-            .map(|(kind, _)| kind)
-            .expect("KernelKind::ALL is non-empty");
-        let heuristic = select_heuristic(m, n, k);
+            .map(|&(name, _)| name)
+            .expect("at least one column");
+        let heuristic = select_heuristic(m, n, k).name();
 
-        let mut rate_strs = Vec::new();
-        let mut rate_json = String::new();
-        for (i, &(kind, g)) in rates.iter().enumerate() {
-            rate_strs.push(format!("{}={:.2}", kind.name(), g));
-            if i > 0 {
-                rate_json.push_str(", ");
-            }
-            write!(rate_json, "\"{}\": {:.4}", kind.name(), g).unwrap();
-        }
+        let rate_strs: Vec<String> = rates.iter().map(|(name, g)| format!("{name}={g:.2}")).collect();
+        let rate_json: Vec<String> =
+            rates.iter().map(|(name, g)| format!("\"{name}\": {g:.4}")).collect();
         println!(
-            "  {m}x{n}x{k} (x{count}): {}  -> {} (heuristic: {})",
+            "  {m}x{n}x{k} (x{count}): {}  -> {winner} (heuristic: {heuristic})",
             rate_strs.join(" "),
-            winner.name(),
-            heuristic.name()
         );
 
         if si > 0 {
@@ -186,15 +240,16 @@ fn main() {
         write!(
             shapes_json,
             "    {{\"m\": {m}, \"n\": {n}, \"k\": {k}, \"tasks\": {count}, \
-             \"gflops\": {{{rate_json}}}, \"winner\": \"{}\", \"heuristic\": \"{}\"}}",
-            winner.name(),
-            heuristic.name()
+             \"gflops\": {{{}}}, \"winner\": \"{winner}\", \"heuristic\": \"{heuristic}\"}}",
+            rate_json.join(", "),
         )
         .unwrap();
     }
 
+    let (avx2, fma) = cpu_features();
     let json = format!(
         "{{\n  \"problem\": {{\"m\": {}, \"n\": {}, \"k\": {}, \"tiny\": {tiny}}},\n  \
+         \"cpu\": {{\"avx2\": {avx2}, \"fma\": {fma}}},\n  \
          \"shapes\": [\n{shapes_json}\n  ]\n}}\n",
         spec.a.rows(),
         spec.b.cols(),
@@ -208,7 +263,7 @@ fn main() {
     std::fs::write(&out_path, &json).expect("write BENCH JSON");
 
     // Self-validation: the emitted document must re-parse, and must carry a
-    // measured rate for every kernel of every shape.
+    // measured rate for every column of every shape.
     let doc = match minijson::parse(&json) {
         Ok(doc) => doc,
         Err(e) => {
@@ -216,38 +271,28 @@ fn main() {
             std::process::exit(1);
         }
     };
-    let shapes = doc
+    let parsed = doc
         .get("shapes")
         .and_then(|v| v.as_arr())
         .unwrap_or_else(|| {
             eprintln!("error: emitted JSON has no shapes array");
             std::process::exit(1);
         });
-    for s in shapes {
-        let (m, n, k) = (
-            s.get("m").and_then(|v| v.as_num()).unwrap() as usize,
-            s.get("n").and_then(|v| v.as_num()).unwrap() as usize,
-            s.get("k").and_then(|v| v.as_num()).unwrap() as usize,
-        );
-        for kind in KernelKind::ALL {
-            let rate = s
-                .get("gflops")
-                .and_then(|g| g.get(kind.name()))
-                .and_then(|v| v.as_num());
-            match rate {
-                Some(r) if r > 0.0 => {}
-                _ => {
-                    eprintln!(
-                        "error: shape {m}x{n}x{k} lacks a positive rate for {}",
-                        kind.name()
-                    );
-                    std::process::exit(1);
-                }
+    for (s, &((m, n, k), _)) in parsed.iter().zip(&shapes) {
+        for &(name, _) in &columns {
+            let rate = s.get("gflops").and_then(|g| g.get(name)).and_then(|v| v.as_num());
+            if !rate.is_some_and(|r| r > 0.0) {
+                eprintln!("error: shape {m}x{n}x{k} lacks a positive rate for {name}");
+                std::process::exit(1);
             }
         }
     }
+    if parsed.len() != shapes.len() {
+        eprintln!("error: emitted {} shapes, measured {}", parsed.len(), shapes.len());
+        std::process::exit(1);
+    }
     println!(
-        "# wrote {out_path}: {} shapes, all kernels verified against naive to 1e-10",
-        shapes.len()
+        "# wrote {out_path}: {} shapes, every column verified against naive to 1e-10",
+        parsed.len()
     );
 }

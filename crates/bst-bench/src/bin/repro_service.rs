@@ -29,7 +29,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use bst_bench::{minijson, tiny_numeric_spec};
+use bst_bench::{flag_value, minijson, tiny_numeric_spec, usage_exit};
 use bst_contract::{
     validate_trace_invariants, ContractionRequest, ContractionService, DeviceConfig, ExecOptions,
     ExecutionPlan, GridConfig, PlannerConfig, ProblemSpec, ServiceBGen, ServiceConfig,
@@ -52,19 +52,19 @@ fn main() {
         match a.as_str() {
             "--tiny" => tiny = true,
             "--nodes" => {
-                let s = it.next().unwrap_or_else(|| panic!("--nodes needs a count"));
-                nodes = s.parse().unwrap_or_else(|_| panic!("--nodes must be a usize, got {s}"));
-                assert!(nodes >= 1, "--nodes must be >= 1");
+                nodes = flag_value(USAGE, "--nodes", it.next());
+                if nodes < 1 {
+                    usage_exit(USAGE, "--nodes must be >= 1");
+                }
             }
             "--sweeps" => {
-                let s = it.next().unwrap_or_else(|| panic!("--sweeps needs a count"));
-                sweeps = s.parse().unwrap_or_else(|_| panic!("--sweeps must be a usize, got {s}"));
-                assert!(sweeps >= 2, "--sweeps must be >= 2 (need at least one warm sweep)");
+                sweeps = flag_value(USAGE, "--sweeps", it.next());
+                if sweeps < 2 {
+                    usage_exit(USAGE, "--sweeps must be >= 2 (need at least one warm sweep)");
+                }
             }
-            "--out" => {
-                out_path = it.next().unwrap_or_else(|| panic!("--out needs a file path")).clone()
-            }
-            other => panic!("unknown argument {other}\n{USAGE}"),
+            "--out" => out_path = flag_value(USAGE, "--out", it.next()),
+            other => usage_exit(USAGE, &format!("unknown argument {other}")),
         }
     }
 

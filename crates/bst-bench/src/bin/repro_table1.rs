@@ -18,7 +18,10 @@
 //! smaller = faster). `--trace` rides along a tiny traced *numeric*
 //! execution and writes its Chrome-trace profile.
 
+use bst_bench::{flag_value, usage_exit};
 use bst_chem::{CcsdProblem, Molecule, ProblemTraits, ScreeningParams, TilingSpec};
+
+const USAGE: &str = "usage: repro_table1 [--carbons N] [--trace FILE.json]";
 
 fn main() {
     let mut carbons = 65usize;
@@ -26,15 +29,9 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--carbons" => {
-                carbons = args
-                    .next()
-                    .expect("--carbons needs a value")
-                    .parse()
-                    .expect("--carbons must be an integer");
-            }
-            "--trace" => trace = Some(args.next().expect("--trace needs a file path")),
-            other => panic!("unknown argument {other}"),
+            "--carbons" => carbons = flag_value(USAGE, "--carbons", args.next()),
+            "--trace" => trace = Some(flag_value(USAGE, "--trace", args.next())),
+            other => usage_exit(USAGE, &format!("unknown argument {other}")),
         }
     }
 

@@ -26,7 +26,9 @@
 //! repro_trace --numeric [--tiny] [--out FILE] [--faults SEED]   # traced numeric run
 //! ```
 
-use bst_bench::{check_chrome_trace, numeric_bench_problem, traced_numeric_run};
+use bst_bench::{
+    check_chrome_trace, flag_value, numeric_bench_problem, traced_numeric_run, usage_exit,
+};
 use bst_chem::{CcsdProblem, Molecule, ScreeningParams, TilingSpec};
 use bst_contract::{
     validate_trace_invariants, DeviceConfig, ExecOptions, ExecutionPlan, FaultPlan, GridConfig,
@@ -60,18 +62,14 @@ fn numeric_mode(args: &[String]) {
             "--numeric" => {}
             "--tiny" => tiny = true,
             "--nodes" => {
-                let s = it.next().unwrap_or_else(|| panic!("--nodes needs a count"));
-                nodes = s.parse().unwrap_or_else(|_| panic!("--nodes must be a usize, got {s}"));
-                assert!(nodes >= 1, "--nodes must be >= 1");
+                nodes = flag_value(USAGE, "--nodes", it.next());
+                if nodes < 1 {
+                    usage_exit(USAGE, "--nodes must be >= 1");
+                }
             }
-            "--out" => {
-                out_path = it.next().unwrap_or_else(|| panic!("--out needs a file path")).clone()
-            }
-            "--faults" => {
-                let s = it.next().unwrap_or_else(|| panic!("--faults needs a seed"));
-                faults = Some(s.parse().unwrap_or_else(|_| panic!("--faults seed must be a u64, got {s}")));
-            }
-            other => panic!("unknown argument {other}\n{USAGE}"),
+            "--out" => out_path = flag_value(USAGE, "--out", it.next()),
+            "--faults" => faults = Some(flag_value(USAGE, "--faults", it.next())),
+            other => usage_exit(USAGE, &format!("unknown argument {other}")),
         }
     }
 
@@ -214,7 +212,7 @@ fn simulator_mode(tiling: &str) {
         "v1" => TilingSpec::v1(),
         "v2" => TilingSpec::v2(),
         "v3" => TilingSpec::v3(),
-        other => panic!("unknown tiling {other}\n{USAGE}"),
+        other => usage_exit(USAGE, &format!("unknown tiling {other}")),
     };
     let molecule = Molecule::alkane(40);
     let spec_t = spec_t.scaled_for(&molecule);

@@ -354,6 +354,29 @@ pub fn write_csv(name: &str, header: &[&str], rows: &[Vec<String>]) -> std::io::
     Ok(())
 }
 
+/// Rejects a bad command line the way a CLI should: `error: {msg}` and the
+/// usage line on stderr, exit status 2 — not a panic with a backtrace.
+pub fn usage_exit(usage: &str, msg: &str) -> ! {
+    eprintln!("error: {msg}\n{usage}");
+    std::process::exit(2)
+}
+
+/// The value following `flag` on the command line, parsed as `T`;
+/// [`usage_exit`] when it is missing or does not parse.
+pub fn flag_value<T: std::str::FromStr>(
+    usage: &str,
+    flag: &str,
+    value: Option<impl AsRef<str>>,
+) -> T {
+    let Some(value) = value else {
+        usage_exit(usage, &format!("{flag} needs a value"));
+    };
+    let value = value.as_ref();
+    value.parse().unwrap_or_else(|_| {
+        usage_exit(usage, &format!("{flag}: cannot parse {value:?} as {}", std::any::type_name::<T>()))
+    })
+}
+
 /// Parses the common `--quick` / `--carbons N` style flags.
 pub struct Args {
     /// Reduced sweep requested.
@@ -364,20 +387,17 @@ pub struct Args {
 }
 
 impl Args {
-    /// Parses process arguments; panics on unknown flags.
+    /// Parses process arguments; an unknown flag is a [`usage_exit`].
     pub fn parse() -> Self {
+        const USAGE: &str = "usage: repro_* [--quick] [--trace PATH]";
         let mut quick = false;
         let mut trace = None;
         let mut it = std::env::args().skip(1);
         while let Some(a) = it.next() {
             match a.as_str() {
                 "--quick" => quick = true,
-                "--trace" => {
-                    trace = Some(it.next().expect("--trace needs a file path"));
-                }
-                other => {
-                    panic!("unknown argument {other} (supported: --quick, --trace PATH)")
-                }
+                "--trace" => trace = Some(flag_value(USAGE, "--trace", it.next())),
+                other => usage_exit(USAGE, &format!("unknown argument {other}")),
             }
         }
         Self { quick, trace }

@@ -90,21 +90,46 @@ fn check_service(doc: &Value, f: &str) {
     assert!(num(doc, f, "b_gen_reduction") >= 5.0, "{f}: B-generation reduction below 5x");
 }
 
+/// Gates on the kernel ladder: the dispatched kernel is within 10% of the
+/// measured winner on every shape (winner taken over every column, the
+/// forced SIMD drivers included, so a misplaced in-place / packed threshold
+/// fails too), and on a host with AVX2+FMA the SIMD kernel clears 1.5× the
+/// scalar packed one on every cube ≥ 64 — below that it silently fell back.
 fn check_kernels(doc: &Value, f: &str) {
+    let cpu = doc.get("cpu").unwrap_or_else(|| panic!("{f}: missing \"cpu\" record"));
+    let has = |feature: &str| {
+        cpu.get(feature)
+            .and_then(Value::as_bool)
+            .unwrap_or_else(|| panic!("{f}: cpu record lacks \"{feature}\""))
+    };
+    let simd_host = has("avx2") && has("fma");
     let shapes = arr(doc, f, "shapes");
     assert!(!shapes.is_empty(), "{f}: no shapes benchmarked");
+    let mut cubes = 0;
     for s in shapes {
-        let winner = s
-            .get("winner")
-            .and_then(Value::as_str)
-            .unwrap_or_else(|| panic!("{f}: shape without winner"));
+        let (m, n, k) = (num(s, f, "m"), num(s, f, "n"), num(s, f, "k"));
         let gflops = s.get("gflops").unwrap_or_else(|| panic!("{f}: shape without gflops"));
-        let rate = gflops
-            .get(winner)
-            .and_then(Value::as_num)
-            .unwrap_or_else(|| panic!("{f}: winner \"{winner}\" not among the measured kernels"));
-        assert!(rate > 0.0, "{f}: winner at zero throughput");
+        let rate = |key: &str| {
+            let name = s
+                .get(key)
+                .and_then(Value::as_str)
+                .unwrap_or_else(|| panic!("{f}: {m}x{n}x{k} without {key}"));
+            num(gflops, f, name)
+        };
+        assert!(rate("winner") > 0.0, "{f}: winner at zero throughput");
+        assert!(
+            rate("heuristic") >= 0.9 * rate("winner"),
+            "{f}: on {m}x{n}x{k} the dispatched kernel is more than 10% behind the winner"
+        );
+        if m == n && n == k && m >= 64.0 {
+            cubes += 1;
+            assert!(
+                !simd_host || num(gflops, f, "simd") >= 1.5 * num(gflops, f, "packed4x4"),
+                "{f}: simd below 1.5x packed4x4 on the {m}-cube of an AVX2+FMA host"
+            );
+        }
     }
+    assert!(cubes >= 5, "{f}: the ladder's large cubes are missing");
 }
 
 /// Sweeps every committed `BENCH_*.json`. Unknown artifacts fail loudly:
@@ -117,7 +142,9 @@ fn every_committed_bench_artifact_passes_its_gates() {
     for entry in std::fs::read_dir(&dir).expect("results/ directory") {
         let path = entry.expect("dir entry").path();
         let name = path.file_name().unwrap().to_string_lossy().into_owned();
-        if !name.starts_with("BENCH_") || !name.ends_with(".json") {
+        // `*_ci.json` are the CI steps' tiny regenerations: git-ignored,
+        // gated by the binary that wrote them.
+        if !name.starts_with("BENCH_") || !name.ends_with(".json") || name.ends_with("_ci.json") {
             continue;
         }
         let doc = load(&path);

@@ -1,15 +1,16 @@
 //! `C += A * B` kernels on dense tiles.
 //!
-//! A family of implementations with identical semantics:
+//! Four implementations with identical semantics:
 //!
 //! * [`gemm_naive`] — triple loop, the correctness reference;
 //! * [`gemm_blocked`] — cache-blocked with a column-major-friendly loop
-//!   order, the default CPU kernel;
-//! * [`gemm_packed`] / [`gemm_packed_8x4`] / [`gemm_packed_4x8`] /
-//!   [`gemm_packed_8x8`] — GotoBLAS-style packed panels with an `MR × NR`
-//!   register-blocked micro-kernel; both operands are packed (A into
-//!   `MR`-row panels, B into `NR`-column panels) so the micro-kernel
-//!   streams everything with unit stride.
+//!   order; the thin-shape path and the reference kernel of the baselines;
+//! * [`gemm_packed`] — GotoBLAS-style packed panels with a scalar `4 × 4`
+//!   register-blocked micro-kernel; what a host without AVX2+FMA runs;
+//! * [`gemm_simd`] — one hand-written AVX2+FMA `8 × 6` micro-kernel under
+//!   two drivers ([`SimdDriver`]): A packed into panels when it is large,
+//!   read in place when it is not; B always in place. Detected at run
+//!   time; without the features it *is* [`gemm_packed`].
 //!
 //! Every kernel runs on the calling thread: one Gemm task is one kernel
 //! call, and all concurrency comes from the engine's device lanes. Picking
@@ -83,6 +84,9 @@ pub fn gemm_blocked(alpha: f64, a: &Tile, b: &Tile, c: &mut Tile) {
     }
 }
 
+#[cfg(target_arch = "x86_64")]
+mod simd;
+
 thread_local! {
     /// Per-thread pack scratch for the packed kernels: `(A panels, B panels)`.
     /// Reused across calls so the hot path performs no allocation once the
@@ -92,19 +96,17 @@ thread_local! {
     static PACK_SCRATCH: RefCell<(Vec<f64>, Vec<f64>)> = const { RefCell::new((Vec::new(), Vec::new())) };
 }
 
-/// Packed kernel generic over the `MR × NR` register micro-tile.
+/// Scalar packed kernel with a 4×4 register micro-tile — the portable
+/// fallback of [`gemm_simd`].
 ///
 /// Both operands are packed: `A` into `MR`-row panels and `B` into
 /// `NR`-column panels, each stored k-major, so the micro-kernel streams
 /// every operand with unit stride — the classical GotoBLAS structure at the
 /// scale a tile kernel needs. The `MR × NR` accumulators live in locals so
-/// the `k` loop is a pure FMA sweep the compiler can vectorise.
-fn gemm_packed_generic<const MR: usize, const NR: usize>(
-    alpha: f64,
-    a: &Tile,
-    b: &Tile,
-    c: &mut Tile,
-) {
+/// the `k` loop is a pure multiply-add sweep the compiler can vectorise.
+pub fn gemm_packed(alpha: f64, a: &Tile, b: &Tile, c: &mut Tile) {
+    const MR: usize = 4;
+    const NR: usize = 4;
     check_shapes(c, a, b);
     let (m, n, kk) = (a.rows(), b.cols(), a.cols());
     if m < MR || n < NR {
@@ -184,25 +186,70 @@ fn gemm_packed_generic<const MR: usize, const NR: usize>(
     });
 }
 
-/// Packed kernel with a 4×4 register micro-tile (the conservative default).
-pub fn gemm_packed(alpha: f64, a: &Tile, b: &Tile, c: &mut Tile) {
-    gemm_packed_generic::<4, 4>(alpha, a, b, c);
+/// How [`gemm_simd`] feeds A to its micro-kernel (B is read in place by
+/// both: its `NR`-column panels are contiguous as they lie).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SimdDriver {
+    /// Full micro-tiles read straight off the A tile; only the ragged last
+    /// row panel is copied. No pack traffic — wins on small and mid-size
+    /// tiles.
+    InPlace,
+    /// A copied once into zero-padded k-major `MR`-row panels, so the
+    /// micro-kernel streams it with unit stride — wins once A outgrows the
+    /// reach of the strided walk.
+    Packed,
 }
 
-/// Packed kernel with an 8×4 micro-tile — favours tall tiles (`m ≥ n`).
-pub fn gemm_packed_8x4(alpha: f64, a: &Tile, b: &Tile, c: &mut Tile) {
-    gemm_packed_generic::<8, 4>(alpha, a, b, c);
+/// Largest A operand (`m·k` elements; 256 KiB) [`gemm_simd`] reads in
+/// place. Read off the `simd_inplace` / `simd_packed` columns of
+/// `results/BENCH_kernels.json` (`repro_kernels`): in place leads by 4–15%
+/// from the 8-cube to the 128-cube (A = 16 k elements), the two tie at the
+/// 192-cube (37 k), and in place falls behind from the 256-cube (66 k) up —
+/// by 7% there, 21% at 384 and 18% on 333×205×377, the edges `dense_tiles`
+/// is made of.
+const IN_PLACE_MAX_A_ELEMS: usize = 32 * 1024;
+
+/// Whether this host has the CPU features (x86-64 AVX2 and FMA) the SIMD
+/// micro-kernel needs; fixed for the life of the process.
+pub fn simd_available() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    return simd::available();
+    #[cfg(not(target_arch = "x86_64"))]
+    false
 }
 
-/// Packed kernel with a 4×8 micro-tile — favours wide tiles (`n ≥ m`).
-pub fn gemm_packed_4x8(alpha: f64, a: &Tile, b: &Tile, c: &mut Tile) {
-    gemm_packed_generic::<4, 8>(alpha, a, b, c);
+/// AVX2+FMA kernel: an `8 × 6` register micro-tile of twelve 4-wide
+/// accumulators, reading A in place while it is at most 256 KiB and packed
+/// above — a function of the shape alone. On a host without the features
+/// (see [`simd_available`]) this runs [`gemm_packed`] — slower, never
+/// undefined.
+///
+/// FMA rounds once per multiply-add where the scalar kernels round twice,
+/// so results agree with them to rounding (the 1e-10 cross-kernel gate),
+/// not bit for bit.
+pub fn gemm_simd(alpha: f64, a: &Tile, b: &Tile, c: &mut Tile) {
+    let driver = if a.rows() * a.cols() <= IN_PLACE_MAX_A_ELEMS {
+        SimdDriver::InPlace
+    } else {
+        SimdDriver::Packed
+    };
+    gemm_simd_with(driver, alpha, a, b, c);
 }
 
-/// Packed kernel with an 8×8 micro-tile — maximum register reuse, needs
-/// tiles big enough in both dimensions to amortise the pack.
-pub fn gemm_packed_8x8(alpha: f64, a: &Tile, b: &Tile, c: &mut Tile) {
-    gemm_packed_generic::<8, 8>(alpha, a, b, c);
+/// [`gemm_simd`] with the driver forced — for the kernel ladder
+/// (`repro_kernels`) that the in-place threshold is read from, and for the
+/// tests that hold both drivers to the same results on every shape.
+pub fn gemm_simd_with(driver: SimdDriver, alpha: f64, a: &Tile, b: &Tile, c: &mut Tile) {
+    check_shapes(c, a, b);
+    #[cfg(target_arch = "x86_64")]
+    {
+        let (m, n, kk) = (a.rows(), b.cols(), a.cols());
+        if simd::gemm(driver, alpha, m, n, kk, a.data(), b.data(), c.data_mut()) {
+            return;
+        }
+    }
+    let _ = driver;
+    gemm_packed(alpha, a, b, c);
 }
 
 #[cfg(test)]
@@ -251,11 +298,10 @@ mod tests {
     #[test]
     fn packed_matches_naive() {
         type Kernel = fn(f64, &Tile, &Tile, &mut Tile);
-        let variants: [(&str, Kernel); 4] = [
+        let variants: [(&str, Kernel); 3] = [
             ("4x4", gemm_packed),
-            ("8x4", gemm_packed_8x4),
-            ("4x8", gemm_packed_4x8),
-            ("8x8", gemm_packed_8x8),
+            ("simd in place", |al, a, b, c| gemm_simd_with(SimdDriver::InPlace, al, a, b, c)),
+            ("simd packed", |al, a, b, c| gemm_simd_with(SimdDriver::Packed, al, a, b, c)),
         ];
         for &(m, n, k) in &[
             (1usize, 1usize, 1usize),

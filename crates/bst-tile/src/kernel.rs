@@ -1,26 +1,25 @@
 //! Shape-aware GEMM kernel dispatch.
 //!
-//! Small-block GEMM throughput lives or dies on picking the right kernel for
-//! each tile shape (DBCSR makes the same observation for its libcusmm /
-//! libxsmm backends, whose parameter tables are tuned offline): a 3×200×3
-//! sliver wants the plain blocked loop, a 40×40×40 cube stays cache-resident
-//! without packing, and a 256-edge tile wants a packed register-blocked
-//! micro-kernel. This module provides:
+//! Small-block GEMM throughput lives or dies on the kernel under each tile
+//! product (DBCSR makes the same observation for its libcusmm / libxsmm
+//! backends): a 3×200×3 sliver wants the plain blocked loop, everything else
+//! wants the widest register micro-kernel the host has. This module
+//! provides:
 //!
 //! * [`KernelKind`] — an enumeration of every kernel in [`crate::gemm`],
 //!   with [`KernelKind::run`] dispatching to the implementation;
-//! * [`select_heuristic`] — the shape rule; the only place a kernel is
-//!   chosen. Its thresholds are re-derived offline from
-//!   `results/BENCH_kernels.json` (`repro_kernels`), never by timing inside
-//!   an execution.
+//! * [`select_heuristic`] — the rule; the only place a kernel is chosen. It
+//!   reads the shape and the host's CPU features, nothing else — never a
+//!   rank, a thread or a timing — so every run of one process, and of one
+//!   homogeneous fleet, takes the same kernel for the same product. Its
+//!   thresholds are re-derived offline from `results/BENCH_kernels.json`
+//!   (`repro_kernels`).
 //!
 //! Every kernel has identical `C ← alpha·A·B + C` semantics, so dispatch is
 //! a pure performance decision — the property tests in `tests/proptests.rs`
 //! hold all of them to `gemm_naive` behaviour.
 
-use crate::gemm::{
-    gemm_blocked, gemm_naive, gemm_packed, gemm_packed_4x8, gemm_packed_8x4, gemm_packed_8x8,
-};
+use crate::gemm::{gemm_blocked, gemm_naive, gemm_packed, gemm_simd, simd_available};
 use crate::tile::Tile;
 
 /// The common signature of every tile GEMM kernel.
@@ -31,27 +30,22 @@ pub type GemmFn = fn(f64, &Tile, &Tile, &mut Tile);
 pub enum KernelKind {
     /// Triple loop ([`gemm_naive`]).
     Naive,
-    /// Cache-blocked loop ([`gemm_blocked`]) — the pre-dispatch default.
+    /// Cache-blocked loop ([`gemm_blocked`]) — the thin-shape path.
     Blocked,
-    /// Packed panels, 4×4 micro-tile ([`gemm_packed`]).
+    /// Packed panels, scalar 4×4 micro-tile ([`gemm_packed`]).
     Packed4x4,
-    /// Packed panels, 8×4 micro-tile ([`gemm_packed_8x4`]).
-    Packed8x4,
-    /// Packed panels, 4×8 micro-tile ([`gemm_packed_4x8`]).
-    Packed4x8,
-    /// Packed panels, 8×8 micro-tile ([`gemm_packed_8x8`]).
-    Packed8x8,
+    /// AVX2+FMA 8×6 micro-kernel ([`gemm_simd`]); runs [`gemm_packed`] on a
+    /// host without the features.
+    Simd,
 }
 
 impl KernelKind {
     /// Every kernel, in a stable order (used by benches and reports).
-    pub const ALL: [KernelKind; 6] = [
+    pub const ALL: [KernelKind; 4] = [
         KernelKind::Naive,
         KernelKind::Blocked,
         KernelKind::Packed4x4,
-        KernelKind::Packed8x4,
-        KernelKind::Packed4x8,
-        KernelKind::Packed8x8,
+        KernelKind::Simd,
     ];
 
     /// Stable display name (also the key used in `BENCH_kernels.json`).
@@ -60,9 +54,7 @@ impl KernelKind {
             KernelKind::Naive => "naive",
             KernelKind::Blocked => "blocked",
             KernelKind::Packed4x4 => "packed4x4",
-            KernelKind::Packed8x4 => "packed8x4",
-            KernelKind::Packed4x8 => "packed4x8",
-            KernelKind::Packed8x8 => "packed8x8",
+            KernelKind::Simd => "simd",
         }
     }
 
@@ -72,9 +64,7 @@ impl KernelKind {
             KernelKind::Naive => gemm_naive,
             KernelKind::Blocked => gemm_blocked,
             KernelKind::Packed4x4 => gemm_packed,
-            KernelKind::Packed8x4 => gemm_packed_8x4,
-            KernelKind::Packed4x8 => gemm_packed_4x8,
-            KernelKind::Packed8x8 => gemm_packed_8x8,
+            KernelKind::Simd => gemm_simd,
         }
     }
 
@@ -104,38 +94,36 @@ impl KernelKind {
         }
     }
 
-    /// Index of this kind in [`KernelKind::ALL`] (for counter arrays).
+    /// Index of this kind in [`KernelKind::ALL`] (for counter arrays):
+    /// `ALL` lists the variants in declaration order.
     pub fn index(self) -> usize {
-        KernelKind::ALL.iter().position(|&k| k == self).unwrap()
+        self as usize
     }
 }
 
-/// Shape-rule dispatch: pick a kernel for an `m × n × k` product without
-/// any measurement.
+/// Dispatch: pick a kernel for an `m × n × k` product from its shape and
+/// the host's CPU features, without any measurement.
 ///
 /// The rules, in order: problems too thin for a register micro-tile (either
 /// output dimension under 4) or with a trivial inner dimension stay on the
-/// blocked loop (the packed variants would only fall back anyway, after a
-/// useless shape check); large tiles take the packed path, whose panel reuse
+/// blocked loop; a host with AVX2+FMA runs everything else on the SIMD
+/// micro-kernel (which picks its own driver by the size of A). Without the
+/// features: large tiles take the scalar packed path, whose panel reuse
 /// beats the blocked loop once the working set outgrows L1; mid-sized tiles
 /// (roughly 24–48 edges) stay blocked — they fit cache without packing, so
-/// the pack traffic is pure overhead; small-but-micro-tileable shapes pack
-/// too, widened along whichever output dimension has room.
+/// the pack traffic is pure overhead; small-but-micro-tileable shapes pack.
 pub fn select_heuristic(m: usize, n: usize, k: usize) -> KernelKind {
-    let vol = m * n * k;
     if m < 4 || n < 4 || k < 2 {
         return KernelKind::Blocked;
     }
-    if vol >= 48 * 48 * 48 {
-        return KernelKind::Packed4x4;
+    if simd_available() {
+        return KernelKind::Simd;
     }
-    if vol > 20 * 20 * 20 {
-        return KernelKind::Blocked;
-    }
-    match (m >= 8, n >= 8) {
-        (true, true) | (false, true) => KernelKind::Packed4x8,
-        (true, false) => KernelKind::Packed8x4,
-        (false, false) => KernelKind::Packed4x4,
+    let vol = m * n * k;
+    if vol > 20 * 20 * 20 && vol < 48 * 48 * 48 {
+        KernelKind::Blocked
+    } else {
+        KernelKind::Packed4x4
     }
 }
 
@@ -149,28 +137,52 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), KernelKind::ALL.len());
-        assert_eq!(KernelKind::Packed8x4.name(), "packed8x4");
+        assert_eq!(KernelKind::Simd.name(), "simd");
     }
 
     #[test]
     fn index_roundtrips() {
-        for (i, k) in KernelKind::ALL.iter().enumerate() {
-            assert_eq!(k.index(), i);
+        assert_eq!(KernelKind::ALL.len(), 4);
+        for k in KernelKind::ALL {
+            assert_eq!(KernelKind::ALL[k.index()], k);
         }
+    }
+
+    /// Asks the CPU itself, not `simd_available`, so a dispatch that
+    /// stopped consulting the feature check fails here on either kind of
+    /// host.
+    fn host_has_avx2_fma() -> bool {
+        #[cfg(target_arch = "x86_64")]
+        return is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma");
+        #[cfg(not(target_arch = "x86_64"))]
+        false
     }
 
     #[test]
     fn heuristic_respects_shape() {
-        assert_eq!(select_heuristic(512, 512, 512), KernelKind::Packed4x4);
+        // Thin shapes stay on the blocked loop on every host.
         assert_eq!(select_heuristic(2, 200, 50), KernelKind::Blocked);
         assert_eq!(select_heuristic(200, 2, 50), KernelKind::Blocked);
-        // Large tiles pack, mid-size tiles stay blocked (cache-resident
-        // without packing), small tiles pack with a widened micro-tile.
-        assert_eq!(select_heuristic(64, 64, 64), KernelKind::Packed4x4);
-        assert_eq!(select_heuristic(40, 40, 40), KernelKind::Blocked);
-        assert_eq!(select_heuristic(16, 16, 16), KernelKind::Packed4x8);
-        assert_eq!(select_heuristic(16, 5, 16), KernelKind::Packed8x4);
-        assert_eq!(select_heuristic(5, 16, 16), KernelKind::Packed4x8);
-        assert_eq!(select_heuristic(5, 5, 16), KernelKind::Packed4x4);
+        assert_eq!(select_heuristic(3, 3, 3), KernelKind::Blocked);
+        assert_eq!(select_heuristic(40, 40, 1), KernelKind::Blocked);
+        let simd = host_has_avx2_fma();
+        assert_eq!(simd_available(), simd);
+        // Everything else: the SIMD micro-kernel where the host has it,
+        // the scalar rule (large and small tiles pack, cache-resident
+        // mid-size tiles stay blocked) where it does not.
+        for (shape, scalar) in [
+            ((512, 512, 512), KernelKind::Packed4x4),
+            ((256, 256, 256), KernelKind::Packed4x4),
+            ((64, 64, 64), KernelKind::Packed4x4),
+            ((40, 40, 40), KernelKind::Blocked),
+            ((16, 16, 16), KernelKind::Packed4x4),
+            ((16, 5, 16), KernelKind::Packed4x4),
+            ((5, 16, 16), KernelKind::Packed4x4),
+            ((5, 5, 16), KernelKind::Packed4x4),
+        ] {
+            let (m, n, k) = shape;
+            let expect = if simd { KernelKind::Simd } else { scalar };
+            assert_eq!(select_heuristic(m, n, k), expect, "{m}x{n}x{k}");
+        }
     }
 }

@@ -14,16 +14,18 @@
 //!   low-rank factorization ([`Repr`]);
 //! * [`lowrank`] — the pivoted-QR truncation kernel and the rank-aware
 //!   GEMM routing behind [`kernel`] dispatch;
-//! * [`gemm`] — `C += A * B` kernels (naive reference, cache-blocked and a
-//!   family of packed register-blocked micro-kernels) used by the simulated
-//!   GPU executors; each runs on the calling thread;
-//! * [`kernel`] — shape-aware dispatch between the kernels
+//! * [`gemm`] — `C += A * B` kernels (naive reference, cache-blocked, a
+//!   scalar packed register-blocked kernel and an AVX2+FMA micro-kernel
+//!   detected at run time) used by the simulated GPU executors; each runs on
+//!   the calling thread;
+//! * [`kernel`] — dispatch between the kernels by shape and CPU features
 //!   ([`kernel::select_heuristic`]);
 //! * [`pool`] — a recycling buffer arena ([`pool::TilePool`]) so hot-path
 //!   tile allocations reuse freed buffers.
 //!
-//! Everything in this crate is deterministic and platform independent; random
-//! builders take explicit seeds.
+//! Everything in this crate is deterministic — a function of its inputs and,
+//! for GEMM rounding, of whether the host has AVX2+FMA; random builders take
+//! explicit seeds.
 
 pub mod gemm;
 pub mod kernel;

@@ -1,6 +1,6 @@
 //! Property tests for tilings, GEMM kernels and low-rank compression.
 
-use bst_tile::gemm::{gemm_blocked, gemm_naive, gemm_packed};
+use bst_tile::gemm::{gemm_blocked, gemm_naive, gemm_packed, gemm_simd_with, SimdDriver};
 use bst_tile::kernel::{select_heuristic, KernelKind};
 use bst_tile::{Tile, Tiling};
 use proptest::prelude::*;
@@ -21,16 +21,25 @@ fn frob_diff(a: &Tile, b: &Tile) -> f64 {
 /// Dimension generator biased to the adversarial edges of the kernels'
 /// blocking parameters: degenerate (1..5), around the cache block
 /// (63..66), and past it (127..130) — plus the whole 1..=400 edge range the
-/// engine's tiles come from, so every `select_heuristic` threshold is
-/// crossed, including the 192–400 edges that dispatch to `Packed4x4`.
+/// engine's tiles come from, so every `select_heuristic` threshold and the
+/// SIMD kernel's in-place / packed threshold are crossed — and 1..=16, so
+/// every residue of `m mod 8` and `n mod 6` (the SIMD micro-tile) is drawn
+/// often.
 fn ragged_dim() -> impl Strategy<Value = usize> {
-    prop_oneof![1usize..=5, 63usize..=66, 127usize..=130, 1usize..=400]
+    prop_oneof![1usize..=5, 1usize..=16, 63usize..=66, 127usize..=130, 1usize..=400]
+}
+
+/// `a` and `b` hold the same values, down to the sign of zero and the
+/// payload of a NaN.
+fn bit_identical(a: &Tile, b: &Tile) -> bool {
+    a.data().iter().zip(b.data()).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 proptest! {
-    /// Every kernel variant — including the widened packed micro-kernels and
-    /// whatever `select_heuristic` picks — matches `gemm_naive` on
-    /// ragged/adversarial shapes and alphas including 0 and negative.
+    /// Every kernel variant — the SIMD kernel under each of its drivers
+    /// included, and whatever `select_heuristic` picks — matches
+    /// `gemm_naive` on ragged/adversarial shapes and alphas including 0 and
+    /// negative.
     #[test]
     fn all_kernel_variants_match_naive_on_ragged_shapes(
         m in ragged_dim(),
@@ -53,10 +62,64 @@ proptest! {
                 kind.name(), m, n, k, alpha
             );
         }
+        for driver in [SimdDriver::InPlace, SimdDriver::Packed] {
+            let mut c = c0.clone();
+            gemm_simd_with(driver, alpha, &a, &b, &mut c);
+            prop_assert!(
+                reference.max_abs_diff(&c) < 1e-10,
+                "simd {:?} diverged from naive at {}x{}x{} alpha={}",
+                driver, m, n, k, alpha
+            );
+        }
         // Dispatch never changes results either.
         let mut c = c0.clone();
         select_heuristic(m, n, k).run(alpha, &a, &b, &mut c);
         prop_assert!(reference.max_abs_diff(&c) < 1e-10);
+    }
+
+    /// The dispatched kernel is a pure function of shape and values: the
+    /// same product gives the same bits (a) on a fresh thread, (b) on a
+    /// thread whose pack scratch a larger, differently shaped product of
+    /// non-zero data dirtied first, and (c) on operands rebuilt in
+    /// separately allocated buffers. Every `== 0.0` gate of the repository
+    /// (warm == cold, fleet == in-process, the harness's digests) assumes
+    /// this; a scratch lane leaking into a live accumulator, an
+    /// alignment-dependent peel loop or a `k`-split that depends on the
+    /// buffer would break it without failing the 1e-10 naive check.
+    #[test]
+    fn dispatched_kernel_is_pure_in_shape_and_values(
+        m in ragged_dim(),
+        n in ragged_dim(),
+        k in ragged_dim(),
+        alpha in prop_oneof![Just(1.0f64), Just(-2.5f64), Just(0.0f64)],
+        seed in 0u64..1000,
+    ) {
+        let a = Tile::random(m, k, seed);
+        let b = Tile::random(k, n, seed ^ 1);
+        let c0 = Tile::random(m, n, seed ^ 2);
+        let product = |a: &Tile, b: &Tile| {
+            let mut c = c0.clone();
+            select_heuristic(m, n, k).run(alpha, a, b, &mut c);
+            c
+        };
+        let (fresh, dirtied) = std::thread::scope(|s| {
+            let fresh = s.spawn(|| product(&a, &b));
+            let dirtied = s.spawn(|| {
+                // The scalar packed kernel fills both scratch buffers, past
+                // every lane the product under test will read, with another
+                // product's non-zero panels.
+                let (dm, dn, dk) = (m + 13, n + 7, k + 5);
+                let (da, db) = (Tile::random(dm, dk, seed ^ 3), Tile::random(dk, dn, seed ^ 4));
+                gemm_packed(1.0, &da, &db, &mut Tile::zeros(dm, dn));
+                product(&a, &b)
+            });
+            (fresh.join().expect("fresh thread"), dirtied.join().expect("dirtied thread"))
+        });
+        let a2 = Tile::from_data(m, k, a.data().to_vec());
+        let b2 = Tile::from_data(k, n, b.data().to_vec());
+        let rebuilt = product(&a2, &b2);
+        prop_assert!(bit_identical(&fresh, &dirtied), "dirty pack scratch changed {}x{}x{}", m, n, k);
+        prop_assert!(bit_identical(&fresh, &rebuilt), "operand placement changed {}x{}x{}", m, n, k);
     }
 
     /// All kernels agree with the naive reference for arbitrary shapes.

@@ -330,6 +330,19 @@ fn dispatched_kernels_match_reference_and_pools_recycle() {
     let dispatched: u64 = r_heur.gemm_kernel_counts.iter().map(|&(_, n)| n).sum();
     assert_eq!(dispatched, r_heur.gemm_tasks);
     assert!(!r_heur.gemm_kernel_counts.is_empty());
+    // The fast path is live: on a host with AVX2+FMA (asked of the CPU, not
+    // of the dispatcher) every Gemm that is not thin ran the SIMD kernel.
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
+        let thin: u64 = plan
+            .gemm_shape_histogram(&spec)
+            .iter()
+            .filter(|&&((m, n, k), _)| m < 4 || n < 4 || k < 2)
+            .map(|&(_, count)| count)
+            .sum();
+        let simd = r_heur.gemm_kernel_counts.iter().find(|&&(name, _)| name == "simd");
+        assert_eq!(simd.map(|&(_, n)| n), Some(r_heur.gemm_tasks - thin));
+    }
 
     // The single node's pool saw reuse: later blocks' C zero-fills and
     // generated B tiles come from recycled buffers.
