@@ -8,9 +8,11 @@
 //!
 //! 1. takes the *plan-derived* GEMM shapes of a synthetic contraction (the
 //!    heaviest `(m, n, k)` of the mix the executor would run) and a fixed
-//!    **ladder** beside them — cubes from 8 to 384 and six ragged shapes —
-//!    because the plan's shapes are one point (≈ 111×119×120) and the
-//!    benchmark workloads' tiles span 16–384 edges;
+//!    **ladder** beside them — cubes from 8 to 384, six ragged shapes and
+//!    the ragged shapes the benchmark workloads' plans are made of, each
+//!    next to its full-panel neighbour — because the plan's shapes are one
+//!    point (≈ 111×119×120) and the benchmark workloads' tiles span 16–384
+//!    edges;
 //! 2. checks every column — each [`KernelKind`], and the SIMD kernel with
 //!    each [`SimdDriver`] forced — against `gemm_naive` to 1e-10 (any
 //!    divergence exits non-zero: the property tests' bar, on these shapes);
@@ -51,6 +53,27 @@ const LADDER_CUBES: [usize; 11] = [8, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384
 /// columns start at every alignment.
 const LADDER_RAGGED: [(usize, usize, usize); 6] =
     [(16, 48, 24), (33, 17, 40), (5, 200, 64), (200, 5, 64), (217, 301, 263), (333, 205, 377)];
+/// The shapes the workloads are made of, read off their plans' shape
+/// histograms, smallest first: `ccsd_abcd`'s occupied-pair rows of 9 / 12 /
+/// 16 against AO-pair edges of 25 / 35 / 49, and `sparse_grid` /
+/// `launch_uds` tiles one row or column past the micro-tile grid ...
+const LADDER_WORKLOAD: [(usize, usize, usize); 9] = [
+    (9, 35, 35),
+    (9, 25, 49),
+    (9, 49, 35),
+    (12, 35, 49),
+    (17, 38, 44),
+    (16, 49, 49),
+    (41, 46, 22),
+    (45, 42, 25),
+    (34, 38, 44),
+];
+/// ... and their full-panel neighbours (`m` a multiple of 8, `n` of 6):
+/// `results_valid` holds the ragged rate to a fraction of the neighbour's.
+const LADDER_NEIGHBOURS: [(usize, usize, usize); 3] = [(8, 48, 35), (16, 48, 35), (40, 48, 22)];
+/// How many of [`LADDER_WORKLOAD`] a `--tiny` run keeps: CI checks their
+/// divergence from naive, not their rates.
+const TINY_WORKLOAD_SHAPES: usize = 2;
 
 /// Every measured column: the four kinds as dispatched, then the SIMD
 /// kernel with each driver forced (so the threshold between them is read
@@ -180,7 +203,16 @@ fn main() {
         weighted.iter().map(|&(shape, count, _)| (shape, count)).collect();
     let max_edge = if tiny { 200 } else { usize::MAX };
     let ladder = LADDER_CUBES.iter().map(|&e| (e, e, e)).chain(LADDER_RAGGED);
-    shapes.extend(ladder.filter(|&(m, n, k)| m.max(n).max(k) <= max_edge).map(|shape| (shape, 0)));
+    let workload = LADDER_WORKLOAD
+        .into_iter()
+        .chain(LADDER_NEIGHBOURS)
+        .take(if tiny { TINY_WORKLOAD_SHAPES } else { usize::MAX });
+    shapes.extend(
+        ladder
+            .filter(|&(m, n, k)| m.max(n).max(k) <= max_edge)
+            .chain(workload)
+            .map(|shape| (shape, 0)),
+    );
     let min_batch = Duration::from_micros(if tiny { 200 } else { 4000 });
 
     println!(

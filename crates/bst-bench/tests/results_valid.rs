@@ -94,7 +94,10 @@ fn check_service(doc: &Value, f: &str) {
 /// measured winner on every shape (winner taken over every column, the
 /// forced SIMD drivers included, so a misplaced in-place / packed threshold
 /// fails too), and on a host with AVX2+FMA the SIMD kernel clears 1.5× the
-/// scalar packed one on every cube ≥ 64 — below that it silently fell back.
+/// scalar packed one on every cube ≥ 64 — below that it silently fell back —
+/// and a ragged workload shape stays within reach of its full-panel
+/// neighbour: one more row and column may not cost a second micro-tile
+/// (the padded edges of PR 20's kernel read 0.48 and 0.68 on this box).
 fn check_kernels(doc: &Value, f: &str) {
     let cpu = doc.get("cpu").unwrap_or_else(|| panic!("{f}: missing \"cpu\" record"));
     let has = |feature: &str| {
@@ -105,6 +108,23 @@ fn check_kernels(doc: &Value, f: &str) {
     let simd_host = has("avx2") && has("fma");
     let shapes = arr(doc, f, "shapes");
     assert!(!shapes.is_empty(), "{f}: no shapes benchmarked");
+    let simd_rate = |shape: (f64, f64, f64)| {
+        let s = shapes
+            .iter()
+            .find(|s| (num(s, f, "m"), num(s, f, "n"), num(s, f, "k")) == shape)
+            .unwrap_or_else(|| panic!("{f}: the ladder lacks {shape:?}"));
+        num(s.get("gflops").unwrap_or_else(|| panic!("{f}: shape without gflops")), f, "simd")
+    };
+    for (ragged, neighbour, floor) in [
+        ((9.0, 49.0, 35.0), (8.0, 48.0, 35.0), 0.60),
+        ((12.0, 35.0, 49.0), (16.0, 48.0, 35.0), 0.85),
+    ] {
+        let (r, nb) = (simd_rate(ragged), simd_rate(neighbour));
+        assert!(
+            !simd_host || r >= floor * nb,
+            "{f}: simd on {ragged:?} runs at {r} GF/s, below {floor} x the {nb} GF/s of {neighbour:?}"
+        );
+    }
     let mut cubes = 0;
     for s in shapes {
         let (m, n, k) = (num(s, f, "m"), num(s, f, "n"), num(s, f, "k"));

@@ -15,7 +15,58 @@
 use crate::data::DataKey;
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
+
+/// Multiplicative hasher for maps keyed by tile coordinates (`(u32, u32)`,
+/// [`DataKey`]) that are probed once or more per tile product. The keys are
+/// derived from the plan, never from outside input, so SipHash's protection
+/// against crafted collisions buys nothing here and costs most of a small
+/// product's bookkeeping.
+#[derive(Clone, Copy, Default)]
+pub struct CoordHasher(u64);
+
+impl CoordHasher {
+    #[inline]
+    fn fold(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for CoordHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        // The multiply mixes upwards; hand the table its well-mixed high
+        // bits as the bucket index.
+        self.0.rotate_left(26)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.fold(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, x: u32) {
+        self.fold(u64::from(x));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, x: u64) {
+        self.fold(x);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, x: usize) {
+        self.fold(x as u64);
+    }
+}
+
+/// A `HashMap` over plan-derived tile coordinates (see [`CoordHasher`]).
+pub type CoordMap<K, V> = HashMap<K, V, BuildHasherDefault<CoordHasher>>;
 
 /// Where a loaded tile came from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -78,7 +129,7 @@ pub struct DeviceMemory {
     /// bytes and reference count per resident datum: overlapping consumers
     /// (e.g. a prefetched chunk re-loading a tile the previous chunk still
     /// holds) share one copy, as PaRSEC's data-copy refcounting does.
-    resident: HashMap<DataKey, (u64, u32)>,
+    resident: CoordMap<DataKey, (u64, u32)>,
     stats: DeviceStats,
     registry: Arc<NodeResidency>,
 }
@@ -91,7 +142,7 @@ impl DeviceMemory {
             gpu,
             capacity,
             used: 0,
-            resident: HashMap::new(),
+            resident: CoordMap::default(),
             stats: DeviceStats::default(),
             registry,
         }
@@ -241,6 +292,27 @@ mod tests {
 
     fn dev(cap: u64) -> DeviceMemory {
         DeviceMemory::new(0, cap, Arc::new(NodeResidency::new()))
+    }
+
+    #[test]
+    fn coord_hasher_spreads_a_tile_grid() {
+        // Every (variant, r, c) of a 64 × 64 tile grid hashes distinctly,
+        // and the low bits (the table's bucket index) stay near-uniform.
+        use std::hash::{BuildHasher, BuildHasherDefault};
+        let build = BuildHasherDefault::<CoordHasher>::default();
+        let mut seen = HashSet::new();
+        let mut buckets = [0u32; 256];
+        for r in 0..64u32 {
+            for c in 0..64u32 {
+                for key in [DataKey::A(r, c), DataKey::B(r, c), DataKey::C(r, c)] {
+                    let h = build.hash_one(key);
+                    assert!(seen.insert(h), "collision on {key:?}");
+                    buckets[(h & 0xff) as usize] += 1;
+                }
+            }
+        }
+        let mean = (3 * 64 * 64 / 256) as u32;
+        assert!(buckets.iter().all(|&n| n < 2 * mean), "skewed low bits: {buckets:?}");
     }
 
     #[test]

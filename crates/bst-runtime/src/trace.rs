@@ -398,7 +398,7 @@ pub struct TaskRecord {
     pub task: TaskId,
     /// Task kind, e.g. `"Gemm"` — the per-kind aggregation key.
     pub kind: &'static str,
-    /// Human-readable instance detail, e.g. `"Gemm(2,7,3)"`.
+    /// Human-readable instance detail, e.g. `"Gemm(7,3|2,5)"`.
     pub detail: String,
     /// Worker the task ran on.
     pub worker: WorkerId,

@@ -202,16 +202,21 @@ pub fn replay_dag(
                 sample_after = Some((w.node, w.lane - 1));
                 ns(bytes as f64 / platform.h2d_bw + platform.h2d_latency_s)
             }
-            Op::Gemm { i, k, j } => {
+            // A stack costs the sum of its products; `gemms` counts
+            // products, as the engine's report does.
+            Op::Gemm { k, j, rows } => {
                 let dev = &devices[&w];
-                assert!(dev.is_resident(DataKey::A(*i, *k)), "A({i},{k}) not resident");
                 assert!(dev.is_resident(DataKey::B(*k, *j)), "B({k},{j}) not resident");
-                assert!(dev.is_resident(DataKey::C(*i, *j)), "C({i},{j}) not resident");
-                gemms += 1;
-                let m = spec.a.row_tiling().size(*i as usize);
                 let nn = spec.b.col_tiling().size(*j as usize);
                 let kk = spec.a.col_tiling().size(*k as usize);
-                ns(platform.gemm_time(m, nn, kk))
+                let mut seconds = 0.0;
+                for &i in low.rows_of(rows) {
+                    assert!(dev.is_resident(DataKey::A(i, *k)), "A({i},{k}) not resident");
+                    assert!(dev.is_resident(DataKey::C(i, *j)), "C({i},{j}) not resident");
+                    gemms += 1;
+                    seconds += platform.gemm_time(spec.a.row_tiling().size(i as usize), nn, kk);
+                }
+                ns(seconds)
             }
             Op::EvictChunk { node, gpu, block, chunk } => {
                 let dev = devices.get_mut(&w).expect("evict on a loaded lane");
@@ -304,7 +309,7 @@ pub fn replay_dag(
         records.push(TaskRecord {
             task: id,
             kind: op.kind(),
-            detail: op.detail(),
+            detail: low.detail(id),
             worker: w,
             span: TaskSpan { ready_ns, start_ns, end_ns },
             attempts: 1,

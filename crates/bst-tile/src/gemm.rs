@@ -9,8 +9,9 @@
 //!   register-blocked micro-kernel; what a host without AVX2+FMA runs;
 //! * [`gemm_simd`] — one hand-written AVX2+FMA `8 × 6` micro-kernel under
 //!   two drivers ([`SimdDriver`]): A packed into panels when it is large,
-//!   read in place when it is not; B always in place. Detected at run
-//!   time; without the features it *is* [`gemm_packed`].
+//!   read in place when it is not; B always in place; ragged edges masked,
+//!   never padded. Detected at run time; without the features it *is*
+//!   [`gemm_packed`].
 //!
 //! Every kernel runs on the calling thread: one Gemm task is one kernel
 //! call, and all concurrency comes from the engine's device lanes. Picking
@@ -88,11 +89,12 @@ pub fn gemm_blocked(alpha: f64, a: &Tile, b: &Tile, c: &mut Tile) {
 mod simd;
 
 thread_local! {
-    /// Per-thread pack scratch for the packed kernels: `(A panels, B panels)`.
-    /// Reused across calls so the hot path performs no allocation once the
-    /// buffers have grown to the working tile size (the pack-scratch half of
-    /// the buffer-pool story; tiles themselves go through
-    /// `crate::pool::TilePool`).
+    /// Per-thread pack scratch for the packed kernels: `(A panels, B panels)`
+    /// — both halves for [`gemm_packed`], the A half alone for the packed
+    /// driver of [`gemm_simd`], which never copies B. Reused across calls so
+    /// the hot path performs no allocation once the buffers have grown to the
+    /// working tile size (the pack-scratch half of the buffer-pool story;
+    /// tiles themselves go through `crate::pool::TilePool`).
     static PACK_SCRATCH: RefCell<(Vec<f64>, Vec<f64>)> = const { RefCell::new((Vec::new(), Vec::new())) };
 }
 
@@ -190,13 +192,13 @@ pub fn gemm_packed(alpha: f64, a: &Tile, b: &Tile, c: &mut Tile) {
 /// both: its `NR`-column panels are contiguous as they lie).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SimdDriver {
-    /// Full micro-tiles read straight off the A tile; only the ragged last
-    /// row panel is copied. No pack traffic — wins on small and mid-size
-    /// tiles.
+    /// Every micro-tile read straight off the A tile, the ragged last row
+    /// panel through a lane mask. Nothing is copied — wins on small and
+    /// mid-size tiles.
     InPlace,
-    /// A copied once into zero-padded k-major `MR`-row panels, so the
-    /// micro-kernel streams it with unit stride — wins once A outgrows the
-    /// reach of the strided walk.
+    /// A copied once into k-major `MR`-row panels, so the micro-kernel
+    /// streams it with unit stride — wins once A outgrows the reach of the
+    /// strided walk.
     Packed,
 }
 
@@ -219,8 +221,9 @@ pub fn simd_available() -> bool {
 }
 
 /// AVX2+FMA kernel: an `8 × 6` register micro-tile of twelve 4-wide
-/// accumulators, reading A in place while it is at most 256 KiB and packed
-/// above — a function of the shape alone. On a host without the features
+/// accumulators (ragged edges run narrower, masked instantiations of the
+/// same micro-kernel), reading A in place while it is at most 256 KiB and
+/// packed above — a function of the shape alone. On a host without the features
 /// (see [`simd_available`]) this runs [`gemm_packed`] — slower, never
 /// undefined.
 ///

@@ -292,3 +292,45 @@ proptest! {
         prop_assert!(err <= 1e-8 * t.frobenius_norm().max(1.0));
     }
 }
+
+/// The SIMD kernel's arithmetic, element by element, is the scalar sequence
+/// `acc = 0; acc = fma(a_il, b_lj, acc)` for `l` ascending, then
+/// `c = fma(alpha, acc, c)` — bit for bit, on both drivers, on every row and
+/// column remainder of the `8 × 6` micro-tile (full, one-vector, masked
+/// second vector) and on the panel widths the workloads' tiles are made of.
+/// This is what lets an edge-handling change claim "no bit moves".
+#[test]
+fn simd_equals_scalar_fma_sequence_bit_for_bit() {
+    if !bst_tile::gemm::simd_available() {
+        return; // the fallback is the scalar packed kernel: mul + add, not FMA
+    }
+    let alpha = -1.75f64;
+    for m in 1usize..=20 {
+        for n in [1usize, 2, 5, 6, 7, 11, 12, 13, 25, 35, 49] {
+            for k in [1usize, 2, 3, 7, 35] {
+                let seed = (m * 10_000 + n * 100 + k) as u64;
+                let a = Tile::random(m, k, seed);
+                let b = Tile::random(k, n, seed ^ 1);
+                let c0 = Tile::random(m, n, seed ^ 2);
+                let mut reference = c0.clone();
+                for j in 0..n {
+                    for i in 0..m {
+                        let mut acc = 0.0f64;
+                        for l in 0..k {
+                            acc = a.get(i, l).mul_add(b.get(l, j), acc);
+                        }
+                        *reference.get_mut(i, j) = alpha.mul_add(acc, c0.get(i, j));
+                    }
+                }
+                for driver in [SimdDriver::InPlace, SimdDriver::Packed] {
+                    let mut c = c0.clone();
+                    gemm_simd_with(driver, alpha, &a, &b, &mut c);
+                    assert!(
+                        bit_identical(&reference, &c),
+                        "simd {driver:?} is not the scalar fma sequence at {m}x{n}x{k}"
+                    );
+                }
+            }
+        }
+    }
+}

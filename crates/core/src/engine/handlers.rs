@@ -41,11 +41,11 @@ use crate::spec::ProblemSpec;
 /// Maps a send failure that is not an injected drop (`reduce` carries no
 /// drop injection; `SendA` matches its own first) to a task error: a dead
 /// wire peer — fatal, recovered by the launcher's degraded re-plan.
-fn wire_fatal(op: &Op, e: SendError) -> TaskError<ExecError> {
+fn wire_fatal(detail: String, e: SendError) -> TaskError<ExecError> {
     match e {
         SendError::Wire(e) => TaskError::Fatal(ExecError::Wire {
             dst: e.dst,
-            detail: op.detail(),
+            detail,
             reason: e.reason,
         }),
         SendError::Dropped => unreachable!("an injected drop is the SendA arm's to handle"),
@@ -112,10 +112,11 @@ impl HandlerEnv<'_> {
         ctx: &mut Ctx,
         attempt: u32,
     ) -> Result<(), TaskError<ExecError>> {
+        let detail = || op.detail(&self.low.stack_rows);
         // ---- Fault injection, at handler entry (before any side effect,
         // so a retried attempt re-runs from a clean slate) ---------------
         if let Some(fp) = &self.fault {
-            let key = FaultPlan::site_key(op, w);
+            let key = FaultPlan::site_key(op, w, &self.low.stack_rows);
             if attempt == 1 {
                 if let Some(delay) = fp.stall(key) {
                     self.counters.stalls.fetch_add(1, Ordering::Relaxed);
@@ -139,7 +140,7 @@ impl HandlerEnv<'_> {
                     self.counters.injected_alloc.fetch_add(1, Ordering::Relaxed);
                     return Err(TaskError::Transient(ExecError::Injected {
                         site: FaultSite::Alloc,
-                        detail: op.detail(),
+                        detail: detail(),
                         attempt,
                     }));
                 }
@@ -150,7 +151,7 @@ impl HandlerEnv<'_> {
             TaskError::Fatal(ExecError::DeviceOom {
                 node: w.node,
                 gpu: w.lane.saturating_sub(1),
-                detail: op.detail(),
+                detail: detail(),
                 reason: e.to_string(),
             })
         };
@@ -166,7 +167,7 @@ impl HandlerEnv<'_> {
                 // load plus once per tree hop it forwards.
                 let consumers = self.low.a_consumers(*to, (*i, *k));
                 let drop_in_flight = self.fault.as_ref().is_some_and(|fp| {
-                    fp.injects(FaultSite::Send, FaultPlan::site_key(op, w), attempt)
+                    fp.injects(FaultSite::Send, FaultPlan::site_key(op, w, &self.low.stack_rows), attempt)
                 });
                 let msg = TileMsg {
                     key,
@@ -195,14 +196,14 @@ impl HandlerEnv<'_> {
                         self.counters.injected_send.fetch_add(1, Ordering::Relaxed);
                         Err(TaskError::Transient(ExecError::Injected {
                             site: FaultSite::Send,
-                            detail: op.detail(),
+                            detail: detail(),
                             attempt,
                         }))
                     }
                     // The peer process is gone: retrying into a dead socket
                     // cannot succeed — fail fast so the launcher can run the
                     // degraded re-plan.
-                    Err(e @ SendError::Wire(_)) => Err(wire_fatal(op, e)),
+                    Err(e @ SendError::Wire(_)) => Err(wire_fatal(detail(), e)),
                 }
             }
             (Op::RecvA { i, k, from: _ }, Ctx::Cpu) => {
@@ -304,12 +305,16 @@ impl HandlerEnv<'_> {
                 mm.sample_mem();
                 Ok(())
             }
-            (Op::Gemm { i, k, j }, Ctx::Gpu(mm)) => {
-                let (at, bt, ct) = mm.gemm_operands(*i, *k, *j);
-                let kind = select_heuristic(ct.rows(), ct.cols(), at.cols());
-                kind.run_recompress(1.0, &at, &bt, ct, self.compress_tol);
-                self.kernel_counts[kind.index()].fetch_add(1, Ordering::Relaxed);
-                c.gemms.fetch_add(1, Ordering::Relaxed);
+            (Op::Gemm { k, j, rows }, Ctx::Gpu(mm)) => {
+                // Row shapes differ, so the kernel is picked per product;
+                // the tallies stay per product too (`gemm_tasks` is the
+                // plan's product count, whatever the stacks' lengths).
+                mm.gemm_operands(*k, *j, self.low.rows_of(rows), |at, bt, ct| {
+                    let kind = select_heuristic(ct.rows(), ct.cols(), at.cols());
+                    kind.run_recompress(1.0, at, bt, ct, self.compress_tol);
+                    self.kernel_counts[kind.index()].fetch_add(1, Ordering::Relaxed);
+                });
+                c.gemms.fetch_add(u64::from(rows.end - rows.start), Ordering::Relaxed);
                 Ok(())
             }
             (
@@ -357,7 +362,7 @@ impl HandlerEnv<'_> {
                                 tile: mm.evict_c((i as u32, j as u32)),
                             },
                         )
-                        .map_err(|e| wire_fatal(op, e))?;
+                        .map_err(|e| wire_fatal(detail(), e))?;
                 }
                 mm.sample_mem();
                 if *block + 1 == plan.nodes[*node].gpus[*gpu].blocks.len() {
@@ -410,7 +415,7 @@ impl HandlerEnv<'_> {
                 for part in folded {
                     self.fabric
                         .reduce(w.node, REDUCE_ROOT, part)
-                        .map_err(|e| wire_fatal(op, e))?;
+                        .map_err(|e| wire_fatal(detail(), e))?;
                 }
                 Ok(())
             }

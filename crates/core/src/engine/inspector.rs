@@ -14,17 +14,27 @@
 //!   send/receive pair over [`bst_runtime::comm`]: the send puts the
 //!   message on the wire, the receive completes when the destination's
 //!   progress thread has deposited it, and only then may a device transfer
-//!   read the tile), `LoadA/LoadBlock → Gemm`, `Gemm(i,·,j) → Gemm(i,·,j)`
-//!   (successive accumulations into one C tile are chained, fixing the
-//!   floating-point order so delivery timing is numerically unobservable),
-//!   `Gemm/LoadA → EvictChunk`, `EvictChunk/LoadBlock → FlushBlock`;
+//!   read the tile), `LoadA/LoadBlock → Gemm`, `Gemm → Gemm` between
+//!   stacks that write a common C tile (successive accumulations into one
+//!   C tile are chained, fixing the floating-point order so delivery
+//!   timing is numerically unobservable), `Gemm/LoadA → EvictChunk`,
+//!   `EvictChunk/LoadBlock → FlushBlock`;
 //! * **control flow** — `FlushBlock(b) → LoadBlock(b+1)` (§3.2.2 blocking
 //!   block transfers) and `EvictChunk(n−1−depth) → LoadA(chunk n)` (§3.2.3
 //!   prefetch window). Control edges never change the result — removing
 //!   them only breaks the device-memory budget, which the memory manager
 //!   reports as an OOM, exactly like the real GPU would.
+//!
+//! The unit of device work is a **stack**, not a product: all products of
+//! one chunk against one resident B tile are one `Gemm` task
+//! ([`ExecutionPlan::for_each_chunk_stack`]) — a product of the paper's
+//! application is tens of kflop, far too little to carry a task's
+//! scheduling cost on its own. A chunk lists each row's `k` ascending and
+//! its stacks are created `k`-ascending, so every `C(i, j)` still receives
+//! its contributions in the per-product order.
 
 use std::collections::{BTreeSet, HashMap};
+use std::ops::Range;
 use std::sync::Arc;
 
 use bst_runtime::comm::Topology;
@@ -80,14 +90,16 @@ pub enum Op {
         /// A-tile column.
         k: u32,
     },
-    /// `C_ij += A_ik · B_kj` on the device.
+    /// A stack of products against one resident B tile: for each `i` of
+    /// `rows`, in order, `C_ij += A_ik · B_kj` on the device.
     Gemm {
-        /// C/A-tile row.
-        i: u32,
         /// Contraction tile index.
         k: u32,
         /// C/B-tile column.
         j: u32,
+        /// The C/A-tile rows, as an index range into
+        /// [`Lowered::stack_rows`].
+        rows: Range<u32>,
     },
     /// Free the A tiles of a chunk.
     EvictChunk {
@@ -136,17 +148,23 @@ impl Op {
     }
 
     /// Compact instance label. Stable format — the trace-invariant tests
-    /// parse these (`Gemm(i,k,j)`, `LoadA(i,k)`, `LoadBlock(b)`,
+    /// parse these (`Gemm(k,j|i0,i1,…)`, `LoadA(i,k)`, `LoadBlock(b)`,
     /// `EvictChunk(b,c)`, `FlushBlock(b)`, `SendA(i,k->n)`,
-    /// `RecvA(i,k<-n)`, `GenB(k,j)`, `ReduceC(n)`).
-    pub fn detail(&self) -> String {
+    /// `RecvA(i,k<-n)`, `GenB(k,j)`, `ReduceC(n)`). `stack_rows` is the
+    /// lowering's row table ([`Lowered::stack_rows`]), which a `Gemm`'s row
+    /// range indexes.
+    pub fn detail(&self, stack_rows: &[u32]) -> String {
         match self {
             Op::SendA { i, k, to } => format!("SendA({i},{k}->{to})"),
             Op::RecvA { i, k, from } => format!("RecvA({i},{k}<-{from})"),
             Op::GenB { k, j } => format!("GenB({k},{j})"),
             Op::LoadBlock { block, .. } => format!("LoadBlock({block})"),
             Op::LoadA { i, k } => format!("LoadA({i},{k})"),
-            Op::Gemm { i, k, j } => format!("Gemm({i},{k},{j})"),
+            Op::Gemm { k, j, rows } => {
+                let rows: Vec<String> =
+                    stack_rows[rows.start as usize..rows.end as usize].iter().map(u32::to_string).collect();
+                format!("Gemm({k},{j}|{})", rows.join(","))
+            }
             Op::EvictChunk { block, chunk, .. } => format!("EvictChunk({block},{chunk})"),
             Op::FlushBlock { block, .. } => format!("FlushBlock({block})"),
             Op::ReduceC { node } => format!("ReduceC({node})"),
@@ -263,9 +281,24 @@ pub struct Lowered {
     pub topology: Topology,
     /// Per-node C contributions, indexed by node.
     pub reduce: Vec<ReduceNode>,
+    /// The rows of every `Gemm` stack, back to back in task order; an
+    /// [`Op::Gemm`] holds its index range. One table for the whole lowering
+    /// (shared, not copied, by [`Lowered::restrict`]), so an `Op` stays
+    /// plain data and a stack allocates nothing of its own.
+    pub stack_rows: Arc<[u32]>,
 }
 
 impl Lowered {
+    /// The C/A-tile rows of a `Gemm` stack, in execution order.
+    pub fn rows_of(&self, rows: &Range<u32>) -> &[u32] {
+        &self.stack_rows[rows.start as usize..rows.end as usize]
+    }
+
+    /// [`Op::detail`] of task `id`.
+    pub fn detail(&self, id: TaskId) -> String {
+        self.graph.payload(id).detail(&self.stack_rows)
+    }
+
     /// Consumer refcount of `A` tile `t` on `node`: local device loads plus
     /// tree hops forwarded from there.
     pub fn a_consumers(&self, node: usize, t: (u32, u32)) -> usize {
@@ -350,12 +383,15 @@ impl Lowered {
             tree_children: self.tree_children.clone(),
             topology: self.topology,
             reduce: self.reduce.clone(),
+            stack_rows: Arc::clone(&self.stack_rows),
         }
     }
 }
 
 /// Lowers `plan` to the task DAG. Pure in `(spec structure, plan, opts)` —
-/// no tile data is touched, so simulation and numeric execution share it.
+/// no tile data is touched, so simulation and numeric execution share it,
+/// and two calls on one input yield the same tasks, workers and edges in
+/// the same order.
 pub fn lower(spec: &ProblemSpec, plan: &ExecutionPlan, opts: &ExecOptions) -> Lowered {
     let (p, q) = (plan.config.grid.p, plan.config.grid.q);
     let g = plan.config.device.gpus_per_node;
@@ -383,6 +419,14 @@ pub fn lower(spec: &ProblemSpec, plan: &ExecutionPlan, opts: &ExecOptions) -> Lo
             sends.entry((owner, t)).or_default().push(ni);
         }
     }
+    // `HashMap` iteration order differs from one call to the next; the
+    // lowering must not. Destinations ascend, and the broadcasts are lowered
+    // in `(k, i, owner)` order — roughly first use — which fixes the hop
+    // task ids and with them each CPU lane's FIFO (the order A tiles go on
+    // the wire).
+    sends.values_mut().for_each(|dests| dests.sort_unstable());
+    let mut send_order: Vec<(usize, (u32, u32))> = sends.keys().copied().collect();
+    send_order.sort_unstable_by_key(|&(owner, (i, k))| (k, i, owner));
     // Broadcast shapes: a node-aware hierarchical tree (binomial over
     // physical-node leaders, binomial inside each node) spreads the
     // forwarding load and crosses the inter-node link the minimum number of
@@ -431,7 +475,7 @@ pub fn lower(spec: &ProblemSpec, plan: &ExecutionPlan, opts: &ExecOptions) -> Lo
     // destination's progress thread deposited it. Each hop forwards from
     // the node that just *received* the tile.
     let mut recva_ids: HashMap<(usize, (u32, u32)), TaskId> = HashMap::new();
-    for &(owner, t) in sends.keys() {
+    for (owner, t) in send_order {
         // BFS over the tree so a hop's delivering recv exists before the
         // hops that forward from its destination.
         let mut frontier = vec![owner];
@@ -455,12 +499,14 @@ pub fn lower(spec: &ProblemSpec, plan: &ExecutionPlan, opts: &ExecOptions) -> Lo
     }
 
     // Per-GPU block/chunk pipelines.
+    let mut stack_rows: Vec<u32> = Vec::new();
+    let mut prev_writers: Vec<TaskId> = Vec::new();
     let mut flush_ids: Vec<Vec<TaskId>> = vec![Vec::new(); n_nodes];
     for (ni, node) in plan.nodes.iter().enumerate() {
         for (gi, gpu) in node.gpus.iter().enumerate() {
             let lane = gpu_lane(ni, gi);
             let mut prev_flush: Option<TaskId> = None;
-            // Last Gemm into each C tile: chaining them fixes the
+            // Last Gemm stack into each C tile: chaining them fixes the
             // floating-point accumulation order per tile, so the numeric
             // result is bit-identical however message delivery (and thus
             // ready order) interleaves.
@@ -495,7 +541,10 @@ pub fn lower(spec: &ProblemSpec, plan: &ExecutionPlan, opts: &ExecOptions) -> Lo
                     } else {
                         None
                     };
-                    let mut load_ids = HashMap::new();
+                    // The chunk's tasks get consecutive ids: its loads in
+                    // `chunk.tiles` order, then its stacks, then its evict.
+                    let first_load = graph.len();
+                    let mut load_of: HashMap<(u32, u32), TaskId> = HashMap::new();
                     for &t in &chunk.tiles {
                         let id = graph.add_task(Op::LoadA { i: t.0, k: t.1 }, lane);
                         if let (Some(wd), true) = (window_dep, opts.prefetch_window) {
@@ -504,25 +553,33 @@ pub fn lower(spec: &ProblemSpec, plan: &ExecutionPlan, opts: &ExecOptions) -> Lo
                         if let Some(&recv) = recva_ids.get(&(ni, t)) {
                             graph.add_dep(id, recv); // dataflow: network arrival
                         }
-                        load_ids.insert(t, id);
+                        load_of.insert(t, id);
                     }
-                    let mut gemm_ids = Vec::new();
-                    ExecutionPlan::for_each_chunk_task(spec, &bp.block, chunk, |t| {
+                    ExecutionPlan::for_each_chunk_stack(spec, &bp.block, chunk, |k, j, rows| {
+                        let start = stack_rows.len();
+                        stack_rows.extend_from_slice(rows);
+                        let span = |at: usize| u32::try_from(at).expect("stack rows fit a u32 index");
                         let id = graph.add_task(
                             Op::Gemm {
-                                i: t.i,
-                                k: t.k,
-                                j: t.j,
+                                k,
+                                j,
+                                rows: span(start)..span(stack_rows.len()),
                             },
                             lane,
                         );
-                        graph.add_dep(id, load_ids[&(t.i, t.k)]);
                         graph.add_dep(id, load_block);
-                        if let Some(&prev) = last_gemm_on_c.get(&(t.i, t.j)) {
-                            graph.add_dep(id, prev); // determinism: C accumulation order
+                        // determinism: C accumulation order — the distinct
+                        // earlier stacks that last wrote a C tile of this one.
+                        prev_writers.clear();
+                        for &i in rows {
+                            graph.add_dep(id, load_of[&(i, k)]);
+                            prev_writers.extend(last_gemm_on_c.insert((i, j), id));
                         }
-                        last_gemm_on_c.insert((t.i, t.j), id);
-                        gemm_ids.push(id);
+                        prev_writers.sort_unstable();
+                        prev_writers.dedup();
+                        for &prev in &prev_writers {
+                            graph.add_dep(id, prev);
+                        }
                     });
                     let evict = graph.add_task(
                         Op::EvictChunk {
@@ -533,11 +590,8 @@ pub fn lower(spec: &ProblemSpec, plan: &ExecutionPlan, opts: &ExecOptions) -> Lo
                         },
                         lane,
                     );
-                    for gid in gemm_ids {
-                        graph.add_dep(evict, gid);
-                    }
-                    for lid in load_ids.values() {
-                        graph.add_dep(evict, *lid);
+                    for dep in first_load..evict {
+                        graph.add_dep(evict, dep);
                     }
                     evict_ids.push(evict);
                     chunk_evicts.push(evict);
@@ -615,5 +669,6 @@ pub fn lower(spec: &ProblemSpec, plan: &ExecutionPlan, opts: &ExecOptions) -> Lo
         tree_children,
         topology,
         reduce,
+        stack_rows: stack_rows.into(),
     }
 }

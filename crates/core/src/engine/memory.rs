@@ -8,11 +8,10 @@
 //! allocation and eviction goes through a manager method, so the byte
 //! accounting and the tile handles can never drift apart.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use bst_runtime::data::DataKey;
-use bst_runtime::device::{DeviceMemory, DeviceOom, DeviceStats, NodeResidency};
+use bst_runtime::device::{CoordMap, DeviceMemory, DeviceOom, DeviceStats, NodeResidency};
 use bst_runtime::trace::{MemSample, TraceClock};
 use bst_tile::Tile;
 
@@ -28,9 +27,9 @@ pub(crate) enum Ctx {
 /// One GPU lane's device memory plus the resident tile handles.
 pub(crate) struct MemoryManager {
     dev: DeviceMemory,
-    a_tiles: HashMap<(u32, u32), Arc<Tile>>,
-    b_tiles: HashMap<(u32, u32), Arc<Tile>>,
-    c_tiles: HashMap<(u32, u32), Tile>,
+    a_tiles: CoordMap<(u32, u32), Arc<Tile>>,
+    b_tiles: CoordMap<(u32, u32), Arc<Tile>>,
+    c_tiles: CoordMap<(u32, u32), Tile>,
     /// Occupancy samples (one per device-touching task) when tracing.
     mem_samples: Vec<MemSample>,
     /// The execution's trace clock; `Some` iff tracing.
@@ -46,9 +45,9 @@ impl MemoryManager {
     ) -> Self {
         Self {
             dev: DeviceMemory::new(gpu, capacity, registry),
-            a_tiles: HashMap::new(),
-            b_tiles: HashMap::new(),
-            c_tiles: HashMap::new(),
+            a_tiles: CoordMap::default(),
+            b_tiles: CoordMap::default(),
+            c_tiles: CoordMap::default(),
             mem_samples: Vec::new(),
             clock,
         }
@@ -85,25 +84,30 @@ impl MemoryManager {
         Ok(())
     }
 
-    /// The operands of `C_ij += A_ik · B_kj`, asserting device residency —
-    /// a Gemm reaching a non-resident operand means the control DAG failed.
+    /// Hands `f` the operands `(A_ik, B_kj, C_ij)` of `C_ij += A_ik · B_kj`
+    /// for each `i` of `rows`, in order — by reference, out of three
+    /// disjoint maps — asserting device residency: a Gemm reaching a
+    /// non-resident operand means the control DAG failed. `B_kj` is looked
+    /// up once for the whole stack.
     pub fn gemm_operands(
         &mut self,
-        i: u32,
         k: u32,
         j: u32,
-    ) -> (Arc<Tile>, Arc<Tile>, &mut Tile) {
-        assert!(
-            self.dev.is_resident(DataKey::A(i, k)),
-            "A({i},{k}) not resident (in a_tiles: {})",
-            self.a_tiles.contains_key(&(i, k))
-        );
-        assert!(self.dev.is_resident(DataKey::B(k, j)), "B not resident");
-        assert!(self.dev.is_resident(DataKey::C(i, j)), "C not resident");
-        let at = self.a_tiles[&(i, k)].clone();
-        let bt = self.b_tiles[&(k, j)].clone();
-        let ct = self.c_tiles.get_mut(&(i, j)).expect("C tile allocated");
-        (at, bt, ct)
+        rows: &[u32],
+        mut f: impl FnMut(&Tile, &Tile, &mut Tile),
+    ) {
+        assert!(self.dev.is_resident(DataKey::B(k, j)), "B({k},{j}) not resident");
+        let bt: &Tile = &self.b_tiles[&(k, j)];
+        for &i in rows {
+            assert!(
+                self.dev.is_resident(DataKey::A(i, k)),
+                "A({i},{k}) not resident (in a_tiles: {})",
+                self.a_tiles.contains_key(&(i, k))
+            );
+            assert!(self.dev.is_resident(DataKey::C(i, j)), "C({i},{j}) not resident");
+            let ct = self.c_tiles.get_mut(&(i, j)).expect("C tile allocated");
+            f(&self.a_tiles[&(i, k)], bt, ct);
+        }
     }
 
     /// Drops one device reference to `A` tile `t`; frees the handle when

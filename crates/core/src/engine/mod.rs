@@ -7,8 +7,10 @@
 //!   `GenB` (on-demand generation of B tiles on the node that needs them,
 //!   fanned across [`inspector::GENB_LANES`] CPU worker lanes),
 //!   `LoadBlock`/`LoadA` (host→device transfers), `Gemm` (the computation:
-//!   one call of the kernel [`bst_tile::kernel::select_heuristic`] picks
-//!   for the tile shape, on the device lane's own thread),
+//!   a *stack* of products — every row of one chunk against one resident B
+//!   tile — each product one call of the kernel
+//!   [`bst_tile::kernel::select_heuristic`] picks for its shape, on the
+//!   device lane's own thread),
 //!   `EvictChunk`/`FlushBlock` (device memory recycling and C write-back);
 //! * **control-flow edges** — `LoadBlock(b+1)` waits for `FlushBlock(b)`
 //!   (blocks are transferred blockingly, §3.2.2), and the `LoadA` tasks of
@@ -333,7 +335,7 @@ pub(crate) fn run(
         Err(abort) => {
             // The abort carries the first failing task; exhausted budgets
             // get the retry context attached, fatal errors pass through.
-            let detail = low.graph.payload(abort.task).detail();
+            let detail = low.detail(abort.task);
             return Err(if abort.budget_exhausted {
                 ExecError::RetryExhausted {
                     detail,
@@ -354,7 +356,7 @@ pub(crate) fn run(
                 .map(|id| TaskRecord {
                     task: id,
                     kind: low.graph.payload(id).kind(),
-                    detail: low.graph.payload(id).detail(),
+                    detail: low.detail(id),
                     worker: low.graph.worker(id),
                     span: spans.get(&id).copied().unwrap_or_default(),
                     attempts: run.attempts.get(id).copied().unwrap_or(1),

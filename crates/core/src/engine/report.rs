@@ -271,8 +271,9 @@ impl ExecTraceData {
 /// human-readable violations (empty = all hold):
 ///
 /// 1. every task's life-cycle is ordered (ready ≤ start ≤ end);
-/// 2. no `Gemm` starts before a `LoadA` of its A tile *and* some
-///    `LoadBlock` finished on its lane (its operands must be on-device);
+/// 2. no `Gemm` stack starts before a `LoadA` of the A tile of **every**
+///    one of its rows *and* its block's `LoadBlock` finished on its lane
+///    (its operands must be on-device);
 /// 3. with [`ExecOptions::block_serialization`], `LoadBlock(b+1)` never
 ///    starts before `FlushBlock(b)` finished on the same lane (§3.2.2
 ///    blocking block transfers);
@@ -312,6 +313,14 @@ pub fn validate_trace_invariants(
             .collect()
     }
 
+    // Parses a stack label "Gemm(k,j|i0,i1,...)" into `(k, j, rows)`.
+    fn stack_of(detail: &str) -> Option<(u64, u64, Vec<u64>)> {
+        let (head, rows) = detail.strip_prefix("Gemm(")?.strip_suffix(')')?.split_once('|')?;
+        let (k, j) = head.split_once(',')?;
+        let rows: Option<Vec<u64>> = rows.split(',').map(|s| s.parse().ok()).collect();
+        Some((k.parse().ok()?, j.parse().ok()?, rows.filter(|r| !r.is_empty())?))
+    }
+
     for r in &trace.records {
         if !(r.span.ready_ns <= r.span.start_ns && r.span.start_ns <= r.span.end_ns) {
             errors.push(format!("{}: life-cycle out of order", r.detail));
@@ -326,23 +335,44 @@ pub fn validate_trace_invariants(
         if lane.lane == 0 {
             continue; // CPU lanes have no device discipline to check
         }
-        for gemm in records.iter().filter(|r| r.kind == "Gemm") {
-            let args = args_of(&gemm.detail);
-            let (i, k) = (args[0], args[1]);
-            let has_a = records.iter().any(|r| {
-                r.kind == "LoadA"
-                    && args_of(&r.detail) == [i, k]
-                    && r.span.end_ns <= gemm.span.start_ns
-            });
-            if !has_a {
-                errors.push(format!(
-                    "{} on {lane:?} started before any LoadA({i},{k}) finished",
-                    gemm.detail
-                ));
+        // Indexed once per lane, so the check is linear in the trace: the
+        // earliest finish of a `LoadA` per tile, and the `LoadBlock` spans by
+        // start time.
+        let mut load_a_end: HashMap<(u64, u64), u64> = HashMap::new();
+        let mut load_blocks: Vec<(u64, u64)> = Vec::new();
+        for r in records {
+            match r.kind {
+                "LoadA" => {
+                    if let [i, k] = args_of(&r.detail)[..] {
+                        let end = load_a_end.entry((i, k)).or_insert(u64::MAX);
+                        *end = (*end).min(r.span.end_ns);
+                    }
+                }
+                "LoadBlock" => load_blocks.push((r.span.start_ns, r.span.end_ns)),
+                _ => {}
             }
-            let has_block = records
-                .iter()
-                .any(|r| r.kind == "LoadBlock" && r.span.end_ns <= gemm.span.start_ns);
+        }
+        load_blocks.sort_unstable();
+        for gemm in records.iter().filter(|r| r.kind == "Gemm") {
+            let Some((k, _j, rows)) = stack_of(&gemm.detail) else {
+                errors.push(format!("{}: not a Gemm(k,j|rows) stack label", gemm.detail));
+                continue;
+            };
+            // Every row's A tile, not just the first one's.
+            for i in rows {
+                if load_a_end.get(&(i, k)).is_none_or(|&end| end > gemm.span.start_ns) {
+                    errors.push(format!(
+                        "{} on {lane:?} started before any LoadA({i},{k}) finished",
+                        gemm.detail
+                    ));
+                }
+            }
+            // Its block's transfer: the last `LoadBlock` the lane started
+            // before the stack (a lane runs one task at a time).
+            let started_before = load_blocks.partition_point(|&(s, _)| s <= gemm.span.start_ns);
+            let has_block = started_before
+                .checked_sub(1)
+                .is_some_and(|b| load_blocks[b].1 <= gemm.span.start_ns);
             if !has_block {
                 errors.push(format!(
                     "{} on {lane:?} started before any LoadBlock finished",

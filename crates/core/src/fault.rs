@@ -196,7 +196,16 @@ impl FaultPlan {
     /// so every attempt of the same task draws the same schedule, which is
     /// what makes prefix-failure injection (and therefore recovery)
     /// deterministic.
-    pub fn site_key(op: &crate::engine::inspector::Op, w: bst_runtime::graph::WorkerId) -> u64 {
+    ///
+    /// `stack_rows` is the lowering's row table
+    /// ([`Lowered::stack_rows`](crate::engine::inspector::Lowered::stack_rows)):
+    /// a `Gemm` stack is keyed by its B tile, its first row and its length —
+    /// content, not the position of its rows in the table.
+    pub fn site_key(
+        op: &crate::engine::inspector::Op,
+        w: bst_runtime::graph::WorkerId,
+        stack_rows: &[u32],
+    ) -> u64 {
         use crate::engine::inspector::Op;
         const P: u64 = 0x100_0000_01B3; // FNV-ish odd multiplier
         let fold = |fields: &[u64]| {
@@ -214,13 +223,14 @@ impl FaultPlan {
             Op::LoadA { i, k } => {
                 fold(&[4, w.node as u64, w.lane as u64, u64::from(*i), u64::from(*k)])
             }
-            Op::Gemm { i, k, j } => fold(&[
+            Op::Gemm { k, j, rows } => fold(&[
                 5,
                 w.node as u64,
                 w.lane as u64,
-                u64::from(*i),
                 u64::from(*k),
                 u64::from(*j),
+                u64::from(stack_rows[rows.start as usize]),
+                u64::from(rows.end - rows.start),
             ]),
             Op::EvictChunk {
                 node, gpu, block, chunk,

@@ -217,6 +217,41 @@ impl ExecutionPlan {
         }
     }
 
+    /// Enumerates the product **stacks** of one chunk (within `block`): the
+    /// same products as [`Self::for_each_chunk_task`], grouped by the B tile
+    /// they share. For each distinct `k` of the chunk in ascending order,
+    /// and each span `j` of the block covering a non-zero `B(k, j)`, `f`
+    /// receives `(k, j, rows)` with `rows` the chunk's `i` — in chunk order —
+    /// that hold `A(i, k)` and keep `C(i, j)`; an empty stack is skipped.
+    ///
+    /// A chunk lists each row's `k` ascending, so walking the stacks in
+    /// this order hands every `C(i, j)` its `k` contributions in exactly
+    /// the order [`Self::for_each_chunk_task`] does: grouping moves no bit.
+    pub fn for_each_chunk_stack(
+        spec: &ProblemSpec,
+        block: &Block,
+        chunk: &Chunk,
+        mut f: impl FnMut(u32, u32, &[u32]),
+    ) {
+        let mut by_k: Vec<(u32, u32)> = chunk.tiles.iter().map(|&(i, k)| (k, i)).collect();
+        by_k.sort_by_key(|&(k, _)| k); // stable: chunk order within one `k`
+        let mut rows: Vec<u32> = Vec::new();
+        for group in by_k.chunk_by(|x, y| x.0 == y.0) {
+            let k = group[0].0;
+            for span in &block.spans {
+                let j = span.col as usize;
+                if !(span.contains(k as usize) && spec.b.shape().is_nonzero(k as usize, j)) {
+                    continue;
+                }
+                rows.clear();
+                rows.extend(group.iter().map(|&(_, i)| i).filter(|&i| spec.c_kept(i as usize, j)));
+                if !rows.is_empty() {
+                    f(k, span.col, &rows);
+                }
+            }
+        }
+    }
+
     /// Enumerates every GEMM task of the plan, node by node.
     pub fn for_each_task(&self, spec: &ProblemSpec, mut f: impl FnMut(&NodePlan, usize, GemmTask)) {
         for node in &self.nodes {

@@ -5,6 +5,7 @@
 use std::sync::Arc;
 
 use bst_contract::engine::execute;
+use bst_contract::engine::inspector::{self, Op};
 use bst_contract::{
     DeviceConfig, ExecError, ExecOptions, ExecutionPlan, FaultPlan, GenError, GridConfig,
     PlannerConfig, ProblemSpec, RetryPolicy,
@@ -209,8 +210,15 @@ fn tracing_populates_metrics_and_trace() {
     let trace = report.trace.as_ref().expect("trace requested");
     assert!(trace.total_ns > 0);
     // Every op kind that this dense 1x2 problem exercises shows up.
+    // One trace record per lowered stack; one tally per planned product.
     let gemm = report.metrics.iter().find(|m| m.kind == "Gemm").unwrap();
-    assert_eq!(gemm.count, report.gemm_tasks);
+    let low = inspector::lower(&spec, &plan, &ExecOptions::default());
+    let stacks = (0..low.graph.len())
+        .filter(|&id| matches!(low.graph.payload(id), Op::Gemm { .. }))
+        .count();
+    assert_eq!(gemm.count, stacks as u64);
+    assert_eq!(report.gemm_tasks, plan.stats(&spec).total_tasks);
+    assert!(gemm.count < report.gemm_tasks, "a dense problem stacks several rows per B tile");
     let genb = report.metrics.iter().find(|m| m.kind == "GenB").unwrap();
     assert_eq!(genb.count, report.b_tiles_generated);
     // One record per task, each with a coherent span.

@@ -6,7 +6,7 @@
 
 use bst_contract::assign::assign_columns;
 use bst_contract::chunk::{build_chunks, needed_tiles_per_row};
-use bst_contract::engine::inspector::{block_c_tiles, lower, REDUCE_ROOT};
+use bst_contract::engine::inspector::{block_c_tiles, lower, Lowered, Op, REDUCE_ROOT};
 use bst_contract::partition::{partition_spans, split_column, Block, ColumnSpan};
 use bst_contract::service::hash;
 use bst_contract::{
@@ -16,8 +16,72 @@ use bst_runtime::{BCacheKey, BTileCache};
 use bst_sparse::generate::{generate, SyntheticParams};
 use bst_tile::Tile;
 use proptest::prelude::*;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::Arc;
+
+/// A generated instance for the lowering properties: dense to sparse, with
+/// or without a screened `c_shape` (as `ccsd_abcd` has), on grids of one to
+/// six nodes and devices from "everything resident" down to budgets tight
+/// enough for several chunks per block and several blocks per column.
+#[allow(clippy::too_many_arguments)]
+fn lowering_instance(
+    m: u64,
+    n: u64,
+    k: u64,
+    tenths: u32,
+    seed: u64,
+    screened: bool,
+    nodes_pick: usize,
+    p_pick: usize,
+    gpus: usize,
+    mem_pick: usize,
+) -> (ProblemSpec, ExecutionPlan) {
+    let prob = generate(&SyntheticParams {
+        m, n, k, density: f64::from(tenths) / 10.0, tile_min: 4, tile_max: 16, seed,
+    });
+    let c_shape = screened.then(|| {
+        let mut shape =
+            bst_sparse::SparseShape::dense(prob.a.row_tiling().num_tiles(), prob.b.col_tiling().num_tiles());
+        for i in 0..shape.rows() {
+            for j in 0..shape.cols() {
+                if (i * 7 + j * 3 + seed as usize) % 4 == 0 {
+                    shape.zero_out(i, j);
+                }
+            }
+        }
+        shape
+    });
+    let spec = ProblemSpec::new(prob.a, prob.b, c_shape);
+    let nodes = [1, 2, 3, 4, 6][nodes_pick];
+    let divisors: Vec<usize> = (1..=nodes).filter(|d| nodes % d == 0).collect();
+    let p = divisors[p_pick % divisors.len()];
+    // One C column plus two B tiles per block (columns split along k),
+    // four times that, or everything resident.
+    let tight = 2 * (m * 16 * 8 + 2 * 16 * 16 * 8);
+    let gpu_mem_bytes = [tight, 4 * tight, 16 << 30][mem_pick];
+    let config = PlannerConfig::paper(
+        GridConfig::from_nodes(nodes, p),
+        DeviceConfig { gpus_per_node: gpus, gpu_mem_bytes },
+    );
+    let plan = ExecutionPlan::build(&spec, config).expect("plan builds");
+    (spec, plan)
+}
+
+/// One task of a lowering as plain data: payload, `(node, lane)`,
+/// dependencies.
+type TaskRow = (Op, (usize, usize), Vec<usize>);
+
+/// A lowering as plain data: its tasks in id order, plus the stacks' row
+/// table.
+fn tasks_of(low: &Lowered) -> (Vec<TaskRow>, Vec<u32>) {
+    let tasks = (0..low.graph.len())
+        .map(|id| {
+            let w = low.graph.worker(id);
+            (low.graph.payload(id).clone(), (w.node, w.lane), low.graph.deps(id).to_vec())
+        })
+        .collect();
+    (tasks, low.stack_rows.to_vec())
+}
 
 proptest! {
     /// Mirrored-cyclic assignment: every column exactly once, and totals
@@ -294,6 +358,130 @@ proptest! {
         );
         if dead.first().is_some_and(|&d| d != REDUCE_ROOT) {
             prop_assert!(low.reduce[dead[0]].keys.is_empty());
+        }
+    }
+    /// Stacks are exactly the plan's products, in the per-product order:
+    /// flattening every `Gemm` stack gives the multiset
+    /// `ExecutionPlan::for_each_task` gives; on every lane each `C(i, j)`
+    /// receives its `k` contributions in the sequence a per-product walk of
+    /// `chunk.tiles` produces, every contribution chained to the previous
+    /// one by a dependency edge; a stack's rows were all loaded by its own
+    /// chunk; and every dependency points backwards.
+    #[test]
+    fn stacks_partition_the_products_in_per_product_order(
+        m in 40u64..=120,
+        n in 120u64..=360,
+        k in 120u64..=360,
+        tenths in 3u32..=10,
+        seed in 0u64..1000,
+        screened in prop_oneof![Just(false), Just(true)],
+        nodes_pick in 0usize..5,
+        p_pick in 0usize..8,
+        gpus in 1usize..=2,
+        mem_pick in 0usize..3,
+    ) {
+        let (spec, plan) =
+            lowering_instance(m, n, k, tenths, seed, screened, nodes_pick, p_pick, gpus, mem_pick);
+        let low = lower(&spec, &plan, &ExecOptions::default());
+
+        // The per-product reference: per lane, per C tile, the k sequence.
+        let mut planned: Vec<(u32, u32, u32)> = Vec::new();
+        let mut want_order: BTreeMap<(usize, usize, u32, u32), Vec<u32>> = BTreeMap::new();
+        for (ni, node) in plan.nodes.iter().enumerate() {
+            for (gi, gpu) in node.gpus.iter().enumerate() {
+                for bp in &gpu.blocks {
+                    for chunk in &bp.chunks {
+                        ExecutionPlan::for_each_chunk_task(&spec, &bp.block, chunk, |t| {
+                            planned.push((t.i, t.k, t.j));
+                            want_order.entry((ni, 1 + gi, t.i, t.j)).or_default().push(t.k);
+                        });
+                    }
+                }
+            }
+        }
+        let mut from_plan: Vec<(u32, u32, u32)> = Vec::new();
+        plan.for_each_task(&spec, |_, _, t| from_plan.push((t.i, t.k, t.j)));
+        planned.sort_unstable();
+        from_plan.sort_unstable();
+        prop_assert_eq!(&planned, &from_plan);
+
+        let mut stacked: Vec<(u32, u32, u32)> = Vec::new();
+        let mut got_order: BTreeMap<(usize, usize, u32, u32), Vec<u32>> = BTreeMap::new();
+        let mut last_writer: BTreeMap<(usize, usize, u32, u32), usize> = BTreeMap::new();
+        // A tiles loaded on each lane since its last EvictChunk.
+        let mut chunk_loads: BTreeMap<(usize, usize), HashSet<(u32, u32)>> = BTreeMap::new();
+        for id in 0..low.graph.len() {
+            let w = low.graph.worker(id);
+            let deps = low.graph.deps(id);
+            prop_assert!(deps.iter().all(|&d| d < id), "task {id} depends forwards: {deps:?}");
+            match low.graph.payload(id) {
+                Op::LoadA { i, k } => {
+                    chunk_loads.entry((w.node, w.lane)).or_default().insert((*i, *k));
+                }
+                Op::EvictChunk { .. } => {
+                    chunk_loads.remove(&(w.node, w.lane));
+                }
+                Op::Gemm { k, j, rows } => {
+                    let rows = low.rows_of(rows);
+                    prop_assert!(!rows.is_empty(), "empty stack {id}");
+                    let loaded = chunk_loads.get(&(w.node, w.lane));
+                    for &i in rows {
+                        prop_assert!(
+                            loaded.is_some_and(|l| l.contains(&(i, *k))),
+                            "stack {id}: A({i},{k}) is not of the chunk being lowered"
+                        );
+                        stacked.push((i, *k, *j));
+                        let c = (w.node, w.lane, i, *j);
+                        got_order.entry(c).or_default().push(*k);
+                        if let Some(prev) = last_writer.insert(c, id) {
+                            prop_assert!(prev != id, "stack {id} writes C({i},{j}) twice");
+                            prop_assert!(
+                                deps.contains(&prev),
+                                "stack {id} is not chained to {prev}, the last writer of C({i},{j})"
+                            );
+                        }
+                    }
+                    let mut sorted = deps.to_vec();
+                    sorted.sort_unstable();
+                    sorted.dedup();
+                    prop_assert_eq!(sorted.len(), deps.len(), "stack {} repeats an edge", id);
+                }
+                _ => {}
+            }
+        }
+        stacked.sort_unstable();
+        prop_assert_eq!(&stacked, &planned);
+        prop_assert_eq!(&got_order, &want_order);
+    }
+
+    /// `lower` is pure in its input: two calls — and two `restrict(r)` of
+    /// them — yield the same tasks, on the same workers, with the same
+    /// dependencies, in the same order (`HashMap` iteration order must not
+    /// leak into task ids: they fix each lane's FIFO, the order A tiles go
+    /// on the wire, and the trace).
+    #[test]
+    fn lowering_is_deterministic(
+        m in 40u64..=120,
+        n in 120u64..=360,
+        k in 120u64..=360,
+        seed in 0u64..1000,
+        nodes_pick in 1usize..5,
+        p_pick in 0usize..8,
+        mem_pick in 0usize..3,
+    ) {
+        let (spec, plan) = lowering_instance(m, n, k, 6, seed, false, nodes_pick, p_pick, 1, mem_pick);
+        let opts = ExecOptions::default();
+        let (first, second) = (lower(&spec, &plan, &opts), lower(&spec, &plan, &opts));
+        prop_assert!(tasks_of(&first) == tasks_of(&second), "two lowerings differ");
+        prop_assert!(
+            first.sends.iter().all(|(key, dests)| second.sends.get(key) == Some(dests)),
+            "broadcast destinations differ"
+        );
+        for rank in 0..plan.nodes.len() {
+            prop_assert!(
+                tasks_of(&first.restrict(rank)) == tasks_of(&second.restrict(rank)),
+                "the projections onto rank {} differ", rank
+            );
         }
     }
 }

@@ -87,39 +87,44 @@ fn by_lane(report: &ExecReport) -> HashMap<WorkerId, Vec<&TaskRecord>> {
     map
 }
 
-/// "Gemm(i,k,j)" → (i, k); "LoadA(i,k)" → (i, k); "LoadBlock(b)" → b; ...
+/// "LoadA(i,k)" → [i, k]; "LoadBlock(b)" → [b]; "Gemm(k,j|i0,i1,…)" →
+/// [k, j, i0, i1, …] (a stack: B tile first, then its rows).
 fn nums(detail: &str) -> Vec<u64> {
     detail
         .split_once('(')
         .and_then(|(_, rest)| rest.strip_suffix(')'))
         .unwrap_or("")
-        .split([',', '-', '>'])
+        .split([',', '-', '>', '|'])
         .filter_map(|s| s.parse().ok())
         .collect()
 }
 
-/// No Gemm before its operands were staged: a `LoadA(i,k)` *and* some
-/// `LoadBlock` must have finished on the same GPU lane first.
+/// No Gemm stack before its operands were staged: a `LoadA(i,k)` of
+/// **every** row *and* some `LoadBlock` must have finished on the same GPU
+/// lane first.
 #[test]
 fn gemm_never_starts_before_its_loads() {
     let spec = tight_spec();
     let report = traced_run(&spec, ExecOptions::default());
-    let mut gemms_checked = 0usize;
+    let (mut gemms_checked, mut rows_checked) = (0usize, 0usize);
     for (lane, records) in by_lane(&report) {
         if lane.lane == 0 {
             continue;
         }
         for gemm in records.iter().filter(|r| r.kind == "Gemm") {
             let g = nums(&gemm.detail);
-            assert!(
-                records.iter().any(|r| r.kind == "LoadA"
-                    && nums(&r.detail) == [g[0], g[1]]
-                    && r.span.end_ns <= gemm.span.start_ns),
-                "{} ran before LoadA({},{}) finished on {lane:?}",
-                gemm.detail,
-                g[0],
-                g[1]
-            );
+            let (k, rows) = (g[0], &g[2..]);
+            assert!(!rows.is_empty(), "{}: a stack without rows", gemm.detail);
+            for &i in rows {
+                assert!(
+                    records.iter().any(|r| r.kind == "LoadA"
+                        && nums(&r.detail) == [i, k]
+                        && r.span.end_ns <= gemm.span.start_ns),
+                    "{} ran before LoadA({i},{k}) finished on {lane:?}",
+                    gemm.detail,
+                );
+                rows_checked += 1;
+            }
             assert!(
                 records
                     .iter()
@@ -130,7 +135,8 @@ fn gemm_never_starts_before_its_loads() {
             gemms_checked += 1;
         }
     }
-    assert!(gemms_checked > 100, "only {gemms_checked} Gemms traced");
+    assert!(gemms_checked > 100, "only {gemms_checked} Gemm stacks traced");
+    assert!(rows_checked > gemms_checked, "every stack had a single row");
     assert_eq!(
         validate_trace_invariants(&report, ExecOptions::default(), GPU_MEM),
         Vec::<String>::new()
@@ -280,4 +286,41 @@ fn validator_flags_corrupted_schedules() {
         violations.iter().any(|v| v.contains("before any Load")),
         "{violations:?}"
     );
+}
+
+/// A stack waits for the `LoadA` of **every** row, not just its first: a
+/// fabricated trace in which one non-first row's tile finishes loading after
+/// the stack started is reported, naming that tile.
+#[test]
+fn validator_flags_a_late_load_of_a_non_first_row() {
+    use bst_contract::ExecTraceData;
+    use bst_runtime::trace::TaskSpan;
+    let lane = WorkerId { node: 0, lane: 1 };
+    let rec = |task, kind, detail: &str, start_ns, end_ns| TaskRecord {
+        task,
+        kind,
+        detail: detail.to_string(),
+        worker: lane,
+        span: TaskSpan { ready_ns: start_ns, start_ns, end_ns },
+        attempts: 1,
+    };
+    let trace = |late_end| ExecReport {
+        trace: Some(ExecTraceData {
+            records: vec![
+                rec(0, "LoadBlock", "LoadBlock(0)", 0, 10),
+                rec(1, "LoadA", "LoadA(4,2)", 10, 20),
+                rec(2, "LoadA", "LoadA(6,2)", 20, late_end),
+                rec(3, "LoadA", "LoadA(9,2)", 30, 40),
+                rec(4, "Gemm", "Gemm(2,5|4,6,9)", 50, 90),
+            ],
+            total_ns: 100,
+            ..ExecTraceData::default()
+        }),
+        ..ExecReport::default()
+    };
+    let check = |report: &ExecReport| validate_trace_invariants(report, ExecOptions::default(), GPU_MEM);
+    assert_eq!(check(&trace(30)), Vec::<String>::new());
+    let violations = check(&trace(60));
+    assert_eq!(violations.len(), 1, "{violations:?}");
+    assert!(violations[0].contains("before any LoadA(6,2)"), "{violations:?}");
 }

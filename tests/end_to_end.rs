@@ -246,3 +246,90 @@ fn determinism_across_runs() {
     // destination tile, accumulation order is fixed by the chunk order.
     assert_eq!(c1.max_abs_diff(&c2), 0.0);
 }
+
+/// FNV-1a over every tile of `c` in `(i, j)` order: coordinates, shape and
+/// the bit pattern of every value.
+fn fnv_fingerprint(c: &BlockSparseMatrix) -> u64 {
+    let mut tiles: Vec<_> = c.iter_tiles().collect();
+    tiles.sort_by_key(|(&ij, _)| ij);
+    let mut d = bst::contract::service::hash::Digest::new();
+    for (&(i, j), t) in tiles {
+        let t = t.to_dense();
+        for v in [i, j, t.rows(), t.cols()] {
+            d.push(v as u64);
+        }
+        for v in t.data() {
+            d.push(v.to_bits());
+        }
+    }
+    d.finish()
+}
+
+/// Fingerprints of C captured at commit 67b293a (per-product Gemm tasks,
+/// padded micro-kernel edges) on an AVX2+FMA host. Stacks, masked edges and
+/// by-reference operands must not move one bit of either.
+const GOLDEN_SYNTHETIC: u64 = 0xc993_2b32_28c6_eabd;
+const GOLDEN_ABCD: u64 = 0x81cc_98af_7f80_eab3;
+
+#[test]
+fn golden_digest_synthetic_ragged_2x2() {
+    // 2 nodes × 2 lanes, tiles of 3..=17 (every row remainder of the 8 × 6
+    // micro-tile), devices tight enough for several blocks and chunks.
+    let prob = generate(&SyntheticParams {
+        m: 90,
+        n: 150,
+        k: 150,
+        density: 0.5,
+        tile_min: 3,
+        tile_max: 17,
+        seed: 41,
+    });
+    let spec = ProblemSpec::new(prob.a.clone(), prob.b.clone(), None);
+    let plan = ExecutionPlan::build(&spec, cfg(1, 2, 2, 96 << 10)).unwrap();
+    let stats = plan.stats(&spec);
+    assert!(stats.num_blocks > 4 && stats.num_chunks > stats.num_blocks);
+    let a = BlockSparseMatrix::random_from_structure(prob.a, 3);
+    let b_gen =
+        |k: usize, j: usize, r: usize, c: usize, pool: &bst_tile::TilePool| Ok(std::sync::Arc::new(pool.random(r, c, tile_seed(4, k, j))));
+    let (c, report) = execute(&spec, &plan, &a, &b_gen, ExecOptions::default()).unwrap();
+    assert_eq!(report.gemm_tasks, stats.total_tasks);
+    if bst::tile::gemm::simd_available() {
+        assert_eq!(fnv_fingerprint(&c), GOLDEN_SYNTHETIC, "C moved: {:#018x}", fnv_fingerprint(&c));
+    }
+}
+
+#[test]
+fn golden_digest_abcd_einsum() {
+    use bst::contract::einsum::Einsum;
+    use bst::sparse::tensor::{BlockSparseTensor4, Tensor4Meta};
+    use bst::tile::Tiling;
+    // Occupied pairs of 9 / 12 / 16 rows against AO pairs of 25 / 35 / 49:
+    // the shapes `ccsd_abcd` is made of, with a banded V and a screened R.
+    let o = Tiling::from_sizes(&[3, 4, 3]);
+    let u = Tiling::from_sizes(&[5, 7, 5, 7]);
+    let t_meta = Tensor4Meta::new([o.clone(), o.clone(), u.clone(), u.clone()]);
+    let t_struct = t_meta.matricise(|i, j, c, d| if (i + j + c + d) % 5 == 0 { 0.0 } else { 1.0 });
+    let t = BlockSparseTensor4::random_from_structure(t_meta, t_struct, 11);
+    let v_meta = Tensor4Meta::new([u.clone(), u.clone(), u.clone(), u.clone()]);
+    let v_struct = v_meta.matricise(|c, d, a, b| {
+        if c.abs_diff(a) <= 1 && d.abs_diff(b) <= 2 { 1.0 } else { 0.0 }
+    });
+    let r_meta = Tensor4Meta::new([o.clone(), o.clone(), u.clone(), u.clone()]);
+    let r_shape = r_meta
+        .matricise(|i, j, a, b| if (i + 2 * j + a + b) % 7 == 0 { 0.0 } else { 1.0 })
+        .shape()
+        .clone();
+    let v_gen =
+        |k: usize, j: usize, r: usize, c: usize, pool: &bst_tile::TilePool| Ok(std::sync::Arc::new(pool.random(r, c, tile_seed(12, k, j))));
+    let out = Einsum::new("ijcd,cdab->ijab")
+        .tensor(&t)
+        .on_demand_tensor4(&v_meta, &v_struct, &v_gen)
+        .output_shape(r_shape)
+        .contract(cfg(2, 1, 1, 128 << 10))
+        .unwrap();
+    assert!(out.reports[0].gemm_tasks > 500);
+    if bst::tile::gemm::simd_available() {
+        let got = fnv_fingerprint(out.matrix());
+        assert_eq!(got, GOLDEN_ABCD, "R moved: {got:#018x}");
+    }
+}
