@@ -10,8 +10,9 @@
 //! * **Numeric** (`--numeric`): actually executes the contraction on the
 //!   `bst-runtime` dataflow engine with tracing on, prints the per-kind /
 //!   per-device text summary, and writes a `chrome://tracing` JSON profile.
-//!   The emitted JSON is re-parsed and the executor-level trace invariants
-//!   are checked; any violation exits non-zero, so CI can gate on it.
+//!   The emitted JSON is re-parsed, the executor-level trace invariants are
+//!   checked and the hosts' peak is held to "A plus a window of B"; any
+//!   violation exits non-zero, so CI can gate on it.
 //!
 //! A third mode smoke-tests the fault-injection subsystem: with
 //! `--faults SEED` the same problem is executed twice — once fault-free,
@@ -30,6 +31,7 @@ use bst_bench::{
     check_chrome_trace, flag_value, numeric_bench_problem, traced_numeric_run, usage_exit,
 };
 use bst_chem::{CcsdProblem, Molecule, ScreeningParams, TilingSpec};
+use bst_contract::engine::inspector::host_b_window_bytes;
 use bst_contract::{
     validate_trace_invariants, DeviceConfig, ExecOptions, ExecutionPlan, FaultPlan, GridConfig,
     PlannerConfig, ProblemSpec,
@@ -121,6 +123,20 @@ fn numeric_mode(args: &[String]) {
         std::process::exit(1);
     }
     println!("# trace invariants OK ({} task records)", trace.records.len());
+
+    // B streams through the host: no node's store ever held more than A
+    // plus, per GPU, a generation window of B.
+    let b = &spec.b;
+    let largest_b = b.shape().iter_nonzero().map(|(k, j)| b.tile_bytes(k, j)).max().unwrap_or(0);
+    let gpus = (report.devices.len() / nodes) as u64;
+    let bound = spec.a.bytes() + gpus * host_b_window_bytes(largest_b, gpu_mem);
+    let peak = report.host_peak_bytes.iter().copied().max().unwrap_or(0);
+    let all_b = b.bytes();
+    println!("# host peak {peak} B <= {bound} B (all of A + a B window per GPU; all of B is {all_b} B)");
+    if peak > bound {
+        eprintln!("error: B piled up on a host: peak {peak} B > bound {bound} B");
+        std::process::exit(1);
+    }
 }
 
 /// The fault-injection smoke run: execute fault-free, re-execute with ~8%

@@ -602,7 +602,10 @@ impl CommFabric {
                 .unwrap_or_else(|e| e.into_inner())
                 .take()
                 .expect("progress thread already started");
-            scope.spawn(move || self.progress_loop(node, rx, store));
+            std::thread::Builder::new()
+                .name(format!("n{node}.progress"))
+                .spawn_scoped(scope, move || self.progress_loop(node, rx, store))
+                .expect("spawn a progress thread");
         }
     }
 

@@ -243,7 +243,9 @@ impl<T: Tracer> Engine<T> {
                 let attempts = &attempts;
                 let abort = &abort;
                 let w = *w;
-                scope.spawn(move || {
+                // Named, so `/proc/<pid>/task/*` and samplers attribute CPU to a lane.
+                let lane = std::thread::Builder::new().name(format!("n{}.l{}", w.node, w.lane));
+                let body = move || {
                     let mut ctx = mk_ctx(w);
                     while let Ok(id) = rx.recv() {
                         if id == DONE {
@@ -347,7 +349,8 @@ impl<T: Tracer> Engine<T> {
                             break;
                         }
                     }
-                });
+                };
+                lane.spawn_scoped(scope, body).expect("spawn a lane thread");
             }
         });
 

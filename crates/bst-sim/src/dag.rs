@@ -14,7 +14,8 @@
 //! [`bst_contract::validate_trace_invariants`] gates the simulated schedule
 //! with the very checker that gates numeric traces.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 
 use bst_contract::engine::inspector::{self, Op, REDUCE_ROOT};
@@ -88,8 +89,9 @@ impl CompressionModel {
 /// regardless of [`ExecOptions::tracing`], since the trace *is* its output.
 ///
 /// Device memory is not modeled but enforced: every `LoadBlock`/`LoadA`
-/// allocation goes through a real [`DeviceMemory`] with the plan's byte
-/// budget, so a lowering that would OOM a real device panics here too.
+/// allocation and every stack's B transfer goes through a real
+/// [`DeviceMemory`] with the plan's byte budget, so a lowering that would
+/// OOM a real device panics here too.
 ///
 /// # Panics
 /// Panics if the replayed schedule overruns a device budget (a lowering bug
@@ -126,13 +128,24 @@ pub fn replay_dag(
     let mut devices: HashMap<WorkerId, DeviceMemory> = HashMap::new();
     let mut mem_samples: HashMap<(usize, usize), Vec<MemSample>> = HashMap::new();
 
-    // Deterministic list schedule. Task ids are topologically ordered (the
-    // graph builder asserts dep < task), and the engine drains each lane's
-    // FIFO in submission order — so walking ids in order while tracking
-    // per-lane free time reproduces the engine's per-lane execution order
-    // exactly, with platform costs instead of wall clock.
+    // Deterministic list schedule, as the engine runs it: a lane takes its
+    // tasks in the order they become ready (seeds and ties in id order), one
+    // at a time — with platform costs instead of wall clock. Popping the
+    // earliest-ready task first is sound because a task is ready no earlier
+    // than the task that released it was.
     let n = low.graph.len();
     let mut end = vec![0u64; n];
+    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
+    let mut waiting: Vec<usize> = Vec::with_capacity(n);
+    let mut ready: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
+    for id in 0..n {
+        let deps = low.graph.deps(id);
+        deps.iter().for_each(|&d| succs[d].push(id));
+        waiting.push(deps.len());
+        if deps.is_empty() {
+            ready.push(Reverse((0, id)));
+        }
+    }
     let mut lane_free: HashMap<WorkerId, u64> = HashMap::new();
     let mut records = Vec::with_capacity(n);
     let (mut a_net, mut a_msgs, mut a_fwd, mut gemms, mut bgens) = (0u64, 0u64, 0u64, 0u64, 0u64);
@@ -140,10 +153,9 @@ pub fn replay_dag(
     let mut comm_events: Vec<CommEvent> = Vec::new();
     let mut comm_stats = vec![NodeCommStats::default(); n_nodes];
 
-    for id in 0..n {
+    while let Some(Reverse((ready_ns, id))) = ready.pop() {
         let op = low.graph.payload(id);
         let w = low.graph.worker(id);
-        let ready_ns = low.graph.deps(id).iter().map(|&d| end[d]).max().unwrap_or(0);
         let start_ns = ready_ns.max(*lane_free.entry(w).or_insert(0));
 
         let mut sample_after: Option<(usize, usize)> = None;
@@ -179,20 +191,12 @@ pub fn replay_dag(
                 });
                 let bp = &plan.nodes[*node].gpus[*gpu].blocks[*block];
                 let row = plan.nodes[*node].grid_row;
-                let (mut bytes, mut tiles) = (0u64, 0u64);
-                for (k, j) in inspector::block_b_tiles(spec, &bp.block) {
-                    let sz = b_bytes(k, j);
-                    dev.load(DataKey::B(k as u32, j as u32), sz)
-                        .expect("simulated device OOM on LoadBlock");
-                    bytes += sz;
-                    tiles += 1;
-                }
                 for (i, j) in inspector::block_c_tiles(spec, &bp.block, row, p) {
                     dev.alloc(DataKey::C(i as u32, j as u32), c_bytes(i, j))
                         .expect("simulated device OOM on C allocation");
                 }
                 sample_after = Some((*node, *gpu));
-                ns(bytes as f64 / platform.h2d_bw + tiles as f64 * platform.h2d_latency_s)
+                0 // C is produced on the device: nothing is transferred
             }
             Op::LoadA { i, k } => {
                 let dev = devices.get_mut(&w).expect("LoadA after LoadBlock on its lane");
@@ -202,20 +206,30 @@ pub fn replay_dag(
                 sample_after = Some((w.node, w.lane - 1));
                 ns(bytes as f64 / platform.h2d_bw + platform.h2d_latency_s)
             }
-            // A stack costs the sum of its products; `gemms` counts
-            // products, as the engine's report does.
+            // A stack costs the sum of its products, plus B's transfer if it
+            // is the block's first on that tile: one device reference per
+            // stack that reads it, so the last one's evict frees it.
+            // `gemms` counts products, as the engine's report does.
             Op::Gemm { k, j, rows } => {
-                let dev = &devices[&w];
-                assert!(dev.is_resident(DataKey::B(*k, *j)), "B({k},{j}) not resident");
+                let dev = devices.get_mut(&w).expect("Gemm after LoadBlock on its lane");
+                let mut seconds = 0.0;
+                if !dev.is_resident(DataKey::B(*k, *j)) {
+                    let bytes = b_bytes(*k as usize, *j as usize);
+                    for _ in 0..low.b_uses[&(w.node, (*k, *j))] {
+                        dev.load(DataKey::B(*k, *j), bytes).expect("simulated device OOM on B transfer");
+                    }
+                    seconds += bytes as f64 / platform.h2d_bw + platform.h2d_latency_s;
+                }
                 let nn = spec.b.col_tiling().size(*j as usize);
                 let kk = spec.a.col_tiling().size(*k as usize);
-                let mut seconds = 0.0;
                 for &i in low.rows_of(rows) {
                     assert!(dev.is_resident(DataKey::A(i, *k)), "A({i},{k}) not resident");
                     assert!(dev.is_resident(DataKey::C(i, *j)), "C({i},{j}) not resident");
                     gemms += 1;
                     seconds += platform.gemm_time(spec.a.row_tiling().size(i as usize), nn, kk);
                 }
+                dev.evict(DataKey::B(*k, *j), false);
+                sample_after = Some((w.node, w.lane - 1));
                 ns(seconds)
             }
             Op::EvictChunk { node, gpu, block, chunk } => {
@@ -231,9 +245,6 @@ pub fn replay_dag(
                 let dev = devices.get_mut(&w).expect("flush on a loaded lane");
                 let bp = &plan.nodes[*node].gpus[*gpu].blocks[*block];
                 let row = plan.nodes[*node].grid_row;
-                for (k, j) in inspector::block_b_tiles(spec, &bp.block) {
-                    dev.evict(DataKey::B(k as u32, j as u32), false);
-                }
                 let (mut bytes, mut tiles) = (0u64, 0u64);
                 for (i, j) in inspector::block_c_tiles(spec, &bp.block, row, p) {
                     dev.evict(DataKey::C(i as u32, j as u32), true);
@@ -261,6 +272,13 @@ pub fn replay_dag(
         let end_ns = start_ns + dur;
         end[id] = end_ns;
         lane_free.insert(w, end_ns);
+        for &s in &succs[id] {
+            waiting[s] -= 1;
+            if waiting[s] == 0 {
+                let released = low.graph.deps(s).iter().map(|&d| end[d]).max().unwrap_or(0);
+                ready.push(Reverse((released, s)));
+            }
+        }
         // Transport accounting, as `CommFabric` keeps it: a `Sent` is
         // charged to the sender, a `Received` to the receiver.
         let mut wire = |phase, key, src: usize, dst: usize, bytes: u64, epoch| {
@@ -324,6 +342,7 @@ pub fn replay_dag(
     let mut samples: Vec<_> = mem_samples.into_iter().collect();
     samples.sort_by_key(|(k, _)| *k);
     let total_ns = end.iter().copied().max().unwrap_or(0);
+    records.sort_unstable_by_key(|r| r.task);
     let metrics = aggregate_by_kind(&records);
     ExecReport {
         devices: dev_stats,

@@ -125,18 +125,41 @@ fn simulated_device_accounting_matches_numeric_peaks() {
     platform.gpus_per_node = 2;
     let simulated = replay_dag(&spec, &plan, &platform, &opts);
 
-    // Same loads, same evictions, same byte accounting → identical per
-    // device peaks and h2d volumes (d2d attribution may differ with thread
-    // timing, so compare their sum).
-    for (((nk, ns_), (sk, ss)), _) in numeric.devices.iter().zip(&simulated.devices).zip(0..) {
+    // Same loads, same evictions, same byte accounting: transfer counts and
+    // volumes do not depend on the schedule (d2d attribution may differ with
+    // thread timing, so compare the sum with h2d).
+    for ((nk, ns_), (sk, ss)) in numeric.devices.iter().zip(&simulated.devices) {
         assert_eq!(nk, sk);
-        assert_eq!(ns_.peak_bytes, ss.peak_bytes, "peak differs on {nk:?}");
+        assert_eq!(ns_.loads, ss.loads, "transfers differ on {nk:?}");
+        assert_eq!(ns_.evictions, ss.evictions, "evictions differ on {nk:?}");
         assert_eq!(
             ns_.h2d_bytes + ns_.d2d_bytes,
             ss.h2d_bytes + ss.d2d_bytes,
             "load volume differs on {nk:?}"
         );
         assert_eq!(ns_.d2h_bytes, ss.d2h_bytes, "writeback differs on {nk:?}");
+    }
+
+    // Peaks. Every block of this plan has one chunk, so a B tile is on its
+    // device only inside its one stack, and the occupancy sampled *between*
+    // tasks (after every load, stack, evict and flush) is C and A alone.
+    // Its maximum is the schedule's to reach but not to choose: a chunk's
+    // evict follows the next chunk's loads on both sides. Which stack
+    // coincides with the most A resident is the schedule's choice, so the
+    // true peak lies at most that stack's B tile above the sampled one.
+    let blocks = || plan.nodes.iter().flat_map(|n| &n.gpus).flat_map(|g| &g.blocks);
+    assert!(blocks().all(|bp| bp.chunks.len() == 1), "a multi-chunk block keeps B across tasks");
+    let largest_b = spec.b.shape().iter_nonzero().map(|(k, j)| spec.b.tile_bytes(k, j)).max().unwrap();
+    let sampled = |r: &ExecReport| -> Vec<((usize, usize), u64)> {
+        let log = &r.trace.as_ref().unwrap().mem_samples;
+        log.iter().map(|(dev, s)| (*dev, s.iter().map(|&(_, bytes)| bytes).max().unwrap())).collect()
+    };
+    assert_eq!(sampled(&numeric), sampled(&simulated));
+    for report in [&numeric, &simulated] {
+        for ((dev, between), (_, stats)) in sampled(report).iter().zip(&report.devices) {
+            let above = stats.peak_bytes.checked_sub(*between).expect("a sample above the peak");
+            assert!(above <= largest_b, "peak {above} B above the between-task peak on {dev:?}");
+        }
     }
 
     // Every simulated device drains to zero, like the numeric engine.

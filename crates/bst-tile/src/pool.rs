@@ -68,44 +68,44 @@ impl TilePool {
         }
     }
 
+    /// A recycled buffer of exactly `len` elements (stale content), or a
+    /// counted miss.
     fn take_buf(&self, len: usize) -> Option<Vec<f64>> {
-        let buf = self.shelves.lock().unwrap().get_mut(&len)?.pop();
-        match buf {
-            Some(b) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(b)
-            }
-            None => None,
-        }
+        let buf = self.shelves.lock().unwrap().get_mut(&len).and_then(Vec::pop);
+        let tally = if buf.is_some() { &self.hits } else { &self.misses };
+        tally.fetch_add(1, Ordering::Relaxed);
+        buf
     }
 
     /// A `rows × cols` tile whose buffer is filled by `fill` — recycled when
     /// possible, freshly allocated otherwise.
     pub fn take_with(&self, rows: usize, cols: usize, fill: impl FnOnce(&mut [f64])) -> Tile {
         assert!(rows > 0 && cols > 0, "degenerate tile {rows}x{cols}");
-        let len = rows * cols;
-        let mut data = match self.take_buf(len) {
-            Some(buf) => buf,
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                vec![0.0; len]
-            }
-        };
+        let mut data = self.take_buf(rows * cols).unwrap_or_else(|| vec![0.0; rows * cols]);
         fill(&mut data);
         Tile::from_data(rows, cols, data)
     }
 
-    /// Pooled counterpart of [`Tile::zeros`].
+    /// Pooled counterpart of [`Tile::zeros`]. A fresh buffer is cleared too,
+    /// on purpose: the allocator hands out untouched zero pages, and touching
+    /// them here — at `LoadBlock`, under the A broadcast and the first `GenB`s
+    /// — keeps their page faults out of the stacks that accumulate into them.
     pub fn zeroed(&self, rows: usize, cols: usize) -> Tile {
         self.take_with(rows, cols, |d| d.fill(0.0))
     }
 
     /// Pooled counterpart of [`Tile::random`]: bit-identical content for the
-    /// same `(rows, cols, seed)`, whatever buffer it lands in.
+    /// same `(rows, cols, seed)`, whatever buffer it lands in. A fresh
+    /// buffer is written once, by the generator, never zero-filled first.
     pub fn random(&self, rows: usize, cols: usize, seed: u64) -> Tile {
-        let mut t = self.take_with(rows, cols, |_| {});
-        t.fill_random(seed);
-        t
+        match self.take_buf(rows * cols) {
+            Some(buf) => {
+                let mut t = Tile::from_data(rows, cols, buf);
+                t.fill_random(seed);
+                t
+            }
+            None => Tile::random(rows, cols, seed),
+        }
     }
 
     /// Returns a tile's buffer(s) to the pool for reuse. A dense tile

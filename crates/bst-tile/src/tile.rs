@@ -37,6 +37,13 @@ pub enum Repr {
     },
 }
 
+/// The value stream of [`Tile::random`] and [`Tile::fill_random`]: one
+/// generator, so a fresh and a recycled buffer hold the same bits.
+fn random_values(seed: u64) -> impl Iterator<Item = f64> {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    std::iter::repeat_with(move || rng.gen_range(-1.0..1.0))
+}
+
 /// A `rows × cols` block of `f64` with a [`Repr`]-polymorphic storage.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Tile {
@@ -89,9 +96,9 @@ impl Tile {
     /// column (§4: "each tile of B is instantiated at most once per node that
     /// needs it").
     pub fn random(rows: usize, cols: usize, seed: u64) -> Self {
-        let mut t = Self::zeros(rows, cols);
-        t.fill_random(seed);
-        t
+        let mut data = Vec::with_capacity(rows * cols);
+        data.extend(random_values(seed).take(rows * cols));
+        Self::from_data(rows, cols, data)
     }
 
     /// A deterministic dense tile with a decaying singular spectrum:
@@ -140,10 +147,7 @@ impl Tile {
             self.repr = Repr::Dense(vec![0.0; self.rows * self.cols]);
         }
         let Repr::Dense(data) = &mut self.repr else { unreachable!() };
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        for x in data {
-            *x = rng.gen_range(-1.0..1.0);
-        }
+        data.iter_mut().zip(random_values(seed)).for_each(|(x, v)| *x = v);
     }
 
     /// Consumes the tile, returning its dense backing buffer (for

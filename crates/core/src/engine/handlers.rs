@@ -29,7 +29,7 @@ use bst_tile::kernel::select_heuristic;
 use bst_tile::pool::TilePool;
 use parking_lot::Mutex;
 
-use super::inspector::{block_b_tiles, block_c_tiles, owner_of, Lowered, Op, REDUCE_ROOT};
+use super::inspector::{block_c_tiles, owner_of, Lowered, Op, REDUCE_ROOT};
 use super::memory::Ctx;
 use super::report::DeviceMemLog;
 use super::BGen;
@@ -279,12 +279,6 @@ impl HandlerEnv<'_> {
             (Op::LoadBlock { node, gpu, block }, Ctx::Gpu(mm)) => {
                 let bp = &plan.nodes[*node].gpus[*gpu].blocks[*block];
                 let row = plan.nodes[*node].grid_row;
-                for (k, j) in block_b_tiles(spec, &bp.block) {
-                    let key = DataKey::B(k as u32, j as u32);
-                    let tile = self.stores[w.node].get(w.node, key);
-                    mm.load_b((k as u32, j as u32), tile).map_err(|e| oom(&e))?;
-                    self.stores[w.node].consume(w.node, key);
-                }
                 for (i, j) in block_c_tiles(spec, &bp.block, row, self.grid.0) {
                     let rows = spec.a.row_tiling().size(i) as usize;
                     let cols = spec.b.col_tiling().size(j) as usize;
@@ -306,6 +300,15 @@ impl HandlerEnv<'_> {
                 Ok(())
             }
             (Op::Gemm { k, j, rows }, Ctx::Gpu(mm)) => {
+                // B streams: the first stack that reads a tile moves it from
+                // the host store to the device, the last one frees it and
+                // hands its buffer to the node pool for the next GenB.
+                let (t, key) = ((*k, *j), DataKey::B(*k, *j));
+                if self.stores[w.node].contains(key) {
+                    let tile = self.stores[w.node].get(w.node, key);
+                    mm.load_b(t, tile, self.low.b_uses[&(w.node, t)]).map_err(|e| oom(&e))?;
+                    self.stores[w.node].consume(w.node, key);
+                }
                 // Row shapes differ, so the kernel is picked per product;
                 // the tallies stay per product too (`gemm_tasks` is the
                 // plan's product count, whatever the stacks' lengths).
@@ -315,6 +318,10 @@ impl HandlerEnv<'_> {
                     self.kernel_counts[kind.index()].fetch_add(1, Ordering::Relaxed);
                 });
                 c.gemms.fetch_add(u64::from(rows.end - rows.start), Ordering::Relaxed);
+                if let Some(arc) = mm.release_b(t) {
+                    self.pools[w.node].release_arc(arc);
+                }
+                mm.sample_mem();
                 Ok(())
             }
             (
@@ -336,15 +343,6 @@ impl HandlerEnv<'_> {
             (Op::FlushBlock { node, gpu, block }, Ctx::Gpu(mm)) => {
                 let bp = &plan.nodes[*node].gpus[*gpu].blocks[*block];
                 let row = plan.nodes[*node].grid_row;
-                for (k, j) in block_b_tiles(spec, &bp.block) {
-                    if let Some(arc) = mm.evict_b((k as u32, j as u32)) {
-                        // This lane held the last reference (the store
-                        // dropped its own at LoadBlock), so the buffer
-                        // goes back to the node pool for the next
-                        // GenB / C zero-fill of the same size.
-                        self.pools[*node].release_arc(arc);
-                    }
-                }
                 // A flush deposits its partials locally (loopback) — the
                 // node's ReduceC folds them and sends one message per C key
                 // to the root. The origin ordinal makes the fold's

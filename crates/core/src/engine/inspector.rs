@@ -9,8 +9,9 @@
 //!
 //! The DAG has two families of edges:
 //!
-//! * **dataflow** — `GenB → LoadBlock` (a block transfer needs its B tiles
-//!   generated), `SendA → RecvA → LoadA` (each broadcast hop is a real
+//! * **dataflow** — `GenB(k, j) → Gemm{k, j, ..}`, one edge per stack that
+//!   reads the tile (the stack that reads it first also transfers it to the
+//!   device), `SendA → RecvA → LoadA` (each broadcast hop is a real
 //!   send/receive pair over [`bst_runtime::comm`]: the send puts the
 //!   message on the wire, the receive completes when the destination's
 //!   progress thread has deposited it, and only then may a device transfer
@@ -20,10 +21,18 @@
 //!   timing is numerically unobservable), `Gemm/LoadA → EvictChunk`,
 //!   `EvictChunk/LoadBlock → FlushBlock`;
 //! * **control flow** — `FlushBlock(b) → LoadBlock(b+1)` (§3.2.2 blocking
-//!   block transfers) and `EvictChunk(n−1−depth) → LoadA(chunk n)` (§3.2.3
-//!   prefetch window). Control edges never change the result — removing
-//!   them only breaks the device-memory budget, which the memory manager
-//!   reports as an OOM, exactly like the real GPU would.
+//!   block transfers), `EvictChunk(n−1−depth) → LoadA(chunk n)` (§3.2.3
+//!   prefetch window) and, under the same switch, `first-use stack(n − W)
+//!   → GenB(n)` ([`GENB_WINDOW`]). Control edges never change the result —
+//!   removing the first two only breaks the device-memory budget, which the
+//!   memory manager reports as an OOM, exactly like the real GPU would;
+//!   removing the third lets B pile up on the host.
+//!
+//! **B is a stream** — it is generated on demand because it cannot be held.
+//! A device lane's `GenB` tasks are lowered in the order its stacks first
+//! read their tiles, each just before that first-use stack and a bounded
+//! window ahead of it: a tile's host copy lives from its `GenB` to its first
+//! stack, its device copy from there to its last stack of the block.
 //!
 //! The unit of device work is a **stack**, not a product: all products of
 //! one chunk against one resident B tile are one `Gemm` task
@@ -33,6 +42,7 @@
 //! its stacks are created `k`-ascending, so every `C(i, j)` still receives
 //! its contributions in the per-product order.
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
 use std::ops::Range;
 use std::sync::Arc;
@@ -74,7 +84,7 @@ pub enum Op {
         /// B-tile column.
         j: u32,
     },
-    /// Load a block's B columns and allocate its C tiles on the device.
+    /// Allocate a block's C tiles on the device.
     LoadBlock {
         /// Owning node.
         node: usize,
@@ -90,8 +100,9 @@ pub enum Op {
         /// A-tile column.
         k: u32,
     },
-    /// A stack of products against one resident B tile: for each `i` of
-    /// `rows`, in order, `C_ij += A_ik · B_kj` on the device.
+    /// A stack of products against one B tile: for each `i` of `rows`, in
+    /// order, `C_ij += A_ik · B_kj` on the device. The block's first stack
+    /// on `B_kj` transfers it host→device, its last one frees it.
     Gemm {
         /// Contraction tile index.
         k: u32,
@@ -112,7 +123,7 @@ pub enum Op {
         /// Chunk index within the block.
         chunk: usize,
     },
-    /// Write back and free the block's C tiles, free its B tiles.
+    /// Write back and free the block's C tiles.
     FlushBlock {
         /// Owning node.
         node: usize,
@@ -193,6 +204,23 @@ pub fn gpu_lane(node: usize, gpu: usize) -> WorkerId {
 /// across them so it overlaps with communication (lane 0) and compute.
 pub const GENB_LANES: usize = 2;
 
+/// How many B tiles a device lane's generation may run ahead of its
+/// consumption: `GenB` of the lane's n-th first-used tile waits for the
+/// first-use stack of tile `n − GENB_WINDOW` (a later one where that many
+/// tiles exceed a quarter of `gpu_mem_bytes`, a prefetched chunk's share).
+/// 4 … 256 measure within noise of each other (EXPERIMENTS.md, PR 23).
+pub const GENB_WINDOW: usize = 16;
+
+/// The most bytes of B one device lane's stream leaves on the host, given
+/// the largest tile its stacks read: the window in tiles or in bytes,
+/// whichever is tighter and never fewer than two tiles, plus one tile per
+/// generator lane — the window edges order when a `GenB` starts, not when it
+/// ends, so a slow one may land after later tiles were consumed.
+pub fn host_b_window_bytes(largest_tile: u64, gpu_mem_bytes: u64) -> u64 {
+    let staged = (GENB_WINDOW as u64 * largest_tile).min((gpu_mem_bytes / 4).max(2 * largest_tile));
+    staged + GENB_LANES as u64 * largest_tile
+}
+
 /// A node's dedicated `GenB` worker lane; these sit above the GPU lanes
 /// (`lane = 1 + gpus_per_node + worker`, `worker < GENB_LANES`).
 pub fn genb_lane(gpus_per_node: usize, node: usize, worker: usize) -> WorkerId {
@@ -202,8 +230,9 @@ pub fn genb_lane(gpus_per_node: usize, node: usize, worker: usize) -> WorkerId {
     }
 }
 
-/// The `(k, j)` B tiles a block transfers, in the exact order the
-/// `LoadBlock` / `FlushBlock` handlers (and the bst-sim replay) walk them.
+/// The `(k, j)` B tiles a block's column spans cover — what the planner
+/// counts and `bst-sim`'s coarse replay transfers; the engine generates the
+/// ones some stack reads ([`Lowered::b_uses`]).
 pub fn block_b_tiles(spec: &ProblemSpec, block: &Block) -> Vec<(usize, usize)> {
     let mut tiles = Vec::new();
     for span in &block.spans {
@@ -268,6 +297,9 @@ pub struct Lowered {
     /// Every worker lane tasks are pinned to: per node, the CPU lane, the
     /// GPU lanes, then the `GenB` worker lanes.
     pub workers: Vec<WorkerId>,
+    /// `Gemm` stack count per `(node, B tile)` some stack reads: the tile
+    /// leaves the device after that many (> 1 only in multi-chunk blocks).
+    pub b_uses: HashMap<NodeTile, u32>,
     /// `LoadA` count per `(node, A tile)` — the device-load consumer
     /// refcount of each tile on each node.
     pub a_loads: HashMap<NodeTile, usize>,
@@ -378,6 +410,7 @@ impl Lowered {
         Lowered {
             graph,
             workers,
+            b_uses: self.b_uses.clone(),
             a_loads: self.a_loads.clone(),
             sends: self.sends.clone(),
             tree_children: self.tree_children.clone(),
@@ -443,31 +476,6 @@ pub fn lower(spec: &ProblemSpec, plan: &ExecutionPlan, opts: &ExecOptions) -> Lo
     // ---- Pass 2: build the task graph ------------------------------------
     let mut graph: TaskGraph<Op> = TaskGraph::new();
 
-    // GenB tasks, one per (node, B tile), dealt round-robin across the
-    // node's GenB workers so generation overlaps.
-    let mut genb_ids: HashMap<(usize, (u32, u32)), TaskId> = HashMap::new();
-    let mut genb_rr = vec![0usize; n_nodes];
-    for (ni, node) in plan.nodes.iter().enumerate() {
-        for &j in &node.columns {
-            for k in spec.b.shape().nonzero_rows_in_col(j) {
-                let key = (ni, (k as u32, j as u32));
-                if genb_ids.contains_key(&key) {
-                    continue;
-                }
-                let worker = genb_lane(g, ni, genb_rr[ni] % GENB_LANES);
-                genb_rr[ni] += 1;
-                let id = graph.add_task(
-                    Op::GenB {
-                        k: k as u32,
-                        j: j as u32,
-                    },
-                    worker,
-                );
-                genb_ids.insert(key, id);
-            }
-        }
-    }
-
     // SendA/RecvA pairs (the background broadcast of A across grid rows),
     // following the binomial trees: each hop is a real message — the send
     // runs on the forwarding node's CPU lane and puts the tile on the wire,
@@ -502,9 +510,21 @@ pub fn lower(spec: &ProblemSpec, plan: &ExecutionPlan, opts: &ExecOptions) -> Lo
     let mut stack_rows: Vec<u32> = Vec::new();
     let mut prev_writers: Vec<TaskId> = Vec::new();
     let mut flush_ids: Vec<Vec<TaskId>> = vec![Vec::new(); n_nodes];
+    let mut b_uses: HashMap<NodeTile, u32> = HashMap::new();
+    let window_bytes = plan.config.device.gpu_mem_bytes / 4;
     for (ni, node) in plan.nodes.iter().enumerate() {
+        // GenB tasks are dealt round-robin over the node's GenB lanes.
+        let mut genb_rr = 0usize;
         for (gi, gpu) in node.gpus.iter().enumerate() {
             let lane = gpu_lane(ni, gi);
+            // The lane's B stream: every read tile's `GenB`; per tile in
+            // first-use order its first-use stack and bytes; `staged` bytes of
+            // the tiles `staged_from..` the next `GenB` may find not yet
+            // consumed (at least two tiles, whatever their size, so that
+            // generating tile n overlaps the stack on tile n − 1).
+            let mut genb_of: HashMap<(u32, u32), TaskId> = HashMap::new();
+            let mut first_uses: Vec<(TaskId, u64)> = Vec::new();
+            let (mut staged_from, mut staged) = (0usize, 0u64);
             let mut prev_flush: Option<TaskId> = None;
             // Last Gemm stack into each C tile: chaining them fixes the
             // floating-point accumulation order per tile, so the numeric
@@ -526,9 +546,6 @@ pub fn lower(spec: &ProblemSpec, plan: &ExecutionPlan, opts: &ExecOptions) -> Lo
                 );
                 if let (Some(f), true) = (prev_flush, opts.block_serialization) {
                     graph.add_dep(load_block, f); // control: blocking block transfer
-                }
-                for (k, j) in block_b_tiles(spec, &bp.block) {
-                    graph.add_dep(load_block, genb_ids[&(ni, (k as u32, j as u32))]);
                 }
                 let mut chunk_evicts = Vec::with_capacity(bp.chunks.len());
                 for (ci, chunk) in bp.chunks.iter().enumerate() {
@@ -556,6 +573,33 @@ pub fn lower(spec: &ProblemSpec, plan: &ExecutionPlan, opts: &ExecOptions) -> Lo
                         load_of.insert(t, id);
                     }
                     ExecutionPlan::for_each_chunk_stack(spec, &bp.block, chunk, |k, j, rows| {
+                        *b_uses.entry((ni, (k, j))).or_insert(0) += 1;
+                        if let Entry::Vacant(slot) = genb_of.entry((k, j)) {
+                            let on = genb_lane(g, ni, genb_rr % GENB_LANES);
+                            genb_rr += 1;
+                            let genb = *slot.insert(graph.add_task(Op::GenB { k, j }, on));
+                            let n = first_uses.len();
+                            let bytes = spec.b.tile_bytes(k as usize, j as usize);
+                            staged += bytes;
+                            while n - staged_from >= 2
+                                && (n - staged_from >= GENB_WINDOW || staged > window_bytes)
+                            {
+                                staged -= first_uses[staged_from].1;
+                                staged_from += 1;
+                            }
+                            if opts.prefetch_window {
+                                // control: generation window, in tiles and
+                                // (where that is the tighter one) in bytes.
+                                if n >= GENB_WINDOW {
+                                    graph.add_dep(genb, first_uses[n - GENB_WINDOW].0);
+                                }
+                                if staged_from > 0 && staged_from - 1 + GENB_WINDOW > n {
+                                    graph.add_dep(genb, first_uses[staged_from - 1].0);
+                                }
+                            }
+                            // The first-use stack is the task lowered next.
+                            first_uses.push((graph.len(), bytes));
+                        }
                         let start = stack_rows.len();
                         stack_rows.extend_from_slice(rows);
                         let span = |at: usize| u32::try_from(at).expect("stack rows fit a u32 index");
@@ -568,6 +612,7 @@ pub fn lower(spec: &ProblemSpec, plan: &ExecutionPlan, opts: &ExecOptions) -> Lo
                             lane,
                         );
                         graph.add_dep(id, load_block);
+                        graph.add_dep(id, genb_of[&(k, j)]); // dataflow: its B tile
                         // determinism: C accumulation order — the distinct
                         // earlier stacks that last wrote a C tile of this one.
                         prev_writers.clear();
@@ -591,7 +636,10 @@ pub fn lower(spec: &ProblemSpec, plan: &ExecutionPlan, opts: &ExecOptions) -> Lo
                         lane,
                     );
                     for dep in first_load..evict {
-                        graph.add_dep(evict, dep);
+                        // its loads and stacks, not the `GenB`s between them
+                        if !matches!(graph.payload(dep), Op::GenB { .. }) {
+                            graph.add_dep(evict, dep);
+                        }
                     }
                     evict_ids.push(evict);
                     chunk_evicts.push(evict);
@@ -664,6 +712,7 @@ pub fn lower(spec: &ProblemSpec, plan: &ExecutionPlan, opts: &ExecOptions) -> Lo
     Lowered {
         graph,
         workers,
+        b_uses,
         a_loads,
         sends,
         tree_children,

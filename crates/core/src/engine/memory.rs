@@ -67,9 +67,12 @@ impl MemoryManager {
         Ok(())
     }
 
-    /// Transfers `B(k,j)` host→device as part of a block load.
-    pub fn load_b(&mut self, t: (u32, u32), tile: Arc<Tile>) -> Result<(), DeviceOom> {
-        self.dev.load(DataKey::B(t.0, t.1), tile.stored_bytes())?;
+    /// Transfers `B(k,j)` host→device for the first of the `uses` stacks
+    /// that read it, taking one device reference per stack.
+    pub fn load_b(&mut self, t: (u32, u32), tile: Arc<Tile>, uses: u32) -> Result<(), DeviceOom> {
+        for _ in 0..uses {
+            self.dev.load(DataKey::B(t.0, t.1), tile.stored_bytes())?;
+        }
         self.b_tiles.insert(t, tile);
         Ok(())
     }
@@ -118,11 +121,11 @@ impl MemoryManager {
         }
     }
 
-    /// Evicts `B` tile `t` without write-back, returning the buffer (for
-    /// pool recycling) if this lane held it.
-    pub fn evict_b(&mut self, t: (u32, u32)) -> Option<Arc<Tile>> {
-        self.dev.evict(DataKey::B(t.0, t.1), false);
-        self.b_tiles.remove(&t)
+    /// Drops one stack's device reference to `B` tile `t`; the last one
+    /// evicts it (no write-back) and returns the buffer for pool recycling.
+    pub fn release_b(&mut self, t: (u32, u32)) -> Option<Arc<Tile>> {
+        let freed = self.dev.evict(DataKey::B(t.0, t.1), false);
+        freed.then(|| self.b_tiles.remove(&t)).flatten()
     }
 
     /// Evicts `C` tile `t` with write-back, yielding the accumulated tile.

@@ -5,20 +5,25 @@
 //!
 //! * **dataflow tasks** — `SendA` (A-tile broadcast across a grid row),
 //!   `GenB` (on-demand generation of B tiles on the node that needs them,
-//!   fanned across [`inspector::GENB_LANES`] CPU worker lanes),
-//!   `LoadBlock`/`LoadA` (host→device transfers), `Gemm` (the computation:
-//!   a *stack* of products — every row of one chunk against one resident B
-//!   tile — each product one call of the kernel
+//!   fanned across [`inspector::GENB_LANES`] CPU worker lanes, in the order
+//!   the device lanes first read them), `LoadBlock` (a block's C
+//!   allocation), `LoadA` (host→device transfers), `Gemm` (the computation:
+//!   a *stack* of products — every row of one chunk against one B tile,
+//!   which the block's first stack on it brings to the device and its last
+//!   one frees — each product one call of the kernel
 //!   [`bst_tile::kernel::select_heuristic`] picks for its shape, on the
 //!   device lane's own thread),
 //!   `EvictChunk`/`FlushBlock` (device memory recycling and C write-back);
 //! * **control-flow edges** — `LoadBlock(b+1)` waits for `FlushBlock(b)`
-//!   (blocks are transferred blockingly, §3.2.2), and the `LoadA` tasks of
+//!   (blocks are transferred blockingly, §3.2.2), the `LoadA` tasks of
 //!   chunk `n` wait for `EvictChunk(n−2)` (one chunk computing + one chunk
-//!   prefetching, §3.2.3). These edges never change the result — removing
-//!   them only breaks the device-memory budget, which
-//!   [`bst_runtime::DeviceMemory`] then reports as an OOM, exactly like the
-//!   real GPU would.
+//!   prefetching, §3.2.3), and the `GenB` of a lane's n-th B tile waits for
+//!   the first stack on tile `n −` [`inspector::GENB_WINDOW`] (B streams
+//!   through the host a bounded window ahead of its use). These edges never
+//!   change the result — removing the first two only breaks the
+//!   device-memory budget, which [`bst_runtime::DeviceMemory`] then reports
+//!   as an OOM, exactly like the real GPU would; removing the third lets
+//!   all of B pile up on the host.
 //!
 //! Every node's tiles live in its private [`bst_runtime::TileStore`]; `A`
 //! starts 2D-cyclic-distributed and crosses node boundaries only through

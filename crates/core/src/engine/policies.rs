@@ -16,7 +16,9 @@ use bst_runtime::comm::{DeliveryPolicy, LinkShaper, DEFAULT_CREDIT_WINDOW};
 #[derive(Clone, Copy, Debug)]
 pub struct ExecOptions {
     /// Chunk *n*'s loads wait for chunk *n−2*'s evict (§3.2.3 prefetch
-    /// window).
+    /// window), and B is generated at most
+    /// [`GENB_WINDOW`](crate::engine::inspector::GENB_WINDOW) tiles ahead of
+    /// the stacks that read it.
     pub prefetch_window: bool,
     /// Block *b+1*'s transfer waits for block *b*'s flush (§3.2.2 blocking
     /// block transfers).

@@ -6,7 +6,7 @@
 //! ([`validate_trace_invariants`]) that gates both numeric traces and the
 //! bst-sim replay of the same plan.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use bst_runtime::comm::{CommEvent, NodeCommStats};
 use bst_runtime::device::DeviceStats;
@@ -16,6 +16,7 @@ use bst_runtime::trace::{
 };
 use bst_tile::pool::PoolStats;
 
+use super::inspector::GENB_WINDOW;
 use super::policies::ExecOptions;
 
 /// Fault-injection and recovery counters of one execution. All zeros (and
@@ -93,7 +94,7 @@ pub struct ExecReport {
     pub a_forward_messages: u64,
     /// GEMM tasks executed.
     pub gemm_tasks: u64,
-    /// `B` tiles generated (counting per-node replicas).
+    /// `B` tiles generated — the ones some stack reads, per-node replicas counted.
     pub b_tiles_generated: u64,
     /// How many `Gemm` tasks each kernel variant executed, as
     /// `(kernel name, count)` — only variants that ran at least once.
@@ -272,13 +273,18 @@ impl ExecTraceData {
 ///
 /// 1. every task's life-cycle is ordered (ready ≤ start ≤ end);
 /// 2. no `Gemm` stack starts before a `LoadA` of the A tile of **every**
-///    one of its rows *and* its block's `LoadBlock` finished on its lane
-///    (its operands must be on-device);
+///    one of its rows *and* its block's `LoadBlock` finished on its lane,
+///    *and* its node's `GenB` of its own B tile finished (its operands must
+///    be on-device, or on the host for the stack to bring over);
 /// 3. with [`ExecOptions::block_serialization`], `LoadBlock(b+1)` never
 ///    starts before `FlushBlock(b)` finished on the same lane (§3.2.2
 ///    blocking block transfers);
 /// 4. every device's high-water mark stays within `gpu_capacity`;
-/// 5. transport causality: every `Received` comm event has a matching
+/// 5. with [`ExecOptions::prefetch_window`], B is generated at most a window
+///    ahead of its consumption: taking a lane's stacks in lowering (task id)
+///    order, the `GenB` of the n-th B tile they first read never starts
+///    before the first stack on tile `n −` [`GENB_WINDOW`] finished;
+/// 6. transport causality: every `Received` comm event has a matching
 ///    earlier `Sent`, and a remotely-delivered tile's `Received(k)`
 ///    happens-before the first `LoadA` of tile `k` on the destination node
 ///    (no handler uses a tile its node has not received).
@@ -328,8 +334,13 @@ pub fn validate_trace_invariants(
     }
 
     let mut by_lane: HashMap<WorkerId, Vec<&TaskRecord>> = HashMap::new();
+    // Each node's `GenB` spans by `(node, k, j)`, whatever lane ran them.
+    let mut genb: HashMap<(usize, u64, u64), (u64, u64)> = HashMap::new();
     for r in &trace.records {
         by_lane.entry(r.worker).or_default().push(r);
+        if let ("GenB", [k, j]) = (r.kind, &args_of(&r.detail)[..]) {
+            genb.insert((r.worker.node, *k, *j), (r.span.start_ns, r.span.end_ns));
+        }
     }
     for (lane, records) in &by_lane {
         if lane.lane == 0 {
@@ -353,11 +364,34 @@ pub fn validate_trace_invariants(
             }
         }
         load_blocks.sort_unstable();
-        for gemm in records.iter().filter(|r| r.kind == "Gemm") {
-            let Some((k, _j, rows)) = stack_of(&gemm.detail) else {
+        let mut gemms: Vec<&TaskRecord> = records.iter().copied().filter(|r| r.kind == "Gemm").collect();
+        gemms.sort_unstable_by_key(|r| r.task);
+        // End of the first stack on each B tile, in first-use order.
+        let mut first_use_end: Vec<u64> = Vec::new();
+        let mut seen_b: HashSet<(u64, u64)> = HashSet::new();
+        for gemm in gemms {
+            let Some((k, j, rows)) = stack_of(&gemm.detail) else {
                 errors.push(format!("{}: not a Gemm(k,j|rows) stack label", gemm.detail));
                 continue;
             };
+            let generated = genb.get(&(lane.node, k, j));
+            if generated.is_none_or(|&(_, end)| end > gemm.span.start_ns) {
+                errors.push(format!(
+                    "{} on {lane:?} started before its GenB({k},{j}) finished",
+                    gemm.detail
+                ));
+            }
+            if seen_b.insert((k, j)) {
+                let behind = first_use_end.len().checked_sub(GENB_WINDOW).map(|m| first_use_end[m]);
+                let ahead = generated.zip(behind).is_some_and(|(&(start, _), end)| start < end);
+                if opts.prefetch_window && ahead {
+                    errors.push(format!(
+                        "GenB({k},{j}) on n{} started more than {GENB_WINDOW} B tiles ahead of {lane:?}",
+                        lane.node
+                    ));
+                }
+                first_use_end.push(gemm.span.end_ns);
+            }
             // Every row's A tile, not just the first one's.
             for i in rows {
                 if load_a_end.get(&(i, k)).is_none_or(|&end| end > gemm.span.start_ns) {

@@ -377,7 +377,9 @@ pub struct PlanStats {
     pub a_h2d_bytes: u64,
     /// Bytes of `B`+`C` transferred host→device (each exactly once).
     pub bc_h2d_bytes: u64,
-    /// Bytes of `B` generated on CPUs (counts per-grid-row replicas).
+    /// Bytes of `B` generated on CPUs (counts per-grid-row replicas): every
+    /// tile of every assigned column — an upper bound, the engine skips the
+    /// tiles no product reads.
     pub b_generated_bytes: u64,
     /// Max node flops / mean node flops (1.0 = perfect balance).
     pub load_imbalance: f64,

@@ -221,6 +221,7 @@ fn tracing_populates_metrics_and_trace() {
     assert!(gemm.count < report.gemm_tasks, "a dense problem stacks several rows per B tile");
     let genb = report.metrics.iter().find(|m| m.kind == "GenB").unwrap();
     assert_eq!(genb.count, report.b_tiles_generated);
+    assert_eq!(genb.count, low.b_uses.len() as u64);
     // One record per task, each with a coherent span.
     assert_eq!(
         report.metrics.iter().map(|m| m.count).sum::<u64>(),
@@ -387,6 +388,83 @@ fn genb_fanout_overlaps() {
     let opts = ExecOptions::builder().tracing(true).build();
     let (_c, report) = execute(&spec, &plan, &am, &b_gen, opts).unwrap();
     assert!(report.max_concurrent_genb() > 1, "the GenB lanes never overlapped");
+}
+
+/// B streams through the host instead of piling up on it. On a small-tile
+/// instance (many ragged tiles, as `ccsd_abcd` has) and a large-tile one
+/// (where the byte cap, not the tile count, bounds the window): exactly the
+/// B tiles some stack reads are generated; a node's store never holds more
+/// than its A plus a generation
+/// window of B; and the device lane starts computing while almost all of B is
+/// still to be generated.
+#[test]
+fn b_is_generated_a_window_ahead_of_its_use() {
+    let small = SyntheticParams {
+        m: 60, n: 900, k: 900, density: 0.25, tile_min: 6, tile_max: 20, seed: 23,
+    };
+    let large = SyntheticParams {
+        m: 256, n: 2560, k: 1280, density: 0.7, tile_min: 128, tile_max: 256, seed: 29,
+    };
+    let cases = [(&small, 8u64 << 20, true), (&large, 4 << 20, false), (&large, 5 << 19, false)];
+    for (params, mem, some_unread) in cases {
+        let prob = generate(params);
+        let spec = ProblemSpec::new(prob.a, prob.b, None);
+        let plan = ExecutionPlan::build(&spec, cfg(1, 1, 1, mem)).unwrap();
+        let am = BlockSparseMatrix::random_from_structure(spec.a.clone(), params.seed);
+        let b_gen = |k: usize, j: usize, r: usize, c: usize, pool: &TilePool| {
+            Ok(Arc::new(pool.random(r, c, tile_seed(params.seed ^ 0xB, k, j))))
+        };
+        let opts = ExecOptions::builder().tracing(true).build();
+        let (_c, report) = execute(&spec, &plan, &am, &b_gen, opts).unwrap();
+
+        // Generated == read by a stack; the planner's B volume (every tile
+        // of every assigned column) is the upper bound.
+        let low = inspector::lower(&spec, &plan, &opts);
+        let mut read = std::collections::BTreeSet::new();
+        for id in 0..low.graph.len() {
+            if let Op::Gemm { k, j, .. } = low.graph.payload(id) {
+                read.insert((low.graph.worker(id).node, *k, *j));
+            }
+        }
+        assert_eq!(low.b_uses.len(), read.len());
+        assert_eq!(report.b_tiles_generated, read.len() as u64);
+        assert_eq!(plan.stats(&spec).b_generated_bytes, spec.b.bytes());
+        let read_bytes: u64 =
+            read.iter().map(|&(_, k, j)| spec.b.tile_bytes(k as usize, j as usize)).sum();
+        assert_eq!(some_unread, read.len() < spec.b.nnz_tiles(), "unread B tiles");
+
+        // Whatever the tiles' size, no window edge makes a `GenB` wait for
+        // the stack right before its own tile's: generation overlaps compute.
+        let genbs: Vec<usize> = (0..low.graph.len())
+            .filter(|&id| matches!(low.graph.payload(id), Op::GenB { .. }))
+            .collect();
+        for (n, &genb) in genbs.iter().enumerate() {
+            for &dep in low.graph.deps(genb) {
+                assert!(n >= 2 && dep <= genbs[n - 2] + 1, "GenB #{n} waits for task {dep}");
+            }
+        }
+
+        // Host residency: A, plus the lane's window (in tiles or in bytes,
+        // whichever is tighter, and the generator lanes' late tiles).
+        let a_bytes: u64 = am.iter_tiles().map(|(_, t)| t.stored_bytes()).sum();
+        let largest = read.iter().map(|&(_, k, j)| spec.b.tile_bytes(k as usize, j as usize)).max().unwrap();
+        let window = inspector::host_b_window_bytes(largest, mem);
+        let bound = a_bytes + window;
+        let peak = *report.host_peak_bytes.iter().max().unwrap();
+        assert!(peak <= bound, "host peak {peak} B > A {a_bytes} + window {window} B");
+        assert!(a_bytes + read_bytes > 2 * bound, "instance too small to tell a stream from a pile");
+
+        // The lane computes while B is still being generated.
+        let records = &report.trace.as_ref().unwrap().records;
+        let first_gemm = records.iter().filter(|r| r.kind == "Gemm").map(|r| r.span.start_ns).min().unwrap();
+        let generated_by_then =
+            records.iter().filter(|r| r.kind == "GenB" && r.span.end_ns <= first_gemm).count();
+        assert!(
+            10 * generated_by_then < read.len(),
+            "{generated_by_then} of {} GenB tasks ended before the first Gemm started",
+            read.len()
+        );
+    }
 }
 
 /// A permanent generator failure aborts the run with the typed error;

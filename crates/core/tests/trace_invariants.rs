@@ -8,7 +8,7 @@
 //! gate on.
 
 use bst_contract::engine::execute;
-use bst_contract::engine::inspector::GENB_LANES;
+use bst_contract::engine::inspector::{GENB_LANES, GENB_WINDOW};
 use bst_contract::{
     validate_trace_invariants, DeviceConfig, ExecOptions, ExecReport, ExecutionPlan, GridConfig,
     PlannerConfig, ProblemSpec,
@@ -288,39 +288,132 @@ fn validator_flags_corrupted_schedules() {
     );
 }
 
+/// One record of a doctored trace: a task that was ready when it started.
+fn rec(worker: WorkerId, task: usize, detail: &str, start_ns: u64, end_ns: u64) -> TaskRecord {
+    let kind = ["LoadBlock", "LoadA", "GenB", "Gemm"]
+        .into_iter()
+        .find(|k| detail.starts_with(&format!("{k}(")))
+        .expect("a kind the doctored traces use");
+    TaskRecord {
+        task,
+        kind,
+        detail: detail.to_string(),
+        worker,
+        span: bst_runtime::trace::TaskSpan { ready_ns: start_ns, start_ns, end_ns },
+        attempts: 1,
+    }
+}
+
+/// The violations the validator finds in a doctored trace.
+fn check_doctored(records: Vec<TaskRecord>) -> Vec<String> {
+    use bst_contract::ExecTraceData;
+    let report = ExecReport {
+        trace: Some(ExecTraceData { records, total_ns: 1_000_000, ..ExecTraceData::default() }),
+        ..ExecReport::default()
+    };
+    validate_trace_invariants(&report, ExecOptions::default(), GPU_MEM)
+}
+
+const GPU0: WorkerId = WorkerId { node: 0, lane: 1 };
+const GEN0: WorkerId = WorkerId { node: 0, lane: 2 };
+
 /// A stack waits for the `LoadA` of **every** row, not just its first: a
 /// fabricated trace in which one non-first row's tile finishes loading after
 /// the stack started is reported, naming that tile.
 #[test]
 fn validator_flags_a_late_load_of_a_non_first_row() {
-    use bst_contract::ExecTraceData;
-    use bst_runtime::trace::TaskSpan;
-    let lane = WorkerId { node: 0, lane: 1 };
-    let rec = |task, kind, detail: &str, start_ns, end_ns| TaskRecord {
-        task,
-        kind,
-        detail: detail.to_string(),
-        worker: lane,
-        span: TaskSpan { ready_ns: start_ns, start_ns, end_ns },
-        attempts: 1,
+    let trace = |late_end| {
+        check_doctored(vec![
+            rec(GPU0, 0, "LoadBlock(0)", 0, 10),
+            rec(GPU0, 1, "LoadA(4,2)", 10, 20),
+            rec(GPU0, 2, "LoadA(6,2)", 20, late_end),
+            rec(GPU0, 3, "LoadA(9,2)", 30, 40),
+            rec(GEN0, 4, "GenB(2,5)", 0, 40),
+            rec(GPU0, 5, "Gemm(2,5|4,6,9)", 50, 90),
+        ])
     };
-    let trace = |late_end| ExecReport {
-        trace: Some(ExecTraceData {
-            records: vec![
-                rec(0, "LoadBlock", "LoadBlock(0)", 0, 10),
-                rec(1, "LoadA", "LoadA(4,2)", 10, 20),
-                rec(2, "LoadA", "LoadA(6,2)", 20, late_end),
-                rec(3, "LoadA", "LoadA(9,2)", 30, 40),
-                rec(4, "Gemm", "Gemm(2,5|4,6,9)", 50, 90),
-            ],
-            total_ns: 100,
-            ..ExecTraceData::default()
-        }),
-        ..ExecReport::default()
-    };
-    let check = |report: &ExecReport| validate_trace_invariants(report, ExecOptions::default(), GPU_MEM);
-    assert_eq!(check(&trace(30)), Vec::<String>::new());
-    let violations = check(&trace(60));
+    assert_eq!(trace(30), Vec::<String>::new());
+    let violations = trace(60);
     assert_eq!(violations.len(), 1, "{violations:?}");
     assert!(violations[0].contains("before any LoadA(6,2)"), "{violations:?}");
+}
+
+/// A stack waits for its own B tile's `GenB` — on whichever of the node's
+/// lanes ran it — and a stack whose tile was never generated is reported too.
+#[test]
+fn validator_flags_a_stack_that_overtakes_its_genb() {
+    let trace = |genb: Option<u64>| {
+        let mut records = vec![
+            rec(GPU0, 0, "LoadBlock(0)", 0, 10),
+            rec(GPU0, 1, "LoadA(4,2)", 10, 20),
+            rec(GPU0, 3, "Gemm(2,5|4)", 50, 90),
+        ];
+        records.extend(genb.map(|end| rec(GEN0, 2, "GenB(2,5)", 5, end)));
+        check_doctored(records)
+    };
+    assert_eq!(trace(Some(50)), Vec::<String>::new());
+    for late in [Some(51), None] {
+        let violations = trace(late);
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(violations[0].contains("before its GenB(2,5) finished"), "{violations:?}");
+    }
+}
+
+/// The generation window: `GenB` of the lane's n-th first-used B tile may not
+/// start before the first stack on tile `n − GENB_WINDOW` finished. The
+/// doctored lane reads `GENB_WINDOW + 1` tiles, one stack each, back to back.
+#[test]
+fn validator_flags_generation_running_ahead_of_the_window() {
+    let w = GENB_WINDOW as u64;
+    let trace = |last_genb_start: u64| {
+        let mut records =
+            vec![rec(GPU0, 0, "LoadBlock(0)", 0, 10), rec(GPU0, 1, "LoadA(4,2)", 10, 20)];
+        for n in 0..=w {
+            // Stack n runs in [100 (n + 1), 100 (n + 1) + 50).
+            let start = if n == w { last_genb_start } else { 20 };
+            let id = 2 + 2 * n as usize;
+            records.push(rec(GEN0, id, &format!("GenB(2,{n})"), start, start + 5));
+            records.push(rec(GPU0, id + 1, &format!("Gemm(2,{n}|4)"), 100 * (n + 1), 100 * (n + 1) + 50));
+        }
+        check_doctored(records)
+    };
+    // Stack 0 ends at 150: the last tile's GenB may start then, not before.
+    assert_eq!(trace(150), Vec::<String>::new());
+    let violations = trace(149);
+    assert_eq!(violations.len(), 1, "{violations:?}");
+    assert!(violations[0].contains(&format!("GenB(2,{w})")), "{violations:?}");
+    assert!(violations[0].contains("ahead"), "{violations:?}");
+}
+
+/// On devices tight enough for several chunks a block, a B tile is read by
+/// one stack per chunk: it crosses to the device once, stays there until its
+/// last chunk's stack, and the run fits the budget it fitted when whole
+/// blocks of B were resident. (`MemoryManager` panics on a stack whose B tile
+/// is gone, the node store on a tile fetched twice.)
+#[test]
+fn a_b_tile_survives_until_its_last_chunks_stack() {
+    let spec = tight_spec();
+    let report = traced_run(&spec, ExecOptions::default());
+    assert_eq!(
+        validate_trace_invariants(&report, ExecOptions::default(), GPU_MEM),
+        Vec::<String>::new()
+    );
+    // Stacks per (node, B tile), from the trace.
+    let mut stacks: HashMap<(usize, u64, u64), u64> = HashMap::new();
+    let records = &report.trace.as_ref().unwrap().records;
+    for r in records.iter().filter(|r| r.kind == "Gemm") {
+        let g = nums(&r.detail);
+        *stacks.entry((r.worker.node, g[0], g[1])).or_default() += 1;
+    }
+    assert!(stacks.values().any(|&n| n > 1), "no block has two chunks reading one B tile");
+    assert_eq!(report.b_tiles_generated, stacks.len() as u64);
+    // One transfer per B tile, however many stacks read it (a `LoadA` of a
+    // tile the previous chunk still holds transfers nothing), and every
+    // device drains.
+    let loads: u64 = report.devices.iter().map(|(_, d)| d.loads).sum();
+    let load_a = records.iter().filter(|r| r.kind == "LoadA").count() as u64;
+    assert!(loads <= load_a + stacks.len() as u64, "a later stack re-loaded its B tile");
+    for (_, samples) in &report.trace.as_ref().unwrap().mem_samples {
+        assert_eq!(samples.last().unwrap().1, 0, "device memory leaked");
+    }
 }
