@@ -163,7 +163,7 @@ fn main() {
     // ---- Traced service run: the invariants must hold through the cache --
     let traced_opts = ExecOptions::builder().tracing(true).build();
     let traced = service.run(make_req(&amplitudes[0], traced_opts)).expect("traced sweep");
-    let violations = validate_trace_invariants(&traced.report, traced_opts, gpu_mem);
+    let violations = validate_trace_invariants(&traced.report, gpu_mem);
     let stats = service.stats();
     service.shutdown();
 

@@ -1,59 +1,35 @@
-//! Renders the execution profile behind the paper's §5.2 observation that
-//! "the arithmetic intensity ... is too low to fully exploit the GPUs" and
-//! "GPU I/O dominates the execution time".
+//! Executes a contraction on the `bst-runtime` dataflow engine with tracing
+//! on, the profile behind the paper's §5.2 observation that "GPU I/O
+//! dominates the execution time": prints the per-kind / per-device text
+//! summary and writes a `chrome://tracing` JSON profile. The emitted JSON is
+//! re-parsed, the executor-level trace invariants are checked and the hosts'
+//! peak is held to "A plus a window of B"; any violation exits non-zero, so
+//! CI can gate on it. (The simulated GPUs' Gantt is `repro trace`.)
 //!
-//! Two modes:
+//! With `--faults SEED` the run smoke-tests the fault-injection subsystem:
+//! the same problem is executed twice — once fault-free, once with ~8%
+//! transient GenB/alloc/transfer faults (plus lane stalls) seeded from
+//! `SEED` — and the run exits non-zero unless the executor recovered, the
+//! two results agree within 1e-10, and the faulted trace still satisfies
+//! every invariant.
 //!
-//! * **Simulator** (default): an ASCII Gantt of the simulated GPUs (`#`
-//!   compute, `-` host↔device transfer) for a reduced C65H132-style run,
-//!   plus per-GPU compute utilisation.
-//! * **Numeric** (`--numeric`): actually executes the contraction on the
-//!   `bst-runtime` dataflow engine with tracing on, prints the per-kind /
-//!   per-device text summary, and writes a `chrome://tracing` JSON profile.
-//!   The emitted JSON is re-parsed, the executor-level trace invariants are
-//!   checked and the hosts' peak is held to "A plus a window of B"; any
-//!   violation exits non-zero, so CI can gate on it.
-//!
-//! A third mode smoke-tests the fault-injection subsystem: with
-//! `--faults SEED` the same problem is executed twice — once fault-free,
-//! once with ~8% transient GenB/alloc/transfer faults (plus lane stalls)
-//! seeded from `SEED` — and the run exits non-zero unless the executor
-//! recovered, the two results agree within 1e-10, and the faulted trace
-//! still satisfies every invariant.
-//!
-//! Usage:
+//! Usage (`--numeric`, the only mode, may be omitted):
 //! ```text
-//! repro_trace [v1|v2|v3]                                        # simulator Gantt
-//! repro_trace --numeric [--tiny] [--out FILE] [--faults SEED]   # traced numeric run
+//! repro_trace [--numeric] [--tiny] [--nodes N] [--out FILE] [--faults SEED]
 //! ```
 
 use bst_bench::{
     check_chrome_trace, flag_value, numeric_bench_problem, traced_numeric_run, usage_exit,
 };
-use bst_chem::{CcsdProblem, Molecule, ScreeningParams, TilingSpec};
 use bst_contract::engine::inspector::host_b_window_bytes;
-use bst_contract::{
-    validate_trace_invariants, DeviceConfig, ExecOptions, ExecutionPlan, FaultPlan, GridConfig,
-    PlannerConfig, ProblemSpec,
-};
-use bst_sim::replay::{simulate_traced, Trace};
-use bst_sim::Platform;
+use bst_contract::{validate_trace_invariants, ExecOptions, FaultPlan, ProblemSpec};
 
-const USAGE: &str = "usage: repro_trace [v1|v2|v3] | repro_trace --numeric \
-[--tiny] [--nodes N] [--out FILE] [--faults SEED]";
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--numeric") {
-        numeric_mode(&args);
-    } else {
-        let tiling = args.first().cloned().unwrap_or_else(|| "v1".to_string());
-        simulator_mode(&tiling);
-    }
-}
+const USAGE: &str =
+    "usage: repro_trace [--numeric] [--tiny] [--nodes N] [--out FILE] [--faults SEED]";
 
 /// The traced numeric run: execute, summarise, export, self-validate.
-fn numeric_mode(args: &[String]) {
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut tiny = false;
     let mut nodes = 2usize;
     let mut out_path = "results/trace.json".to_string();
@@ -114,7 +90,7 @@ fn numeric_mode(args: &[String]) {
             std::process::exit(1);
         }
     }
-    let violations = validate_trace_invariants(&report, opts, gpu_mem);
+    let violations = validate_trace_invariants(&report, gpu_mem);
     if !violations.is_empty() {
         eprintln!("error: trace invariants violated:");
         for v in &violations {
@@ -171,7 +147,7 @@ fn faults_mode(spec: &ProblemSpec, nodes: usize, gpu_mem: u64, seed: u64, out_pa
     }
     println!("# recovered result matches fault-free run (max |diff| = {diff:.3e})");
 
-    let violations = validate_trace_invariants(&report, opts, gpu_mem);
+    let violations = validate_trace_invariants(&report, gpu_mem);
     if !violations.is_empty() {
         eprintln!("error: trace invariants violated under faults:");
         for v in &violations {
@@ -219,58 +195,5 @@ fn print_hot_path(report: &bst_contract::ExecReport) {
     println!(
         "#   tile-pool reuse: {hits} hits / {misses} misses ({:.0}% recycled)",
         hits as f64 / (hits + misses).max(1) as f64 * 100.0
-    );
-}
-
-/// The original simulator Gantt mode.
-fn simulator_mode(tiling: &str) {
-    let spec_t = match tiling {
-        "v1" => TilingSpec::v1(),
-        "v2" => TilingSpec::v2(),
-        "v3" => TilingSpec::v3(),
-        other => usage_exit(USAGE, &format!("unknown tiling {other}")),
-    };
-    let molecule = Molecule::alkane(40);
-    let spec_t = spec_t.scaled_for(&molecule);
-    let problem = CcsdProblem::build(&molecule, spec_t, ScreeningParams::default(), 42);
-    let spec = ProblemSpec::new(
-        problem.t.clone(),
-        problem.v.clone(),
-        Some(problem.r.shape().clone()),
-    );
-
-    let platform = Platform::summit(2);
-    let config = PlannerConfig::paper(
-        GridConfig::from_nodes(2, 1),
-        DeviceConfig {
-            gpus_per_node: platform.gpus_per_node,
-            gpu_mem_bytes: platform.gpu_mem_bytes,
-        },
-    );
-    let plan = ExecutionPlan::build(&spec, config).expect("plan");
-    let mut trace = Trace::default();
-    let report = simulate_traced(&spec, &plan, &platform, Some(&mut trace));
-
-    println!(
-        "# GPU execution profile — {} tiling {tiling}, 2 nodes x 6 GPUs",
-        molecule.formula()
-    );
-    println!(
-        "# makespan {:.2} s, {:.1} Tflop/s total ({:.2} per GPU)",
-        report.makespan_s,
-        report.tflops(),
-        report.tflops_per_gpu(platform.total_gpus())
-    );
-    println!("# '#' compute, '-' transfer; right column = compute utilisation");
-    print!("{}", trace.gantt(report.makespan_s, 100));
-    let mean_util: f64 = trace
-        .gpus
-        .iter()
-        .map(|g| g.compute_utilization(report.makespan_s))
-        .sum::<f64>()
-        / trace.gpus.len() as f64;
-    println!(
-        "# mean compute utilisation: {:.0}% — the rest is GPU I/O and dependencies",
-        mean_util * 100.0
     );
 }

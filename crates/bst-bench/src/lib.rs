@@ -1,7 +1,8 @@
-//! Shared driver code for the reproduction binaries (`src/bin/repro_*.rs`).
+//! Shared driver code for the reproduction binaries: `repro`, whose rows
+//! regenerate the paper's tables and figures, and the self-validating
+//! numeric binaries `repro_{comm,kernels,service,trace}`.
 //!
-//! Each binary regenerates one table or figure of the paper; this library
-//! holds the sweep logic they share:
+//! The two sweeps several rows of `repro` read:
 //!
 //! * [`synthetic_sweep`] — the §5.1 synthetic benchmark grid (M = 48k, N = K
 //!   swept, densities {1, .75, .5, .25, .1}, 16 Summit nodes) for Figures
@@ -36,6 +37,31 @@ pub const SIZES_QUICK: [u64; 3] = [48_000, 192_000, 384_000];
 /// The GPU counts of Figs. 7–9.
 pub const GPU_COUNTS: [usize; 7] = [3, 6, 12, 24, 48, 96, 108];
 
+/// One problem of the synthetic grid.
+pub struct SyntheticCase {
+    /// `N = K`.
+    pub nk: u64,
+    /// Target density.
+    pub density: f64,
+    /// The problem structures.
+    pub spec: ProblemSpec,
+}
+
+/// The synthetic grid: every size of `sizes` at every density of
+/// [`DENSITIES`], sizes outermost.
+pub fn synthetic_cases(sizes: &[u64]) -> Vec<SyntheticCase> {
+    sizes
+        .iter()
+        .flat_map(|&nk| {
+            DENSITIES.iter().map(move |&density| SyntheticCase {
+                nk,
+                density,
+                spec: synthetic_spec(nk, density, 42),
+            })
+        })
+        .collect()
+}
+
 /// One measured point of the synthetic sweep.
 pub struct SyntheticPoint {
     /// `N = K`.
@@ -48,8 +74,6 @@ pub struct SyntheticPoint {
     pub parsec: SimReport,
     /// DBCSR simulated report, or the capacity failure.
     pub dbcsr: Result<DbcsrReport, DbcsrOom>,
-    /// The problem structures (for arithmetic-intensity queries).
-    pub spec: ProblemSpec,
 }
 
 /// Builds the §5.1 synthetic problem for one grid point.
@@ -58,45 +82,31 @@ pub fn synthetic_spec(nk: u64, density: f64, seed: u64) -> ProblemSpec {
     ProblemSpec::new(prob.a, prob.b, None)
 }
 
-/// Runs the synthetic sweep on `nodes` Summit nodes. `sizes` is the N = K
-/// sweep; every density of [`DENSITIES`] is evaluated.
-pub fn synthetic_sweep(sizes: &[u64], nodes: usize, with_dbcsr: bool) -> Vec<SyntheticPoint> {
+/// Simulates every case on `nodes` Summit nodes, PaRSEC-style (at its best
+/// grid-row count) and as libDBCSR.
+pub fn synthetic_sweep(cases: &[SyntheticCase], nodes: usize) -> Vec<SyntheticPoint> {
     let platform = Platform::summit(nodes);
-    let device = DeviceConfig {
-        gpus_per_node: platform.gpus_per_node,
-        gpu_mem_bytes: platform.gpu_mem_bytes,
-    };
     let mut out = Vec::new();
-    for &nk in sizes {
-        for &density in &DENSITIES {
-            let spec = synthetic_spec(nk, density, 42);
-            let (best_p, parsec) =
-                simulate_best_p(&spec, &platform, device).expect("synthetic plan must build");
-            let dbcsr = if with_dbcsr {
-                simulate_dbcsr(&spec, &platform)
-            } else {
-                Err(DbcsrOom {
-                    needed: 0,
-                    capacity: 0,
-                })
-            };
-            eprintln!(
-                "  [sweep] N=K={nk} density={density}: parsec {:.1} Tflop/s (p={best_p}), dbcsr {}",
-                parsec.tflops(),
-                match &dbcsr {
-                    Ok(r) => format!("{:.1} Tflop/s", r.tflops()),
-                    Err(_) => "OOM/skipped".to_string(),
-                }
-            );
-            out.push(SyntheticPoint {
-                nk,
-                density,
-                best_p,
-                parsec,
-                dbcsr,
-                spec,
-            });
-        }
+    for case in cases {
+        let (nk, density) = (case.nk, case.density);
+        let (best_p, parsec) =
+            simulate_best_p(&case.spec, &platform).expect("synthetic plan must build");
+        let dbcsr = simulate_dbcsr(&case.spec, &platform);
+        eprintln!(
+            "  [sweep] N=K={nk} density={density}: parsec {:.1} Tflop/s (p={best_p}), dbcsr {}",
+            parsec.tflops(),
+            match &dbcsr {
+                Ok(r) => format!("{:.1} Tflop/s", r.tflops()),
+                Err(_) => "OOM".to_string(),
+            }
+        );
+        out.push(SyntheticPoint {
+            nk,
+            density,
+            best_p,
+            parsec,
+            dbcsr,
+        });
     }
     out
 }
@@ -125,21 +135,15 @@ pub fn ccsd_spec(p: &CcsdProblem) -> ProblemSpec {
     ProblemSpec::new(p.t.clone(), p.v.clone(), Some(p.r.shape().clone()))
 }
 
-/// Runs the strong-scaling sweep of Figs. 7–9 over [`GPU_COUNTS`].
+/// Runs the strong-scaling sweep of Figs. 7–9 over `gpu_counts`.
 pub fn scaling_sweep(gpu_counts: &[usize], seed: u64) -> Vec<ScalingPoint> {
     let mut out = Vec::new();
     for (label, problem) in c65h132_problems(seed) {
         let spec = ccsd_spec(&problem);
         for &gpus in gpu_counts {
             let platform = Platform::summit_gpus(gpus);
-            let config = PlannerConfig::paper(
-                GridConfig::from_nodes(platform.nodes, 1),
-                DeviceConfig {
-                    gpus_per_node: platform.gpus_per_node,
-                    gpu_mem_bytes: platform.gpu_mem_bytes,
-                },
-            );
-            let plan = ExecutionPlan::build(&spec, config).expect("ccsd plan must build");
+            let plan = ExecutionPlan::build(&spec, platform.planner_config(1))
+                .expect("ccsd plan must build");
             let report = simulate(&spec, &plan, &platform);
             eprintln!(
                 "  [scaling] {label} on {gpus} GPUs: {:.1} s, {:.1} Tflop/s (bounds: compute {:.1}s h2d {:.1}s nic {:.1}s bgen {:.1}s)",
@@ -161,7 +165,7 @@ pub fn scaling_sweep(gpu_counts: &[usize], seed: u64) -> Vec<ScalingPoint> {
 }
 
 /// A small synthetic problem sized so a *numeric* traced execution finishes
-/// in well under a second — used by the repro binaries' `--trace` modes and
+/// in well under a second — the `--tiny` problem of the numeric binaries and
 /// the CI trace check.
 pub fn tiny_numeric_spec(seed: u64) -> ProblemSpec {
     let prob = generate(&SyntheticParams {
@@ -287,32 +291,6 @@ pub fn traced_numeric_run(
     .expect("traced execution must recover")
 }
 
-/// Runs the tiny traced numeric problem on a 2-node × 2-GPU machine with a
-/// 2 MiB device budget (small enough to force several blocks per GPU),
-/// writes its Chrome trace to `path`, self-validates the emitted JSON and
-/// the executor-level trace invariants, and returns the text summary.
-pub fn emit_numeric_trace(path: &str) -> Result<String, String> {
-    let gpu_mem = 1 << 21;
-    let opts = ExecOptions::default();
-    let spec = tiny_numeric_spec(42);
-    let (_c, report) = traced_numeric_run(&spec, 2, 2, gpu_mem, 42, opts);
-    let json = report
-        .trace
-        .as_ref()
-        .expect("traced_numeric_run enables tracing")
-        .chrome_trace_json();
-    std::fs::write(path, &json).map_err(|e| format!("writing {path}: {e}"))?;
-    check_chrome_trace(&json).map_err(|e| format!("{path} is not a valid trace: {e}"))?;
-    let violations = bst_contract::validate_trace_invariants(&report, opts, gpu_mem);
-    if !violations.is_empty() {
-        return Err(format!(
-            "trace invariants violated:\n  {}",
-            violations.join("\n  ")
-        ));
-    }
-    Ok(report.text_summary(gpu_mem))
-}
-
 /// Validates an emitted Chrome-trace JSON document: it must parse, be a
 /// non-empty array, and every element must be an object carrying at least
 /// `name`/`ph`/`pid`/`ts` (ts non-negative). Returns the event count.
@@ -351,7 +329,7 @@ pub fn write_csv(name: &str, header: &[&str], rows: &[Vec<String>]) -> std::io::
     for row in rows {
         writeln!(f, "{}", row.join(","))?;
     }
-    Ok(())
+    f.flush()
 }
 
 /// Rejects a bad command line the way a CLI should: `error: {msg}` and the
@@ -377,66 +355,9 @@ pub fn flag_value<T: std::str::FromStr>(
     })
 }
 
-/// Parses the common `--quick` / `--carbons N` style flags.
-pub struct Args {
-    /// Reduced sweep requested.
-    pub quick: bool,
-    /// `--trace PATH`: also run a tiny traced *numeric* execution and write
-    /// its Chrome-trace JSON here.
-    pub trace: Option<String>,
-}
-
-impl Args {
-    /// Parses process arguments; an unknown flag is a [`usage_exit`].
-    pub fn parse() -> Self {
-        const USAGE: &str = "usage: repro_* [--quick] [--trace PATH]";
-        let mut quick = false;
-        let mut trace = None;
-        let mut it = std::env::args().skip(1);
-        while let Some(a) = it.next() {
-            match a.as_str() {
-                "--quick" => quick = true,
-                "--trace" => trace = Some(flag_value(USAGE, "--trace", it.next())),
-                other => usage_exit(USAGE, &format!("unknown argument {other}")),
-            }
-        }
-        Self { quick, trace }
-    }
-
-    /// The size sweep to use.
-    pub fn sizes(&self) -> &'static [u64] {
-        if self.quick {
-            &SIZES_QUICK
-        } else {
-            &SIZES
-        }
-    }
-
-    /// The GPU-count sweep to use.
-    pub fn gpu_counts(&self) -> &'static [usize] {
-        if self.quick {
-            &GPU_COUNTS[..4]
-        } else {
-            &GPU_COUNTS
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn tiny_numeric_trace_emits_and_validates() {
-        let path = std::env::temp_dir().join("bst_bench_tiny_trace.json");
-        let summary = emit_numeric_trace(path.to_str().unwrap()).unwrap();
-        assert!(summary.contains("trace summary:"), "{summary}");
-        assert!(summary.contains("Gemm"), "{summary}");
-        assert!(summary.contains("n0.g0"), "{summary}");
-        let json = std::fs::read_to_string(&path).unwrap();
-        assert!(check_chrome_trace(&json).unwrap() > 10);
-        std::fs::remove_file(&path).ok();
-    }
 
     #[test]
     fn chrome_checker_rejects_bad_documents() {

@@ -309,7 +309,7 @@ fn run(cfg: &Config) -> BlockSparseMatrix {
         })
     };
     if cfg.traced {
-        let violations = validate_trace_invariants(&ranks[0].1, opts, cfg.gpu_mem);
+        let violations = validate_trace_invariants(&ranks[0].1, cfg.gpu_mem);
         assert!(violations.is_empty(), "{cfg:?}: {violations:?}");
     }
     if cfg.faults.is_some() {

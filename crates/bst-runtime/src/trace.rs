@@ -15,8 +15,7 @@
 //!
 //! * [`ExecTrace::task_spans`] — per-task (ready, start, end) reconstruction;
 //! * [`ExecTrace::validate`] — the well-formedness invariants every trace
-//!   must satisfy (used by the property tests and by `repro_trace
-//!   --validate`);
+//!   must satisfy (used by the property tests);
 //! * [`TaskRecord`] + [`chrome_trace_json_full`] — a `chrome://tracing` /
 //!   Perfetto-compatible JSON exporter (hand-rolled; no serialization
 //!   dependency);

@@ -56,17 +56,9 @@ mod tests {
 
     #[test]
     fn cpu_is_much_slower_than_gpus() {
-        use bst_contract::{DeviceConfig, GridConfig, PlannerConfig};
         let s = spec();
         let platform = Platform::summit(2);
-        let config = PlannerConfig::paper(
-            GridConfig::from_nodes(2, 1),
-            DeviceConfig {
-                gpus_per_node: 6,
-                gpu_mem_bytes: platform.gpu_mem_bytes,
-            },
-        );
-        let plan = bst_contract::ExecutionPlan::build(&s, config).unwrap();
+        let plan = bst_contract::ExecutionPlan::build(&s, platform.planner_config(1)).unwrap();
         let gpu_time = crate::replay::simulate(&s, &plan, &platform).makespan_s;
         let cpu_time = simulate_cpu_only(&s, &platform);
         assert!(

@@ -178,16 +178,11 @@ mod tests {
 
     #[test]
     fn paper_dense_square_48k_comparison() {
-        use bst_contract::DeviceConfig;
         // The paper's M = N = K = 48k dense square point on 16 nodes:
         // PaRSEC 203 Tflop/s vs libDBCSR 109 Tflop/s (a factor ≈ 2).
         let s = spec(48_000, 48_000, 1.0, 512, 2048);
         let platform = Platform::summit(16);
-        let device = DeviceConfig {
-            gpus_per_node: 6,
-            gpu_mem_bytes: platform.gpu_mem_bytes,
-        };
-        let (_p, parsec) = crate::replay::simulate_best_p(&s, &platform, device).unwrap();
+        let (_p, parsec) = crate::replay::simulate_best_p(&s, &platform).unwrap();
         let dbcsr = simulate_dbcsr(&s, &platform).unwrap();
         // Both in the paper's ballpark and PaRSEC clearly ahead.
         assert!(

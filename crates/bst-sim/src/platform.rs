@@ -135,6 +135,18 @@ impl Platform {
         self.nodes * self.gpus_per_node
     }
 
+    /// The paper's planner configuration for this machine on a `p`-row
+    /// process grid: every node, its GPUs and their device memory.
+    pub fn planner_config(&self, p: usize) -> bst_contract::PlannerConfig {
+        bst_contract::PlannerConfig::paper(
+            bst_contract::GridConfig::from_nodes(self.nodes, p),
+            bst_contract::DeviceConfig {
+                gpus_per_node: self.gpus_per_node,
+                gpu_mem_bytes: self.gpu_mem_bytes,
+            },
+        )
+    }
+
     /// Tile-size efficiency in `(0, 1)`: `s/(s+s0)` with the geometric-mean
     /// edge `s = (m·n·k)^{1/3}`.
     pub fn gemm_efficiency(&self, m: u64, n: u64, k: u64) -> f64 {

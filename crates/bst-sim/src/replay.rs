@@ -360,7 +360,6 @@ pub fn simulate_traced(
 pub fn simulate_best_p(
     spec: &ProblemSpec,
     platform: &Platform,
-    device: bst_contract::DeviceConfig,
 ) -> Result<(usize, SimReport), bst_contract::PlanError> {
     let mut best: Option<(usize, SimReport)> = None;
     let mut last_err = None;
@@ -368,11 +367,7 @@ pub fn simulate_best_p(
         if platform.nodes % p != 0 {
             continue;
         }
-        let config = bst_contract::PlannerConfig::paper(
-            bst_contract::GridConfig::from_nodes(platform.nodes, p),
-            device,
-        );
-        match ExecutionPlan::build(spec, config) {
+        match ExecutionPlan::build(spec, platform.planner_config(p)) {
             Ok(plan) => {
                 let r = simulate(spec, &plan, platform);
                 if best
@@ -395,7 +390,6 @@ pub fn simulate_best_p(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bst_contract::{DeviceConfig, GridConfig, PlannerConfig};
     use bst_sparse::generate::{generate, SyntheticParams};
 
     fn small_problem(density: f64) -> ProblemSpec {
@@ -413,14 +407,7 @@ mod tests {
 
     fn run(spec: &ProblemSpec, nodes: usize, p: usize) -> SimReport {
         let platform = Platform::summit(nodes);
-        let config = PlannerConfig::paper(
-            GridConfig::from_nodes(nodes, p),
-            DeviceConfig {
-                gpus_per_node: platform.gpus_per_node,
-                gpu_mem_bytes: platform.gpu_mem_bytes,
-            },
-        );
-        let plan = ExecutionPlan::build(spec, config).unwrap();
+        let plan = ExecutionPlan::build(spec, platform.planner_config(p)).unwrap();
         simulate(spec, &plan, &platform)
     }
 
@@ -438,14 +425,7 @@ mod tests {
     fn flops_match_plan_stats() {
         let spec = small_problem(0.5);
         let platform = Platform::summit(2);
-        let config = PlannerConfig::paper(
-            GridConfig::from_nodes(2, 1),
-            DeviceConfig {
-                gpus_per_node: 6,
-                gpu_mem_bytes: platform.gpu_mem_bytes,
-            },
-        );
-        let plan = ExecutionPlan::build(&spec, config).unwrap();
+        let plan = ExecutionPlan::build(&spec, platform.planner_config(1)).unwrap();
         let r = simulate(&spec, &plan, &platform);
         let stats = plan.stats(&spec);
         assert_eq!(r.total_flops, stats.total_flops);
@@ -507,14 +487,7 @@ mod tests {
     fn trace_covers_compute_time() {
         let spec = small_problem(0.5);
         let platform = Platform::summit(2);
-        let config = PlannerConfig::paper(
-            GridConfig::from_nodes(2, 1),
-            DeviceConfig {
-                gpus_per_node: 6,
-                gpu_mem_bytes: platform.gpu_mem_bytes,
-            },
-        );
-        let plan = ExecutionPlan::build(&spec, config).unwrap();
+        let plan = ExecutionPlan::build(&spec, platform.planner_config(1)).unwrap();
         let mut trace = crate::replay::Trace::default();
         let r = crate::replay::simulate_traced(&spec, &plan, &platform, Some(&mut trace));
         assert!(!trace.gpus.is_empty());
@@ -542,14 +515,7 @@ mod tests {
     #[should_panic(expected = "must match")]
     fn platform_mismatch_panics() {
         let spec = small_problem(1.0);
-        let config = PlannerConfig::paper(
-            GridConfig::from_nodes(2, 1),
-            DeviceConfig {
-                gpus_per_node: 6,
-                gpu_mem_bytes: 16 << 30,
-            },
-        );
-        let plan = ExecutionPlan::build(&spec, config).unwrap();
+        let plan = ExecutionPlan::build(&spec, Platform::summit(2).planner_config(1)).unwrap();
         simulate(&spec, &plan, &Platform::summit(3));
     }
 }

@@ -169,7 +169,6 @@ pub fn simulate_stationary_c(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bst_contract::{DeviceConfig, GridConfig, PlannerConfig};
     use bst_sparse::generate::{generate, SyntheticParams};
 
     fn spec(m: u64, nk: u64, density: f64, tmin: u64, tmax: u64) -> ProblemSpec {
@@ -183,16 +182,6 @@ mod tests {
             seed: 3,
         });
         ProblemSpec::new(prob.a, prob.b, None)
-    }
-
-    fn config(platform: &Platform, p: usize) -> PlannerConfig {
-        PlannerConfig::paper(
-            GridConfig::from_nodes(platform.nodes, p),
-            DeviceConfig {
-                gpus_per_node: platform.gpus_per_node,
-                gpu_mem_bytes: platform.gpu_mem_bytes,
-            },
-        )
     }
 
     #[test]
@@ -212,7 +201,7 @@ mod tests {
             None,
         );
         let platform = Platform::summit(16);
-        let plan = StationaryCPlan::build(&s, config(&platform, 4)).unwrap();
+        let plan = StationaryCPlan::build(&s, platform.planner_config(4)).unwrap();
         let r = simulate_stationary_c(&s, &plan, &platform);
         assert!(
             (400.0..700.0).contains(&r.tflops()),
@@ -222,11 +211,7 @@ mod tests {
         // The B-stationary algorithm on the same (irregularly tiled, as in
         // Fig. 2) problem reaches far less.
         let irregular = spec(48_000, 48_000, 1.0, 512, 2048);
-        let device = DeviceConfig {
-            gpus_per_node: 6,
-            gpu_mem_bytes: platform.gpu_mem_bytes,
-        };
-        let (_p, bstat) = crate::replay::simulate_best_p(&irregular, &platform, device).unwrap();
+        let (_p, bstat) = crate::replay::simulate_best_p(&irregular, &platform).unwrap();
         assert!(
             r.tflops() > 1.5 * bstat.tflops(),
             "stationary-C {} vs B-stationary {}",
@@ -245,7 +230,7 @@ mod tests {
         let s = spec(2_000, 100_000, 0.3, 256, 1024);
         let platform = Platform::summit(4);
         // Square-ish grid (p = 2, q = 2) — what a dense 2-d algorithm uses.
-        let splan = StationaryCPlan::build(&s, config(&platform, 2)).unwrap();
+        let splan = StationaryCPlan::build(&s, platform.planner_config(2)).unwrap();
         let mut sc_remote = 0u64;
         // Recompute the stationary-C network volume the way the replay does.
         let (p, q) = (2usize, 2usize);
@@ -272,14 +257,9 @@ mod tests {
             }
         }
         // B-stationary with p = 1 circulates only A (and never B).
-        let device = DeviceConfig {
-            gpus_per_node: 6,
-            gpu_mem_bytes: platform.gpu_mem_bytes,
-        };
-        let config_b = PlannerConfig::paper(GridConfig::from_nodes(4, 1), device);
         let bplan = crate::replay::simulate(
             &s,
-            &bst_contract::ExecutionPlan::build(&s, config_b).unwrap(),
+            &bst_contract::ExecutionPlan::build(&s, platform.planner_config(1)).unwrap(),
             &platform,
         );
         assert!(
@@ -294,7 +274,7 @@ mod tests {
     fn flops_match_task_enumeration() {
         let s = spec(1_000, 4_000, 0.5, 64, 256);
         let platform = Platform::summit(1);
-        let plan = StationaryCPlan::build(&s, config(&platform, 1)).unwrap();
+        let plan = StationaryCPlan::build(&s, platform.planner_config(1)).unwrap();
         let r = simulate_stationary_c(&s, &plan, &platform);
         let mut flops = 0u128;
         plan.for_each_task(&s, |i, k, j| {

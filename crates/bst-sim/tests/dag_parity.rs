@@ -101,11 +101,11 @@ fn numeric_and_simulated_runs_execute_the_same_dag() {
     // One checker gates both schedules.
     let cap = config.device.gpu_mem_bytes;
     assert_eq!(
-        validate_trace_invariants(&numeric, opts, cap),
+        validate_trace_invariants(&numeric, cap),
         Vec::<String>::new()
     );
     assert_eq!(
-        validate_trace_invariants(&simulated, opts, cap),
+        validate_trace_invariants(&simulated, cap),
         Vec::<String>::new()
     );
     assert!(makespan_s(&simulated) > 0.0);
@@ -189,7 +189,7 @@ fn genb_fanout_lowers_identically_for_both_consumers() {
     assert_eq!(fingerprint(&numeric), fingerprint(&simulated));
     let cap = config.device.gpu_mem_bytes;
     assert_eq!(
-        validate_trace_invariants(&simulated, opts, cap),
+        validate_trace_invariants(&simulated, cap),
         Vec::<String>::new()
     );
     // The fan-out lanes actually appear in the simulated schedule.
@@ -234,8 +234,5 @@ fn compression_model_shrinks_replayed_bytes_but_not_the_dag() {
 
     // The compressed schedule still passes the shared invariant checker.
     let cap = config.device.gpu_mem_bytes;
-    assert_eq!(
-        validate_trace_invariants(&lossy, lossy_opts, cap),
-        Vec::<String>::new()
-    );
+    assert_eq!(validate_trace_invariants(&lossy, cap), Vec::<String>::new());
 }

@@ -1,7 +1,7 @@
 //! Property tests for the performance simulator: structural lower bounds,
 //! monotonicity in machine parameters, and accounting consistency.
 
-use bst_contract::{DeviceConfig, ExecutionPlan, GridConfig, PlannerConfig, ProblemSpec};
+use bst_contract::{ExecutionPlan, ProblemSpec};
 use bst_sim::{simulate, Platform};
 use bst_sparse::generate::{generate, SyntheticParams};
 use proptest::prelude::*;
@@ -20,14 +20,7 @@ fn make_spec(m: u64, nk: u64, density: f64, seed: u64) -> ProblemSpec {
 }
 
 fn plan_for(spec: &ProblemSpec, platform: &Platform, p: usize) -> ExecutionPlan {
-    let config = PlannerConfig::paper(
-        GridConfig::from_nodes(platform.nodes, p),
-        DeviceConfig {
-            gpus_per_node: platform.gpus_per_node,
-            gpu_mem_bytes: platform.gpu_mem_bytes,
-        },
-    );
-    ExecutionPlan::build(spec, config).expect("plan")
+    ExecutionPlan::build(spec, platform.planner_config(p)).expect("plan")
 }
 
 proptest! {

@@ -1,17 +1,16 @@
 //! `C += A * B` kernels on dense tiles.
 //!
-//! Four implementations with identical semantics:
+//! Three implementations with identical semantics:
 //!
 //! * [`gemm_naive`] — triple loop, the correctness reference;
 //! * [`gemm_blocked`] — cache-blocked with a column-major-friendly loop
-//!   order; the thin-shape path and the reference kernel of the baselines;
-//! * [`gemm_packed`] — GotoBLAS-style packed panels with a scalar `4 × 4`
-//!   register-blocked micro-kernel; what a host without AVX2+FMA runs;
+//!   order; the thin-shape path, the reference kernel of the baselines, and
+//!   what a host without AVX2+FMA runs;
 //! * [`gemm_simd`] — one hand-written AVX2+FMA `8 × 6` micro-kernel under
 //!   two drivers ([`SimdDriver`]): A packed into panels when it is large,
 //!   read in place when it is not; B always in place; ragged edges masked,
 //!   never padded. Detected at run time; without the features it *is*
-//!   [`gemm_packed`].
+//!   [`gemm_blocked`].
 //!
 //! Every kernel runs on the calling thread: one Gemm task is one kernel
 //! call, and all concurrency comes from the engine's device lanes. Picking
@@ -89,103 +88,12 @@ pub fn gemm_blocked(alpha: f64, a: &Tile, b: &Tile, c: &mut Tile) {
 mod simd;
 
 thread_local! {
-    /// Per-thread pack scratch for the packed kernels: `(A panels, B panels)`
-    /// — both halves for [`gemm_packed`], the A half alone for the packed
-    /// driver of [`gemm_simd`], which never copies B. Reused across calls so
-    /// the hot path performs no allocation once the buffers have grown to the
-    /// working tile size (the pack-scratch half of the buffer-pool story;
-    /// tiles themselves go through `crate::pool::TilePool`).
-    static PACK_SCRATCH: RefCell<(Vec<f64>, Vec<f64>)> = const { RefCell::new((Vec::new(), Vec::new())) };
-}
-
-/// Scalar packed kernel with a 4×4 register micro-tile — the portable
-/// fallback of [`gemm_simd`].
-///
-/// Both operands are packed: `A` into `MR`-row panels and `B` into
-/// `NR`-column panels, each stored k-major, so the micro-kernel streams
-/// every operand with unit stride — the classical GotoBLAS structure at the
-/// scale a tile kernel needs. The `MR × NR` accumulators live in locals so
-/// the `k` loop is a pure multiply-add sweep the compiler can vectorise.
-pub fn gemm_packed(alpha: f64, a: &Tile, b: &Tile, c: &mut Tile) {
-    const MR: usize = 4;
-    const NR: usize = 4;
-    check_shapes(c, a, b);
-    let (m, n, kk) = (a.rows(), b.cols(), a.cols());
-    if m < MR || n < NR {
-        return gemm_blocked(alpha, a, b, c);
-    }
-    let (ad, bd) = (a.data(), b.data());
-    let cd = c.data_mut();
-
-    // Ragged edges are zero-padded to full micro-tiles inside the packed
-    // panels (the classical GotoBLAS edge-case treatment): the register
-    // kernel then runs unconditionally — a few multiplies by zero beat a
-    // scalar tail path by an order of magnitude on ragged tile shapes —
-    // and the write-back clamps to the valid C sub-block.
-    let mpanels = m.div_ceil(MR);
-    let npanels = n.div_ceil(NR);
-    PACK_SCRATCH.with(|scratch| {
-        let (apack, bpack) = &mut *scratch.borrow_mut();
-        apack.clear();
-        apack.resize(mpanels * MR * kk, 0.0);
-        bpack.clear();
-        bpack.resize(npanels * NR * kk, 0.0);
-
-        // Pack A: panels of MR rows, k-major, last panel zero-padded.
-        for p in 0..mpanels {
-            let i0 = p * MR;
-            let rows = MR.min(m - i0);
-            let dst = &mut apack[p * MR * kk..(p + 1) * MR * kk];
-            for l in 0..kk {
-                for r in 0..rows {
-                    dst[l * MR + r] = ad[l * m + i0 + r];
-                }
-            }
-        }
-        // Pack B: panels of NR columns, k-major, so the micro-kernel reads
-        // one contiguous NR-wide row per k step instead of NR strided
-        // loads; last panel zero-padded.
-        for pj in 0..npanels {
-            let j0 = pj * NR;
-            let cols = NR.min(n - j0);
-            let dst = &mut bpack[pj * NR * kk..(pj + 1) * NR * kk];
-            for jj in 0..cols {
-                let col = &bd[(j0 + jj) * kk..(j0 + jj + 1) * kk];
-                for l in 0..kk {
-                    dst[l * NR + jj] = col[l];
-                }
-            }
-        }
-
-        for p in 0..mpanels {
-            let apanel = &apack[p * MR * kk..(p + 1) * MR * kk];
-            let i0 = p * MR;
-            let rows = MR.min(m - i0);
-            for pj in 0..npanels {
-                let bpanel = &bpack[pj * NR * kk..(pj + 1) * NR * kk];
-                // MR x NR accumulators in registers.
-                let mut acc = [[0.0f64; MR]; NR];
-                for l in 0..kk {
-                    let arow = &apanel[l * MR..l * MR + MR];
-                    let brow = &bpanel[l * NR..l * NR + NR];
-                    for (jj, accc) in acc.iter_mut().enumerate() {
-                        let blj = brow[jj];
-                        for r in 0..MR {
-                            accc[r] += arow[r] * blj;
-                        }
-                    }
-                }
-                let j0 = pj * NR;
-                let cols = NR.min(n - j0);
-                for (jj, accc) in acc.iter().enumerate().take(cols) {
-                    let ccol = &mut cd[(j0 + jj) * m + i0..(j0 + jj) * m + i0 + rows];
-                    for r in 0..rows {
-                        ccol[r] += alpha * accc[r];
-                    }
-                }
-            }
-        }
-    });
+    /// Per-thread A panels of the packed driver of [`gemm_simd`] (B is never
+    /// copied). Reused across calls so the hot path performs no allocation
+    /// once the buffer has grown to the working tile size (the pack-scratch
+    /// half of the buffer-pool story; tiles themselves go through
+    /// `crate::pool::TilePool`).
+    static PACK_SCRATCH: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 
 /// How [`gemm_simd`] feeds A to its micro-kernel (B is read in place by
@@ -224,7 +132,7 @@ pub fn simd_available() -> bool {
 /// accumulators (ragged edges run narrower, masked instantiations of the
 /// same micro-kernel), reading A in place while it is at most 256 KiB and
 /// packed above — a function of the shape alone. On a host without the features
-/// (see [`simd_available`]) this runs [`gemm_packed`] — slower, never
+/// (see [`simd_available`]) this runs [`gemm_blocked`] — slower, never
 /// undefined.
 ///
 /// FMA rounds once per multiply-add where the scalar kernels round twice,
@@ -252,7 +160,7 @@ pub fn gemm_simd_with(driver: SimdDriver, alpha: f64, a: &Tile, b: &Tile, c: &mu
         }
     }
     let _ = driver;
-    gemm_packed(alpha, a, b, c);
+    gemm_blocked(alpha, a, b, c);
 }
 
 #[cfg(test)]
@@ -299,13 +207,7 @@ mod tests {
     }
 
     #[test]
-    fn packed_matches_naive() {
-        type Kernel = fn(f64, &Tile, &Tile, &mut Tile);
-        let variants: [(&str, Kernel); 3] = [
-            ("4x4", gemm_packed),
-            ("simd in place", |al, a, b, c| gemm_simd_with(SimdDriver::InPlace, al, a, b, c)),
-            ("simd packed", |al, a, b, c| gemm_simd_with(SimdDriver::Packed, al, a, b, c)),
-        ];
+    fn simd_matches_naive() {
         for &(m, n, k) in &[
             (1usize, 1usize, 1usize),
             (3, 5, 2),
@@ -321,12 +223,12 @@ mod tests {
             let c0 = Tile::random(m, n, 32);
             let mut c1 = c0.clone();
             gemm_naive(1.3, &a, &b, &mut c1);
-            for (name, kernel) in variants {
+            for driver in [SimdDriver::InPlace, SimdDriver::Packed] {
                 let mut c2 = c0.clone();
-                kernel(1.3, &a, &b, &mut c2);
+                gemm_simd_with(driver, 1.3, &a, &b, &mut c2);
                 assert!(
                     c1.max_abs_diff(&c2) < 1e-10,
-                    "{name} mismatch at {m}x{n}x{k}"
+                    "{driver:?} mismatch at {m}x{n}x{k}"
                 );
             }
         }

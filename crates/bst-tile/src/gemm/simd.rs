@@ -297,7 +297,7 @@ pub(super) fn gemm(
             sweep(alpha, m, n, kk, a.as_ptr(), MR, m, b.as_ptr(), c.as_mut_ptr());
         },
         SimdDriver::Packed => PACK_SCRATCH.with(|scratch| {
-            let apack = &mut scratch.borrow_mut().0;
+            let apack = &mut *scratch.borrow_mut();
             let apanel = MR * kk;
             let len = m.div_ceil(MR) * apanel;
             // Grows, never shrinks and never clears: the packer overwrites

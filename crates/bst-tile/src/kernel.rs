@@ -19,7 +19,7 @@
 //! a pure performance decision — the property tests in `tests/proptests.rs`
 //! hold all of them to `gemm_naive` behaviour.
 
-use crate::gemm::{gemm_blocked, gemm_naive, gemm_packed, gemm_simd, simd_available};
+use crate::gemm::{gemm_blocked, gemm_naive, gemm_simd, simd_available};
 use crate::tile::Tile;
 
 /// The common signature of every tile GEMM kernel.
@@ -30,30 +30,23 @@ pub type GemmFn = fn(f64, &Tile, &Tile, &mut Tile);
 pub enum KernelKind {
     /// Triple loop ([`gemm_naive`]).
     Naive,
-    /// Cache-blocked loop ([`gemm_blocked`]) — the thin-shape path.
+    /// Cache-blocked loop ([`gemm_blocked`]) — the thin-shape path, and
+    /// every path on a host without AVX2+FMA.
     Blocked,
-    /// Packed panels, scalar 4×4 micro-tile ([`gemm_packed`]).
-    Packed4x4,
-    /// AVX2+FMA 8×6 micro-kernel ([`gemm_simd`]); runs [`gemm_packed`] on a
+    /// AVX2+FMA 8×6 micro-kernel ([`gemm_simd`]); runs [`gemm_blocked`] on a
     /// host without the features.
     Simd,
 }
 
 impl KernelKind {
     /// Every kernel, in a stable order (used by benches and reports).
-    pub const ALL: [KernelKind; 4] = [
-        KernelKind::Naive,
-        KernelKind::Blocked,
-        KernelKind::Packed4x4,
-        KernelKind::Simd,
-    ];
+    pub const ALL: [KernelKind; 3] = [KernelKind::Naive, KernelKind::Blocked, KernelKind::Simd];
 
     /// Stable display name (also the key used in `BENCH_kernels.json`).
     pub fn name(self) -> &'static str {
         match self {
             KernelKind::Naive => "naive",
             KernelKind::Blocked => "blocked",
-            KernelKind::Packed4x4 => "packed4x4",
             KernelKind::Simd => "simd",
         }
     }
@@ -63,7 +56,6 @@ impl KernelKind {
         match self {
             KernelKind::Naive => gemm_naive,
             KernelKind::Blocked => gemm_blocked,
-            KernelKind::Packed4x4 => gemm_packed,
             KernelKind::Simd => gemm_simd,
         }
     }
@@ -104,26 +96,16 @@ impl KernelKind {
 /// Dispatch: pick a kernel for an `m × n × k` product from its shape and
 /// the host's CPU features, without any measurement.
 ///
-/// The rules, in order: problems too thin for a register micro-tile (either
-/// output dimension under 4) or with a trivial inner dimension stay on the
-/// blocked loop; a host with AVX2+FMA runs everything else on the SIMD
-/// micro-kernel (which picks its own driver by the size of A). Without the
-/// features: large tiles take the scalar packed path, whose panel reuse
-/// beats the blocked loop once the working set outgrows L1; mid-sized tiles
-/// (roughly 24–48 edges) stay blocked — they fit cache without packing, so
-/// the pack traffic is pure overhead; small-but-micro-tileable shapes pack.
+/// A host with AVX2+FMA runs every product on the SIMD micro-kernel (which
+/// picks its own driver by the size of A), except those too thin for a
+/// register micro-tile (either output dimension under 4) or with a trivial
+/// inner dimension: they stay on the blocked loop. A host without the
+/// features runs the blocked loop everywhere.
 pub fn select_heuristic(m: usize, n: usize, k: usize) -> KernelKind {
-    if m < 4 || n < 4 || k < 2 {
-        return KernelKind::Blocked;
-    }
-    if simd_available() {
-        return KernelKind::Simd;
-    }
-    let vol = m * n * k;
-    if vol > 20 * 20 * 20 && vol < 48 * 48 * 48 {
-        KernelKind::Blocked
+    if m >= 4 && n >= 4 && k >= 2 && simd_available() {
+        KernelKind::Simd
     } else {
-        KernelKind::Packed4x4
+        KernelKind::Blocked
     }
 }
 
@@ -142,7 +124,7 @@ mod tests {
 
     #[test]
     fn index_roundtrips() {
-        assert_eq!(KernelKind::ALL.len(), 4);
+        assert_eq!(KernelKind::ALL.len(), 3);
         for k in KernelKind::ALL {
             assert_eq!(KernelKind::ALL[k.index()], k);
         }
@@ -167,21 +149,24 @@ mod tests {
         assert_eq!(select_heuristic(40, 40, 1), KernelKind::Blocked);
         let simd = host_has_avx2_fma();
         assert_eq!(simd_available(), simd);
-        // Everything else: the SIMD micro-kernel where the host has it,
-        // the scalar rule (large and small tiles pack, cache-resident
-        // mid-size tiles stay blocked) where it does not.
-        for (shape, scalar) in [
-            ((512, 512, 512), KernelKind::Packed4x4),
-            ((256, 256, 256), KernelKind::Packed4x4),
-            ((64, 64, 64), KernelKind::Packed4x4),
-            ((40, 40, 40), KernelKind::Blocked),
-            ((16, 16, 16), KernelKind::Packed4x4),
-            ((16, 5, 16), KernelKind::Packed4x4),
-            ((5, 16, 16), KernelKind::Packed4x4),
-            ((5, 5, 16), KernelKind::Packed4x4),
+        // Everything else: the SIMD micro-kernel where the host has it, the
+        // blocked loop where it does not.
+        let expect = if simd {
+            KernelKind::Simd
+        } else {
+            KernelKind::Blocked
+        };
+        for (m, n, k) in [
+            (512, 512, 512),
+            (256, 256, 256),
+            (64, 64, 64),
+            (40, 40, 40),
+            (16, 16, 16),
+            (16, 5, 16),
+            (5, 16, 16),
+            (5, 5, 16),
+            (4, 4, 2),
         ] {
-            let (m, n, k) = shape;
-            let expect = if simd { KernelKind::Simd } else { scalar };
             assert_eq!(select_heuristic(m, n, k), expect, "{m}x{n}x{k}");
         }
     }

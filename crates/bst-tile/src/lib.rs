@@ -14,10 +14,9 @@
 //!   low-rank factorization ([`Repr`]);
 //! * [`lowrank`] — the pivoted-QR truncation kernel and the rank-aware
 //!   GEMM routing behind [`kernel`] dispatch;
-//! * [`gemm`] — `C += A * B` kernels (naive reference, cache-blocked, a
-//!   scalar packed register-blocked kernel and an AVX2+FMA micro-kernel
-//!   detected at run time) used by the simulated GPU executors; each runs on
-//!   the calling thread;
+//! * [`gemm`] — `C += A * B` kernels (naive reference, cache-blocked, and an
+//!   AVX2+FMA micro-kernel detected at run time) used by the simulated GPU
+//!   executors; each runs on the calling thread;
 //! * [`kernel`] — dispatch between the kernels by shape and CPU features
 //!   ([`kernel::select_heuristic`]);
 //! * [`pool`] — a recycling buffer arena ([`pool::TilePool`]) so hot-path

@@ -1,6 +1,6 @@
 //! Property tests for tilings, GEMM kernels and low-rank compression.
 
-use bst_tile::gemm::{gemm_blocked, gemm_naive, gemm_packed, gemm_simd_with, SimdDriver};
+use bst_tile::gemm::{gemm_blocked, gemm_naive, gemm_simd_with, SimdDriver};
 use bst_tile::kernel::{select_heuristic, KernelKind};
 use bst_tile::{Tile, Tiling};
 use proptest::prelude::*;
@@ -105,12 +105,12 @@ proptest! {
         let (fresh, dirtied) = std::thread::scope(|s| {
             let fresh = s.spawn(|| product(&a, &b));
             let dirtied = s.spawn(|| {
-                // The scalar packed kernel fills both scratch buffers, past
-                // every lane the product under test will read, with another
-                // product's non-zero panels.
+                // The packed SIMD driver fills the pack scratch, past every
+                // lane the product under test will read, with another
+                // product's non-zero A panels.
                 let (dm, dn, dk) = (m + 13, n + 7, k + 5);
                 let (da, db) = (Tile::random(dm, dk, seed ^ 3), Tile::random(dk, dn, seed ^ 4));
-                gemm_packed(1.0, &da, &db, &mut Tile::zeros(dm, dn));
+                gemm_simd_with(SimdDriver::Packed, 1.0, &da, &db, &mut Tile::zeros(dm, dn));
                 product(&a, &b)
             });
             (fresh.join().expect("fresh thread"), dirtied.join().expect("dirtied thread"))
@@ -135,13 +135,10 @@ proptest! {
         let b = Tile::random(k, n, seed ^ 1);
         let c0 = Tile::random(m, n, seed ^ 2);
         let mut c1 = c0.clone();
-        let mut c2 = c0.clone();
-        let mut c3 = c0;
+        let mut c2 = c0;
         gemm_naive(alpha, &a, &b, &mut c1);
         gemm_blocked(alpha, &a, &b, &mut c2);
-        gemm_packed(alpha, &a, &b, &mut c3);
         prop_assert!(c1.max_abs_diff(&c2) < 1e-10);
-        prop_assert!(c1.max_abs_diff(&c3) < 1e-10);
     }
 
     /// GEMM is linear in alpha: C(2a) - C(a) == C(a) - C(0).
@@ -302,7 +299,7 @@ proptest! {
 #[test]
 fn simd_equals_scalar_fma_sequence_bit_for_bit() {
     if !bst_tile::gemm::simd_available() {
-        return; // the fallback is the scalar packed kernel: mul + add, not FMA
+        return; // the fallback is the blocked loop: mul + add, not FMA
     }
     let alpha = -1.75f64;
     for m in 1usize..=20 {

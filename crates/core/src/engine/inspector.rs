@@ -544,7 +544,7 @@ pub fn lower(spec: &ProblemSpec, plan: &ExecutionPlan, opts: &ExecOptions) -> Lo
                     },
                     lane,
                 );
-                if let (Some(f), true) = (prev_flush, opts.block_serialization) {
+                if let Some(f) = prev_flush {
                     graph.add_dep(load_block, f); // control: blocking block transfer
                 }
                 let mut chunk_evicts = Vec::with_capacity(bp.chunks.len());
@@ -564,7 +564,7 @@ pub fn lower(spec: &ProblemSpec, plan: &ExecutionPlan, opts: &ExecOptions) -> Lo
                     let mut load_of: HashMap<(u32, u32), TaskId> = HashMap::new();
                     for &t in &chunk.tiles {
                         let id = graph.add_task(Op::LoadA { i: t.0, k: t.1 }, lane);
-                        if let (Some(wd), true) = (window_dep, opts.prefetch_window) {
+                        if let Some(wd) = window_dep {
                             graph.add_dep(id, wd); // control: prefetch window
                         }
                         if let Some(&recv) = recva_ids.get(&(ni, t)) {
@@ -587,15 +587,13 @@ pub fn lower(spec: &ProblemSpec, plan: &ExecutionPlan, opts: &ExecOptions) -> Lo
                                 staged -= first_uses[staged_from].1;
                                 staged_from += 1;
                             }
-                            if opts.prefetch_window {
-                                // control: generation window, in tiles and
-                                // (where that is the tighter one) in bytes.
-                                if n >= GENB_WINDOW {
-                                    graph.add_dep(genb, first_uses[n - GENB_WINDOW].0);
-                                }
-                                if staged_from > 0 && staged_from - 1 + GENB_WINDOW > n {
-                                    graph.add_dep(genb, first_uses[staged_from - 1].0);
-                                }
+                            // control: generation window, in tiles and (where
+                            // that is the tighter one) in bytes.
+                            if n >= GENB_WINDOW {
+                                graph.add_dep(genb, first_uses[n - GENB_WINDOW].0);
+                            }
+                            if staged_from > 0 && staged_from - 1 + GENB_WINDOW > n {
+                                graph.add_dep(genb, first_uses[staged_from - 1].0);
                             }
                             // The first-use stack is the task lowered next.
                             first_uses.push((graph.len(), bytes));

@@ -115,10 +115,6 @@ pub(crate) struct BCaches<'a> {
 /// `C` and an execution report, or a typed [`ExecError`] when the execution
 /// fails beyond recovery (device OOM, a permanent generator failure, or a
 /// retry budget spent on a transient one).
-///
-/// Running without the control edges ([`ExecOptions::prefetch_window`],
-/// [`ExecOptions::block_serialization`]) is only safe when the devices are
-/// large enough to hold everything the scheduler may co-schedule.
 pub fn execute(
     spec: &ProblemSpec,
     plan: &ExecutionPlan,

@@ -1,28 +1,19 @@
 //! Execution policies: the option set a numeric run is configured with.
 //!
-//! [`ExecOptions`] is the single knob surface of the engine — control-flow
-//! edges, tracing, transport shape, fault injection and retry policy all
-//! compose here and reach one execution path
-//! ([`crate::engine::execute`]), never separate entry points.
+//! [`ExecOptions`] is the single knob surface of the engine — tracing,
+//! transport shape, fault injection and retry policy all compose here and
+//! reach one execution path ([`crate::engine::execute`]), never separate
+//! entry points. The paper's §4 control-flow edges are not a knob: the
+//! lowering always emits them.
 
 use crate::fault::{FaultPlan, RetryPolicy};
 use bst_runtime::comm::{DeliveryPolicy, LinkShaper, DEFAULT_CREDIT_WINDOW};
 
-/// Which control-flow edges to emit when lowering the plan. Both default to
-/// on — disabling either reproduces the failure mode the paper's §4 control
-/// DAG exists to prevent (the scheduler "selecting a GEMM that is ready but
-/// that requires to eject some data"): the device memory manager reports an
-/// OOM instead of thrashing.
+/// How one numeric run executes the lowered plan: tracing, faults and
+/// retries, and the transport's windows, shapers, topology, delivery order
+/// and tile compression.
 #[derive(Clone, Copy, Debug)]
 pub struct ExecOptions {
-    /// Chunk *n*'s loads wait for chunk *n−2*'s evict (§3.2.3 prefetch
-    /// window), and B is generated at most
-    /// [`GENB_WINDOW`](crate::engine::inspector::GENB_WINDOW) tiles ahead of
-    /// the stacks that read it.
-    pub prefetch_window: bool,
-    /// Block *b+1*'s transfer waits for block *b*'s flush (§3.2.2 blocking
-    /// block transfers).
-    pub block_serialization: bool,
     /// Record the full task life-cycle trace plus device-memory occupancy
     /// samples; populates [`ExecReport::metrics`] and [`ExecReport::trace`].
     /// Off by default — tracing costs a few `Vec` pushes per task.
@@ -78,8 +69,6 @@ pub struct ExecOptions {
 impl Default for ExecOptions {
     fn default() -> Self {
         Self {
-            prefetch_window: true,
-            block_serialization: true,
             tracing: false,
             fault_plan: None,
             retry: RetryPolicy::default(),
@@ -112,18 +101,6 @@ pub struct ExecOptionsBuilder {
 }
 
 impl ExecOptionsBuilder {
-    /// Sets [`ExecOptions::prefetch_window`].
-    pub fn prefetch_window(mut self, on: bool) -> Self {
-        self.opts.prefetch_window = on;
-        self
-    }
-
-    /// Sets [`ExecOptions::block_serialization`].
-    pub fn block_serialization(mut self, on: bool) -> Self {
-        self.opts.block_serialization = on;
-        self
-    }
-
     /// Sets [`ExecOptions::tracing`].
     pub fn tracing(mut self, on: bool) -> Self {
         self.opts.tracing = on;

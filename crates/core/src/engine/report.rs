@@ -17,6 +17,7 @@ use bst_runtime::trace::{
 use bst_tile::pool::PoolStats;
 
 use super::inspector::GENB_WINDOW;
+#[cfg(doc)]
 use super::policies::ExecOptions;
 
 /// Fault-injection and recovery counters of one execution. All zeros (and
@@ -276,14 +277,13 @@ impl ExecTraceData {
 ///    one of its rows *and* its block's `LoadBlock` finished on its lane,
 ///    *and* its node's `GenB` of its own B tile finished (its operands must
 ///    be on-device, or on the host for the stack to bring over);
-/// 3. with [`ExecOptions::block_serialization`], `LoadBlock(b+1)` never
-///    starts before `FlushBlock(b)` finished on the same lane (§3.2.2
-///    blocking block transfers);
+/// 3. `LoadBlock(b+1)` never starts before `FlushBlock(b)` finished on the
+///    same lane (§3.2.2 blocking block transfers);
 /// 4. every device's high-water mark stays within `gpu_capacity`;
-/// 5. with [`ExecOptions::prefetch_window`], B is generated at most a window
-///    ahead of its consumption: taking a lane's stacks in lowering (task id)
-///    order, the `GenB` of the n-th B tile they first read never starts
-///    before the first stack on tile `n −` [`GENB_WINDOW`] finished;
+/// 5. B is generated at most a window ahead of its consumption: taking a
+///    lane's stacks in lowering (task id) order, the `GenB` of the n-th B
+///    tile they first read never starts before the first stack on tile
+///    `n −` [`GENB_WINDOW`] finished;
 /// 6. transport causality: every `Received` comm event has a matching
 ///    earlier `Sent`, and a remotely-delivered tile's `Received(k)`
 ///    happens-before the first `LoadA` of tile `k` on the destination node
@@ -296,11 +296,7 @@ impl ExecTraceData {
 /// # Panics
 /// Panics if the report carries no trace (run with
 /// [`ExecOptions::tracing`]).
-pub fn validate_trace_invariants(
-    report: &ExecReport,
-    opts: ExecOptions,
-    gpu_capacity: u64,
-) -> Vec<String> {
+pub fn validate_trace_invariants(report: &ExecReport, gpu_capacity: u64) -> Vec<String> {
     let trace = report
         .trace
         .as_ref()
@@ -383,8 +379,7 @@ pub fn validate_trace_invariants(
             }
             if seen_b.insert((k, j)) {
                 let behind = first_use_end.len().checked_sub(GENB_WINDOW).map(|m| first_use_end[m]);
-                let ahead = generated.zip(behind).is_some_and(|(&(start, _), end)| start < end);
-                if opts.prefetch_window && ahead {
+                if generated.zip(behind).is_some_and(|(&(start, _), end)| start < end) {
                     errors.push(format!(
                         "GenB({k},{j}) on n{} started more than {GENB_WINDOW} B tiles ahead of {lane:?}",
                         lane.node
@@ -414,27 +409,25 @@ pub fn validate_trace_invariants(
                 ));
             }
         }
-        if opts.block_serialization {
-            let mut flush_end: HashMap<u64, u64> = HashMap::new();
-            for r in records.iter().filter(|r| r.kind == "FlushBlock") {
-                flush_end.insert(args_of(&r.detail)[0], r.span.end_ns);
+        let mut flush_end: HashMap<u64, u64> = HashMap::new();
+        for r in records.iter().filter(|r| r.kind == "FlushBlock") {
+            flush_end.insert(args_of(&r.detail)[0], r.span.end_ns);
+        }
+        for r in records.iter().filter(|r| r.kind == "LoadBlock") {
+            let b = args_of(&r.detail)[0];
+            if b == 0 {
+                continue;
             }
-            for r in records.iter().filter(|r| r.kind == "LoadBlock") {
-                let b = args_of(&r.detail)[0];
-                if b == 0 {
-                    continue;
-                }
-                match flush_end.get(&(b - 1)) {
-                    Some(&end) if r.span.start_ns >= end => {}
-                    Some(_) => errors.push(format!(
-                        "LoadBlock({b}) on {lane:?} started before FlushBlock({}) finished",
-                        b - 1
-                    )),
-                    None => errors.push(format!(
-                        "LoadBlock({b}) on {lane:?} has no FlushBlock({})",
-                        b - 1
-                    )),
-                }
+            match flush_end.get(&(b - 1)) {
+                Some(&end) if r.span.start_ns >= end => {}
+                Some(_) => errors.push(format!(
+                    "LoadBlock({b}) on {lane:?} started before FlushBlock({}) finished",
+                    b - 1
+                )),
+                None => errors.push(format!(
+                    "LoadBlock({b}) on {lane:?} has no FlushBlock({})",
+                    b - 1
+                )),
             }
         }
     }

@@ -169,7 +169,7 @@ fn drop_recovery_through_interior_tree_hop() {
         interior_drops > 0,
         "30% send-drop rate never hit an interior tree hop"
     );
-    let violations = validate_trace_invariants(&report, opts, GPU_MEM);
+    let violations = validate_trace_invariants(&report, GPU_MEM);
     assert!(violations.is_empty(), "{violations:?}");
 }
 

@@ -83,7 +83,7 @@ fn dropped_messages_recover_bit_identically() {
     let diff = c_faulted.max_abs_diff(&c_clean);
     assert!(diff <= 1e-10, "recovered result diverged by {diff:.3e}");
     assert_eq!(diff, 0.0, "recovery is bit-identical under deterministic ordering");
-    let violations = validate_trace_invariants(&report, opts, GPU_MEM);
+    let violations = validate_trace_invariants(&report, GPU_MEM);
     assert!(violations.is_empty(), "{violations:?}");
 }
 
@@ -95,7 +95,7 @@ fn traced_multi_node_run_satisfies_comm_invariants() {
     let spec = tiny_spec();
     let opts = ExecOptions::builder().tracing(true).build();
     let (_, report) = run_nodes(&spec, 4, opts);
-    let violations = validate_trace_invariants(&report, opts, GPU_MEM);
+    let violations = validate_trace_invariants(&report, GPU_MEM);
     assert!(violations.is_empty(), "{violations:?}");
     let trace = report.trace.as_ref().expect("traced");
     let sent = trace.comm_events.iter().filter(|e| e.phase == TracePhase::Sent).count();

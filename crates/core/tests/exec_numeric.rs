@@ -154,34 +154,26 @@ fn p2_matches_p1() {
     check(&spec, cfg(4, 1, 1, 1 << 20), 17);
 }
 
-/// Both control-edge families off, devices sized exactly for the
-/// disciplined schedule: the scheduler races ahead and the memory
-/// manager faults — the §4 justification for the control DAG. The OOM
-/// surfaces as a typed [`ExecError::DeviceOom`] instead of a panic.
+/// The device budget the §4 control edges keep a schedule within is
+/// enforced, not advisory: a plan executed on devices smaller than the ones
+/// it was planned for fails with a typed [`ExecError::DeviceOom`] instead of
+/// a panic.
 #[test]
 fn removing_control_edges_causes_device_oom() {
     let a = MatrixStructure::dense(Tiling::uniform(16, 4), Tiling::uniform(24, 4));
     let b = MatrixStructure::dense(Tiling::uniform(24, 4), Tiling::uniform(24, 4));
     let spec = ProblemSpec::new(a, b, None);
-    let config = cfg(1, 1, 1, 2600);
-    let plan = ExecutionPlan::build(&spec, config).unwrap();
+    let mut plan = ExecutionPlan::build(&spec, cfg(1, 1, 1, 2600)).unwrap();
+    // Every stack needs its C column (4 tiles of 128 B), those rows' A tiles
+    // (4 more) and its B tile resident at once: 1152 B > 650 B, whatever
+    // the order. (With the planned 2600 B the same plan runs fine:
+    // `tight_memory_forces_many_blocks_and_chunks`.)
+    plan.config.device.gpu_mem_bytes /= 4;
     let am = BlockSparseMatrix::random_from_structure(spec.a.clone(), 5);
     let b_gen = |k: usize, j: usize, r: usize, c: usize, pool: &TilePool| {
         Ok(Arc::new(pool.random(r, c, tile_seed(5 ^ 0xB, k, j))))
     };
-    // Sanity: with the control edges the very same plan runs fine
-    // (checked by `tight_memory_forces_many_blocks_and_chunks`).
-    let err = execute(
-        &spec,
-        &plan,
-        &am,
-        &b_gen,
-        ExecOptions::builder()
-            .prefetch_window(false)
-            .block_serialization(false)
-            .build(),
-    )
-    .unwrap_err();
+    let err = execute(&spec, &plan, &am, &b_gen, ExecOptions::default()).unwrap_err();
     assert!(
         matches!(err, ExecError::DeviceOom { node: 0, gpu: 0, .. }),
         "expected a typed device OOM, got {err}"
@@ -570,20 +562,15 @@ fn retry_budget_exhaustion_reports_exhausted() {
 fn builder_matches_default_and_sets_knobs() {
     let d = ExecOptions::default();
     let b = ExecOptions::builder().build();
-    assert_eq!(
-        (b.prefetch_window, b.block_serialization, b.tracing),
-        (d.prefetch_window, d.block_serialization, d.tracing)
-    );
+    assert_eq!(b.tracing, d.tracing);
     assert!(b.fault_plan.is_none());
     let fp = FaultPlan::transient(9, 0.05);
     let o = ExecOptions::builder()
-        .prefetch_window(false)
-        .block_serialization(false)
         .tracing(true)
         .fault_plan(fp)
         .retry(RetryPolicy { budget: 9, backoff_base_us: 1, backoff_max_us: 2 })
         .build();
-    assert!(!o.prefetch_window && !o.block_serialization && o.tracing);
+    assert!(o.tracing);
     assert_eq!(o.fault_plan, Some(fp));
     assert_eq!(o.retry.budget, 9);
 }

@@ -91,7 +91,7 @@ fn injected_faults_recover_and_match_fault_free() {
     );
 
     // The trace stays well-formed under retries…
-    assert_eq!(validate_trace_invariants(&faulted, opts, GPU_MEM), Vec::<String>::new());
+    assert_eq!(validate_trace_invariants(&faulted, GPU_MEM), Vec::<String>::new());
     let trace = faulted.trace.as_ref().unwrap();
     let retried_records = trace.records.iter().filter(|rec| rec.attempts > 1).count() as u64;
     assert_eq!(retried_records, r.retried_tasks);

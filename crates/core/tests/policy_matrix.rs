@@ -81,7 +81,7 @@ fn every_policy_combination_runs_the_same_work() {
             assert_eq!(!report.metrics.is_empty(), tracing, "{combo}");
             if tracing {
                 assert_eq!(
-                    validate_trace_invariants(&report, opts, GPU_MEM),
+                    validate_trace_invariants(&report, GPU_MEM),
                     Vec::<String>::new(),
                     "{combo}"
                 );
@@ -121,7 +121,7 @@ fn traced_faulted_fanout_records_retries_on_their_lanes() {
     let total: u64 = retries_by_lane.values().sum();
     assert_eq!(total, report.recovery.retry_attempts, "trace vs counters");
     assert_eq!(
-        validate_trace_invariants(&report, opts, GPU_MEM),
+        validate_trace_invariants(&report, GPU_MEM),
         Vec::<String>::new()
     );
 }

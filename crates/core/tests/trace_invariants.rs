@@ -138,23 +138,17 @@ fn gemm_never_starts_before_its_loads() {
     assert!(gemms_checked > 100, "only {gemms_checked} Gemm stacks traced");
     assert!(rows_checked > gemms_checked, "every stack had a single row");
     assert_eq!(
-        validate_trace_invariants(&report, ExecOptions::default(), GPU_MEM),
+        validate_trace_invariants(&report, GPU_MEM),
         Vec::<String>::new()
     );
 }
 
-/// §3.2.2 blocking block transfers: with `block_serialization` on, block
-/// b+1's `LoadBlock` never starts before block b's `FlushBlock` finished
-/// on the same lane.
+/// §3.2.2 blocking block transfers: block b+1's `LoadBlock` never starts
+/// before block b's `FlushBlock` finished on the same lane.
 #[test]
 fn block_serialization_orders_flush_before_next_load() {
     let spec = tight_spec();
-    let opts = ExecOptions {
-        block_serialization: true,
-        prefetch_window: true,
-        ..ExecOptions::default()
-    };
-    let report = traced_run(&spec, opts);
+    let report = traced_run(&spec, ExecOptions::default());
     let mut lanes_with_multiple_blocks = 0usize;
     for (lane, records) in by_lane(&report) {
         if lane.lane == 0 {
@@ -186,7 +180,7 @@ fn block_serialization_orders_flush_before_next_load() {
         lanes_with_multiple_blocks > 0,
         "problem too small: no lane ran multiple blocks"
     );
-    assert_eq!(validate_trace_invariants(&report, opts, GPU_MEM), Vec::<String>::new());
+    assert_eq!(validate_trace_invariants(&report, GPU_MEM), Vec::<String>::new());
 }
 
 /// Device memory discipline: every simulated GPU's high-water mark stays
@@ -233,7 +227,7 @@ fn parallel_genb_keeps_invariants_and_overlaps() {
     let spec = tight_spec();
     let opts = ExecOptions::default();
     let report = traced_run(&spec, opts);
-    assert_eq!(validate_trace_invariants(&report, opts, GPU_MEM), Vec::<String>::new());
+    assert_eq!(validate_trace_invariants(&report, GPU_MEM), Vec::<String>::new());
 
     // GenB work is spread over the dedicated lanes (lane > gpus_per_node)...
     let genb_lanes: std::collections::HashSet<WorkerId> = report
@@ -265,10 +259,10 @@ fn parallel_genb_keeps_invariants_and_overlaps() {
 fn validator_flags_corrupted_schedules() {
     let spec = tight_spec();
     let mut report = traced_run(&spec, ExecOptions::default());
-    assert!(validate_trace_invariants(&report, ExecOptions::default(), GPU_MEM).is_empty());
+    assert!(validate_trace_invariants(&report, GPU_MEM).is_empty());
 
     // Shrink the budget below the real peak: every device must be flagged.
-    let violations = validate_trace_invariants(&report, ExecOptions::default(), 1);
+    let violations = validate_trace_invariants(&report, 1);
     assert_eq!(violations.len(), report.devices.len());
     assert!(violations[0].contains("budget"), "{violations:?}");
 
@@ -281,7 +275,7 @@ fn validator_flags_corrupted_schedules() {
         .unwrap();
     trace.records[idx].span.start_ns = 0;
     trace.records[idx].span.ready_ns = 0;
-    let violations = validate_trace_invariants(&report, ExecOptions::default(), GPU_MEM);
+    let violations = validate_trace_invariants(&report, GPU_MEM);
     assert!(
         violations.iter().any(|v| v.contains("before any Load")),
         "{violations:?}"
@@ -311,7 +305,7 @@ fn check_doctored(records: Vec<TaskRecord>) -> Vec<String> {
         trace: Some(ExecTraceData { records, total_ns: 1_000_000, ..ExecTraceData::default() }),
         ..ExecReport::default()
     };
-    validate_trace_invariants(&report, ExecOptions::default(), GPU_MEM)
+    validate_trace_invariants(&report, GPU_MEM)
 }
 
 const GPU0: WorkerId = WorkerId { node: 0, lane: 1 };
@@ -395,7 +389,7 @@ fn a_b_tile_survives_until_its_last_chunks_stack() {
     let spec = tight_spec();
     let report = traced_run(&spec, ExecOptions::default());
     assert_eq!(
-        validate_trace_invariants(&report, ExecOptions::default(), GPU_MEM),
+        validate_trace_invariants(&report, GPU_MEM),
         Vec::<String>::new()
     );
     // Stacks per (node, B tile), from the trace.

@@ -8,7 +8,7 @@
 //! ```
 
 use bst::chem::{CcsdProblem, Molecule, ProblemTraits, ScreeningParams, TilingSpec};
-use bst::contract::{DeviceConfig, ExecutionPlan, GridConfig, PlannerConfig, ProblemSpec};
+use bst::contract::{ExecutionPlan, ProblemSpec};
 use bst::sim::{simulate, Platform};
 
 fn main() {
@@ -46,14 +46,7 @@ fn main() {
             problem.v.clone(),
             Some(problem.r.shape().clone()),
         );
-        let config = PlannerConfig::paper(
-            GridConfig::from_nodes(platform.nodes, 1),
-            DeviceConfig {
-                gpus_per_node: platform.gpus_per_node,
-                gpu_mem_bytes: platform.gpu_mem_bytes,
-            },
-        );
-        match ExecutionPlan::build(&spec, config) {
+        match ExecutionPlan::build(&spec, platform.planner_config(1)) {
             Ok(plan) => {
                 let report = simulate(&spec, &plan, &platform);
                 println!(
