@@ -1,6 +1,6 @@
 //! Shared driver code for the reproduction binaries: `repro`, whose rows
 //! regenerate the paper's tables and figures, and the self-validating
-//! numeric binaries `repro_{comm,kernels,service,trace}`.
+//! numeric binaries `repro_{kernels,service,trace}`.
 //!
 //! The two sweeps several rows of `repro` read:
 //!
@@ -12,10 +12,8 @@
 
 use bst_chem::{CcsdProblem, TilingSpec};
 use bst_contract::engine::execute;
-use bst_contract::engine::inspector::{lower, REDUCE_ROOT};
 use bst_contract::{
-    DeviceConfig, ExecOptions, ExecReport, ExecutionPlan, GridConfig, LinkClass, PlannerConfig,
-    ProblemSpec,
+    DeviceConfig, ExecOptions, ExecReport, ExecutionPlan, GridConfig, PlannerConfig, ProblemSpec,
 };
 use bst_sim::dbcsr::{simulate_dbcsr, DbcsrOom, DbcsrReport};
 use bst_sim::replay::simulate_best_p;
@@ -180,8 +178,8 @@ pub fn tiny_numeric_spec(seed: u64) -> ProblemSpec {
     ProblemSpec::new(prob.a, prob.b, None)
 }
 
-/// The problem the numeric repro binaries (`repro_comm`, `repro_trace`,
-/// `repro_kernels`) run, with its per-GPU memory budget: the CI-sized
+/// The problem the numeric repro binaries (`repro_trace`, `repro_kernels`)
+/// run, with its per-GPU memory budget: the CI-sized
 /// [`tiny_numeric_spec`] or a ~10x larger synthetic contraction.
 pub fn numeric_bench_problem(tiny: bool) -> (ProblemSpec, u64) {
     if tiny {
@@ -209,58 +207,6 @@ fn numeric_plan(spec: &ProblemSpec, nodes: usize, gpus: usize, gpu_mem: u64) -> 
         },
     );
     ExecutionPlan::build(spec, config).expect("numeric plan must build")
-}
-
-/// Bytes the unicast baseline moves, summed over nodes.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct BaselineBytes {
-    /// Every byte sent to another rank (A tiles + C partials).
-    pub total: u64,
-    /// Of `total`, the bytes crossing an inter-node link.
-    pub inter: u64,
-    /// Of `inter`, the A-tile bytes.
-    pub a_inter: u64,
-}
-
-/// The point-to-point baseline the broadcast trees are compared against:
-/// the owner sends `A(i,k)` to every consumer in turn (a star over
-/// [`Lowered::sends`](bst_contract::engine::inspector::Lowered::sends)) and
-/// every rank ships its C tiles straight to rank 0 (the engine's own C
-/// path: [`Lowered::reduce`](bst_contract::engine::inspector::Lowered::reduce)
-/// lists each rank's keys). The lowering fixes these byte counts, so they
-/// are summed here instead of measured on an execution.
-pub fn unicast_baseline(
-    spec: &ProblemSpec,
-    nodes: usize,
-    gpus: usize,
-    gpu_mem: u64,
-    node_size: usize,
-) -> BaselineBytes {
-    let plan = numeric_plan(spec, nodes, gpus, gpu_mem);
-    let low = lower(spec, &plan, &ExecOptions::builder().node_size(node_size).build());
-    let mut out = BaselineBytes::default();
-    let mut count = |bytes: u64, src: usize, dst: usize, is_a: bool| {
-        out.total += bytes;
-        if low.topology.link_class(src, dst) == LinkClass::Inter {
-            out.inter += bytes;
-            if is_a {
-                out.a_inter += bytes;
-            }
-        }
-    };
-    for (&(owner, (i, k)), dests) in &low.sends {
-        let bytes = spec.a.tile_bytes(i as usize, k as usize);
-        for &dst in dests {
-            count(bytes, owner, dst, true);
-        }
-    }
-    for (ni, rn) in low.reduce.iter().enumerate().filter(|&(ni, _)| ni != REDUCE_ROOT) {
-        for &(i, j) in &rn.keys {
-            let bytes = spec.a.row_tiling().size(i) * spec.b.col_tiling().size(j) * 8;
-            count(bytes, ni, REDUCE_ROOT, false);
-        }
-    }
-    out
 }
 
 /// Runs a numeric execution of `spec` with tracing enabled on a simulated

@@ -5,7 +5,6 @@
 //! artifact fails `cargo test` instead of silently shipping.
 
 use bst_bench::minijson::{parse, Value};
-use bst_bench::{numeric_bench_problem, unicast_baseline};
 use std::path::{Path, PathBuf};
 
 fn results_dir() -> PathBuf {
@@ -37,50 +36,6 @@ fn assert_validated(doc: &Value, file: &str) {
         Some(true),
         "{file}: validated flag is not true"
     );
-}
-
-fn check_comm(doc: &Value, f: &str) {
-    assert_eq!(num(doc, f, "nodes"), 16.0, "{f}: wrong node count");
-    assert_eq!(num(doc, f, "node_size"), 4.0, "{f}: wrong node size");
-    let moved = num(doc, f, "bytes_moved");
-    assert!(moved > 0.0, "{f}: no bytes moved");
-    assert_eq!(moved, num(doc, f, "recv_bytes"), "{f}: byte conservation violated");
-    // Trees re-route bytes, they never add any.
-    assert_eq!(moved, num(doc, f, "unicast_bytes_moved"), "{f}: tree total differs from unicast");
-    assert!(
-        num(doc, f, "inter_bytes_moved") <= num(doc, f, "unicast_inter_bytes"),
-        "{f}: tree moved more inter-node bytes than unicast"
-    );
-    assert!(num(doc, f, "a_inter_reduction") >= 2.0, "{f}: broadcast tree below 2x");
-    assert_eq!(arr(doc, f, "per_node").len(), 16, "{f}: per_node row count");
-    // The unicast columns are a function of the lowering alone: the
-    // committed values must equal what the current lowering yields.
-    let (spec, gpu_mem) = numeric_bench_problem(false);
-    let baseline = |nodes: f64, node_size: f64| {
-        let b = unicast_baseline(&spec, nodes as usize, 2, gpu_mem, node_size as usize);
-        [b.total as f64, b.inter as f64, b.a_inter as f64]
-    };
-    let headline = ["unicast_bytes_moved", "unicast_inter_bytes", "unicast_a_inter_bytes"];
-    assert_eq!(baseline(16.0, 4.0), headline.map(|k| num(doc, f, k)), "{f}: unicast baseline");
-    let sweep = arr(doc, f, "sweep");
-    assert_eq!(sweep.len(), 6, "{f}: sweep row count");
-    for row in sweep {
-        assert_eq!(
-            num(row, f, "tree_bytes"),
-            num(row, f, "unicast_bytes"),
-            "{f}: a sweep point's tree total differs from unicast"
-        );
-        assert!(
-            num(row, f, "tree_inter_bytes") <= num(row, f, "unicast_inter_bytes"),
-            "{f}: a sweep point regressed above unicast"
-        );
-        let keys = ["unicast_bytes", "unicast_inter_bytes", "unicast_a_inter_bytes"];
-        assert_eq!(
-            baseline(num(row, f, "nodes"), num(row, f, "node_size")),
-            keys.map(|k| num(row, f, k)),
-            "{f}: a sweep point's unicast baseline"
-        );
-    }
 }
 
 fn check_service(doc: &Value, f: &str) {
@@ -170,7 +125,6 @@ fn every_committed_bench_artifact_passes_its_gates() {
         }
         let doc = load(&path);
         match name.as_str() {
-            "BENCH_comm.json" => check_comm(&doc, &name),
             "BENCH_service.json" => check_service(&doc, &name),
             "BENCH_kernels.json" => check_kernels(&doc, &name),
             other => panic!(
@@ -182,7 +136,7 @@ add a checker to results_valid.rs"
     }
     // The sweep must actually cover the committed set; an empty results/
     // would vacuously pass otherwise.
-    for required in ["BENCH_comm.json", "BENCH_service.json", "BENCH_kernels.json"] {
+    for required in ["BENCH_service.json", "BENCH_kernels.json"] {
         assert!(seen.iter().any(|s| s == required), "missing committed artifact {required}");
     }
 }

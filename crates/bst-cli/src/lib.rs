@@ -42,9 +42,8 @@ pub fn planner_config(cli: &Cli) -> PlannerConfig {
 pub struct RunOpts {
     /// Node count (`--nodes`, or `-n` for `launch`).
     pub nodes: usize,
-    /// Ranks per physical node: the transport routes collective trees so
-    /// broadcasts cross the inter-node link once per physical node at most
-    /// (1 = every rank its own node).
+    /// Ranks per physical node: a hop between two of them is intra-node,
+    /// any other inter-node (1 = every rank its own node).
     pub node_size: usize,
     /// Low-rank compression tolerance: operand tiles are truncated to
     /// `‖T − U·Vᵀ‖_F ≤ tol·‖T‖_F` on their way into the runtime. `0.0`

@@ -5,9 +5,9 @@
 //! A **class** is what fixes the plan, and with it the floating-point
 //! evaluation order: the synthetic instance (`m × n × k : density`, seed),
 //! the grid (`nodes`, `p | nodes`), `gpus` per node and the device memory.
-//! `node_size` is *outside* the class: it shapes the A-broadcast trees and
-//! the link class of each hop, never a sum — every `C(i, j)` is folded on
-//! the one rank that produces it and gathered to rank 0 as is. Every class
+//! `node_size` is *outside* the class: it sets the link class of each hop,
+//! never a sum — every `C(i, j)` is folded on the one rank that produces it
+//! and gathered to rank 0 as is. Every class
 //! runs its channel / in-order / flat baseline plus variants drawn over
 //! transport {channel, mesh, uds, tcp} × delivery ×
 //! `node_size | nodes` × link shaping × transient faults × tracing, one

@@ -14,8 +14,8 @@ use bst_tile::Tile;
 use std::time::{Duration, Instant};
 
 /// A small problem keeps each fleet run to a few seconds without making
-/// the broadcast tree trivial: 4 nodes on a 2x2 grid, multi-hop A
-/// forwarding.
+/// the A broadcast trivial: at `-n 4` the ranks form a 1x4 grid, so an A
+/// tile's owner sends it to up to three ranks.
 const PROBLEM: &str = "64x320x320:0.6";
 
 fn parse(args: &[&str]) -> bst_cli::Cli {
@@ -104,9 +104,9 @@ fn launcher_appends_every_result_frame() {
     assert_eq!(outcome.attempts, 1);
 }
 
-/// Kill a worker after its *first* data-frame send: with a 2x2 grid the
-/// dying rank is mid-way through its `BcastA` duties (own sends and tree
-/// forward hops still pending), so peers are left waiting on deliveries
+/// Kill a worker after its *first* data-frame send: on the 1x4 grid the
+/// dying rank is mid-way through its `BcastA` duties (its sends to the
+/// other three ranks still pending), so peers are left waiting on deliveries
 /// that will never come. The launcher must detect the death (EOF or missed
 /// heartbeat), respawn the fleet with the rank written off, and the
 /// degraded re-plan must agree with the fault-free reference.

@@ -7,8 +7,10 @@
 //! rank *j < i* and accepts from every rank *j > i*; the first frame on a
 //! data connection is a [`Ctl::Hello`](crate::codec::Ctl::Hello) identifying the dialing rank). Each
 //! connection gets a dedicated reader thread that decodes frames and hands
-//! data frames to the engine's pump via an in-process queue; writes are
-//! serialized per connection by a mutex, so a frame is never torn.
+//! data frames to the engine's pump via an in-process queue — only frames
+//! addressed to this rank and sent by the connection's peer; any other frame
+//! ends the connection like a corrupt stream. Writes are serialized per
+//! connection by a mutex, so a frame is never torn.
 //!
 //! Backpressure is end-to-end and needs no window protocol of its own: the
 //! receiving process's [`CommFabric::inject`] blocks on the destination
@@ -272,8 +274,8 @@ pub struct SocketWire {
     sent: AtomicU64,
     recv: AtomicU64,
     /// Remaining data-frame sends before this process SIGKILLs itself
-    /// (`< 0` disables the drill). Models a worker dying mid-broadcast
-    /// forward hop: the N-th tile is never written.
+    /// (`< 0` disables the drill). Models a worker dying mid-broadcast: the
+    /// N-th tile is never written.
     die_after: AtomicI64,
 }
 
@@ -306,8 +308,8 @@ impl SocketWire {
     }
 
     /// Registers the established mesh connection to `peer` and starts its
-    /// reader thread. Data frames the peer sends land in this wire's
-    /// inbound queue; control frames on data connections are ignored.
+    /// reader thread. Data frames the peer sends to this rank land in this
+    /// wire's inbound queue; control frames on data connections are ignored.
     pub fn register_peer(self: &Arc<Self>, peer: usize, conn: Conn) -> Result<(), NetError> {
         let mut reader = conn.try_clone()?;
         let writer = Arc::new(Mutex::new(conn));
@@ -317,17 +319,19 @@ impl SocketWire {
             .name(format!("bst-net-rx-{}-{peer}", self.rank))
             .spawn(move || loop {
                 match read_msg(&mut reader) {
-                    Ok(Some(Msg::Wire(frame))) => {
+                    Ok(Some(Msg::Wire(frame))) if frame.dst() == me.rank && frame.src() == peer => {
                         me.recv.fetch_add(1, Ordering::Relaxed);
                         if me.tx.lock().unwrap().send(Some(frame)).is_err() {
                             break;
                         }
                     }
                     Ok(Some(Msg::Ctl(_))) => {}
-                    // Peer closed (normally or by dying) or the stream is
-                    // corrupt: either way this connection is done. The
-                    // launcher, not the reader, decides what a death means.
-                    Ok(None) | Err(_) => break,
+                    // Peer closed (normally or by dying), the stream is
+                    // corrupt, or a frame is addressed to another rank or
+                    // claims another sender: either way this connection is
+                    // done. The launcher, not the reader, decides what a
+                    // death means.
+                    Ok(Some(Msg::Wire(_)) | None) | Err(_) => break,
                 }
             })
             .map_err(|e| NetError::Io(e.to_string()))?;
@@ -492,6 +496,35 @@ mod tests {
             read_msg(&mut stream.as_slice()).unwrap_err(),
             NetError::Codec(codec::CodecError::Overflow)
         );
+    }
+
+    /// A peer is trusted with its own frames only. One addressed to another
+    /// rank (7, outside this three-rank mesh), or claiming another sender,
+    /// ends the connection like a corrupt stream: it never reaches `recv()`,
+    /// so the engine's pump can neither index a rank that does not exist nor
+    /// deposit into a store this process does not run.
+    #[test]
+    fn misaddressed_frames_are_rejected() {
+        let listener = Transport::Tcp.bind("").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let w1 = SocketWire::new(1);
+        let mut writers = Vec::new();
+        // `tile_frame` frames say rank 0 sent them.
+        for (peer, frame) in [(0, tile_frame(7, 1)), (2, tile_frame(1, 2))] {
+            let mut dial = Transport::Tcp.dial(&addr).unwrap();
+            w1.register_peer(peer, listener.accept().unwrap()).unwrap();
+            write_msg(&mut dial, &Msg::Wire(frame)).unwrap();
+            writers.push(dial);
+        }
+        // A reader thread holds the wire until it ends its connection, and
+        // the writers stay open: only a rejection ends one.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while Arc::strong_count(&w1) > 1 {
+            assert!(std::time::Instant::now() < deadline, "a reader kept a misaddressing peer");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        // A reader counts a frame before it queues it for `recv()`.
+        assert_eq!(w1.stats().1, 0, "a misaddressed frame reached the engine");
     }
 
     #[test]

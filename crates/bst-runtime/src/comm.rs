@@ -28,10 +28,10 @@
 //!
 //! Which class a frame crosses is decided by the fabric's
 //! [`topology::Topology`] ([`CommConfig::node_size`] ranks per physical
-//! node); the broadcast tree routed over it lives in [`topology`].
+//! node).
 //!
-//! Frame vocabulary: `Frame::BcastA` carries one hop of an A-tile
-//! broadcast tree ([`TileMsg`]: `{key, payload, epoch}` — the epoch is the
+//! Frame vocabulary: `Frame::BcastA` carries an A tile from its owner to
+//! one consuming rank ([`TileMsg`]: `{key, payload, epoch}` — the epoch is the
 //! sending task's attempt number, which makes duplicate delivery
 //! detectable), `Frame::ReduceC` carries a C-block partial sum
 //! ([`CPart`]) — a flush's partial into its own rank's buffer, or a rank's
@@ -195,7 +195,7 @@ impl Default for CommConfig {
     }
 }
 
-/// One A-tile broadcast hop: tile `key` moving to a destination node.
+/// One A-tile send: tile `key` moving from its owner to a consuming node.
 #[derive(Clone, Debug)]
 pub struct TileMsg {
     /// Identity of the tile.
@@ -233,7 +233,7 @@ pub struct CPart {
 
 /// What travels on a node's inbox.
 enum Frame {
-    /// One hop of an A-tile broadcast tree.
+    /// An A tile on its one hop from its owner.
     BcastA(TileMsg),
     /// A C partial sum from `src` (the receiving rank itself, or a rank
     /// gathering its folded tile to the root).
@@ -609,7 +609,7 @@ impl CommFabric {
         }
     }
 
-    /// Sends one hop of an A-tile broadcast tree to `dst`, honoring `dst`'s
+    /// Sends an A tile from its owner to `dst`, honoring `dst`'s
     /// credit window for the link class the hop crosses (blocks while it is
     /// exhausted — the backpressure path).
     ///

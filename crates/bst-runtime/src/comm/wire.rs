@@ -22,11 +22,11 @@ use super::{CPart, TileMsg};
 /// local engine completes.
 #[derive(Clone, Debug)]
 pub enum WireFrame {
-    /// One hop of an A-tile broadcast tree, addressed to rank `dst`.
+    /// An A tile on its one hop from its owner, addressed to rank `dst`.
     Tile {
         /// Destination rank.
         dst: usize,
-        /// The broadcast hop.
+        /// The tile and its sender.
         msg: TileMsg,
     },
     /// A rank's folded C tile on its one hop to rank 0.
@@ -45,6 +45,14 @@ impl WireFrame {
     pub fn dst(&self) -> usize {
         match self {
             WireFrame::Tile { dst, .. } | WireFrame::Part { dst, .. } => *dst,
+        }
+    }
+
+    /// The rank that sent the frame.
+    pub fn src(&self) -> usize {
+        match self {
+            WireFrame::Tile { msg, .. } => msg.src,
+            WireFrame::Part { src, .. } => *src,
         }
     }
 }
@@ -124,13 +132,13 @@ mod tests {
                 consumers: 1,
             },
         };
-        assert_eq!(tile.dst(), 3);
+        assert_eq!((tile.dst(), tile.src()), (3, 0));
         let part = WireFrame::Part {
             dst: 0,
             src: 2,
             part: CPart { i: 0, j: 0, origin: (2, 0, 0), tile: Tile::zeros(2, 2) },
         };
-        assert_eq!(part.dst(), 0);
+        assert_eq!((part.dst(), part.src()), (0, 2));
     }
 
     #[test]

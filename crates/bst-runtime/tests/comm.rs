@@ -138,42 +138,30 @@ fn seeded_reorder_is_deterministic_and_permutes() {
     assert_ne!(a, fifo, "seed 7 must actually permute an 8-message burst");
 }
 
-/// Duplicate suppression holds at *interior* broadcast-tree hops, not just
-/// the owner's first send: a forwarder (node 1 in the 0 → 1 → 2 chain)
-/// re-receives a retried frame after it already forwarded the tile, the
-/// duplicate is suppressed, and the downstream delivery is unaffected.
+/// Duplicate suppression holds after a tile is already in use: a retried
+/// frame from the owner reaches node 1 after node 1 consumed one of its two
+/// references, the duplicate is suppressed, and the owner's send to node 2
+/// is unaffected.
 #[test]
-fn forwarded_hop_redelivery_is_suppressed() {
+fn late_redelivery_is_suppressed() {
     let fabric = CommFabric::new(3, CommConfig::default());
     let stores = [TileStore::for_node(0), TileStore::for_node(1), TileStore::for_node(2)];
+    let key = DataKey::A(0, 0);
     std::thread::scope(|s| {
         fabric.start(s, &stores);
-        // Hop 1: owner → forwarder. Two consumers on node 1: the local
-        // device load and the forwarding hop.
+        // The owner's sends: two device loads consume the tile on node 1,
+        // one on node 2.
         let mut m = msg(0, 1, 0);
         m.consumers = 2;
         fabric.send_tile(1, m, false).unwrap();
-        fabric.wait_delivered(1, DataKey::A(0, 0));
-        // Hop 2: the forwarder re-sends its deposited copy downstream.
-        let tile = stores[1].get(1, DataKey::A(0, 0));
-        fabric
-            .send_tile(
-                2,
-                TileMsg {
-                    key: DataKey::A(0, 0),
-                    payload: tile,
-                    epoch: 1,
-                    src: 1,
-                    consumers: 1,
-                },
-                false,
-            )
-            .unwrap();
-        stores[1].consume(1, DataKey::A(0, 0));
-        fabric.wait_delivered(2, DataKey::A(0, 0));
-        // A spurious retry of hop 1 arrives *after* the forward: node 1
-        // already holds (and has partially consumed) the tile — the
-        // re-delivery must be suppressed, not double-deposited.
+        fabric.send_tile(2, msg(0, 1, 0), false).unwrap();
+        fabric.wait_delivered(1, key);
+        let _ = stores[1].get(1, key);
+        stores[1].consume(1, key);
+        fabric.wait_delivered(2, key);
+        // A spurious retry of the send to node 1 arrives after node 1
+        // started consuming — the re-delivery must be suppressed, not
+        // double-deposited.
         let mut dup = msg(0, 2, 0);
         dup.consumers = 2;
         fabric.send_tile(1, dup, false).unwrap();
@@ -187,13 +175,12 @@ fn forwarded_hop_redelivery_is_suppressed() {
     let stats = fabric.node_stats();
     assert_eq!(stats[1].recv_msgs, 1, "node 1 deposited the tile exactly once");
     assert_eq!(stats[1].duplicate_msgs, 1, "the late retry was suppressed");
-    assert_eq!(stats[2].recv_msgs, 1, "the downstream hop delivered normally");
-    // Node 1's remaining consumer (the local load) still reads the tile.
-    let _ = stores[1].get(1, DataKey::A(0, 0));
-    stores[1].consume(1, DataKey::A(0, 0));
-    // Node 2's single consumer reads the forwarded copy.
-    let _ = stores[2].get(2, DataKey::A(0, 0));
-    stores[2].consume(2, DataKey::A(0, 0));
+    assert_eq!(stats[2].recv_msgs, 1, "the send to node 2 delivered normally");
+    // Node 1's remaining consumer still reads the tile, node 2's its copy.
+    let _ = stores[1].get(1, key);
+    stores[1].consume(1, key);
+    let _ = stores[2].get(2, key);
+    stores[2].consume(2, key);
 }
 
 /// ReduceC frames ride the same per-class links as tile frames: intra-node

@@ -121,8 +121,8 @@ pub fn replay_dag(
         LinkClass::Inter => platform.link_shaper(),
         _ => platform.intra_shaper(),
     };
-    let (p, q) = (plan.config.grid.p, plan.config.grid.q);
-    let n_nodes = p * q;
+    let p = plan.config.grid.p;
+    let n_nodes = p * plan.config.grid.q;
     let registries: Vec<Arc<NodeResidency>> =
         (0..n_nodes).map(|_| Arc::new(NodeResidency::new())).collect();
     let mut devices: HashMap<WorkerId, DeviceMemory> = HashMap::new();
@@ -148,7 +148,7 @@ pub fn replay_dag(
     }
     let mut lane_free: HashMap<WorkerId, u64> = HashMap::new();
     let mut records = Vec::with_capacity(n);
-    let (mut a_net, mut a_msgs, mut a_fwd, mut gemms, mut bgens) = (0u64, 0u64, 0u64, 0u64, 0u64);
+    let (mut a_net, mut a_msgs, mut gemms, mut bgens) = (0u64, 0u64, 0u64, 0u64);
     let mut a_net_inter = 0u64;
     let mut comm_events: Vec<CommEvent> = Vec::new();
     let mut comm_stats = vec![NodeCommStats::default(); n_nodes];
@@ -167,9 +167,6 @@ pub fn replay_dag(
                     a_net_inter += bytes;
                 }
                 a_msgs += 1;
-                if w.node != inspector::owner_of(p, q, *i as usize, *k as usize) {
-                    a_fwd += 1;
-                }
                 // The sender is busy only for the per-message software
                 // overhead; the wire time is charged to the RecvA task.
                 ns(platform.nic_msg_overhead_s)
@@ -349,7 +346,6 @@ pub fn replay_dag(
         a_network_bytes: a_net,
         a_network_inter_bytes: a_net_inter,
         a_messages: a_msgs,
-        a_forward_messages: a_fwd,
         gemm_tasks: gemms,
         b_tiles_generated: bgens,
         metrics,

@@ -44,8 +44,7 @@ pub struct Platform {
     /// Network latency (s).
     pub nic_latency_s: f64,
     /// Bandwidth between ranks sharing a physical node (bytes/s): shared
-    /// memory / NVLink-class, several times the NIC. Node-aware collective
-    /// trees route most hops over this link.
+    /// memory / NVLink-class, several times the NIC.
     pub intra_bw: f64,
     /// Latency of an intra-node message (s).
     pub intra_latency_s: f64,

@@ -29,7 +29,7 @@ use bst_tile::kernel::select_heuristic;
 use bst_tile::pool::TilePool;
 use parking_lot::Mutex;
 
-use super::inspector::{block_c_tiles, owner_of, Lowered, Op, REDUCE_ROOT};
+use super::inspector::{block_c_tiles, Lowered, Op, REDUCE_ROOT};
 use super::memory::Ctx;
 use super::report::DeviceMemLog;
 use super::BGen;
@@ -58,7 +58,6 @@ pub(crate) struct Counters {
     pub a_net: AtomicU64,
     pub a_net_inter: AtomicU64,
     pub a_msgs: AtomicU64,
-    pub a_fwd_msgs: AtomicU64,
     pub gemms: AtomicU64,
     pub bgens: AtomicU64,
     pub b_cache_hits: AtomicU64,
@@ -83,8 +82,6 @@ pub(crate) struct HandlerEnv<'a> {
     pub pools: &'a [TilePool],
     pub kernel_counts: Vec<AtomicU64>,
     pub fault: Option<FaultPlan>,
-    /// `(p, q)` of the process grid (for `A` ownership).
-    pub grid: (usize, usize),
     /// Low-rank truncation tolerance ([`ExecOptions::compress_tol`]):
     /// generated B tiles are compressed before caching/storing, and GEMMs
     /// re-compress LR×LR middle products at this tolerance. `0.0` keeps
@@ -164,7 +161,7 @@ impl HandlerEnv<'_> {
                 // tile ships its factors, not the dense equivalent.
                 let bytes = tile.stored_bytes();
                 // The destination consumes the tile once per local device
-                // load plus once per tree hop it forwards.
+                // load.
                 let consumers = self.low.a_consumers(*to, (*i, *k));
                 let drop_in_flight = self.fault.as_ref().is_some_and(|fp| {
                     fp.injects(FaultSite::Send, FaultPlan::site_key(op, w, &self.low.stack_rows), attempt)
@@ -183,10 +180,6 @@ impl HandlerEnv<'_> {
                             c.a_net_inter.fetch_add(bytes, Ordering::Relaxed);
                         }
                         c.a_msgs.fetch_add(1, Ordering::Relaxed);
-                        let (p, q) = self.grid;
-                        if w.node != owner_of(p, q, *i as usize, *k as usize) {
-                            c.a_fwd_msgs.fetch_add(1, Ordering::Relaxed);
-                        }
                         // Only a *delivered* send consumes the local copy:
                         // a dropped message leaves it for the retry.
                         self.stores[w.node].consume(w.node, key);
@@ -279,7 +272,7 @@ impl HandlerEnv<'_> {
             (Op::LoadBlock { node, gpu, block }, Ctx::Gpu(mm)) => {
                 let bp = &plan.nodes[*node].gpus[*gpu].blocks[*block];
                 let row = plan.nodes[*node].grid_row;
-                for (i, j) in block_c_tiles(spec, &bp.block, row, self.grid.0) {
+                for (i, j) in block_c_tiles(spec, &bp.block, row, plan.config.grid.p) {
                     let rows = spec.a.row_tiling().size(i) as usize;
                     let cols = spec.b.col_tiling().size(j) as usize;
                     mm.alloc_c(
@@ -348,7 +341,7 @@ impl HandlerEnv<'_> {
                 // to the root. The origin ordinal makes the fold's
                 // accumulation order canonical, independent of delivery
                 // order.
-                for (i, j) in block_c_tiles(spec, &bp.block, row, self.grid.0) {
+                for (i, j) in block_c_tiles(spec, &bp.block, row, plan.config.grid.p) {
                     self.fabric
                         .reduce(
                             w.node,

@@ -11,15 +11,16 @@
 //!
 //! * **dataflow** — `GenB(k, j) → Gemm{k, j, ..}`, one edge per stack that
 //!   reads the tile (the stack that reads it first also transfers it to the
-//!   device), `SendA → RecvA → LoadA` (each broadcast hop is a real
-//!   send/receive pair over [`bst_runtime::comm`]: the send puts the
-//!   message on the wire, the receive completes when the destination's
-//!   progress thread has deposited it, and only then may a device transfer
-//!   read the tile), `LoadA/LoadBlock → Gemm`, `Gemm → Gemm` between
-//!   stacks that write a common C tile (successive accumulations into one
-//!   C tile are chained, fixing the floating-point order so delivery
-//!   timing is numerically unobservable), `Gemm/LoadA → EvictChunk`,
-//!   `EvictChunk/LoadBlock → FlushBlock`;
+//!   device), `SendA → RecvA → LoadA` (one hop from the tile's owner to
+//!   each consuming node, a real send/receive pair over
+//!   [`bst_runtime::comm`]: the send puts the message on the wire, the
+//!   receive completes when the destination's progress thread has
+//!   deposited it, and only then may a device transfer read the tile),
+//!   `LoadA/LoadBlock → Gemm`, `Gemm → Gemm` between stacks that write a
+//!   common C tile (successive accumulations into one C tile are chained,
+//!   fixing the floating-point order so delivery timing is numerically
+//!   unobservable), `Gemm/LoadA → EvictChunk`, `EvictChunk/LoadBlock →
+//!   FlushBlock`;
 //! * **control flow** — `FlushBlock(b) → LoadBlock(b+1)` (§3.2.2 blocking
 //!   block transfers), `EvictChunk(n−1−depth) → LoadA(chunk n)` (§3.2.3
 //!   prefetch window) and, under the same switch, `first-use stack(n − W)
@@ -267,10 +268,6 @@ pub fn block_c_tiles(
 /// maps in [`Lowered`].
 pub type NodeTile = (usize, (u32, u32));
 
-/// Broadcast fan-out: `(node, tile) → nodes that node forwards the tile
-/// to`, a topology-aware tree rooted at the tile's owner.
-pub type TreeChildren = Arc<HashMap<NodeTile, Vec<usize>>>;
-
 /// The rank C is gathered on: every other rank's `ReduceC` sends its folded
 /// tiles here, in one hop.
 pub const REDUCE_ROOT: usize = 0;
@@ -303,13 +300,11 @@ pub struct Lowered {
     /// `LoadA` count per `(node, A tile)` — the device-load consumer
     /// refcount of each tile on each node.
     pub a_loads: HashMap<NodeTile, usize>,
-    /// `(owner, tile) → destination nodes` needing the tile remotely.
+    /// `(owner, tile) → destination nodes` needing the tile remotely
+    /// (ascending): the owner sends it to each in one hop (the A broadcast
+    /// "happens in the background, at the tile granularity", §4).
     pub sends: HashMap<NodeTile, Vec<usize>>,
-    /// Broadcast trees: `(node, tile) → nodes this node forwards
-    /// the tile to` (the A broadcast "happens in the background, at the
-    /// tile granularity", §4).
-    pub tree_children: TreeChildren,
-    /// The node-aware topology the trees were routed over.
+    /// The node-aware topology: the link class of every hop.
     pub topology: Topology,
     /// Per-node C contributions, indexed by node.
     pub reduce: Vec<ReduceNode>,
@@ -331,15 +326,11 @@ impl Lowered {
         self.graph.payload(id).detail(&self.stack_rows)
     }
 
-    /// Consumer refcount of `A` tile `t` on `node`: local device loads plus
-    /// tree hops forwarded from there.
+    /// Consumer refcount of `A` tile `t` on `node`: local device loads plus,
+    /// on the tile's owner, one send per destination.
     pub fn a_consumers(&self, node: usize, t: (u32, u32)) -> usize {
         self.a_loads.get(&(node, t)).copied().unwrap_or(0)
-            + self
-                .tree_children
-                .get(&(node, t))
-                .map(|v| v.len())
-                .unwrap_or(0)
+            + self.sends.get(&(node, t)).map_or(0, Vec::len)
     }
 
     /// C partials delivered into `node` before its `ReduceC` folds: its own
@@ -358,17 +349,17 @@ impl Lowered {
     /// The SPMD projection for multi-process execution: the sub-DAG of
     /// tasks pinned to node `rank`, with cross-node edges dropped.
     ///
-    /// Every process lowers the *full* plan (so broadcast trees, consumer
-    /// refcounts and C key counts are globally consistent), then keeps
-    /// only its own node's tasks. The dropped edges are exactly the ones
+    /// Every process lowers the *full* plan (so sends, consumer refcounts
+    /// and C key counts are globally consistent), then keeps only its own
+    /// node's tasks. The dropped edges are exactly the ones
     /// whose ordering the transport already enforces at runtime:
     /// `SendA → RecvA` (the `RecvA` body blocks in
     /// [`bst_runtime::comm::CommFabric::wait_delivered`] until the frame
     /// arrives over the wire) and every other `ReduceC` → the root's (the
     /// root blocks in `take_reduced_at_least` for its structural count).
     /// Relative task order is preserved, so the `dep < task` lowering
-    /// invariant keeps holding in the projection; the broadcast/consumption
-    /// maps stay global — a forwarder still needs the full fan-out picture.
+    /// invariant keeps holding in the projection; the send/consumption maps
+    /// stay global — an owner's `SendA` tells the destination its refcount.
     pub fn restrict(&self, rank: usize) -> Lowered {
         // The blocking waiters (`RecvA` in `wait_delivered`, `ReduceC` in
         // `take_reduced_at_least`) move off the CPU lane onto a dedicated
@@ -377,8 +368,8 @@ impl Lowered {
         // those edges are gone, so every `RecvA` is ready at seed time —
         // and a blocking wait at the head of the shared CPU lane would
         // starve the `SendA` hops queued behind it (two ranks each blocked
-        // ahead of the very send the other is waiting for). With lane 0
-        // send-only, progress is inductive over the broadcast tree depth.
+        // ahead of the very send the other is waiting for). A `SendA` depends on
+        // no task, so a send-only lane 0 never waits behind a receive.
         let wait_lane = 1 + self
             .workers
             .iter()
@@ -413,7 +404,6 @@ impl Lowered {
             b_uses: self.b_uses.clone(),
             a_loads: self.a_loads.clone(),
             sends: self.sends.clone(),
-            tree_children: self.tree_children.clone(),
             topology: self.topology,
             reduce: self.reduce.clone(),
             stack_rows: Arc::clone(&self.stack_rows),
@@ -458,51 +448,24 @@ pub fn lower(spec: &ProblemSpec, plan: &ExecutionPlan, opts: &ExecOptions) -> Lo
     // task ids and with them each CPU lane's FIFO (the order A tiles go on
     // the wire).
     sends.values_mut().for_each(|dests| dests.sort_unstable());
-    let mut send_order: Vec<(usize, (u32, u32))> = sends.keys().copied().collect();
-    send_order.sort_unstable_by_key(|&(owner, (i, k))| (k, i, owner));
-    // Broadcast shapes: a node-aware hierarchical tree (binomial over
-    // physical-node leaders, binomial inside each node) spreads the
-    // forwarding load and crosses the inter-node link the minimum number of
-    // times.
-    let topology = Topology::new(n_nodes, opts.node_size.max(1));
-    let mut tree_children: HashMap<(usize, (u32, u32)), Vec<usize>> = HashMap::new();
-    for (&(owner, t), dests) in &sends {
-        for (parent, child) in topology.bcast_children(owner, dests) {
-            tree_children.entry((parent, t)).or_default().push(child);
-        }
-    }
-    let tree_children = Arc::new(tree_children);
+    let mut send_order: Vec<(&NodeTile, &Vec<usize>)> = sends.iter().collect();
+    send_order.sort_unstable_by_key(|&(&(owner, (i, k)), _)| (k, i, owner));
 
     // ---- Pass 2: build the task graph ------------------------------------
     let mut graph: TaskGraph<Op> = TaskGraph::new();
 
-    // SendA/RecvA pairs (the background broadcast of A across grid rows),
-    // following the binomial trees: each hop is a real message — the send
-    // runs on the forwarding node's CPU lane and puts the tile on the wire,
-    // the receive runs on the destination's CPU lane and completes when the
-    // destination's progress thread deposited it. Each hop forwards from
-    // the node that just *received* the tile.
+    // SendA/RecvA pairs (the background broadcast of A across grid rows):
+    // one real message from the owner to each consuming node — the send runs
+    // on the owner's CPU lane and puts the tile on the wire, the receive
+    // runs on the destination's CPU lane and completes when the
+    // destination's progress thread deposited it.
     let mut recva_ids: HashMap<(usize, (u32, u32)), TaskId> = HashMap::new();
-    for (owner, t) in send_order {
-        // BFS over the tree so a hop's delivering recv exists before the
-        // hops that forward from its destination.
-        let mut frontier = vec![owner];
-        while let Some(from) = frontier.pop() {
-            let Some(children) = tree_children.get(&(from, t)) else {
-                continue;
-            };
-            for &to in children {
-                let send = graph.add_task(Op::SendA { i: t.0, k: t.1, to }, cpu_lane(from));
-                if from != owner {
-                    // A forwarding hop may read the tile only after its own
-                    // node received it.
-                    graph.add_dep(send, recva_ids[&(from, t)]);
-                }
-                let recv = graph.add_task(Op::RecvA { i: t.0, k: t.1, from }, cpu_lane(to));
-                graph.add_dep(recv, send);
-                recva_ids.insert((to, t), recv);
-                frontier.push(to);
-            }
+    for (&(owner, t), dests) in send_order {
+        for &to in dests {
+            let send = graph.add_task(Op::SendA { i: t.0, k: t.1, to }, cpu_lane(owner));
+            let recv = graph.add_task(Op::RecvA { i: t.0, k: t.1, from: owner }, cpu_lane(to));
+            graph.add_dep(recv, send);
+            recva_ids.insert((to, t), recv);
         }
     }
 
@@ -713,8 +676,7 @@ pub fn lower(spec: &ProblemSpec, plan: &ExecutionPlan, opts: &ExecOptions) -> Lo
         b_uses,
         a_loads,
         sends,
-        tree_children,
-        topology,
+        topology: Topology::new(n_nodes, opts.node_size.max(1)),
         reduce,
         stack_rows: stack_rows.into(),
     }

@@ -173,8 +173,8 @@ pub(crate) fn run(
 ) -> Result<(BlockSparseMatrix, ExecReport), ExecError> {
     // ---- Degraded re-planning on a permanent node loss -------------------
     // The dead node's B columns move to its surviving row peers; its host
-    // memory (and therefore its A slice and SendA forwarding duties)
-    // survives, only its generators and GPUs are written off.
+    // memory (and therefore its A slice and the sends of it) survives, only
+    // its generators and GPUs are written off.
     let replanned_storage;
     let (plan, replanned_columns, dead_nodes): (&ExecutionPlan, u64, Vec<usize>) =
         match opts.fault_plan.and_then(|f| f.dead_node) {
@@ -196,8 +196,8 @@ pub(crate) fn run(
     let n_nodes = p * q;
 
     // ---- Inspector: lower the plan to the task DAG -----------------------
-    // Multi-process mode lowers the full plan (global broadcast trees and
-    // C key counts), then keeps only this rank's tasks: the transport's
+    // Multi-process mode lowers the full plan (global sends, consumer
+    // refcounts and C key counts), then keeps only this rank's tasks: the transport's
     // blocking waits replace the dropped cross-node edges.
     let low = inspector::lower(spec, plan, &opts);
     let low = match &remote {
@@ -271,7 +271,6 @@ pub(crate) fn run(
         pools: &pools,
         kernel_counts: KernelKind::ALL.iter().map(|_| AtomicU64::new(0)).collect(),
         fault: opts.fault_plan.filter(FaultPlan::is_active),
-        grid: (p, q),
         compress_tol: opts.compress_tol,
         counters: Counters::default(),
         dev_stats: Mutex::new(Vec::new()),
@@ -413,7 +412,6 @@ pub(crate) fn run(
             a_network_bytes: c.a_net.load(Ordering::Relaxed),
             a_network_inter_bytes: c.a_net_inter.load(Ordering::Relaxed),
             a_messages: c.a_msgs.load(Ordering::Relaxed),
-            a_forward_messages: c.a_fwd_msgs.load(Ordering::Relaxed),
             gemm_tasks: c.gemms.load(Ordering::Relaxed),
             b_tiles_generated: c.bgens.load(Ordering::Relaxed),
             gemm_kernel_counts,

@@ -85,14 +85,12 @@ pub struct ExecReport {
     /// Bytes of `A` tiles sent across node boundaries.
     pub a_network_bytes: u64,
     /// Of [`ExecReport::a_network_bytes`], the bytes that crossed an
-    /// **inter-node** (NIC) link of the node-aware topology — the quantity
-    /// the collective trees minimise. Equal to `a_network_bytes` with
-    /// `node_size == 1` (every remote link is inter-node).
+    /// **inter-node** (NIC) link of the node-aware topology. Equal to
+    /// `a_network_bytes` with `node_size == 1` (every remote link is
+    /// inter-node).
     pub a_network_inter_bytes: u64,
-    /// `A` tile messages sent (tree edges).
+    /// `A` tile messages sent (one per owner → consuming node hop).
     pub a_messages: u64,
-    /// `A` tile messages forwarded by non-owner nodes (tree interior hops).
-    pub a_forward_messages: u64,
     /// GEMM tasks executed.
     pub gemm_tasks: u64,
     /// `B` tiles generated — the ones some stack reads, per-node replicas counted.

@@ -85,8 +85,8 @@ impl ExecutionPlan {
     /// columns are re-assigned among the *surviving* nodes of the same grid
     /// row (graceful degradation after a node loss), and their plans come
     /// out empty. The grid shape is unchanged — a dead node's host memory
-    /// is assumed to survive, so the `A` distribution and broadcast trees
-    /// still include it; only its generators and GPUs are written off.
+    /// is assumed to survive, so it still owns its slice of `A` and sends
+    /// it to the row; only its generators and GPUs are written off.
     ///
     /// Fails with [`PlanError::NoSurvivingNodes`] if a grid row loses all
     /// `q` of its nodes.

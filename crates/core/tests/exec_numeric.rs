@@ -252,10 +252,10 @@ fn untraced_report_has_no_trace() {
 }
 
 #[test]
-fn broadcast_tree_forwards_through_non_owners() {
+fn a_tiles_go_one_hop_from_their_owner() {
     // A wide grid row (q = 4): every dense A tile is needed on three
-    // remote nodes, so the binomial tree must route at least one hop
-    // through a non-owner — and the result must stay exact.
+    // remote nodes, and its owner sends it to each of them from its own CPU
+    // lane — no other node forwards it — and the result stays exact.
     let a = MatrixStructure::dense(Tiling::uniform(8, 2), Tiling::uniform(8, 2));
     let b = MatrixStructure::dense(Tiling::uniform(8, 2), Tiling::uniform(16, 2));
     let spec = ProblemSpec::new(a, b, None);
@@ -265,17 +265,22 @@ fn broadcast_tree_forwards_through_non_owners() {
     let b_gen = |k: usize, j: usize, r: usize, c: usize, pool: &TilePool| {
         Ok(Arc::new(pool.random(r, c, tile_seed(2, k, j))))
     };
-    let (c, report) = execute(&spec, &plan, &am, &b_gen, ExecOptions::default()).unwrap();
-    assert!(
-        report.a_forward_messages > 0,
-        "expected tree forwarding ({} messages total)",
-        report.a_messages
-    );
-    // Total messages = tree edges = number of (node, tile) deliveries.
-    assert_eq!(
-        report.a_messages,
-        plan.stats(&spec).a_network_bytes / (2 * 2 * 8)
-    );
+    let opts = ExecOptions::builder().tracing(true).build();
+    let (c, report) = execute(&spec, &plan, &am, &b_gen, opts).unwrap();
+    let low = inspector::lower(&spec, &plan, &opts);
+    let trace = report.trace.as_ref().expect("trace requested");
+    let mut sends = 0;
+    for r in &trace.records {
+        if let Op::SendA { i, k, .. } = low.graph.payload(r.task) {
+            let owner = inspector::owner_of(1, 4, *i as usize, *k as usize);
+            assert_eq!(r.worker, inspector::cpu_lane(owner), "{} not sent by its owner", r.detail);
+            sends += 1;
+        }
+    }
+    let star: usize = low.sends.values().map(Vec::len).sum();
+    assert_eq!(sends, star);
+    assert_eq!(report.a_messages, star as u64);
+    assert_eq!(report.a_network_bytes, plan.stats(&spec).a_network_bytes);
     let bm = BlockSparseMatrix::from_structure(spec.b.clone(), |k, j, r, cc| {
         bst_tile::Tile::random(r, cc, tile_seed(2, k, j))
     });

@@ -30,7 +30,6 @@
 
 pub use bst_chem as chem;
 pub use bst_contract as contract;
-pub use bst_dbcsr as dbcsr;
 pub use bst_runtime as runtime;
 pub use bst_sim as sim;
 pub use bst_sparse as sparse;
