@@ -26,7 +26,7 @@ use bst_bench::{
 };
 use bst_chem::basis::{ao_rank, occupied_rank};
 use bst_chem::{CcsdProblem, Molecule, ProblemTraits, ScreeningParams, TilingSpec};
-use bst_contract::config::{AssignPolicy, PackPolicy};
+use bst_contract::config::AssignPolicy;
 use bst_contract::stationary_c::StationaryCPlan;
 use bst_contract::{ExecutionPlan, PlannerConfig, ProblemSpec};
 use bst_sim::cpu::simulate_cpu_only;
@@ -167,10 +167,9 @@ transfers that dominate.",
         name: "ablations",
         flags: &["--quick"],
         doc: "Ablations of the §3.2 design choices (not a paper figure): column assignment
-(mirrored-cyclic vs cyclic vs LPT), block packing (worst- vs first- vs
-best-fit), prefetch depth (0, 1 = paper, 2), the rejected C-reduction
-variant of §3.1, and the grid-row parameter p (B replication vs A broadcast
-volume).",
+(mirrored-cyclic vs cyclic vs LPT), prefetch depth (0, 1 = paper, 2), the
+rejected C-reduction variant of §3.1, and the grid-row parameter p (B
+replication vs A broadcast volume).",
         print: ablations,
     },
     Row {
@@ -832,17 +831,11 @@ fn ablations(ctx: &mut Ctx, out: &mut String) -> Printed {
     let nk = if ctx.quick { 96_000 } else { 192_000 };
     let platform = Platform::summit(16);
     let spec = synthetic_spec(nk, 0.5, 42);
-    // (time, load imbalance, blocks, A host→device bytes) of one plan.
+    // (time, load imbalance) of one plan.
     let run = |spec: &ProblemSpec, config: PlannerConfig| {
         let plan = ExecutionPlan::build(spec, config)?;
-        let stats = plan.stats(spec);
         let report = simulate(spec, &plan, &platform);
-        Ok::<_, bst_contract::PlanError>((
-            report.makespan_s,
-            stats.load_imbalance,
-            stats.num_blocks,
-            stats.a_h2d_bytes,
-        ))
+        Ok::<_, bst_contract::PlanError>((report.makespan_s, plan.stats(spec).load_imbalance))
     };
     writeln!(
         out,
@@ -862,39 +855,18 @@ fn ablations(ctx: &mut Ctx, out: &mut String) -> Printed {
     ] {
         let mut config = platform.planner_config(2);
         config.assign_policy = policy;
-        let (t, imb, _, _) = run(&spec, config)?;
+        let (t, imb) = run(&spec, config)?;
         writeln!(out, "{name:<16} {t:>10.3} {imb:>12.3}")?;
     }
 
-    writeln!(out, "\n## 2. Block packing (§3.2.2)")?;
-    writeln!(
-        out,
-        "{:<16} {:>10} {:>10} {:>14}",
-        "policy", "time (s)", "#blocks", "A h2d (GB)"
-    )?;
-    for (name, policy) in [
-        ("worst-fit", PackPolicy::WorstFit),
-        ("first-fit", PackPolicy::FirstFit),
-        ("best-fit", PackPolicy::BestFit),
-    ] {
-        let mut config = platform.planner_config(2);
-        config.pack_policy = policy;
-        let (t, _, blocks, a_h2d) = run(&spec, config)?;
-        writeln!(
-            out,
-            "{name:<16} {t:>10.3} {blocks:>10} {:>14.1}",
-            a_h2d as f64 / 1e9
-        )?;
-    }
-
-    writeln!(out, "\n## 3. Prefetch depth (§3.2.3)")?;
+    writeln!(out, "\n## 2. Prefetch depth (§3.2.3)")?;
     writeln!(out, "{:<16} {:>10}", "depth", "time (s)")?;
     for depth in [0usize, 1, 2] {
         let mut config = platform.planner_config(2);
         config.prefetch_depth = depth;
         // Keep total chunk memory at 50%: fraction = 0.5 / (depth + 1).
         config.chunk_mem_fraction = 0.5 / (depth as f64 + 1.0);
-        let (t, _, _, _) = run(&spec, config)?;
+        let (t, _) = run(&spec, config)?;
         let label = if depth == 1 {
             format!("{depth} (paper)")
         } else {
@@ -905,7 +877,7 @@ fn ablations(ctx: &mut Ctx, out: &mut String) -> Printed {
 
     writeln!(
         out,
-        "\n## 4. The rejected alternative of §3.1: C reductions vs column replication"
+        "\n## 3. The rejected alternative of §3.1: C reductions vs column replication"
     )?;
     // "Technically, this amounts to simulating the product B <- A^T x C and
     // to perform a final reduction of C tiles across grid columns. To avoid
@@ -928,7 +900,7 @@ fn ablations(ctx: &mut Ctx, out: &mut String) -> Printed {
 
     writeln!(
         out,
-        "\n## 5. Grid rows p (§3.2 trade-off) — C65H132 v2 on 16 nodes"
+        "\n## 4. Grid rows p (§3.2 trade-off) — C65H132 v2 on 16 nodes"
     )?;
     writeln!(
         out,

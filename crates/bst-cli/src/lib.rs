@@ -499,12 +499,13 @@ pub fn run(cli: &Cli, out: &mut dyn std::io::Write) -> Result<(), Box<dyn std::e
             writeln!(out, "grid {}x{}, {} GPUs/node", cli.p, cli.opts.nodes / cli.p, cli.gpus)?;
             writeln!(
                 out,
-                "tasks {} | flops {:.3e} | blocks {} | chunks {} | imbalance {:.3}",
+                "tasks {} | flops {:.3e} | blocks {} | chunks {} | imbalance {:.3} (GPU {:.3})",
                 stats.total_tasks,
                 stats.total_flops as f64,
                 stats.num_blocks,
                 stats.num_chunks,
-                stats.load_imbalance
+                stats.load_imbalance,
+                stats.gpu_imbalance
             )?;
             writeln!(
                 out,
@@ -925,7 +926,13 @@ mod tests {
         run(&cli, &mut out).unwrap();
         let s = String::from_utf8(out).unwrap();
         assert!(s.contains("tasks"), "{s}");
-        assert!(s.contains("imbalance"), "{s}");
+        let (spec, _) = build_problem(&cli).unwrap();
+        let stats = ExecutionPlan::build(&spec, planner_config(&cli)).unwrap().stats(&spec);
+        let (node, gpu) = (stats.load_imbalance, stats.gpu_imbalance);
+        assert!(s.contains(&format!("imbalance {node:.3} (GPU {gpu:.3})")), "{s}");
+        // A node's busiest GPU carries at least its share of the busiest
+        // node, and the deal keeps the 6 GPUs of a node even.
+        assert!((1.0..=gpu).contains(&node) && gpu < 1.1, "{s}");
     }
 
     #[test]

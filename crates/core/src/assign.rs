@@ -95,9 +95,10 @@ pub fn assign_columns_policy(
             }
         }
         AssignPolicy::Lpt => {
-            // Heaviest column first, to the currently least-loaded node
-            // (ties: lowest node index).
-            for &j in order.iter().rev() {
+            // Heaviest column first (ties: lowest column), to the currently
+            // least-loaded node (ties: lowest node index).
+            order.sort_by_key(|&j| std::cmp::Reverse(weights[j]));
+            for &j in &order {
                 let node = (0..q).min_by_key(|&n| (totals[n], n)).unwrap();
                 cols[node].push(j);
                 totals[node] += weights[j];

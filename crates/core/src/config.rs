@@ -68,22 +68,6 @@ pub enum AssignPolicy {
     Lpt,
 }
 
-/// How a node's columns are packed into GPU blocks (§3.2.2). The paper's
-/// choice is [`PackPolicy::WorstFit`]; the alternatives exist for the
-/// ablation study.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum PackPolicy {
-    /// Put each span into the open block with the most remaining space
-    /// (the paper's §3.2.2).
-    #[default]
-    WorstFit,
-    /// Put each span into the first open block it fits.
-    FirstFit,
-    /// Put each span into the open block with the least remaining space
-    /// that still fits.
-    BestFit,
-}
-
 /// Full planner configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct PlannerConfig {
@@ -100,8 +84,6 @@ pub struct PlannerConfig {
     pub chunk_mem_fraction: f64,
     /// Column-assignment heuristic.
     pub assign_policy: AssignPolicy,
-    /// Block-packing heuristic.
-    pub pack_policy: PackPolicy,
     /// How many chunks ahead of the one computing may be in flight on the
     /// device: 1 is the paper's policy (one active + one prefetching);
     /// 0 disables prefetch (transfer and compute serialise); values > 1
@@ -111,7 +93,7 @@ pub struct PlannerConfig {
 
 impl PlannerConfig {
     /// The paper's policy: 50% block / 25% + 25% chunk memory, mirrored
-    /// cyclic assignment, worst-fit packing, prefetch depth 1.
+    /// cyclic assignment, prefetch depth 1.
     pub fn paper(grid: GridConfig, device: DeviceConfig) -> Self {
         Self {
             grid,
@@ -119,7 +101,6 @@ impl PlannerConfig {
             block_mem_fraction: 0.5,
             chunk_mem_fraction: 0.25,
             assign_policy: AssignPolicy::MirroredCyclic,
-            pack_policy: PackPolicy::WorstFit,
             prefetch_depth: 1,
         }
     }

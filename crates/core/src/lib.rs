@@ -13,10 +13,11 @@
 //!    tile columns of `B` are dealt to the `q` nodes by non-decreasing flop
 //!    weight in a *mirrored cyclic* order.
 //! 3. **Block partitioning** ([`partition`], §3.2.2) — on each node, the
-//!    assigned columns are packed into *blocks* that fit **half** a GPU's
-//!    memory (B column + local C tiles), by a size-descending *worst-fit*
-//!    heuristic; blocks run one after the other on their GPU, so every B/C
-//!    tile is transferred to the GPU exactly once.
+//!    assigned columns are dealt to the GPUs by footprint (B column + local
+//!    C tiles), largest first to the lightest GPU, and each GPU packs its
+//!    share into *blocks* that fit **half** its memory by a size-descending
+//!    *worst-fit* heuristic; blocks run one after the other on their GPU, so
+//!    every B/C tile is transferred to the GPU exactly once.
 //! 4. **Chunk segmentation** ([`chunk`], §3.2.3) — within a block, the
 //!    needed tiles of `A` stream through a **quarter** of the GPU memory in
 //!    chunks (one tile per participating row of `A`, added cyclically),

@@ -1,14 +1,15 @@
 //! Block partitioning (§3.2.2): packing a node's assigned `B` columns into
 //! GPU-sized blocks.
 //!
-//! Columns (weighted by the bytes of the `B` column plus the node-local `C`
-//! tiles underneath it) are sorted by non-increasing footprint and packed
-//! **worst-fit**: each column goes into the block with the most remaining
-//! space; when it fits nowhere, a new block is created and assigned to a
-//! GPU in round-robin fashion, so no GPU ever holds more than one block
-//! more than any other. A block is capped at `block_budget` (half the GPU
-//! memory), which guarantees each `B`/`C` tile is transferred to its GPU
-//! exactly once.
+//! A column is weighed by its footprint: the bytes of the `B` column plus
+//! the node-local `C` tiles underneath it. The node's columns are first
+//! **dealt** to its GPUs, largest first, each to the GPU with the smallest
+//! summed footprint (LPT), so the GPUs' shares end at most one column
+//! apart. Each GPU then packs its share **worst-fit**, starting from one
+//! empty block: a column goes into the block with the most remaining space,
+//! and one that fits nowhere opens a new block on that GPU. A block is
+//! capped at `block_budget` (half the GPU memory), which guarantees each
+//! `B`/`C` tile is transferred to its GPU exactly once.
 //!
 //! **Extension beyond the paper**: a column whose footprint exceeds the
 //! budget (which happens for the densest near-diagonal Schwarz columns
@@ -17,7 +18,9 @@
 //! partition the column's inner range); only the column's `C` tiles — tiny
 //! next to `B` for short-and-wide problems — are re-staged once per part.
 
-use crate::config::PlanError;
+use crate::assign::assign_columns_policy;
+use crate::config::{AssignPolicy, PlanError};
+use std::cmp::Reverse;
 
 /// A contiguous inner-index slice of one `B` tile column: tiles
 /// `B(k, col)` with `k_lo ≤ k ≤ k_hi`. A whole column is the span
@@ -94,9 +97,10 @@ impl BlockPartition {
 /// Packs `spans` (with per-span byte footprints, indexed by position) into
 /// blocks for `gpus` GPUs under `budget` bytes per block.
 ///
-/// Each GPU starts with one empty block (§3.2.2), so worst-fit spreads
-/// spans across GPUs before deepening any block; new blocks are created
-/// round-robin when a span fits nowhere.
+/// The spans are dealt to the GPUs by [`AssignPolicy::Lpt`] on their
+/// footprints (ties: the earlier span — the planner lists spans by column,
+/// then `k_lo` — and the lowest GPU), then each GPU's share is packed
+/// worst-fit from one empty block. With one GPU the deal is a no-op.
 ///
 /// # Panics
 /// Panics if a single span exceeds the budget — the caller must have
@@ -107,110 +111,55 @@ pub fn partition_spans(
     gpus: usize,
     budget: u64,
 ) -> BlockPartition {
-    partition_spans_policy(
-        spans,
-        footprints,
-        gpus,
-        budget,
-        crate::config::PackPolicy::WorstFit,
-    )
+    assert_eq!(spans.len(), footprints.len());
+    let weights: Vec<u128> = footprints.iter().map(|&f| f as u128).collect();
+    let (shares, _) = assign_columns_policy(&weights, gpus, AssignPolicy::Lpt);
+    BlockPartition {
+        gpus: shares
+            .iter()
+            .map(|share| pack_worst_fit(share, spans, footprints, budget))
+            .collect(),
+    }
 }
 
-/// [`partition_spans`] under a selectable bin-choice heuristic (see
-/// [`crate::config::PackPolicy`]); the non-default policies exist for the
-/// ablation study.
-pub fn partition_spans_policy(
+/// Packs one GPU's `share` (positions in `spans`) worst-fit (§3.2.2):
+/// largest footprint first (ties: ascending column, then `k_lo`), each span
+/// into the block with the most remaining space (ties: the earliest block);
+/// a span that fits nowhere opens a new block.
+fn pack_worst_fit(
+    share: &[usize],
     spans: &[ColumnSpan],
     footprints: &[u64],
-    gpus: usize,
     budget: u64,
-    policy: crate::config::PackPolicy,
-) -> BlockPartition {
-    use crate::config::PackPolicy;
-    assert_eq!(spans.len(), footprints.len());
-    assert!(gpus >= 1);
-    let mut part = BlockPartition {
-        gpus: vec![Vec::new(); gpus],
-    };
-    if spans.is_empty() {
-        for gpu in &mut part.gpus {
-            gpu.clear();
-        }
-        return part;
-    }
-
-    // Sort by non-increasing footprint (ties: ascending column/k for
-    // determinism).
-    let mut order: Vec<usize> = (0..spans.len()).collect();
-    order.sort_by(|&x, &y| {
-        footprints[y]
-            .cmp(&footprints[x])
-            .then(spans[x].col.cmp(&spans[y].col))
-            .then(spans[x].k_lo.cmp(&spans[y].k_lo))
-    });
-
-    // Open bins: (gpu, block index within gpu, remaining bytes); one empty
-    // block per GPU up front.
-    let mut bins: Vec<(usize, usize, u64)> = Vec::new();
-    for g in 0..gpus {
-        part.gpus[g].push(Block {
-            spans: Vec::new(),
-            bytes: 0,
-        });
-        bins.push((g, 0, budget));
-    }
-    let mut next_gpu = 0usize;
-
-    for &si in &order {
+) -> Vec<Block> {
+    let mut order = share.to_vec();
+    order.sort_by_key(|&s| (Reverse(footprints[s]), spans[s].col, spans[s].k_lo));
+    let mut blocks: Vec<Block> = Vec::new();
+    for si in order {
         let (span, need) = (spans[si], footprints[si]);
         assert!(
             need <= budget,
             "span {span:?} ({need} B) exceeds the block budget ({budget} B); split it first"
         );
-        // Pick the bin per the policy; ties resolve to the earliest bin
-        // (lowest GPU) for determinism.
-        let mut best: Option<usize> = None;
-        for (bi, bin) in bins.iter().enumerate() {
-            if bin.2 < need {
-                continue;
+        match blocks
+            .iter_mut()
+            .filter(|b| budget - b.bytes >= need)
+            .min_by_key(|b| b.bytes)
+        {
+            Some(b) => {
+                b.spans.push(span);
+                b.bytes += need;
             }
-            let better = match (policy, best) {
-                (_, None) => true,
-                (PackPolicy::WorstFit, Some(b)) => bin.2 > bins[b].2,
-                (PackPolicy::BestFit, Some(b)) => bin.2 < bins[b].2,
-                (PackPolicy::FirstFit, Some(_)) => false,
-            };
-            if better {
-                best = Some(bi);
-            }
-        }
-        match best {
-            Some(bi) => {
-                let bin = &mut bins[bi];
-                bin.2 -= need;
-                let (g, bi) = (bin.0, bin.1);
-                part.gpus[g][bi].spans.push(span);
-                part.gpus[g][bi].bytes += need;
-            }
-            None => {
-                let g = next_gpu;
-                next_gpu = (next_gpu + 1) % gpus;
-                part.gpus[g].push(Block {
-                    spans: vec![span],
-                    bytes: need,
-                });
-                bins.push((g, part.gpus[g].len() - 1, budget - need));
-            }
+            None => blocks.push(Block {
+                spans: vec![span],
+                bytes: need,
+            }),
         }
     }
-
-    for gpu in &mut part.gpus {
-        gpu.retain(|b| !b.spans.is_empty());
-        for b in gpu.iter_mut() {
-            b.spans.sort_by_key(|s| (s.col, s.k_lo));
-        }
+    for b in &mut blocks {
+        b.spans.sort_by_key(|s| (s.col, s.k_lo));
     }
-    part
+    blocks
 }
 
 /// Splits column `col` into spans whose footprints fit `budget`.
@@ -314,10 +263,28 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_block_creation() {
+    fn overflow_blocks_open_on_the_dealt_gpu() {
         let p = partition_spans(&full_spans(&[0, 1, 2, 3]), &[90, 90, 90, 90], 2, 100);
         assert_eq!(p.gpus[0].len(), 2);
         assert_eq!(p.gpus[1].len(), 2);
+    }
+
+    #[test]
+    fn gpu_shares_end_at_most_one_span_apart() {
+        // Four spans fill a block, so GPU 0 opens the ninth span's block; a
+        // round-robin packer then fills that newest block first (56 / 35).
+        let cols: Vec<usize> = (0..13).collect();
+        let p = partition_spans(&full_spans(&cols), &[7; 13], 2, 32);
+        let shares: Vec<u64> = p
+            .gpus
+            .iter()
+            .map(|g| g.iter().map(|b| b.bytes).sum())
+            .collect();
+        assert!(
+            shares[0].abs_diff(shares[1]) <= 7,
+            "per-GPU footprints {shares:?}"
+        );
+        assert_eq!(p.num_blocks(), 4);
     }
 
     #[test]
@@ -353,39 +320,6 @@ mod tests {
     fn empty_input() {
         let p = partition_spans(&[], &[], 2, 100);
         assert_eq!(p.num_blocks(), 0);
-    }
-
-    #[test]
-    fn all_pack_policies_respect_budget_and_cover() {
-        use crate::config::PackPolicy;
-        let cols: Vec<usize> = (0..40).collect();
-        let foot: Vec<u64> = (0..40).map(|i| 15 + (i * 11) % 50).collect();
-        for policy in [PackPolicy::WorstFit, PackPolicy::FirstFit, PackPolicy::BestFit] {
-            let p = partition_spans_policy(&full_spans(&cols), &foot, 3, 100, policy);
-            let mut seen = vec![false; cols.len()];
-            for (_, b) in p.iter() {
-                assert!(b.bytes <= 100, "{policy:?} over budget");
-                for s in &b.spans {
-                    assert!(!seen[s.col as usize], "{policy:?} duplicate");
-                    seen[s.col as usize] = true;
-                }
-            }
-            assert!(seen.iter().all(|&s| s), "{policy:?} lost a span");
-        }
-    }
-
-    #[test]
-    fn best_fit_packs_tighter_than_worst_fit() {
-        use crate::config::PackPolicy;
-        // Best-fit minimises the number of blocks (fewer re-transfers of A)
-        // while worst-fit spreads for parallelism — the trade-off the
-        // ablation study quantifies.
-        let cols: Vec<usize> = (0..24).collect();
-        let foot: Vec<u64> = (0..24).map(|i| if i % 2 == 0 { 60 } else { 35 }).collect();
-        let blocks = |policy| {
-            partition_spans_policy(&full_spans(&cols), &foot, 2, 100, policy).num_blocks()
-        };
-        assert!(blocks(PackPolicy::BestFit) <= blocks(PackPolicy::WorstFit));
     }
 
     #[test]

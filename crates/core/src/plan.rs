@@ -11,7 +11,7 @@
 use crate::assign::{assign_columns_policy, column_weights};
 use crate::chunk::{build_chunks, needed_tiles_per_row, Chunk};
 use crate::config::{PlanError, PlannerConfig};
-use crate::partition::{partition_spans_policy, split_column, Block, ColumnSpan};
+use crate::partition::{partition_spans, split_column, Block, ColumnSpan};
 use crate::spec::ProblemSpec;
 use bst_tile::gemm::gemm_flops;
 use std::collections::HashMap;
@@ -167,8 +167,7 @@ impl ExecutionPlan {
                 footprints.push(bytes);
             }
         }
-        let partition =
-            partition_spans_policy(&spans, &footprints, g, config.block_budget(), config.pack_policy);
+        let partition = partition_spans(&spans, &footprints, g, config.block_budget());
         let mut gpus = Vec::with_capacity(g);
         for gpu_blocks in partition.gpus {
             let mut plan_blocks = Vec::with_capacity(gpu_blocks.len());
@@ -288,13 +287,15 @@ impl ExecutionPlan {
         let kt = spec.tile_inner();
         let mut stats = PlanStats::default();
         let mut node_flops: Vec<u128> = Vec::with_capacity(self.nodes.len());
+        let mut gpu_flops: Vec<u128> = Vec::new();
 
         for node in &self.nodes {
-            let mut flops: u128 = 0;
+            let mut node_total: u128 = 0;
             let mut tasks: u64 = 0;
             // Union of A tiles this node needs.
             let mut needed = vec![false; spec.tile_rows() * kt];
             for gpu in &node.gpus {
+                let mut flops: u128 = 0;
                 for bp in &gpu.blocks {
                     stats.num_blocks += 1;
                     stats.max_block_bytes = stats.max_block_bytes.max(bp.block.bytes);
@@ -315,6 +316,8 @@ impl ExecutionPlan {
                     }
                     stats.bc_h2d_bytes += bp.block.bytes;
                 }
+                gpu_flops.push(flops);
+                node_total += flops;
             }
             // A tiles that must cross the network: needed but owned
             // elsewhere (A is 2D-cyclic: tile (i,k) lives on node
@@ -339,18 +342,24 @@ impl ExecutionPlan {
                 stats.b_generated_bytes += spec.b.col_bytes(j);
             }
             stats.total_tasks += tasks;
-            stats.total_flops += flops;
-            node_flops.push(flops);
+            stats.total_flops += node_total;
+            node_flops.push(node_total);
         }
 
-        let max = node_flops.iter().copied().max().unwrap_or(0);
-        let mean = if node_flops.is_empty() {
-            0.0
-        } else {
-            node_flops.iter().sum::<u128>() as f64 / node_flops.len() as f64
-        };
-        stats.load_imbalance = if mean > 0.0 { max as f64 / mean } else { 1.0 };
+        stats.load_imbalance = max_over_mean(&node_flops);
+        stats.gpu_imbalance = max_over_mean(&gpu_flops);
         stats
+    }
+}
+
+/// Max over mean of `loads` (1.0 when there is no load).
+fn max_over_mean(loads: &[u128]) -> f64 {
+    let max = loads.iter().copied().max().unwrap_or(0);
+    let mean = loads.iter().sum::<u128>() as f64 / loads.len().max(1) as f64;
+    if mean > 0.0 {
+        max as f64 / mean
+    } else {
+        1.0
     }
 }
 
@@ -383,6 +392,8 @@ pub struct PlanStats {
     pub b_generated_bytes: u64,
     /// Max node flops / mean node flops (1.0 = perfect balance).
     pub load_imbalance: f64,
+    /// Max GPU flops / mean GPU flops, over every GPU of every node.
+    pub gpu_imbalance: f64,
 }
 
 #[cfg(test)]

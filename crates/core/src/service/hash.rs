@@ -21,7 +21,7 @@
 
 use bst_sparse::{MatrixStructure, SparseShape};
 
-use crate::config::{AssignPolicy, PackPolicy, PlannerConfig};
+use crate::config::{AssignPolicy, PlannerConfig};
 use crate::spec::ProblemSpec;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -101,14 +101,6 @@ fn assign_tag(p: AssignPolicy) -> u64 {
     }
 }
 
-fn pack_tag(p: PackPolicy) -> u64 {
-    match p {
-        PackPolicy::WorstFit => 1,
-        PackPolicy::FirstFit => 2,
-        PackPolicy::BestFit => 3,
-    }
-}
-
 /// Folds every [`PlannerConfig`] field the planner reads into `d`.
 fn push_config(d: &mut Digest, cfg: &PlannerConfig) {
     d.push(cfg.grid.p as u64);
@@ -118,7 +110,6 @@ fn push_config(d: &mut Digest, cfg: &PlannerConfig) {
     d.push(cfg.block_mem_fraction.to_bits());
     d.push(cfg.chunk_mem_fraction.to_bits());
     d.push(assign_tag(cfg.assign_policy));
-    d.push(pack_tag(cfg.pack_policy));
     d.push(cfg.prefetch_depth as u64);
 }
 

@@ -113,8 +113,9 @@ proptest! {
         }
     }
 
-    /// Worst-fit partitioning: budget respected, every span placed once,
-    /// block counts per GPU balanced within one.
+    /// Dealt-then-packed partitioning: budget respected, every span placed
+    /// once, per-GPU footprints within the largest footprint of each other
+    /// (the LPT bound).
     #[test]
     fn partition_invariants(
         footprints in prop::collection::vec(1u64..100, 1..60),
@@ -133,9 +134,11 @@ proptest! {
             }
         }
         prop_assert!(seen.iter().all(|&s| s));
-        let counts: Vec<usize> = part.gpus.iter().map(|g| g.len()).collect();
-        let (mx, mn) = (counts.iter().max().unwrap(), counts.iter().min().unwrap());
-        prop_assert!(mx - mn <= 1, "block counts {counts:?}");
+        let shares: Vec<u64> =
+            part.gpus.iter().map(|g| g.iter().map(|b| b.bytes).sum()).collect();
+        let (mx, mn) = (shares.iter().max().unwrap(), shares.iter().min().unwrap());
+        let largest = footprints.iter().max().unwrap();
+        prop_assert!(mx - mn <= *largest, "per-GPU footprints {shares:?}");
     }
 
     /// Column splitting: parts tile the inner range contiguously, each

@@ -3,7 +3,9 @@
 //!
 //! Provides `crossbeam::channel::{unbounded, bounded, Sender, Receiver}`:
 //! multi-producer multi-consumer FIFO channels built on a
-//! `Mutex<VecDeque>` + `Condvar`. The engine in `bst-runtime` uses one
+//! `Mutex<VecDeque>` + `Condvar`s, notified only when a thread waits on
+//! them (each notify is a syscall, and every engine task sends and
+//! receives). The engine in `bst-runtime` uses one
 //! unbounded channel per worker with cloned receivers, so MPMC semantics
 //! (any clone of the receiver may take the next message) are required —
 //! `std::sync::mpsc` receivers cannot be cloned. The comm fabric uses
@@ -15,10 +17,10 @@
 pub mod channel {
     use std::collections::VecDeque;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::{Arc, Condvar, Mutex};
+    use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
     struct Shared<T> {
-        queue: Mutex<VecDeque<T>>,
+        state: Mutex<State<T>>,
         ready: Condvar,
         /// Signalled when a bounded queue frees a slot.
         space: Condvar,
@@ -26,6 +28,40 @@ pub mod channel {
         cap: Option<usize>,
         senders: AtomicUsize,
         receivers: AtomicUsize,
+    }
+
+    /// The queue plus the threads blocked on it: a condvar is notified only
+    /// when someone waits, since each notify is a syscall.
+    struct State<T> {
+        queue: VecDeque<T>,
+        /// Receivers blocked in `recv`.
+        recv_waiting: usize,
+        /// Senders blocked on a full bounded queue.
+        send_waiting: usize,
+    }
+
+    impl<T> Shared<T> {
+        fn lock(&self) -> MutexGuard<'_, State<T>> {
+            self.state.lock().unwrap_or_else(|e| e.into_inner())
+        }
+
+        /// Releases `st` after a message was taken, waking one sender blocked
+        /// on the full queue if there is one.
+        fn freed_slot(&self, st: MutexGuard<'_, State<T>>) {
+            let wake = st.send_waiting > 0;
+            drop(st);
+            if wake {
+                self.space.notify_one();
+            }
+        }
+
+        /// Wakes every thread blocked on `cv`. Taking the lock first means a
+        /// thread that read the old endpoint count under the lock is already
+        /// waiting, so it cannot miss the wakeup.
+        fn wake_all(&self, cv: &Condvar) {
+            drop(self.lock());
+            cv.notify_all();
+        }
     }
 
     /// The sending half; cloneable.
@@ -54,7 +90,11 @@ pub mod channel {
 
     fn mk_channel<T>(cap: Option<usize>) -> (Sender<T>, Receiver<T>) {
         let shared = Arc::new(Shared {
-            queue: Mutex::new(VecDeque::new()),
+            state: Mutex::new(State {
+                queue: VecDeque::new(),
+                recv_waiting: 0,
+                send_waiting: 0,
+            }),
             ready: Condvar::new(),
             space: Condvar::new(),
             cap,
@@ -88,7 +128,7 @@ pub mod channel {
             if self.0.senders.fetch_sub(1, Ordering::AcqRel) == 1 {
                 // Last sender gone: wake blocked receivers so they can
                 // observe disconnection.
-                self.0.ready.notify_all();
+                self.0.wake_all(&self.0.ready);
             }
         }
     }
@@ -100,24 +140,29 @@ pub mod channel {
             if self.0.receivers.load(Ordering::Acquire) == 0 {
                 return Err(SendError(value));
             }
-            let mut q = self.0.queue.lock().unwrap_or_else(|e| e.into_inner());
+            let mut st = self.0.lock();
             if let Some(cap) = self.0.cap {
-                while q.len() >= cap {
+                while st.queue.len() >= cap {
                     if self.0.receivers.load(Ordering::Acquire) == 0 {
                         return Err(SendError(value));
                     }
-                    q = self.0.space.wait(q).unwrap_or_else(|e| e.into_inner());
+                    st.send_waiting += 1;
+                    st = self.0.space.wait(st).unwrap_or_else(|e| e.into_inner());
+                    st.send_waiting -= 1;
                 }
             }
-            q.push_back(value);
-            drop(q);
-            self.0.ready.notify_one();
+            st.queue.push_back(value);
+            let wake = st.recv_waiting > 0;
+            drop(st);
+            if wake {
+                self.0.ready.notify_one();
+            }
             Ok(())
         }
 
         /// Messages currently queued (a racy snapshot).
         pub fn len(&self) -> usize {
-            self.0.queue.lock().unwrap_or_else(|e| e.into_inner()).len()
+            self.0.lock().queue.len()
         }
 
         /// Whether the queue is empty right now (a racy snapshot).
@@ -138,7 +183,7 @@ pub mod channel {
             if self.0.receivers.fetch_sub(1, Ordering::AcqRel) == 1 {
                 // Last receiver gone: wake senders blocked on a full
                 // bounded queue so they can observe disconnection.
-                self.0.space.notify_all();
+                self.0.wake_all(&self.0.space);
             }
         }
     }
@@ -146,31 +191,27 @@ pub mod channel {
     impl<T> Receiver<T> {
         /// Blocks until a message arrives or every sender is dropped.
         pub fn recv(&self) -> Result<T, RecvError> {
-            let mut q = self.0.queue.lock().unwrap_or_else(|e| e.into_inner());
+            let mut st = self.0.lock();
             loop {
-                if let Some(v) = q.pop_front() {
-                    drop(q);
-                    self.0.space.notify_one();
+                if let Some(v) = st.queue.pop_front() {
+                    self.0.freed_slot(st);
                     return Ok(v);
                 }
                 if self.0.senders.load(Ordering::Acquire) == 0 {
                     return Err(RecvError);
                 }
-                q = self
-                    .0
-                    .ready
-                    .wait(q)
-                    .unwrap_or_else(|e| e.into_inner());
+                st.recv_waiting += 1;
+                st = self.0.ready.wait(st).unwrap_or_else(|e| e.into_inner());
+                st.recv_waiting -= 1;
             }
         }
 
         /// Takes a message if one is immediately available.
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            let mut q = self.0.queue.lock().unwrap_or_else(|e| e.into_inner());
-            match q.pop_front() {
+            let mut st = self.0.lock();
+            match st.queue.pop_front() {
                 Some(v) => {
-                    drop(q);
-                    self.0.space.notify_one();
+                    self.0.freed_slot(st);
                     Ok(v)
                 }
                 None if self.0.senders.load(Ordering::Acquire) == 0 => {
@@ -182,7 +223,7 @@ pub mod channel {
 
         /// Messages currently queued (a racy snapshot).
         pub fn len(&self) -> usize {
-            self.0.queue.lock().unwrap_or_else(|e| e.into_inner()).len()
+            self.0.lock().queue.len()
         }
 
         /// Whether the queue is empty right now (a racy snapshot).
@@ -293,6 +334,41 @@ mod tests {
             });
         });
         assert!(rx.is_empty());
+    }
+
+    /// Runs `f` on a fresh thread that meets this one at a barrier first,
+    /// then runs `g` here, racing the two; fails unless `f` returns within
+    /// 1 s.
+    fn race<R: Send + 'static>(f: impl FnOnce() -> R + Send + 'static, g: impl FnOnce()) -> R {
+        let start = std::sync::Arc::new(std::sync::Barrier::new(2));
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let thread_start = start.clone();
+        std::thread::spawn(move || {
+            thread_start.wait();
+            done_tx.send(f()).unwrap();
+        });
+        start.wait();
+        g();
+        done_rx
+            .recv_timeout(std::time::Duration::from_secs(1))
+            .expect("a blocked endpoint missed the disconnect")
+    }
+
+    #[test]
+    fn blocked_recv_wakes_when_the_last_sender_drops() {
+        for _ in 0..1000 {
+            let (tx, rx) = unbounded::<u32>();
+            assert_eq!(race(move || rx.recv(), || drop(tx)), Err(RecvError));
+        }
+    }
+
+    #[test]
+    fn blocked_send_wakes_when_the_last_receiver_drops() {
+        for _ in 0..1000 {
+            let (tx, rx) = bounded::<u32>(1);
+            tx.send(0).unwrap();
+            assert_eq!(race(move || tx.send(1), || drop(rx)), Err(SendError(1)));
+        }
     }
 
     #[test]
