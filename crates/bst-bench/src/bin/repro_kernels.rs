@@ -177,8 +177,8 @@ fn main() {
         }
     }
 
-    // The same problems the traced reproduction (`repro_trace --numeric`)
-    // runs, so the shape mix matches the executor measurements.
+    // A synthetic plan's shape histogram, so the shape mix matches what the
+    // executor runs.
     let (spec, gpu_mem) = numeric_bench_problem(tiny);
     let config = PlannerConfig::paper(
         GridConfig::from_nodes(2, 1),

@@ -1,6 +1,6 @@
 //! Shared driver code for the reproduction binaries: `repro`, whose rows
-//! regenerate the paper's tables and figures, and the self-validating
-//! numeric binaries `repro_{kernels,service,trace}`.
+//! regenerate the paper's tables and figures, and `repro_kernels`, the
+//! self-validating kernel roofline ladder.
 //!
 //! The two sweeps several rows of `repro` read:
 //!
@@ -11,15 +11,11 @@
 //!   tilings v1/v2/v3) for Figures 7, 8 and 9.
 
 use bst_chem::{CcsdProblem, TilingSpec};
-use bst_contract::engine::execute;
-use bst_contract::{
-    DeviceConfig, ExecOptions, ExecReport, ExecutionPlan, GridConfig, PlannerConfig, ProblemSpec,
-};
+use bst_contract::{ExecutionPlan, ProblemSpec};
 use bst_sim::dbcsr::{simulate_dbcsr, DbcsrOom, DbcsrReport};
 use bst_sim::replay::simulate_best_p;
 use bst_sim::{simulate, Platform, SimReport};
 use bst_sparse::generate::{generate, SyntheticParams};
-use bst_sparse::BlockSparseMatrix;
 
 pub mod minijson;
 
@@ -162,106 +158,25 @@ pub fn scaling_sweep(gpu_counts: &[usize], seed: u64) -> Vec<ScalingPoint> {
     out
 }
 
-/// A small synthetic problem sized so a *numeric* traced execution finishes
-/// in well under a second — the `--tiny` problem of the numeric binaries and
-/// the CI trace check.
-pub fn tiny_numeric_spec(seed: u64) -> ProblemSpec {
-    let prob = generate(&SyntheticParams {
-        m: 160,
-        n: 1280,
-        k: 1280,
-        density: 0.6,
-        tile_min: 8,
-        tile_max: 24,
-        seed,
-    });
-    ProblemSpec::new(prob.a, prob.b, None)
-}
-
-/// The problem the numeric repro binaries (`repro_trace`, `repro_kernels`)
-/// run, with its per-GPU memory budget: the CI-sized
-/// [`tiny_numeric_spec`] or a ~10x larger synthetic contraction.
+/// The problem `repro_kernels` takes its shape histogram from, with its
+/// per-GPU memory budget: a CI-sized synthetic contraction (`tiny`, a numeric
+/// run finishes in well under a second) or a ~10x larger one.
 pub fn numeric_bench_problem(tiny: bool) -> (ProblemSpec, u64) {
-    if tiny {
-        return (tiny_numeric_spec(42), 1 << 21);
-    }
+    let (m, nk, density, tile_min, tile_max, gpu_mem) = if tiny {
+        (160, 1280, 0.6, 8, 24, 1 << 21)
+    } else {
+        (400, 3200, 0.5, 48, 128, 1 << 23)
+    };
     let prob = generate(&SyntheticParams {
-        m: 400,
-        n: 3200,
-        k: 3200,
-        density: 0.5,
-        tile_min: 48,
-        tile_max: 128,
+        m,
+        n: nk,
+        k: nk,
+        density,
+        tile_min,
+        tile_max,
         seed: 42,
     });
-    (ProblemSpec::new(prob.a, prob.b, None), 1 << 23)
-}
-
-/// The plan of a numeric run on a `1 × nodes` grid.
-fn numeric_plan(spec: &ProblemSpec, nodes: usize, gpus: usize, gpu_mem: u64) -> ExecutionPlan {
-    let config = PlannerConfig::paper(
-        GridConfig::from_nodes(nodes, 1),
-        DeviceConfig {
-            gpus_per_node: gpus,
-            gpu_mem_bytes: gpu_mem,
-        },
-    );
-    ExecutionPlan::build(spec, config).expect("numeric plan must build")
-}
-
-/// Runs a numeric execution of `spec` with tracing enabled on a simulated
-/// `nodes`-node machine (`gpus` per node, `gpu_mem` bytes each) and returns
-/// the result matrix plus the traced report (the `--faults` smoke mode
-/// compares the matrices of a faulted and a fault-free run).
-pub fn traced_numeric_run(
-    spec: &ProblemSpec,
-    nodes: usize,
-    gpus: usize,
-    gpu_mem: u64,
-    seed: u64,
-    opts: ExecOptions,
-) -> (BlockSparseMatrix, ExecReport) {
-    let plan = numeric_plan(spec, nodes, gpus, gpu_mem);
-    let a = BlockSparseMatrix::random_from_structure(spec.a.clone(), seed);
-    let b_gen = bst_sparse::matrix::random_b_gen(seed ^ 0xB);
-    execute(
-        spec,
-        &plan,
-        &a,
-        &b_gen,
-        ExecOptions {
-            tracing: true,
-            ..opts
-        },
-    )
-    .expect("traced execution must recover")
-}
-
-/// Validates an emitted Chrome-trace JSON document: it must parse, be a
-/// non-empty array, and every element must be an object carrying at least
-/// `name`/`ph`/`pid`/`ts` (ts non-negative). Returns the event count.
-pub fn check_chrome_trace(json: &str) -> Result<usize, String> {
-    let doc = minijson::parse(json)?;
-    let events = doc.as_arr().ok_or("top level is not an array")?;
-    if events.is_empty() {
-        return Err("trace array is empty".into());
-    }
-    for (i, e) in events.iter().enumerate() {
-        for key in ["name", "ph", "pid"] {
-            if e.get(key).is_none() {
-                return Err(format!("event {i} lacks \"{key}\""));
-            }
-        }
-        if e.get("ph").and_then(minijson::Value::as_str) == Some("M") {
-            continue; // metadata events carry no timestamp
-        }
-        match e.get("ts").and_then(minijson::Value::as_num) {
-            Some(ts) if ts >= 0.0 => {}
-            Some(_) => return Err(format!("event {i} has negative ts")),
-            None => return Err(format!("event {i} lacks \"ts\"")),
-        }
-    }
-    Ok(events.len())
+    (ProblemSpec::new(prob.a, prob.b, None), gpu_mem)
 }
 
 /// Writes a CSV file into `results/` (creating the directory), one header
@@ -299,20 +214,4 @@ pub fn flag_value<T: std::str::FromStr>(
     value.parse().unwrap_or_else(|_| {
         usage_exit(usage, &format!("{flag}: cannot parse {value:?} as {}", std::any::type_name::<T>()))
     })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn chrome_checker_rejects_bad_documents() {
-        assert!(check_chrome_trace("").is_err());
-        assert!(check_chrome_trace("[]").is_err());
-        assert!(check_chrome_trace("{\"a\":1}").is_err());
-        assert!(check_chrome_trace("[{\"name\":\"x\"}]").is_err());
-        assert!(check_chrome_trace(r#"[{"name":"x","ph":"X","pid":0,"ts":-1}]"#).is_err());
-        assert!(check_chrome_trace(r#"[{"name":"x","ph":"X","pid":0,"ts":0.5}]"#).is_ok());
-        assert!(check_chrome_trace(r#"[{"name":"p","ph":"M","pid":0}]"#).is_ok());
-    }
 }

@@ -624,6 +624,15 @@ received {} B / {} msgs ({} B inter-node)",
                     .expect("tracing was enabled for --trace");
                 std::fs::write(path, trace.chrome_trace_json())?;
                 writeln!(out, "wrote Chrome trace to {path} (open in chrome://tracing)")?;
+                let gpu_mem = plan.config.device.gpu_mem_bytes;
+                let violations = bst_contract::validate_trace_invariants(&report, gpu_mem);
+                if !violations.is_empty() {
+                    return Err(Box::new(err(format!(
+                        "trace invariants violated:\n  {}",
+                        violations.join("\n  ")
+                    ))));
+                }
+                writeln!(out, "trace invariants OK ({} task records)", trace.records.len())?;
             }
             if cli.opts.tolerance > 0.0 {
                 // Lossy run: gate on the relative Frobenius error instead of
@@ -973,6 +982,7 @@ mod tests {
         assert!(s.contains("Gemm"), "{s}");
         assert!(s.contains("n0.g0"), "{s}");
         assert!(s.contains("wrote Chrome trace"), "{s}");
+        assert!(s.contains("trace invariants OK ("), "{s}");
         let json = std::fs::read_to_string(&path).unwrap();
         assert!(json.starts_with('['), "{json}");
         assert!(json.trim_end().ends_with(']'), "{json}");

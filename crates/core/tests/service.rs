@@ -1,14 +1,17 @@
 //! Service-level test battery for the persistent contraction engine:
-//! concurrent clients against the one-shot reference, LRU eviction under a
-//! tightened B budget, admission-control rejection, and the PR-3 fault
+//! concurrent clients against the one-shot reference, the solver's sweep
+//! pattern (stationary B, fresh A) against one-shot runs, LRU eviction under
+//! a tightened B budget, admission-control rejection, and the PR-3 fault
 //! seeds replayed through the cached-plan path.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 use bst_contract::engine::execute;
 use bst_contract::{
-    BstError, ContractionRequest, ContractionService, DeviceConfig, ExecOptions, ExecutionPlan,
-    FaultPlan, GridConfig, PlannerConfig, ProblemSpec, ServiceBGen, ServiceConfig, ServiceError,
+    validate_trace_invariants, BstError, ContractionRequest, ContractionService, DeviceConfig,
+    ExecOptions, ExecutionPlan, FaultPlan, GridConfig, PlannerConfig, ProblemSpec, ServiceBGen,
+    ServiceConfig, ServiceError,
 };
 use bst_sparse::generate::{generate, SyntheticParams};
 use bst_sparse::matrix::tile_seed;
@@ -59,14 +62,21 @@ fn request(spec: &ProblemSpec, a: &Arc<BlockSparseMatrix>, cfg: PlannerConfig) -
     }
 }
 
-/// The serial one-shot reference the service must reproduce byte-for-byte.
-fn one_shot(spec: &ProblemSpec, a: &BlockSparseMatrix, cfg: PlannerConfig) -> BlockSparseMatrix {
+/// The serial one-shot reference the service must reproduce byte-for-byte,
+/// with the bytes of B it generated: a fresh plan and a fresh B every call.
+fn one_shot(
+    spec: &ProblemSpec,
+    a: &BlockSparseMatrix,
+    cfg: PlannerConfig,
+) -> (BlockSparseMatrix, u64) {
     let plan = ExecutionPlan::build(spec, cfg).unwrap();
+    let gen_bytes = AtomicU64::new(0);
     let b_gen = |k: usize, j: usize, r: usize, c: usize, pool: &TilePool| {
+        gen_bytes.fetch_add((r * c * 8) as u64, Ordering::Relaxed);
         Ok(Arc::new(pool.random(r, c, tile_seed(SEED ^ 0xB, k, j))))
     };
     let (c, _) = execute(spec, &plan, a, &b_gen, ExecOptions::default()).unwrap();
-    c
+    (c, gen_bytes.into_inner())
 }
 
 /// N client threads × M iterations hammer one service concurrently; every
@@ -79,7 +89,7 @@ fn concurrent_clients_match_serial_one_shot_bitwise() {
     let s = spec();
     let cfg = config(1, 2);
     let a = Arc::new(BlockSparseMatrix::random_from_structure(s.a.clone(), SEED));
-    let reference = one_shot(&s, &a, cfg);
+    let (reference, _) = one_shot(&s, &a, cfg);
 
     let service = ContractionService::start(ServiceConfig {
         workers: CLIENTS,
@@ -112,6 +122,70 @@ fn concurrent_clients_match_serial_one_shot_bitwise() {
     assert!(stats.b_bytes_saved > 0, "stationary B must be served from cache");
 }
 
+/// The solver pattern of §5: sequential sweeps with a stationary B (same
+/// structure, same generator, same key) and a fresh A each sweep. Every
+/// sweep is bit-identical to its one-shot run; after the cold sweep the plan
+/// comes from the cache and B from resident tiles, so the service generates
+/// at least 5x less B than the one-shot runs do; a traced warm sweep keeps
+/// every trace invariant.
+#[test]
+fn solver_sweeps_reuse_plan_and_stationary_b() {
+    const SWEEPS: usize = 12;
+    let s = spec();
+    let cfg = config(1, 2);
+    let service_gen_bytes = Arc::new(AtomicU64::new(0));
+    let b_gen: ServiceBGen = {
+        let counter = Arc::clone(&service_gen_bytes);
+        Arc::new(move |k, j, r, c, pool: &TilePool| {
+            counter.fetch_add((r * c * 8) as u64, Ordering::Relaxed);
+            Ok(Arc::new(pool.random(r, c, tile_seed(SEED ^ 0xB, k, j))))
+        })
+    };
+    let sweep = |a: &Arc<BlockSparseMatrix>| ContractionRequest {
+        b_gen: Arc::clone(&b_gen),
+        ..request(&s, a, cfg)
+    };
+    let service = ContractionService::start(ServiceConfig {
+        workers: 1, // sequential sweeps: each iteration consumes the last
+        ..ServiceConfig::default()
+    });
+
+    let mut one_shot_gen_bytes = 0;
+    for sweep_no in 0..SWEEPS {
+        let a = Arc::new(BlockSparseMatrix::random_from_structure(
+            s.a.clone(),
+            SEED + sweep_no as u64,
+        ));
+        let (reference, gen_bytes) = one_shot(&s, &a, cfg);
+        one_shot_gen_bytes += gen_bytes;
+        let out = service.run(sweep(&a)).expect("sweep");
+        assert_eq!(
+            out.c.max_abs_diff(&reference),
+            0.0,
+            "sweep {sweep_no} diverged from its one-shot run"
+        );
+        assert_eq!(
+            out.stats.plan_cache_hit,
+            sweep_no > 0,
+            "sweep {sweep_no}: only the cold sweep may build a plan"
+        );
+    }
+    let service_gen_bytes = service_gen_bytes.load(Ordering::Relaxed);
+    assert!(
+        one_shot_gen_bytes >= 5 * service_gen_bytes.max(1),
+        "B generation: one-shot {one_shot_gen_bytes} B, service {service_gen_bytes} B, \
+below the 5x reduction"
+    );
+
+    let a = Arc::new(BlockSparseMatrix::random_from_structure(s.a.clone(), SEED));
+    let mut traced = sweep(&a);
+    traced.opts = ExecOptions::builder().tracing(true).build();
+    let traced = service.run(traced).expect("traced sweep");
+    let violations = validate_trace_invariants(&traced.report, GPU_MEM);
+    assert!(violations.is_empty(), "traced sweep: {violations:?}");
+    assert_eq!(service.stats().requests_failed, 0);
+}
+
 /// Tightening the B budget far below the working set forces evictions;
 /// evicted tiles regenerate on the next request and the results stay
 /// bit-identical — the cache is an optimisation, never a correctness knob.
@@ -120,7 +194,7 @@ fn lru_eviction_under_tight_budget_regenerates_correctly() {
     let s = spec();
     let cfg = config(1, 2);
     let a = Arc::new(BlockSparseMatrix::random_from_structure(s.a.clone(), SEED));
-    let reference = one_shot(&s, &a, cfg);
+    let (reference, _) = one_shot(&s, &a, cfg);
 
     // Room for a handful of 16×16 f64 tiles (2 KiB each) — far below the
     // full B working set, so the LRU must cycle.
@@ -210,7 +284,7 @@ fn queue_full_rejects_typed_and_service_survives() {
     blocked.wait().expect("gated request completes");
     queued.wait().expect("queued request completes");
     let again = service.run(request(&s, &a, cfg)).expect("service stays usable");
-    assert_eq!(again.c.max_abs_diff(&one_shot(&s, &a, cfg)), 0.0);
+    assert_eq!(again.c.max_abs_diff(&one_shot(&s, &a, cfg).0), 0.0);
 }
 
 /// The PR-3 fault seeds replayed through the service: transient-fault
