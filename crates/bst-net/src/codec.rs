@@ -551,7 +551,8 @@ pub fn decode_payload(kind: u8, payload: &[u8]) -> Result<Msg, CodecError> {
             let origin =
                 (r.u64()? as usize, r.u64()? as usize, r.u64()? as usize);
             let tile = get_tile(&mut r)?;
-            Msg::Wire(WireFrame::Part { dst, src, part: CPart { i, j, origin, tile } })
+            // The frame does not carry the tile's norm: the root recomputes it.
+            Msg::Wire(WireFrame::Part { dst, src, part: CPart { i, j, origin, tile, norm: None } })
         }
         KIND_CTL => Msg::Ctl(get_ctl(&mut r)?),
         kind => return Err(CodecError::BadKind(kind)),
@@ -655,7 +656,7 @@ mod tests {
         let part = WireFrame::Part {
             dst: 0,
             src: 3,
-            part: CPart { i: 1, j: 2, origin: (3, 1, 7), tile: lowrank.clone() },
+            part: CPart { i: 1, j: 2, origin: (3, 1, 7), tile: lowrank.clone(), norm: None },
         };
         let result = Ctl::Result { tiles: vec![(0, 1, dense), (5, 6, lowrank)] };
         [Msg::Wire(tile), Msg::Wire(part), Msg::Ctl(result)]

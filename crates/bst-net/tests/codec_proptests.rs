@@ -89,7 +89,7 @@ proptest! {
         let msg = Msg::Wire(WireFrame::Part {
             dst: 0,
             src: origin.0,
-            part: CPart { i, j, origin, tile: mk_tile(rows, cols, seed, lowrank == 1) },
+            part: CPart { i, j, origin, tile: mk_tile(rows, cols, seed, lowrank == 1), norm: None },
         });
         assert_round_trip(&msg)?;
     }
@@ -178,6 +178,7 @@ proptest! {
                 j: 4,
                 origin: (1, 0, 2),
                 tile: mk_tile(rows, cols, seed, lowrank == 1),
+                norm: None,
             },
         });
         let bytes = codec::encode(&msg);

@@ -9,7 +9,8 @@
 //! * a **bounded inbox** (a `crossbeam` bounded channel of frames) that
 //!   is the only way data enters the node,
 //! * a **progress thread** that drains the inbox into the node's private
-//!   [`TileStore`] (and, for C partial sums, into a reduction buffer),
+//!   [`TileStore`] (and, for C tiles gathered to the root, into a reduction
+//!   buffer),
 //! * **per-link-class credit gates**: a sender must acquire a credit on the
 //!   destination's gate for the link class it crosses
 //!   ([`topology::LinkClass::Intra`] vs [`topology::LinkClass::Inter`], see
@@ -33,12 +34,13 @@
 //! Frame vocabulary: `Frame::BcastA` carries an A tile from its owner to
 //! one consuming rank ([`TileMsg`]: `{key, payload, epoch}` — the epoch is the
 //! sending task's attempt number, which makes duplicate delivery
-//! detectable), `Frame::ReduceC` carries a C-block partial sum
-//! ([`CPart`]) — a flush's partial into its own rank's buffer, or a rank's
-//! folded tile on its one hop to rank 0 — and `Frame::Shutdown` is the
-//! completion control frame. Credits are the flow-control frames
-//! collapsed into semaphores: releasing a credit *is* the credit-return
-//! message.
+//! detectable), `Frame::ReduceC` carries a rank's folded C tiles
+//! ([`CPart`]s) on their one hop to rank 0 — all of them in one frame and
+//! one credit in-process ([`CommFabric::gather`]), one [`WireFrame::Part`]
+//! per tile over a [`Wire`] — and `Frame::Shutdown` is the completion
+//! control frame. A rank's own partials never cross the fabric: its flushes
+//! fold them in place. Credits are the flow-control frames collapsed into
+//! semaphores: releasing a credit *is* the credit-return message.
 //!
 //! Delivery is idempotent: the progress thread tracks delivered keys and
 //! drops (and counts) re-deliveries, so a retried send after a fault-
@@ -213,7 +215,7 @@ pub struct TileMsg {
     pub consumers: usize,
 }
 
-/// One C-block partial sum: deposited by a flush on its own rank, or a
+/// One C-block partial sum: a flush's partial in its rank's fold, or a
 /// rank's folded tile gathered to rank 0.
 #[derive(Clone, Debug)]
 pub struct CPart {
@@ -229,17 +231,22 @@ pub struct CPart {
     pub origin: (usize, usize, usize),
     /// The partial-sum tile.
     pub tile: Tile,
+    /// `tile`'s [`Tile::frobenius_norm`], computed by the lane that produced
+    /// its final value, so C's assembly need not read the tile again.
+    /// `None` when unknown: a fold just changed the tile, or it arrived over
+    /// a [`Wire`], whose frames do not carry it.
+    pub norm: Option<f64>,
 }
 
 /// What travels on a node's inbox.
 enum Frame {
     /// An A tile on its one hop from its owner.
     BcastA(TileMsg),
-    /// A C partial sum from `src` (the receiving rank itself, or a rank
-    /// gathering its folded tile to the root).
+    /// C tiles from `src` on their way to the root: every folded tile of
+    /// that rank in one in-process frame, or one tile per wire frame.
     ReduceC {
-        /// The partial.
-        part: CPart,
+        /// The tiles.
+        parts: Vec<CPart>,
         /// Sending node.
         src: usize,
     },
@@ -247,7 +254,7 @@ enum Frame {
     Shutdown,
 }
 
-/// Error of [`CommFabric::send_tile`] / [`CommFabric::reduce`].
+/// Error of [`CommFabric::send_tile`] / [`CommFabric::gather`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SendError {
     /// The message was dropped in flight (fault injection). The sender's
@@ -422,8 +429,8 @@ struct Endpoint {
     /// Keys delivered into this node, ever (dedup + recv notification).
     delivered: Mutex<HashSet<DataKey>>,
     arrived: Condvar,
-    /// C partials delivered to this node and not yet taken: its own
-    /// flushes' and, on rank 0, every other rank's folded tiles.
+    /// C tiles delivered to this node and not yet taken: on rank 0, every
+    /// other rank's folded tiles.
     reduced: Mutex<Vec<CPart>>,
     /// Signalled on every `reduced` push (see
     /// [`CommFabric::take_reduced_at_least`]).
@@ -664,31 +671,37 @@ impl CommFabric {
         Ok(())
     }
 
-    /// Sends a C partial sum from `src` to `dst`: a flush deposits into its
-    /// own rank (`src == dst`), a rank's `ReduceC` sends its folded tiles
-    /// to rank 0. Loopback frames still traverse the inbox (one code path)
-    /// but are neither shaped nor counted as network traffic.
-    /// In multi-process mode, partials for a remote rank leave over the
-    /// wire ([`SendError::Wire`] on failure).
-    pub fn reduce(&self, src: usize, dst: usize, part: CPart) -> Result<(), SendError> {
-        let bytes = part.tile.stored_bytes();
+    /// Gathers rank `src`'s folded C tiles to `dst` (rank 0; never `src`
+    /// itself). In-process, all of `parts` travel in one frame that holds one
+    /// credit; over a [`Wire`] each tile leaves as its own
+    /// [`WireFrame::Part`] ([`SendError::Wire`] on failure). Either way each
+    /// tile is one message of `stored_bytes` in the transport totals and the
+    /// trace, so the counts do not depend on how the tiles were framed.
+    pub fn gather(&self, src: usize, dst: usize, parts: Vec<CPart>) -> Result<(), SendError> {
+        debug_assert_ne!(src, dst, "a rank's own tiles never cross the fabric");
+        if parts.is_empty() {
+            return Ok(());
+        }
         let class = self.topology.link_class(src, dst);
         let remote = self.remote.as_ref().filter(|r| dst != r.rank);
         if remote.is_none() {
             self.endpoints[dst].credits[gate_of(class)].acquire();
         }
-        if src != dst {
+        for part in &parts {
+            let bytes = part.tile.stored_bytes();
             self.endpoints[src].count_sent(bytes, class);
             let key = DataKey::C(part.i as u32, part.j as u32);
             self.record(TracePhase::Sent, key, src, dst, bytes, 0);
         }
         if let Some(remote) = remote {
-            let frame = WireFrame::Part { dst, src, part };
-            return remote.wire.send(frame).map_err(SendError::Wire);
+            for part in parts {
+                remote.wire.send(WireFrame::Part { dst, src, part }).map_err(SendError::Wire)?;
+            }
+            return Ok(());
         }
         self.endpoints[dst]
             .tx
-            .send(Frame::ReduceC { part, src })
+            .send(Frame::ReduceC { parts, src })
             .unwrap_or_else(|_| panic!("node {dst}'s progress thread is gone"));
         Ok(())
     }
@@ -702,7 +715,9 @@ impl CommFabric {
     pub fn inject(&self, frame: WireFrame) {
         let (dst, src, frame) = match frame {
             WireFrame::Tile { dst, msg } => (dst, msg.src, Frame::BcastA(msg)),
-            WireFrame::Part { dst, src, part } => (dst, src, Frame::ReduceC { part, src }),
+            WireFrame::Part { dst, src, part } => {
+                (dst, src, Frame::ReduceC { parts: vec![part], src })
+            }
         };
         let class = self.topology.link_class(src, dst);
         let gate = &self.endpoints[dst].credits[gate_of(class)];
@@ -741,10 +756,10 @@ impl CommFabric {
         }
     }
 
-    /// Blocks until at least `expected` C partials have been delivered to
-    /// `node` since the last take, then takes them — the `ReduceC` task
-    /// body. The expected count is structural (from the lowering), so the
-    /// taken set — and therefore the combine — is independent of delivery
+    /// Blocks until at least `expected` C tiles have been delivered to
+    /// `node` since the last take, then takes them — the root's `ReduceC`
+    /// awaiting the other ranks' gathers. The expected count is structural
+    /// (from the lowering), so the taken set is independent of delivery
     /// timing.
     pub fn take_reduced_at_least(&self, node: usize, expected: usize) -> Vec<CPart> {
         let ep = &self.endpoints[node];
@@ -873,10 +888,10 @@ impl CommFabric {
                 ep.arrived.notify_all();
                 ep.credits[gate_of(class)].release();
             }
-            Frame::ReduceC { part, src } => {
-                let bytes = part.tile.stored_bytes();
+            Frame::ReduceC { parts, src } => {
                 let class = self.topology.link_class(src, node);
-                if src != node {
+                for part in &parts {
+                    let bytes = part.tile.stored_bytes();
                     self.shape(node, class, bytes);
                     ep.count_recv(bytes, class);
                     let key = DataKey::C(part.i as u32, part.j as u32);
@@ -885,7 +900,7 @@ impl CommFabric {
                 ep.reduced
                     .lock()
                     .unwrap_or_else(|e| e.into_inner())
-                    .push(part);
+                    .extend(parts);
                 ep.part_arrived.notify_all();
                 ep.credits[gate_of(class)].release();
             }
@@ -991,9 +1006,8 @@ mod tests {
         // A send to a remote rank leaves over the wire, never touches the
         // (unstarted) local inboxes, and still counts on the src endpoint.
         fabric.send_tile(2, a_msg(0, 3, 5), false).unwrap();
-        fabric
-            .reduce(0, 1, CPart { i: 0, j: 0, origin: (0, 0, 0), tile: Tile::zeros(2, 2) })
-            .unwrap();
+        let part = CPart { i: 0, j: 0, origin: (0, 0, 0), tile: Tile::zeros(2, 2), norm: None };
+        fabric.gather(0, 1, vec![part]).unwrap();
         let sent = wire.sent.lock().unwrap();
         assert_eq!(sent.len(), 2);
         assert_eq!(sent[0].dst(), 2);
@@ -1058,7 +1072,7 @@ mod tests {
             fabric.inject(WireFrame::Part {
                 dst: 1,
                 src: 0,
-                part: CPart { i: 4, j: 6, origin: (0, 0, 0), tile: Tile::zeros(2, 2) },
+                part: CPart { i: 4, j: 6, origin: (0, 0, 0), tile: Tile::zeros(2, 2), norm: None },
             });
             let parts = fabric.take_reduced_at_least(1, 1);
             assert_eq!(parts.len(), 1);

@@ -136,7 +136,7 @@ mod tests {
         let part = WireFrame::Part {
             dst: 0,
             src: 2,
-            part: CPart { i: 0, j: 0, origin: (2, 0, 0), tile: Tile::zeros(2, 2) },
+            part: CPart { i: 0, j: 0, origin: (2, 0, 0), tile: Tile::zeros(2, 2), norm: None },
         };
         assert_eq!((part.dst(), part.src()), (0, 2));
     }

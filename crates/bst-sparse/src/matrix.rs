@@ -106,10 +106,20 @@ impl BlockSparseMatrix {
     /// # Panics
     /// Panics if the tile shape disagrees with the tilings.
     pub fn insert_tile_arc(&mut self, r: usize, c: usize, tile: Arc<Tile>) {
+        let norm = tile.frobenius_norm();
+        self.insert_tile_arc_with_norm(r, c, tile, norm);
+    }
+
+    /// [`Self::insert_tile_arc`] for a caller that already computed the
+    /// tile's [`Tile::frobenius_norm`]: the shape norm is set from `norm`,
+    /// with the same clamp, instead of re-reading the tile.
+    ///
+    /// # Panics
+    /// Panics if the tile shape disagrees with the tilings.
+    pub fn insert_tile_arc_with_norm(&mut self, r: usize, c: usize, tile: Arc<Tile>, norm: f64) {
         assert_eq!(tile.rows() as u64, self.structure.row_tiling().size(r));
         assert_eq!(tile.cols() as u64, self.structure.col_tiling().size(c));
-        let norm = tile.frobenius_norm() as f32;
-        self.structure.shape_mut().set_norm(r, c, norm.max(f32::MIN_POSITIVE));
+        self.structure.shape_mut().set_norm(r, c, (norm as f32).max(f32::MIN_POSITIVE));
         self.tiles.insert((r, c), tile);
     }
 
@@ -314,6 +324,16 @@ mod tests {
         m.insert_tile_arc(0, 0, Arc::clone(&t));
         assert!(Arc::ptr_eq(m.tile_arc(0, 0).unwrap(), &t));
         assert!((m.structure().shape().norm(0, 0) - 3.0).abs() < 1e-5);
+    }
+
+    #[test]
+    fn known_norm_insert_clamps_like_computed() {
+        let mut m = BlockSparseMatrix::zeros(Tiling::from_sizes(&[1, 1]), Tiling::from_sizes(&[1]));
+        m.insert_tile_arc_with_norm(0, 0, Arc::new(Tile::from_data(1, 1, vec![3.0])), 3.0);
+        m.insert_tile_arc_with_norm(1, 0, Arc::new(Tile::zeros(1, 1)), 0.0);
+        assert_eq!(m.structure().shape().norm(0, 0), 3.0);
+        // A zero tile stays non-zero in the shape.
+        assert_eq!(m.structure().shape().norm(1, 0), f32::MIN_POSITIVE);
     }
 
     #[test]

@@ -13,10 +13,16 @@
 //! Ownership discipline: every handler reads tiles only from **its own
 //! node's** store (`stores[w.node]`, with the reader declared — a
 //! cross-node read panics in debug builds). Data crosses nodes exclusively
-//! through [`CommFabric`]: `SendA` puts a tile on the wire, `RecvA` blocks
-//! until the destination's progress thread deposited it, and `ReduceC`
-//! sends its node's folded C tiles to the root instead of touching shared
-//! memory.
+//! through [`CommFabric`]: `SendA` puts a tile on the wire, and `RecvA`
+//! blocks until the destination's progress thread deposited it.
+//!
+//! C leaves in one pass. A `FlushBlock` computes the norm of each C tile it
+//! evicts and appends the block's partials to its node's fold buffer
+//! ([`HandlerEnv::folds`]) under one lock. The node's `ReduceC` folds that
+//! buffer, recomputing the norm of a tile it changed. Every rank but the
+//! root then hands its folded tiles to the root in one
+//! [`CommFabric::gather`]. The root's `ReduceC` adds the gathered tiles to
+//! its own for the assembly, which inserts each with its known norm.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -38,7 +44,7 @@ use crate::fault::{FaultPlan, FaultSite};
 use crate::plan::ExecutionPlan;
 use crate::spec::ProblemSpec;
 
-/// Maps a send failure that is not an injected drop (`reduce` carries no
+/// Maps a send failure that is not an injected drop (`gather` carries no
 /// drop injection; `SendA` matches its own first) to a task error: a dead
 /// wire peer — fatal, recovered by the launcher's degraded re-plan.
 fn wire_fatal(detail: String, e: SendError) -> TaskError<ExecError> {
@@ -49,6 +55,14 @@ fn wire_fatal(detail: String, e: SendError) -> TaskError<ExecError> {
             reason: e.reason,
         }),
         SendError::Dropped => unreachable!("an injected drop is the SendA arm's to handle"),
+    }
+}
+
+/// Computes the norm of every tile that does not carry one: a `k`-split
+/// key's fold, or a tile that arrived over a wire.
+fn set_missing_norms(parts: &mut [CPart]) {
+    for part in parts.iter_mut().filter(|part| part.norm.is_none()) {
+        part.norm = Some(part.tile.frobenius_norm());
     }
 }
 
@@ -94,8 +108,10 @@ pub(crate) struct HandlerEnv<'a> {
     pub dev_stats: Mutex<Vec<((usize, usize), DeviceStats)>>,
     /// Per-(node, gpu) occupancy samples (traced runs only).
     pub mem_log: Mutex<DeviceMemLog>,
-    /// All of C, one folded tile per key: left here by the root's `ReduceC`
-    /// for the final assembly to move into the result.
+    /// Per node, the C partials its flushes left for its `ReduceC` to fold.
+    pub folds: Vec<Mutex<Vec<CPart>>>,
+    /// All of C, one folded tile per key, each with its norm: left here by
+    /// the root's `ReduceC` for the final assembly to move into the result.
     pub c_tiles: Mutex<Vec<CPart>>,
 }
 
@@ -336,25 +352,20 @@ impl HandlerEnv<'_> {
             (Op::FlushBlock { node, gpu, block }, Ctx::Gpu(mm)) => {
                 let bp = &plan.nodes[*node].gpus[*gpu].blocks[*block];
                 let row = plan.nodes[*node].grid_row;
-                // A flush deposits its partials locally (loopback) — the
-                // node's ReduceC folds them and sends one message per C key
-                // to the root. The origin ordinal makes the fold's
-                // accumulation order canonical, independent of delivery
-                // order.
-                for (i, j) in block_c_tiles(spec, &bp.block, row, plan.config.grid.p) {
-                    self.fabric
-                        .reduce(
-                            w.node,
-                            w.node,
-                            CPart {
-                                i,
-                                j,
-                                origin: (*node, *gpu, *block),
-                                tile: mm.evict_c((i as u32, j as u32)),
-                            },
-                        )
-                        .map_err(|e| wire_fatal(detail(), e))?;
-                }
+                // The flush leaves its partials in the node's fold buffer,
+                // each with its norm: the final value of every key this
+                // block alone produces. The origin ordinal makes the fold's
+                // accumulation order canonical, whatever order the flushes
+                // ran in.
+                let parts: Vec<CPart> = block_c_tiles(spec, &bp.block, row, plan.config.grid.p)
+                    .into_iter()
+                    .map(|(i, j)| {
+                        let tile = mm.evict_c((i as u32, j as u32));
+                        let norm = Some(tile.frobenius_norm());
+                        CPart { i, j, origin: (*node, *gpu, *block), tile, norm }
+                    })
+                    .collect();
+                self.folds[w.node].lock().extend(parts);
                 mm.sample_mem();
                 if *block + 1 == plan.nodes[*node].gpus[*gpu].blocks.len() {
                     self.dev_stats.lock().push(((*node, *gpu), mm.stats()));
@@ -367,47 +378,46 @@ impl HandlerEnv<'_> {
             (Op::ReduceC { node }, Ctx::Cpu) => {
                 debug_assert_eq!(*node, w.node);
                 let rn = &self.low.reduce[w.node];
-                // The expected count is structural, so the taken set is fixed
-                // by the plan, not by delivery timing. Safe to block:
-                // in-process, the flushes and (for the root) every other fold
-                // finished (DAG deps), so every expected frame is at least in
-                // flight; across processes the root waits on `restrict`'s
-                // wait lane, where it starves nothing.
-                let expected = self.low.reduce_expected(w.node);
-                let mut parts = self.fabric.take_reduced_at_least(w.node, expected);
+                // The DAG's flush → ReduceC edges put every partial of this
+                // node in its fold buffer before the fold runs.
+                let mut parts = std::mem::take(&mut *self.folds[w.node].lock());
+                debug_assert_eq!(parts.len(), rn.partials, "node {} is missing partials", w.node);
                 parts.sort_by_key(|part| (part.i, part.j, part.origin));
-                let mut folded: Vec<CPart> = Vec::with_capacity(expected);
+                let mut folded: Vec<CPart> = Vec::with_capacity(rn.keys.len());
                 for part in parts {
                     match folded.last_mut() {
-                        // A run of equal (i, j) folds into its first (lowest
-                        // origin) partial. Only a node's own flushes share a
-                        // key — the `k`-splits of one column.
+                        // A run of equal (i, j) — the `k`-splits of one
+                        // column — folds into its first (lowest origin)
+                        // partial, whose norm is then stale.
                         Some(last) if (last.i, last.j) == (part.i, part.j) => {
-                            debug_assert_eq!(
-                                last.origin.0, part.origin.0,
-                                "C({}, {}) arrived from two nodes",
-                                part.i, part.j
-                            );
                             last.tile.add_assign(&part.tile);
+                            last.norm = None;
                         }
                         _ => folded.push(part),
                     }
                 }
                 debug_assert_eq!(
                     folded.len(),
-                    rn.keys.len() + expected - rn.partials,
+                    rn.keys.len(),
                     "folded keys diverge from the lowering on node {}",
                     w.node
                 );
-                if w.node == REDUCE_ROOT {
-                    *self.c_tiles.lock() = folded;
-                    return Ok(());
+                if w.node != REDUCE_ROOT {
+                    set_missing_norms(&mut folded);
+                    return self
+                        .fabric
+                        .gather(w.node, REDUCE_ROOT, folded)
+                        .map_err(|e| wire_fatal(detail(), e));
                 }
-                for part in folded {
-                    self.fabric
-                        .reduce(w.node, REDUCE_ROOT, part)
-                        .map_err(|e| wire_fatal(detail(), e))?;
-                }
+                // The expected count is structural, so the taken set is fixed
+                // by the plan, not by delivery timing. Safe to block:
+                // in-process, every other fold finished (DAG deps), so every
+                // gather frame is at least in flight; across processes the
+                // root waits on `restrict`'s wait lane, where it starves
+                // nothing. Tiles that came over a wire carry no norm.
+                folded.extend(self.fabric.take_reduced_at_least(w.node, self.low.gathered_keys()));
+                set_missing_norms(&mut folded);
+                *self.c_tiles.lock() = folded;
                 Ok(())
             }
             (op, _) => unreachable!("op {op:?} on wrong lane"),

@@ -133,10 +133,10 @@ pub enum Op {
         /// Block index within the GPU's sequence.
         block: usize,
     },
-    /// Fold this node's C partials in canonical `(i, j, origin)` order and
-    /// send one tile per key straight to [`REDUCE_ROOT`]; the root's own
-    /// instance also waits for every other node's tiles and hands the lot
-    /// to the final assembly.
+    /// Fold the C partials this node's flushes left in place, in canonical
+    /// `(i, j, origin)` order, and gather the folded tiles straight to
+    /// [`REDUCE_ROOT`]; the root's own instance also waits for every other
+    /// node's tiles and hands the lot to the final assembly.
     ReduceC {
         /// The folding node.
         node: usize,
@@ -269,7 +269,7 @@ pub fn block_c_tiles(
 pub type NodeTile = (usize, (u32, u32));
 
 /// The rank C is gathered on: every other rank's `ReduceC` sends its folded
-/// tiles here, in one hop.
+/// tiles here, in one hop (one frame in-process).
 pub const REDUCE_ROOT: usize = 0;
 
 /// What one node contributes to C. Every `C(i, j)` is produced on exactly
@@ -278,8 +278,9 @@ pub const REDUCE_ROOT: usize = 0;
 /// of different nodes are disjoint and nothing is combined across nodes.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ReduceNode {
-    /// Partials this node's flushes deposit: one per C tile of each block,
-    /// so a key whose column splits along `k` counts once per block.
+    /// Partials this node's flushes leave for its fold: one per C tile of
+    /// each block, so a key whose column splits along `k` counts once per
+    /// block.
     pub partials: usize,
     /// The distinct `(i, j)` keys of those partials (sorted) — the tiles
     /// this node's fold yields.
@@ -333,17 +334,12 @@ impl Lowered {
             + self.sends.get(&(node, t)).map_or(0, Vec::len)
     }
 
-    /// C partials delivered into `node` before its `ReduceC` folds: its own
-    /// flush partials plus, on [`REDUCE_ROOT`], one folded tile per key of
-    /// every other node. Structural — from the plan, never from delivery
-    /// timing.
-    pub fn reduce_expected(&self, node: usize) -> usize {
-        let rn = &self.reduce[node];
-        if node != REDUCE_ROOT {
-            return rn.partials;
-        }
+    /// The remote C keys the root's `ReduceC` awaits: one folded tile per
+    /// key of every other node. Structural — from the plan, never from
+    /// delivery timing.
+    pub fn gathered_keys(&self) -> usize {
         let all_keys: usize = self.reduce.iter().map(|r| r.keys.len()).sum();
-        rn.partials + all_keys - rn.keys.len()
+        all_keys - self.reduce[REDUCE_ROOT].keys.len()
     }
 
     /// The SPMD projection for multi-process execution: the sub-DAG of
@@ -356,20 +352,23 @@ impl Lowered {
     /// `SendA → RecvA` (the `RecvA` body blocks in
     /// [`bst_runtime::comm::CommFabric::wait_delivered`] until the frame
     /// arrives over the wire) and every other `ReduceC` → the root's (the
-    /// root blocks in `take_reduced_at_least` for its structural count).
+    /// root blocks in `take_reduced_at_least` for [`Lowered::gathered_keys`]).
     /// Relative task order is preserved, so the `dep < task` lowering
     /// invariant keeps holding in the projection; the send/consumption maps
     /// stay global — an owner's `SendA` tells the destination its refcount.
     pub fn restrict(&self, rank: usize) -> Lowered {
-        // The blocking waiters (`RecvA` in `wait_delivered`, `ReduceC` in
-        // `take_reduced_at_least`) move off the CPU lane onto a dedicated
-        // wait lane. In-process, the DAG's cross-node edges guarantee their
+        // The blocking waiters (`RecvA` in `wait_delivered`, the root's
+        // `ReduceC` in `take_reduced_at_least`) move off the CPU lane onto a
+        // dedicated wait lane. Any other `ReduceC` folds what its own
+        // flushes left, ordered by edges the projection keeps, and stays on
+        // lane 0. In-process, the DAG's cross-node edges guarantee their
         // frames are already in flight when they run; in the projection
         // those edges are gone, so every `RecvA` is ready at seed time —
         // and a blocking wait at the head of the shared CPU lane would
         // starve the `SendA` hops queued behind it (two ranks each blocked
-        // ahead of the very send the other is waiting for). A `SendA` depends on
-        // no task, so a send-only lane 0 never waits behind a receive.
+        // ahead of the very send the other is waiting for). Lane 0 keeps the
+        // `SendA`s, which depend on no task, and a non-root `ReduceC`, which
+        // waits on no peer, so it never waits behind a receive.
         let wait_lane = 1 + self
             .workers
             .iter()
@@ -384,10 +383,11 @@ impl Lowered {
             if w.node != rank {
                 continue;
             }
-            if matches!(self.graph.payload(id), Op::RecvA { .. } | Op::ReduceC { .. }) {
+            let op = self.graph.payload(id);
+            if matches!(op, Op::RecvA { .. } | Op::ReduceC { node: REDUCE_ROOT }) {
                 w = WorkerId { node: rank, lane: wait_lane };
             }
-            let new_id = graph.add_task(self.graph.payload(id).clone(), w);
+            let new_id = graph.add_task(op.clone(), w);
             for &dep in self.graph.deps(id) {
                 if let Some(&mapped) = remap.get(&dep) {
                     graph.add_dep(new_id, mapped);
@@ -625,8 +625,8 @@ pub fn lower(spec: &ProblemSpec, plan: &ExecutionPlan, opts: &ExecOptions) -> Lo
 
     // ReduceC tasks: one fold per node over its own flushes' partials. The
     // root's is lowered last and also depends on every other node's, whose
-    // folded tiles it gathers — so the *set* of partials each fold waits
-    // for is structural, independent of delivery timing.
+    // folded tiles it gathers — so the *set* of tiles each fold reads is
+    // structural, independent of delivery timing.
     let reduce: Vec<ReduceNode> = plan
         .nodes
         .iter()

@@ -38,7 +38,8 @@
 //!   knob surface (control edges, tracing, transport shape, faults, retry);
 //! * `memory` — the per-GPU `MemoryManager`: residency, eviction, OOM, and
 //!   occupancy sampling behind one interface;
-//! * `handlers` — the task bodies (`GenB`/`SendA`/`Gemm`/loads/evictions)
+//! * `handlers` — the task bodies (`GenB`/`SendA`/`Gemm`/loads/evictions,
+//!   and C's path out: flush → in-place fold → one gather frame per rank)
 //!   plus kernel dispatch and fault injection;
 //! * [`report`] — [`report::ExecReport`], recovery statistics,
 //!   and the trace-invariant checker.
@@ -275,6 +276,7 @@ pub(crate) fn run(
         counters: Counters::default(),
         dev_stats: Mutex::new(Vec::new()),
         mem_log: Mutex::new(DeviceMemLog::new()),
+        folds: (0..n_nodes).map(|_| Mutex::new(Vec::new())).collect(),
         c_tiles: Mutex::new(Vec::new()),
     };
 
@@ -391,11 +393,13 @@ pub(crate) fn run(
     };
 
     // ---- Assemble the result ----------------------------------------------
-    // The root's ReduceC left one folded tile per C key (nothing, on any
-    // other rank of a multi-process run): move each into the result.
+    // The root's ReduceC left one folded tile per C key, with its norm
+    // (nothing, on any other rank of a multi-process run): move each into
+    // the result.
     let mut out = BlockSparseMatrix::zeros(spec.a.row_tiling().clone(), spec.b.col_tiling().clone());
     for part in env.c_tiles.into_inner() {
-        out.insert_tile(part.i, part.j, part.tile);
+        let norm = part.norm.expect("the root's ReduceC computes every norm");
+        out.insert_tile_arc_with_norm(part.i, part.j, Arc::new(part.tile), norm);
     }
     let mut devices = env.dev_stats.into_inner();
     devices.sort_by_key(|(k, _)| *k);

@@ -5,10 +5,12 @@
 //! matrix's, `crates/bst-cli/tests/matrix.rs`.)
 
 use bst_contract::engine::execute;
+use bst_contract::engine::inspector::{self, REDUCE_ROOT};
 use bst_contract::{
     validate_trace_invariants, DeviceConfig, ExecOptions, ExecReport, ExecutionPlan, FaultPlan,
     GridConfig, PlannerConfig, ProblemSpec,
 };
+use bst_runtime::comm::NodeCommStats;
 use bst_runtime::trace::TracePhase;
 use bst_sparse::generate::{generate, SyntheticParams};
 use bst_sparse::matrix::tile_seed;
@@ -30,8 +32,17 @@ fn tiny_spec() -> ProblemSpec {
 }
 
 fn run_nodes(spec: &ProblemSpec, nodes: usize, opts: ExecOptions) -> (BlockSparseMatrix, ExecReport) {
+    let (c, report, _) = run_grid(spec, GridConfig::from_nodes(nodes, 1), opts);
+    (c, report)
+}
+
+fn run_grid(
+    spec: &ProblemSpec,
+    grid: GridConfig,
+    opts: ExecOptions,
+) -> (BlockSparseMatrix, ExecReport, ExecutionPlan) {
     let config = PlannerConfig::paper(
-        GridConfig::from_nodes(nodes, 1),
+        grid,
         DeviceConfig {
             gpus_per_node: 2,
             gpu_mem_bytes: GPU_MEM,
@@ -42,11 +53,12 @@ fn run_nodes(spec: &ProblemSpec, nodes: usize, opts: ExecOptions) -> (BlockSpars
     let b_gen = move |k: usize, j: usize, r: usize, c: usize, pool: &bst_tile::TilePool| {
         Ok(std::sync::Arc::new(pool.random(r, c, tile_seed(42 ^ 0xB, k, j))))
     };
-    execute(spec, &plan, &a, &b_gen, opts).expect("execution")
+    let (c, report) = execute(spec, &plan, &a, &b_gen, opts).expect("execution");
+    (c, report, plan)
 }
 
 /// The A broadcast of a 4-node run crosses the fabric; a 1-node grid moves
-/// nothing at all (loopback frames are not traffic).
+/// nothing at all (a rank's own tiles never cross the fabric).
 #[test]
 fn only_multi_node_runs_move_bytes() {
     let spec = tiny_spec();
@@ -57,6 +69,43 @@ fn only_multi_node_runs_move_bytes() {
     assert_eq!(r4.host_peak_bytes.len(), 4);
     let (_, r1) = run_nodes(&spec, 1, ExecOptions::default());
     assert_eq!(sent(&r1), 0, "a 1-node run crossed a NIC");
+}
+
+/// Each node's transport totals are exactly what the lowering implies,
+/// however the fabric frames them: one message per `SendA` hop and one per
+/// C key a non-root rank gathers to the root, of the tile's bytes; one
+/// received per `RecvA` and, on the root, per gathered key.
+#[test]
+fn comm_counts_follow_the_lowering() {
+    let spec = tiny_spec();
+    let opts = ExecOptions::default();
+    let (_, report, plan) = run_grid(&spec, GridConfig::from_nodes(4, 2), opts);
+    let low = inspector::lower(&spec, &plan, &opts);
+    let c_bytes = |&(i, j): &(usize, usize)| {
+        spec.a.row_tiling().size(i) * spec.b.col_tiling().size(j) * 8
+    };
+    let mut want = vec![NodeCommStats::default(); 4];
+    for (&(owner, (i, k)), dests) in &low.sends {
+        let bytes = spec.a.tile_bytes(i as usize, k as usize);
+        for &dst in dests {
+            want[owner].sent_msgs += 1;
+            want[owner].sent_bytes += bytes;
+            want[dst].recv_msgs += 1;
+            want[dst].recv_bytes += bytes;
+        }
+    }
+    for (node, rn) in low.reduce.iter().enumerate().filter(|&(node, _)| node != REDUCE_ROOT) {
+        let bytes: u64 = rn.keys.iter().map(c_bytes).sum();
+        want[node].sent_msgs += rn.keys.len() as u64;
+        want[node].sent_bytes += bytes;
+        want[REDUCE_ROOT].recv_msgs += rn.keys.len() as u64;
+        want[REDUCE_ROOT].recv_bytes += bytes;
+    }
+    assert!(want.iter().all(|w| w.sent_msgs > 0), "a node of the 2×2 grid sent nothing");
+    for (node, (got, want)) in report.comm.iter().zip(&want).enumerate() {
+        let counts = |s: &NodeCommStats| (s.sent_msgs, s.sent_bytes, s.recv_msgs, s.recv_bytes);
+        assert_eq!(counts(got), counts(want), "node {node}: (sent msgs, bytes, recv msgs, bytes)");
+    }
 }
 
 /// Dropped `SendA` messages (the transport fault site) recover through

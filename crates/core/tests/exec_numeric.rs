@@ -290,6 +290,47 @@ fn a_tiles_go_one_hop_from_their_owner() {
     assert!(c.max_abs_diff(&c_ref) < 1e-9);
 }
 
+/// Every C norm in the result's shape is the one `insert_tile` computes,
+/// bit for bit, although the engine computes it where the tile is made: in
+/// the flush, again after a `k`-split key's fold, and on the root for the
+/// other ranks' gathered tiles. One run splits columns along `k` on a 2×2
+/// grid; the other gathers a 1×2 grid's tiles with two GPUs per node.
+#[test]
+fn c_shape_norms_are_exact() {
+    let prob = generate(&SyntheticParams {
+        m: 24,
+        n: 30,
+        k: 120,
+        density: 1.0,
+        tile_min: 6,
+        tile_max: 10,
+        seed: 70,
+    });
+    let spec = ProblemSpec::new(prob.a, prob.b, None);
+    for (config, k_split) in [(cfg(2, 2, 1, 8 << 10), true), (cfg(1, 2, 2, 1 << 20), false)] {
+        let plan = ExecutionPlan::build(&spec, config).unwrap();
+        let low = inspector::lower(&spec, &plan, &ExecOptions::default());
+        let split_ranks = low.reduce.iter().filter(|rn| rn.partials > rn.keys.len()).count();
+        assert_eq!(split_ranks == low.reduce.len(), k_split, "{:?}", config.grid);
+        let am = BlockSparseMatrix::random_from_structure(spec.a.clone(), 1);
+        let b_gen = |k: usize, j: usize, r: usize, c: usize, pool: &TilePool| {
+            Ok(Arc::new(pool.random(r, c, tile_seed(2, k, j))))
+        };
+        let (c, _) = execute(&spec, &plan, &am, &b_gen, ExecOptions::default()).unwrap();
+        let keys: usize = low.reduce.iter().map(|rn| rn.keys.len()).sum();
+        assert_eq!(c.num_tiles(), keys);
+        for (&(i, j), tile) in c.iter_tiles() {
+            let want = (tile.frobenius_norm() as f32).max(f32::MIN_POSITIVE);
+            assert_eq!(
+                c.structure().shape().norm(i, j).to_bits(),
+                want.to_bits(),
+                "C({i},{j}) on {:?}",
+                config.grid
+            );
+        }
+    }
+}
+
 #[test]
 fn report_counts_network_and_gemms() {
     let a = MatrixStructure::dense(Tiling::uniform(8, 2), Tiling::uniform(8, 2));
