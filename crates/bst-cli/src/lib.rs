@@ -180,7 +180,7 @@ pub enum Command {
     Einsum,
     /// Run one rank of a multi-process execution: dial the launcher, join
     /// the worker mesh, execute this node's slice of the plan against a
-    /// private `TileStore`, send its C tiles to rank 0.
+    /// private `TileStore`, stream its share of C to the launcher.
     Worker,
     /// Spawn `-n P` worker processes over loopback sockets, run the job
     /// across them, and gate the assembled result bit-identically against

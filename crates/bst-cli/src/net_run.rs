@@ -111,8 +111,8 @@ fn exec_options(cli: &Cli, reorder: Option<u64>) -> ExecOptions {
 }
 
 /// Executes a job text as rank `rank` of a multi-process run, shipping
-/// frames over `wire`. Returns rank 0's C tiles, moved out of the assembled
-/// matrix (empty on other ranks).
+/// frames over `wire`. Returns this rank's share of C — the tiles its node
+/// folded — moved out of the assembled matrix.
 /// This is the closure `bst worker` hands to
 /// [`worker_session`](bst_net::worker_session); errors are rendered for
 /// the `Abort` control message.
@@ -131,11 +131,7 @@ pub fn worker_job(
     let opts = exec_options(&job.cli, job.reorder);
     let (c, _report) = execute_rank(&spec, &plan, &a, &b_gen, opts, rank, wire)
         .map_err(|e| e.to_string())?;
-    if rank == 0 {
-        Ok(c.into_tiles().map(|((i, j), t)| (i as u32, j as u32, t)).collect())
-    } else {
-        Ok(Vec::new())
-    }
+    Ok(c.into_tiles().map(|((i, j), t)| (i as u32, j as u32, t)).collect())
 }
 
 /// The `bst worker` entry point: one rank's full session.
@@ -173,7 +169,7 @@ pub fn launch_config(cli: &Cli, worker_cmd: Vec<String>) -> Result<LaunchConfig,
 
 /// What a gated multi-process run produced.
 pub struct NetRunReport {
-    /// The socket run's C, assembled from rank 0's result tiles.
+    /// The socket run's C, assembled from every rank's result tiles.
     pub c: BlockSparseMatrix,
     /// The in-process channel-transport reference C.
     pub c_ref: BlockSparseMatrix,
@@ -184,7 +180,7 @@ pub struct NetRunReport {
 }
 
 /// Runs `lc` and gates it against the in-process reference for `cli`'s
-/// problem: spawns the worker fleet, assembles rank 0's tiles, and runs
+/// problem: spawns the worker fleet, assembles every rank's tiles, and runs
 /// the same spec/plan/seeds over the channel transport in this process.
 pub fn run_launch(cli: &Cli, lc: &LaunchConfig) -> Result<NetRunReport, BstError> {
     let (spec, _) = build_problem(cli)
@@ -230,8 +226,8 @@ pub fn run_launch_cmd(
     for s in &report.outcome.stats {
         writeln!(
             out,
-            "rank {}: {} frames sent / {} received over the wire",
-            s.rank, s.sent_msgs, s.recv_msgs
+            "rank {}: {} frames sent / {} received over the wire, {} C tiles ({} B) returned",
+            s.rank, s.sent_msgs, s.recv_msgs, s.c_tiles, s.c_bytes
         )?;
     }
     let phases = report.outcome.phases;

@@ -7,7 +7,7 @@
 //! the grid (`nodes`, `p | nodes`), `gpus` per node and the device memory.
 //! `node_size` is *outside* the class: it sets the link class of each hop,
 //! never a sum — every `C(i, j)` is folded on the one rank that produces it
-//! and gathered to rank 0 as is. Every class
+//! and leaves that rank as is. Every class
 //! runs its channel / in-order / flat baseline plus variants drawn over
 //! transport {channel, mesh, uds, tcp} × delivery ×
 //! `node_size | nodes` × link shaping × transient faults × tracing, one
@@ -276,7 +276,10 @@ fn run(cfg: &Config) -> BlockSparseMatrix {
         assert_eq!(report.outcome.recovered_dead, dead, "written-off rank of {cfg:?}");
         let sent: u64 = report.outcome.stats.iter().map(|s| s.sent_msgs).sum();
         let recv: u64 = report.outcome.stats.iter().map(|s| s.recv_msgs).sum();
-        assert!(cfg.nodes == 1 || (sent > 0 && recv > 0), "{cfg:?} moved no frames over the wire");
+        // Only A tiles cross between ranks, and only along a grid row wider
+        // than one rank; each one sent is received.
+        assert!(cfg.nodes == cfg.p || sent > 0, "{cfg:?} moved no frames over the wire");
+        assert_eq!(sent, recv, "frames sent and received by {cfg:?}");
         return report.c;
     }
 
@@ -288,8 +291,9 @@ fn run(cfg: &Config) -> BlockSparseMatrix {
     let a = BlockSparseMatrix::random_from_structure(spec.a.clone(), cfg.seed);
     let b_gen = random_b_gen(cfg.seed ^ 0xB);
     let opts = cfg.exec_options();
-    // Per rank `(C, report)`; rank 0's C is the assembled result.
-    let mut ranks: Vec<(BlockSparseMatrix, ExecReport)> = if cfg.transport == Channel {
+    // Per rank `(C, report)`: the whole C in-process, each rank's own share
+    // of it over the mesh.
+    let ranks: Vec<(BlockSparseMatrix, ExecReport)> = if cfg.transport == Channel {
         vec![execute(&spec, &plan, &a, &b_gen, opts).unwrap_or_else(|e| panic!("{cfg:?}: {e}"))]
     } else {
         std::thread::scope(|s| {
@@ -315,7 +319,16 @@ fn run(cfg: &Config) -> BlockSparseMatrix {
     if cfg.faults.is_some() {
         assert!(ranks.iter().any(|(_, r)| r.recovery.any()), "{cfg:?}: no fault fired");
     }
-    ranks.swap_remove(0).0
+    let mut shares = ranks.into_iter().map(|(c, _)| c);
+    let mut c = shares.next().expect("at least one rank");
+    for share in shares {
+        let before = c.num_tiles() + share.num_tiles();
+        for ((i, j), tile) in share.into_tiles() {
+            c.insert_tile(i, j, tile);
+        }
+        assert_eq!(c.num_tiles(), before, "{cfg:?}: two ranks returned one C key");
+    }
+    c
 }
 
 /// The dense reference of `cfg`'s class.

@@ -6,39 +6,41 @@
 //! is one *frame*:
 //!
 //! ```text
-//! ┌────────────┬─────────┬──────┬───────┬─────────────┬─────────────┐
-//! │ magic u32  │ ver u16 │ kind │ flags │ payload len │ payload crc │
-//! │  "BSTW"    │    1    │  u8  │  u8   │     u32     │  u32 (IEEE) │
-//! └────────────┴─────────┴──────┴───────┴─────────────┴─────────────┘
+//! ┌────────────┬─────────┬──────┬───────┬─────────────┬───────────────┐
+//! │ magic u32  │ ver u16 │ kind │ flags │ payload len │  payload crc  │
+//! │  "BSTW"    │    2    │  u8  │  u8   │     u32     │ u32 (CRC-32C) │
+//! └────────────┴─────────┴──────┴───────┴─────────────┴───────────────┘
 //!    16-byte header, little-endian, followed by `len` payload bytes.
 //! ```
 //!
-//! `kind` selects the payload vocabulary: the fabric's data frames
-//! ([`WireFrame::Tile`] / [`WireFrame::Part`]) or the process-lifecycle
-//! control messages ([`Ctl`]). The CRC covers the payload, so a torn or
+//! `kind` selects the payload vocabulary: the fabric's A-tile frame
+//! ([`WireFrame::Tile`], rank to rank) or the process-lifecycle control
+//! messages ([`Ctl`], launcher ⇄ rank — each rank's share of C leaves as
+//! [`Ctl::Result`] frames). The CRC covers the payload, so a torn or
 //! corrupted frame is rejected as a typed [`CodecError`] — never a panic,
 //! and never a silently wrong tile.
 //!
 //! A hop should cost about a memcpy, so the data path is slab-wise:
-//! [`crc32`] is slicing-by-8 (eight bytes per step), tile values are
-//! converted a whole slice at a time, and [`encode`] builds the frame in
-//! one buffer — payload appended behind a placeholder header whose `len`
-//! and `crc` are patched afterwards.
+//! [`crc32`] is CRC-32C, eight bytes per step (the SSE4.2 `crc32`
+//! instruction where the CPU has it, slicing-by-8 tables elsewhere), tile
+//! values are converted a whole slice at a time, and [`encode`] builds the
+//! frame in one buffer — payload appended behind a placeholder header whose
+//! `len` and `crc` are patched afterwards.
 //!
 //! Integers are little-endian; `f64`s travel as their IEEE-754 bit
 //! patterns (`to_bits`/`from_bits`), so a decoded tile is **bit-identical**
 //! to the encoded one — the transport can therefore never perturb the
 //! numerics, which is what the end-to-end `== 0.0` gates verify.
 
-use bst_runtime::comm::{CPart, TileMsg, WireFrame};
+use bst_runtime::comm::{TileMsg, WireFrame};
 use bst_runtime::data::DataKey;
 use bst_tile::{Repr, Tile};
 use std::sync::Arc;
 
 /// Frame magic: `b"BSTW"` read as a little-endian u32.
 pub const MAGIC: u32 = u32::from_le_bytes(*b"BSTW");
-/// Codec version carried in every header.
-pub const VERSION: u16 = 1;
+/// Codec version carried in every header (2: CRC-32C, no C-part frames).
+pub const VERSION: u16 = 2;
 /// Header size in bytes.
 pub const HEADER_LEN: usize = 16;
 /// Largest payload a frame may carry: 64 MiB, a 2896² dense tile. The
@@ -50,9 +52,7 @@ pub const MAX_PAYLOAD: usize = 64 << 20;
 
 /// `kind` byte of a [`WireFrame::Tile`] frame.
 pub const KIND_TILE: u8 = 1;
-/// `kind` byte of a [`WireFrame::Part`] frame.
-pub const KIND_PART: u8 = 2;
-/// `kind` byte of a [`Ctl`] frame.
+/// `kind` byte of a [`Ctl`] frame (2 was version 1's C-part frame).
 pub const KIND_CTL: u8 = 3;
 
 /// Typed decode failure. Every malformed input maps to one of these —
@@ -112,11 +112,12 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-// ---- CRC32 (IEEE 802.3, reflected) -------------------------------------
+// ---- CRC-32C (Castagnoli, reflected) -----------------------------------
 
-/// Slicing-by-8 tables: `T[0]` is the classic bytewise table and
-/// `T[k][b]` is the CRC of byte `b` followed by `k` zero bytes, so eight
-/// input bytes fold into the register with eight independent lookups.
+/// Slicing-by-8 tables for the fallback: `T[0]` is the classic bytewise
+/// table and `T[k][b]` is the CRC of byte `b` followed by `k` zero bytes,
+/// so eight input bytes fold into the register with eight independent
+/// lookups.
 const fn crc32_tables() -> [[u32; 256]; 8] {
     let mut t = [[0u32; 256]; 8];
     let mut i = 0;
@@ -124,7 +125,7 @@ const fn crc32_tables() -> [[u32; 256]; 8] {
         let mut c = i as u32;
         let mut k = 0;
         while k < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            c = if c & 1 != 0 { 0x82F6_3B78 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
         t[0][i] = c;
@@ -145,8 +146,39 @@ const fn crc32_tables() -> [[u32; 256]; 8] {
 
 static CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
 
-/// CRC32 (IEEE) of `data` — the payload checksum carried in every header.
+/// CRC-32C of `data` — the payload checksum carried in every header.
 pub fn crc32(data: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("sse4.2") {
+        // SAFETY: the CPU supports SSE4.2, checked just above.
+        return unsafe { crc32_sse42(data) };
+    }
+    crc32_sliced(data)
+}
+
+/// [`crc32`] on the SSE4.2 `crc32` instruction, eight bytes per step.
+///
+/// # Safety
+/// The CPU must support SSE4.2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse4.2")]
+unsafe fn crc32_sse42(data: &[u8]) -> u32 {
+    use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
+    let mut c = !0u64;
+    let mut chunks = data.chunks_exact(8);
+    for w in &mut chunks {
+        c = _mm_crc32_u64(c, u64::from_le_bytes(w.try_into().expect("an 8-byte chunk")));
+    }
+    // The < 8-byte tail.
+    let mut c = c as u32;
+    for &b in chunks.remainder() {
+        c = _mm_crc32_u8(c, b);
+    }
+    !c
+}
+
+/// [`crc32`] on the slicing-by-8 tables, for CPUs without SSE4.2.
+fn crc32_sliced(data: &[u8]) -> u32 {
     let t = &CRC_TABLES;
     let mut c = !0u32;
     let mut chunks = data.chunks_exact(8);
@@ -349,12 +381,12 @@ pub enum Ctl {
     },
     /// Launcher: every worker is ready — run the job.
     Start,
-    /// Rank 0's assembled result tiles `(i, j, tile)`.
+    /// Some of the sending rank's own C tiles `(i, j, tile)`.
     Result {
         /// Non-zero C tiles in row-major key order.
         tiles: Vec<(u32, u32, Tile)>,
     },
-    /// Worker finished its job (sent after `Result` on rank 0).
+    /// Worker finished its job (sent after its last `Result`).
     Done {
         /// Sender's rank.
         rank: u64,
@@ -457,7 +489,7 @@ fn get_ctl(r: &mut Reader<'_>) -> Result<Ctl, CodecError> {
 /// message.
 #[derive(Clone, Debug)]
 pub enum Msg {
-    /// A data-plane frame ([`WireFrame::Tile`] / [`WireFrame::Part`]).
+    /// A data-plane frame ([`WireFrame::Tile`]).
     Wire(WireFrame),
     /// A control-plane message.
     Ctl(Ctl),
@@ -475,17 +507,6 @@ fn payload_of(out: &mut Vec<u8>, msg: &Msg) -> u8 {
             put_tile(out, &msg.payload);
             KIND_TILE
         }
-        Msg::Wire(WireFrame::Part { dst, src, part }) => {
-            put_u64(out, *dst as u64);
-            put_u64(out, *src as u64);
-            put_u64(out, part.i as u64);
-            put_u64(out, part.j as u64);
-            put_u64(out, part.origin.0 as u64);
-            put_u64(out, part.origin.1 as u64);
-            put_u64(out, part.origin.2 as u64);
-            put_tile(out, &part.tile);
-            KIND_PART
-        }
         Msg::Ctl(ctl) => {
             put_ctl(out, ctl);
             KIND_CTL
@@ -495,13 +516,12 @@ fn payload_of(out: &mut Vec<u8>, msg: &Msg) -> u8 {
 
 /// Upper bound on `msg`'s payload size apart from strings — what [`encode`]
 /// reserves up front, so a tile-carrying frame is built without a growth
-/// reallocation: ≤ 56 bytes of frame fields, and per tile its values plus
+/// reallocation: ≤ 40 bytes of frame fields, and per tile its values plus
 /// ≤ 21 bytes of shape, repr tag, rank and (in a `Result`) block indices.
 fn payload_hint(msg: &Msg) -> usize {
     let tile = |t: &Tile| t.stored_bytes() as usize + 21;
-    56 + match msg {
+    40 + match msg {
         Msg::Wire(WireFrame::Tile { msg, .. }) => tile(&msg.payload),
-        Msg::Wire(WireFrame::Part { part, .. }) => tile(&part.tile),
         Msg::Ctl(Ctl::Result { tiles }) => tiles.iter().map(|(_, _, t)| tile(t)).sum(),
         Msg::Ctl(_) => 0,
     }
@@ -542,17 +562,6 @@ pub fn decode_payload(kind: u8, payload: &[u8]) -> Result<Msg, CodecError> {
                 dst,
                 msg: TileMsg { key, payload, epoch, src, consumers },
             })
-        }
-        KIND_PART => {
-            let dst = r.u64()? as usize;
-            let src = r.u64()? as usize;
-            let i = r.u64()? as usize;
-            let j = r.u64()? as usize;
-            let origin =
-                (r.u64()? as usize, r.u64()? as usize, r.u64()? as usize);
-            let tile = get_tile(&mut r)?;
-            // The frame does not carry the tile's norm: the root recomputes it.
-            Msg::Wire(WireFrame::Part { dst, src, part: CPart { i, j, origin, tile, norm: None } })
         }
         KIND_CTL => Msg::Ctl(get_ctl(&mut r)?),
         kind => return Err(CodecError::BadKind(kind)),
@@ -598,7 +607,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// The bytewise table-driven CRC — the oracle slicing-by-8 must match.
+    /// The bytewise table-driven CRC — the oracle both fast paths must match.
     fn crc32_bytewise(data: &[u8]) -> u32 {
         let mut c = !0u32;
         for &b in data {
@@ -609,20 +618,25 @@ mod tests {
 
     #[test]
     fn crc_reference_vector() {
-        // The classic IEEE CRC32 check value.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        // The standard CRC-32C check value.
+        assert_eq!(crc32(b"123456789"), 0xE306_9283);
+        assert_eq!(crc32_sliced(b"123456789"), 0xE306_9283);
         assert_eq!(crc32(b""), 0);
     }
 
+    /// `crc32` takes the SSE4.2 path on every CPU that has it, so this also
+    /// holds the table fallback equal to the instruction.
     #[test]
     fn crc_matches_bytewise_oracle_at_every_length_and_offset() {
-        // Knuth's multiplicative hash: 72 well-mixed bytes.
+        // Knuth's multiplicative hash: 2056 well-mixed bytes.
         let buf: Vec<u8> =
-            (1..=72u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8).collect();
+            (1..=2056u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8).collect();
         for start in 0..8 {
-            for len in 0..=64 {
+            for len in 0..=2048 {
                 let s = &buf[start..start + len];
-                assert_eq!(crc32(s), crc32_bytewise(s), "start {start}, len {len}");
+                let want = crc32_bytewise(s);
+                assert_eq!(crc32(s), want, "start {start}, len {len}");
+                assert_eq!(crc32_sliced(s), want, "start {start}, len {len}");
             }
         }
     }
@@ -638,9 +652,9 @@ mod tests {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 
-    /// One dense `Tile` frame, one low-rank `Part` frame and one two-tile
-    /// `Ctl::Result` frame, with hand-picked values.
-    fn golden_msgs() -> [Msg; 3] {
+    /// One dense `Tile` frame and one two-tile `Ctl::Result` frame, with
+    /// hand-picked values.
+    fn golden_msgs() -> [Msg; 2] {
         let dense = Tile::from_data(2, 3, vec![1.0, -2.5, 3.25, 0.0, 1e-300, f64::MAX]);
         let lowrank = Tile::from_factors(3, 2, vec![0.5, -1.0, 2.0], vec![4.0, -0.125], 1);
         let tile = WireFrame::Tile {
@@ -653,30 +667,24 @@ mod tests {
                 consumers: 2,
             },
         };
-        let part = WireFrame::Part {
-            dst: 0,
-            src: 3,
-            part: CPart { i: 1, j: 2, origin: (3, 1, 7), tile: lowrank.clone(), norm: None },
-        };
         let result = Ctl::Result { tiles: vec![(0, 1, dense), (5, 6, lowrank)] };
-        [Msg::Wire(tile), Msg::Wire(part), Msg::Ctl(result)]
+        [Msg::Wire(tile), Msg::Ctl(result)]
     }
 
-    /// Frames captured from the parent commit's `encode` (PR 15: per-element
-    /// loops, payload built in a second buffer). Byte-for-byte equality is
-    /// the proof that `VERSION` need not move.
+    /// Version 1's frames of these messages with the header re-stamped:
+    /// version 2 and the payload's CRC-32C, computed outside this crate by a
+    /// bitwise reference. Every payload byte is version 1's. The version
+    /// moved once, because the checksum changed (and `kind` 2, the C-part
+    /// frame, is gone): a version-1 peer is refused as `BadVersion` instead
+    /// of failing every frame's CRC.
     #[test]
-    fn golden_frames_are_byte_identical_to_version_1() {
-        assert_eq!(VERSION, 1);
+    fn golden_frames_pin_version_2() {
+        assert_eq!(VERSION, 2);
         let golden = [
-            "42535457010001005e000000e6b8286c0200000000000000000400000009000000030000000100\
+            "42535457020001005e00000034c9f7ca0200000000000000000400000009000000030000000100\
              0000000000000200000000000000020000000300000000000000000000f03f00000000000004c0\
              0000000000000a40000000000000000059f3f8c21f6ea501ffffffffffffef7f",
-            "42535457010002006d00000017e1f78700000000000000000300000000000000010000000000\
-             00000200000000000000030000000000000001000000000000000700000000000000030000000200\
-             00000101000000000000000000e03f000000000000f0bf00000000000000400000000000001040\
-             000000000000c0bf",
-            "4253545701000300830000001fa38d7505020000000000000001000000020000000300000000\
+            "4253545702000300830000009620af5005020000000000000001000000020000000300000000\
              000000000000f03f00000000000004c00000000000000a40000000000000000059f3f8c21f6ea501\
              ffffffffffffef7f050000000600000003000000020000000101000000000000000000e03f000000\
              000000f0bf00000000000000400000000000001040000000000000c0bf",

@@ -1,6 +1,10 @@
 //! The launcher: spawn P worker processes, distribute the job, heartbeat
 //! the fleet, collect the result — and on a worker death, recover.
 //!
+//! C comes back in one hop: every rank streams the C tiles it folded on its
+//! own control connection, whose reader thread decodes them while the other
+//! ranks' readers decode theirs, and the launcher keeps their union.
+//!
 //! Liveness has two detectors, both bounded:
 //!
 //! * **connection EOF** — a SIGKILLed process's sockets are closed by the
@@ -78,7 +82,8 @@ impl LaunchConfig {
     }
 }
 
-/// One worker's wire statistics, as reported in its [`Ctl::Done`].
+/// One worker's wire statistics, as reported in its [`Ctl::Done`], and the
+/// C it returned in its [`Ctl::Result`] frames.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WorkerStats {
     /// The reporting rank.
@@ -87,6 +92,10 @@ pub struct WorkerStats {
     pub sent_msgs: u64,
     /// Data frames the rank received over the wire.
     pub recv_msgs: u64,
+    /// C tiles the rank returned.
+    pub c_tiles: u64,
+    /// Stored bytes of those tiles.
+    pub c_bytes: u64,
 }
 
 /// Where a fleet's wall-clock went, as the launcher saw it (seconds; of the
@@ -96,17 +105,17 @@ pub struct LaunchPhases {
     /// Spawning the first worker → every rank `Ready` (process start, job
     /// shipping, data mesh).
     pub ready_s: f64,
-    /// `Start` → rank 0's first `Result` frame (the job itself).
+    /// `Start` → the first `Result` frame from any rank (the job itself).
     pub compute_s: f64,
-    /// First `Result` frame → last `Done` (shipping C back).
+    /// First `Result` frame → last `Done` (every rank shipping its C back).
     pub collect_s: f64,
 }
 
 /// A completed multi-process run.
 #[derive(Clone, Debug)]
 pub struct LaunchOutcome {
-    /// Rank 0's assembled C tiles `(i, j, tile)`, in the order its `Result`
-    /// frames carried them.
+    /// C's tiles `(i, j, tile)`: the union of every rank's share, each
+    /// rank's in the order its `Result` frames carried them.
     pub tiles: Vec<(u32, u32, Tile)>,
     /// Per-rank wire statistics, sorted by rank.
     pub stats: Vec<WorkerStats>,
@@ -122,7 +131,7 @@ pub struct LaunchOutcome {
 enum Event {
     Hello { rank: usize, data_addr: String, writer: Conn },
     Ready { rank: usize },
-    Result { tiles: Vec<(u32, u32, Tile)> },
+    Result { rank: usize, tiles: Vec<(u32, u32, Tile)> },
     Done { stats: WorkerStats },
     Pong { rank: usize },
     Abort { reason: String },
@@ -131,11 +140,11 @@ enum Event {
 
 static LAUNCH_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// Spawns and coordinates a fleet of `cfg.n` workers, returning rank 0's
-/// result tiles. A worker death (EOF or missed heartbeats) kills the
-/// surviving fleet and reruns once with the dead rank written off; a
-/// second death, a connect timeout, or a worker-side job failure surfaces
-/// as a typed [`NetError`].
+/// Spawns and coordinates a fleet of `cfg.n` workers, returning the union
+/// of the C tiles every rank streamed back. A worker death (EOF or missed
+/// heartbeats) kills the surviving fleet and reruns once with the dead rank
+/// written off; a second death, a connect timeout, or a worker-side job
+/// failure surfaces as a typed [`NetError`].
 pub fn launch(cfg: &LaunchConfig) -> Result<LaunchOutcome, NetError> {
     match run_attempt(cfg, None) {
         Err(NetError::WorkerDied { rank }) if cfg.max_respawns > 0 => run_attempt(cfg, Some(rank)),
@@ -177,15 +186,22 @@ fn spawn_worker(
 }
 
 /// Reads frames off one worker's control connection, translating them to
-/// [`Event`]s until the connection closes.
+/// [`Event`]s until the connection closes. `Result` frames are decoded here,
+/// on the connection's own thread, which also counts the C they return.
 fn control_reader(rank: usize, mut conn: Conn, tx: Sender<Event>) {
+    let (mut c_tiles, mut c_bytes) = (0, 0);
     loop {
         let event = match read_msg(&mut conn) {
             Ok(Some(Msg::Ctl(Ctl::Ready { rank }))) => Event::Ready { rank: rank as usize },
-            Ok(Some(Msg::Ctl(Ctl::Result { tiles }))) => Event::Result { tiles },
-            Ok(Some(Msg::Ctl(Ctl::Done { rank, sent_msgs, recv_msgs }))) => Event::Done {
-                stats: WorkerStats { rank: rank as usize, sent_msgs, recv_msgs },
-            },
+            Ok(Some(Msg::Ctl(Ctl::Result { tiles }))) => {
+                c_tiles += tiles.len() as u64;
+                c_bytes += tiles.iter().map(|(_, _, t)| t.stored_bytes()).sum::<u64>();
+                Event::Result { rank, tiles }
+            }
+            Ok(Some(Msg::Ctl(Ctl::Done { rank, sent_msgs, recv_msgs }))) => {
+                let rank = rank as usize;
+                Event::Done { stats: WorkerStats { rank, sent_msgs, recv_msgs, c_tiles, c_bytes } }
+            }
             Ok(Some(Msg::Ctl(Ctl::Pong(_)))) => Event::Pong { rank },
             Ok(Some(Msg::Ctl(Ctl::Abort(reason)))) => Event::Abort { reason },
             Ok(Some(_)) => continue,
@@ -336,9 +352,9 @@ fn drive_fleet(
         }
     }
 
-    // Phase 4: run, heartbeat, collect. Rank 0's `Result` frames precede
-    // its `Done` on one ordered connection, so once every rank is done the
-    // tiles are complete.
+    // Phase 4: run, heartbeat, collect. Each rank's `Result` frames precede
+    // its `Done` on its one ordered connection, so once every rank is done
+    // the tiles are complete.
     let started = Instant::now();
     for rank in 0..cfg.n {
         send_to(&conns, rank, &Ctl::Start)?;
@@ -349,6 +365,7 @@ fn drive_fleet(
     let mut tiles: Vec<(u32, u32, Tile)> = Vec::new();
     let mut first_result: Option<Instant> = None;
     let mut nonce = 0u64;
+    let mut next_ping = Instant::now() + ping_every;
     loop {
         if done.len() == cfg.n {
             if let Some(first_result) = first_result {
@@ -368,10 +385,28 @@ fn drive_fleet(
                 });
             }
         }
-        match recv_by(rx, Instant::now() + ping_every) {
-            Ok(Event::Result { tiles: frame }) => {
-                last_seen[0] = Instant::now();
-                first_result.get_or_insert(last_seen[0]);
+        // The heartbeat keeps its own clock: one rank's stream of frames
+        // must not starve the check of a silent one.
+        if Instant::now() >= next_ping {
+            next_ping = Instant::now() + ping_every;
+            nonce += 1;
+            for rank in 0..cfg.n {
+                if !done.contains_key(&rank) {
+                    // A failed ping write means the peer is gone; let the
+                    // EOF/heartbeat checks classify it.
+                    let _ = send_to(&conns, rank, &Ctl::Ping(nonce));
+                }
+            }
+            for (rank, seen) in last_seen.iter().enumerate() {
+                if !done.contains_key(&rank) && seen.elapsed() > cfg.heartbeat_timeout {
+                    return Err(NetError::WorkerDied { rank });
+                }
+            }
+        }
+        match recv_by(rx, next_ping) {
+            Ok(Event::Result { rank, tiles: frame }) if rank < cfg.n => {
+                last_seen[rank] = Instant::now();
+                first_result.get_or_insert(last_seen[rank]);
                 tiles.extend(frame);
             }
             Ok(Event::Done { stats }) => {
@@ -393,22 +428,7 @@ fn drive_fleet(
                     return Err(NetError::WorkerDied { rank });
                 }
             }
-            Ok(Event::Hello { .. }) => {}
-            Err(RecvTimeoutError::Timeout) => {
-                nonce += 1;
-                for rank in 0..cfg.n {
-                    if !done.contains_key(&rank) {
-                        // A failed ping write means the peer is gone; let
-                        // the EOF/heartbeat checks below classify it.
-                        let _ = send_to(&conns, rank, &Ctl::Ping(nonce));
-                    }
-                }
-                for (rank, seen) in last_seen.iter().enumerate() {
-                    if !done.contains_key(&rank) && seen.elapsed() > cfg.heartbeat_timeout {
-                        return Err(NetError::WorkerDied { rank });
-                    }
-                }
-            }
+            Ok(Event::Hello { .. } | Event::Result { .. }) | Err(RecvTimeoutError::Timeout) => {}
             Err(RecvTimeoutError::Disconnected) => {
                 return Err(NetError::Protocol("event channel closed".into()))
             }

@@ -352,8 +352,7 @@ impl SocketWire {
 impl Wire for SocketWire {
     fn send(&self, frame: WireFrame) -> Result<(), WireError> {
         let dst = frame.dst();
-        if matches!(frame, WireFrame::Tile { .. })
-            && self.die_after.load(Ordering::SeqCst) >= 0
+        if self.die_after.load(Ordering::SeqCst) >= 0
             && self.die_after.fetch_sub(1, Ordering::SeqCst) == 1
         {
             kill_self();
@@ -416,13 +415,9 @@ mod tests {
 
         w0.send(tile_frame(1, 7)).unwrap();
         let got = w1.recv().expect("frame should arrive");
-        match got {
-            WireFrame::Tile { dst, msg } => {
-                assert_eq!(dst, 1);
-                assert_eq!(*msg.payload, Tile::random(4, 4, 7));
-            }
-            other => panic!("wrong frame: {other:?}"),
-        }
+        let WireFrame::Tile { dst, msg } = got;
+        assert_eq!(dst, 1);
+        assert_eq!(*msg.payload, Tile::random(4, 4, 7));
         assert_eq!(w0.stats().0, 1);
         assert_eq!(w1.stats().1, 1);
 

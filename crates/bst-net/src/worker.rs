@@ -14,12 +14,13 @@
 //!    identifying the dialer) and sends [`Ctl::Ready`];
 //! 4. launcher sends [`Ctl::Start`]; the worker runs the job with its
 //!    [`SocketWire`];
-//! 5. rank 0 streams the assembled C tiles as one or more [`Ctl::Result`]
-//!    frames of about [`RESULT_CHUNK_BYTES`] each — its encode/CRC/write of
+//! 5. every rank streams the C tiles it folded — its share of C; the shares
+//!    are disjoint and their union is C — as one or more [`Ctl::Result`]
+//!    frames of about [`RESULT_CHUNK_BYTES`] each. Its encode/CRC/write of
 //!    one frame overlaps the launcher's read/CRC/decode of the previous
-//!    one, and neither side stages the whole of C; every rank then sends
-//!    [`Ctl::Done`] with its wire statistics (or [`Ctl::Abort`] with the
-//!    rendered error).
+//!    one, the ranks stream in parallel, and no process stages the whole of
+//!    C. Each rank then sends [`Ctl::Done`] with its wire statistics (or
+//!    [`Ctl::Abort`] with the rendered error).
 //!
 //! [`Ctl::Ping`] probes are answered by a dedicated control-reader thread
 //! at any point in the session — including while the job is running — so a
@@ -37,7 +38,7 @@ use std::time::{Duration, Instant};
 /// giving up on the session.
 const PROTOCOL_TIMEOUT: Duration = Duration::from_secs(120);
 
-/// Tile data per [`Ctl::Result`] frame: rank 0 closes a frame once it
+/// Tile data per [`Ctl::Result`] frame: a rank closes a frame once it
 /// holds at least this many tile bytes (so a frame overshoots by at most
 /// one tile).
 pub const RESULT_CHUNK_BYTES: u64 = 1 << 20;
@@ -60,9 +61,8 @@ pub struct WorkerConfig {
 }
 
 /// Runs one worker session to completion. `job` receives the launcher's
-/// config text and this rank's connected [`SocketWire`], and returns rank
-/// 0's C tiles by value (other ranks return an empty vec) or a rendered
-/// error.
+/// config text and this rank's connected [`SocketWire`], and returns this
+/// rank's C tiles by value or a rendered error.
 pub fn worker_session<F>(cfg: &WorkerConfig, job: F) -> Result<(), NetError>
 where
     F: FnOnce(&str, Arc<SocketWire>) -> Result<Vec<(u32, u32, Tile)>, String>,
@@ -171,10 +171,8 @@ where
     match job(&config_text, Arc::clone(&wire)) {
         Ok(tiles) => {
             let mut w = control_writer.lock().unwrap();
-            if cfg.rank == 0 {
-                for frame in result_frames(tiles) {
-                    write_msg(&mut *w, &Msg::Ctl(frame))?;
-                }
+            for frame in result_frames(tiles) {
+                write_msg(&mut *w, &Msg::Ctl(frame))?;
             }
             let (sent_msgs, recv_msgs) = wire.stats();
             write_msg(
@@ -191,7 +189,7 @@ where
     }
 }
 
-/// Splits rank 0's C tiles, in order, into the [`Ctl::Result`] frames it
+/// Splits a rank's C tiles, in order, into the [`Ctl::Result`] frames it
 /// streams: each frame closes once it holds [`RESULT_CHUNK_BYTES`] of tile
 /// data. Always at least one frame, so an empty C still reports a result.
 fn result_frames(tiles: Vec<(u32, u32, Tile)>) -> impl Iterator<Item = Ctl> {

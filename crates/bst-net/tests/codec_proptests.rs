@@ -4,7 +4,7 @@
 //! a panic, never a silently wrong message.
 
 use bst_net::codec::{self, CodecError, Ctl, Msg, HEADER_LEN};
-use bst_runtime::comm::{CPart, TileMsg, WireFrame};
+use bst_runtime::comm::{TileMsg, WireFrame};
 use bst_runtime::data::DataKey;
 use bst_tile::{Repr, Tile};
 use proptest::prelude::*;
@@ -70,26 +70,6 @@ proptest! {
                 src,
                 consumers,
             },
-        });
-        assert_round_trip(&msg)?;
-    }
-
-    /// `WireFrame::Part` (the `ReduceC` hop) round-trips, preserving the
-    /// deterministic combine origin exactly.
-    #[test]
-    fn part_frames_round_trip(
-        rows in 1usize..10,
-        cols in 1usize..10,
-        seed in 0u64..1000,
-        i in 0usize..64,
-        j in 0usize..64,
-        origin in (0usize..8, 0usize..4, 0usize..32),
-        lowrank in 0u8..2,
-    ) {
-        let msg = Msg::Wire(WireFrame::Part {
-            dst: 0,
-            src: origin.0,
-            part: CPart { i, j, origin, tile: mk_tile(rows, cols, seed, lowrank == 1), norm: None },
         });
         assert_round_trip(&msg)?;
     }
@@ -170,17 +150,8 @@ proptest! {
         seed in 0u64..1000,
         lowrank in 0u8..2,
     ) {
-        let msg = Msg::Wire(WireFrame::Part {
-            dst: 0,
-            src: 1,
-            part: CPart {
-                i: 3,
-                j: 4,
-                origin: (1, 0, 2),
-                tile: mk_tile(rows, cols, seed, lowrank == 1),
-                norm: None,
-            },
-        });
+        let tile = mk_tile(rows, cols, seed, lowrank == 1);
+        let msg = Msg::Ctl(Ctl::Result { tiles: vec![(3, 4, tile)] });
         let bytes = codec::encode(&msg);
         for len in 0..bytes.len() {
             match codec::decode(&bytes[..len]) {

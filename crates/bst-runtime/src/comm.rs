@@ -36,11 +36,13 @@
 //! sending task's attempt number, which makes duplicate delivery
 //! detectable), `Frame::ReduceC` carries a rank's folded C tiles
 //! ([`CPart`]s) on their one hop to rank 0 — all of them in one frame and
-//! one credit in-process ([`CommFabric::gather`]), one [`WireFrame::Part`]
-//! per tile over a [`Wire`] — and `Frame::Shutdown` is the completion
-//! control frame. A rank's own partials never cross the fabric: its flushes
-//! fold them in place. Credits are the flow-control frames collapsed into
-//! semaphores: releasing a credit *is* the credit-return message.
+//! one credit ([`CommFabric::gather`]) — and `Frame::Shutdown` is the
+//! completion control frame. A rank's own partials never cross the fabric:
+//! its flushes fold them in place. Over a [`Wire`] only A tiles travel
+//! ([`WireFrame::Tile`]): each process of a multi-process run keeps the C
+//! it folded and hands it to its own caller. Credits are the flow-control
+//! frames collapsed into semaphores: releasing a credit *is* the
+//! credit-return message.
 //!
 //! Delivery is idempotent: the progress thread tracks delivered keys and
 //! drops (and counts) re-deliveries, so a retried send after a fault-
@@ -233,8 +235,7 @@ pub struct CPart {
     pub tile: Tile,
     /// `tile`'s [`Tile::frobenius_norm`], computed by the lane that produced
     /// its final value, so C's assembly need not read the tile again.
-    /// `None` when unknown: a fold just changed the tile, or it arrived over
-    /// a [`Wire`], whose frames do not carry it.
+    /// `None` when unknown: a fold just changed the tile.
     pub norm: Option<f64>,
 }
 
@@ -243,7 +244,7 @@ enum Frame {
     /// An A tile on its one hop from its owner.
     BcastA(TileMsg),
     /// C tiles from `src` on their way to the root: every folded tile of
-    /// that rank in one in-process frame, or one tile per wire frame.
+    /// that rank in one frame.
     ReduceC {
         /// The tiles.
         parts: Vec<CPart>,
@@ -254,7 +255,7 @@ enum Frame {
     Shutdown,
 }
 
-/// Error of [`CommFabric::send_tile`] / [`CommFabric::gather`].
+/// Error of [`CommFabric::send_tile`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SendError {
     /// The message was dropped in flight (fault injection). The sender's
@@ -672,38 +673,28 @@ impl CommFabric {
     }
 
     /// Gathers rank `src`'s folded C tiles to `dst` (rank 0; never `src`
-    /// itself). In-process, all of `parts` travel in one frame that holds one
-    /// credit; over a [`Wire`] each tile leaves as its own
-    /// [`WireFrame::Part`] ([`SendError::Wire`] on failure). Either way each
-    /// tile is one message of `stored_bytes` in the transport totals and the
-    /// trace, so the counts do not depend on how the tiles were framed.
-    pub fn gather(&self, src: usize, dst: usize, parts: Vec<CPart>) -> Result<(), SendError> {
+    /// itself): all of `parts` travel in one frame that holds one credit.
+    /// Each tile is one message of `stored_bytes` in the transport totals and
+    /// the trace, so the counts do not depend on how the tiles were framed.
+    /// In-process only: the ranks of a multi-process run keep their own C.
+    pub fn gather(&self, src: usize, dst: usize, parts: Vec<CPart>) {
         debug_assert_ne!(src, dst, "a rank's own tiles never cross the fabric");
+        debug_assert!(self.remote.is_none(), "C never crosses a wire");
         if parts.is_empty() {
-            return Ok(());
+            return;
         }
         let class = self.topology.link_class(src, dst);
-        let remote = self.remote.as_ref().filter(|r| dst != r.rank);
-        if remote.is_none() {
-            self.endpoints[dst].credits[gate_of(class)].acquire();
-        }
+        self.endpoints[dst].credits[gate_of(class)].acquire();
         for part in &parts {
             let bytes = part.tile.stored_bytes();
             self.endpoints[src].count_sent(bytes, class);
             let key = DataKey::C(part.i as u32, part.j as u32);
             self.record(TracePhase::Sent, key, src, dst, bytes, 0);
         }
-        if let Some(remote) = remote {
-            for part in parts {
-                remote.wire.send(WireFrame::Part { dst, src, part }).map_err(SendError::Wire)?;
-            }
-            return Ok(());
-        }
         self.endpoints[dst]
             .tx
             .send(Frame::ReduceC { parts, src })
             .unwrap_or_else(|_| panic!("node {dst}'s progress thread is gone"));
-        Ok(())
     }
 
     /// Deposits an inbound wire frame into the destination rank's inbox —
@@ -713,16 +704,11 @@ impl CommFabric {
     /// the pump stalls, TCP/UDS backpressure stalls the sender). A frame
     /// arriving after the local fabric shut down is dropped harmlessly.
     pub fn inject(&self, frame: WireFrame) {
-        let (dst, src, frame) = match frame {
-            WireFrame::Tile { dst, msg } => (dst, msg.src, Frame::BcastA(msg)),
-            WireFrame::Part { dst, src, part } => {
-                (dst, src, Frame::ReduceC { parts: vec![part], src })
-            }
-        };
-        let class = self.topology.link_class(src, dst);
+        let WireFrame::Tile { dst, msg } = frame;
+        let class = self.topology.link_class(msg.src, dst);
         let gate = &self.endpoints[dst].credits[gate_of(class)];
         gate.acquire();
-        if self.endpoints[dst].tx.send(frame).is_err() {
+        if self.endpoints[dst].tx.send(Frame::BcastA(msg)).is_err() {
             // Progress thread already exited (late frame after shutdown):
             // return the credit and drop the frame.
             gate.release();
@@ -1006,14 +992,11 @@ mod tests {
         // A send to a remote rank leaves over the wire, never touches the
         // (unstarted) local inboxes, and still counts on the src endpoint.
         fabric.send_tile(2, a_msg(0, 3, 5), false).unwrap();
-        let part = CPart { i: 0, j: 0, origin: (0, 0, 0), tile: Tile::zeros(2, 2), norm: None };
-        fabric.gather(0, 1, vec![part]).unwrap();
         let sent = wire.sent.lock().unwrap();
-        assert_eq!(sent.len(), 2);
+        assert_eq!(sent.len(), 1);
         assert_eq!(sent[0].dst(), 2);
-        assert_eq!(sent[1].dst(), 1);
         let stats = fabric.node_stats();
-        assert_eq!(stats[0].sent_msgs, 2);
+        assert_eq!(stats[0].sent_msgs, 1);
         assert!(stats[0].sent_bytes > 0);
     }
 
@@ -1069,14 +1052,6 @@ mod tests {
             fabric.start(s, &stores);
             fabric.inject(WireFrame::Tile { dst: 1, msg: a_msg(0, 7, 2) });
             fabric.wait_delivered(1, DataKey::A(7, 2));
-            fabric.inject(WireFrame::Part {
-                dst: 1,
-                src: 0,
-                part: CPart { i: 4, j: 6, origin: (0, 0, 0), tile: Tile::zeros(2, 2), norm: None },
-            });
-            let parts = fabric.take_reduced_at_least(1, 1);
-            assert_eq!(parts.len(), 1);
-            assert_eq!((parts[0].i, parts[0].j), (4, 6));
             fabric.shutdown();
         });
         // A frame arriving after shutdown is dropped, not a panic.

@@ -14,12 +14,13 @@
 //! heartbeats) lives in the `bst-net` crate; this module defines only the
 //! seam so the runtime stays dependency-free.
 
-use super::{CPart, TileMsg};
+use super::TileMsg;
 
 /// A frame crossing process boundaries: the inter-process image of the
-/// fabric's internal frame vocabulary (`BcastA` / `ReduceC`). `Shutdown`
-/// never crosses the wire — each process shuts its own fabric down once its
-/// local engine completes.
+/// fabric's `BcastA` frame. C never crosses between ranks of a
+/// multi-process run (each rank streams its own share to the launcher),
+/// and `Shutdown` never crosses the wire — each process shuts its own
+/// fabric down once its local engine completes.
 #[derive(Clone, Debug)]
 pub enum WireFrame {
     /// An A tile on its one hop from its owner, addressed to rank `dst`.
@@ -29,22 +30,13 @@ pub enum WireFrame {
         /// The tile and its sender.
         msg: TileMsg,
     },
-    /// A rank's folded C tile on its one hop to rank 0.
-    Part {
-        /// Destination rank.
-        dst: usize,
-        /// Sending rank.
-        src: usize,
-        /// The partial.
-        part: CPart,
-    },
 }
 
 impl WireFrame {
     /// The destination rank the frame is addressed to.
     pub fn dst(&self) -> usize {
         match self {
-            WireFrame::Tile { dst, .. } | WireFrame::Part { dst, .. } => *dst,
+            WireFrame::Tile { dst, .. } => *dst,
         }
     }
 
@@ -52,7 +44,6 @@ impl WireFrame {
     pub fn src(&self) -> usize {
         match self {
             WireFrame::Tile { msg, .. } => msg.src,
-            WireFrame::Part { src, .. } => *src,
         }
     }
 }
@@ -133,12 +124,6 @@ mod tests {
             },
         };
         assert_eq!((tile.dst(), tile.src()), (3, 0));
-        let part = WireFrame::Part {
-            dst: 0,
-            src: 2,
-            part: CPart { i: 0, j: 0, origin: (2, 0, 0), tile: Tile::zeros(2, 2), norm: None },
-        };
-        assert_eq!((part.dst(), part.src()), (0, 2));
     }
 
     #[test]

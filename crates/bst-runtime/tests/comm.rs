@@ -208,9 +208,9 @@ fn gather_frames_classify_per_link() {
     let stores: Vec<TileStore> = (0..4).map(TileStore::for_node).collect();
     std::thread::scope(|s| {
         fabric.start(s, &stores);
-        fabric.gather(3, 0, Vec::new()).unwrap(); // nothing to gather: no frame
-        fabric.gather(1, 0, vec![part(1, 1)]).unwrap(); // intra-node
-        fabric.gather(2, 0, vec![part(2, 2), part(3, 2)]).unwrap(); // inter-node, one frame
+        fabric.gather(3, 0, Vec::new()); // nothing to gather: no frame
+        fabric.gather(1, 0, vec![part(1, 1)]); // intra-node
+        fabric.gather(2, 0, vec![part(2, 2), part(3, 2)]); // inter-node, one frame
         let parts = fabric.take_reduced_at_least(0, 3);
         assert_eq!(parts.len(), 3, "all three tiles arrive before the take returns");
         assert!(parts.iter().all(|p| p.norm == Some(0.0)), "a gathered tile keeps its norm");

@@ -19,10 +19,13 @@
 //! C leaves in one pass. A `FlushBlock` computes the norm of each C tile it
 //! evicts and appends the block's partials to its node's fold buffer
 //! ([`HandlerEnv::folds`]) under one lock. The node's `ReduceC` folds that
-//! buffer, recomputing the norm of a tile it changed. Every rank but the
-//! root then hands its folded tiles to the root in one
-//! [`CommFabric::gather`]. The root's `ReduceC` adds the gathered tiles to
-//! its own for the assembly, which inserts each with its known norm.
+//! buffer, recomputing the norm of a tile it changed. In-process, every
+//! rank but the root then hands its folded tiles to the root in one
+//! [`CommFabric::gather`], and the root's `ReduceC` adds the gathered tiles
+//! to its own for the assembly, which inserts each with its known norm.
+//! Across processes no C crosses between ranks: every rank's `ReduceC`
+//! hands its own tiles to its own assembly, and its process streams them
+//! to the launcher.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -44,22 +47,8 @@ use crate::fault::{FaultPlan, FaultSite};
 use crate::plan::ExecutionPlan;
 use crate::spec::ProblemSpec;
 
-/// Maps a send failure that is not an injected drop (`gather` carries no
-/// drop injection; `SendA` matches its own first) to a task error: a dead
-/// wire peer — fatal, recovered by the launcher's degraded re-plan.
-fn wire_fatal(detail: String, e: SendError) -> TaskError<ExecError> {
-    match e {
-        SendError::Wire(e) => TaskError::Fatal(ExecError::Wire {
-            dst: e.dst,
-            detail,
-            reason: e.reason,
-        }),
-        SendError::Dropped => unreachable!("an injected drop is the SendA arm's to handle"),
-    }
-}
-
 /// Computes the norm of every tile that does not carry one: a `k`-split
-/// key's fold, or a tile that arrived over a wire.
+/// key's fold.
 fn set_missing_norms(parts: &mut [CPart]) {
     for part in parts.iter_mut().filter(|part| part.norm.is_none()) {
         part.norm = Some(part.tile.frobenius_norm());
@@ -110,8 +99,10 @@ pub(crate) struct HandlerEnv<'a> {
     pub mem_log: Mutex<DeviceMemLog>,
     /// Per node, the C partials its flushes left for its `ReduceC` to fold.
     pub folds: Vec<Mutex<Vec<CPart>>>,
-    /// All of C, one folded tile per key, each with its norm: left here by
-    /// the root's `ReduceC` for the final assembly to move into the result.
+    /// The C this execution returns, one folded tile per key, each with its
+    /// norm, for the final assembly to move into the result: all of C, left
+    /// by the root's `ReduceC` — or, across processes, this rank's share,
+    /// left by its own `ReduceC`.
     pub c_tiles: Mutex<Vec<CPart>>,
 }
 
@@ -212,7 +203,11 @@ impl HandlerEnv<'_> {
                     // The peer process is gone: retrying into a dead socket
                     // cannot succeed — fail fast so the launcher can run the
                     // degraded re-plan.
-                    Err(e @ SendError::Wire(_)) => Err(wire_fatal(detail(), e)),
+                    Err(SendError::Wire(e)) => Err(TaskError::Fatal(ExecError::Wire {
+                        dst: e.dst,
+                        detail: detail(),
+                        reason: e.reason,
+                    })),
                 }
             }
             (Op::RecvA { i, k, from: _ }, Ctx::Cpu) => {
@@ -402,21 +397,22 @@ impl HandlerEnv<'_> {
                     "folded keys diverge from the lowering on node {}",
                     w.node
                 );
-                if w.node != REDUCE_ROOT {
-                    set_missing_norms(&mut folded);
-                    return self
-                        .fabric
-                        .gather(w.node, REDUCE_ROOT, folded)
-                        .map_err(|e| wire_fatal(detail(), e));
-                }
-                // The expected count is structural, so the taken set is fixed
-                // by the plan, not by delivery timing. Safe to block:
-                // in-process, every other fold finished (DAG deps), so every
-                // gather frame is at least in flight; across processes the
-                // root waits on `restrict`'s wait lane, where it starves
-                // nothing. Tiles that came over a wire carry no norm.
-                folded.extend(self.fabric.take_reduced_at_least(w.node, self.low.gathered_keys()));
                 set_missing_norms(&mut folded);
+                // Across processes every rank keeps its own share of C: the
+                // shares are disjoint, and each process streams its own.
+                if self.fabric.remote().is_none() {
+                    if w.node != REDUCE_ROOT {
+                        self.fabric.gather(w.node, REDUCE_ROOT, folded);
+                        return Ok(());
+                    }
+                    // The expected count is structural, so the taken set is
+                    // fixed by the plan, not by delivery timing. Safe to
+                    // block: every other fold finished (DAG deps), so every
+                    // gather frame is at least in flight.
+                    folded.extend(
+                        self.fabric.take_reduced_at_least(w.node, self.low.gathered_keys()),
+                    );
+                }
                 *self.c_tiles.lock() = folded;
                 Ok(())
             }

@@ -136,7 +136,9 @@ pub enum Op {
     /// Fold the C partials this node's flushes left in place, in canonical
     /// `(i, j, origin)` order, and gather the folded tiles straight to
     /// [`REDUCE_ROOT`]; the root's own instance also waits for every other
-    /// node's tiles and hands the lot to the final assembly.
+    /// node's tiles and hands the lot to the final assembly. In a
+    /// multi-process run every node's instance hands its own tiles to its
+    /// own process's assembly instead.
     ReduceC {
         /// The folding node.
         node: usize,
@@ -268,8 +270,8 @@ pub fn block_c_tiles(
 /// maps in [`Lowered`].
 pub type NodeTile = (usize, (u32, u32));
 
-/// The rank C is gathered on: every other rank's `ReduceC` sends its folded
-/// tiles here, in one hop (one frame in-process).
+/// The rank C is gathered on in-process: every other rank's `ReduceC` sends
+/// its folded tiles here, in one frame.
 pub const REDUCE_ROOT: usize = 0;
 
 /// What one node contributes to C. Every `C(i, j)` is produced on exactly
@@ -334,8 +336,8 @@ impl Lowered {
             + self.sends.get(&(node, t)).map_or(0, Vec::len)
     }
 
-    /// The remote C keys the root's `ReduceC` awaits: one folded tile per
-    /// key of every other node. Structural — from the plan, never from
+    /// The C keys the root's `ReduceC` awaits in-process: one folded tile
+    /// per key of every other node. Structural — from the plan, never from
     /// delivery timing.
     pub fn gathered_keys(&self) -> usize {
         let all_keys: usize = self.reduce.iter().map(|r| r.keys.len()).sum();
@@ -347,28 +349,25 @@ impl Lowered {
     ///
     /// Every process lowers the *full* plan (so sends, consumer refcounts
     /// and C key counts are globally consistent), then keeps only its own
-    /// node's tasks. The dropped edges are exactly the ones
-    /// whose ordering the transport already enforces at runtime:
-    /// `SendA → RecvA` (the `RecvA` body blocks in
+    /// node's tasks. The dropped edges are `SendA → RecvA`, whose ordering
+    /// the transport enforces at runtime (the `RecvA` body blocks in
     /// [`bst_runtime::comm::CommFabric::wait_delivered`] until the frame
-    /// arrives over the wire) and every other `ReduceC` → the root's (the
-    /// root blocks in `take_reduced_at_least` for [`Lowered::gathered_keys`]).
+    /// arrives over the wire), and every other `ReduceC` → the root's, which
+    /// orders nothing across processes: there each rank keeps its own C.
     /// Relative task order is preserved, so the `dep < task` lowering
     /// invariant keeps holding in the projection; the send/consumption maps
     /// stay global — an owner's `SendA` tells the destination its refcount.
     pub fn restrict(&self, rank: usize) -> Lowered {
-        // The blocking waiters (`RecvA` in `wait_delivered`, the root's
-        // `ReduceC` in `take_reduced_at_least`) move off the CPU lane onto a
-        // dedicated wait lane. Any other `ReduceC` folds what its own
-        // flushes left, ordered by edges the projection keeps, and stays on
-        // lane 0. In-process, the DAG's cross-node edges guarantee their
-        // frames are already in flight when they run; in the projection
-        // those edges are gone, so every `RecvA` is ready at seed time —
-        // and a blocking wait at the head of the shared CPU lane would
-        // starve the `SendA` hops queued behind it (two ranks each blocked
-        // ahead of the very send the other is waiting for). Lane 0 keeps the
-        // `SendA`s, which depend on no task, and a non-root `ReduceC`, which
-        // waits on no peer, so it never waits behind a receive.
+        // The blocking waiters (`RecvA` in `wait_delivered`) move off the
+        // CPU lane onto a dedicated wait lane. In-process, the DAG's
+        // cross-node edges guarantee their frames are already in flight
+        // when they run; in the projection those edges are gone, so every
+        // `RecvA` is ready at seed time — and a blocking wait at the head of
+        // the shared CPU lane would starve the `SendA` hops queued behind it
+        // (two ranks each blocked ahead of the very send the other is
+        // waiting for). Lane 0 keeps the `SendA`s, which depend on no task,
+        // and the `ReduceC`, which folds what its own flushes left (ordered
+        // by edges the projection keeps) and waits on no peer.
         let wait_lane = 1 + self
             .workers
             .iter()
@@ -384,7 +383,7 @@ impl Lowered {
                 continue;
             }
             let op = self.graph.payload(id);
-            if matches!(op, Op::RecvA { .. } | Op::ReduceC { node: REDUCE_ROOT }) {
+            if matches!(op, Op::RecvA { .. }) {
                 w = WorkerId { node: rank, lane: wait_lane };
             }
             let new_id = graph.add_task(op.clone(), w);

@@ -39,7 +39,8 @@
 //! * `memory` — the per-GPU `MemoryManager`: residency, eviction, OOM, and
 //!   occupancy sampling behind one interface;
 //! * `handlers` — the task bodies (`GenB`/`SendA`/`Gemm`/loads/evictions,
-//!   and C's path out: flush → in-place fold → one gather frame per rank)
+//!   and C's path out: flush → in-place fold → one gather frame per rank,
+//!   or, across processes, each rank's own share)
 //!   plus kernel dispatch and fault injection;
 //! * [`report`] — [`report::ExecReport`], recovery statistics,
 //!   and the trace-invariant checker.
@@ -133,9 +134,10 @@ pub fn execute(
 ///
 /// Every participating process must call this with the same spec, plan,
 /// `a` and options (SPMD — each seeds only its own 2D-cyclic A slice).
-/// Only `rank == 0` assembles a meaningful `C`: every other rank sends its
-/// folded tiles to the root's process and returns an empty matrix plus its
-/// local execution report.
+/// Each rank returns its own share of `C` — the tiles its node folded —
+/// plus its local execution report. Every C key is produced on exactly one
+/// node, so the shares are disjoint and their union is `C`; no C tile
+/// crosses between ranks.
 ///
 /// A `rank` outside the plan's `p × q` grid is rejected with
 /// [`ExecError::InvalidRank`].
@@ -394,11 +396,11 @@ pub(crate) fn run(
 
     // ---- Assemble the result ----------------------------------------------
     // The root's ReduceC left one folded tile per C key, with its norm
-    // (nothing, on any other rank of a multi-process run): move each into
-    // the result.
+    // (each rank's ReduceC its own keys, in a multi-process run): move each
+    // into the result.
     let mut out = BlockSparseMatrix::zeros(spec.a.row_tiling().clone(), spec.b.col_tiling().clone());
     for part in env.c_tiles.into_inner() {
-        let norm = part.norm.expect("the root's ReduceC computes every norm");
+        let norm = part.norm.expect("ReduceC computes every norm");
         out.insert_tile_arc_with_norm(part.i, part.j, Arc::new(part.tile), norm);
     }
     let mut devices = env.dev_stats.into_inner();

@@ -290,7 +290,8 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// What lets C be gathered instead of reduced across ranks: whatever the
+    /// What lets C be gathered instead of reduced across ranks, and each
+    /// process of a fleet return its own share of C: whatever the
     /// grid, the device size (down to devices so small that B columns split
     /// along `k` — there a rank holds several partials of one key) and the
     /// degraded re-plan around a dead node, the ranks' C key sets are
