@@ -14,6 +14,7 @@
 
 use crate::{build_problem, parse_synthetic, planner_config, Cli, Command, ProblemKind};
 use bst_contract::error::BstError;
+use bst_contract::engine::inspector::owner_of;
 use bst_contract::engine::{execute, execute_rank};
 use bst_contract::{ExecOptions, ExecutionPlan};
 use bst_net::{launch, LaunchConfig, LaunchOutcome, NetError, SocketWire, Transport, WorkerConfig};
@@ -126,7 +127,15 @@ pub fn worker_job(
     let config = planner_config(&job.cli);
     let dead: Vec<usize> = job.dead_node.into_iter().collect();
     let plan = ExecutionPlan::build_with(&spec, config, &dead).map_err(|e| e.to_string())?;
-    let a = BlockSparseMatrix::random_from_structure(spec.a.clone(), job.cli.seed);
+    // The rank seeds only the A tiles it owns, so it materialises only
+    // those. Each tile's values are a function of its own seed, so they are
+    // the tiles of the full A.
+    let (p, q) = (plan.config.grid.p, plan.config.grid.q);
+    let mut owned = spec.a.clone();
+    for (i, k) in spec.a.shape().iter_nonzero().filter(|&(i, k)| owner_of(p, q, i, k) != rank) {
+        owned.shape_mut().zero_out(i, k);
+    }
+    let a = BlockSparseMatrix::random_from_structure(owned, job.cli.seed);
     let b_gen = bst_sparse::matrix::random_b_gen(job.cli.seed ^ 0xB);
     let opts = exec_options(&job.cli, job.reorder);
     let (c, _report) = execute_rank(&spec, &plan, &a, &b_gen, opts, rank, wire)

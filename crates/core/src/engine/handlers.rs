@@ -34,7 +34,7 @@ use bst_runtime::data::{BCacheKey, DataKey};
 use bst_runtime::device::DeviceStats;
 use bst_runtime::graph::{TaskError, WorkerId};
 use bst_runtime::TileStore;
-use bst_tile::kernel::select_heuristic;
+use bst_tile::kernel::{select_heuristic, KernelKind};
 use bst_tile::pool::TilePool;
 use parking_lot::Mutex;
 
@@ -237,6 +237,9 @@ impl HandlerEnv<'_> {
                         return Ok(());
                     }
                 }
+                // The generator draws its buffer from the node pool: the
+                // best-fitting buffer an earlier B tile released, so B's
+                // window recycles memory on irregular tilings too.
                 let rows = spec.b.row_tiling().size(*k as usize) as usize;
                 let cols = spec.b.col_tiling().size(*j as usize) as usize;
                 let tile = (self.b_gen)(*k as usize, *j as usize, rows, cols, &self.pools[w.node])
@@ -283,6 +286,9 @@ impl HandlerEnv<'_> {
             (Op::LoadBlock { node, gpu, block }, Ctx::Gpu(mm)) => {
                 let bp = &plan.nodes[*node].gpus[*gpu].blocks[*block];
                 let row = plan.nodes[*node].grid_row;
+                // C takes a pooled buffer only of its exact capacity: the
+                // tile leaves the engine in the result, so it must carry no
+                // slack. Its clear touches every page here, not in a stack.
                 for (i, j) in block_c_tiles(spec, &bp.block, row, plan.config.grid.p) {
                     let rows = spec.a.row_tiling().size(i) as usize;
                     let cols = spec.b.col_tiling().size(j) as usize;
@@ -306,7 +312,8 @@ impl HandlerEnv<'_> {
             (Op::Gemm { k, j, rows }, Ctx::Gpu(mm)) => {
                 // B streams: the first stack that reads a tile moves it from
                 // the host store to the device, the last one frees it and
-                // hands its buffer to the node pool for the next GenB.
+                // hands its buffer to the node pool, where the next GenB
+                // whose tile it fits within 2× takes it, whatever its length.
                 let (t, key) = ((*k, *j), DataKey::B(*k, *j));
                 if self.stores[w.node].contains(key) {
                     let tile = self.stores[w.node].get(w.node, key);
@@ -315,12 +322,17 @@ impl HandlerEnv<'_> {
                 }
                 // Row shapes differ, so the kernel is picked per product;
                 // the tallies stay per product too (`gemm_tasks` is the
-                // plan's product count, whatever the stacks' lengths).
+                // plan's product count, whatever the stacks' lengths), but
+                // are counted locally and published once per stack.
+                let mut kinds = [0u64; KernelKind::ALL.len()];
                 mm.gemm_operands(*k, *j, self.low.rows_of(rows), |at, bt, ct| {
                     let kind = select_heuristic(ct.rows(), ct.cols(), at.cols());
                     kind.run_recompress(1.0, at, bt, ct, self.compress_tol);
-                    self.kernel_counts[kind.index()].fetch_add(1, Ordering::Relaxed);
+                    kinds[kind.index()] += 1;
                 });
+                for (total, n) in self.kernel_counts.iter().zip(kinds).filter(|&(_, n)| n > 0) {
+                    total.fetch_add(n, Ordering::Relaxed);
+                }
                 c.gemms.fetch_add(u64::from(rows.end - rows.start), Ordering::Relaxed);
                 if let Some(arc) = mm.release_b(t) {
                     self.pools[w.node].release_arc(arc);

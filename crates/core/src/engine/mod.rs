@@ -91,8 +91,10 @@ use report::{DeviceMemLog, ExecReport, ExecTraceData, RecoveryStats};
 ///
 /// The generator receives the executing node's [`TilePool`] so it can build
 /// the tile into a recycled buffer (`pool.random(rows, cols, seed)` /
-/// `pool.take_with`); generators that don't care may ignore it and allocate
-/// normally. A failure is reported as a [`GenError`] instead of a panic: the
+/// `pool.take_with`): the smallest released buffer whose capacity is within
+/// 2× of the tile's length, so the buffers of B tiles whose last stack ran
+/// serve the next ones even when no two tiles share a length. Generators
+/// that don't care may ignore the pool and allocate normally. A failure is reported as a [`GenError`] instead of a panic: the
 /// executor retries the generating task when
 /// [`GenError::is_transient`] holds (within
 /// [`ExecOptions::retry`](policies::ExecOptions::retry)'s budget)

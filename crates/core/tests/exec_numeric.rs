@@ -399,6 +399,43 @@ fn dispatched_kernels_match_reference_and_pools_recycle() {
     assert!(ps.released > 0, "flushed B buffers never returned: {ps:?}");
 }
 
+/// On an irregular tiling no two B tiles share a length, and the node pool
+/// still recycles B: a generated tile takes the best-fitting buffer an
+/// earlier tile's last stack released.
+#[test]
+fn b_buffers_recycle_when_no_two_tiles_share_a_length() {
+    // Prime edges: every B tile length `k·n` is distinct, and no C length
+    // (5 or 7 times a column edge) equals a B length, so every hit is a B hit.
+    let k_edges = [23, 29, 31, 37, 41, 43, 47];
+    let n_edges = [
+        71, 59, 89, 61, 97, 67, 101, 73, 83, 79, 113, 103, 131, 107, 127, 109, 139, 137, 149, 151,
+    ];
+    let a = MatrixStructure::dense(Tiling::from_sizes(&[5, 7]), Tiling::from_sizes(&k_edges));
+    let b = MatrixStructure::dense(Tiling::from_sizes(&k_edges), Tiling::from_sizes(&n_edges));
+    let lengths: std::collections::BTreeSet<u64> =
+        k_edges.iter().flat_map(|k| n_edges.iter().map(move |n| k * n)).collect();
+    assert_eq!(lengths.len(), k_edges.len() * n_edges.len());
+    let spec = ProblemSpec::new(a, b, None);
+    let plan = ExecutionPlan::build(&spec, cfg(1, 1, 1, 64 << 20)).unwrap();
+    let am = BlockSparseMatrix::random_from_structure(spec.a.clone(), 31);
+    let bm = BlockSparseMatrix::random_from_structure(spec.b.clone(), 31 ^ 0xB);
+    let b_gen = |k: usize, j: usize, r: usize, c: usize, pool: &TilePool| {
+        Ok(Arc::new(pool.random(r, c, tile_seed(31 ^ 0xB, k, j))))
+    };
+    let (c, report) = execute(&spec, &plan, &am, &b_gen, ExecOptions::default()).unwrap();
+
+    let mut c_ref =
+        BlockSparseMatrix::zeros(spec.a.row_tiling().clone(), spec.b.col_tiling().clone());
+    c_ref.gemm_acc_reference(&am, &bm);
+    assert!(c.max_abs_diff(&c_ref) < 1e-10);
+
+    let ps = report.pool_stats[0];
+    let b_takes = report.b_tiles_generated;
+    assert_eq!(b_takes, lengths.len() as u64);
+    assert_eq!(ps.hits + ps.misses, b_takes + c.iter_tiles().count() as u64);
+    assert!(2 * ps.hits > b_takes, "{} of {b_takes} B takes hit: {ps:?}", ps.hits);
+}
+
 /// `ExecReport::max_concurrent_genb` measures real overlap from the trace:
 /// the node's GenB lanes reach > 1.
 #[test]
