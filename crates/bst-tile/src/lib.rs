@@ -19,8 +19,9 @@
 //!   executors; each runs on the calling thread;
 //! * [`kernel`] — dispatch between the kernels by shape and CPU features
 //!   ([`kernel::select_heuristic`]);
-//! * [`pool`] — a recycling buffer arena ([`pool::TilePool`]) so hot-path
-//!   tile allocations reuse freed buffers.
+//! * [`pool`] — recycling buffer arenas so hot-path tile allocations reuse
+//!   freed buffers: a node's B buffers ([`pool::TilePool`]) and the
+//!   process's C buffers across contractions ([`pool::CReserve`]).
 //!
 //! Everything in this crate is deterministic — a function of its inputs and,
 //! for GEMM rounding, of whether the host has AVX2+FMA; random builders take
