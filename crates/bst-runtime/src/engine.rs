@@ -1,6 +1,6 @@
 //! The single policy-driven execution engine.
 //!
-//! [`Engine::run`] is **one** scheduler, configured along three orthogonal
+//! [`Engine::run`] is **one** scheduler, configured along four orthogonal
 //! axes:
 //!
 //! * [`Tracer`] — whether task life-cycle events are recorded
@@ -12,36 +12,40 @@
 //! * the retry options — per-task attempt budget and backoff applied to
 //!   [`TaskError::Transient`] handler failures ([`RetryOptions::none`]
 //!   makes every transient error terminal, which is how [`infallible`]
-//!   handlers run).
+//!   handlers run);
+//! * the lane with its own thread — the one lane whose tasks may block on
+//!   another process ([`Engine::with_own_thread`]).
 //!
 //! The axes are picked independently with [`Engine::tracing`],
-//! [`Engine::with_clock`] and [`Engine::with_retry`], and every combination
-//! reaches the same scheduler body.
+//! [`Engine::with_clock`], [`Engine::with_retry`] and
+//! [`Engine::with_own_thread`]; every combination reaches one body.
 //!
 //! # Scheduler semantics
 //!
-//! One OS thread per worker; each worker pulls ready tasks from its own
-//! FIFO; completing a task decrements the indegree of its successors,
-//! enqueueing those that become ready onto *their* worker's FIFO. A
-//! [`TaskError::Transient`] failure is retried on the task's own worker
-//! after exponential backoff, re-enqueued onto the *back* of its FIFO
-//! **without** completing — no successor is released early, every data and
-//! control edge of the DAG still gates exactly as planned. A
-//! [`TaskError::Fatal`] error (or an exhausted budget) poisons all queues
-//! and surfaces as a [`RunAbort`]. Handler panics propagate after poisoning
-//! the queues so no sibling worker deadlocks.
+//! Lanes are queues, cores are threads. A lane ([`WorkerId`]) is a FIFO of
+//! ready tasks, served with every other lane by one pooled worker per core.
+//! A worker takes a ready lane no other worker holds, runs its head task,
+//! and keeps the lane while it has ready tasks, else takes the next ready
+//! lane in FIFO order or sleeps until one becomes ready. So a lane's tasks
+//! never overlap and run in ready order, and its context and trace buffer
+//! travel with it. A pooled task may block only on a thread outside the pool
+//! (a progress or pump thread); a lane whose tasks wait on another process
+//! gets a thread of its own ([`Engine::with_own_thread`]).
+//!
+//! A [`TaskError::Transient`] failure is retried on the task's own lane
+//! after exponential backoff, queued at the *back* of the lane **without**
+//! completing — no successor is released early, every data and control edge
+//! of the DAG still gates exactly as planned. A [`TaskError::Fatal`] error
+//! (or an exhausted budget) stops the run and surfaces as a [`RunAbort`].
+//! Handler panics stop the run, then propagate.
 
 use crate::graph::{FallibleRun, RetryOptions, RunAbort, TaskError, TaskGraph, TaskId, WorkerId};
 use crate::trace::{ExecTrace, TraceClock, TraceEvent, TracePhase, WorkerTrace};
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use std::collections::VecDeque;
 use std::convert::Infallible;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex};
 use std::time::Duration;
-
-/// Poison value signalling queue shutdown.
-const DONE: TaskId = usize::MAX;
 
 /// Tracing policy: whether the engine records task life-cycle events.
 ///
@@ -62,7 +66,8 @@ impl Tracer for NoTracer {
 }
 
 /// Record the full task life-cycle (ready → running → done, plus
-/// failed/retried under faults) into per-worker, thread-owned buffers.
+/// failed/retried under faults) into per-lane buffers, each written only
+/// by the worker holding its lane.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Recorder;
 
@@ -98,6 +103,9 @@ pub struct Engine<T = NoTracer> {
     tracer: PhantomData<T>,
     clock: TraceClock,
     retry: RetryOptions,
+    own_thread: Option<WorkerId>,
+    /// Pooled workers; 0 = one per core.
+    threads: usize,
 }
 
 impl Engine {
@@ -108,6 +116,8 @@ impl Engine {
             tracer: PhantomData,
             clock: TraceClock::start(),
             retry: RetryOptions::none(),
+            own_thread: None,
+            threads: 0,
         }
     }
 }
@@ -122,7 +132,8 @@ impl<T> Engine<T> {
     /// This engine with life-cycle recording on ([`Recorder`]);
     /// [`FallibleRun::trace`] will be `Some`.
     pub fn tracing(self) -> Engine<Recorder> {
-        Engine { tracer: PhantomData, clock: self.clock, retry: self.retry }
+        let Self { clock, retry, own_thread, threads, .. } = self;
+        Engine { tracer: PhantomData, clock, retry, own_thread, threads }
     }
 
     /// This engine timestamping from `clock` — lets the caller share one
@@ -135,25 +146,35 @@ impl<T> Engine<T> {
     pub fn with_retry(self, retry: RetryOptions) -> Self {
         Self { retry, ..self }
     }
+
+    /// This engine serving `lane` (if any) from a thread of its own, outside
+    /// the pool: the lane whose tasks block on another process, which a
+    /// pooled worker must never wait for.
+    pub fn with_own_thread(self, lane: Option<WorkerId>) -> Self {
+        Self { own_thread: lane, ..self }
+    }
 }
 
 impl<T: Tracer> Engine<T> {
-    /// Executes `graph` to completion under this engine's policies.
+    /// Executes `graph` to completion under this engine's policies, on
+    /// one pooled worker per core (never more than the pooled lanes).
     ///
     /// * `workers` — every lane that tasks are pinned to (a task pinned to a
-    ///   missing worker panics);
-    /// * `mk_ctx` — builds the per-worker mutable context (e.g. a device
-    ///   memory manager for GPU lanes);
+    ///   missing lane panics);
+    /// * `mk_ctx` — builds a lane's mutable context (e.g. a device memory
+    ///   manager for GPU lanes), on the lane's first task; the context moves
+    ///   with the lane between pooled workers;
     /// * `run` — the fallible task handler, called with the payload, the
-    ///   worker id, the worker's context and the 1-based attempt number.
+    ///   lane, the lane's context and the 1-based attempt number.
     ///
     /// Tasks run as soon as all their dependencies completed; tasks on the
-    /// same worker run sequentially in ready order. See the [module
-    /// docs](self) for retry and abort semantics.
+    /// same lane run one at a time in ready order. A pooled task may block
+    /// only on a thread outside the pool (see [`Engine::with_own_thread`]).
+    /// See the [module docs](self) for retry and abort semantics.
     ///
     /// # Panics
     /// Propagates handler panics (a panic is not an error value); panics on
-    /// duplicate workers or tasks pinned to unknown workers.
+    /// duplicate lanes or tasks pinned to unknown lanes.
     pub fn run<P, Ctx, E, F, M>(
         &self,
         graph: &TaskGraph<P>,
@@ -170,213 +191,240 @@ impl<T: Tracer> Engine<T> {
     {
         let trace = T::ENABLED;
         let clock = self.clock;
+        let event = |task, phase| TraceEvent { task, phase, t_ns: clock.now_ns() };
         if graph.is_empty() {
             return Ok(FallibleRun {
                 attempts: Vec::new(),
                 trace: trace.then(ExecTrace::default),
             });
         }
-        // Map workers to dense indices.
+        // Map lanes to dense indices.
         let mut sorted = workers.to_vec();
         sorted.sort();
         sorted.windows(2).for_each(|w| {
             assert_ne!(w[0], w[1], "duplicate worker {:?}", w[0]);
         });
-        let widx = |w: WorkerId| -> usize {
-            sorted
-                .binary_search(&w)
-                .unwrap_or_else(|_| panic!("task pinned to unknown worker {w:?}"))
-        };
-
-        // Successor lists and indegrees.
+        let lane_of: Vec<usize> = (0..graph.len())
+            .map(|id| {
+                let w = graph.worker(id);
+                sorted
+                    .binary_search(&w)
+                    .unwrap_or_else(|_| panic!("task pinned to unknown worker {w:?}"))
+            })
+            .collect();
         let mut succs: Vec<Vec<TaskId>> = vec![Vec::new(); graph.len()];
-        let mut indeg: Vec<AtomicUsize> = Vec::with_capacity(graph.len());
         for id in 0..graph.len() {
-            indeg.push(AtomicUsize::new(graph.deps(id).len()));
             for &d in graph.deps(id) {
                 succs[d].push(id);
             }
         }
-
-        let channels: Vec<(Sender<TaskId>, Receiver<TaskId>)> =
-            (0..sorted.len()).map(|_| unbounded()).collect();
-        let remaining = AtomicUsize::new(graph.len());
+        let server: Vec<usize> =
+            sorted.iter().map(|&w| usize::from(self.own_thread == Some(w))).collect();
+        let cores = std::thread::available_parallelism().map_or(1, usize::from);
+        let pooled = server.iter().filter(|&&s| s == POOL).count();
+        let threads = (if self.threads > 0 { self.threads } else { cores }).min(pooled).max(1);
         let budget = self.retry.budget.max(1);
         let retry = self.retry;
-        let attempts: Vec<AtomicU32> = (0..graph.len()).map(|_| AtomicU32::new(0)).collect();
-        // First fatal / budget-exhausting error wins; later ones (from
-        // workers draining their queues while the poison propagates) are
-        // dropped.
-        let abort: Mutex<Option<RunAbort<E>>> = Mutex::new(None);
 
-        // Trace recording is strictly thread-owned: `seed_events` belongs to
-        // this (submitting) thread, `bufs[i]` to worker thread i. Events of
-        // a ready transition are recorded by whoever caused it, so no buffer
-        // is ever shared and recording takes no locks.
+        let mut sched = Sched {
+            queues: vec![VecDeque::new(); sorted.len()],
+            idle: (0..sorted.len()).map(|_| Some(Lane { ctx: None, events: Vec::new() })).collect(),
+            server,
+            ready: [VecDeque::new(), VecDeque::new()],
+            indeg: (0..graph.len()).map(|id| graph.deps(id).len()).collect(),
+            attempts: vec![0; graph.len()],
+            remaining: graph.len(),
+            done: false,
+            abort: None,
+        };
+        // The submitting thread records the seed tasks' readiness; every
+        // other event goes to the buffer of the lane whose task caused it,
+        // written only by the worker holding that lane.
         let mut seed_events: Vec<TraceEvent> = Vec::new();
-        let mut bufs: Vec<Vec<TraceEvent>> = vec![Vec::new(); sorted.len()];
-
-        // Seed initially-ready tasks.
-        for id in 0..graph.len() {
-            if graph.deps(id).is_empty() {
-                if trace {
-                    seed_events.push(TraceEvent {
-                        task: id,
-                        phase: TracePhase::Ready,
-                        t_ns: clock.now_ns(),
-                    });
-                }
-                channels[widx(graph.worker(id))].0.send(id).unwrap();
+        for id in (0..graph.len()).filter(|&id| graph.deps(id).is_empty()) {
+            if trace {
+                seed_events.push(event(id, TracePhase::Ready));
             }
+            sched.push(lane_of[id], id);
         }
+        let sched = Mutex::new(sched);
+        let wake = [Condvar::new(), Condvar::new()];
+        let notify = |wakes: &mut [usize; 2]| {
+            for (cv, n) in wake.iter().zip(std::mem::take(wakes)) {
+                (0..n).for_each(|_| cv.notify_one());
+            }
+        };
+        let finish = |st: &mut Sched<Ctx, E>| {
+            st.done = true;
+            wake.iter().for_each(Condvar::notify_all);
+        };
 
-        std::thread::scope(|scope| {
-            for ((wi, w), buf) in sorted.iter().enumerate().zip(bufs.iter_mut()) {
-                let rx = channels[wi].1.clone();
-                let channels = &channels;
-                let succs = &succs;
-                let indeg = &indeg;
-                let remaining = &remaining;
-                let run = &run;
-                let mk_ctx = &mk_ctx;
-                let widx = &widx;
-                let attempts = &attempts;
-                let abort = &abort;
-                let w = *w;
-                // Named, so `/proc/<pid>/task/*` and samplers attribute CPU to a lane.
-                let lane = std::thread::Builder::new().name(format!("n{}.l{}", w.node, w.lane));
-                let body = move || {
-                    let mut ctx = mk_ctx(w);
-                    while let Ok(id) = rx.recv() {
-                        if id == DONE {
-                            break;
-                        }
-                        let attempt = attempts[id].fetch_add(1, Ordering::Relaxed) + 1;
-                        if trace {
-                            buf.push(TraceEvent {
-                                task: id,
-                                phase: TracePhase::Running,
-                                t_ns: clock.now_ns(),
-                            });
-                        }
-                        // Panic safety: a panicking handler must not leave
-                        // the other workers blocked on their queues forever;
-                        // poison every queue, then propagate.
-                        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                            || run(graph.payload(id), w, &mut ctx, attempt),
-                        ));
-                        let result = match outcome {
-                            Ok(r) => r,
-                            Err(payload) => {
-                                for (tx, _) in channels.iter() {
-                                    let _ = tx.send(DONE);
-                                }
-                                std::panic::resume_unwind(payload);
-                            }
-                        };
-                        if let Err(err) = result {
-                            if trace {
-                                buf.push(TraceEvent {
-                                    task: id,
-                                    phase: TracePhase::Failed,
-                                    t_ns: clock.now_ns(),
-                                });
-                            }
-                            let transient = matches!(err, TaskError::Transient(_));
-                            if transient && attempt < budget {
-                                // Back off, then re-enqueue onto this
-                                // worker's own FIFO. The task has not
-                                // completed, so no successor indegree was
-                                // touched: every data and control edge of
-                                // the DAG still gates exactly as planned.
-                                std::thread::sleep(Duration::from_micros(
-                                    retry.backoff_us(attempt),
-                                ));
-                                if trace {
-                                    buf.push(TraceEvent {
-                                        task: id,
-                                        phase: TracePhase::Retried,
-                                        t_ns: clock.now_ns(),
-                                    });
-                                }
-                                channels[wi].0.send(id).unwrap();
-                            } else {
-                                let mut slot = abort.lock().unwrap();
-                                if slot.is_none() {
-                                    *slot = Some(RunAbort {
-                                        task: id,
-                                        attempts: attempt,
-                                        budget_exhausted: transient,
-                                        error: err.into_inner(),
-                                    });
-                                }
-                                drop(slot);
-                                for (tx, _) in channels.iter() {
-                                    let _ = tx.send(DONE);
-                                }
-                                break;
-                            }
-                            continue;
-                        }
-                        if trace {
-                            buf.push(TraceEvent {
-                                task: id,
-                                phase: TracePhase::Done,
-                                t_ns: clock.now_ns(),
-                            });
-                        }
+        // A worker of `srv` takes the ready lane at the head of its list,
+        // runs the lane's head task, and keeps the lane while it has ready
+        // tasks; it sleeps only while its list is empty.
+        let work = |srv: usize| {
+            let mut wakes = [0usize; 2];
+            let mut st = sched.lock().unwrap();
+            while !st.done {
+                let Some(l) = st.ready[srv].pop_front() else {
+                    notify(&mut wakes);
+                    st = wake[srv].wait(st).unwrap();
+                    continue;
+                };
+                let id = st.queues[l].pop_front().expect("a ready lane has a task");
+                let mut lane = st.idle[l].take().expect("a ready lane is not held");
+                st.attempts[id] += 1;
+                let attempt = st.attempts[id];
+                drop(st);
+                notify(&mut wakes);
+
+                let w = sorted[l];
+                if trace {
+                    lane.events.push(event(id, TracePhase::Running));
+                }
+                let ctx = lane.ctx.get_or_insert_with(|| mk_ctx(w));
+                // A panicking handler must not leave the other workers
+                // waiting for ever: stop the run, then propagate.
+                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    run(graph.payload(id), w, ctx, attempt)
+                }))
+                .unwrap_or_else(|payload| {
+                    finish(&mut sched.lock().unwrap());
+                    std::panic::resume_unwind(payload)
+                });
+                let retrying = matches!(result, Err(TaskError::Transient(_)) if attempt < budget);
+                if trace {
+                    let phase = if result.is_ok() { TracePhase::Done } else { TracePhase::Failed };
+                    lane.events.push(event(id, phase));
+                }
+                if retrying {
+                    // Back off, then queue the task again at the back of its
+                    // lane. It has not completed, so no successor was
+                    // released: every edge of the DAG still gates as planned.
+                    std::thread::sleep(Duration::from_micros(retry.backoff_us(attempt)));
+                    if trace {
+                        lane.events.push(event(id, TracePhase::Retried));
+                    }
+                }
+
+                st = sched.lock().unwrap();
+                match result {
+                    Ok(()) => {
                         for &s in &succs[id] {
-                            if indeg[s].fetch_sub(1, Ordering::AcqRel) == 1 {
+                            st.indeg[s] -= 1;
+                            if st.indeg[s] == 0 {
                                 if trace {
-                                    // The releasing worker logs the
-                                    // successor's readiness into its own
-                                    // buffer, keeping ownership strict.
-                                    buf.push(TraceEvent {
-                                        task: s,
-                                        phase: TracePhase::Ready,
-                                        t_ns: clock.now_ns(),
-                                    });
+                                    // Stamped under the lock, so a lane's
+                                    // queue order is its Ready order.
+                                    lane.events.push(event(s, TracePhase::Ready));
                                 }
-                                channels[widx(graph.worker(s))].0.send(s).unwrap();
+                                if st.push(lane_of[s], s) {
+                                    wakes[st.server[lane_of[s]]] += 1;
+                                }
                             }
                         }
-                        if remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                            // Last task done: poison every queue so all
-                            // workers (including this one) exit.
-                            for (tx, _) in channels.iter() {
-                                let _ = tx.send(DONE);
-                            }
-                            break;
+                        st.remaining -= 1;
+                        if st.remaining == 0 {
+                            finish(&mut st);
                         }
                     }
-                };
-                lane.spawn_scoped(scope, body).expect("spawn a lane thread");
+                    Err(_) if retrying => st.queues[l].push_back(id),
+                    Err(err) => {
+                        // The first terminal error wins.
+                        st.abort.get_or_insert(RunAbort {
+                            task: id,
+                            attempts: attempt,
+                            budget_exhausted: matches!(err, TaskError::Transient(_)),
+                            error: err.into_inner(),
+                        });
+                        finish(&mut st);
+                    }
+                }
+                st.idle[l] = Some(lane);
+                if !st.queues[l].is_empty() {
+                    st.ready[srv].push_front(l);
+                } else if wakes[srv] > 0 {
+                    // This worker serves one of the lanes it made ready.
+                    wakes[srv] -= 1;
+                }
+            }
+        };
+
+        // Named, so `/proc/<pid>/task/*` and samplers tell the pool
+        // (`bst.w{i}`) from the lane with its own thread (`n{node}.l{lane}`).
+        std::thread::scope(|scope| {
+            let spawn = |name: String, srv: usize| {
+                let work = &work;
+                let thread = std::thread::Builder::new().name(name);
+                thread.spawn_scoped(scope, move || work(srv)).expect("spawn an engine thread");
+            };
+            (0..threads).for_each(|i| spawn(format!("bst.w{i}"), POOL));
+            if let Some(w) = self.own_thread {
+                spawn(format!("n{}.l{}", w.node, w.lane), OWN);
             }
         });
 
-        if let Some(abort) = abort.into_inner().unwrap() {
+        let st = sched.into_inner().unwrap();
+        if let Some(abort) = st.abort {
             return Err(abort);
         }
-
-        // All tasks must have completed.
-        assert_eq!(
-            remaining.load(Ordering::Acquire),
-            0,
-            "deadlock: tasks never became ready (cycle through control edges?)"
-        );
-
         Ok(FallibleRun {
-            attempts: attempts.iter().map(|a| a.load(Ordering::Relaxed)).collect(),
+            attempts: st.attempts,
             trace: trace.then(|| ExecTrace {
                 workers: sorted
                     .into_iter()
-                    .zip(bufs)
-                    .map(|(worker, events)| WorkerTrace { worker, events })
+                    .zip(st.idle)
+                    .map(|(worker, lane)| WorkerTrace {
+                        worker,
+                        events: lane.expect("every lane is returned").events,
+                    })
                     .collect(),
                 seed_events,
                 total_ns: clock.now_ns(),
             }),
         })
+    }
+}
+
+/// The ready list of the pooled workers, and of the lane with its own thread.
+const POOL: usize = 0;
+const OWN: usize = 1;
+
+/// What travels with a lane between workers: its context (built on its
+/// first task) and its trace buffer.
+struct Lane<Ctx> {
+    ctx: Option<Ctx>,
+    events: Vec<TraceEvent>,
+}
+
+/// The scheduler state, behind one lock.
+struct Sched<Ctx, E> {
+    /// Per lane: its ready tasks (FIFO), its state while no worker holds
+    /// it, and its server ([`POOL`] or [`OWN`]).
+    queues: Vec<VecDeque<TaskId>>,
+    idle: Vec<Option<Lane<Ctx>>>,
+    server: Vec<usize>,
+    /// Per server: the ready lanes no worker holds, FIFO.
+    ready: [VecDeque<usize>; 2],
+    /// Per task: unfinished dependencies and handler attempts.
+    indeg: Vec<usize>,
+    attempts: Vec<u32>,
+    remaining: usize,
+    /// All tasks completed, or the run aborted.
+    done: bool,
+    abort: Option<RunAbort<E>>,
+}
+
+impl<Ctx, E> Sched<Ctx, E> {
+    /// Queues ready task `id` on lane `l`; returns whether the lane became
+    /// ready (it was idle with nothing queued).
+    fn push(&mut self, l: usize, id: TaskId) -> bool {
+        self.queues[l].push_back(id);
+        let became_ready = self.queues[l].len() == 1 && self.idle[l].is_some();
+        if became_ready {
+            self.ready[self.server[l]].push_back(l);
+        }
+        became_ready
     }
 }
 
@@ -401,6 +449,15 @@ where
 mod tests {
     use super::*;
     use parking_lot::Mutex;
+    use proptest::prelude::*;
+
+    impl<T> Engine<T> {
+        /// This engine with a pool of `threads` workers instead of one per
+        /// core: the crate-private way to size the pool.
+        fn with_threads(self, threads: usize) -> Self {
+            Self { threads, ..self }
+        }
+    }
 
     fn w(node: usize, lane: usize) -> WorkerId {
         WorkerId { node, lane }
@@ -523,5 +580,113 @@ mod tests {
             .unwrap();
         let total: u64 = sums.lock().values().sum();
         assert_eq!(total, (0..100).sum::<u64>());
+    }
+
+    /// Runs task 0 (on `wait`, which blocks until task 1 has run) and task
+    /// 1 (on the CPU lane) with a pool of one worker, giving `wait` a
+    /// thread of its own when `own` is set. Returns whether the run
+    /// completed within `patience`; if not, opens the gate itself so the
+    /// stuck run can finish.
+    fn completes_within(own: bool, patience: Duration) -> bool {
+        let wait = w(0, 9);
+        let mut g: TaskGraph<u32> = TaskGraph::new();
+        g.add_task(0, wait);
+        g.add_task(1, w(0, 0));
+        let gate = (std::sync::Mutex::new(false), Condvar::new());
+        let open = || {
+            *gate.0.lock().unwrap() = true;
+            gate.1.notify_all();
+        };
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                Engine::new()
+                    .with_own_thread(own.then_some(wait))
+                    .with_threads(1)
+                    .run(&g, &[w(0, 0), wait], |_| (), |&v, _, _, _| {
+                        if v == 0 {
+                            let mut opened = gate.0.lock().unwrap();
+                            while !*opened {
+                                opened = gate.1.wait(opened).unwrap();
+                            }
+                        } else {
+                            open();
+                        }
+                        Ok::<(), TaskError<Infallible>>(())
+                    })
+                    .unwrap();
+                tx.send(()).unwrap();
+            });
+            let done = rx.recv_timeout(patience).is_ok();
+            open();
+            done
+        })
+    }
+
+    #[test]
+    fn a_lane_with_its_own_thread_may_block_on_the_pool() {
+        assert!(completes_within(true, Duration::from_secs(30)));
+        // Pooled, the blocking lane takes the one worker first and the
+        // task it waits for never runs.
+        assert!(!completes_within(false, Duration::from_millis(300)));
+    }
+
+    proptest! {
+        /// With more lanes than pooled workers, a lane's tasks never
+        /// overlap and run in the order they became ready, and the trace
+        /// validates.
+        #[test]
+        fn pooled_lanes_keep_fifo_order_and_exclusivity(
+            n in 1usize..60,
+            raw_edges in prop::collection::vec((0usize..1000, 0usize..1000), 0..120),
+            lanes in 3usize..7,
+            threads in 1usize..3,
+        ) {
+            let workers: Vec<WorkerId> = (0..lanes).map(|l| w(l % 2, l)).collect();
+            let mut g: TaskGraph<usize> = TaskGraph::new();
+            for i in 0..n {
+                g.add_task(i, workers[(i * 7 + i / 3) % lanes]);
+            }
+            for &(a, b) in &raw_edges {
+                let (x, y) = (a % n, b % n);
+                if x != y {
+                    g.add_dep(x.max(y), x.min(y));
+                }
+            }
+            let busy: Vec<std::sync::atomic::AtomicBool> =
+                (0..lanes).map(|_| Default::default()).collect();
+            let overlap = std::sync::atomic::AtomicBool::new(false);
+            let run = Engine::new()
+                .tracing()
+                .with_threads(threads)
+                .run(&g, &workers, |_| (), |_, wid, _, _| {
+                    use std::sync::atomic::Ordering::SeqCst;
+                    if busy[wid.lane].swap(true, SeqCst) {
+                        overlap.store(true, SeqCst);
+                    }
+                    std::thread::yield_now();
+                    busy[wid.lane].store(false, SeqCst);
+                    Ok::<(), TaskError<Infallible>>(())
+                })
+                .unwrap();
+            prop_assert!(!overlap.into_inner(), "two tasks of one lane overlapped");
+            let trace = run.trace.unwrap();
+            let errors = trace.validate(&g);
+            prop_assert!(errors.is_empty(), "{errors:?}");
+            let spans = trace.task_spans();
+            for wt in &trace.workers {
+                let ran: Vec<TaskId> = wt
+                    .events
+                    .iter()
+                    .filter(|e| e.phase == TracePhase::Running)
+                    .map(|e| e.task)
+                    .collect();
+                for pair in ran.windows(2) {
+                    let (a, b) = (spans[&pair[0]], spans[&pair[1]]);
+                    prop_assert!(a.ready_ns <= b.ready_ns, "{:?} out of ready order", wt.worker);
+                    prop_assert!(a.end_ns <= b.start_ns, "{:?} overlapped", wt.worker);
+                }
+            }
+        }
     }
 }

@@ -5,21 +5,15 @@
 //! the caller decides whether an edge means "data flows here" or "control
 //! only" — the scheduler treats both identically, as PaRSEC's PTG does.
 //!
-//! Execution lives in [`crate::engine`]:
-//! [`Engine::run`](crate::engine::Engine::run) spawns one OS thread per
-//! worker; each worker pulls ready tasks from its own FIFO; completing a
-//! task decrements the indegree of its successors, enqueueing those that
-//! become ready onto *their* worker's FIFO. Worker panics propagate to the
-//! caller. Tracing, the clock and retry are chosen on
-//! [`Engine`](crate::engine::Engine) (fluent
-//! `.tracing()/.with_clock()/.with_retry()`); infallible handlers go
-//! through the [`infallible`](crate::engine::infallible) adapter.
+//! Execution, and what a lane means to it, lives in [`crate::engine`].
 
 use crate::trace::ExecTrace;
 
 /// Address of an execution lane: a node and a lane within it.
 ///
-/// By convention lane 0 is the node's CPU (communication, B generation) and
+/// A lane is an order, not a thread: its tasks run one at a time, in the
+/// order they became ready, on whichever pooled worker holds it. By
+/// convention lane 0 is the node's CPU (communication, B generation) and
 /// lanes `1..=g` are its GPUs — but the engine imposes no semantics.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct WorkerId {

@@ -16,8 +16,9 @@
 //!   dependencies (dataflow or control flow — the scheduler treats them
 //!   uniformly, exactly like PTG control flows);
 //! * [`engine`] — the single policy-driven scheduler ([`engine::Engine`]):
-//!   one OS thread per *worker* (a CPU lane or a GPU lane of a simulated
-//!   node), with tracing ([`engine::Tracer`]), the timestamp clock and
+//!   a *lane* (a CPU lane or a GPU lane of a simulated node) is a FIFO of
+//!   ready tasks, and one pooled worker per core serves every lane, with
+//!   tracing ([`engine::Tracer`]), the timestamp clock and
 //!   transient-failure retry ([`graph::RetryOptions`]) chosen independently
 //!   on the one scheduler;
 //! * [`data`] — per-node [`data::TileStore`]s with consumer reference
@@ -34,7 +35,7 @@
 //!   GPU memory (loads fail rather than silently exceed capacity) plus a
 //!   node-level residency registry enabling device-to-device transfers when
 //!   a sibling GPU already holds a tile (the NVLink path of §4);
-//! * [`trace`] — lock-cheap per-worker task life-cycle recording (the
+//! * [`trace`] — lock-cheap per-lane task life-cycle recording (the
 //!   [`engine::Recorder`] tracing policy), trace well-formedness
 //!   validation, and exporters (Chrome-trace JSON, plain-text summary).
 //!

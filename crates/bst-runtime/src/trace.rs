@@ -4,12 +4,13 @@
 //! ([`Engine::tracing`](crate::engine::Engine::tracing))
 //! records the full life-cycle of every task — *ready* (last dependency
 //! completed, or initially dependency-free), *running* (a worker picked it
-//! up), *done* (the handler returned) — into **per-worker event buffers**
-//! with strict thread ownership: each worker thread appends only to its own
-//! buffer, the main thread only to the submission buffer, so recording costs
-//! one `Vec::push` per event and takes no locks. Timestamps come from one
-//! shared monotonic epoch ([`TraceClock`]), so every buffer is individually
-//! non-decreasing and buffers are mutually comparable.
+//! up), *done* (the handler returned) — into **per-lane event buffers**
+//! with strict ownership: only the worker holding a lane appends to its
+//! buffer (the buffer moves with the lane), the main thread only to the
+//! submission buffer, so recording costs one `Vec::push` per event.
+//! Timestamps come from one shared monotonic epoch ([`TraceClock`]), so
+//! every buffer is individually non-decreasing and buffers are mutually
+//! comparable.
 //!
 //! On top of the raw [`ExecTrace`] this module provides:
 //!
@@ -221,7 +222,7 @@ impl std::error::Error for TraceError {}
 /// The full trace of one [`TaskGraph`] execution.
 #[derive(Clone, Debug, Default)]
 pub struct ExecTrace {
-    /// One buffer per worker, each recorded exclusively by its own thread.
+    /// One buffer per lane, each recorded only by the worker holding it.
     pub workers: Vec<WorkerTrace>,
     /// Ready events of initially-dependency-free tasks, recorded by the
     /// submitting thread before the workers start.

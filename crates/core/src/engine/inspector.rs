@@ -203,8 +203,10 @@ pub fn gpu_lane(node: usize, gpu: usize) -> WorkerId {
     WorkerId { node, lane: 1 + gpu }
 }
 
-/// Dedicated `GenB` worker lanes per node: generation is dealt round-robin
-/// across them so it overlaps with communication (lane 0) and compute.
+/// `GenB` lanes per node: generation is dealt round-robin across them so
+/// two tiles can be generated at once, beside communication (lane 0) and
+/// compute. A lane is an order, not a thread: the engine's pooled workers
+/// (one per core) serve every lane.
 pub const GENB_LANES: usize = 2;
 
 /// How many B tiles a device lane's generation may run ahead of its
@@ -224,7 +226,7 @@ pub fn host_b_window_bytes(largest_tile: u64, gpu_mem_bytes: u64) -> u64 {
     staged + GENB_LANES as u64 * largest_tile
 }
 
-/// A node's dedicated `GenB` worker lane; these sit above the GPU lanes
+/// A node's `GenB` lane; these sit above the GPU lanes
 /// (`lane = 1 + gpus_per_node + worker`, `worker < GENB_LANES`).
 pub fn genb_lane(gpus_per_node: usize, node: usize, worker: usize) -> WorkerId {
     WorkerId {
@@ -294,8 +296,8 @@ pub struct ReduceNode {
 pub struct Lowered {
     /// The task DAG (dataflow + control edges).
     pub graph: TaskGraph<Op>,
-    /// Every worker lane tasks are pinned to: per node, the CPU lane, the
-    /// GPU lanes, then the `GenB` worker lanes.
+    /// Every lane tasks are pinned to: per node, the CPU lane, the GPU
+    /// lanes, then the `GenB` lanes.
     pub workers: Vec<WorkerId>,
     /// `Gemm` stack count per `(node, B tile)` some stack reads: the tile
     /// leaves the device after that many (> 1 only in multi-chunk blocks).
@@ -316,6 +318,10 @@ pub struct Lowered {
     /// (shared, not copied, by [`Lowered::restrict`]), so an `Op` stays
     /// plain data and a stack allocates nothing of its own.
     pub stack_rows: Arc<[u32]>,
+    /// The lane [`Lowered::restrict`] moves the `RecvA`s to: the one lane
+    /// whose tasks block on another process, so the engine serves it from
+    /// a thread of its own rather than the pool. `None` in-process.
+    pub wait_lane: Option<WorkerId>,
 }
 
 impl Lowered {
@@ -367,14 +373,10 @@ impl Lowered {
         // (two ranks each blocked ahead of the very send the other is
         // waiting for). Lane 0 keeps the `SendA`s, which depend on no task,
         // and the `ReduceC`, which folds what its own flushes left (ordered
-        // by edges the projection keeps) and waits on no peer.
-        let wait_lane = 1 + self
-            .workers
-            .iter()
-            .filter(|w| w.node == rank)
-            .map(|w| w.lane)
-            .max()
-            .unwrap_or(0);
+        // by edges the projection keeps) and waits on no peer. The wait
+        // lane keeps a thread of its own: pooled, it would starve the pool.
+        let top = self.workers.iter().filter(|w| w.node == rank).map(|w| w.lane).max();
+        let wait_lane = WorkerId { node: rank, lane: 1 + top.unwrap_or(0) };
         let mut graph: TaskGraph<Op> = TaskGraph::new();
         let mut remap: HashMap<TaskId, TaskId> = HashMap::new();
         for id in 0..self.graph.len() {
@@ -384,7 +386,7 @@ impl Lowered {
             }
             let op = self.graph.payload(id);
             if matches!(op, Op::RecvA { .. }) {
-                w = WorkerId { node: rank, lane: wait_lane };
+                w = wait_lane;
             }
             let new_id = graph.add_task(op.clone(), w);
             for &dep in self.graph.deps(id) {
@@ -396,7 +398,7 @@ impl Lowered {
         }
         let mut workers: Vec<WorkerId> =
             self.workers.iter().copied().filter(|w| w.node == rank).collect();
-        workers.push(WorkerId { node: rank, lane: wait_lane });
+        workers.push(wait_lane);
         Lowered {
             graph,
             workers,
@@ -406,6 +408,7 @@ impl Lowered {
             topology: self.topology,
             reduce: self.reduce.clone(),
             stack_rows: Arc::clone(&self.stack_rows),
+            wait_lane: Some(wait_lane),
         }
     }
 }
@@ -678,5 +681,6 @@ pub fn lower(spec: &ProblemSpec, plan: &ExecutionPlan, opts: &ExecOptions) -> Lo
         topology: Topology::new(n_nodes, opts.node_size.max(1)),
         reduce,
         stack_rows: stack_rows.into(),
+        wait_lane: None,
     }
 }

@@ -15,10 +15,12 @@ use bst_runtime::device::{CoordMap, DeviceMemory, DeviceOom, DeviceStats, NodeRe
 use bst_runtime::trace::{MemSample, TraceClock};
 use bst_tile::Tile;
 
-/// Per-worker mutable context: CPU lanes carry no state; GPU lanes own a
-/// [`MemoryManager`].
+/// Per-lane mutable context: CPU lanes carry no state; GPU lanes own a
+/// [`MemoryManager`], built on the lane's first task, which moves with the
+/// lane between the engine's pooled workers.
 pub(crate) enum Ctx {
-    /// Lane 0 (`SendA`/`RecvA`, `ReduceC`) and the dedicated `GenB` lanes.
+    /// Lane 0 (`SendA`/`RecvA`, `ReduceC`), the `GenB` lanes and the wait
+    /// lane.
     Cpu,
     /// A GPU executor lane.
     Gpu(Box<MemoryManager>),

@@ -5,14 +5,14 @@
 //!
 //! * **dataflow tasks** — `SendA` (A-tile broadcast across a grid row),
 //!   `GenB` (on-demand generation of B tiles on the node that needs them,
-//!   fanned across [`inspector::GENB_LANES`] CPU worker lanes, in the order
+//!   fanned across [`inspector::GENB_LANES`] CPU lanes, in the order
 //!   the device lanes first read them), `LoadBlock` (a block's C
 //!   allocation), `LoadA` (host→device transfers), `Gemm` (the computation:
 //!   a *stack* of products — every row of one chunk against one B tile,
 //!   which the block's first stack on it brings to the device and its last
 //!   one frees — each product one call of the kernel
-//!   [`bst_tile::kernel::select_heuristic`] picks for its shape, on the
-//!   device lane's own thread),
+//!   [`bst_tile::kernel::select_heuristic`] picks for its shape, run by
+//!   whichever pooled worker holds the device lane),
 //!   `EvictChunk`/`FlushBlock` (device memory recycling and C write-back);
 //! * **control-flow edges** — `LoadBlock(b+1)` waits for `FlushBlock(b)`
 //!   (blocks are transferred blockingly, §3.2.2), the `LoadA` tasks of
@@ -28,6 +28,11 @@
 //! Every node's tiles live in its private [`bst_runtime::TileStore`]; `A`
 //! starts 2D-cyclic-distributed and crosses node boundaries only through
 //! explicit `SendA` tasks.
+//!
+//! A lane is an order, not a thread: one worker per core serves every lane
+//! of every simulated node, as PaRSEC's do. A task may block only on a
+//! progress or pump thread; [`inspector::Lowered::wait_lane`], which waits
+//! on other processes, keeps a thread of its own.
 //!
 //! The engine is split by responsibility:
 //!
@@ -288,7 +293,7 @@ pub(crate) fn run(
 
     let mk_ctx = |w: WorkerId| {
         if w.lane == 0 || w.lane > g {
-            Ctx::Cpu // lane 0: SendA/RecvA/ReduceC; lanes > g: GenB workers, the wait lane
+            Ctx::Cpu // lane 0: SendA/RecvA/ReduceC; lanes > g: GenB, the wait lane
         } else {
             Ctx::Gpu(Box::new(MemoryManager::new(
                 w.lane - 1,
@@ -304,7 +309,8 @@ pub(crate) fn run(
     // The only branch on tracing is the policy selection — both arms reach
     // the identical Engine::run scheduler; the Recorder arm merely
     // monomorphizes event recording in.
-    let engine = Engine::new().with_clock(clock).with_retry(opts.retry);
+    let engine =
+        Engine::new().with_clock(clock).with_retry(opts.retry).with_own_thread(low.wait_lane);
     // Progress threads live exactly as long as the engine run: spawned just
     // before it, shut down (completion control frames) right after — on the
     // success *and* the abort path, so in-flight frames always drain.
