@@ -239,8 +239,7 @@ struct BCacheInner {
 ///
 /// Eviction is strict LRU against `budget_bytes`; a tile larger than the
 /// whole budget is served but never cached. All methods take `&self`
-/// (internally locked) so one cache can serve a node's generator lanes
-/// concurrently.
+/// (internally locked) so one cache can serve a node's concurrent `GenB`s.
 pub struct BTileCache {
     inner: Mutex<BCacheInner>,
     budget: u64,

@@ -85,8 +85,8 @@ impl CompressionModel {
 /// Replays the numeric engine's lowered task DAG for `(spec, plan)` on
 /// `platform`, returning a traced [`ExecReport`] in the engine's task
 /// vocabulary. `opts` selects the same lowering policies the numeric engine
-/// honors (control-flow edges, `GenB` fan-out); the replay is always traced
-/// regardless of [`ExecOptions::tracing`], since the trace *is* its output.
+/// honors; the replay is always traced regardless of
+/// [`ExecOptions::tracing`], since the trace *is* its output.
 ///
 /// Device memory is not modeled but enforced: every `LoadBlock`/`LoadA`
 /// allocation and every stack's B transfer goes through a real
@@ -130,7 +130,8 @@ pub fn replay_dag(
 
     // Deterministic list schedule, as the engine runs it: a lane takes its
     // tasks in the order they become ready (seeds and ties in id order), one
-    // at a time — with platform costs instead of wall clock. Popping the
+    // at a time — with platform costs instead of wall clock — and an
+    // order-free task starts when it is ready, holding no lane. Popping the
     // earliest-ready task first is sound because a task is ready no earlier
     // than the task that released it was.
     let n = low.graph.len();
@@ -156,7 +157,8 @@ pub fn replay_dag(
     while let Some(Reverse((ready_ns, id))) = ready.pop() {
         let op = low.graph.payload(id);
         let w = low.graph.worker(id);
-        let start_ns = ready_ns.max(*lane_free.entry(w).or_insert(0));
+        let lane_ns = if w.is_any() { 0 } else { *lane_free.entry(w).or_insert(0) };
+        let start_ns = ready_ns.max(lane_ns);
 
         let mut sample_after: Option<(usize, usize)> = None;
         let dur = match op {
@@ -268,7 +270,9 @@ pub fn replay_dag(
 
         let end_ns = start_ns + dur;
         end[id] = end_ns;
-        lane_free.insert(w, end_ns);
+        if !w.is_any() {
+            lane_free.insert(w, end_ns);
+        }
         for &s in &succs[id] {
             waiting[s] -= 1;
             if waiting[s] == 0 {

@@ -19,8 +19,8 @@ use bst_tile::Tile;
 /// [`MemoryManager`], built on the lane's first task, which moves with the
 /// lane between the engine's pooled workers.
 pub(crate) enum Ctx {
-    /// Lane 0 (`SendA`/`RecvA`, `ReduceC`), the `GenB` lanes and the wait
-    /// lane.
+    /// Lane 0 (`SendA`/`RecvA`, `ReduceC`), the wait lane and the
+    /// order-free `GenB`s.
     Cpu,
     /// A GPU executor lane.
     Gpu(Box<MemoryManager>),

@@ -204,8 +204,8 @@ impl ExecReport {
 
     /// The maximum number of `GenB` task spans overlapping in time on any
     /// single node of this traced report — `1` means generation was fully
-    /// serialised, `> 1` means the `GenB` worker fan-out actually
-    /// overlapped generation.
+    /// serialised, `> 1` means pooled workers actually overlapped
+    /// generation (never more than there are workers).
     ///
     /// # Panics
     /// Panics if the report carries no trace (run with
@@ -328,7 +328,7 @@ pub fn validate_trace_invariants(report: &ExecReport, gpu_capacity: u64) -> Vec<
     }
 
     let mut by_lane: HashMap<WorkerId, Vec<&TaskRecord>> = HashMap::new();
-    // Each node's `GenB` spans by `(node, k, j)`, whatever lane ran them.
+    // Each node's `GenB` spans by `(node, k, j)`, whatever worker ran them.
     let mut genb: HashMap<(usize, u64, u64), (u64, u64)> = HashMap::new();
     for r in &trace.records {
         by_lane.entry(r.worker).or_default().push(r);
@@ -337,8 +337,8 @@ pub fn validate_trace_invariants(report: &ExecReport, gpu_capacity: u64) -> Vec<
         }
     }
     for (lane, records) in &by_lane {
-        if lane.lane == 0 {
-            continue; // CPU lanes have no device discipline to check
+        if lane.lane == 0 || lane.is_any() {
+            continue; // CPU lanes and `GenB`s have no device discipline to check
         }
         // Indexed once per lane, so the check is linear in the trace: the
         // earliest finish of a `LoadA` per tile, and the `LoadBlock` spans by

@@ -97,8 +97,8 @@ fn every_policy_combination_runs_the_same_work() {
 #[test]
 fn traced_faulted_fanout_records_retries_on_their_lanes() {
     // The deepest stack — tracing × faults × fan-out — exercised in one run:
-    // the trace must attribute retried tasks to the workers that retried
-    // them, including the dedicated GenB lanes.
+    // the trace must attribute retried tasks to the lanes that retried
+    // them, and the order-free GenBs to theirs.
     let (spec, plan) = problem();
     let a = BlockSparseMatrix::random_from_structure(spec.a.clone(), 3);
     let b_gen = |k: usize, j: usize, r: usize, c: usize, pool: &TilePool| {
