@@ -134,7 +134,7 @@ enum Event {
     Result { rank: usize, tiles: Vec<(u32, u32, Tile)> },
     Done { stats: WorkerStats },
     Pong { rank: usize },
-    Abort { reason: String },
+    Abort { rank: usize, reason: String },
     Eof { rank: usize },
 }
 
@@ -203,7 +203,7 @@ fn control_reader(rank: usize, mut conn: Conn, tx: Sender<Event>) {
                 Event::Done { stats: WorkerStats { rank, sent_msgs, recv_msgs, c_tiles, c_bytes } }
             }
             Ok(Some(Msg::Ctl(Ctl::Pong(_)))) => Event::Pong { rank },
-            Ok(Some(Msg::Ctl(Ctl::Abort(reason)))) => Event::Abort { reason },
+            Ok(Some(Msg::Ctl(Ctl::Abort(reason)))) => Event::Abort { rank, reason },
             Ok(Some(_)) => continue,
             Ok(None) | Err(_) => {
                 let _ = tx.send(Event::Eof { rank });
@@ -221,6 +221,37 @@ fn kill_fleet(children: &mut [Child]) {
         let _ = child.kill();
         let _ = child.wait();
     }
+}
+
+/// How long the launcher waits, after a worker's `Abort`, for the EOF of a
+/// rank that died: a survivor's failed send to a killed peer may reach the
+/// launcher before the kernel closes the killed rank's control connection.
+const ABORT_GRACE: Duration = Duration::from_millis(500);
+
+/// Classifies a worker's `Abort` among `n` ranks, `settled` of which sent
+/// `Done` or `Abort`. A rank that closes its connection within `grace`
+/// having sent neither died, and the abort was a survivor's echo of it:
+/// [`NetError::WorkerDied`], which `launch` recovers from. Otherwise the
+/// job itself failed: [`NetError::Job`] with `reason`.
+fn classify_abort(
+    rx: &Receiver<Event>,
+    reason: String,
+    n: usize,
+    settled: impl IntoIterator<Item = usize>,
+    grace: Duration,
+) -> NetError {
+    let mut settled: std::collections::HashSet<usize> = settled.into_iter().collect();
+    let deadline = Instant::now() + grace;
+    while settled.len() < n {
+        match recv_by(rx, deadline) {
+            Ok(Event::Abort { rank, .. }) => _ = settled.insert(rank),
+            Ok(Event::Done { stats }) => _ = settled.insert(stats.rank),
+            Ok(Event::Eof { rank }) if !settled.contains(&rank) => return NetError::WorkerDied { rank },
+            Ok(_) => {}
+            Err(_) => break,
+        }
+    }
+    NetError::Job(reason)
 }
 
 fn recv_by(rx: &Receiver<Event>, deadline: Instant) -> Result<Event, RecvTimeoutError> {
@@ -315,7 +346,9 @@ fn drive_fleet(
                 conns.insert(rank, Arc::new(Mutex::new(writer)));
             }
             Ok(Event::Eof { rank }) => return Err(NetError::WorkerDied { rank }),
-            Ok(Event::Abort { reason, .. }) => return Err(NetError::Job(reason)),
+            Ok(Event::Abort { rank, reason }) => {
+                return Err(classify_abort(rx, reason, cfg.n, [rank], ABORT_GRACE))
+            }
             Ok(_) => {}
             Err(_) => {
                 return Err(NetError::ConnectTimeout { expected: cfg.n, connected: conns.len() })
@@ -341,7 +374,9 @@ fn drive_fleet(
         match recv_by(rx, deadline) {
             Ok(Event::Ready { rank }) if rank < cfg.n => ready[rank] = true,
             Ok(Event::Eof { rank }) => return Err(NetError::WorkerDied { rank }),
-            Ok(Event::Abort { reason, .. }) => return Err(NetError::Job(reason)),
+            Ok(Event::Abort { rank, reason }) => {
+                return Err(classify_abort(rx, reason, cfg.n, [rank], ABORT_GRACE))
+            }
             Ok(_) => {}
             Err(_) => {
                 return Err(NetError::ConnectTimeout {
@@ -420,7 +455,10 @@ fn drive_fleet(
                     last_seen[rank] = Instant::now();
                 }
             }
-            Ok(Event::Abort { reason, .. }) => return Err(NetError::Job(reason)),
+            Ok(Event::Abort { rank, reason }) => {
+                let settled = done.keys().copied().chain([rank]);
+                return Err(classify_abort(rx, reason, cfg.n, settled, ABORT_GRACE));
+            }
             Ok(Event::Eof { rank }) => {
                 // Natural EOF after Done is a worker exiting cleanly;
                 // anything else is a death.
@@ -433,5 +471,37 @@ fn drive_fleet(
                 return Err(NetError::Protocol("event channel closed".into()))
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Feeds `events` to [`classify_abort`] as the launcher would see them
+    /// after rank 0's `Abort`, among three ranks.
+    fn classify(events: Vec<Event>) -> NetError {
+        let (tx, rx) = channel();
+        events.into_iter().for_each(|e| tx.send(e).expect("the receiver is alive"));
+        classify_abort(&rx, "send failed: Broken pipe".into(), 3, [0], Duration::from_millis(50))
+    }
+
+    #[test]
+    fn abort_followed_by_a_silent_rank_eof_is_a_death() {
+        // Rank 0's own EOF follows its Abort; rank 2 closes with neither.
+        let events = vec![Event::Eof { rank: 0 }, Event::Pong { rank: 1 }, Event::Eof { rank: 2 }];
+        assert_eq!(classify(events), NetError::WorkerDied { rank: 2 });
+    }
+
+    #[test]
+    fn abort_alone_is_a_job_failure() {
+        assert_eq!(classify(Vec::new()), NetError::Job("send failed: Broken pipe".into()));
+        // Every EOF comes from a rank that aborted or finished first.
+        let events = vec![
+            Event::Abort { rank: 1, reason: "peer gone".into() },
+            Event::Eof { rank: 1 },
+            Event::Eof { rank: 0 },
+        ];
+        assert_eq!(classify(events), NetError::Job("send failed: Broken pipe".into()));
     }
 }

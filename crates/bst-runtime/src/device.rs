@@ -14,7 +14,7 @@
 
 use crate::data::DataKey;
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
@@ -126,10 +126,11 @@ pub struct DeviceMemory {
     gpu: usize,
     capacity: u64,
     used: u64,
-    /// bytes and reference count per resident datum: overlapping consumers
-    /// (e.g. a prefetched chunk re-loading a tile the previous chunk still
-    /// holds) share one copy, as PaRSEC's data-copy refcounting does.
-    resident: CoordMap<DataKey, (u64, u32)>,
+    /// bytes, reference count and whether it is in the node registry, per
+    /// resident datum: overlapping consumers (e.g. a prefetched chunk
+    /// re-loading a tile the previous chunk still holds) share one copy, as
+    /// PaRSEC's data-copy refcounting does.
+    resident: CoordMap<DataKey, (u64, u32, bool)>,
     stats: DeviceStats,
     registry: Arc<NodeResidency>,
 }
@@ -152,41 +153,35 @@ impl DeviceMemory {
     /// resident. Consults the node registry to prefer a peer copy (NVLink
     /// d2d) over a host transfer.
     pub fn load(&mut self, key: DataKey, bytes: u64) -> Result<LoadSource, DeviceOom> {
-        if let Some(entry) = self.resident.get_mut(&key) {
-            entry.1 += 1;
+        if !self.reserve(key, bytes, true)? {
             return Ok(LoadSource::Resident);
         }
-        if self.used + bytes > self.capacity {
-            return Err(DeviceOom {
-                key,
-                bytes,
-                used: self.used,
-                capacity: self.capacity,
-            });
-        }
-        self.used += bytes;
-        self.stats.peak_bytes = self.stats.peak_bytes.max(self.used);
         self.stats.loads += 1;
-        self.resident.insert(key, (bytes, 1));
-        let source = if self.registry.present_elsewhere(key, self.gpu) {
+        Ok(if self.registry.add(key, self.gpu) {
             self.stats.d2d_bytes += bytes;
             LoadSource::Peer
         } else {
             self.stats.h2d_bytes += bytes;
             LoadSource::Host
-        };
-        self.registry.add(key, self.gpu);
-        Ok(source)
+        })
     }
 
     /// Reserves `bytes` for datum `key` without any transfer — used for
     /// result tiles allocated and zero-initialised directly on the device
     /// (§5: "C empty, the necessary tiles will be allocated and initialized
-    /// to zero when needed").
+    /// to zero when needed"). No sibling ever loads such a datum, so it
+    /// stays out of the node registry.
     pub fn alloc(&mut self, key: DataKey, bytes: u64) -> Result<(), DeviceOom> {
+        self.reserve(key, bytes, false).map(drop)
+    }
+
+    /// Takes one reference to `key`, reserving its `bytes` if it is not
+    /// resident yet (`shared`: it enters the node registry); returns
+    /// whether it was newly reserved.
+    fn reserve(&mut self, key: DataKey, bytes: u64, shared: bool) -> Result<bool, DeviceOom> {
         if let Some(entry) = self.resident.get_mut(&key) {
             entry.1 += 1;
-            return Ok(());
+            return Ok(false);
         }
         if self.used + bytes > self.capacity {
             return Err(DeviceOom {
@@ -198,9 +193,8 @@ impl DeviceMemory {
         }
         self.used += bytes;
         self.stats.peak_bytes = self.stats.peak_bytes.max(self.used);
-        self.resident.insert(key, (bytes, 1));
-        self.registry.add(key, self.gpu);
-        Ok(())
+        self.resident.insert(key, (bytes, 1, shared));
+        Ok(true)
     }
 
     /// Releases one reference to datum `key`; frees its bytes when the last
@@ -219,14 +213,16 @@ impl DeviceMemory {
         if entry.1 > 0 {
             return false;
         }
-        let bytes = entry.0;
+        let (bytes, shared) = (entry.0, entry.2);
         self.resident.remove(&key);
         self.used -= bytes;
         self.stats.evictions += 1;
         if writeback {
             self.stats.d2h_bytes += bytes;
         }
-        self.registry.remove(key, self.gpu);
+        if shared {
+            self.registry.remove(key, self.gpu);
+        }
         true
     }
 
@@ -251,10 +247,11 @@ impl DeviceMemory {
     }
 }
 
-/// Node-level registry of which GPUs hold which data (enables d2d sourcing).
+/// Node-level registry of which GPUs hold which loaded data (enables d2d
+/// sourcing).
 #[derive(Default)]
 pub struct NodeResidency {
-    map: Mutex<HashMap<DataKey, HashSet<usize>>>,
+    map: Mutex<CoordMap<DataKey, Vec<usize>>>,
 }
 
 impl NodeResidency {
@@ -263,22 +260,20 @@ impl NodeResidency {
         Self::default()
     }
 
-    fn present_elsewhere(&self, key: DataKey, gpu: usize) -> bool {
-        self.map
-            .lock()
-            .get(&key)
-            .map(|s| s.iter().any(|&g| g != gpu))
-            .unwrap_or(false)
-    }
-
-    fn add(&self, key: DataKey, gpu: usize) {
-        self.map.lock().entry(key).or_default().insert(gpu);
+    /// Records that `gpu` holds `key`; returns whether another GPU does.
+    fn add(&self, key: DataKey, gpu: usize) -> bool {
+        let mut map = self.map.lock();
+        let gpus = map.entry(key).or_default();
+        if !gpus.contains(&gpu) {
+            gpus.push(gpu);
+        }
+        gpus.iter().any(|&g| g != gpu)
     }
 
     fn remove(&self, key: DataKey, gpu: usize) {
         let mut map = self.map.lock();
         if let Some(s) = map.get_mut(&key) {
-            s.remove(&gpu);
+            s.retain(|&g| g != gpu);
             if s.is_empty() {
                 map.remove(&key);
             }
@@ -289,6 +284,7 @@ impl NodeResidency {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     fn dev(cap: u64) -> DeviceMemory {
         DeviceMemory::new(0, cap, Arc::new(NodeResidency::new()))
@@ -407,5 +403,10 @@ mod tests {
         g0.evict(DataKey::A(2, 3), false);
         g1.evict(DataKey::A(2, 3), false);
         assert_eq!(g0.load(DataKey::A(2, 3), 10).unwrap(), LoadSource::Host);
+        // An allocated result tile is private to its device.
+        g0.alloc(DataKey::C(0, 0), 10).unwrap();
+        assert_eq!(g1.load(DataKey::C(0, 0), 10).unwrap(), LoadSource::Host);
+        assert!(g0.evict(DataKey::C(0, 0), true));
+        assert!(reg.map.lock().contains_key(&DataKey::C(0, 0)), "g1's load stays registered");
     }
 }

@@ -212,7 +212,7 @@ impl<T: Tracer> Engine<T> {
             assert_ne!(w[0], w[1], "duplicate worker {:?}", w[0]);
         });
         let pinned = sorted.len();
-        let lane_of: Vec<usize> = (0..graph.len())
+        let lane_of: Vec<u32> = (0..graph.len())
             .map(|id| match graph.worker(id) {
                 w if w.is_any() => {
                     sorted.push(w);
@@ -221,14 +221,8 @@ impl<T: Tracer> Engine<T> {
                 w => sorted[..pinned]
                     .binary_search(&w)
                     .unwrap_or_else(|_| panic!("task pinned to unknown worker {w:?}")),
-            })
+            } as u32)
             .collect();
-        let mut succs: Vec<Vec<TaskId>> = vec![Vec::new(); graph.len()];
-        for id in 0..graph.len() {
-            for &d in graph.deps(id) {
-                succs[d].push(id);
-            }
-        }
         let server: Vec<usize> =
             sorted.iter().map(|&w| usize::from(self.own_thread == Some(w))).collect();
         let cores = std::thread::available_parallelism().map_or(1, usize::from);
@@ -242,7 +236,7 @@ impl<T: Tracer> Engine<T> {
             idle: (0..sorted.len()).map(|_| Some(Lane { ctx: None, events: Vec::new() })).collect(),
             server,
             ready: [VecDeque::new(), VecDeque::new()],
-            indeg: (0..graph.len()).map(|id| graph.deps(id).len()).collect(),
+            indeg: (0..graph.len()).map(|id| graph.deps(id).len() as u32).collect(),
             attempts: vec![0; graph.len()],
             remaining: graph.len(),
             done: false,
@@ -256,7 +250,7 @@ impl<T: Tracer> Engine<T> {
             if trace {
                 seed_events.push(event(id, TracePhase::Ready));
             }
-            sched.push(lane_of[id], id);
+            sched.push(lane_of[id] as usize, id);
         }
         let sched = Mutex::new(sched);
         let wake = [Condvar::new(), Condvar::new()];
@@ -321,7 +315,7 @@ impl<T: Tracer> Engine<T> {
                 st = sched.lock().unwrap();
                 match result {
                     Ok(()) => {
-                        for &s in &succs[id] {
+                        for s in graph.successors(id) {
                             st.indeg[s] -= 1;
                             if st.indeg[s] == 0 {
                                 if trace {
@@ -329,8 +323,9 @@ impl<T: Tracer> Engine<T> {
                                     // queue order is its Ready order.
                                     lane.events.push(event(s, TracePhase::Ready));
                                 }
-                                if st.push(lane_of[s], s) {
-                                    wakes[st.server[lane_of[s]]] += 1;
+                                let ls = lane_of[s] as usize;
+                                if st.push(ls, s) {
+                                    wakes[st.server[ls]] += 1;
                                 }
                             }
                         }
@@ -418,7 +413,7 @@ struct Sched<Ctx, E> {
     /// Per server: the ready lanes no worker holds, FIFO.
     ready: [VecDeque<usize>; 2],
     /// Per task: unfinished dependencies and handler attempts.
-    indeg: Vec<usize>,
+    indeg: Vec<u32>,
     attempts: Vec<u32>,
     remaining: usize,
     /// All tasks completed, or the run aborted.
@@ -480,8 +475,8 @@ mod tests {
         let mut g: TaskGraph<u32> = TaskGraph::new();
         let src = g.add_task(0, w(0, 0));
         let l = g.add_task(1, WorkerId::any(0));
-        let r = g.add_task(2, w(1, 0));
         g.add_dep(l, src);
+        let r = g.add_task(2, w(1, 0));
         g.add_dep(r, src);
         let sink = g.add_task(3, w(0, 0));
         g.add_dep(sink, l);
@@ -663,6 +658,14 @@ mod tests {
             // Tasks 0 and 1 are order-free seeds that (on two workers) wait
             // for each other to start; the rest are pinned or order-free.
             let mut g: TaskGraph<usize> = TaskGraph::new();
+            // The raw edges, declared task by task in the order drawn.
+            let mut deps: Vec<Vec<usize>> = vec![Vec::new(); n + 2];
+            for &(a, b) in &raw_edges {
+                let (x, y) = (2 + a % n, 2 + b % n);
+                if x != y {
+                    deps[x.max(y)].push(x.min(y));
+                }
+            }
             g.add_task(0, WorkerId::any(0));
             g.add_task(1, WorkerId::any(1));
             for i in 2..n + 2 {
@@ -672,12 +675,7 @@ mod tests {
                     workers[(i * 7 + i / 3) % lanes]
                 };
                 g.add_task(i, on);
-            }
-            for &(a, b) in &raw_edges {
-                let (x, y) = (2 + a % n, 2 + b % n);
-                if x != y {
-                    g.add_dep(x.max(y), x.min(y));
-                }
+                deps[i].iter().for_each(|&d| g.add_dep(i, d));
             }
             let busy: Vec<AtomicBool> = (0..lanes).map(|_| Default::default()).collect();
             let overlap = AtomicBool::new(false);

@@ -2,13 +2,14 @@
 //!
 //! A [`TaskGraph`] is a DAG of payload-carrying tasks, each pinned to a
 //! [`WorkerId`] (a lane of a simulated node) or order-free
-//! ([`WorkerId::any`]). Edges are plain dependencies;
+//! ([`WorkerId::any`]), stored in flat arrays. Edges are plain dependencies;
 //! the caller decides whether an edge means "data flows here" or "control
 //! only" — the scheduler treats both identically, as PaRSEC's PTG does.
 //!
 //! Execution, and what a lane means to it, lives in [`crate::engine`].
 
 use crate::trace::ExecTrace;
+use std::sync::OnceLock;
 
 /// Address of an execution lane: a node and a lane within it.
 ///
@@ -142,20 +143,35 @@ impl FallibleRun {
     }
 }
 
-struct TaskNode<T> {
-    payload: T,
-    worker: WorkerId,
+/// A DAG of tasks pinned to workers, stored flat: payloads and workers one
+/// entry per task, and every task's dependencies back to back in task order
+/// (compressed rows), so the graph holds a handful of allocations however
+/// many tasks it has. A task's dependencies are declared right after it is
+/// added. The successor lists, in the same form, are built on first use.
+pub struct TaskGraph<T> {
+    payloads: Vec<T>,
+    workers: Vec<WorkerId>,
+    /// `deps[dep_at[t]..dep_at[t + 1]]` are task `t`'s dependencies.
+    dep_at: Vec<u32>,
     deps: Vec<TaskId>,
+    succs: OnceLock<Successors>,
 }
 
-/// A DAG of tasks pinned to workers.
-pub struct TaskGraph<T> {
-    tasks: Vec<TaskNode<T>>,
+/// Every task's successors, ascending, back to back: `ids[at[t]..at[t + 1]]`.
+struct Successors {
+    at: Vec<u32>,
+    ids: Vec<u32>,
 }
 
 impl<T> Default for TaskGraph<T> {
     fn default() -> Self {
-        Self { tasks: Vec::new() }
+        Self {
+            payloads: Vec::new(),
+            workers: Vec::new(),
+            dep_at: vec![0],
+            deps: Vec::new(),
+            succs: OnceLock::new(),
+        }
     }
 }
 
@@ -168,50 +184,73 @@ impl<T> TaskGraph<T> {
     /// Adds a task pinned to `worker` (or order-free, under
     /// [`WorkerId::any`]); returns its id.
     pub fn add_task(&mut self, payload: T, worker: WorkerId) -> TaskId {
-        self.tasks.push(TaskNode {
-            payload,
-            worker,
-            deps: Vec::new(),
-        });
-        self.tasks.len() - 1
+        assert!(self.payloads.len() < u32::MAX as usize, "task ids fit a u32");
+        self.payloads.push(payload);
+        self.workers.push(worker);
+        self.dep_at.push(self.dep_at[self.payloads.len() - 1]);
+        self.succs.take();
+        self.payloads.len() - 1
     }
 
     /// Declares that `task` depends on `dep` (dep must complete first).
     ///
     /// # Panics
-    /// Panics if either id is out of range or `dep >= task` is violated in a
-    /// way that would create a cycle (dependencies must point at
+    /// Panics unless `task` is the task added last (a task's dependencies
+    /// are declared right after it) and `dep < task` (dependencies point at
     /// previously-created tasks, which makes the graph acyclic by
     /// construction).
     pub fn add_dep(&mut self, task: TaskId, dep: TaskId) {
-        assert!(task < self.tasks.len(), "unknown task {task}");
+        assert_eq!(task + 1, self.payloads.len(), "dependencies of task {task} must follow it");
         assert!(dep < task, "dependency {dep} must be created before task {task}");
-        self.tasks[task].deps.push(dep);
+        self.deps.push(dep);
+        *self.dep_at.last_mut().expect("one offset per task, plus one") =
+            u32::try_from(self.deps.len()).expect("edge counts fit a u32");
+        self.succs.take();
     }
 
     /// Number of tasks.
     pub fn len(&self) -> usize {
-        self.tasks.len()
+        self.payloads.len()
     }
 
     /// Whether the graph has no tasks.
     pub fn is_empty(&self) -> bool {
-        self.tasks.is_empty()
+        self.payloads.is_empty()
     }
 
     /// Payload of a task.
     pub fn payload(&self, id: TaskId) -> &T {
-        &self.tasks[id].payload
+        &self.payloads[id]
     }
 
     /// Worker of a task.
     pub fn worker(&self, id: TaskId) -> WorkerId {
-        self.tasks[id].worker
+        self.workers[id]
     }
 
-    /// Dependencies of a task.
+    /// Dependencies of a task, in the order they were declared.
     pub fn deps(&self, id: TaskId) -> &[TaskId] {
-        &self.tasks[id].deps
+        &self.deps[self.dep_at[id] as usize..self.dep_at[id + 1] as usize]
+    }
+
+    /// The tasks that depend on `id`, in ascending id (once per declared
+    /// edge). The first call builds every task's list.
+    pub fn successors(&self, id: TaskId) -> impl ExactSizeIterator<Item = TaskId> + '_ {
+        let s = self.succs.get_or_init(|| {
+            let mut at = vec![0u32; self.len() + 1];
+            self.deps.iter().for_each(|&d| at[d + 1] += 1);
+            (0..self.len()).for_each(|t| at[t + 1] += at[t]);
+            let mut next = at.clone();
+            let mut ids = vec![0u32; self.deps.len()];
+            for t in 0..self.len() {
+                for &d in self.deps(t) {
+                    ids[next[d] as usize] = t as u32;
+                    next[d] += 1;
+                }
+            }
+            Successors { at, ids }
+        });
+        s.ids[s.at[id] as usize..s.at[id + 1] as usize].iter().map(|&t| t as usize)
     }
 }
 
@@ -370,8 +409,8 @@ mod tests {
         let mut g: TaskGraph<u32> = TaskGraph::new();
         let src = g.add_task(0, w(0, 0));
         let l = g.add_task(1, w(0, 1));
-        let r = g.add_task(2, w(1, 0));
         g.add_dep(l, src);
+        let r = g.add_task(2, w(1, 0));
         g.add_dep(r, src);
         let sink = g.add_task(3, w(0, 0));
         g.add_dep(sink, l);
@@ -439,8 +478,8 @@ mod tests {
         let mut g: TaskGraph<&'static str> = TaskGraph::new();
         let src = g.add_task("src", w(0, 0));
         let flaky = g.add_task("flaky", w(0, 1));
-        let solid = g.add_task("solid", w(1, 0));
         g.add_dep(flaky, src);
+        let solid = g.add_task("solid", w(1, 0));
         g.add_dep(solid, src);
         let sink = g.add_task("sink", w(0, 0));
         g.add_dep(sink, flaky);

@@ -32,15 +32,18 @@ fn build_dag(
     let workers: Vec<WorkerId> = (0..nodes)
         .flat_map(|nd| (0..lanes).map(move |l| w(nd, l)))
         .collect();
-    let mut g: TaskGraph<usize> = TaskGraph::new();
-    let ids: Vec<_> = (0..n)
-        .map(|i| g.add_task(i, workers[i % workers.len()]))
-        .collect();
+    // Declared task by task, each task's edges in the order drawn.
+    let mut deps: Vec<Vec<usize>> = vec![Vec::new(); n];
     for &(a, b) in raw_edges {
         let (x, y) = (a % n, b % n);
         if x != y {
-            g.add_dep(ids[x.max(y)], ids[x.min(y)]);
+            deps[x.max(y)].push(x.min(y));
         }
+    }
+    let mut g: TaskGraph<usize> = TaskGraph::new();
+    for (i, mine) in deps.iter().enumerate() {
+        let id = g.add_task(i, workers[i % workers.len()]);
+        mine.iter().for_each(|&d| g.add_dep(id, d));
     }
     (g, workers)
 }

@@ -136,13 +136,11 @@ pub fn replay_dag(
     // than the task that released it was.
     let n = low.graph.len();
     let mut end = vec![0u64; n];
-    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut waiting: Vec<usize> = Vec::with_capacity(n);
+    let mut waiting: Vec<u32> = Vec::with_capacity(n);
     let mut ready: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
     for id in 0..n {
         let deps = low.graph.deps(id);
-        deps.iter().for_each(|&d| succs[d].push(id));
-        waiting.push(deps.len());
+        waiting.push(deps.len() as u32);
         if deps.is_empty() {
             ready.push(Reverse((0, id)));
         }
@@ -165,7 +163,7 @@ pub fn replay_dag(
             Op::SendA { i, k, to } => {
                 let bytes = a_bytes(*i as usize, *k as usize);
                 a_net += bytes;
-                if low.topology.link_class(w.node, *to) == LinkClass::Inter {
+                if low.topology.link_class(w.node, *to as usize) == LinkClass::Inter {
                     a_net_inter += bytes;
                 }
                 a_msgs += 1;
@@ -177,24 +175,25 @@ pub fn replay_dag(
                 // The shaped transfer: latency plus bytes over the link the
                 // hop actually crosses (NIC vs intra-node).
                 let bytes = a_bytes(*i as usize, *k as usize);
-                ns(shaper_of(*from, w.node).delay_s(bytes))
+                ns(shaper_of(*from as usize, w.node).delay_s(bytes))
             }
             Op::GenB { k, j } => {
                 bgens += 1;
                 let bytes = spec.b.tile_bytes(*k as usize, *j as usize);
                 ns(bytes as f64 / platform.cpu_gen_rate)
             }
-            Op::LoadBlock { node, gpu, block } => {
+            &Op::LoadBlock { node, gpu, block } => {
+                let (node, gpu, block) = (node as usize, gpu as usize, block as usize);
                 let dev = devices.entry(w).or_insert_with(|| {
-                    DeviceMemory::new(*gpu, plan.config.device.gpu_mem_bytes, registries[*node].clone())
+                    DeviceMemory::new(gpu, plan.config.device.gpu_mem_bytes, registries[node].clone())
                 });
-                let bp = &plan.nodes[*node].gpus[*gpu].blocks[*block];
-                let row = plan.nodes[*node].grid_row;
+                let bp = &plan.nodes[node].gpus[gpu].blocks[block];
+                let row = plan.nodes[node].grid_row;
                 for (i, j) in inspector::block_c_tiles(spec, &bp.block, row, p) {
                     dev.alloc(DataKey::C(i as u32, j as u32), c_bytes(i, j))
                         .expect("simulated device OOM on C allocation");
                 }
-                sample_after = Some((*node, *gpu));
+                sample_after = Some((node, gpu));
                 0 // C is produced on the device: nothing is transferred
             }
             Op::LoadA { i, k } => {
@@ -231,35 +230,35 @@ pub fn replay_dag(
                 sample_after = Some((w.node, w.lane - 1));
                 ns(seconds)
             }
-            Op::EvictChunk { node, gpu, block, chunk } => {
+            &Op::EvictChunk { node, gpu, block, chunk } => {
                 let dev = devices.get_mut(&w).expect("evict on a loaded lane");
-                let bp = &plan.nodes[*node].gpus[*gpu].blocks[*block];
-                for &(i, k) in &bp.chunks[*chunk].tiles {
+                let bp = &plan.nodes[node as usize].gpus[gpu as usize].blocks[block as usize];
+                for &(i, k) in &bp.chunks[chunk as usize].tiles {
                     dev.evict(DataKey::A(i, k), false);
                 }
-                sample_after = Some((*node, *gpu));
+                sample_after = Some((w.node, w.lane - 1));
                 0
             }
-            Op::FlushBlock { node, gpu, block } => {
+            &Op::FlushBlock { node, gpu, block } => {
                 let dev = devices.get_mut(&w).expect("flush on a loaded lane");
-                let bp = &plan.nodes[*node].gpus[*gpu].blocks[*block];
-                let row = plan.nodes[*node].grid_row;
+                let bp = &plan.nodes[node as usize].gpus[gpu as usize].blocks[block as usize];
+                let row = plan.nodes[node as usize].grid_row;
                 let (mut bytes, mut tiles) = (0u64, 0u64);
                 for (i, j) in inspector::block_c_tiles(spec, &bp.block, row, p) {
                     dev.evict(DataKey::C(i as u32, j as u32), true);
                     bytes += c_bytes(i, j);
                     tiles += 1;
                 }
-                sample_after = Some((*node, *gpu));
+                sample_after = Some((w.node, w.lane - 1));
                 ns(bytes as f64 / platform.d2h_bw + tiles as f64 * platform.h2d_latency_s)
             }
             // The fold itself is a handful of tile additions (HBM bound,
             // negligible next to the wire); sending one folded tile per key
             // to the root is what costs — charged on the sender, over the
             // link class of `(node, root)`.
-            Op::ReduceC { node } if *node != REDUCE_ROOT => {
-                let shaper = shaper_of(*node, REDUCE_ROOT);
-                let keys = &low.reduce[*node].keys;
+            Op::ReduceC { .. } if w.node != REDUCE_ROOT => {
+                let shaper = shaper_of(w.node, REDUCE_ROOT);
+                let keys = &low.reduce[w.node].keys;
                 ns(keys
                     .iter()
                     .map(|&(i, j)| platform.nic_msg_overhead_s + shaper.delay_s(c_bytes(i, j)))
@@ -273,7 +272,7 @@ pub fn replay_dag(
         if !w.is_any() {
             lane_free.insert(w, end_ns);
         }
-        for &s in &succs[id] {
+        for s in low.graph.successors(id) {
             waiting[s] -= 1;
             if waiting[s] == 0 {
                 let released = low.graph.deps(s).iter().map(|&d| end[d]).max().unwrap_or(0);
@@ -303,17 +302,17 @@ pub fn replay_dag(
         match op {
             Op::SendA { i, k, to } => {
                 let bytes = a_bytes(*i as usize, *k as usize);
-                wire(TracePhase::Sent, DataKey::A(*i, *k), w.node, *to, bytes, 1);
+                wire(TracePhase::Sent, DataKey::A(*i, *k), w.node, *to as usize, bytes, 1);
             }
             Op::RecvA { i, k, from } => {
                 let bytes = a_bytes(*i as usize, *k as usize);
-                wire(TracePhase::Received, DataKey::A(*i, *k), *from, w.node, bytes, 1);
+                wire(TracePhase::Received, DataKey::A(*i, *k), *from as usize, w.node, bytes, 1);
             }
-            Op::ReduceC { node } if *node != REDUCE_ROOT => {
-                for &(i, j) in &low.reduce[*node].keys {
+            Op::ReduceC { .. } if w.node != REDUCE_ROOT => {
+                for &(i, j) in &low.reduce[w.node].keys {
                     let key = DataKey::C(i as u32, j as u32);
                     for phase in [TracePhase::Sent, TracePhase::Received] {
-                        wire(phase, key, *node, REDUCE_ROOT, c_bytes(i, j), 0);
+                        wire(phase, key, w.node, REDUCE_ROOT, c_bytes(i, j), 0);
                     }
                 }
             }

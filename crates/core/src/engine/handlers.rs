@@ -167,6 +167,7 @@ impl HandlerEnv<'_> {
         let (spec, plan, c) = (self.spec, self.plan, &self.counters);
         match (op, ctx) {
             (Op::SendA { i, k, to }, Ctx::Cpu) => {
+                let to = *to as usize;
                 let key = DataKey::A(*i, *k);
                 let tile = self.stores[w.node].get(w.node, key);
                 // Count the bytes that actually cross the wire: a low-rank
@@ -174,7 +175,7 @@ impl HandlerEnv<'_> {
                 let bytes = tile.stored_bytes();
                 // The destination consumes the tile once per local device
                 // load.
-                let consumers = self.low.a_consumers(*to, (*i, *k));
+                let consumers = self.low.a_consumers(to, (*i, *k));
                 let drop_in_flight = self.fault.as_ref().is_some_and(|fp| {
                     fp.injects(FaultSite::Send, FaultPlan::site_key(op, w, &self.low.stack_rows), attempt)
                 });
@@ -185,10 +186,10 @@ impl HandlerEnv<'_> {
                     src: w.node,
                     consumers,
                 };
-                match self.fabric.send_tile(*to, msg, drop_in_flight) {
+                match self.fabric.send_tile(to, msg, drop_in_flight) {
                     Ok(()) => {
                         c.a_net.fetch_add(bytes, Ordering::Relaxed);
-                        if self.fabric.topology().link_class(w.node, *to) == LinkClass::Inter {
+                        if self.fabric.topology().link_class(w.node, to) == LinkClass::Inter {
                             c.a_net_inter.fetch_add(bytes, Ordering::Relaxed);
                         }
                         c.a_msgs.fetch_add(1, Ordering::Relaxed);
@@ -288,9 +289,10 @@ impl HandlerEnv<'_> {
                 self.stores[w.node].put(DataKey::B(*k, *j), tile, 1);
                 Ok(())
             }
-            (Op::LoadBlock { node, gpu, block }, Ctx::Gpu(mm)) => {
-                let bp = &plan.nodes[*node].gpus[*gpu].blocks[*block];
-                let row = plan.nodes[*node].grid_row;
+            (&Op::LoadBlock { node, gpu, block }, Ctx::Gpu(mm)) => {
+                let (node, gpu, block) = (node as usize, gpu as usize, block as usize);
+                let bp = &plan.nodes[node].gpus[gpu].blocks[block];
+                let row = plan.nodes[node].grid_row;
                 // C takes a buffer of its exact capacity, from the C reserve
                 // when an earlier C left one there: a recycled buffer is
                 // cleared by its first product, a fresh one here, so that
@@ -298,7 +300,7 @@ impl HandlerEnv<'_> {
                 for (i, j) in block_c_tiles(spec, &bp.block, row, plan.config.grid.p) {
                     let rows = spec.a.row_tiling().size(i) as usize;
                     let cols = spec.b.col_tiling().size(j) as usize;
-                    mm.alloc_c((i as u32, j as u32), self.pools[*node].take_c(rows, cols))
+                    mm.alloc_c((i as u32, j as u32), self.pools[node].take_c(rows, cols))
                         .map_err(|e| oom(&e))?;
                 }
                 mm.sample_mem();
@@ -343,14 +345,9 @@ impl HandlerEnv<'_> {
                 mm.sample_mem();
                 Ok(())
             }
-            (
-                Op::EvictChunk {
-                    node, gpu, block, chunk,
-                },
-                Ctx::Gpu(mm),
-            ) => {
-                let bp = &plan.nodes[*node].gpus[*gpu].blocks[*block];
-                for &t in &bp.chunks[*chunk].tiles {
+            (&Op::EvictChunk { node, gpu, block, chunk }, Ctx::Gpu(mm)) => {
+                let bp = &plan.nodes[node as usize].gpus[gpu as usize].blocks[block as usize];
+                for &t in &bp.chunks[chunk as usize].tiles {
                     // A later chunk may have re-loaded (refcounted) the
                     // tile already; the manager keeps it until the last
                     // reference drops.
@@ -359,9 +356,10 @@ impl HandlerEnv<'_> {
                 mm.sample_mem();
                 Ok(())
             }
-            (Op::FlushBlock { node, gpu, block }, Ctx::Gpu(mm)) => {
-                let bp = &plan.nodes[*node].gpus[*gpu].blocks[*block];
-                let row = plan.nodes[*node].grid_row;
+            (&Op::FlushBlock { node, gpu, block }, Ctx::Gpu(mm)) => {
+                let (node, gpu, block) = (node as usize, gpu as usize, block as usize);
+                let bp = &plan.nodes[node].gpus[gpu].blocks[block];
+                let row = plan.nodes[node].grid_row;
                 // The flush leaves its partials in the node's fold buffer,
                 // each with its norm: the final value of every key this
                 // block alone produces. The origin ordinal makes the fold's
@@ -372,21 +370,21 @@ impl HandlerEnv<'_> {
                     .map(|(i, j)| {
                         let tile = mm.evict_c((i as u32, j as u32));
                         let norm = Some(tile.frobenius_norm());
-                        CPart { i, j, origin: (*node, *gpu, *block), tile, norm }
+                        CPart { i, j, origin: (node, gpu, block), tile, norm }
                     })
                     .collect();
                 self.folds[w.node].lock().extend(parts);
                 mm.sample_mem();
-                if *block + 1 == plan.nodes[*node].gpus[*gpu].blocks.len() {
-                    self.dev_stats.lock().push(((*node, *gpu), mm.stats()));
+                if block + 1 == plan.nodes[node].gpus[gpu].blocks.len() {
+                    self.dev_stats.lock().push(((node, gpu), mm.stats()));
                     if mm.traced() {
-                        self.mem_log.lock().push(((*node, *gpu), mm.take_samples()));
+                        self.mem_log.lock().push(((node, gpu), mm.take_samples()));
                     }
                 }
                 Ok(())
             }
             (Op::ReduceC { node }, Ctx::Cpu) => {
-                debug_assert_eq!(*node, w.node);
+                debug_assert_eq!(*node as usize, w.node);
                 let rn = &self.low.reduce[w.node];
                 // The DAG's flush → ReduceC edges put every partial of this
                 // node in its fold buffer before the fold runs.

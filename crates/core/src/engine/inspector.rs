@@ -71,7 +71,7 @@ pub enum Op {
         /// A-tile column.
         k: u32,
         /// Destination node.
-        to: usize,
+        to: u32,
     },
     /// Receive `A(i,k)` on this task's node: complete when the message from
     /// `from` has been deposited into the node-private store.
@@ -81,7 +81,7 @@ pub enum Op {
         /// A-tile column.
         k: u32,
         /// Sending node.
-        from: usize,
+        from: u32,
     },
     /// Generate `B(k,j)` on this node's CPU.
     GenB {
@@ -93,11 +93,11 @@ pub enum Op {
     /// Allocate a block's C tiles on the device.
     LoadBlock {
         /// Owning node.
-        node: usize,
+        node: u32,
         /// GPU index within the node.
-        gpu: usize,
+        gpu: u32,
         /// Block index within the GPU's sequence.
-        block: usize,
+        block: u32,
     },
     /// Transfer `A(i,k)` host→device for a chunk.
     LoadA {
@@ -121,22 +121,22 @@ pub enum Op {
     /// Free the A tiles of a chunk.
     EvictChunk {
         /// Owning node.
-        node: usize,
+        node: u32,
         /// GPU index within the node.
-        gpu: usize,
+        gpu: u32,
         /// Block index within the GPU's sequence.
-        block: usize,
+        block: u32,
         /// Chunk index within the block.
-        chunk: usize,
+        chunk: u32,
     },
     /// Write back and free the block's C tiles.
     FlushBlock {
         /// Owning node.
-        node: usize,
+        node: u32,
         /// GPU index within the node.
-        gpu: usize,
+        gpu: u32,
         /// Block index within the GPU's sequence.
-        block: usize,
+        block: u32,
     },
     /// Fold the C partials this node's flushes left in place, in canonical
     /// `(i, j, origin)` order, and gather the folded tiles straight to
@@ -146,9 +146,12 @@ pub enum Op {
     /// own process's assembly instead.
     ReduceC {
         /// The folding node.
-        node: usize,
+        node: u32,
     },
 }
+
+// A lowering holds one `Op` per task: keep it within three words.
+const _: () = assert!(std::mem::size_of::<Op>() <= 24);
 
 impl Op {
     /// The per-kind aggregation label.
@@ -189,6 +192,11 @@ impl Op {
             Op::ReduceC { node } => format!("ReduceC({node})"),
         }
     }
+}
+
+/// `x` as an [`Op`] field: node, GPU, block and chunk indices fit a `u32`.
+fn ix(x: usize) -> u32 {
+    u32::try_from(x).expect("plan indices fit a u32")
 }
 
 /// The node owning `A(i,k)` under the 2D-cyclic distribution over a
@@ -367,7 +375,7 @@ impl Lowered {
         let top = self.workers.iter().filter(|w| w.node == rank).map(|w| w.lane).max();
         let wait_lane = WorkerId { node: rank, lane: 1 + top.unwrap_or(0) };
         let mut graph: TaskGraph<Op> = TaskGraph::new();
-        let mut remap: HashMap<TaskId, TaskId> = HashMap::new();
+        let mut remap: Vec<Option<TaskId>> = vec![None; self.graph.len()];
         for id in 0..self.graph.len() {
             let mut w = self.graph.worker(id);
             if w.node != rank {
@@ -379,11 +387,11 @@ impl Lowered {
             }
             let new_id = graph.add_task(op.clone(), w);
             for &dep in self.graph.deps(id) {
-                if let Some(&mapped) = remap.get(&dep) {
+                if let Some(mapped) = remap[dep] {
                     graph.add_dep(new_id, mapped);
                 }
             }
-            remap.insert(id, new_id);
+            remap[id] = Some(new_id);
         }
         let mut workers: Vec<WorkerId> =
             self.workers.iter().copied().filter(|w| w.node == rank).collect();
@@ -453,8 +461,8 @@ pub fn lower(spec: &ProblemSpec, plan: &ExecutionPlan, opts: &ExecOptions) -> Lo
     let mut recva_ids: HashMap<(usize, (u32, u32)), TaskId> = HashMap::new();
     for (&(owner, t), dests) in send_order {
         for &to in dests {
-            let send = graph.add_task(Op::SendA { i: t.0, k: t.1, to }, cpu_lane(owner));
-            let recv = graph.add_task(Op::RecvA { i: t.0, k: t.1, from: owner }, cpu_lane(to));
+            let send = graph.add_task(Op::SendA { i: t.0, k: t.1, to: ix(to) }, cpu_lane(owner));
+            let recv = graph.add_task(Op::RecvA { i: t.0, k: t.1, from: ix(owner) }, cpu_lane(to));
             graph.add_dep(recv, send);
             recva_ids.insert((to, t), recv);
         }
@@ -483,14 +491,8 @@ pub fn lower(spec: &ProblemSpec, plan: &ExecutionPlan, opts: &ExecOptions) -> Lo
             // one prefetching.
             let mut evict_ids: Vec<TaskId> = Vec::new();
             for (bi, bp) in gpu.blocks.iter().enumerate() {
-                let load_block = graph.add_task(
-                    Op::LoadBlock {
-                        node: ni,
-                        gpu: gi,
-                        block: bi,
-                    },
-                    lane,
-                );
+                let load_block =
+                    graph.add_task(Op::LoadBlock { node: ix(ni), gpu: ix(gi), block: ix(bi) }, lane);
                 if let Some(f) = prev_flush {
                     graph.add_dep(load_block, f); // control: blocking block transfer
                 }
@@ -555,15 +557,8 @@ pub fn lower(spec: &ProblemSpec, plan: &ExecutionPlan, opts: &ExecOptions) -> Lo
                             graph.add_dep(id, prev);
                         }
                     });
-                    let evict = graph.add_task(
-                        Op::EvictChunk {
-                            node: ni,
-                            gpu: gi,
-                            block: bi,
-                            chunk: ci,
-                        },
-                        lane,
-                    );
+                    let (node, gpu, block, chunk) = (ix(ni), ix(gi), ix(bi), ix(ci));
+                    let evict = graph.add_task(Op::EvictChunk { node, gpu, block, chunk }, lane);
                     for dep in first_load..evict {
                         // its loads and stacks, not the `GenB`s between them
                         if !matches!(graph.payload(dep), Op::GenB { .. }) {
@@ -573,14 +568,8 @@ pub fn lower(spec: &ProblemSpec, plan: &ExecutionPlan, opts: &ExecOptions) -> Lo
                     evict_ids.push(evict);
                     chunk_evicts.push(evict);
                 }
-                let flush = graph.add_task(
-                    Op::FlushBlock {
-                        node: ni,
-                        gpu: gi,
-                        block: bi,
-                    },
-                    lane,
-                );
+                let flush =
+                    graph.add_task(Op::FlushBlock { node: ix(ni), gpu: ix(gi), block: ix(bi) }, lane);
                 graph.add_dep(flush, load_block);
                 for e in chunk_evicts {
                     graph.add_dep(flush, e);
@@ -614,7 +603,7 @@ pub fn lower(spec: &ProblemSpec, plan: &ExecutionPlan, opts: &ExecOptions) -> Lo
         .collect();
     let mut senders: Vec<TaskId> = Vec::with_capacity(n_nodes.saturating_sub(1));
     for ni in (0..n_nodes).rev() {
-        let id = graph.add_task(Op::ReduceC { node: ni }, cpu_lane(ni));
+        let id = graph.add_task(Op::ReduceC { node: ix(ni) }, cpu_lane(ni));
         for &f in &flush_ids[ni] {
             graph.add_dep(id, f);
         }

@@ -314,7 +314,8 @@ pub(crate) fn run(
         Engine::new().with_clock(clock).with_retry(opts.retry).with_own_thread(low.wait_lane);
     // Progress threads live exactly as long as the engine run: spawned just
     // before it, shut down (completion control frames) right after — on the
-    // success *and* the abort path, so in-flight frames always drain.
+    // success, the abort *and* the panic path, so in-flight frames always
+    // drain and the scope never waits on a thread nobody will stop.
     let run: Result<FallibleRun, RunAbort<ExecError>> = std::thread::scope(|s| {
         fabric.start(s, &stores);
         // Multi-process mode: the pump thread feeds inbound wire frames
@@ -330,20 +331,20 @@ pub(crate) fn run(
                 }
             });
         }
-        let run = if opts.tracing {
-            engine
-                .tracing()
-                .run(&low.graph, &low.workers, mk_ctx, handler)
-        } else {
-            engine.run(&low.graph, &low.workers, mk_ctx, handler)
-        };
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            if opts.tracing {
+                engine.tracing().run(&low.graph, &low.workers, mk_ctx, handler)
+            } else {
+                engine.run(&low.graph, &low.workers, mk_ctx, handler)
+            }
+        }));
         fabric.shutdown();
         if let Some(link) = &remote {
-            // Everything addressed to this rank has been consumed (the
-            // engine completed); unblock the pump so the scope can join.
+            // The engine completed (or panicked): nothing more addressed to
+            // this rank is consumed; unblock the pump so the scope can join.
             link.wire.close_inbound();
         }
-        run
+        run.unwrap_or_else(|panic| std::panic::resume_unwind(panic))
     });
     let run = match run {
         Ok(run) => run,

@@ -196,3 +196,29 @@ fn streak_beyond_budget_aborts_with_typed_error() {
         other => panic!("expected RetryExhausted, got {other}"),
     }
 }
+
+/// A panicking B generator propagates its panic out of `execute` on a
+/// 2 × 2 grid instead of leaving the run waiting for ever on the fabric's
+/// progress threads.
+#[test]
+fn generator_panic_propagates_instead_of_hanging() {
+    let s = spec();
+    assert!(s.b.shape().is_nonzero(1, 1), "the panicking tile is generated");
+    let plan = ExecutionPlan::build(&s, config(2, 2)).unwrap();
+    let a = BlockSparseMatrix::random_from_structure(s.a.clone(), 21);
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let b_gen = |k: usize, j: usize, r: usize, c: usize, pool: &bst_tile::TilePool| {
+            assert!((k, j) != (1, 1), "generator failed at tile (1, 1)");
+            Ok(Arc::new(pool.random(r, c, tile_seed(21 ^ 0xB, k, j))))
+        };
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            execute(&s, &plan, &a, &b_gen, ExecOptions::builder().build()).is_ok()
+        }));
+        let _ = tx.send(outcome.is_err());
+    });
+    let panicked = rx
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("execute hung after a handler panic");
+    assert!(panicked, "the generator's panic must reach the caller");
+}
