@@ -1,10 +1,12 @@
 //! The Chrome-trace export re-parses: a traced, faulted 4-node numeric run
 //! writes a `chrome://tracing` document that an independent JSON parser
-//! reads back as a non-empty array of well-formed events.
+//! reads back as a non-empty array of well-formed events, one slice per task
+//! named by its op's label.
 
 use bst_bench::minijson::{self, Value};
 use bst_bench::numeric_bench_problem;
 use bst_contract::engine::execute;
+use bst_contract::engine::inspector::Op;
 use bst_contract::{DeviceConfig, ExecOptions, ExecutionPlan, FaultPlan, GridConfig, PlannerConfig};
 use bst_sparse::matrix::random_b_gen;
 use bst_sparse::BlockSparseMatrix;
@@ -75,11 +77,38 @@ fn faulted_four_node_trace_reparses() {
     );
 
     let trace = report.trace.as_ref().expect("tracing was enabled");
-    let events = check_chrome_trace(&trace.chrome_trace_json())
+    let json = trace.chrome_trace_json();
+    let events = check_chrome_trace(&json)
         .unwrap_or_else(|e| panic!("exported trace does not validate: {e}"));
     assert!(
         events >= trace.records.len(),
         "{events} events for {} task records",
         trace.records.len()
     );
+
+    // Each task's slice is named by its op's label (`Gemm(k,j|i0,i1,…)`,
+    // `LoadA(i,k)`, …) and filed under its op's kind: labels are made at
+    // export, from the typed ops, and must not rename a slice.
+    let doc = minijson::parse(&json).unwrap();
+    let mut sliced = vec![0u32; trace.records.len()];
+    for e in doc.as_arr().unwrap() {
+        let Some(task) = e.get("args").and_then(|a| a.get("task")).and_then(Value::as_str) else {
+            continue; // transport slices, counters and metadata
+        };
+        let task: usize = task.parse().unwrap();
+        let (name, op) = (e.get("name").and_then(Value::as_str).unwrap(), &trace.ops[task]);
+        assert_eq!(name, trace.detail(task), "slice of task {task}");
+        assert_eq!(e.get("cat").and_then(Value::as_str), Some(op.kind()));
+        // The label format itself, spelled out for the two commonest kinds.
+        match op {
+            Op::Gemm { k, j, rows } => {
+                let rows: Vec<String> = trace.rows_of(rows).iter().map(u32::to_string).collect();
+                assert_eq!(name, format!("Gemm({k},{j}|{})", rows.join(",")));
+            }
+            Op::LoadA { i, k } => assert_eq!(name, format!("LoadA({i},{k})")),
+            _ => {}
+        }
+        sliced[task] += 1;
+    }
+    assert!(sliced.iter().all(|&n| n == 1), "a task without exactly one slice");
 }

@@ -1,14 +1,11 @@
 //! The single policy-driven execution engine.
 //!
-//! [`Engine::run`] is **one** scheduler, configured along four orthogonal
+//! [`Engine::run`] is **one** scheduler, configured along three orthogonal
 //! axes:
 //!
-//! * [`Tracer`] — whether task life-cycle events are recorded
-//!   ([`NoTracer`] / [`Recorder`]); a compile-time choice, so the untraced
-//!   path monomorphizes the recording away entirely;
-//! * the clock — a [`TraceClock`]; a caller-supplied epoch lets handlers
-//!   timestamp their own side channels (e.g. device-memory occupancy
-//!   samples) on the engine's timeline;
+//! * the clock — a [`TraceClock`] that timestamps every task's span; a
+//!   caller-supplied epoch lets handlers timestamp their own side channels
+//!   (e.g. device-memory occupancy samples) on the engine's timeline;
 //! * the retry options — per-task attempt budget and backoff applied to
 //!   [`TaskError::Transient`] handler failures ([`RetryOptions::none`]
 //!   makes every transient error terminal, which is how [`infallible`]
@@ -16,9 +13,10 @@
 //! * the lane with its own thread — the one lane whose tasks may block on
 //!   another process ([`Engine::with_own_thread`]).
 //!
-//! The axes are picked independently with [`Engine::tracing`],
-//! [`Engine::with_clock`], [`Engine::with_retry`] and
-//! [`Engine::with_own_thread`]; every combination reaches one body.
+//! The axes are picked independently with [`Engine::with_clock`],
+//! [`Engine::with_retry`] and [`Engine::with_own_thread`]; every
+//! combination reaches one body. Every run records each task's
+//! [`TaskSpan`] ([`FallibleRun::trace`]).
 //!
 //! # Scheduler semantics
 //!
@@ -27,10 +25,10 @@
 //! A worker takes a ready lane no other worker holds, runs its head task,
 //! and keeps the lane while it has ready tasks, else takes the next ready
 //! lane in FIFO order or sleeps until one becomes ready. So a lane's tasks
-//! never overlap and run in ready order, and its context and trace buffer
-//! travel with it. A pooled task may block only on a thread outside the pool
-//! (a progress or pump thread); a lane whose tasks wait on another process
-//! gets a thread of its own ([`Engine::with_own_thread`]).
+//! never overlap and run in ready order, and its context travels with it. A
+//! pooled task may block only on a thread outside the pool (a progress or
+//! pump thread); a lane whose tasks wait on another process gets a thread of
+//! its own ([`Engine::with_own_thread`]).
 //!
 //! A task pinned to [`WorkerId::any`] is order-free: the engine gives it a
 //! lane of its own, so it waits behind no other task and any pooled worker
@@ -45,46 +43,17 @@
 //! Handler panics stop the run, then propagate.
 
 use crate::graph::{FallibleRun, RetryOptions, RunAbort, TaskError, TaskGraph, TaskId, WorkerId};
-use crate::trace::{ExecTrace, TraceClock, TraceEvent, TracePhase, WorkerTrace};
+use crate::trace::{ExecTrace, TaskSpan, TraceClock};
 use std::collections::VecDeque;
 use std::convert::Infallible;
-use std::marker::PhantomData;
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
-
-/// Tracing policy: whether the engine records task life-cycle events.
-///
-/// This is a compile-time marker — [`Engine::run`] monomorphizes over it, so
-/// with [`NoTracer`] the recording code vanishes instead of branching per
-/// event.
-pub trait Tracer: Copy + Send + Sync {
-    /// Whether events are recorded and a trace is returned.
-    const ENABLED: bool;
-}
-
-/// No tracing: [`FallibleRun::trace`] is `None`. The default.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct NoTracer;
-
-impl Tracer for NoTracer {
-    const ENABLED: bool = false;
-}
-
-/// Record the full task life-cycle (ready → running → done, plus
-/// failed/retried under faults) into per-lane buffers, each written only
-/// by the worker holding its lane.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Recorder;
-
-impl Tracer for Recorder {
-    const ENABLED: bool = true;
-}
 
 /// The policy-driven task-DAG execution engine — see the [module
 /// docs](self) for what each policy controls.
 ///
-/// Construction starts from [`Engine::new`] (untraced, wall clock, no
-/// retries) and composes policies fluently:
+/// Construction starts from [`Engine::new`] (wall clock, no retries) and
+/// composes policies fluently:
 ///
 /// ```
 /// use bst_runtime::engine::Engine;
@@ -94,18 +63,16 @@ impl Tracer for Recorder {
 /// let w = WorkerId { node: 0, lane: 0 };
 /// g.add_task(7, w);
 /// let run = Engine::new()
-///     .tracing()
 ///     .with_retry(RetryOptions::default())
 ///     .run(&g, &[w], |_| (), |&v, _, _, _| {
 ///         assert_eq!(v, 7);
 ///         Ok::<(), TaskError<String>>(())
 ///     })
 ///     .unwrap();
-/// assert!(run.trace.is_some());
+/// assert_eq!(run.trace.spans.len(), 1);
 /// ```
 #[derive(Clone, Copy, Debug)]
-pub struct Engine<T = NoTracer> {
-    tracer: PhantomData<T>,
+pub struct Engine {
     clock: TraceClock,
     retry: RetryOptions,
     own_thread: Option<WorkerId>,
@@ -114,31 +81,15 @@ pub struct Engine<T = NoTracer> {
 }
 
 impl Engine {
-    /// The default policy stack: no tracing, a wall clock started now, and
-    /// no retries (every transient error is terminal).
+    /// The default policy stack: a wall clock started now, and no retries
+    /// (every transient error is terminal).
     pub fn new() -> Self {
         Self {
-            tracer: PhantomData,
             clock: TraceClock::start(),
             retry: RetryOptions::none(),
             own_thread: None,
             threads: 0,
         }
-    }
-}
-
-impl Default for Engine {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> Engine<T> {
-    /// This engine with life-cycle recording on ([`Recorder`]);
-    /// [`FallibleRun::trace`] will be `Some`.
-    pub fn tracing(self) -> Engine<Recorder> {
-        let Self { clock, retry, own_thread, threads, .. } = self;
-        Engine { tracer: PhantomData, clock, retry, own_thread, threads }
     }
 
     /// This engine timestamping from `clock` — lets the caller share one
@@ -158,9 +109,7 @@ impl<T> Engine<T> {
     pub fn with_own_thread(self, lane: Option<WorkerId>) -> Self {
         Self { own_thread: lane, ..self }
     }
-}
 
-impl<T: Tracer> Engine<T> {
     /// Executes `graph` to completion under this engine's policies, on
     /// one pooled worker per core (never more than the pooled lanes).
     ///
@@ -195,14 +144,9 @@ impl<T: Tracer> Engine<T> {
         M: Fn(WorkerId) -> Ctx + Sync,
         F: Fn(&P, WorkerId, &mut Ctx, u32) -> Result<(), TaskError<E>> + Sync,
     {
-        let trace = T::ENABLED;
         let clock = self.clock;
-        let event = |task, phase| TraceEvent { task, phase, t_ns: clock.now_ns() };
         if graph.is_empty() {
-            return Ok(FallibleRun {
-                attempts: Vec::new(),
-                trace: trace.then(ExecTrace::default),
-            });
+            return Ok(FallibleRun { attempts: Vec::new(), trace: ExecTrace::default() });
         }
         // Map lanes to dense indices; each order-free task gets one after
         // them.
@@ -233,23 +177,20 @@ impl<T: Tracer> Engine<T> {
 
         let mut sched = Sched {
             queues: vec![VecDeque::new(); sorted.len()],
-            idle: (0..sorted.len()).map(|_| Some(Lane { ctx: None, events: Vec::new() })).collect(),
+            idle: (0..sorted.len()).map(|_| Some(None)).collect(),
             server,
             ready: [VecDeque::new(), VecDeque::new()],
             indeg: (0..graph.len()).map(|id| graph.deps(id).len() as u32).collect(),
             attempts: vec![0; graph.len()],
+            spans: vec![TaskSpan::default(); graph.len()],
             remaining: graph.len(),
             done: false,
             abort: None,
         };
-        // The submitting thread records the seed tasks' readiness; every
-        // other event goes to the buffer of the lane whose task caused it,
-        // written only by the worker holding that lane.
-        let mut seed_events: Vec<TraceEvent> = Vec::new();
+        // The seed tasks are ready from the start.
+        let seeded = clock.now_ns();
         for id in (0..graph.len()).filter(|&id| graph.deps(id).is_empty()) {
-            if trace {
-                seed_events.push(event(id, TracePhase::Ready));
-            }
+            sched.spans[id].ready_ns = seeded;
             sched.push(lane_of[id] as usize, id);
         }
         let sched = Mutex::new(sched);
@@ -277,52 +218,47 @@ impl<T: Tracer> Engine<T> {
                     continue;
                 };
                 let id = st.queues[l].pop_front().expect("a ready lane has a task");
-                let mut lane = st.idle[l].take().expect("a ready lane is not held");
+                let mut ctx = st.idle[l].take().expect("a ready lane is not held");
                 st.attempts[id] += 1;
                 let attempt = st.attempts[id];
                 drop(st);
                 notify(&mut wakes);
 
                 let w = sorted[l];
-                if trace {
-                    lane.events.push(event(id, TracePhase::Running));
-                }
-                let ctx = lane.ctx.get_or_insert_with(|| mk_ctx(w));
+                let start_ns = clock.now_ns();
+                let lane_ctx = ctx.get_or_insert_with(|| mk_ctx(w));
                 // A panicking handler must not leave the other workers
                 // waiting for ever: stop the run, then propagate.
                 let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    run(graph.payload(id), w, ctx, attempt)
+                    run(graph.payload(id), w, lane_ctx, attempt)
                 }))
                 .unwrap_or_else(|payload| {
                     finish(&mut sched.lock().unwrap());
                     std::panic::resume_unwind(payload)
                 });
+                let end_ns = clock.now_ns();
                 let retrying = matches!(result, Err(TaskError::Transient(_)) if attempt < budget);
-                if trace {
-                    let phase = if result.is_ok() { TracePhase::Done } else { TracePhase::Failed };
-                    lane.events.push(event(id, phase));
-                }
                 if retrying {
                     // Back off, then queue the task again at the back of its
                     // lane. It has not completed, so no successor was
                     // released: every edge of the DAG still gates as planned.
                     std::thread::sleep(Duration::from_micros(retry.backoff_us(attempt)));
-                    if trace {
-                        lane.events.push(event(id, TracePhase::Retried));
-                    }
                 }
 
                 st = sched.lock().unwrap();
                 match result {
                     Ok(()) => {
+                        // Only the final attempt's span is kept.
+                        let span = &mut st.spans[id];
+                        (span.start_ns, span.end_ns) = (start_ns, end_ns);
+                        let mut released = None;
                         for s in graph.successors(id) {
                             st.indeg[s] -= 1;
                             if st.indeg[s] == 0 {
-                                if trace {
-                                    // Stamped under the lock, so a lane's
-                                    // queue order is its Ready order.
-                                    lane.events.push(event(s, TracePhase::Ready));
-                                }
+                                // Stamped under the lock, so a lane's queue
+                                // order is its ready order.
+                                let ready_ns = *released.get_or_insert_with(|| clock.now_ns());
+                                st.spans[s].ready_ns = ready_ns;
                                 let ls = lane_of[s] as usize;
                                 if st.push(ls, s) {
                                     wakes[st.server[ls]] += 1;
@@ -346,7 +282,7 @@ impl<T: Tracer> Engine<T> {
                         finish(&mut st);
                     }
                 }
-                st.idle[l] = Some(lane);
+                st.idle[l] = Some(ctx);
                 if !st.queues[l].is_empty() {
                     st.ready[srv].push_front(l);
                 } else if wakes[srv] > 0 {
@@ -376,19 +312,14 @@ impl<T: Tracer> Engine<T> {
         }
         Ok(FallibleRun {
             attempts: st.attempts,
-            trace: trace.then(|| ExecTrace {
-                workers: sorted
-                    .into_iter()
-                    .zip(st.idle)
-                    .map(|(worker, lane)| WorkerTrace {
-                        worker,
-                        events: lane.expect("every lane is returned").events,
-                    })
-                    .collect(),
-                seed_events,
-                total_ns: clock.now_ns(),
-            }),
+            trace: ExecTrace { spans: st.spans, total_ns: clock.now_ns() },
         })
+    }
+}
+
+impl Default for Engine {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -396,25 +327,20 @@ impl<T: Tracer> Engine<T> {
 const POOL: usize = 0;
 const OWN: usize = 1;
 
-/// What travels with a lane between workers: its context (built on its
-/// first task) and its trace buffer.
-struct Lane<Ctx> {
-    ctx: Option<Ctx>,
-    events: Vec<TraceEvent>,
-}
-
 /// The scheduler state, behind one lock.
 struct Sched<Ctx, E> {
-    /// Per lane: its ready tasks (FIFO), its state while no worker holds
-    /// it, and its server ([`POOL`] or [`OWN`]).
+    /// Per lane: its ready tasks (FIFO), its context while no worker holds
+    /// it (`None` while held; the context travels with the lane, and is
+    /// built on its first task), and its server ([`POOL`] or [`OWN`]).
     queues: Vec<VecDeque<TaskId>>,
-    idle: Vec<Option<Lane<Ctx>>>,
+    idle: Vec<Option<Option<Ctx>>>,
     server: Vec<usize>,
     /// Per server: the ready lanes no worker holds, FIFO.
     ready: [VecDeque<usize>; 2],
-    /// Per task: unfinished dependencies and handler attempts.
+    /// Per task: unfinished dependencies, handler attempts and span.
     indeg: Vec<u32>,
     attempts: Vec<u32>,
+    spans: Vec<TaskSpan>,
     remaining: usize,
     /// All tasks completed, or the run aborted.
     done: bool,
@@ -457,7 +383,7 @@ mod tests {
     use parking_lot::Mutex;
     use proptest::prelude::*;
 
-    impl<T> Engine<T> {
+    impl Engine {
         /// This engine with a pool of `threads` workers instead of one per
         /// core: the crate-private way to size the pool.
         fn with_threads(self, threads: usize) -> Self {
@@ -485,29 +411,16 @@ mod tests {
     }
 
     #[test]
-    fn untraced_run_has_no_trace() {
+    fn every_run_records_one_span_per_task() {
         let g = diamond();
         let run = Engine::new()
             .run(&g, &[w(0, 0), w(1, 0)], |_| (), |_, _, _, _| {
                 Ok::<(), TaskError<Infallible>>(())
             })
             .unwrap();
-        assert!(run.trace.is_none());
         assert_eq!(run.attempts, vec![1; 4]);
-    }
-
-    #[test]
-    fn traced_run_validates_and_counts() {
-        let g = diamond();
-        let run = Engine::new()
-            .tracing()
-            .run(&g, &[w(0, 0), w(1, 0)], |_| (), |_, _, _, _| {
-                Ok::<(), TaskError<Infallible>>(())
-            })
-            .unwrap();
-        let trace = run.trace.expect("Recorder policy records");
-        assert_eq!(trace.validate(&g), Vec::new());
-        assert_eq!(trace.event_count(), 3 * g.len());
+        assert_eq!(run.trace.spans.len(), g.len());
+        assert_eq!(run.trace.validate(&g), Vec::new());
     }
 
     #[test]
@@ -516,25 +429,22 @@ mod tests {
         std::thread::sleep(Duration::from_millis(2));
         let g = diamond();
         let run = Engine::new()
-            .tracing()
             .with_clock(clock)
             .run(&g, &[w(0, 0), w(1, 0)], |_| (), |_, _, _, _| {
                 Ok::<(), TaskError<Infallible>>(())
             })
             .unwrap();
-        let trace = run.trace.unwrap();
-        // Every event sits on the caller's epoch, so nothing can be earlier
+        // Every span sits on the caller's epoch, so nothing can be earlier
         // than the sleep that preceded the run.
-        for (_, e) in trace.iter_events() {
-            assert!(e.t_ns >= 2_000_000, "event at {} ns", e.t_ns);
+        for s in &run.trace.spans {
+            assert!(s.ready_ns >= 2_000_000, "ready at {} ns", s.ready_ns);
         }
     }
 
     #[test]
-    fn retry_policy_composes_with_tracing() {
+    fn retried_task_keeps_one_span() {
         let g = diamond();
         let run = Engine::new()
-            .tracing()
             .with_retry(RetryOptions { budget: 4, backoff_base_us: 1, backoff_max_us: 5 })
             .run(&g, &[w(0, 0), w(1, 0)], |_| (), |&v, _, _, attempt| {
                 if v == 1 && attempt <= 2 {
@@ -545,9 +455,7 @@ mod tests {
             .unwrap();
         assert_eq!(run.attempts[1], 3);
         assert_eq!(run.retried_tasks(), 1);
-        let trace = run.trace.unwrap();
-        assert_eq!(trace.validate(&g), Vec::new());
-        assert_eq!(trace.task_attempts()[&1], 3);
+        assert_eq!(run.trace.validate(&g), Vec::new());
     }
 
     #[test]
@@ -681,7 +589,6 @@ mod tests {
             let overlap = AtomicBool::new(false);
             let (free_now, free_max, met) = (AtomicUsize::new(0), AtomicUsize::new(0), AtomicUsize::new(0));
             let run = Engine::new()
-                .tracing()
                 .with_threads(threads)
                 .run(&g, &workers, |_| (), |&v, wid, _, _| {
                     if wid.is_any() {
@@ -711,22 +618,19 @@ mod tests {
             if threads > 1 {
                 prop_assert!(free_max > 1, "order-free tasks never overlapped on {threads} workers");
             }
-            let trace = run.trace.unwrap();
-            let errors = trace.validate(&g);
+            let errors = run.trace.validate(&g);
             prop_assert!(errors.is_empty(), "{errors:?}");
-            let spans = trace.task_spans();
-            for wt in trace.workers.iter().filter(|wt| !wt.worker.is_any()) {
-                let ran: Vec<TaskId> = wt
-                    .events
-                    .iter()
-                    .filter(|e| e.phase == TracePhase::Running)
-                    .map(|e| e.task)
-                    .collect();
-                for pair in ran.windows(2) {
-                    let (a, b) = (spans[&pair[0]], spans[&pair[1]]);
-                    prop_assert!(a.ready_ns <= b.ready_ns, "{:?} out of ready order", wt.worker);
-                    prop_assert!(a.end_ns <= b.start_ns, "{:?} overlapped", wt.worker);
-                }
+            // Each lane's tasks in the order they ran.
+            let spans = &run.trace.spans;
+            let mut ran: Vec<(WorkerId, u64, TaskId)> = (0..g.len())
+                .filter(|&t| !g.worker(t).is_any())
+                .map(|t| (g.worker(t), spans[t].start_ns, t))
+                .collect();
+            ran.sort_unstable();
+            for pair in ran.windows(2).filter(|p| p[0].0 == p[1].0) {
+                let (a, b) = (spans[pair[0].2], spans[pair[1].2]);
+                prop_assert!(a.ready_ns <= b.ready_ns, "{:?} out of ready order", pair[0].0);
+                prop_assert!(a.end_ns <= b.start_ns, "{:?} overlapped", pair[0].0);
             }
         }
     }

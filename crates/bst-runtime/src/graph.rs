@@ -122,8 +122,8 @@ pub struct RunAbort<E> {
 pub struct FallibleRun {
     /// Handler attempts per task id (1 = no retries).
     pub attempts: Vec<u32>,
-    /// The recorded trace, when tracing was requested.
-    pub trace: Option<ExecTrace>,
+    /// Every task's span, indexed by task id.
+    pub trace: ExecTrace,
 }
 
 impl FallibleRun {
@@ -258,35 +258,22 @@ impl<T> TaskGraph<T> {
 mod tests {
     use super::*;
     use crate::engine::{infallible, Engine};
-    use std::sync::atomic::Ordering;
     use parking_lot::Mutex;
 
     fn w(node: usize, lane: usize) -> WorkerId {
         WorkerId { node, lane }
     }
 
-    /// Runs `g` with an infallible handler through the engine.
+    /// Runs `g` with an infallible handler through the engine, returning
+    /// its trace.
     fn exec<T: Sync, C: Send>(
         g: &TaskGraph<T>,
         workers: &[WorkerId],
         mk_ctx: impl Fn(WorkerId) -> C + Sync,
         run: impl Fn(&T, WorkerId, &mut C) + Sync,
-    ) {
-        match Engine::new().run(g, workers, mk_ctx, infallible(run)) {
-            Ok(_) => (),
-            Err(abort) => match abort.error {},
-        }
-    }
-
-    /// [`exec`] with tracing on, returning the recorded trace.
-    fn exec_traced<T: Sync, C: Send>(
-        g: &TaskGraph<T>,
-        workers: &[WorkerId],
-        mk_ctx: impl Fn(WorkerId) -> C + Sync,
-        run: impl Fn(&T, WorkerId, &mut C) + Sync,
     ) -> ExecTrace {
-        match Engine::new().tracing().run(g, workers, mk_ctx, infallible(run)) {
-            Ok(r) => r.trace.expect("tracing was requested"),
+        match Engine::new().run(g, workers, mk_ctx, infallible(run)) {
+            Ok(r) => r.trace,
             Err(abort) => match abort.error {},
         }
     }
@@ -421,46 +408,22 @@ mod tests {
             g.add_dep(t, prev);
             prev = t;
         }
-        let trace = exec_traced(&g, &[w(0, 0), w(0, 1), w(1, 0)], |_| (), |_, _, _| {
+        let trace = exec(&g, &[w(0, 0), w(0, 1), w(1, 0)], |_| (), |_, _, _| {
             std::hint::black_box((0..100).sum::<u64>());
         });
         assert_eq!(trace.validate(&g), Vec::new());
-        // One Ready + Running + Done per task.
-        assert_eq!(trace.event_count(), 3 * g.len());
-        // Exactly the dependency-free tasks were seeded.
-        assert_eq!(trace.seed_events.len(), 2);
+        // The dependency-free tasks were ready first.
+        assert_eq!(trace.spans[src].ready_ns, trace.spans[4].ready_ns);
+        assert!(trace.spans[sink].ready_ns >= trace.spans[l].end_ns);
         assert!(trace.total_ns > 0);
     }
 
     #[test]
     fn traced_empty_graph_yields_empty_trace() {
         let g: TaskGraph<u32> = TaskGraph::new();
-        let trace = exec_traced(&g, &[w(0, 0)], |_| (), |_, _, _| panic!("no tasks"));
-        assert_eq!(trace.event_count(), 0);
+        let trace = exec(&g, &[w(0, 0)], |_| (), |_, _, _| panic!("no tasks"));
+        assert!(trace.spans.is_empty());
         assert!(trace.validate(&g).is_empty());
-    }
-
-    #[test]
-    fn untraced_execution_unchanged_by_tracing_support() {
-        // An untraced run executes everything exactly once — tracing is
-        // strictly opt-in.
-        let mut g: TaskGraph<u64> = TaskGraph::new();
-        for i in 0..200 {
-            g.add_task(i, w(i as usize % 3, 0));
-        }
-        let count = std::sync::atomic::AtomicUsize::new(0);
-        exec(&g, &[w(0, 0), w(1, 0), w(2, 0)], |_| (), |_, _, _| {
-            count.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(count.load(Ordering::Relaxed), 200);
-    }
-
-    #[test]
-    #[should_panic(expected = "a scoped thread panicked")]
-    fn traced_handler_panic_still_propagates() {
-        let mut g: TaskGraph<u32> = TaskGraph::new();
-        g.add_task(1, w(0, 0));
-        exec_traced(&g, &[w(0, 0)], |_| (), |_, _, _| panic!("boom"));
     }
 
     #[test]
@@ -487,7 +450,6 @@ mod tests {
 
         let order = Mutex::new(Vec::new());
         let run = Engine::new()
-            .tracing()
             .with_retry(RetryOptions { budget: 4, backoff_base_us: 1, backoff_max_us: 10 })
             .run(
                 &g,
@@ -509,10 +471,8 @@ mod tests {
         let order = order.lock();
         // The sink still ran last: retrying must not release successors.
         assert_eq!(order.last(), Some(&"sink"));
-        // The retried trace still validates (Failed/Retried bookkeeping).
-        let trace = run.trace.expect("traced");
-        assert_eq!(trace.validate(&g), Vec::new());
-        assert_eq!(trace.task_attempts()[&flaky], 3);
+        // The retried trace still validates.
+        assert_eq!(run.trace.validate(&g), Vec::new());
     }
 
     #[test]

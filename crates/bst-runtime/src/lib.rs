@@ -18,9 +18,8 @@
 //! * [`engine`] — the single policy-driven scheduler ([`engine::Engine`]):
 //!   a *lane* (a CPU lane or a GPU lane of a simulated node) is a FIFO of
 //!   ready tasks, and one pooled worker per core serves every lane, with
-//!   tracing ([`engine::Tracer`]), the timestamp clock and
-//!   transient-failure retry ([`graph::RetryOptions`]) chosen independently
-//!   on the one scheduler;
+//!   the timestamp clock and transient-failure retry
+//!   ([`graph::RetryOptions`]) chosen independently on the one scheduler;
 //! * [`data`] — per-node [`data::TileStore`]s with consumer reference
 //!   counts: a tile is retained while tasks still need it and dropped after
 //!   its last consumer, reproducing PaRSEC's data life-cycle management;
@@ -35,9 +34,9 @@
 //!   GPU memory (loads fail rather than silently exceed capacity) plus a
 //!   node-level residency registry enabling device-to-device transfers when
 //!   a sibling GPU already holds a tile (the NVLink path of §4);
-//! * [`trace`] — lock-cheap per-lane task life-cycle recording (the
-//!   [`engine::Recorder`] tracing policy), trace well-formedness
-//!   validation, and exporters (Chrome-trace JSON, plain-text summary).
+//! * [`trace`] — every run's task spans (ready, start, end per task id),
+//!   trace well-formedness validation, and exporters (Chrome-trace JSON,
+//!   plain-text summary).
 //!
 //! Executors built on this crate allocate their working tiles through the
 //! re-exported [`TilePool`] (one pool per simulated node), so hot-path
@@ -58,6 +57,6 @@ pub use comm::{
 };
 pub use data::{BCacheKey, BCacheStats, BTileCache, DataKey, TileStore};
 pub use device::{DeviceMemory, NodeResidency};
-pub use engine::{infallible, Engine, NoTracer, Recorder, Tracer};
+pub use engine::{infallible, Engine};
 pub use graph::{FallibleRun, RetryOptions, RunAbort, TaskError, TaskGraph, WorkerId};
-pub use trace::{ExecTrace, TaskRecord, TraceEvent, TracePhase};
+pub use trace::{ExecTrace, TaskRecord, TracePhase};

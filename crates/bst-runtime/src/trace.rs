@@ -1,33 +1,31 @@
 //! Scheduler tracing and metrics.
 //!
-//! A tracing engine run
-//! ([`Engine::tracing`](crate::engine::Engine::tracing))
-//! records the full life-cycle of every task — *ready* (last dependency
-//! completed, or initially dependency-free), *running* (a worker picked it
-//! up), *done* (the handler returned) — into **per-lane event buffers**
-//! with strict ownership: only the worker holding a lane appends to its
-//! buffer (the buffer moves with the lane), the main thread only to the
-//! submission buffer, so recording costs one `Vec::push` per event.
-//! Timestamps come from one shared monotonic epoch ([`TraceClock`]), so
-//! every buffer is individually non-decreasing and buffers are mutually
+//! Every engine run records each task's life-cycle — *ready* (last
+//! dependency completed, or initially dependency-free), *start* (a worker
+//! picked it up), *end* (the handler returned) — as one [`TaskSpan`] per
+//! task, indexed by task id ([`ExecTrace::spans`]). The scheduler writes a
+//! span under the lock it takes anyway to release the task's successors, so
+//! recording costs two or three clock reads and a store per task, and no
+//! allocation beyond the one span vector. Timestamps come from one shared
+//! monotonic epoch ([`TraceClock`]), so spans of different lanes are
 //! comparable.
 //!
 //! On top of the raw [`ExecTrace`] this module provides:
 //!
-//! * [`ExecTrace::task_spans`] — per-task (ready, start, end) reconstruction;
 //! * [`ExecTrace::validate`] — the well-formedness invariants every trace
 //!   must satisfy (used by the property tests);
 //! * [`TaskRecord`] + [`chrome_trace_json_full`] — a `chrome://tracing` /
 //!   Perfetto-compatible JSON exporter (hand-rolled; no serialization
-//!   dependency);
+//!   dependency), which takes each task's label from its caller;
 //! * [`text_summary`] — a plain-text per-kind time breakdown.
 
+use crate::data::DataKey;
 use crate::graph::{TaskGraph, TaskId, WorkerId};
 use std::collections::HashMap;
 use std::time::Instant;
 
-/// Shared monotonic epoch for one traced execution. All trace timestamps
-/// are nanoseconds since this epoch.
+/// Shared monotonic epoch for one execution. All trace timestamps are
+/// nanoseconds since this epoch.
 #[derive(Clone, Copy, Debug)]
 pub struct TraceClock {
     epoch: Instant,
@@ -47,60 +45,23 @@ impl TraceClock {
     }
 }
 
-/// Life-cycle phase of a task, in causal order.
-///
-/// The happy path is `Ready → Running → Done`. Under fallible execution
-/// (a retrying [`Engine::run`](crate::engine::Engine::run))
-/// a transient handler failure inserts `Failed → Retried → Running` cycles
-/// before the final `Done`, so a task with `n` failures records `n + 1`
-/// `Running` events, `n` `Failed` and `n` `Retried` — but still exactly one
-/// `Ready` and one `Done`.
+/// Phase of a transport event ([`crate::comm::CommEvent`]), in causal order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum TracePhase {
-    /// All dependencies completed (or the task had none); the task was
-    /// enqueued onto its worker's FIFO. Logged by the thread that released
-    /// it (the completing worker, or the main thread for seed tasks).
-    Ready,
-    /// A worker dequeued the task and is about to run its handler.
-    Running,
-    /// The handler returned.
-    Done,
-    /// The handler returned a transient error; the attempt is abandoned.
-    Failed,
-    /// After backoff, the failed task was re-enqueued onto its worker's
-    /// FIFO for another attempt.
-    Retried,
-    /// Transport phase (not a task life-cycle event): a message left its
-    /// sending node. Recorded by [`crate::comm::CommFabric`] as
-    /// [`crate::comm::CommEvent`]s, never in task event buffers.
+    /// A message left its sending node.
     Sent,
-    /// Transport phase: a message was deposited into its destination node's
-    /// store by the progress thread. See [`TracePhase::Sent`].
+    /// A message was deposited into its destination node's store by the
+    /// progress thread.
     Received,
+    /// A message was dropped in flight (an injected transfer fault).
+    Failed,
+    /// A duplicate delivery was suppressed.
+    Retried,
 }
 
-/// One recorded event: task `task` entered `phase` at `t_ns`.
-#[derive(Clone, Copy, Debug)]
-pub struct TraceEvent {
-    /// The task this event describes.
-    pub task: TaskId,
-    /// Which life-cycle phase was entered.
-    pub phase: TracePhase,
-    /// Nanoseconds since the execution's [`TraceClock`] epoch.
-    pub t_ns: u64,
-}
-
-/// The event stream recorded by one worker thread (or, for
-/// [`ExecTrace::seed_events`], by the submitting thread).
-#[derive(Clone, Debug)]
-pub struct WorkerTrace {
-    /// The worker that recorded these events.
-    pub worker: WorkerId,
-    /// Events in recording order; timestamps are non-decreasing.
-    pub events: Vec<TraceEvent>,
-}
-
-/// Per-task life-cycle times reconstructed from a trace.
+/// One task's life-cycle times (ns since the execution's [`TraceClock`]
+/// epoch). A retried task keeps the time it first became ready and starts
+/// at its final attempt.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct TaskSpan {
     /// When the task became ready (ns since epoch).
@@ -126,36 +87,6 @@ impl TaskSpan {
 /// A violation of trace well-formedness found by [`ExecTrace::validate`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TraceError {
-    /// A worker's buffer has decreasing timestamps.
-    NonMonotoneWorker {
-        /// The offending worker.
-        worker: WorkerId,
-        /// Index into its event buffer where time went backwards.
-        at: usize,
-    },
-    /// A task has a wrong number of events for some phase (must be exactly
-    /// one Ready, one Running, one Done).
-    PhaseCount {
-        /// The offending task.
-        task: TaskId,
-        /// The phase with the wrong multiplicity.
-        phase: TracePhase,
-        /// How many events of that phase were recorded.
-        count: usize,
-    },
-    /// A task's retry bookkeeping is inconsistent: every `Failed` must be
-    /// answered by exactly one `Retried` and one extra `Running` (the
-    /// re-attempt), so `#Running = #Failed + 1` and `#Retried = #Failed`.
-    RetryMismatch {
-        /// The offending task.
-        task: TaskId,
-        /// `Running` events recorded.
-        running: usize,
-        /// `Failed` events recorded.
-        failed: usize,
-        /// `Retried` events recorded.
-        retried: usize,
-    },
     /// A task's phases are out of causal order (ready ≤ start ≤ end).
     PhaseOrder {
         /// The offending task.
@@ -163,7 +94,7 @@ pub enum TraceError {
     },
     /// The number of traced tasks differs from the DAG size.
     TaskCount {
-        /// Tasks with at least one event.
+        /// Spans recorded.
         traced: usize,
         /// Tasks in the DAG.
         expected: usize,
@@ -175,34 +106,20 @@ pub enum TraceError {
         /// The dependency that had not finished.
         dep: TaskId,
     },
-    /// A Running event was recorded by a different worker than the task is
-    /// pinned to.
-    WrongWorker {
-        /// The offending task.
+    /// Two tasks of one lane overlapped in time.
+    LaneOverlap {
+        /// The lane.
+        worker: WorkerId,
+        /// The task that started before the previous one ended.
         task: TaskId,
-        /// The worker that actually ran it.
-        ran_on: WorkerId,
-        /// The worker the task was pinned to.
-        pinned: WorkerId,
+        /// The task still running on the lane.
+        prev: TaskId,
     },
 }
 
 impl std::fmt::Display for TraceError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Self::NonMonotoneWorker { worker, at } => {
-                write!(f, "worker {worker:?}: timestamps decrease at event {at}")
-            }
-            Self::PhaseCount { task, phase, count } => {
-                write!(f, "task {task}: {count} {phase:?} events (want 1)")
-            }
-            Self::RetryMismatch { task, running, failed, retried } => {
-                write!(
-                    f,
-                    "task {task}: {running} Running / {failed} Failed / {retried} Retried events \
-                     (want Running = Failed + 1 and Retried = Failed)"
-                )
-            }
             Self::PhaseOrder { task } => write!(f, "task {task}: phases out of order"),
             Self::TaskCount { traced, expected } => {
                 write!(f, "{traced} traced tasks, DAG has {expected}")
@@ -210,8 +127,8 @@ impl std::fmt::Display for TraceError {
             Self::DependencyOverlap { task, dep } => {
                 write!(f, "task {task} ran before dependency {dep} finished")
             }
-            Self::WrongWorker { task, ran_on, pinned } => {
-                write!(f, "task {task} ran on {ran_on:?}, pinned to {pinned:?}")
+            Self::LaneOverlap { worker, task, prev } => {
+                write!(f, "task {task} started on {worker:?} before task {prev} ended")
             }
         }
     }
@@ -219,170 +136,53 @@ impl std::fmt::Display for TraceError {
 
 impl std::error::Error for TraceError {}
 
-/// The full trace of one [`TaskGraph`] execution.
+/// The trace of one [`TaskGraph`] execution.
 #[derive(Clone, Debug, Default)]
 pub struct ExecTrace {
-    /// One buffer per lane, each recorded only by the worker holding it;
-    /// each order-free task has one of its own, labelled with its
-    /// [`WorkerId::any`].
-    pub workers: Vec<WorkerTrace>,
-    /// Ready events of initially-dependency-free tasks, recorded by the
-    /// submitting thread before the workers start.
-    pub seed_events: Vec<TraceEvent>,
+    /// Each task's life-cycle times, indexed by task id.
+    pub spans: Vec<TaskSpan>,
     /// Wall-clock span of the execution (ns from epoch to the last join).
     pub total_ns: u64,
 }
 
 impl ExecTrace {
-    /// Total number of recorded events.
-    pub fn event_count(&self) -> usize {
-        self.seed_events.len() + self.workers.iter().map(|w| w.events.len()).sum::<usize>()
-    }
-
-    /// Iterates every event with the worker that recorded it (`None` for
-    /// seed events).
-    pub fn iter_events(&self) -> impl Iterator<Item = (Option<WorkerId>, &TraceEvent)> {
-        self.seed_events
-            .iter()
-            .map(|e| (None, e))
-            .chain(
-                self.workers
-                    .iter()
-                    .flat_map(|w| w.events.iter().map(move |e| (Some(w.worker), e))),
-            )
-    }
-
-    /// Reconstructs per-task life-cycle spans. Tasks missing a phase get 0
-    /// for that time; [`ExecTrace::validate`] reports such malformations.
-    ///
-    /// For retried tasks, `start_ns` is the start of the **final** attempt
-    /// (all `Running` events of a task sit in its pinned worker's buffer, in
-    /// chronological order, so the last one wins); `Failed`/`Retried`
-    /// events do not contribute to the span.
-    pub fn task_spans(&self) -> HashMap<TaskId, TaskSpan> {
-        let mut spans: HashMap<TaskId, TaskSpan> = HashMap::new();
-        for (_, e) in self.iter_events() {
-            let s = spans.entry(e.task).or_default();
-            match e.phase {
-                TracePhase::Ready => s.ready_ns = e.t_ns,
-                TracePhase::Running => s.start_ns = e.t_ns,
-                TracePhase::Done => s.end_ns = e.t_ns,
-                TracePhase::Failed
-                | TracePhase::Retried
-                | TracePhase::Sent
-                | TracePhase::Received => {}
-            }
-        }
-        spans
-    }
-
-    /// Number of handler attempts per task (the count of `Running` events);
-    /// 1 for every task of a fault-free execution.
-    pub fn task_attempts(&self) -> HashMap<TaskId, u32> {
-        let mut attempts: HashMap<TaskId, u32> = HashMap::new();
-        for (_, e) in self.iter_events() {
-            if e.phase == TracePhase::Running {
-                *attempts.entry(e.task).or_default() += 1;
-            }
-        }
-        attempts
-    }
-
     /// Checks the trace against `graph`, returning every violated
     /// invariant:
     ///
-    /// 1. per-worker timestamps are non-decreasing;
-    /// 2. every task has exactly one Ready and one Done event, and its
-    ///    Running/Failed/Retried counts are retry-consistent
-    ///    (`#Running = #Failed + 1`, `#Retried = #Failed`);
-    /// 3. ready ≤ start ≤ end per task;
-    /// 4. the traced task set is exactly the DAG's task set;
-    /// 5. no task starts before all its dependencies are done;
-    /// 6. every task ran on the worker it was pinned to.
+    /// 1. there is one span per DAG task;
+    /// 2. ready ≤ start ≤ end per task;
+    /// 3. no task starts before all its dependencies are done;
+    /// 4. the tasks of one lane never overlap (order-free tasks, each a
+    ///    lane of its own, may).
     pub fn validate<T>(&self, graph: &TaskGraph<T>) -> Vec<TraceError> {
-        let mut errors = Vec::new();
-
-        for w in &self.workers {
-            for (i, pair) in w.events.windows(2).enumerate() {
-                if pair[1].t_ns < pair[0].t_ns {
-                    errors.push(TraceError::NonMonotoneWorker {
-                        worker: w.worker,
-                        at: i + 1,
-                    });
-                }
-            }
-        }
-
-        let mut counts: HashMap<TaskId, [usize; 7]> = HashMap::new();
-        let mut ran_on: HashMap<TaskId, WorkerId> = HashMap::new();
-        for (wid, e) in self.iter_events() {
-            let c = counts.entry(e.task).or_default();
-            c[e.phase as usize] += 1;
-            if e.phase == TracePhase::Running {
-                if let Some(w) = wid {
-                    ran_on.insert(e.task, w);
-                }
-            }
-        }
-        for (&task, c) in &counts {
-            for (phase, n) in [TracePhase::Ready, TracePhase::Done].iter().zip([c[0], c[2]]) {
-                if n != 1 {
-                    errors.push(TraceError::PhaseCount {
-                        task,
-                        phase: *phase,
-                        count: n,
-                    });
-                }
-            }
-            let (running, failed, retried) =
-                (c[TracePhase::Running as usize], c[TracePhase::Failed as usize], c[TracePhase::Retried as usize]);
-            if running != failed + 1 || retried != failed {
-                errors.push(TraceError::RetryMismatch { task, running, failed, retried });
-            }
-        }
-
-        if counts.len() != graph.len() {
-            errors.push(TraceError::TaskCount {
-                traced: counts.len(),
+        if self.spans.len() != graph.len() {
+            return vec![TraceError::TaskCount {
+                traced: self.spans.len(),
                 expected: graph.len(),
-            });
+            }];
         }
-
-        let spans = self.task_spans();
-        for (&task, s) in &spans {
+        let mut errors = Vec::new();
+        for (task, s) in self.spans.iter().enumerate() {
             if !(s.ready_ns <= s.start_ns && s.start_ns <= s.end_ns) {
                 errors.push(TraceError::PhaseOrder { task });
             }
-        }
-        for task in 0..graph.len() {
-            let Some(s) = spans.get(&task) else { continue };
             for &dep in graph.deps(task) {
-                if let Some(d) = spans.get(&dep) {
-                    if s.start_ns < d.end_ns {
-                        errors.push(TraceError::DependencyOverlap { task, dep });
-                    }
-                }
-            }
-            if let Some(&w) = ran_on.get(&task) {
-                if w != graph.worker(task) {
-                    errors.push(TraceError::WrongWorker {
-                        task,
-                        ran_on: w,
-                        pinned: graph.worker(task),
-                    });
+                if s.start_ns < self.spans[dep].end_ns {
+                    errors.push(TraceError::DependencyOverlap { task, dep });
                 }
             }
         }
-
-        errors.sort_by_key(|e| match e {
-            TraceError::NonMonotoneWorker { at, .. } => (0, *at),
-            TraceError::PhaseCount { task, .. } => (1, *task),
-            TraceError::RetryMismatch { task, .. } => (2, *task),
-            TraceError::PhaseOrder { task } => (3, *task),
-            TraceError::TaskCount { .. } => (4, 0),
-            TraceError::DependencyOverlap { task, .. } => (5, *task),
-            TraceError::WrongWorker { task, .. } => (6, *task),
-        });
+        let mut runs: Vec<(WorkerId, u64, u64, TaskId)> = (0..graph.len())
+            .filter(|&t| !graph.worker(t).is_any())
+            .map(|t| (graph.worker(t), self.spans[t].start_ns, self.spans[t].end_ns, t))
+            .collect();
+        runs.sort_unstable();
+        for pair in runs.windows(2) {
+            let ((worker, _, prev_end, prev), (next_worker, start, _, task)) = (pair[0], pair[1]);
+            if worker == next_worker && start < prev_end {
+                errors.push(TraceError::LaneOverlap { worker, task, prev });
+            }
+        }
         errors
     }
 }
@@ -391,17 +191,16 @@ impl ExecTrace {
 // Labeled task records and exporters
 // ---------------------------------------------------------------------------
 
-/// A fully-labeled traced task — what the exporters consume. Produced by
-/// whoever knows the payload semantics (e.g. `core::exec` labels its `Op`
-/// vocabulary); the exporters below are payload-agnostic.
+/// A traced task — what the exporters consume. Produced by whoever knows
+/// the payload semantics (e.g. `core::engine` for its `Op` vocabulary); the
+/// exporters below are payload-agnostic and take each task's label from
+/// their caller.
 #[derive(Clone, Debug)]
 pub struct TaskRecord {
     /// Task id within its graph.
     pub task: TaskId,
     /// Task kind, e.g. `"Gemm"` — the per-kind aggregation key.
     pub kind: &'static str,
-    /// Human-readable instance detail, e.g. `"Gemm(7,3|2,5)"`.
-    pub detail: String,
     /// Worker the task ran on.
     pub worker: WorkerId,
     /// Life-cycle times.
@@ -564,8 +363,9 @@ pub const NIC_TID: usize = 999;
 /// export, just below [`NIC_TID`].
 pub const ANY_TID: usize = NIC_TID - 1;
 
-/// Renders labeled task records (plus optional per-device memory-occupancy
-/// samples) as a Chrome-trace JSON document. Convention: `pid` = node,
+/// Renders task records (plus optional per-device memory-occupancy samples)
+/// as a Chrome-trace JSON document; `label` names each task's slice (its
+/// category is the record's kind). Convention: `pid` = node,
 /// `tid` = lane (0 = CPU, `1+g` = GPU g, [`ANY_TID`] for the node's
 /// order-free tasks, whose slices may overlap); one extra counter track per
 /// sampled device. The transport's
@@ -576,16 +376,17 @@ pub const ANY_TID: usize = NIC_TID - 1;
 /// and suppressed duplicates render as zero-width marker slices.
 pub fn chrome_trace_json_full(
     records: &[TaskRecord],
+    label: impl Fn(&TaskRecord) -> String,
     mem_samples: &[((usize, usize), Vec<MemSample>)],
     comm_events: &[crate::comm::CommEvent],
 ) -> String {
     let mut b = ChromeTraceBuilder::new();
     let mut nic_named: std::collections::HashSet<usize> = Default::default();
     // Match each non-Sent event to its Sent time by (key, src, dst, epoch).
-    let mut sent_at: HashMap<(String, usize, usize, u32), u64> = HashMap::new();
+    let mut sent_at: HashMap<(DataKey, usize, usize, u32), u64> = HashMap::new();
     for e in comm_events {
         if e.phase == TracePhase::Sent {
-            sent_at.insert((format!("{:?}", e.key), e.src, e.dst, e.epoch), e.t_ns);
+            sent_at.insert((e.key, e.src, e.dst, e.epoch), e.t_ns);
         }
     }
     for e in comm_events {
@@ -594,18 +395,13 @@ pub fn chrome_trace_json_full(
             TracePhase::Received => ("recv", "Comm"),
             TracePhase::Failed => ("drop", "CommDrop"),
             TracePhase::Retried => ("dup", "CommDup"),
-            _ => continue,
         };
         if nic_named.insert(e.dst) {
             b.name_event("thread_name", e.dst, NIC_TID, "nic");
         }
-        let key_s = format!("{:?}", e.key);
-        let start_ns = sent_at
-            .get(&(key_s.clone(), e.src, e.dst, e.epoch))
-            .copied()
-            .unwrap_or(e.t_ns);
+        let start_ns = sent_at.get(&(e.key, e.src, e.dst, e.epoch)).copied().unwrap_or(e.t_ns);
         b.complete_event(
-            &format!("{name_prefix} {key_s} {}->{}", e.src, e.dst),
+            &format!("{name_prefix} {:?} {}->{}", e.key, e.src, e.dst),
             cat,
             e.dst,
             NIC_TID,
@@ -640,7 +436,7 @@ pub fn chrome_trace_json_full(
             args.push(("attempts", r.attempts.to_string()));
         }
         b.complete_event(
-            &r.detail,
+            &label(r),
             r.kind,
             r.worker.node,
             tid,
@@ -728,7 +524,6 @@ mod tests {
         TaskRecord {
             task,
             kind,
-            detail: format!("{kind}[{task}]"),
             worker,
             span: TaskSpan {
                 ready_ns: ready,
@@ -789,7 +584,8 @@ mod tests {
             rec(1, "Gemm", w(1, 2), 500, 2_000, 9_000),
         ];
         let samples = vec![((0usize, 0usize), vec![(1_000u64, 64u64), (2_000, 0)])];
-        let json = chrome_trace_json_full(&records, &samples, &[]);
+        let label = |r: &TaskRecord| format!("{}[{}]", r.kind, r.task);
+        let json = chrome_trace_json_full(&records, label, &samples, &[]);
         // Structural sanity without a JSON parser dependency: balanced
         // brackets/braces, one object per event line.
         assert!(json.starts_with("[\n"));
@@ -801,6 +597,7 @@ mod tests {
         assert!(json.contains("\"ph\":\"C\""));
         assert!(json.contains("\"ph\":\"M\""));
         assert!(json.contains("\"cat\":\"Gemm\""));
+        assert!(json.contains("\"name\":\"Gemm[1]\""));
         assert!(json.contains("gpu1"));
     }
 
@@ -827,134 +624,55 @@ mod tests {
         let a = g.add_task(0, w(0, 0));
         let b = g.add_task(1, w(0, 0));
         g.add_dep(b, a);
+        let span = |ready_ns, start_ns, end_ns| TaskSpan { ready_ns, start_ns, end_ns };
 
         // A well-formed trace validates cleanly.
-        let good = ExecTrace {
-            workers: vec![WorkerTrace {
-                worker: w(0, 0),
-                events: vec![
-                    TraceEvent { task: a, phase: TracePhase::Running, t_ns: 10 },
-                    TraceEvent { task: a, phase: TracePhase::Done, t_ns: 20 },
-                    TraceEvent { task: b, phase: TracePhase::Ready, t_ns: 20 },
-                    TraceEvent { task: b, phase: TracePhase::Running, t_ns: 25 },
-                    TraceEvent { task: b, phase: TracePhase::Done, t_ns: 30 },
-                ],
-            }],
-            seed_events: vec![TraceEvent { task: a, phase: TracePhase::Ready, t_ns: 0 }],
-            total_ns: 30,
-        };
+        let good = ExecTrace { spans: vec![span(0, 10, 20), span(20, 25, 30)], total_ns: 30 };
         assert!(good.validate(&g).is_empty(), "{:?}", good.validate(&g));
 
-        // Dependency overlap: b runs before a is done.
+        // Dependency overlap: b runs before a is done, on a's lane.
         let mut bad = good.clone();
-        bad.workers[0].events[3].t_ns = 15;
-        bad.workers[0].events[2].t_ns = 15;
-        let errors = bad.validate(&g);
-        assert!(
-            errors.iter().any(|e| matches!(
-                e,
-                TraceError::DependencyOverlap { task, dep } if *task == b && *dep == a
-            )),
-            "{errors:?}"
-        );
-        // The edit also made worker timestamps non-monotone.
-        assert!(errors
-            .iter()
-            .any(|e| matches!(e, TraceError::NonMonotoneWorker { .. })));
-
-        // Missing Done event.
-        let mut truncated = good.clone();
-        truncated.workers[0].events.pop();
-        let errors = truncated.validate(&g);
-        assert!(
-            errors.iter().any(|e| matches!(
-                e,
-                TraceError::PhaseCount { task, phase: TracePhase::Done, count: 0 } if *task == b
-            )),
-            "{errors:?}"
+        bad.spans[b] = span(15, 15, 30);
+        assert_eq!(
+            bad.validate(&g),
+            vec![
+                TraceError::DependencyOverlap { task: b, dep: a },
+                TraceError::LaneOverlap { worker: w(0, 0), task: b, prev: a },
+            ]
         );
 
-        // Wrong worker.
-        let mut wrong = good;
-        wrong.workers[0].worker = w(1, 0);
-        let errors = wrong.validate(&g);
-        assert!(errors
-            .iter()
-            .any(|e| matches!(e, TraceError::WrongWorker { .. })));
+        // Out of causal order.
+        let mut backwards = good.clone();
+        backwards.spans[b] = span(26, 25, 30);
+        assert_eq!(backwards.validate(&g), vec![TraceError::PhaseOrder { task: b }]);
+
+        // A span missing.
+        let mut truncated = good;
+        truncated.spans.pop();
+        assert_eq!(
+            truncated.validate(&g),
+            vec![TraceError::TaskCount { traced: 1, expected: 2 }]
+        );
     }
 
     #[test]
-    fn validate_accepts_retried_tasks_and_counts_attempts() {
+    fn order_free_tasks_may_overlap() {
         let mut g: TaskGraph<u32> = TaskGraph::new();
-        let a = g.add_task(0, w(0, 0));
-        // a fails twice, is retried twice, then succeeds.
-        let trace = ExecTrace {
-            workers: vec![WorkerTrace {
-                worker: w(0, 0),
-                events: vec![
-                    TraceEvent { task: a, phase: TracePhase::Running, t_ns: 10 },
-                    TraceEvent { task: a, phase: TracePhase::Failed, t_ns: 12 },
-                    TraceEvent { task: a, phase: TracePhase::Retried, t_ns: 14 },
-                    TraceEvent { task: a, phase: TracePhase::Running, t_ns: 16 },
-                    TraceEvent { task: a, phase: TracePhase::Failed, t_ns: 18 },
-                    TraceEvent { task: a, phase: TracePhase::Retried, t_ns: 20 },
-                    TraceEvent { task: a, phase: TracePhase::Running, t_ns: 22 },
-                    TraceEvent { task: a, phase: TracePhase::Done, t_ns: 30 },
-                ],
-            }],
-            seed_events: vec![TraceEvent { task: a, phase: TracePhase::Ready, t_ns: 0 }],
-            total_ns: 30,
-        };
+        g.add_task(0, WorkerId::any(0));
+        g.add_task(1, WorkerId::any(0));
+        let span = TaskSpan { ready_ns: 0, start_ns: 0, end_ns: 10 };
+        let trace = ExecTrace { spans: vec![span; 2], total_ns: 10 };
         assert_eq!(trace.validate(&g), Vec::new());
-        assert_eq!(trace.task_attempts()[&a], 3);
-        // The reconstructed span uses the final attempt's start.
-        assert_eq!(trace.task_spans()[&a].start_ns, 22);
-
-        // A Failed without a matching Retried + re-Running is malformed.
-        let mut bad = trace.clone();
-        bad.workers[0].events.truncate(2); // Running, Failed — then nothing
-        bad.workers[0].events.push(TraceEvent { task: a, phase: TracePhase::Done, t_ns: 30 });
-        let errors = bad.validate(&g);
-        assert!(
-            errors.iter().any(|e| matches!(
-                e,
-                TraceError::RetryMismatch { task, running: 1, failed: 1, retried: 0 } if *task == a
-            )),
-            "{errors:?}"
-        );
     }
 
     #[test]
     fn chrome_export_labels_retried_tasks() {
         let mut retried = rec(0, "GenB", w(0, 3), 0, 1_000, 2_000);
         retried.attempts = 3;
-        let json =
-            chrome_trace_json_full(&[retried, rec(1, "Gemm", w(0, 1), 0, 2_000, 3_000)], &[], &[]);
+        let records = [retried, rec(1, "Gemm", w(0, 1), 0, 2_000, 3_000)];
+        let json = chrome_trace_json_full(&records, |r| r.kind.to_string(), &[], &[]);
         assert!(json.contains("\"attempts\":\"3\""), "{json}");
         // Single-attempt tasks stay unlabeled.
         assert_eq!(json.matches("attempts").count(), 1, "{json}");
-    }
-
-    #[test]
-    fn validate_catches_task_count_mismatch() {
-        let mut g: TaskGraph<u32> = TaskGraph::new();
-        g.add_task(0, w(0, 0));
-        g.add_task(1, w(0, 0));
-        let trace = ExecTrace {
-            workers: vec![WorkerTrace {
-                worker: w(0, 0),
-                events: vec![
-                    TraceEvent { task: 0, phase: TracePhase::Running, t_ns: 1 },
-                    TraceEvent { task: 0, phase: TracePhase::Done, t_ns: 2 },
-                ],
-            }],
-            seed_events: vec![TraceEvent { task: 0, phase: TracePhase::Ready, t_ns: 0 }],
-            total_ns: 2,
-        };
-        let errors = trace.validate(&g);
-        assert!(errors.iter().any(|e| matches!(
-            e,
-            TraceError::TaskCount { traced: 1, expected: 2 }
-        )));
     }
 }

@@ -1,8 +1,8 @@
-//! Policy gates for [`Engine::run`]: every tracing / clock / retry
-//! combination is gated **byte-identical** against the plain stack on a
-//! deterministic dataflow graph (every task's value is a pure function of
-//! its dependencies' values), with every recorded trace invariant-clean,
-//! plus one canary for the [`infallible`] handler adapter.
+//! Policy gates for [`Engine::run`]: every clock / retry combination is
+//! gated **byte-identical** against the plain stack on a deterministic
+//! dataflow graph (every task's value is a pure function of its
+//! dependencies' values), with every recorded trace invariant-clean, plus
+//! one canary for the [`infallible`] handler adapter.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -52,11 +52,10 @@ fn faulty(id: usize) -> bool {
     id % 7 == 3
 }
 
-/// Tracing and a shared clock are pure observation: the traced and clocked
-/// policy stacks produce the same bytes as the plain stack, and their
-/// traces are invariant-clean.
+/// A shared clock is pure observation: the clocked policy stack produces
+/// the same bytes as the plain stack, and both traces are invariant-clean.
 #[test]
-fn tracing_and_clock_policies_match_plain_engine_byte_for_byte() {
+fn clock_policy_matches_plain_engine_byte_for_byte() {
     let (graph, workers) = build_graph();
     let n = graph.len();
     let run_with = |exec: &dyn Fn(&TaskGraph<usize>, &[AtomicU64])| {
@@ -69,20 +68,10 @@ fn tracing_and_clock_policies_match_plain_engine_byte_for_byte() {
             out[id].store(value_of(g, out, id).to_bits(), Ordering::SeqCst);
             Ok::<(), TaskError<std::convert::Infallible>>(())
         };
-        Engine::new().run(g, &workers, |_| (), h).unwrap();
+        let run = Engine::new().run(g, &workers, |_| (), h).unwrap();
+        assert!(run.trace.validate(g).is_empty(), "plain run has violations");
+        assert_eq!(run.trace.spans.len(), g.len());
     });
-
-    let traced = run_with(&|g, out| {
-        let h = |&id: &usize, _w: WorkerId, _c: &mut (), _a: u32| {
-            out[id].store(value_of(g, out, id).to_bits(), Ordering::SeqCst);
-            Ok::<(), TaskError<std::convert::Infallible>>(())
-        };
-        let run = Engine::new().tracing().run(g, &workers, |_| (), h).unwrap();
-        let trace = run.trace.expect("tracing policy records");
-        assert!(trace.validate(g).is_empty(), "traced run has violations");
-        assert_eq!(trace.event_count(), 3 * g.len());
-    });
-    assert_eq!(plain, traced, "tracing policy changed the bytes");
 
     let clocked = run_with(&|g, out| {
         let h = |&id: &usize, _w: WorkerId, _c: &mut (), _a: u32| {
@@ -90,12 +79,8 @@ fn tracing_and_clock_policies_match_plain_engine_byte_for_byte() {
             Ok::<(), TaskError<std::convert::Infallible>>(())
         };
         let clock = bst_runtime::trace::TraceClock::start();
-        let run = Engine::new()
-            .tracing()
-            .with_clock(clock)
-            .run(g, &workers, |_| (), h)
-            .unwrap();
-        assert!(run.trace.expect("traced").validate(g).is_empty());
+        let run = Engine::new().with_clock(clock).run(g, &workers, |_| (), h).unwrap();
+        assert!(run.trace.validate(g).is_empty());
     });
     assert_eq!(plain, clocked, "shared-clock policy changed the bytes");
 }
@@ -148,8 +133,8 @@ fn infallible_adapter_matches_explicit_handler() {
 }
 
 /// Retry policy stacks: transient failures recover to the same bytes as a
-/// fault-free run, with and without tracing, and the retry counters agree
-/// with the deterministic fault pattern.
+/// fault-free run, with and without a shared clock, the retry counters
+/// agree with the deterministic fault pattern, and the traces validate.
 #[test]
 fn retry_policy_stacks_recover_to_identical_bytes() {
     let (graph, workers) = build_graph();
@@ -183,29 +168,17 @@ fn retry_policy_stacks_recover_to_identical_bytes() {
             .run(g, &workers, |_| (), body)
             .expect("transient faults must recover");
         assert_eq!(run.retried_tasks(), expected_retries);
+        assert!(run.trace.validate(g).is_empty(), "faulted trace invalid");
     });
-
-    let traced_retry = run_with(&|g, _out, body| {
-        let run = Engine::new()
-            .tracing()
-            .with_retry(retry)
-            .run(g, &workers, |_| (), body)
-            .expect("traced retry stack must recover");
-        assert_eq!(run.retried_tasks(), expected_retries);
-        let trace = run.trace.expect("tracing was requested");
-        assert!(trace.validate(g).is_empty(), "faulted trace invalid");
-    });
-    assert_eq!(plain_retry, traced_retry, "tracing + retry changed the bytes");
 
     let clocked_retry = run_with(&|g, _out, body| {
         let clock = bst_runtime::trace::TraceClock::start();
         let run = Engine::new()
-            .tracing()
             .with_clock(clock)
             .with_retry(retry)
             .run(g, &workers, |_| (), body)
             .expect("clocked retry stack must recover");
-        assert!(run.trace.expect("traced").validate(g).is_empty());
+        assert!(run.trace.validate(g).is_empty());
     });
     assert_eq!(plain_retry, clocked_retry, "clock + retry changed the bytes");
 

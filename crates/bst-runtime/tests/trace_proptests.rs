@@ -1,21 +1,21 @@
-//! Property tests for the engine's tracing: for *any* DAG shape and worker
-//! set, the per-worker event streams must be well formed — monotone
-//! timestamps, exactly one Ready/Running/Done per task in that order,
-//! dependency spans never overlapping, and counts matching the DAG size.
+//! Property tests for the engine's spans: for *any* DAG shape and worker
+//! set, every task has one well-formed span — ready ≤ start ≤ end, never
+//! overlapping its lane's other tasks or starting before its dependencies
+//! ended — and under transient failures the span is the final attempt's.
 
 use bst_runtime::engine::{infallible, Engine};
-use bst_runtime::graph::{TaskGraph, WorkerId};
-use bst_runtime::trace::{ExecTrace, TracePhase};
+use bst_runtime::graph::{RetryOptions, TaskError, TaskGraph, WorkerId};
+use bst_runtime::trace::{ExecTrace, TraceClock};
+use parking_lot::Mutex;
 use proptest::prelude::*;
 
 fn w(node: usize, lane: usize) -> WorkerId {
     WorkerId { node, lane }
 }
 
-fn exec_traced(g: &TaskGraph<usize>, workers: &[WorkerId]) -> ExecTrace {
-    match Engine::new().tracing().run(g, workers, |_| (), infallible(|_: &usize, _, _: &mut ()| {}))
-    {
-        Ok(r) => r.trace.expect("tracing was requested"),
+fn exec(g: &TaskGraph<usize>, workers: &[WorkerId]) -> ExecTrace {
+    match Engine::new().run(g, workers, |_| (), infallible(|_: &usize, _, _: &mut ()| {})) {
+        Ok(r) => r.trace,
         Err(abort) => match abort.error {},
     }
 }
@@ -50,7 +50,7 @@ fn build_dag(
 
 proptest! {
     /// The built-in validator accepts every trace the engine produces, and
-    /// the event count is exactly 3 per task (Ready, Running, Done).
+    /// there is exactly one span per task.
     #[test]
     fn random_dags_produce_valid_traces(
         n in 1usize..40,
@@ -59,45 +59,38 @@ proptest! {
         lanes in 1usize..4,
     ) {
         let (g, workers) = build_dag(n, &raw_edges, nodes, lanes);
-        let trace = exec_traced(&g, &workers);
+        let trace = exec(&g, &workers);
         let errors = trace.validate(&g);
         prop_assert!(errors.is_empty(), "{errors:?}");
-        prop_assert_eq!(trace.event_count(), 3 * n);
+        prop_assert_eq!(trace.spans.len(), n);
     }
 
-    /// Re-checked by hand (not via `validate`): per-worker monotonicity,
-    /// per-task phase counts, and life-cycle ordering of every span.
+    /// Re-checked by hand (not via `validate`): life-cycle ordering of every
+    /// span, and a lane's tasks one at a time.
     #[test]
-    fn event_streams_are_well_formed(
+    fn spans_are_well_formed(
         n in 1usize..30,
         raw_edges in prop::collection::vec((0usize..1000, 0usize..1000), 0..60),
         lanes in 1usize..5,
     ) {
         let (g, workers) = build_dag(n, &raw_edges, 1, lanes);
-        let trace = exec_traced(&g, &workers);
-
-        for wt in &trace.workers {
-            for pair in wt.events.windows(2) {
-                prop_assert!(pair[0].t_ns <= pair[1].t_ns,
-                    "non-monotone stream on {:?}", wt.worker);
-            }
-        }
-
-        let mut counts = vec![[0usize; 3]; n];
-        for (_, e) in trace.iter_events() {
-            counts[e.task][e.phase as usize] += 1;
-        }
-        for (task, c) in counts.iter().enumerate() {
-            prop_assert_eq!(c, &[1, 1, 1], "task {} phases {:?}", task, c);
-        }
-
-        let spans = trace.task_spans();
-        prop_assert_eq!(spans.len(), n);
-        for span in spans.values() {
+        let trace = exec(&g, &workers);
+        prop_assert_eq!(trace.spans.len(), n);
+        for span in &trace.spans {
             prop_assert!(span.ready_ns <= span.start_ns);
             prop_assert!(span.start_ns <= span.end_ns);
+            prop_assert!(span.end_ns <= trace.total_ns);
         }
-        let _ = TracePhase::Ready; // phases exhaustively covered above
+        for lane in &workers {
+            let mut ran: Vec<_> = (0..n)
+                .filter(|&t| g.worker(t) == *lane)
+                .map(|t| trace.spans[t])
+                .collect();
+            ran.sort_by_key(|s| s.start_ns);
+            for pair in ran.windows(2) {
+                prop_assert!(pair[0].end_ns <= pair[1].start_ns, "{:?} overlapped", lane);
+            }
+        }
     }
 
     /// A task never starts before each of its dependencies finished, no
@@ -110,14 +103,62 @@ proptest! {
         lanes in 1usize..4,
     ) {
         let (g, workers) = build_dag(n, &raw_edges, nodes, lanes);
-        let trace = exec_traced(&g, &workers);
-        let spans = trace.task_spans();
+        let spans = exec(&g, &workers).spans;
         for task in 0..g.len() {
             for &dep in g.deps(task) {
                 prop_assert!(
-                    spans[&dep].end_ns <= spans[&task].start_ns,
+                    spans[dep].end_ns <= spans[task].start_ns,
                     "task {task} started before dep {dep} finished"
                 );
+            }
+        }
+    }
+
+    /// Seeded transient failures under a retry budget: each task keeps one
+    /// span, which starts at its final attempt (after every earlier attempt
+    /// began, and no later than the final one did), the handler ran exactly
+    /// [`FallibleRun::attempts`](bst_runtime::graph::FallibleRun) times, and
+    /// the trace validates.
+    #[test]
+    fn retried_tasks_keep_the_final_attempts_span(
+        n in 1usize..30,
+        raw_edges in prop::collection::vec((0usize..1000, 0usize..1000), 0..60),
+        nodes in 1usize..3,
+        lanes in 1usize..4,
+        seed in 0u64..1 << 32,
+    ) {
+        let (g, workers) = build_dag(n, &raw_edges, nodes, lanes);
+        // Task t fails its first `fails(t)` attempts: 0, 1 or 2, hashed
+        // from the seed.
+        let fails = |t: usize| {
+            let h = (seed ^ t as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            (h >> 61) as u32 % 3
+        };
+        let clock = TraceClock::start();
+        let entered: Vec<Mutex<Vec<u64>>> = (0..n).map(|_| Mutex::new(Vec::new())).collect();
+        let run = Engine::new()
+            .with_clock(clock)
+            .with_retry(RetryOptions { budget: 3, backoff_base_us: 1, backoff_max_us: 20 })
+            .run(&g, &workers, |_| (), |&t: &usize, _, _, attempt| {
+                entered[t].lock().push(clock.now_ns());
+                if attempt <= fails(t) {
+                    return Err(TaskError::Transient(attempt));
+                }
+                Ok(())
+            })
+            .expect("every task recovers within its budget");
+        let errors = run.trace.validate(&g);
+        prop_assert!(errors.is_empty(), "{errors:?}");
+        prop_assert_eq!(run.trace.spans.len(), n);
+        for (t, entered) in entered.iter().enumerate() {
+            let entered = entered.lock();
+            prop_assert_eq!(run.attempts[t], fails(t) + 1);
+            prop_assert_eq!(entered.len(), run.attempts[t] as usize);
+            let span = run.trace.spans[t];
+            let last = *entered.last().unwrap();
+            prop_assert!(span.start_ns <= last && last <= span.end_ns, "task {t}: {span:?}");
+            if let Some(&earlier) = entered.iter().rev().nth(1) {
+                prop_assert!(earlier < span.start_ns, "task {t}: span from an earlier attempt");
             }
         }
     }

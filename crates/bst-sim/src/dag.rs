@@ -327,7 +327,6 @@ pub fn replay_dag(
         records.push(TaskRecord {
             task: id,
             kind: op.kind(),
-            detail: low.detail(id),
             worker: w,
             span: TaskSpan { ready_ns, start_ns, end_ns },
             attempts: 1,
@@ -355,6 +354,8 @@ pub fn replay_dag(
         comm: comm_stats,
         trace: Some(ExecTraceData {
             records,
+            ops: (0..n).map(|id| low.graph.payload(id).clone()).collect(),
+            stack_rows: Arc::clone(&low.stack_rows),
             mem_samples: samples,
             comm_events,
             total_ns,

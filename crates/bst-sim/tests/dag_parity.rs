@@ -3,13 +3,14 @@
 //! Both consume the same inspector lowering
 //! (`bst_contract::engine::inspector::lower`), so a numeric run and a
 //! simulated run of the same `(spec, plan, opts)` must execute structurally
-//! identical DAGs: the same multiset of task labels on the same workers, and
+//! identical DAGs: the same multiset of typed ops on the same lanes, and
 //! schedules that both pass the engine's trace-invariant checker.
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use bst_contract::engine::execute;
+use bst_contract::engine::inspector::Op;
 use bst_contract::{
     validate_trace_invariants, DeviceConfig, ExecOptions, ExecReport, ExecutionPlan, GridConfig,
     PlannerConfig, ProblemSpec,
@@ -43,15 +44,18 @@ fn problem() -> (ProblemSpec, ExecutionPlan, PlannerConfig) {
     (spec, plan, config)
 }
 
-/// `(worker, detail) -> count` of a traced report — the structural
-/// fingerprint of the executed DAG.
-fn fingerprint(report: &ExecReport) -> BTreeMap<(usize, usize, String), u64> {
-    let mut map = BTreeMap::new();
-    for r in &report.trace.as_ref().expect("traced report").records {
-        *map.entry((r.worker.node, r.worker.lane, r.detail.clone()))
+/// `(node, lane, op) -> count`, with the stack rows the `Gemm` ops index.
+type Fingerprint = (HashMap<(usize, usize, Op), u64>, Arc<[u32]>);
+
+/// The structural fingerprint of a traced report's executed DAG.
+fn fingerprint(report: &ExecReport) -> Fingerprint {
+    let trace = report.trace.as_ref().expect("traced report");
+    let mut map = HashMap::new();
+    for r in &trace.records {
+        *map.entry((r.worker.node, r.worker.lane, trace.ops[r.task].clone()))
             .or_insert(0) += 1;
     }
-    map
+    (map, Arc::clone(&trace.stack_rows))
 }
 
 #[test]

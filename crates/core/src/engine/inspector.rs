@@ -169,12 +169,12 @@ impl Op {
         }
     }
 
-    /// Compact instance label. Stable format — the trace-invariant tests
-    /// parse these (`Gemm(k,j|i0,i1,…)`, `LoadA(i,k)`, `LoadBlock(b)`,
-    /// `EvictChunk(b,c)`, `FlushBlock(b)`, `SendA(i,k->n)`,
-    /// `RecvA(i,k<-n)`, `GenB(k,j)`, `ReduceC(n)`). `stack_rows` is the
-    /// lowering's row table ([`Lowered::stack_rows`]), which a `Gemm`'s row
-    /// range indexes.
+    /// Compact instance label: the Chrome export's slice name and what error
+    /// messages call a task (`Gemm(k,j|i0,i1,…)`, `LoadA(i,k)`,
+    /// `LoadBlock(b)`, `EvictChunk(b,c)`, `FlushBlock(b)`, `SendA(i,k->n)`,
+    /// `RecvA(i,k<-n)`, `GenB(k,j)`, `ReduceC(n)`). Nothing parses it back:
+    /// traces carry the typed `Op`. `stack_rows` is the lowering's row table
+    /// ([`Lowered::stack_rows`]), which a `Gemm`'s row range indexes.
     pub fn detail(&self, stack_rows: &[u32]) -> String {
         match self {
             Op::SendA { i, k, to } => format!("SendA({i},{k}->{to})"),
@@ -325,11 +325,6 @@ impl Lowered {
     /// The C/A-tile rows of a `Gemm` stack, in execution order.
     pub fn rows_of(&self, rows: &Range<u32>) -> &[u32] {
         &self.stack_rows[rows.start as usize..rows.end as usize]
-    }
-
-    /// [`Op::detail`] of task `id`.
-    pub fn detail(&self, id: TaskId) -> String {
-        self.graph.payload(id).detail(&self.stack_rows)
     }
 
     /// Consumer refcount of `A` tile `t` on `node`: local device loads plus,

@@ -55,9 +55,11 @@
 //! callers that already hold a [`ProblemSpec`] and an [`ExecutionPlan`];
 //! callers starting from operands use [`crate::einsum::Einsum`]. Both, and
 //! the contraction service, are thin over the crate-private `run`, the
-//! **only** execution path: tracing on/off, faults on/off, retry budgets —
-//! every combination is a policy selection on the `bst-runtime`
-//! [`bst_runtime::engine::Engine`], not a separate code path.
+//! **only** execution path: faults on/off, retry budgets — every
+//! combination is a policy selection on the `bst-runtime`
+//! [`bst_runtime::engine::Engine`], not a separate code path. The engine
+//! records every task's span on every run; tracing only decides whether the
+//! report carries them.
 
 pub mod inspector;
 pub mod policies;
@@ -307,9 +309,6 @@ pub(crate) fn run(
     let handler =
         |op: &Op, w: WorkerId, ctx: &mut Ctx, attempt: u32| env.handle(op, w, ctx, attempt);
 
-    // The only branch on tracing is the policy selection — both arms reach
-    // the identical Engine::run scheduler; the Recorder arm merely
-    // monomorphizes event recording in.
     let engine =
         Engine::new().with_clock(clock).with_retry(opts.retry).with_own_thread(low.wait_lane);
     // Progress threads live exactly as long as the engine run: spawned just
@@ -332,11 +331,7 @@ pub(crate) fn run(
             });
         }
         let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            if opts.tracing {
-                engine.tracing().run(&low.graph, &low.workers, mk_ctx, handler)
-            } else {
-                engine.run(&low.graph, &low.workers, mk_ctx, handler)
-            }
+            engine.run(&low.graph, &low.workers, mk_ctx, handler)
         }));
         fabric.shutdown();
         if let Some(link) = &remote {
@@ -351,7 +346,7 @@ pub(crate) fn run(
         Err(abort) => {
             // The abort carries the first failing task; exhausted budgets
             // get the retry context attached, fatal errors pass through.
-            let detail = low.detail(abort.task);
+            let detail = low.graph.payload(abort.task).detail(&low.stack_rows);
             return Err(if abort.budget_exhausted {
                 ExecError::RetryExhausted {
                     detail,
@@ -364,34 +359,32 @@ pub(crate) fn run(
         }
     };
 
-    // Label the raw trace with the ops' kinds, details and attempt counts.
-    let (metrics, trace_data) = match &run.trace {
-        Some(tr) => {
-            let spans = tr.task_spans();
-            let records: Vec<TaskRecord> = (0..low.graph.len())
-                .map(|id| TaskRecord {
-                    task: id,
-                    kind: low.graph.payload(id).kind(),
-                    detail: low.detail(id),
-                    worker: low.graph.worker(id),
-                    span: spans.get(&id).copied().unwrap_or_default(),
-                    attempts: run.attempts.get(id).copied().unwrap_or(1),
-                })
-                .collect();
-            let metrics = aggregate_by_kind(&records);
-            let mut mem_samples = env.mem_log.into_inner();
-            mem_samples.sort_by_key(|(k, _)| *k);
-            (
-                metrics,
-                Some(ExecTraceData {
-                    records,
-                    mem_samples,
-                    comm_events: fabric.take_events(),
-                    total_ns: tr.total_ns,
-                }),
-            )
-        }
-        None => (Vec::new(), None),
+    // The spans with each task's op, lane and attempts: no label is
+    // formatted until the trace is exported.
+    let (metrics, trace_data) = if opts.tracing {
+        let records: Vec<TaskRecord> = (0..low.graph.len())
+            .map(|id| TaskRecord {
+                task: id,
+                kind: low.graph.payload(id).kind(),
+                worker: low.graph.worker(id),
+                span: run.trace.spans[id],
+                attempts: run.attempts[id],
+            })
+            .collect();
+        let metrics = aggregate_by_kind(&records);
+        let mut mem_samples = env.mem_log.into_inner();
+        mem_samples.sort_by_key(|(k, _)| *k);
+        let trace = ExecTraceData {
+            records,
+            ops: (0..low.graph.len()).map(|id| low.graph.payload(id).clone()).collect(),
+            stack_rows: Arc::clone(&low.stack_rows),
+            mem_samples,
+            comm_events: fabric.take_events(),
+            total_ns: run.trace.total_ns,
+        };
+        (metrics, Some(trace))
+    } else {
+        (Vec::new(), None)
     };
     let c = &env.counters;
     let recovery = RecoveryStats {

@@ -14,9 +14,12 @@ use bst_runtime::comm::{DeliveryPolicy, LinkShaper, DEFAULT_CREDIT_WINDOW};
 /// and tile compression.
 #[derive(Clone, Copy, Debug)]
 pub struct ExecOptions {
-    /// Record the full task life-cycle trace plus device-memory occupancy
-    /// samples; populates [`ExecReport::metrics`] and [`ExecReport::trace`].
-    /// Off by default — tracing costs a few `Vec` pushes per task.
+    /// Hand back the trace: every task's span (which the engine records on
+    /// every run) with its op, plus device-memory occupancy samples and the
+    /// transport's events; populates [`ExecReport::metrics`] and
+    /// [`ExecReport::trace`]. Off by default — building the report's trace
+    /// costs one record per task after the run, and the samples and events
+    /// cost a lock and a push each.
     ///
     /// [`ExecReport::metrics`]: crate::engine::report::ExecReport::metrics
     /// [`ExecReport::trace`]: crate::engine::report::ExecReport::trace

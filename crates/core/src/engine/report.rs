@@ -2,21 +2,24 @@
 //!
 //! Everything the engine tells the caller *about* a run lives here: the
 //! aggregate [`ExecReport`], the fault/recovery tallies ([`RecoveryStats`]),
-//! the labeled trace ([`ExecTraceData`]), and the schedule-invariant checker
+//! the typed trace ([`ExecTraceData`]), and the schedule-invariant checker
 //! ([`validate_trace_invariants`]) that gates both numeric traces and the
 //! bst-sim replay of the same plan.
 
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
+use std::sync::Arc;
 
 use bst_runtime::comm::{CommEvent, NodeCommStats};
+use bst_runtime::data::DataKey;
 use bst_runtime::device::DeviceStats;
-use bst_runtime::graph::WorkerId;
+use bst_runtime::graph::{TaskId, WorkerId};
 use bst_runtime::trace::{
     chrome_trace_json_full, text_summary, KindMetrics, MemSample, TaskRecord, TracePhase,
 };
 use bst_tile::pool::PoolStats;
 
-use super::inspector::GENB_WINDOW;
+use super::inspector::{Op, GENB_WINDOW};
 #[cfg(doc)]
 use super::policies::ExecOptions;
 
@@ -121,7 +124,7 @@ pub struct ExecReport {
     /// Persistent B-tile cache counters of this run (`None` on the
     /// one-shot paths, which run without a cache).
     pub b_cache: Option<BCacheRunStats>,
-    /// The full labeled trace (present only under [`ExecOptions::tracing`]).
+    /// The full typed trace (present only under [`ExecOptions::tracing`]).
     pub trace: Option<ExecTraceData>,
 }
 
@@ -240,14 +243,19 @@ impl ExecReport {
 /// Per-device memory-occupancy logs, keyed by `(node, gpu)`.
 pub type DeviceMemLog = Vec<((usize, usize), Vec<MemSample>)>;
 
-/// The labeled task records and device-memory samples of one traced
-/// execution ([`ExecOptions::tracing`]).
+/// The task records, their typed ops, and the device-memory samples of one
+/// traced execution ([`ExecOptions::tracing`]).
 #[derive(Clone, Debug, Default)]
 pub struct ExecTraceData {
-    /// One record per DAG task, labeled from the executor's task vocabulary
-    /// (kinds: `SendA`, `RecvA`, `GenB`, `LoadBlock`, `LoadA`, `Gemm`,
-    /// `EvictChunk`, `FlushBlock`).
+    /// One record per DAG task, indexed by task id, its kind from the
+    /// executor's task vocabulary (`SendA`, `RecvA`, `GenB`, `LoadBlock`,
+    /// `LoadA`, `Gemm`, `EvictChunk`, `FlushBlock`, `ReduceC`).
     pub records: Vec<TaskRecord>,
+    /// Every task's op, indexed by task id.
+    pub ops: Vec<Op>,
+    /// The lowering's `Gemm` row table, which each [`Op::Gemm`]'s row range
+    /// indexes ([`Lowered::stack_rows`](super::inspector::Lowered::stack_rows)).
+    pub stack_rows: Arc<[u32]>,
     /// Per-(node, gpu) resident-byte samples, one taken after every
     /// device-touching task, on the same clock as the records.
     pub mem_samples: DeviceMemLog,
@@ -259,11 +267,23 @@ pub struct ExecTraceData {
 }
 
 impl ExecTraceData {
+    /// Task `task`'s label, [`Op::detail`].
+    pub fn detail(&self, task: TaskId) -> String {
+        self.ops[task].detail(&self.stack_rows)
+    }
+
+    /// The C/A-tile rows of a `Gemm` stack, in execution order.
+    pub fn rows_of(&self, rows: &Range<u32>) -> &[u32] {
+        &self.stack_rows[rows.start as usize..rows.end as usize]
+    }
+
     /// Renders the trace as `chrome://tracing` / Perfetto JSON (one track
-    /// per worker lane, counter tracks for device occupancy, and a `nic`
-    /// track per node with `Sent → Received` message slices).
+    /// per worker lane, each task's slice named by its [`Op::detail`],
+    /// counter tracks for device occupancy, and a `nic` track per node with
+    /// `Sent → Received` message slices).
     pub fn chrome_trace_json(&self) -> String {
-        chrome_trace_json_full(&self.records, &self.mem_samples, &self.comm_events)
+        let label = |r: &TaskRecord| self.detail(r.task);
+        chrome_trace_json_full(&self.records, label, &self.mem_samples, &self.comm_events)
     }
 }
 
@@ -300,40 +320,21 @@ pub fn validate_trace_invariants(report: &ExecReport, gpu_capacity: u64) -> Vec<
         .as_ref()
         .expect("validate_trace_invariants needs a traced report");
     let mut errors = Vec::new();
-
-    // Parses "Kind(a,b,...)" details into their integer arguments.
-    fn args_of(detail: &str) -> Vec<u64> {
-        let inner = detail
-            .split_once('(')
-            .and_then(|(_, rest)| rest.strip_suffix(')'))
-            .unwrap_or("");
-        inner
-            .split([',', '-', '>'])
-            .filter_map(|s| s.parse::<u64>().ok())
-            .collect()
-    }
-
-    // Parses a stack label "Gemm(k,j|i0,i1,...)" into `(k, j, rows)`.
-    fn stack_of(detail: &str) -> Option<(u64, u64, Vec<u64>)> {
-        let (head, rows) = detail.strip_prefix("Gemm(")?.strip_suffix(')')?.split_once('|')?;
-        let (k, j) = head.split_once(',')?;
-        let rows: Option<Vec<u64>> = rows.split(',').map(|s| s.parse().ok()).collect();
-        Some((k.parse().ok()?, j.parse().ok()?, rows.filter(|r| !r.is_empty())?))
-    }
+    let op = |r: &TaskRecord| &trace.ops[r.task];
 
     for r in &trace.records {
         if !(r.span.ready_ns <= r.span.start_ns && r.span.start_ns <= r.span.end_ns) {
-            errors.push(format!("{}: life-cycle out of order", r.detail));
+            errors.push(format!("{}: life-cycle out of order", trace.detail(r.task)));
         }
     }
 
     let mut by_lane: HashMap<WorkerId, Vec<&TaskRecord>> = HashMap::new();
     // Each node's `GenB` spans by `(node, k, j)`, whatever worker ran them.
-    let mut genb: HashMap<(usize, u64, u64), (u64, u64)> = HashMap::new();
+    let mut genb: HashMap<(usize, u32, u32), (u64, u64)> = HashMap::new();
     for r in &trace.records {
         by_lane.entry(r.worker).or_default().push(r);
-        if let ("GenB", [k, j]) = (r.kind, &args_of(&r.detail)[..]) {
-            genb.insert((r.worker.node, *k, *j), (r.span.start_ns, r.span.end_ns));
+        if let Op::GenB { k, j } = *op(r) {
+            genb.insert((r.worker.node, k, j), (r.span.start_ns, r.span.end_ns));
         }
     }
     for (lane, records) in &by_lane {
@@ -341,43 +342,48 @@ pub fn validate_trace_invariants(report: &ExecReport, gpu_capacity: u64) -> Vec<
             continue; // CPU lanes and `GenB`s have no device discipline to check
         }
         // Indexed once per lane, so the check is linear in the trace: the
-        // earliest finish of a `LoadA` per tile, and the `LoadBlock` spans by
-        // start time.
-        let mut load_a_end: HashMap<(u64, u64), u64> = HashMap::new();
+        // earliest finish of a `LoadA` per tile, the `LoadBlock` spans by
+        // start time, and each block's `FlushBlock` finish.
+        let mut load_a_end: HashMap<(u32, u32), u64> = HashMap::new();
         let mut load_blocks: Vec<(u64, u64)> = Vec::new();
-        for r in records {
-            match r.kind {
-                "LoadA" => {
-                    if let [i, k] = args_of(&r.detail)[..] {
-                        let end = load_a_end.entry((i, k)).or_insert(u64::MAX);
-                        *end = (*end).min(r.span.end_ns);
-                    }
+        let mut flush_end: HashMap<u32, u64> = HashMap::new();
+        let mut gemms: Vec<(&TaskRecord, u32, u32, &[u32])> = Vec::new();
+        for &r in records {
+            match op(r) {
+                &Op::LoadA { i, k } => {
+                    let end = load_a_end.entry((i, k)).or_insert(u64::MAX);
+                    *end = (*end).min(r.span.end_ns);
                 }
-                "LoadBlock" => load_blocks.push((r.span.start_ns, r.span.end_ns)),
+                Op::LoadBlock { .. } => load_blocks.push((r.span.start_ns, r.span.end_ns)),
+                &Op::FlushBlock { block, .. } => {
+                    flush_end.insert(block, r.span.end_ns);
+                }
+                Op::Gemm { k, j, rows } => {
+                    gemms.push((r, *k, *j, trace.rows_of(rows)));
+                }
                 _ => {}
             }
         }
         load_blocks.sort_unstable();
-        let mut gemms: Vec<&TaskRecord> = records.iter().copied().filter(|r| r.kind == "Gemm").collect();
-        gemms.sort_unstable_by_key(|r| r.task);
+        gemms.sort_unstable_by_key(|g| g.0.task);
         // End of the first stack on each B tile, in first-use order.
         let mut first_use_end: Vec<u64> = Vec::new();
-        let mut seen_b: HashSet<(u64, u64)> = HashSet::new();
-        for gemm in gemms {
-            let Some((k, j, rows)) = stack_of(&gemm.detail) else {
-                errors.push(format!("{}: not a Gemm(k,j|rows) stack label", gemm.detail));
-                continue;
-            };
+        let mut seen_b: HashSet<(u32, u32)> = HashSet::new();
+        for (gemm, k, j, rows) in gemms {
+            let start = gemm.span.start_ns;
+            if rows.is_empty() {
+                errors.push(format!("{}: a stack without rows", trace.detail(gemm.task)));
+            }
             let generated = genb.get(&(lane.node, k, j));
-            if generated.is_none_or(|&(_, end)| end > gemm.span.start_ns) {
+            if generated.is_none_or(|&(_, end)| end > start) {
                 errors.push(format!(
                     "{} on {lane:?} started before its GenB({k},{j}) finished",
-                    gemm.detail
+                    trace.detail(gemm.task)
                 ));
             }
             if seen_b.insert((k, j)) {
                 let behind = first_use_end.len().checked_sub(GENB_WINDOW).map(|m| first_use_end[m]);
-                if generated.zip(behind).is_some_and(|(&(start, _), end)| start < end) {
+                if generated.zip(behind).is_some_and(|(&(genb_start, _), end)| genb_start < end) {
                     errors.push(format!(
                         "GenB({k},{j}) on n{} started more than {GENB_WINDOW} B tiles ahead of {lane:?}",
                         lane.node
@@ -386,36 +392,28 @@ pub fn validate_trace_invariants(report: &ExecReport, gpu_capacity: u64) -> Vec<
                 first_use_end.push(gemm.span.end_ns);
             }
             // Every row's A tile, not just the first one's.
-            for i in rows {
-                if load_a_end.get(&(i, k)).is_none_or(|&end| end > gemm.span.start_ns) {
+            for &i in rows {
+                if load_a_end.get(&(i, k)).is_none_or(|&end| end > start) {
                     errors.push(format!(
                         "{} on {lane:?} started before any LoadA({i},{k}) finished",
-                        gemm.detail
+                        trace.detail(gemm.task)
                     ));
                 }
             }
             // Its block's transfer: the last `LoadBlock` the lane started
             // before the stack (a lane runs one task at a time).
-            let started_before = load_blocks.partition_point(|&(s, _)| s <= gemm.span.start_ns);
-            let has_block = started_before
-                .checked_sub(1)
-                .is_some_and(|b| load_blocks[b].1 <= gemm.span.start_ns);
+            let started_before = load_blocks.partition_point(|&(s, _)| s <= start);
+            let has_block =
+                started_before.checked_sub(1).is_some_and(|b| load_blocks[b].1 <= start);
             if !has_block {
                 errors.push(format!(
                     "{} on {lane:?} started before any LoadBlock finished",
-                    gemm.detail
+                    trace.detail(gemm.task)
                 ));
             }
         }
-        let mut flush_end: HashMap<u64, u64> = HashMap::new();
-        for r in records.iter().filter(|r| r.kind == "FlushBlock") {
-            flush_end.insert(args_of(&r.detail)[0], r.span.end_ns);
-        }
-        for r in records.iter().filter(|r| r.kind == "LoadBlock") {
-            let b = args_of(&r.detail)[0];
-            if b == 0 {
-                continue;
-            }
+        for &r in records {
+            let Op::LoadBlock { block: b @ 1.., .. } = *op(r) else { continue };
             match flush_end.get(&(b - 1)) {
                 Some(&end) if r.span.start_ns >= end => {}
                 Some(_) => errors.push(format!(
@@ -439,42 +437,40 @@ pub fn validate_trace_invariants(report: &ExecReport, gpu_capacity: u64) -> Vec<
         }
     }
 
-    // Transport causality. Keys are compared via their Debug form (the
-    // comm event carries the typed DataKey; task details carry the parsed
-    // integers).
-    let mut sent_time: HashMap<(usize, String, u32), u64> = HashMap::new();
-    let mut recv_time: HashMap<(usize, String), u64> = HashMap::new();
+    // Transport causality, matched by the events' typed keys.
+    let mut sent_time: HashMap<(usize, DataKey, u32), u64> = HashMap::new();
+    let mut recv_time: HashMap<(usize, DataKey), u64> = HashMap::new();
     for e in &trace.comm_events {
-        let key = format!("{:?}", e.key);
         match e.phase {
             TracePhase::Sent => {
-                sent_time.entry((e.dst, key, e.epoch)).or_insert(e.t_ns);
+                sent_time.entry((e.dst, e.key, e.epoch)).or_insert(e.t_ns);
             }
             TracePhase::Received => {
-                match sent_time.get(&(e.dst, key.clone(), e.epoch)) {
+                match sent_time.get(&(e.dst, e.key, e.epoch)) {
                     Some(&s) if s <= e.t_ns => {}
                     Some(&s) => errors.push(format!(
-                        "Received {key} on n{} at {} ns before its Sent at {s} ns",
-                        e.dst, e.t_ns
+                        "Received {:?} on n{} at {} ns before its Sent at {s} ns",
+                        e.key, e.dst, e.t_ns
                     )),
                     None => errors.push(format!(
-                        "Received {key} (epoch {}) on n{} with no matching Sent",
-                        e.epoch, e.dst
+                        "Received {:?} (epoch {}) on n{} with no matching Sent",
+                        e.key, e.epoch, e.dst
                     )),
                 }
-                recv_time.entry((e.dst, key)).or_insert(e.t_ns);
+                recv_time.entry((e.dst, e.key)).or_insert(e.t_ns);
             }
             _ => {}
         }
     }
-    for r in trace.records.iter().filter(|r| r.kind == "LoadA") {
-        let args = args_of(&r.detail);
-        let key = format!("{:?}", bst_runtime::DataKey::A(args[0] as u32, args[1] as u32));
-        if let Some(&t) = recv_time.get(&(r.worker.node, key)) {
+    for r in &trace.records {
+        let &Op::LoadA { i, k } = op(r) else { continue };
+        if let Some(&t) = recv_time.get(&(r.worker.node, DataKey::A(i, k))) {
             if r.span.start_ns < t {
                 errors.push(format!(
                     "{} on n{} started at {} ns before its tile was Received at {t} ns",
-                    r.detail, r.worker.node, r.span.start_ns
+                    trace.detail(r.task),
+                    r.worker.node,
+                    r.span.start_ns
                 ));
             }
         }

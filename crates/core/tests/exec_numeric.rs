@@ -271,9 +271,10 @@ fn a_tiles_go_one_hop_from_their_owner() {
     let trace = report.trace.as_ref().expect("trace requested");
     let mut sends = 0;
     for r in &trace.records {
-        if let Op::SendA { i, k, .. } = low.graph.payload(r.task) {
+        if let Op::SendA { i, k, .. } = &trace.ops[r.task] {
             let owner = inspector::owner_of(1, 4, *i as usize, *k as usize);
-            assert_eq!(r.worker, inspector::cpu_lane(owner), "{} not sent by its owner", r.detail);
+            let sent_by = inspector::cpu_lane(owner);
+            assert_eq!(r.worker, sent_by, "{} not sent by its owner", trace.detail(r.task));
             sends += 1;
         }
     }

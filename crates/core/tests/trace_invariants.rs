@@ -8,12 +8,13 @@
 //! gate on.
 
 use bst_contract::engine::execute;
-use bst_contract::engine::inspector::GENB_WINDOW;
+use bst_contract::engine::inspector::{Op, GENB_WINDOW};
 use bst_contract::{
-    validate_trace_invariants, DeviceConfig, ExecOptions, ExecReport, ExecutionPlan, GridConfig,
-    PlannerConfig, ProblemSpec,
+    validate_trace_invariants, DeviceConfig, ExecOptions, ExecReport, ExecTraceData,
+    ExecutionPlan, GridConfig, PlannerConfig, ProblemSpec,
 };
 use bst_runtime::graph::WorkerId;
+use bst_runtime::trace::TaskSpan;
 use bst_runtime::TaskRecord;
 use bst_sparse::generate::{generate, SyntheticParams};
 use bst_sparse::matrix::tile_seed;
@@ -81,24 +82,13 @@ fn traced_run(spec: &ProblemSpec, opts: ExecOptions) -> ExecReport {
     report
 }
 
-fn by_lane(report: &ExecReport) -> HashMap<WorkerId, Vec<&TaskRecord>> {
-    let mut map: HashMap<WorkerId, Vec<&TaskRecord>> = HashMap::new();
-    for r in &report.trace.as_ref().unwrap().records {
-        map.entry(r.worker).or_default().push(r);
+/// Each lane's task records with their ops.
+fn by_lane(trace: &ExecTraceData) -> HashMap<WorkerId, Vec<(&TaskRecord, &Op)>> {
+    let mut map: HashMap<WorkerId, Vec<(&TaskRecord, &Op)>> = HashMap::new();
+    for r in &trace.records {
+        map.entry(r.worker).or_default().push((r, &trace.ops[r.task]));
     }
     map
-}
-
-/// "LoadA(i,k)" → [i, k]; "LoadBlock(b)" → [b]; "Gemm(k,j|i0,i1,…)" →
-/// [k, j, i0, i1, …] (a stack: B tile first, then its rows).
-fn nums(detail: &str) -> Vec<u64> {
-    detail
-        .split_once('(')
-        .and_then(|(_, rest)| rest.strip_suffix(')'))
-        .unwrap_or("")
-        .split([',', '-', '>', '|'])
-        .filter_map(|s| s.parse().ok())
-        .collect()
 }
 
 /// No Gemm stack before its operands were staged: a `LoadA(i,k)` of
@@ -108,31 +98,30 @@ fn nums(detail: &str) -> Vec<u64> {
 fn gemm_never_starts_before_its_loads() {
     let spec = tight_spec();
     let report = traced_run(&spec, ExecOptions::default());
+    let trace = report.trace.as_ref().unwrap();
     let (mut gemms_checked, mut rows_checked) = (0usize, 0usize);
-    for (lane, records) in by_lane(&report) {
+    for (lane, tasks) in by_lane(trace) {
         if lane.lane == 0 {
             continue;
         }
-        for gemm in records.iter().filter(|r| r.kind == "Gemm") {
-            let g = nums(&gemm.detail);
-            let (k, rows) = (g[0], &g[2..]);
-            assert!(!rows.is_empty(), "{}: a stack without rows", gemm.detail);
+        for &(gemm, op) in &tasks {
+            let &Op::Gemm { k, ref rows, .. } = op else { continue };
+            let rows = trace.rows_of(rows);
+            assert!(!rows.is_empty(), "{}: a stack without rows", trace.detail(gemm.task));
             for &i in rows {
                 assert!(
-                    records.iter().any(|r| r.kind == "LoadA"
-                        && nums(&r.detail) == [i, k]
+                    tasks.iter().any(|&(r, op)| *op == Op::LoadA { i, k }
                         && r.span.end_ns <= gemm.span.start_ns),
                     "{} ran before LoadA({i},{k}) finished on {lane:?}",
-                    gemm.detail,
+                    trace.detail(gemm.task),
                 );
                 rows_checked += 1;
             }
             assert!(
-                records
-                    .iter()
-                    .any(|r| r.kind == "LoadBlock" && r.span.end_ns <= gemm.span.start_ns),
+                tasks.iter().any(|&(r, op)| matches!(op, Op::LoadBlock { .. })
+                    && r.span.end_ns <= gemm.span.start_ns),
                 "{} ran before any LoadBlock finished on {lane:?}",
-                gemm.detail
+                trace.detail(gemm.task)
             );
             gemms_checked += 1;
         }
@@ -152,21 +141,28 @@ fn block_serialization_orders_flush_before_next_load() {
     let spec = tight_spec();
     let report = traced_run(&spec, ExecOptions::default());
     let mut lanes_with_multiple_blocks = 0usize;
-    for (lane, records) in by_lane(&report) {
+    for (lane, tasks) in by_lane(report.trace.as_ref().unwrap()) {
         if lane.lane == 0 {
             continue;
         }
-        let flush_end: HashMap<u64, u64> = records
+        let flush_end: HashMap<u32, u64> = tasks
             .iter()
-            .filter(|r| r.kind == "FlushBlock")
-            .map(|r| (nums(&r.detail)[0], r.span.end_ns))
+            .filter_map(|&(r, op)| match *op {
+                Op::FlushBlock { block, .. } => Some((block, r.span.end_ns)),
+                _ => None,
+            })
             .collect();
-        let loads: Vec<_> = records.iter().filter(|r| r.kind == "LoadBlock").collect();
+        let loads: Vec<(&TaskRecord, u32)> = tasks
+            .iter()
+            .filter_map(|&(r, op)| match *op {
+                Op::LoadBlock { block, .. } => Some((r, block)),
+                _ => None,
+            })
+            .collect();
         if loads.len() > 1 {
             lanes_with_multiple_blocks += 1;
         }
-        for load in loads {
-            let b = nums(&load.detail)[0];
+        for (load, b) in loads {
             if b > 0 {
                 let end = flush_end[&(b - 1)];
                 assert!(
@@ -238,9 +234,9 @@ fn parallel_genb_keeps_invariants_and_overlaps() {
     assert_eq!(validate_trace_invariants(&report, GPU_MEM), Vec::<String>::new());
 
     // GenB is order-free...
-    let records = &report.trace.as_ref().unwrap().records;
-    for r in records.iter().filter(|r| r.kind == "GenB") {
-        assert!(r.worker.is_any(), "{} pinned to {:?}", r.detail, r.worker);
+    let trace = report.trace.as_ref().unwrap();
+    for r in trace.records.iter().filter(|r| matches!(trace.ops[r.task], Op::GenB { .. })) {
+        assert!(r.worker.is_any(), "{} pinned to {:?}", trace.detail(r.task), r.worker);
     }
     // ...so only the pool bounds how many run at once, and with two
     // workers some of it genuinely ran concurrently.
@@ -280,34 +276,51 @@ fn validator_flags_corrupted_schedules() {
     );
 }
 
-/// One record of a doctored trace: a task that was ready when it started.
-fn rec(worker: WorkerId, task: usize, detail: &str, start_ns: u64, end_ns: u64) -> TaskRecord {
-    let kind = ["LoadBlock", "LoadA", "GenB", "Gemm"]
-        .into_iter()
-        .find(|k| detail.starts_with(&format!("{k}(")))
-        .expect("a kind the doctored traces use");
-    TaskRecord {
-        task,
-        kind,
-        detail: detail.to_string(),
-        worker,
-        span: bst_runtime::trace::TaskSpan { ready_ns: start_ns, start_ns, end_ns },
-        attempts: 1,
-    }
+/// A doctored trace, task by task: each one ready when it started, its id
+/// its position.
+#[derive(Default)]
+struct Doctored {
+    trace: ExecTraceData,
+    rows: Vec<u32>,
 }
 
-/// The violations the validator finds in a doctored trace.
-fn check_doctored(records: Vec<TaskRecord>) -> Vec<String> {
-    use bst_contract::ExecTraceData;
-    let report = ExecReport {
-        trace: Some(ExecTraceData { records, total_ns: 1_000_000, ..ExecTraceData::default() }),
-        ..ExecReport::default()
-    };
-    validate_trace_invariants(&report, GPU_MEM)
+impl Doctored {
+    fn task(mut self, worker: WorkerId, op: Op, start_ns: u64, end_ns: u64) -> Self {
+        let task = self.trace.records.len();
+        self.trace.records.push(TaskRecord {
+            task,
+            kind: op.kind(),
+            worker,
+            span: TaskSpan { ready_ns: start_ns, start_ns, end_ns },
+            attempts: 1,
+        });
+        self.trace.ops.push(op);
+        self
+    }
+
+    /// A stack of `rows` against `B(k,j)`.
+    fn gemm(mut self, w: WorkerId, kj: (u32, u32), rows: &[u32], start: u64, end: u64) -> Self {
+        let ((k, j), at) = (kj, self.rows.len() as u32);
+        self.rows.extend_from_slice(rows);
+        let rows = at..self.rows.len() as u32;
+        self.task(w, Op::Gemm { k, j, rows }, start, end)
+    }
+
+    /// The violations the validator finds.
+    fn check(self) -> Vec<String> {
+        let stack_rows = self.rows.into();
+        let trace = ExecTraceData { stack_rows, total_ns: 1_000_000, ..self.trace };
+        let report = ExecReport { trace: Some(trace), ..ExecReport::default() };
+        validate_trace_invariants(&report, GPU_MEM)
+    }
 }
 
 const GPU0: WorkerId = WorkerId { node: 0, lane: 1 };
 const GEN0: WorkerId = WorkerId { node: 0, lane: WorkerId::ANY_LANE };
+
+fn load_block(block: u32) -> Op {
+    Op::LoadBlock { node: 0, gpu: 0, block }
+}
 
 /// A stack waits for the `LoadA` of **every** row, not just its first: a
 /// fabricated trace in which one non-first row's tile finishes loading after
@@ -315,18 +328,19 @@ const GEN0: WorkerId = WorkerId { node: 0, lane: WorkerId::ANY_LANE };
 #[test]
 fn validator_flags_a_late_load_of_a_non_first_row() {
     let trace = |late_end| {
-        check_doctored(vec![
-            rec(GPU0, 0, "LoadBlock(0)", 0, 10),
-            rec(GPU0, 1, "LoadA(4,2)", 10, 20),
-            rec(GPU0, 2, "LoadA(6,2)", 20, late_end),
-            rec(GPU0, 3, "LoadA(9,2)", 30, 40),
-            rec(GEN0, 4, "GenB(2,5)", 0, 40),
-            rec(GPU0, 5, "Gemm(2,5|4,6,9)", 50, 90),
-        ])
+        Doctored::default()
+            .task(GPU0, load_block(0), 0, 10)
+            .task(GPU0, Op::LoadA { i: 4, k: 2 }, 10, 20)
+            .task(GPU0, Op::LoadA { i: 6, k: 2 }, 20, late_end)
+            .task(GPU0, Op::LoadA { i: 9, k: 2 }, 30, 40)
+            .task(GEN0, Op::GenB { k: 2, j: 5 }, 0, 40)
+            .gemm(GPU0, (2, 5), &[4, 6, 9], 50, 90)
+            .check()
     };
     assert_eq!(trace(30), Vec::<String>::new());
     let violations = trace(60);
     assert_eq!(violations.len(), 1, "{violations:?}");
+    assert!(violations[0].contains("Gemm(2,5|4,6,9)"), "{violations:?}");
     assert!(violations[0].contains("before any LoadA(6,2)"), "{violations:?}");
 }
 
@@ -335,13 +349,13 @@ fn validator_flags_a_late_load_of_a_non_first_row() {
 #[test]
 fn validator_flags_a_stack_that_overtakes_its_genb() {
     let trace = |genb: Option<u64>| {
-        let mut records = vec![
-            rec(GPU0, 0, "LoadBlock(0)", 0, 10),
-            rec(GPU0, 1, "LoadA(4,2)", 10, 20),
-            rec(GPU0, 3, "Gemm(2,5|4)", 50, 90),
-        ];
-        records.extend(genb.map(|end| rec(GEN0, 2, "GenB(2,5)", 5, end)));
-        check_doctored(records)
+        let mut d = Doctored::default()
+            .task(GPU0, load_block(0), 0, 10)
+            .task(GPU0, Op::LoadA { i: 4, k: 2 }, 10, 20);
+        if let Some(end) = genb {
+            d = d.task(GEN0, Op::GenB { k: 2, j: 5 }, 5, end);
+        }
+        d.gemm(GPU0, (2, 5), &[4], 50, 90).check()
     };
     assert_eq!(trace(Some(50)), Vec::<String>::new());
     for late in [Some(51), None] {
@@ -357,18 +371,20 @@ fn validator_flags_a_stack_that_overtakes_its_genb() {
 #[test]
 fn validator_flags_generation_running_ahead_of_the_window() {
     assert_eq!(GENB_WINDOW, 2, "B streams one tile computing, one ahead");
-    let w = GENB_WINDOW as u64;
+    let w = GENB_WINDOW as u32;
     let trace = |last_genb_start: u64| {
-        let mut records =
-            vec![rec(GPU0, 0, "LoadBlock(0)", 0, 10), rec(GPU0, 1, "LoadA(4,2)", 10, 20)];
+        let mut d = Doctored::default()
+            .task(GPU0, load_block(0), 0, 10)
+            .task(GPU0, Op::LoadA { i: 4, k: 2 }, 10, 20);
         for n in 0..=w {
             // Stack n runs in [100 (n + 1), 100 (n + 1) + 50).
             let start = if n == w { last_genb_start } else { 20 };
-            let id = 2 + 2 * n as usize;
-            records.push(rec(GEN0, id, &format!("GenB(2,{n})"), start, start + 5));
-            records.push(rec(GPU0, id + 1, &format!("Gemm(2,{n}|4)"), 100 * (n + 1), 100 * (n + 1) + 50));
+            let at = 100 * (u64::from(n) + 1);
+            d = d
+                .task(GEN0, Op::GenB { k: 2, j: n }, start, start + 5)
+                .gemm(GPU0, (2, n), &[4], at, at + 50);
         }
-        check_doctored(records)
+        d.check()
     };
     // Stack 0 ends at 150: the last tile's GenB may start then, not before.
     assert_eq!(trace(150), Vec::<String>::new());
@@ -376,6 +392,26 @@ fn validator_flags_generation_running_ahead_of_the_window() {
     assert_eq!(violations.len(), 1, "{violations:?}");
     assert!(violations[0].contains(&format!("GenB(2,{w})")), "{violations:?}");
     assert!(violations[0].contains("ahead"), "{violations:?}");
+}
+
+/// Block serialisation: `LoadBlock(b)` waits for `FlushBlock(b − 1)` on the
+/// same lane, and a block with no flush before it is reported.
+#[test]
+fn validator_flags_a_block_loaded_before_the_previous_flush() {
+    let trace = |flush: Option<u64>| {
+        let mut d = Doctored::default().task(GPU0, load_block(0), 0, 10);
+        if let Some(end) = flush {
+            d = d.task(GPU0, Op::FlushBlock { node: 0, gpu: 0, block: 0 }, 20, end);
+        }
+        d.task(GPU0, load_block(1), 40, 50).check()
+    };
+    assert_eq!(trace(Some(40)), Vec::<String>::new());
+    let lane = format!("{GPU0:?}");
+    assert_eq!(
+        trace(Some(41)),
+        [format!("LoadBlock(1) on {lane} started before FlushBlock(0) finished")]
+    );
+    assert_eq!(trace(None), [format!("LoadBlock(1) on {lane} has no FlushBlock(0)")]);
 }
 
 /// On devices tight enough for several chunks a block, a B tile is read by
@@ -392,11 +428,13 @@ fn a_b_tile_survives_until_its_last_chunks_stack() {
         Vec::<String>::new()
     );
     // Stacks per (node, B tile), from the trace.
-    let mut stacks: HashMap<(usize, u64, u64), u64> = HashMap::new();
-    let records = &report.trace.as_ref().unwrap().records;
-    for r in records.iter().filter(|r| r.kind == "Gemm") {
-        let g = nums(&r.detail);
-        *stacks.entry((r.worker.node, g[0], g[1])).or_default() += 1;
+    let mut stacks: HashMap<(usize, u32, u32), u64> = HashMap::new();
+    let trace = report.trace.as_ref().unwrap();
+    let records = &trace.records;
+    for r in records {
+        if let Op::Gemm { k, j, .. } = trace.ops[r.task] {
+            *stacks.entry((r.worker.node, k, j)).or_default() += 1;
+        }
     }
     assert!(stacks.values().any(|&n| n > 1), "no block has two chunks reading one B tile");
     assert_eq!(report.b_tiles_generated, stacks.len() as u64);
