@@ -20,27 +20,27 @@
 //!
 //! # Scheduler semantics
 //!
-//! Lanes are queues, cores are threads. A lane ([`WorkerId`]) is a FIFO of
-//! ready tasks, served with every other lane by one pooled worker per core.
-//! A worker takes a ready lane no other worker holds, runs its head task,
-//! and keeps the lane while it has ready tasks, else takes the next ready
-//! lane in FIFO order or sleeps until one becomes ready. So a lane's tasks
-//! never overlap and run in ready order, and its context travels with it. A
-//! pooled task may block only on a thread outside the pool (a progress or
-//! pump thread); a lane whose tasks wait on another process gets a thread of
-//! its own ([`Engine::with_own_thread`]).
+//! Lanes are programs, cores are threads. A lane ([`WorkerId`]) runs its
+//! tasks in task id order, each once its own dependencies are done, so the
+//! graph needs no edge between two tasks of one lane. One pooled worker per
+//! core serves every lane: a worker takes a ready lane (one whose next task
+//! may start) that no other worker holds, runs that task, and keeps the
+//! lane while its next task may start, else takes the next ready lane in
+//! FIFO order or sleeps until one becomes ready. A lane's context travels
+//! with it. A task pinned to [`WorkerId::any`] is order-free: any pooled
+//! worker runs it when it is ready, beside any other, with a context of its
+//! own. As every dependency points to a smaller id, the smallest unfinished
+//! task may always start: deadlock is structural, provided a pooled task
+//! blocks only on a thread outside the pool (a progress or pump thread); a
+//! lane whose tasks wait on another process gets a thread of its own
+//! ([`Engine::with_own_thread`]).
 //!
-//! A task pinned to [`WorkerId::any`] is order-free: the engine gives it a
-//! lane of its own, so it waits behind no other task and any pooled worker
-//! runs it beside any other. Only the pool's size bounds how many run at
-//! once.
-//!
-//! A [`TaskError::Transient`] failure is retried on the task's own lane
-//! after exponential backoff, queued at the *back* of the lane **without**
-//! completing — no successor is released early, every data and control edge
-//! of the DAG still gates exactly as planned. A [`TaskError::Fatal`] error
-//! (or an exhausted budget) stops the run and surfaces as a [`RunAbort`].
-//! Handler panics stop the run, then propagate.
+//! A [`TaskError::Transient`] failure is retried after exponential backoff
+//! **without** completing: the task stays at its lane's head, no successor
+//! is released early, and every edge of the DAG still gates exactly as
+//! planned. A [`TaskError::Fatal`] error (or an exhausted budget) stops the
+//! run and surfaces as a [`RunAbort`]. Handler panics stop the run, then
+//! propagate.
 
 use crate::graph::{FallibleRun, RetryOptions, RunAbort, TaskError, TaskGraph, TaskId, WorkerId};
 use crate::trace::{ExecTrace, TaskSpan, TraceClock};
@@ -114,17 +114,19 @@ impl Engine {
     /// one pooled worker per core (never more than the pooled lanes).
     ///
     /// * `workers` — every lane that tasks are pinned to (a task pinned to a
-    ///   missing lane panics); an order-free task ([`WorkerId::any`]) is a
-    ///   lane of its own and needs none;
+    ///   missing lane panics); an order-free task ([`WorkerId::any`]) needs
+    ///   none;
     /// * `mk_ctx` — builds a lane's mutable context (e.g. a device memory
     ///   manager for GPU lanes), on the lane's first task; the context moves
-    ///   with the lane between pooled workers;
+    ///   with the lane between pooled workers. An order-free task gets one
+    ///   of its own per attempt;
     /// * `run` — the fallible task handler, called with the payload, the
     ///   lane, the lane's context and the 1-based attempt number.
     ///
-    /// Tasks run as soon as all their dependencies completed; tasks on the
-    /// same lane run one at a time in ready order. A pooled task may block
-    /// only on a thread outside the pool (see [`Engine::with_own_thread`]).
+    /// A task runs once all its dependencies completed and, on a lane, once
+    /// every lower-id task of its lane did: a lane runs one task at a time,
+    /// in id order. A pooled task may block only on a thread outside the
+    /// pool (see [`Engine::with_own_thread`]).
     /// See the [module docs](self) for retry and abort semantics.
     ///
     /// # Panics
@@ -148,35 +150,43 @@ impl Engine {
         if graph.is_empty() {
             return Ok(FallibleRun { attempts: Vec::new(), trace: ExecTrace::default() });
         }
-        // Map lanes to dense indices; each order-free task gets one after
-        // them.
+        // Map the graph's workers to dense lane indices; order-free tasks
+        // have none.
         let mut sorted = workers.to_vec();
         sorted.sort();
         sorted.windows(2).for_each(|w| {
             assert_ne!(w[0], w[1], "duplicate worker {:?}", w[0]);
         });
-        let pinned = sorted.len();
-        let lane_of: Vec<u32> = (0..graph.len())
-            .map(|id| match graph.worker(id) {
-                w if w.is_any() => {
-                    sorted.push(w);
-                    sorted.len() - 1
-                }
-                w => sorted[..pinned]
-                    .binary_search(&w)
-                    .unwrap_or_else(|_| panic!("task pinned to unknown worker {w:?}")),
-            } as u32)
+        let lane_index: Vec<u32> = graph
+            .lanes()
+            .iter()
+            .map(|&w| match sorted.binary_search(&w) {
+                _ if w.is_any() => NONE,
+                Ok(l) => l as u32,
+                Err(_) => panic!("task pinned to unknown worker {w:?}"),
+            })
             .collect();
+        let lane_of = |id: TaskId| lane_index[graph.lane(id)];
+        // Each lane's program, chained in id order: `heads[l]` is lane `l`'s
+        // first task, `after[id]` the task its lane runs after `id`.
+        let (mut after, mut heads) = (vec![NONE; graph.len()], vec![NONE; sorted.len()]);
+        let mut free = 0;
+        for id in (0..graph.len()).rev() {
+            match lane_of(id) {
+                NONE => free += 1,
+                l => (after[id], heads[l as usize]) = (heads[l as usize], id as u32),
+            }
+        }
         let server: Vec<usize> =
             sorted.iter().map(|&w| usize::from(self.own_thread == Some(w))).collect();
         let cores = std::thread::available_parallelism().map_or(1, usize::from);
-        let pooled = server.iter().filter(|&&s| s == POOL).count();
+        let pooled = server.iter().filter(|&&s| s == POOL).count() + free;
         let threads = (if self.threads > 0 { self.threads } else { cores }).min(pooled).max(1);
         let budget = self.retry.budget.max(1);
         let retry = self.retry;
 
         let mut sched = Sched {
-            queues: vec![VecDeque::new(); sorted.len()],
+            heads,
             idle: (0..sorted.len()).map(|_| Some(None)).collect(),
             server,
             ready: [VecDeque::new(), VecDeque::new()],
@@ -191,7 +201,7 @@ impl Engine {
         let seeded = clock.now_ns();
         for id in (0..graph.len()).filter(|&id| graph.deps(id).is_empty()) {
             sched.spans[id].ready_ns = seeded;
-            sched.push(lane_of[id] as usize, id);
+            sched.release(id, lane_of(id));
         }
         let sched = Mutex::new(sched);
         let wake = [Condvar::new(), Condvar::new()];
@@ -205,32 +215,37 @@ impl Engine {
             wake.iter().for_each(Condvar::notify_all);
         };
 
-        // A worker of `srv` takes the ready lane at the head of its list,
-        // runs the lane's head task, and keeps the lane while it has ready
-        // tasks; it sleeps only while its list is empty.
+        // A worker of `srv` takes the unit at the head of its ready list —
+        // a lane, whose next task it runs, or an order-free task — and keeps
+        // the lane while its next task may start; it sleeps only while its
+        // list is empty.
         let work = |srv: usize| {
             let mut wakes = [0usize; 2];
             let mut st = sched.lock().unwrap();
             while !st.done {
-                let Some(l) = st.ready[srv].pop_front() else {
+                let Some(unit) = st.ready[srv].pop_front() else {
                     notify(&mut wakes);
                     st = wake[srv].wait(st).unwrap();
                     continue;
                 };
-                let id = st.queues[l].pop_front().expect("a ready lane has a task");
-                let mut ctx = st.idle[l].take().expect("a ready lane is not held");
+                let (id, mut ctx) = match unit {
+                    Unit::Lane(l) => {
+                        (st.heads[l] as TaskId, st.idle[l].take().expect("a ready lane is not held"))
+                    }
+                    Unit::Free(id) => (id, None),
+                };
                 st.attempts[id] += 1;
                 let attempt = st.attempts[id];
                 drop(st);
                 notify(&mut wakes);
 
-                let w = sorted[l];
+                let w = graph.worker(id);
                 let start_ns = clock.now_ns();
-                let lane_ctx = ctx.get_or_insert_with(|| mk_ctx(w));
+                let task_ctx = ctx.get_or_insert_with(|| mk_ctx(w));
                 // A panicking handler must not leave the other workers
                 // waiting for ever: stop the run, then propagate.
                 let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    run(graph.payload(id), w, lane_ctx, attempt)
+                    run(graph.payload(id), w, task_ctx, attempt)
                 }))
                 .unwrap_or_else(|payload| {
                     finish(&mut sched.lock().unwrap());
@@ -239,9 +254,9 @@ impl Engine {
                 let end_ns = clock.now_ns();
                 let retrying = matches!(result, Err(TaskError::Transient(_)) if attempt < budget);
                 if retrying {
-                    // Back off, then queue the task again at the back of its
-                    // lane. It has not completed, so no successor was
-                    // released: every edge of the DAG still gates as planned.
+                    // Back off, then run the task again: it has not
+                    // completed, so it stays at its lane's head and no
+                    // successor was released.
                     std::thread::sleep(Duration::from_micros(retry.backoff_us(attempt)));
                 }
 
@@ -251,17 +266,19 @@ impl Engine {
                         // Only the final attempt's span is kept.
                         let span = &mut st.spans[id];
                         (span.start_ns, span.end_ns) = (start_ns, end_ns);
+                        if let Unit::Lane(l) = unit {
+                            st.heads[l] = after[id];
+                        }
                         let mut released = None;
                         for s in graph.successors(id) {
                             st.indeg[s] -= 1;
                             if st.indeg[s] == 0 {
-                                // Stamped under the lock, so a lane's queue
-                                // order is its ready order.
+                                // Stamped under the lock, with the time the
+                                // last dependency completed.
                                 let ready_ns = *released.get_or_insert_with(|| clock.now_ns());
                                 st.spans[s].ready_ns = ready_ns;
-                                let ls = lane_of[s] as usize;
-                                if st.push(ls, s) {
-                                    wakes[st.server[ls]] += 1;
+                                if let Some(srv) = st.release(s, lane_of(s)) {
+                                    wakes[srv] += 1;
                                 }
                             }
                         }
@@ -270,7 +287,7 @@ impl Engine {
                             finish(&mut st);
                         }
                     }
-                    Err(_) if retrying => st.queues[l].push_back(id),
+                    Err(_) if retrying => {}
                     Err(err) => {
                         // The first terminal error wins.
                         st.abort.get_or_insert(RunAbort {
@@ -282,11 +299,17 @@ impl Engine {
                         finish(&mut st);
                     }
                 }
-                st.idle[l] = Some(ctx);
-                if !st.queues[l].is_empty() {
-                    st.ready[srv].push_front(l);
+                let again = match unit {
+                    Unit::Lane(l) => {
+                        st.idle[l] = Some(ctx);
+                        st.heads[l] != NONE && st.indeg[st.heads[l] as usize] == 0
+                    }
+                    Unit::Free(_) => retrying,
+                };
+                if again {
+                    st.ready[srv].push_front(unit);
                 } else if wakes[srv] > 0 {
-                    // This worker serves one of the lanes it made ready.
+                    // This worker serves one of the units it made ready.
                     wakes[srv] -= 1;
                 }
             }
@@ -327,16 +350,28 @@ impl Default for Engine {
 const POOL: usize = 0;
 const OWN: usize = 1;
 
+/// No lane (an order-free task's), or no task (a lane's after its last).
+const NONE: u32 = u32::MAX;
+
+/// What a worker takes from a ready list: a lane, whose next task it runs,
+/// or an order-free task.
+#[derive(Clone, Copy)]
+enum Unit {
+    Lane(usize),
+    Free(TaskId),
+}
+
 /// The scheduler state, behind one lock.
 struct Sched<Ctx, E> {
-    /// Per lane: its ready tasks (FIFO), its context while no worker holds
-    /// it (`None` while held; the context travels with the lane, and is
-    /// built on its first task), and its server ([`POOL`] or [`OWN`]).
-    queues: Vec<VecDeque<TaskId>>,
+    /// Per lane: the next task of its program ([`NONE`] after the last).
+    heads: Vec<u32>,
+    /// Per lane: its context while no worker holds it (`None` while held;
+    /// the context travels with the lane, and is built on its first task),
+    /// and its server ([`POOL`] or [`OWN`]).
     idle: Vec<Option<Option<Ctx>>>,
     server: Vec<usize>,
-    /// Per server: the ready lanes no worker holds, FIFO.
-    ready: [VecDeque<usize>; 2],
+    /// Per server: the ready units no worker holds, FIFO.
+    ready: [VecDeque<Unit>; 2],
     /// Per task: unfinished dependencies, handler attempts and span.
     indeg: Vec<u32>,
     attempts: Vec<u32>,
@@ -348,15 +383,20 @@ struct Sched<Ctx, E> {
 }
 
 impl<Ctx, E> Sched<Ctx, E> {
-    /// Queues ready task `id` on lane `l`; returns whether the lane became
-    /// ready (it was idle with nothing queued).
-    fn push(&mut self, l: usize, id: TaskId) -> bool {
-        self.queues[l].push_back(id);
-        let became_ready = self.queues[l].len() == 1 && self.idle[l].is_some();
-        if became_ready {
-            self.ready[self.server[l]].push_back(l);
-        }
-        became_ready
+    /// Task `id` on lane `lane` (or [`NONE`]) had its last dependency
+    /// complete: queues it if it may start now — an order-free task always,
+    /// a lane's task if it is the lane's next and no worker holds the lane.
+    /// Returns the server of the unit it queued.
+    fn release(&mut self, id: TaskId, lane: u32) -> Option<usize> {
+        let (unit, srv) = match lane as usize {
+            _ if lane == NONE => (Unit::Free(id), POOL),
+            l if self.heads[l] == id as u32 && self.idle[l].is_some() => {
+                (Unit::Lane(l), self.server[l])
+            }
+            _ => return None,
+        };
+        self.ready[srv].push_back(unit);
+        Some(srv)
     }
 }
 
@@ -547,14 +587,14 @@ mod tests {
     }
 
     proptest! {
-        /// Random DAGs of lane-pinned and order-free tasks, on pools of one
-        /// and two workers with more lanes than workers: a lane's tasks
-        /// never overlap and run in the order they became ready, no more
+        /// Random cross-lane DAGs of lane-pinned and order-free tasks (no
+        /// edge joins two tasks of one lane), on pools of one and two
+        /// workers with more lanes than workers: every run completes, a
+        /// lane's tasks never overlap and run in id order, no more
         /// order-free tasks run at once than there are workers, with two
-        /// workers two of them do run at once, every run completes, and the
-        /// trace validates.
+        /// workers two of them do run at once, and the trace validates.
         #[test]
-        fn pooled_lanes_keep_fifo_order_and_exclusivity(
+        fn pinned_lanes_run_in_id_order(
             n in 1usize..60,
             raw_edges in prop::collection::vec((0usize..1000, 0usize..1000), 0..120),
             lanes in 3usize..7,
@@ -565,25 +605,24 @@ mod tests {
             let workers: Vec<WorkerId> = (0..lanes).map(|l| w(l % 2, l)).collect();
             // Tasks 0 and 1 are order-free seeds that (on two workers) wait
             // for each other to start; the rest are pinned or order-free.
-            let mut g: TaskGraph<usize> = TaskGraph::new();
-            // The raw edges, declared task by task in the order drawn.
+            let on = |i: usize| match i {
+                0 | 1 => WorkerId::any(i),
+                i if i % free_every == 0 => WorkerId::any(i % 2),
+                i => workers[(i * 7 + i / 3) % lanes],
+            };
+            // The raw edges that cross lanes, declared task by task in the
+            // order drawn.
             let mut deps: Vec<Vec<usize>> = vec![Vec::new(); n + 2];
             for &(a, b) in &raw_edges {
                 let (x, y) = (2 + a % n, 2 + b % n);
-                if x != y {
+                if x != y && (on(x) != on(y) || on(x).is_any()) {
                     deps[x.max(y)].push(x.min(y));
                 }
             }
-            g.add_task(0, WorkerId::any(0));
-            g.add_task(1, WorkerId::any(1));
-            for i in 2..n + 2 {
-                let on = if i % free_every == 0 {
-                    WorkerId::any(i % 2)
-                } else {
-                    workers[(i * 7 + i / 3) % lanes]
-                };
-                g.add_task(i, on);
-                deps[i].iter().for_each(|&d| g.add_dep(i, d));
+            let mut g: TaskGraph<usize> = TaskGraph::new();
+            for (i, mine) in deps.iter().enumerate() {
+                g.add_task(i, on(i));
+                mine.iter().for_each(|&d| g.add_dep(i, d));
             }
             let busy: Vec<AtomicBool> = (0..lanes).map(|_| Default::default()).collect();
             let overlap = AtomicBool::new(false);
@@ -620,17 +659,14 @@ mod tests {
             }
             let errors = run.trace.validate(&g);
             prop_assert!(errors.is_empty(), "{errors:?}");
-            // Each lane's tasks in the order they ran.
+            // Each lane's tasks in id order: each ends before the next starts.
             let spans = &run.trace.spans;
-            let mut ran: Vec<(WorkerId, u64, TaskId)> = (0..g.len())
-                .filter(|&t| !g.worker(t).is_any())
-                .map(|t| (g.worker(t), spans[t].start_ns, t))
-                .collect();
+            let mut ran: Vec<(WorkerId, TaskId)> =
+                (0..g.len()).filter(|&t| !g.worker(t).is_any()).map(|t| (g.worker(t), t)).collect();
             ran.sort_unstable();
             for pair in ran.windows(2).filter(|p| p[0].0 == p[1].0) {
-                let (a, b) = (spans[pair[0].2], spans[pair[1].2]);
-                prop_assert!(a.ready_ns <= b.ready_ns, "{:?} out of ready order", pair[0].0);
-                prop_assert!(a.end_ns <= b.start_ns, "{:?} overlapped", pair[0].0);
+                let (a, b) = (spans[pair[0].1], spans[pair[1].1]);
+                prop_assert!(a.end_ns <= b.start_ns, "{:?} ran out of id order", pair[0].0);
             }
         }
     }

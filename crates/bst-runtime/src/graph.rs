@@ -4,7 +4,8 @@
 //! [`WorkerId`] (a lane of a simulated node) or order-free
 //! ([`WorkerId::any`]), stored in flat arrays. Edges are plain dependencies;
 //! the caller decides whether an edge means "data flows here" or "control
-//! only" — the scheduler treats both identically, as PaRSEC's PTG does.
+//! only" — the scheduler treats both identically, as PaRSEC's PTG does. A
+//! lane runs its tasks in id order, so its own order needs no edges.
 //!
 //! Execution, and what a lane means to it, lives in [`crate::engine`].
 
@@ -13,11 +14,12 @@ use std::sync::OnceLock;
 
 /// Address of an execution lane: a node and a lane within it.
 ///
-/// A lane is an order, not a thread: its tasks run one at a time, in the
-/// order they became ready, on whichever pooled worker holds it. By
-/// convention lane 0 is the node's CPU (communication) and lanes `1..=g`
-/// are its GPUs — but the engine imposes no semantics. A task whose order
-/// does not matter is pinned to no lane: [`WorkerId::any`].
+/// A lane is a program, not a thread: its tasks run one at a time, in task
+/// id order, on whichever pooled worker holds it, each once its own
+/// dependencies are done. By convention lane 0 is the node's CPU
+/// (communication) and lanes `1..=g` are its GPUs — but the engine imposes
+/// no semantics. A task whose order does not matter is pinned to no lane:
+/// [`WorkerId::any`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct WorkerId {
     /// Simulated node index.
@@ -30,10 +32,10 @@ impl WorkerId {
     /// The lane number of order-free tasks ([`WorkerId::any`]).
     pub const ANY_LANE: usize = usize::MAX;
 
-    /// A task of `node` whose order does not matter: the engine gives it a
-    /// lane of its own, so any pooled worker runs it as soon as it is
-    /// ready, beside any other, and only the pool's size bounds how many
-    /// run at once.
+    /// A task of `node` whose order does not matter: it waits behind no
+    /// other task, so any pooled worker runs it as soon as it is ready,
+    /// beside any other, and only the pool's size bounds how many run at
+    /// once.
     pub fn any(node: usize) -> Self {
         Self { node, lane: Self::ANY_LANE }
     }
@@ -143,14 +145,17 @@ impl FallibleRun {
     }
 }
 
-/// A DAG of tasks pinned to workers, stored flat: payloads and workers one
-/// entry per task, and every task's dependencies back to back in task order
-/// (compressed rows), so the graph holds a handful of allocations however
-/// many tasks it has. A task's dependencies are declared right after it is
-/// added. The successor lists, in the same form, are built on first use.
+/// A DAG of tasks pinned to workers, stored flat: a payload and a lane
+/// index per task, each distinct worker once, and every task's dependencies
+/// back to back in task order (compressed rows), declared right after the
+/// task is added. The successor lists, in the same form, are built on first
+/// use.
 pub struct TaskGraph<T> {
     payloads: Vec<T>,
-    workers: Vec<WorkerId>,
+    /// Per task: its worker, as an index into `lanes`.
+    lane_of: Vec<u32>,
+    /// The distinct workers of the tasks, in first-use order.
+    lanes: Vec<WorkerId>,
     /// `deps[dep_at[t]..dep_at[t + 1]]` are task `t`'s dependencies.
     dep_at: Vec<u32>,
     deps: Vec<TaskId>,
@@ -167,7 +172,8 @@ impl<T> Default for TaskGraph<T> {
     fn default() -> Self {
         Self {
             payloads: Vec::new(),
-            workers: Vec::new(),
+            lane_of: Vec::new(),
+            lanes: Vec::new(),
             dep_at: vec![0],
             deps: Vec::new(),
             succs: OnceLock::new(),
@@ -186,7 +192,11 @@ impl<T> TaskGraph<T> {
     pub fn add_task(&mut self, payload: T, worker: WorkerId) -> TaskId {
         assert!(self.payloads.len() < u32::MAX as usize, "task ids fit a u32");
         self.payloads.push(payload);
-        self.workers.push(worker);
+        let lane = self.lanes.iter().position(|&w| w == worker).unwrap_or_else(|| {
+            self.lanes.push(worker);
+            self.lanes.len() - 1
+        });
+        self.lane_of.push(lane as u32);
         self.dep_at.push(self.dep_at[self.payloads.len() - 1]);
         self.succs.take();
         self.payloads.len() - 1
@@ -225,7 +235,17 @@ impl<T> TaskGraph<T> {
 
     /// Worker of a task.
     pub fn worker(&self, id: TaskId) -> WorkerId {
-        self.workers[id]
+        self.lanes[self.lane_of[id] as usize]
+    }
+
+    /// A task's worker as an index into [`TaskGraph::lanes`].
+    pub(crate) fn lane(&self, id: TaskId) -> usize {
+        self.lane_of[id] as usize
+    }
+
+    /// The distinct workers of the graph's tasks, in first-use order.
+    pub(crate) fn lanes(&self) -> &[WorkerId] {
+        &self.lanes
     }
 
     /// Dependencies of a task, in the order they were declared.
@@ -343,32 +363,6 @@ mod tests {
         assert_eq!(order.len(), 10);
     }
 
-    #[test]
-    fn per_worker_context_is_private() {
-        let mut g: TaskGraph<u64> = TaskGraph::new();
-        for i in 0..100 {
-            g.add_task(i, w(i as usize % 4, 0));
-        }
-        let sums = Mutex::new(std::collections::HashMap::new());
-        exec(&g, 
-            &[w(0, 0), w(1, 0), w(2, 0), w(3, 0)],
-            |_| 0u64,
-            |&v, wid, acc| {
-                *acc += v;
-                // Record the running value; last write wins per worker.
-                sums.lock().insert(wid, *acc);
-            },
-        );
-        let sums = sums.lock();
-        let total: u64 = sums.values().sum();
-        assert_eq!(total, (0..100).sum::<u64>());
-    }
-
-    #[test]
-    fn empty_graph_is_noop() {
-        let g: TaskGraph<u32> = TaskGraph::new();
-        exec(&g, &[w(0, 0)], |_| (), |_, _, _| panic!("no tasks"));
-    }
 
     #[test]
     fn control_edges_enforce_ordering_across_workers() {
@@ -419,7 +413,7 @@ mod tests {
     }
 
     #[test]
-    fn traced_empty_graph_yields_empty_trace() {
+    fn empty_graph_is_noop() {
         let g: TaskGraph<u32> = TaskGraph::new();
         let trace = exec(&g, &[w(0, 0)], |_| (), |_, _, _| panic!("no tasks"));
         assert!(trace.spans.is_empty());

@@ -115,6 +115,15 @@ pub enum TraceError {
         /// The task still running on the lane.
         prev: TaskId,
     },
+    /// A lane ran a task before a lower-id task of its own.
+    LaneOrder {
+        /// The lane.
+        worker: WorkerId,
+        /// The task that started before `earlier` ended.
+        task: TaskId,
+        /// The lower-id task of the lane that ran after it.
+        earlier: TaskId,
+    },
 }
 
 impl std::fmt::Display for TraceError {
@@ -129,6 +138,9 @@ impl std::fmt::Display for TraceError {
             }
             Self::LaneOverlap { worker, task, prev } => {
                 write!(f, "task {task} started on {worker:?} before task {prev} ended")
+            }
+            Self::LaneOrder { worker, task, earlier } => {
+                write!(f, "task {task} ran on {worker:?} before the lower-id task {earlier}")
             }
         }
     }
@@ -152,8 +164,8 @@ impl ExecTrace {
     /// 1. there is one span per DAG task;
     /// 2. ready ≤ start ≤ end per task;
     /// 3. no task starts before all its dependencies are done;
-    /// 4. the tasks of one lane never overlap (order-free tasks, each a
-    ///    lane of its own, may).
+    /// 4. the tasks of one lane never overlap (order-free tasks may);
+    /// 5. a lane runs its tasks in id order (its order is no edge).
     pub fn validate<T>(&self, graph: &TaskGraph<T>) -> Vec<TraceError> {
         if self.spans.len() != graph.len() {
             return vec![TraceError::TaskCount {
@@ -181,6 +193,8 @@ impl ExecTrace {
             let ((worker, _, prev_end, prev), (next_worker, start, _, task)) = (pair[0], pair[1]);
             if worker == next_worker && start < prev_end {
                 errors.push(TraceError::LaneOverlap { worker, task, prev });
+            } else if worker == next_worker && task < prev {
+                errors.push(TraceError::LaneOrder { worker, task: prev, earlier: task });
             }
         }
         errors
@@ -653,6 +667,29 @@ mod tests {
             truncated.validate(&g),
             vec![TraceError::TaskCount { traced: 1, expected: 2 }]
         );
+    }
+
+    #[test]
+    fn validate_catches_a_lane_out_of_id_order() {
+        let mut g: TaskGraph<u32> = TaskGraph::new();
+        let a = g.add_task(0, w(0, 1));
+        let b = g.add_task(1, w(0, 1));
+        let span = |start_ns, end_ns| TaskSpan { ready_ns: 0, start_ns, end_ns };
+        let in_order = ExecTrace { spans: vec![span(0, 10), span(10, 20)], total_ns: 20 };
+        assert_eq!(in_order.validate(&g), Vec::new());
+
+        // b ran first: no overlap and no dependency broken, but the order.
+        let swapped = ExecTrace { spans: vec![span(10, 20), span(0, 10)], total_ns: 20 };
+        assert_eq!(
+            swapped.validate(&g),
+            vec![TraceError::LaneOrder { worker: w(0, 1), task: b, earlier: a }]
+        );
+
+        // Order-free tasks keep no order.
+        let mut free: TaskGraph<u32> = TaskGraph::new();
+        free.add_task(0, WorkerId::any(0));
+        free.add_task(1, WorkerId::any(0));
+        assert_eq!(swapped.validate(&free), Vec::new());
     }
 
     #[test]

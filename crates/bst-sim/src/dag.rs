@@ -4,8 +4,8 @@
 //! Summit-scale speed), this module replays the *exact* task DAG the numeric
 //! engine executes: it calls the same inspector
 //! ([`bst_contract::engine::inspector::lower`]) the engine calls, then walks
-//! the lowered graph with a deterministic list scheduler over [`Platform`]
-//! costs, driving a real [`bst_runtime::DeviceMemory`] per GPU lane.
+//! the lowered graph under the engine's lane rule with [`Platform`] costs,
+//! driving a real [`bst_runtime::DeviceMemory`] per GPU lane.
 //!
 //! Because the DAG is *shared* — not re-derived — simulated and numeric runs
 //! are structurally identical by construction: same tasks, same dataflow and
@@ -14,8 +14,7 @@
 //! [`bst_contract::validate_trace_invariants`] gates the simulated schedule
 //! with the very checker that gates numeric traces.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use bst_contract::engine::inspector::{self, Op, REDUCE_ROOT};
@@ -94,9 +93,9 @@ impl CompressionModel {
 /// OOM a real device panics here too.
 ///
 /// # Panics
-/// Panics if the replayed schedule overruns a device budget (a lowering bug
-/// or an [`ExecOptions`] without the §3.2.2/§3.2.3 control edges) or if a
-/// `Gemm` reaches a lane before its operands are resident.
+/// Panics if the replayed schedule overruns a device budget or if a `Gemm`
+/// reaches a lane before its operands are resident (either is a lowering
+/// bug).
 pub fn replay_dag(
     spec: &ProblemSpec,
     plan: &ExecutionPlan,
@@ -128,23 +127,11 @@ pub fn replay_dag(
     let mut devices: HashMap<WorkerId, DeviceMemory> = HashMap::new();
     let mut mem_samples: HashMap<(usize, usize), Vec<MemSample>> = HashMap::new();
 
-    // Deterministic list schedule, as the engine runs it: a lane takes its
-    // tasks in the order they become ready (seeds and ties in id order), one
-    // at a time — with platform costs instead of wall clock — and an
-    // order-free task starts when it is ready, holding no lane. Popping the
-    // earliest-ready task first is sound because a task is ready no earlier
-    // than the task that released it was.
+    // The engine's lane rule with platform costs: a task starts when its
+    // dependencies and, on a lane, its lane's previous task ended. Both have
+    // lower ids, so one pass in id order settles every task's times.
     let n = low.graph.len();
     let mut end = vec![0u64; n];
-    let mut waiting: Vec<u32> = Vec::with_capacity(n);
-    let mut ready: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
-    for id in 0..n {
-        let deps = low.graph.deps(id);
-        waiting.push(deps.len() as u32);
-        if deps.is_empty() {
-            ready.push(Reverse((0, id)));
-        }
-    }
     let mut lane_free: HashMap<WorkerId, u64> = HashMap::new();
     let mut records = Vec::with_capacity(n);
     let (mut a_net, mut a_msgs, mut gemms, mut bgens) = (0u64, 0u64, 0u64, 0u64);
@@ -152,7 +139,8 @@ pub fn replay_dag(
     let mut comm_events: Vec<CommEvent> = Vec::new();
     let mut comm_stats = vec![NodeCommStats::default(); n_nodes];
 
-    while let Some(Reverse((ready_ns, id))) = ready.pop() {
+    for id in 0..n {
+        let ready_ns = low.graph.deps(id).iter().map(|&d| end[d]).max().unwrap_or(0);
         let op = low.graph.payload(id);
         let w = low.graph.worker(id);
         let lane_ns = if w.is_any() { 0 } else { *lane_free.entry(w).or_insert(0) };
@@ -272,13 +260,6 @@ pub fn replay_dag(
         if !w.is_any() {
             lane_free.insert(w, end_ns);
         }
-        for s in low.graph.successors(id) {
-            waiting[s] -= 1;
-            if waiting[s] == 0 {
-                let released = low.graph.deps(s).iter().map(|&d| end[d]).max().unwrap_or(0);
-                ready.push(Reverse((released, s)));
-            }
-        }
         // Transport accounting, as `CommFabric` keeps it: a `Sent` is
         // charged to the sender, a `Received` to the receiver.
         let mut wire = |phase, key, src: usize, dst: usize, bytes: u64, epoch| {
@@ -341,7 +322,6 @@ pub fn replay_dag(
     let mut samples: Vec<_> = mem_samples.into_iter().collect();
     samples.sort_by_key(|(k, _)| *k);
     let total_ns = end.iter().copied().max().unwrap_or(0);
-    records.sort_unstable_by_key(|r| r.task);
     let metrics = aggregate_by_kind(&records);
     ExecReport {
         devices: dev_stats,

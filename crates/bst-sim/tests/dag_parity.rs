@@ -10,7 +10,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use bst_contract::engine::execute;
-use bst_contract::engine::inspector::Op;
+use bst_contract::engine::inspector::{lower, Op};
 use bst_contract::{
     validate_trace_invariants, DeviceConfig, ExecOptions, ExecReport, ExecutionPlan, GridConfig,
     PlannerConfig, ProblemSpec,
@@ -114,6 +114,46 @@ fn numeric_and_simulated_runs_execute_the_same_dag() {
     assert!(makespan_s(&simulated) > 0.0);
 }
 
+/// The edges of a lowering that join two tasks of one lane, which the
+/// lane's program order already implies.
+fn same_lane_edges(
+    spec: &ProblemSpec,
+    plan: &ExecutionPlan,
+    opts: &ExecOptions,
+) -> Vec<(usize, usize)> {
+    let g = lower(spec, plan, opts).graph;
+    (0..g.len())
+        .filter(|&t| !g.worker(t).is_any())
+        .flat_map(|t| g.deps(t).iter().map(move |&d| (d, t)))
+        .filter(|&(d, t)| g.worker(d) == g.worker(t))
+        .collect()
+}
+
+#[test]
+fn lowering_keeps_no_edge_inside_a_lane() {
+    let (spec, plan, _config) = problem();
+    let opts = ExecOptions::builder().node_size(2).build();
+    assert_eq!(same_lane_edges(&spec, &plan, &opts), Vec::new());
+
+    // A 2 x 2 grid of one-lane ranks, two to a physical node.
+    let prob = generate(&SyntheticParams {
+        m: 60,
+        n: 240,
+        k: 240,
+        density: 0.3,
+        tile_min: 8,
+        tile_max: 24,
+        seed: 11,
+    });
+    let spec = ProblemSpec::new(prob.a, prob.b, None);
+    let config = PlannerConfig::paper(
+        GridConfig { p: 2, q: 2 },
+        DeviceConfig { gpus_per_node: 1, gpu_mem_bytes: 1 << 20 },
+    );
+    let plan = ExecutionPlan::build(&spec, config).unwrap();
+    assert_eq!(same_lane_edges(&spec, &plan, &opts), Vec::new());
+}
+
 #[test]
 fn simulated_device_accounting_matches_numeric_peaks() {
     let (spec, plan, _config) = problem();
@@ -146,10 +186,10 @@ fn simulated_device_accounting_matches_numeric_peaks() {
     // Peaks. Every block of this plan has one chunk, so a B tile is on its
     // device only inside its one stack, and the occupancy sampled *between*
     // tasks (after every load, stack, evict and flush) is C and A alone.
-    // Its maximum is the schedule's to reach but not to choose: a chunk's
-    // evict follows the next chunk's loads on both sides. Which stack
-    // coincides with the most A resident is the schedule's choice, so the
-    // true peak lies at most that stack's B tile above the sampled one.
+    // Both sides run each lane's program, so they sample the same sequence.
+    // Which stack coincides with the most A resident is the program's
+    // choice, so the true peak lies at most that stack's B tile above the
+    // sampled one.
     let blocks = || plan.nodes.iter().flat_map(|n| &n.gpus).flat_map(|g| &g.blocks);
     assert!(blocks().all(|bp| bp.chunks.len() == 1), "a multi-chunk block keeps B across tasks");
     let largest_b = spec.b.shape().iter_nonzero().map(|(k, j)| spec.b.tile_bytes(k, j)).max().unwrap();

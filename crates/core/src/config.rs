@@ -84,10 +84,11 @@ pub struct PlannerConfig {
     pub chunk_mem_fraction: f64,
     /// Column-assignment heuristic.
     pub assign_policy: AssignPolicy,
-    /// How many chunks ahead of the one computing may be in flight on the
-    /// device: 1 is the paper's policy (one active + one prefetching);
-    /// 0 disables prefetch (transfer and compute serialise); values > 1
-    /// need proportionally smaller chunk fractions to stay within memory.
+    /// How many chunks ahead of the one computing `bst-sim`'s coarse
+    /// replay lets be in flight on a device: 1 is the paper's policy (one
+    /// active + one prefetching); 0 disables prefetch. The engine holds
+    /// one chunk at a time: a device lane evicts a chunk before it loads
+    /// the next.
     pub prefetch_depth: usize,
 }
 

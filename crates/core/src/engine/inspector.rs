@@ -7,27 +7,29 @@
 //! discrete-event replay: both execute *structurally identical* DAGs, and
 //! the trace invariants validate either.
 //!
-//! The DAG has two families of edges:
+//! **Lanes are programs** ([`bst_runtime::engine`]): a lane runs its tasks
+//! in id order, so the lowering stores only the edges that cross lanes. A
+//! device lane's program is, per block, `LoadBlock`, then per chunk each
+//! `LoadA` just before the first stack that reads its tile, the stacks and
+//! the `EvictChunk`, then the `FlushBlock`. So a stack follows its loads
+//! and C allocation, the stacks into one C tile accumulate in the
+//! per-product order (delivery timing is numerically unobservable), a
+//! chunk leaves the device before the next one loads (§3.2.3) and a block
+//! before the next one is allocated (§3.2.2).
+//!
+//! The edges, all between lanes (an order-free task is in none):
 //!
 //! * **dataflow** — `GenB(k, j) → Gemm{k, j, ..}`, one edge per stack that
 //!   reads the tile (the stack that reads it first also transfers it to the
-//!   device), `SendA → RecvA → LoadA` (one hop from the tile's owner to
+//!   device); `SendA → RecvA → LoadA`, one hop from the tile's owner to
 //!   each consuming node, a real send/receive pair over
-//!   [`bst_runtime::comm`]: the send puts the message on the wire, the
-//!   receive completes when the destination's progress thread has
-//!   deposited it, and only then may a device transfer read the tile),
-//!   `LoadA/LoadBlock → Gemm`, `Gemm → Gemm` between stacks that write a
-//!   common C tile (successive accumulations into one C tile are chained,
-//!   fixing the floating-point order so delivery timing is numerically
-//!   unobservable), `Gemm/LoadA → EvictChunk`, `EvictChunk/LoadBlock →
-//!   FlushBlock`;
-//! * **control flow** — `FlushBlock(b) → LoadBlock(b+1)` (§3.2.2 blocking
-//!   block transfers), `EvictChunk(n−1−depth) → LoadA(chunk n)` (§3.2.3
-//!   prefetch window) and `first-use stack(n − 2) → GenB(n)`
-//!   ([`GENB_WINDOW`]). Control edges never change the result — removing
-//!   the first two only breaks the device-memory budget, which the memory
-//!   manager reports as an OOM, exactly like the real GPU would; removing
-//!   the third lets B pile up on the host.
+//!   [`bst_runtime::comm`]: the send puts the message on the owner's wire,
+//!   the receive completes when the destination's progress thread has
+//!   deposited it, and only then may a device transfer read the tile;
+//!   `FlushBlock → ReduceC` and every other node's `ReduceC` → the root's;
+//! * **control flow** — `first-use stack(n − 2) → GenB(n)`
+//!   ([`GENB_WINDOW`]): removing it lets B pile up on the host, and changes
+//!   no result.
 //!
 //! **B is a stream** — it is generated on demand because it cannot be held.
 //! A device lane's `GenB` tasks are lowered in the order its stacks first
@@ -37,8 +39,9 @@
 //! last stack of the block. `GenB` is order-free ([`WorkerId::any`]): the
 //! window edges are its only order, so any pooled worker runs it once they
 //! and its tile's data allow, and the pool's size bounds how many run at
-//! once. `SendA`, `LoadA` and every other task keep a lane, because the
-//! wire's order or the device's matters to them.
+//! once. An in-process `RecvA` is order-free too: its `SendA` fixes when
+//! it may complete. `SendA`, `LoadA` and every other task keep a lane,
+//! because the wire's order or the device's matters to them.
 //!
 //! The unit of device work is a **stack**, not a product: all products of
 //! one chunk against one resident B tile are one `Gemm` task
@@ -206,7 +209,7 @@ pub fn owner_of(p: usize, q: usize, i: usize, k: usize) -> usize {
     (i % p) * q + (k % q)
 }
 
-/// A node's CPU lane (lane 0: `SendA`/`RecvA` hops and `ReduceC`).
+/// A node's CPU lane (lane 0: its `SendA` hops, then its `ReduceC`).
 pub fn cpu_lane(node: usize) -> WorkerId {
     WorkerId { node, lane: 0 }
 }
@@ -291,10 +294,10 @@ pub struct ReduceNode {
 /// The inspector's output: the task DAG plus the broadcast/consumption
 /// bookkeeping the handlers (numeric or simulated) need to drive it.
 pub struct Lowered {
-    /// The task DAG (dataflow + control edges).
+    /// The task DAG: lane programs, and the edges that cross lanes.
     pub graph: TaskGraph<Op>,
     /// Every lane tasks are pinned to: per node, the CPU lane, then the GPU
-    /// lanes. `GenB` needs none ([`WorkerId::any`]).
+    /// lanes. The order-free `GenB` and `RecvA` need none ([`WorkerId::any`]).
     pub workers: Vec<WorkerId>,
     /// `Gemm` stack count per `(node, B tile)` some stack reads: the tile
     /// leaves the device after that many (> 1 only in multi-chunk blocks).
@@ -353,20 +356,18 @@ impl Lowered {
     /// arrives over the wire), and every other `ReduceC` → the root's, which
     /// orders nothing across processes: there each rank keeps its own C.
     /// Relative task order is preserved, so the `dep < task` lowering
-    /// invariant keeps holding in the projection; the send/consumption maps
-    /// stay global — an owner's `SendA` tells the destination its refcount.
+    /// invariant and the lane programs hold in the projection; the
+    /// send/consumption maps stay global — an owner's `SendA` tells the
+    /// destination its refcount.
     pub fn restrict(&self, rank: usize) -> Lowered {
-        // The blocking waiters (`RecvA` in `wait_delivered`) move off the
-        // CPU lane onto a dedicated wait lane. In-process, the DAG's
-        // cross-node edges guarantee their frames are already in flight
-        // when they run; in the projection those edges are gone, so every
-        // `RecvA` is ready at seed time — and a blocking wait at the head of
-        // the shared CPU lane would starve the `SendA` hops queued behind it
-        // (two ranks each blocked ahead of the very send the other is
-        // waiting for). Lane 0 keeps the `SendA`s, which depend on no task,
-        // and the `ReduceC`, which folds what its own flushes left (ordered
-        // by edges the projection keeps) and waits on no peer. The wait
-        // lane keeps a thread of its own: pooled, it would starve the pool.
+        // The blocking waiters (`RecvA` in `wait_delivered`) move onto a
+        // wait lane with a thread of its own. In-process the `SendA → RecvA`
+        // edges put their frames in flight before they run; here those edges
+        // are gone, every `RecvA` is ready at seed time, and pooled they
+        // would hold the workers that run the `SendA`s their peers wait for.
+        // Lane 0 keeps the `SendA`s, which depend on no task, and the
+        // `ReduceC`, which folds what its own flushes left and waits on no
+        // peer.
         let top = self.workers.iter().filter(|w| w.node == rank).map(|w| w.lane).max();
         let wait_lane = WorkerId { node: rank, lane: 1 + top.unwrap_or(0) };
         let mut graph: TaskGraph<Op> = TaskGraph::new();
@@ -439,7 +440,7 @@ pub fn lower(spec: &ProblemSpec, plan: &ExecutionPlan, opts: &ExecOptions) -> Lo
     // `HashMap` iteration order differs from one call to the next; the
     // lowering must not. Destinations ascend, and the broadcasts are lowered
     // in `(k, i, owner)` order — roughly first use — which fixes the hop
-    // task ids and with them each CPU lane's FIFO (the order A tiles go on
+    // task ids and with them each CPU lane's program (the order A tiles go on
     // the wire).
     sends.values_mut().for_each(|dests| dests.sort_unstable());
     let mut send_order: Vec<(&NodeTile, &Vec<usize>)> = sends.iter().collect();
@@ -450,24 +451,27 @@ pub fn lower(spec: &ProblemSpec, plan: &ExecutionPlan, opts: &ExecOptions) -> Lo
 
     // SendA/RecvA pairs (the background broadcast of A across grid rows):
     // one real message from the owner to each consuming node — the send runs
-    // on the owner's CPU lane and puts the tile on the wire, the receive
-    // runs on the destination's CPU lane and completes when the
-    // destination's progress thread deposited it.
+    // on the owner's CPU lane and puts the tile on the wire, the order-free
+    // receive completes when the destination's progress thread deposited it.
     let mut recva_ids: HashMap<(usize, (u32, u32)), TaskId> = HashMap::new();
     for (&(owner, t), dests) in send_order {
         for &to in dests {
             let send = graph.add_task(Op::SendA { i: t.0, k: t.1, to: ix(to) }, cpu_lane(owner));
-            let recv = graph.add_task(Op::RecvA { i: t.0, k: t.1, from: ix(owner) }, cpu_lane(to));
+            let recv = Op::RecvA { i: t.0, k: t.1, from: ix(owner) };
+            let recv = graph.add_task(recv, WorkerId::any(to));
             graph.add_dep(recv, send);
             recva_ids.insert((to, t), recv);
         }
     }
 
-    // Per-GPU block/chunk pipelines.
+    // Per-GPU programs: the lane's tasks in the order it runs them.
     let mut stack_rows: Vec<u32> = Vec::new();
-    let mut prev_writers: Vec<TaskId> = Vec::new();
     let mut flush_ids: Vec<Vec<TaskId>> = vec![Vec::new(); n_nodes];
     let mut b_uses: HashMap<NodeTile, u32> = HashMap::new();
+    // The `k` group of a chunk's stacks each A row was last loaded in: a
+    // chunk's stacks come in `k` groups, each tile in one of them.
+    let mut loaded_in = vec![u32::MAX; spec.a.tile_rows()];
+    let mut group = 0u32;
     for (ni, node) in plan.nodes.iter().enumerate() {
         for (gi, gpu) in node.gpus.iter().enumerate() {
             let lane = gpu_lane(ni, gi);
@@ -475,48 +479,25 @@ pub fn lower(spec: &ProblemSpec, plan: &ExecutionPlan, opts: &ExecOptions) -> Lo
             // first-use order its first-use stack.
             let mut genb_of: HashMap<(u32, u32), TaskId> = HashMap::new();
             let mut first_uses: Vec<TaskId> = Vec::new();
-            let mut prev_flush: Option<TaskId> = None;
-            // Last Gemm stack into each C tile: chaining them fixes the
-            // floating-point accumulation order per tile, so the numeric
-            // result is bit-identical however message delivery (and thus
-            // ready order) interleaves.
-            let mut last_gemm_on_c: HashMap<(u32, u32), TaskId> = HashMap::new();
-            // Evict ids of the GPU-global chunk sequence (across blocks):
-            // chunk n's loads wait on chunk n−2's evict — one chunk active,
-            // one prefetching.
-            let mut evict_ids: Vec<TaskId> = Vec::new();
             for (bi, bp) in gpu.blocks.iter().enumerate() {
-                let load_block =
-                    graph.add_task(Op::LoadBlock { node: ix(ni), gpu: ix(gi), block: ix(bi) }, lane);
-                if let Some(f) = prev_flush {
-                    graph.add_dep(load_block, f); // control: blocking block transfer
-                }
-                let mut chunk_evicts = Vec::with_capacity(bp.chunks.len());
+                graph.add_task(Op::LoadBlock { node: ix(ni), gpu: ix(gi), block: ix(bi) }, lane);
                 for (ci, chunk) in bp.chunks.iter().enumerate() {
-                    // Prefetch window: chunk n's transfers wait on the evict
-                    // of chunk n - 1 - depth (depth chunks in flight beyond
-                    // the one computing).
-                    let window = plan.config.prefetch_depth + 1;
-                    let window_dep = if evict_ids.len() >= window {
-                        Some(evict_ids[evict_ids.len() - window])
-                    } else {
-                        None
-                    };
-                    // The chunk's tasks get consecutive ids: its loads in
-                    // `chunk.tiles` order, then its stacks, then its evict.
-                    let first_load = graph.len();
-                    let mut load_of: HashMap<(u32, u32), TaskId> = HashMap::new();
-                    for &t in &chunk.tiles {
-                        let id = graph.add_task(Op::LoadA { i: t.0, k: t.1 }, lane);
-                        if let Some(wd) = window_dep {
-                            graph.add_dep(id, wd); // control: prefetch window
-                        }
-                        if let Some(&recv) = recva_ids.get(&(ni, t)) {
-                            graph.add_dep(id, recv); // dataflow: network arrival
-                        }
-                        load_of.insert(t, id);
-                    }
+                    // Each tile's `LoadA` just before the first stack that
+                    // reads it, so a stack waits only for the loads it needs.
+                    let (mut loads, mut group_k) = (0, None);
                     ExecutionPlan::for_each_chunk_stack(spec, &bp.block, chunk, |k, j, rows| {
+                        if group_k != Some(k) {
+                            (group_k, group) = (Some(k), group + 1);
+                        }
+                        for &i in rows {
+                            if std::mem::replace(&mut loaded_in[i as usize], group) != group {
+                                let id = graph.add_task(Op::LoadA { i, k }, lane);
+                                if let Some(&recv) = recva_ids.get(&(ni, (i, k))) {
+                                    graph.add_dep(id, recv); // dataflow: network arrival
+                                }
+                                loads += 1;
+                            }
+                        }
                         *b_uses.entry((ni, (k, j))).or_insert(0) += 1;
                         if let Entry::Vacant(slot) = genb_of.entry((k, j)) {
                             let genb = *slot.insert(graph.add_task(Op::GenB { k, j }, WorkerId::any(ni)));
@@ -529,48 +510,17 @@ pub fn lower(spec: &ProblemSpec, plan: &ExecutionPlan, opts: &ExecOptions) -> Lo
                         let start = stack_rows.len();
                         stack_rows.extend_from_slice(rows);
                         let span = |at: usize| u32::try_from(at).expect("stack rows fit a u32 index");
-                        let id = graph.add_task(
-                            Op::Gemm {
-                                k,
-                                j,
-                                rows: span(start)..span(stack_rows.len()),
-                            },
-                            lane,
-                        );
-                        graph.add_dep(id, load_block);
+                        let rows = span(start)..span(stack_rows.len());
+                        let id = graph.add_task(Op::Gemm { k, j, rows }, lane);
                         graph.add_dep(id, genb_of[&(k, j)]); // dataflow: its B tile
-                        // determinism: C accumulation order — the distinct
-                        // earlier stacks that last wrote a C tile of this one.
-                        prev_writers.clear();
-                        for &i in rows {
-                            graph.add_dep(id, load_of[&(i, k)]);
-                            prev_writers.extend(last_gemm_on_c.insert((i, j), id));
-                        }
-                        prev_writers.sort_unstable();
-                        prev_writers.dedup();
-                        for &prev in &prev_writers {
-                            graph.add_dep(id, prev);
-                        }
                     });
+                    assert_eq!(loads, chunk.tiles.len(), "a chunk's stacks read all its A tiles");
                     let (node, gpu, block, chunk) = (ix(ni), ix(gi), ix(bi), ix(ci));
-                    let evict = graph.add_task(Op::EvictChunk { node, gpu, block, chunk }, lane);
-                    for dep in first_load..evict {
-                        // its loads and stacks, not the `GenB`s between them
-                        if !matches!(graph.payload(dep), Op::GenB { .. }) {
-                            graph.add_dep(evict, dep);
-                        }
-                    }
-                    evict_ids.push(evict);
-                    chunk_evicts.push(evict);
+                    graph.add_task(Op::EvictChunk { node, gpu, block, chunk }, lane);
                 }
                 let flush =
                     graph.add_task(Op::FlushBlock { node: ix(ni), gpu: ix(gi), block: ix(bi) }, lane);
-                graph.add_dep(flush, load_block);
-                for e in chunk_evicts {
-                    graph.add_dep(flush, e);
-                }
                 flush_ids[ni].push(flush);
-                prev_flush = Some(flush);
             }
         }
     }

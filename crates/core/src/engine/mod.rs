@@ -3,9 +3,9 @@
 //! The plan is lowered to a task DAG with the same structure the paper's
 //! generic PTG executes over PaRSEC (§4):
 //!
-//! * **dataflow tasks** — `SendA` (A-tile broadcast across a grid row),
-//!   `GenB` (on-demand generation of B tiles on the node that needs them,
-//!   in the order the device lanes first read them, each on whichever
+//! * **dataflow tasks** — `SendA`/`RecvA` (A-tile broadcast across a grid
+//!   row), `GenB` (on-demand generation of B tiles on the node that needs
+//!   them, in the order the device lanes first read them, each on whichever
 //!   pooled worker is free: it shares no lane), `LoadBlock` (a block's C
 //!   allocation), `LoadA` (host→device transfers), `Gemm` (the computation:
 //!   a *stack* of products — every row of one chunk against one B tile,
@@ -13,35 +13,34 @@
 //!   one frees — each product one call of the kernel
 //!   [`bst_tile::kernel::select_heuristic`] picks for its shape, run by
 //!   whichever pooled worker holds the device lane),
-//!   `EvictChunk`/`FlushBlock` (device memory recycling and C write-back);
-//! * **control-flow edges** — `LoadBlock(b+1)` waits for `FlushBlock(b)`
-//!   (blocks are transferred blockingly, §3.2.2), the `LoadA` tasks of
-//!   chunk `n` wait for `EvictChunk(n−2)` (one chunk computing + one chunk
-//!   prefetching, §3.2.3), and the `GenB` of a lane's n-th B tile waits for
-//!   the first stack on tile `n −` [`inspector::GENB_WINDOW`] (B streams
-//!   through the host by the same rule: one tile computing, one ahead).
-//!   These edges never change the result — removing the first two only
-//!   breaks the device-memory budget, which [`bst_runtime::DeviceMemory`]
-//!   then reports as an OOM, exactly like the real GPU would; removing the
-//!   third lets all of B pile up on the host.
+//!   `EvictChunk`/`FlushBlock` (device memory recycling and C write-back)
+//!   and `ReduceC` (C's fold and gather);
+//! * **control flow** — a lane runs its tasks in id order, so a device
+//!   lane's program is its control flow: `LoadBlock(b+1)` follows
+//!   `FlushBlock(b)` (§3.2.2), a chunk's `EvictChunk` precedes the next
+//!   chunk's `LoadA`s (§3.2.3), and stacks into one C tile accumulate in
+//!   program order. The one control *edge* is B's window: `GenB` of a
+//!   lane's n-th B tile waits for the first stack on tile `n −`
+//!   [`inspector::GENB_WINDOW`] (one tile computing, one ahead).
 //!
 //! Every node's tiles live in its private [`bst_runtime::TileStore`]; `A`
 //! starts 2D-cyclic-distributed and crosses node boundaries only through
 //! explicit `SendA` tasks.
 //!
-//! A lane is an order, not a thread: one worker per core serves every lane
-//! of every simulated node, as PaRSEC's do, and runs the order-free `GenB`s
-//! between them. A task may block only on a
-//! progress or pump thread; [`inspector::Lowered::wait_lane`], which waits
-//! on other processes, keeps a thread of its own.
+//! A lane is a program, not a thread: one worker per core serves every
+//! lane of every simulated node, as PaRSEC's do, and runs the order-free
+//! `GenB`s and in-process `RecvA`s between them. A task may block only on
+//! a progress or pump thread; [`inspector::Lowered::wait_lane`], which
+//! waits on other processes, keeps a thread of its own.
 //!
 //! The engine is split by responsibility:
 //!
-//! * [`inspector`] — **plan → DAG**: materialises the task graph with its
-//!   dataflow and control-flow edges. Data-free, so `bst-sim` replays the
-//!   *same* lowering it can never drift from;
+//! * [`inspector`] — **plan → DAG**: materialises the task graph, each
+//!   lane's tasks in program order, with the edges that cross lanes.
+//!   Data-free, so `bst-sim` replays the *same* lowering it can never
+//!   drift from;
 //! * [`policies`] — [`policies::ExecOptions`]: the composable
-//!   knob surface (control edges, tracing, transport shape, faults, retry);
+//!   knob surface (tracing, transport shape, faults, retry, compression);
 //! * `memory` — the per-GPU `MemoryManager`: residency, eviction, OOM, and
 //!   occupancy sampling behind one interface;
 //! * `handlers` — the task bodies (`GenB`/`SendA`/`Gemm`/loads/evictions,

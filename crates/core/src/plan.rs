@@ -5,8 +5,8 @@
 //! inspection phase feeds to the generic PTG over PaRSEC: for every node,
 //! the ordered blocks of each GPU; for every block, the ordered chunks of
 //! `A` tiles; and (implicitly, re-enumerable on demand) the GEMM tasks of
-//! every chunk. Data-flow edges follow from tile identities; control-flow
-//! edges follow from the block/chunk ordering and the prefetch depth.
+//! every chunk. Data-flow edges follow from tile identities; each device
+//! lane's order follows from the block/chunk ordering.
 
 use crate::assign::{assign_columns_policy, column_weights};
 use crate::chunk::{build_chunks, needed_tiles_per_row, Chunk};
