@@ -10,7 +10,9 @@
 //!   is the only way data enters the node,
 //! * a **progress thread** that drains the inbox into the node's private
 //!   [`TileStore`] (and, for C tiles gathered to the root, into a reduction
-//!   buffer),
+//!   buffer), and tells the caller's deposit hook each A tile it deposited
+//!   ([`CommFabric::start_with`]): that is how a tile's arrival completes
+//!   the `RecvA` awaiting it, without any thread waiting on the wire,
 //! * **per-link-class credit gates**: a sender must acquire a credit on the
 //!   destination's gate for the link class it crosses
 //!   ([`topology::LinkClass::Intra`] vs [`topology::LinkClass::Inter`], see
@@ -46,7 +48,8 @@
 //!
 //! Delivery is idempotent: the progress thread tracks delivered keys and
 //! drops (and counts) re-deliveries, so a retried send after a fault-
-//! injected drop can never double-deposit. A seeded [`DeliveryPolicy`]
+//! injected drop can never double-deposit, and the deposit hook hears of
+//! each `(node, key)` once. A seeded [`DeliveryPolicy`]
 //! can shuffle delivery order within a window to prove the dataflow DAG —
 //! not arrival order — is what orders the computation.
 
@@ -427,7 +430,8 @@ struct Endpoint {
     rx: Mutex<Option<Receiver<Frame>>>,
     /// `[intra/loopback, inter]` credit gates (see [`gate_of`]).
     credits: [CreditGate; 2],
-    /// Keys delivered into this node, ever (dedup + recv notification).
+    /// Keys delivered into this node, ever (dedup, and
+    /// [`CommFabric::wait_delivered`]'s notification).
     delivered: Mutex<HashSet<DataKey>>,
     arrived: Condvar,
     /// C tiles delivered to this node and not yet taken: on rank 0, every
@@ -590,20 +594,36 @@ impl CommFabric {
         }
     }
 
-    /// Spawns one progress thread per node into `scope`, each draining its
-    /// node's inbox into that node's store in `stores`.
-    ///
-    /// # Panics
-    /// Panics if `stores` and the fabric disagree on node count, if a
-    /// store's owner doesn't match its index, or if called twice.
+    /// [`CommFabric::start_with`] with no deposit hook.
     pub fn start<'env, 'scope>(
         &'env self,
         scope: &'scope std::thread::Scope<'scope, 'env>,
         stores: &'env [TileStore],
     ) {
+        self.start_with(scope, stores, &|_, _| {});
+    }
+
+    /// Spawns one progress thread per node hosted in this process into
+    /// `scope`, each draining its node's inbox into that node's store in
+    /// `stores`. Once an A tile is in the store, its progress thread calls
+    /// `deposited(node, key)`: once per `(node, key)`, however often the
+    /// tile was sent.
+    ///
+    /// # Panics
+    /// Panics if `stores` and the fabric disagree on node count, if a
+    /// store's owner doesn't match its index, or if called twice.
+    pub fn start_with<'env, 'scope>(
+        &'env self,
+        scope: &'scope std::thread::Scope<'scope, 'env>,
+        stores: &'env [TileStore],
+        deposited: &'env (dyn Fn(usize, DataKey) + Sync),
+    ) {
         assert_eq!(stores.len(), self.endpoints.len(), "one store per node");
         for (node, (ep, store)) in self.endpoints.iter().zip(stores).enumerate() {
             assert_eq!(store.owner(), node, "store {node} owned by {}", store.owner());
+            if self.remote.as_ref().is_some_and(|r| r.rank != node) {
+                continue; // another process's rank: its frames leave over the wire
+            }
             let rx = ep
                 .rx
                 .lock()
@@ -612,7 +632,7 @@ impl CommFabric {
                 .expect("progress thread already started");
             std::thread::Builder::new()
                 .name(format!("n{node}.progress"))
-                .spawn_scoped(scope, move || self.progress_loop(node, rx, store))
+                .spawn_scoped(scope, move || self.progress_loop(node, rx, store, deposited))
                 .expect("spawn a progress thread");
         }
     }
@@ -715,8 +735,10 @@ impl CommFabric {
         }
     }
 
-    /// Blocks until `key` has been delivered into `node`'s store (the
-    /// `RecvA` task body). Returns immediately if it already was.
+    /// Blocks until `key` has been delivered into `node`'s store, for a
+    /// caller that drives the fabric without an engine run (a probe; an
+    /// engine's arrivals hear of deposits through
+    /// [`CommFabric::start_with`]). Returns immediately if it already was.
     pub fn wait_delivered(&self, node: usize, key: DataKey) {
         let ep = &self.endpoints[node];
         let mut delivered = ep.delivered.lock().unwrap_or_else(|e| e.into_inner());
@@ -795,7 +817,13 @@ impl CommFabric {
 
     /// The progress loop of `node`: stage (optionally reorder), shape,
     /// deposit, return credit — until the `Shutdown` frame.
-    fn progress_loop(&self, node: usize, rx: Receiver<Frame>, store: &TileStore) {
+    fn progress_loop(
+        &self,
+        node: usize,
+        rx: Receiver<Frame>,
+        store: &TileStore,
+        deposited: &(dyn Fn(usize, DataKey) + Sync),
+    ) {
         let window = match self.delivery {
             DeliveryPolicy::InOrder => 1,
             DeliveryPolicy::Reorder { window, .. } => window.max(1),
@@ -832,7 +860,7 @@ impl CommFabric {
                 }
             };
             let frame = staged.remove(idx);
-            self.deliver(node, store, frame);
+            self.deliver(node, store, frame, deposited);
         }
     }
 
@@ -852,7 +880,13 @@ impl CommFabric {
         std::thread::sleep(delay);
     }
 
-    fn deliver(&self, node: usize, store: &TileStore, frame: Frame) {
+    fn deliver(
+        &self,
+        node: usize,
+        store: &TileStore,
+        frame: Frame,
+        deposited: &(dyn Fn(usize, DataKey) + Sync),
+    ) {
         let ep = &self.endpoints[node];
         match frame {
             Frame::BcastA(msg) => {
@@ -860,7 +894,8 @@ impl CommFabric {
                 let class = self.topology.link_class(msg.src, node);
                 self.shape(node, class, bytes);
                 let mut delivered = ep.delivered.lock().unwrap_or_else(|e| e.into_inner());
-                if delivered.insert(msg.key) {
+                let first = delivered.insert(msg.key);
+                if first {
                     store.put(msg.key, msg.payload, msg.consumers);
                     ep.count_recv(bytes, class);
                     self.record(TracePhase::Received, msg.key, msg.src, node, bytes, msg.epoch);
@@ -871,6 +906,9 @@ impl CommFabric {
                     self.record(TracePhase::Retried, msg.key, msg.src, node, bytes, msg.epoch);
                 }
                 drop(delivered);
+                if first {
+                    deposited(node, msg.key);
+                }
                 ep.arrived.notify_all();
                 ep.credits[gate_of(class)].release();
             }
@@ -1040,6 +1078,9 @@ mod tests {
         }
     }
 
+    /// An injected frame lands in its rank's store, and the deposit hook
+    /// hears of it once, after the tile is readable: a duplicate stays
+    /// silent.
     #[test]
     fn inject_delivers_into_local_store() {
         let fabric = CommFabric::with_remote(
@@ -1048,12 +1089,20 @@ mod tests {
             Some(RemoteLink { rank: 1, wire: Arc::new(DeadWire) }),
         );
         let stores = vec![TileStore::for_node(0), TileStore::for_node(1)];
+        let (tx, rx) = std::sync::mpsc::channel();
+        let deposited = |node: usize, key: DataKey| {
+            stores[node].get(node, key); // panics unless the tile is readable
+            tx.send((node, key)).unwrap();
+        };
         std::thread::scope(|s| {
-            fabric.start(s, &stores);
+            fabric.start_with(s, &stores, &deposited);
             fabric.inject(WireFrame::Tile { dst: 1, msg: a_msg(0, 7, 2) });
-            fabric.wait_delivered(1, DataKey::A(7, 2));
+            fabric.inject(WireFrame::Tile { dst: 1, msg: a_msg(0, 7, 2) });
+            assert_eq!(rx.recv().unwrap(), (1, DataKey::A(7, 2)));
             fabric.shutdown();
         });
+        assert!(rx.try_recv().is_err(), "the hook heard of a duplicate");
+        assert_eq!(fabric.node_stats()[1].duplicate_msgs, 1);
         // A frame arriving after shutdown is dropped, not a panic.
         fabric.inject(WireFrame::Tile { dst: 1, msg: a_msg(0, 9, 9) });
     }

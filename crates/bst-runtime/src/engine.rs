@@ -1,6 +1,6 @@
 //! The single policy-driven execution engine.
 //!
-//! [`Engine::run`] is **one** scheduler, configured along three orthogonal
+//! [`Engine::run`] is **one** scheduler, configured along two orthogonal
 //! axes:
 //!
 //! * the clock — a [`TraceClock`] that timestamps every task's span; a
@@ -9,14 +9,11 @@
 //! * the retry options — per-task attempt budget and backoff applied to
 //!   [`TaskError::Transient`] handler failures ([`RetryOptions::none`]
 //!   makes every transient error terminal, which is how [`infallible`]
-//!   handlers run);
-//! * the lane with its own thread — the one lane whose tasks may block on
-//!   another process ([`Engine::with_own_thread`]).
+//!   handlers run).
 //!
-//! The axes are picked independently with [`Engine::with_clock`],
-//! [`Engine::with_retry`] and [`Engine::with_own_thread`]; every
-//! combination reaches one body. Every run records each task's
-//! [`TaskSpan`] ([`FallibleRun::trace`]).
+//! The axes are picked independently with [`Engine::with_clock`] and
+//! [`Engine::with_retry`]; every combination reaches one body. Every run
+//! records each task's [`TaskSpan`] ([`FallibleRun::trace`]).
 //!
 //! # Scheduler semantics
 //!
@@ -29,11 +26,19 @@
 //! FIFO order or sleeps until one becomes ready. A lane's context travels
 //! with it. A task pinned to [`WorkerId::any`] is order-free: any pooled
 //! worker runs it when it is ready, beside any other, with a context of its
-//! own. As every dependency points to a smaller id, the smallest unfinished
-//! task may always start: deadlock is structural, provided a pooled task
-//! blocks only on a thread outside the pool (a progress or pump thread); a
-//! lane whose tasks wait on another process gets a thread of its own
-//! ([`Engine::with_own_thread`]).
+//! own.
+//!
+//! An *arrival* task ([`Engine::run_with`]) is order-free, and no worker
+//! runs it: it completes on the spot once its dependencies are done and
+//! code outside the pool has retired it ([`Arrivals::retire`]) — a datum
+//! that landed from another node. Its span runs from its last dependency's
+//! completion to that moment.
+//!
+//! As every dependency points to a smaller id, the smallest unfinished task
+//! may always start, or is an arrival awaiting the outside: deadlock is
+//! structural, provided a pooled task blocks only on a thread outside the
+//! pool (a progress or pump thread) and every arrival is retired by such a
+//! thread. No pooled task waits for an arrival; only its successors do.
 //!
 //! A [`TaskError::Transient`] failure is retried after exponential backoff
 //! **without** completing: the task stays at its lane's head, no successor
@@ -44,9 +49,11 @@
 
 use crate::graph::{FallibleRun, RetryOptions, RunAbort, TaskError, TaskGraph, TaskId, WorkerId};
 use crate::trace::{ExecTrace, TaskSpan, TraceClock};
+use std::any::Any;
 use std::collections::VecDeque;
 use std::convert::Infallible;
 use std::sync::{Condvar, Mutex};
+use std::thread::ScopedJoinHandle;
 use std::time::Duration;
 
 /// The policy-driven task-DAG execution engine — see the [module
@@ -75,7 +82,6 @@ use std::time::Duration;
 pub struct Engine {
     clock: TraceClock,
     retry: RetryOptions,
-    own_thread: Option<WorkerId>,
     /// Pooled workers; 0 = one per core.
     threads: usize,
 }
@@ -87,7 +93,6 @@ impl Engine {
         Self {
             clock: TraceClock::start(),
             retry: RetryOptions::none(),
-            own_thread: None,
             threads: 0,
         }
     }
@@ -103,15 +108,9 @@ impl Engine {
         Self { retry, ..self }
     }
 
-    /// This engine serving `lane` (if any) from a thread of its own, outside
-    /// the pool: the lane whose tasks block on another process, which a
-    /// pooled worker must never wait for.
-    pub fn with_own_thread(self, lane: Option<WorkerId>) -> Self {
-        Self { own_thread: lane, ..self }
-    }
-
     /// Executes `graph` to completion under this engine's policies, on
-    /// one pooled worker per core (never more than the pooled lanes).
+    /// one pooled worker per core (never more than the pooled units):
+    /// [`Engine::run_with`] with no arrival tasks.
     ///
     /// * `workers` — every lane that tasks are pinned to (a task pinned to a
     ///   missing lane panics); an order-free task ([`WorkerId::any`]) needs
@@ -126,8 +125,7 @@ impl Engine {
     /// A task runs once all its dependencies completed and, on a lane, once
     /// every lower-id task of its lane did: a lane runs one task at a time,
     /// in id order. A pooled task may block only on a thread outside the
-    /// pool (see [`Engine::with_own_thread`]).
-    /// See the [module docs](self) for retry and abort semantics.
+    /// pool. See the [module docs](self) for retry and abort semantics.
     ///
     /// # Panics
     /// Propagates handler panics (a panic is not an error value); panics on
@@ -146,10 +144,41 @@ impl Engine {
         M: Fn(WorkerId) -> Ctx + Sync,
         F: Fn(&P, WorkerId, &mut Ctx, u32) -> Result<(), TaskError<E>> + Sync,
     {
+        self.run_with(graph, workers, &[], mk_ctx, run, |_| {})
+    }
+
+    /// [`Engine::run`] with arrival tasks, and `outside` running beside the
+    /// pool on the calling thread.
+    ///
+    /// Each task of `arrivals` (order-free, [`WorkerId::any`]) is never run
+    /// by a worker: it completes on the spot once its dependencies are done
+    /// and `outside`, or a thread it started, has retired it through the
+    /// [`Arrivals`] handle. `outside` must see to it that every arrival is
+    /// retired, then wait for the run ([`Arrivals::wait_finished`]) before
+    /// stopping what it started; the run returns once `outside` did. An
+    /// arrival's attempt count is 1.
+    ///
+    /// # Panics
+    /// As [`Engine::run`], and propagates a panic of `outside` (after
+    /// stopping the run); panics on an arrival pinned to a lane.
+    pub fn run_with<P, Ctx, E, F, M, O>(
+        &self,
+        graph: &TaskGraph<P>,
+        workers: &[WorkerId],
+        arrivals: &[TaskId],
+        mk_ctx: M,
+        run: F,
+        outside: O,
+    ) -> Result<FallibleRun, RunAbort<E>>
+    where
+        P: Sync,
+        Ctx: Send,
+        E: Send,
+        M: Fn(WorkerId) -> Ctx + Sync,
+        F: Fn(&P, WorkerId, &mut Ctx, u32) -> Result<(), TaskError<E>> + Sync,
+        O: FnOnce(&Arrivals<'_>),
+    {
         let clock = self.clock;
-        if graph.is_empty() {
-            return Ok(FallibleRun { attempts: Vec::new(), trace: ExecTrace::default() });
-        }
         // Map the graph's workers to dense lane indices; order-free tasks
         // have none.
         let mut sorted = workers.to_vec();
@@ -166,66 +195,67 @@ impl Engine {
                 Err(_) => panic!("task pinned to unknown worker {w:?}"),
             })
             .collect();
-        let lane_of = |id: TaskId| lane_index[graph.lane(id)];
+        let mut by = vec![By::Worker; graph.len()];
+        for &id in arrivals {
+            assert!(graph.worker(id).is_any(), "arrival task {id} pinned to a lane");
+            by[id] = By::Arrival { landed: false };
+        }
         // Each lane's program, chained in id order: `heads[l]` is lane `l`'s
         // first task, `after[id]` the task its lane runs after `id`.
         let (mut after, mut heads) = (vec![NONE; graph.len()], vec![NONE; sorted.len()]);
         let mut free = 0;
         for id in (0..graph.len()).rev() {
-            match lane_of(id) {
-                NONE => free += 1,
+            match lane_index[graph.lane(id)] {
+                NONE => free += usize::from(by[id] == By::Worker),
                 l => (after[id], heads[l as usize]) = (heads[l as usize], id as u32),
             }
         }
-        let server: Vec<usize> =
-            sorted.iter().map(|&w| usize::from(self.own_thread == Some(w))).collect();
         let cores = std::thread::available_parallelism().map_or(1, usize::from);
-        let pooled = server.iter().filter(|&&s| s == POOL).count() + free;
+        let pooled = sorted.len() + free;
         let threads = (if self.threads > 0 { self.threads } else { cores }).min(pooled).max(1);
         let budget = self.retry.budget.max(1);
         let retry = self.retry;
 
         let mut sched = Sched {
+            lane_index,
+            after,
+            clock,
             heads,
             idle: (0..sorted.len()).map(|_| Some(None)).collect(),
-            server,
-            ready: [VecDeque::new(), VecDeque::new()],
+            ready: VecDeque::new(),
             indeg: (0..graph.len()).map(|id| graph.deps(id).len() as u32).collect(),
+            by,
             attempts: vec![0; graph.len()],
             spans: vec![TaskSpan::default(); graph.len()],
             remaining: graph.len(),
-            done: false,
+            done: graph.is_empty(),
             abort: None,
         };
         // The seed tasks are ready from the start.
         let seeded = clock.now_ns();
         for id in (0..graph.len()).filter(|&id| graph.deps(id).is_empty()) {
             sched.spans[id].ready_ns = seeded;
-            sched.release(id, lane_of(id));
+            sched.release(graph, id);
         }
         let sched = Mutex::new(sched);
-        let wake = [Condvar::new(), Condvar::new()];
-        let notify = |wakes: &mut [usize; 2]| {
-            for (cv, n) in wake.iter().zip(std::mem::take(wakes)) {
-                (0..n).for_each(|_| cv.notify_one());
-            }
-        };
+        let wake = Condvar::new();
+        let notify = |wakes: &mut usize| (0..std::mem::take(wakes)).for_each(|_| wake.notify_one());
         let finish = |st: &mut Sched<Ctx, E>| {
             st.done = true;
-            wake.iter().for_each(Condvar::notify_all);
+            wake.notify_all();
         };
 
-        // A worker of `srv` takes the unit at the head of its ready list —
-        // a lane, whose next task it runs, or an order-free task — and keeps
-        // the lane while its next task may start; it sleeps only while its
-        // list is empty.
-        let work = |srv: usize| {
-            let mut wakes = [0usize; 2];
+        // A worker takes the unit at the head of the ready list — a lane,
+        // whose next task it runs, or an order-free task — and keeps the
+        // lane while its next task may start; it sleeps only while the list
+        // is empty.
+        let work = || {
+            let mut wakes = 0usize;
             let mut st = sched.lock().unwrap();
             while !st.done {
-                let Some(unit) = st.ready[srv].pop_front() else {
+                let Some(unit) = st.ready.pop_front() else {
                     notify(&mut wakes);
-                    st = wake[srv].wait(st).unwrap();
+                    st = wake.wait(st).unwrap();
                     continue;
                 };
                 let (id, mut ctx) = match unit {
@@ -267,23 +297,10 @@ impl Engine {
                         let span = &mut st.spans[id];
                         (span.start_ns, span.end_ns) = (start_ns, end_ns);
                         if let Unit::Lane(l) = unit {
-                            st.heads[l] = after[id];
+                            st.heads[l] = st.after[id];
                         }
-                        let mut released = None;
-                        for s in graph.successors(id) {
-                            st.indeg[s] -= 1;
-                            if st.indeg[s] == 0 {
-                                // Stamped under the lock, with the time the
-                                // last dependency completed.
-                                let ready_ns = *released.get_or_insert_with(|| clock.now_ns());
-                                st.spans[s].ready_ns = ready_ns;
-                                if let Some(srv) = st.release(s, lane_of(s)) {
-                                    wakes[srv] += 1;
-                                }
-                            }
-                        }
-                        st.remaining -= 1;
-                        if st.remaining == 0 {
+                        wakes += st.complete(graph, id);
+                        if st.done {
                             finish(&mut st);
                         }
                     }
@@ -307,27 +324,43 @@ impl Engine {
                     Unit::Free(_) => retrying,
                 };
                 if again {
-                    st.ready[srv].push_front(unit);
-                } else if wakes[srv] > 0 {
+                    st.ready.push_front(unit);
+                } else {
                     // This worker serves one of the units it made ready.
-                    wakes[srv] -= 1;
+                    wakes = wakes.saturating_sub(1);
                 }
             }
         };
+        let retire = |id: TaskId| {
+            let mut st = sched.lock().unwrap();
+            let mut wakes = st.land(graph, id);
+            if st.done {
+                finish(&mut st);
+            }
+            drop(st);
+            notify(&mut wakes);
+        };
 
         // Named, so `/proc/<pid>/task/*` and samplers tell the pool
-        // (`bst.w{i}`) from the lane with its own thread (`n{node}.l{lane}`).
-        std::thread::scope(|scope| {
-            let spawn = |name: String, srv: usize| {
-                let work = &work;
-                let thread = std::thread::Builder::new().name(name);
-                thread.spawn_scoped(scope, move || work(srv)).expect("spawn an engine thread");
-            };
-            (0..threads).for_each(|i| spawn(format!("bst.w{i}"), POOL));
-            if let Some(w) = self.own_thread {
-                spawn(format!("n{}.l{}", w.node, w.lane), OWN);
+        // (`bst.w{i}`) from the threads `outside` starts.
+        let panicked = std::thread::scope(|scope| {
+            let pool = (0..threads)
+                .map(|i| {
+                    let thread = std::thread::Builder::new().name(format!("bst.w{i}"));
+                    thread.spawn_scoped(scope, work).expect("spawn an engine thread")
+                })
+                .collect();
+            let arrivals = Arrivals { retire: &retire, pool: Mutex::new(pool), panic: Mutex::new(None) };
+            let outside = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| outside(&arrivals)));
+            if outside.is_err() {
+                finish(&mut sched.lock().unwrap());
             }
+            arrivals.wait_finished();
+            arrivals.panic.into_inner().unwrap().or(outside.err())
         });
+        if let Some(panic) = panicked {
+            std::panic::resume_unwind(panic);
+        }
 
         let st = sched.into_inner().unwrap();
         if let Some(abort) = st.abort {
@@ -346,34 +379,71 @@ impl Default for Engine {
     }
 }
 
-/// The ready list of the pooled workers, and of the lane with its own thread.
-const POOL: usize = 0;
-const OWN: usize = 1;
+/// What code outside the pool holds during [`Engine::run_with`]: the way
+/// to retire arrival tasks, and to wait for the run. Once the run finished
+/// or aborted, retiring does nothing.
+pub struct Arrivals<'a> {
+    retire: &'a (dyn Fn(TaskId) + Sync),
+    pool: Mutex<Vec<ScopedJoinHandle<'a, ()>>>,
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
+}
+
+impl Arrivals<'_> {
+    /// Arrival task `id`'s datum landed: the task completes now if its
+    /// dependencies are done, else as soon as they are. Retiring a task
+    /// that is no arrival, or one already retired, does nothing.
+    pub fn retire(&self, id: TaskId) {
+        (self.retire)(id)
+    }
+
+    /// Blocks until the run has finished or aborted: joins the pool.
+    pub fn wait_finished(&self) {
+        let mut pool = self.pool.lock().unwrap();
+        for worker in pool.drain(..) {
+            if let Err(panic) = worker.join() {
+                self.panic.lock().unwrap().get_or_insert(panic);
+            }
+        }
+    }
+}
 
 /// No lane (an order-free task's), or no task (a lane's after its last).
 const NONE: u32 = u32::MAX;
 
-/// What a worker takes from a ready list: a lane, whose next task it runs,
-/// or an order-free task.
+/// What a worker takes from the ready list: a lane, whose next task it
+/// runs, or an order-free task.
 #[derive(Clone, Copy)]
 enum Unit {
     Lane(usize),
     Free(TaskId),
 }
 
+/// What completes a task: a worker running it, or, for an arrival, its
+/// datum having `landed` once its dependencies are done.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum By {
+    Worker,
+    Arrival { landed: bool },
+}
+
 /// The scheduler state, behind one lock.
 struct Sched<Ctx, E> {
+    /// Per distinct worker of the graph: its lane's index ([`NONE`] if
+    /// order-free); per task: the next task of its lane's program.
+    lane_index: Vec<u32>,
+    after: Vec<u32>,
+    clock: TraceClock,
     /// Per lane: the next task of its program ([`NONE`] after the last).
     heads: Vec<u32>,
     /// Per lane: its context while no worker holds it (`None` while held;
-    /// the context travels with the lane, and is built on its first task),
-    /// and its server ([`POOL`] or [`OWN`]).
+    /// the context travels with the lane, and is built on its first task).
     idle: Vec<Option<Option<Ctx>>>,
-    server: Vec<usize>,
-    /// Per server: the ready units no worker holds, FIFO.
-    ready: [VecDeque<Unit>; 2],
-    /// Per task: unfinished dependencies, handler attempts and span.
+    /// The ready units no worker holds, FIFO.
+    ready: VecDeque<Unit>,
+    /// Per task: unfinished dependencies, what completes it, handler
+    /// attempts and span.
     indeg: Vec<u32>,
+    by: Vec<By>,
     attempts: Vec<u32>,
     spans: Vec<TaskSpan>,
     remaining: usize,
@@ -383,20 +453,63 @@ struct Sched<Ctx, E> {
 }
 
 impl<Ctx, E> Sched<Ctx, E> {
-    /// Task `id` on lane `lane` (or [`NONE`]) had its last dependency
-    /// complete: queues it if it may start now — an order-free task always,
-    /// a lane's task if it is the lane's next and no worker holds the lane.
-    /// Returns the server of the unit it queued.
-    fn release(&mut self, id: TaskId, lane: u32) -> Option<usize> {
-        let (unit, srv) = match lane as usize {
-            _ if lane == NONE => (Unit::Free(id), POOL),
-            l if self.heads[l] == id as u32 && self.idle[l].is_some() => {
-                (Unit::Lane(l), self.server[l])
+    /// Task `id` completed: releases each successor whose last dependency
+    /// it was, stamped with the time. Returns how many units it queued.
+    fn complete<P>(&mut self, graph: &TaskGraph<P>, id: TaskId) -> usize {
+        let mut now = None;
+        let mut queued = 0;
+        for s in graph.successors(id) {
+            self.indeg[s] -= 1;
+            if self.indeg[s] == 0 {
+                // Stamped under the lock, with the time the last dependency
+                // completed.
+                self.spans[s].ready_ns = *now.get_or_insert_with(|| self.clock.now_ns());
+                if self.by[s] != By::Worker {
+                    // A landed arrival completes in `release`, later than
+                    // `now`, and may be another successor's dependency.
+                    now = None;
+                }
+                queued += self.release(graph, s);
             }
-            _ => return None,
+        }
+        self.remaining -= 1;
+        self.done |= self.remaining == 0;
+        queued
+    }
+
+    /// Task `id`'s dependencies are done: queues it if it may start now —
+    /// an order-free task always, a lane's task if it is the lane's next
+    /// and no worker holds the lane — and completes a landed arrival on the
+    /// spot. Returns how many units it queued.
+    fn release<P>(&mut self, graph: &TaskGraph<P>, id: TaskId) -> usize {
+        let unit = match (self.by[id], self.lane_index[graph.lane(id)] as usize) {
+            (By::Arrival { landed: false }, _) => return 0,
+            (By::Arrival { landed: true }, _) => {
+                let span = &mut self.spans[id];
+                (span.start_ns, span.end_ns) = (span.ready_ns, self.clock.now_ns());
+                self.attempts[id] = 1;
+                return self.complete(graph, id);
+            }
+            (By::Worker, l) if l == NONE as usize => Unit::Free(id),
+            (By::Worker, l) if self.heads[l] == id as u32 && self.idle[l].is_some() => Unit::Lane(l),
+            _ => return 0,
         };
-        self.ready[srv].push_back(unit);
-        Some(srv)
+        self.ready.push_back(unit);
+        1
+    }
+
+    /// Arrival `id`'s datum landed (see [`Arrivals::retire`]). Returns how
+    /// many units it queued.
+    fn land<P>(&mut self, graph: &TaskGraph<P>, id: TaskId) -> usize {
+        if self.done || self.by.get(id) != Some(&By::Arrival { landed: false }) {
+            return 0;
+        }
+        self.by[id] = By::Arrival { landed: true };
+        if self.indeg[id] == 0 {
+            self.release(graph, id)
+        } else {
+            0
+        }
     }
 }
 
@@ -537,62 +650,58 @@ mod tests {
         assert_eq!(total, (0..100).sum::<u64>());
     }
 
-    /// Runs task 0 (on `wait`, which blocks until task 1 has run) and task
-    /// 1 (on the CPU lane) with a pool of one worker, giving `wait` a
-    /// thread of its own when `own` is set. Returns whether the run
-    /// completed within `patience`; if not, opens the gate itself so the
-    /// stuck run can finish.
-    fn completes_within(own: bool, patience: Duration) -> bool {
-        let wait = w(0, 9);
-        let mut g: TaskGraph<u32> = TaskGraph::new();
-        g.add_task(0, wait);
-        g.add_task(1, w(0, 0));
-        let gate = (std::sync::Mutex::new(false), Condvar::new());
-        let open = || {
-            *gate.0.lock().unwrap() = true;
-            gate.1.notify_all();
-        };
-        let (tx, rx) = std::sync::mpsc::channel();
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                Engine::new()
-                    .with_own_thread(own.then_some(wait))
-                    .with_threads(1)
-                    .run(&g, &[w(0, 0), wait], |_| (), |&v, _, _, _| {
-                        if v == 0 {
-                            let mut opened = gate.0.lock().unwrap();
-                            while !*opened {
-                                opened = gate.1.wait(opened).unwrap();
-                            }
-                        } else {
-                            open();
-                        }
-                        Ok::<(), TaskError<Infallible>>(())
-                    })
-                    .unwrap();
-                tx.send(()).unwrap();
-            });
-            let done = rx.recv_timeout(patience).is_ok();
-            open();
-            done
-        })
-    }
-
+    /// On a pool of one worker, a lane task waiting on an arrival completes
+    /// once an outside thread retires the arrival, which it does only after
+    /// another pooled task has run: the arrival holds no worker meanwhile.
     #[test]
-    fn a_lane_with_its_own_thread_may_block_on_the_pool() {
-        assert!(completes_within(true, Duration::from_secs(30)));
-        // Pooled, the blocking lane takes the one worker first and the
-        // task it waits for never runs.
-        assert!(!completes_within(false, Duration::from_millis(300)));
+    fn an_arrival_retired_from_outside_releases_its_successor() {
+        let mut g: TaskGraph<u32> = TaskGraph::new();
+        let arrival = g.add_task(0, WorkerId::any(0));
+        let other = g.add_task(1, w(0, 0));
+        let waiter = g.add_task(2, w(0, 1));
+        g.add_dep(waiter, arrival);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let run = Engine::new()
+            .with_threads(1)
+            .run_with(
+                &g,
+                &[w(0, 0), w(0, 1)],
+                &[arrival],
+                |_| (),
+                |&v, _, _, _| {
+                    assert_ne!(v, 0, "a worker ran an arrival");
+                    if v == 1 {
+                        tx.send(()).unwrap();
+                    }
+                    Ok::<(), TaskError<Infallible>>(())
+                },
+                |arrivals| {
+                    arrivals.retire(other); // no arrival: nothing happens
+                    rx.recv().unwrap();
+                    arrivals.retire(arrival);
+                    arrivals.retire(arrival); // retired already: nothing happens
+                    arrivals.wait_finished();
+                    arrivals.retire(arrival); // after the run: nothing happens
+                },
+            )
+            .unwrap();
+        // `other`'s handler signals the outside thread while it runs.
+        let s = &run.trace.spans;
+        assert!(s[other].start_ns <= s[arrival].end_ns, "the arrival completed before it landed");
+        assert!(s[arrival].end_ns <= s[waiter].start_ns);
+        assert_eq!(run.attempts, vec![1; 3]);
+        assert_eq!(run.trace.validate(&g), Vec::new());
     }
 
     proptest! {
-        /// Random cross-lane DAGs of lane-pinned and order-free tasks (no
-        /// edge joins two tasks of one lane), on pools of one and two
-        /// workers with more lanes than workers: every run completes, a
-        /// lane's tasks never overlap and run in id order, no more
-        /// order-free tasks run at once than there are workers, with two
-        /// workers two of them do run at once, and the trace validates.
+        /// Random cross-lane DAGs of lane-pinned, order-free and arrival
+        /// tasks (no edge joins two tasks of one lane), on pools of one and
+        /// two workers with more lanes than workers, an outside thread
+        /// retiring the arrivals in a seeded random order: every run
+        /// completes, no worker runs an arrival, a lane's tasks never
+        /// overlap and run in id order, no more order-free tasks run at
+        /// once than there are workers, with two workers two of them do
+        /// run at once, and the trace validates.
         #[test]
         fn pinned_lanes_run_in_id_order(
             n in 1usize..60,
@@ -600,13 +709,18 @@ mod tests {
             lanes in 3usize..7,
             threads in 1usize..3,
             free_every in 2usize..6,
+            arrive_every in 2usize..7,
+            order_seed in 0u64..u64::MAX,
         ) {
             use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
             let workers: Vec<WorkerId> = (0..lanes).map(|l| w(l % 2, l)).collect();
             // Tasks 0 and 1 are order-free seeds that (on two workers) wait
-            // for each other to start; the rest are pinned or order-free.
+            // for each other to start; the rest are arrivals, pinned or
+            // order-free.
+            let arrives = |i: usize| i > 1 && i % arrive_every == 1;
             let on = |i: usize| match i {
                 0 | 1 => WorkerId::any(i),
+                i if arrives(i) => WorkerId::any(i % 2),
                 i if i % free_every == 0 => WorkerId::any(i % 2),
                 i => workers[(i * 7 + i / 3) % lanes],
             };
@@ -627,9 +741,21 @@ mod tests {
             let busy: Vec<AtomicBool> = (0..lanes).map(|_| Default::default()).collect();
             let overlap = AtomicBool::new(false);
             let (free_now, free_max, met) = (AtomicUsize::new(0), AtomicUsize::new(0), AtomicUsize::new(0));
+            let mut arrivals: Vec<TaskId> = (0..g.len()).filter(|&i| arrives(i)).collect();
+            // Fisher-Yates under a SplitMix64 stream: the retiring order.
+            let mut z = order_seed;
+            for i in (1..arrivals.len()).rev() {
+                z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let r = (z ^ (z >> 31)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                arrivals.swap(i, (r % (i as u64 + 1)) as usize);
+            }
+            let ran_arrival = AtomicBool::new(false);
             let run = Engine::new()
                 .with_threads(threads)
-                .run(&g, &workers, |_| (), |&v, wid, _, _| {
+                .run_with(&g, &workers, &arrivals, |_| (), |&v, wid, _, _| {
+                    if arrives(v) {
+                        ran_arrival.store(true, SeqCst);
+                    }
                     if wid.is_any() {
                         free_max.fetch_max(free_now.fetch_add(1, SeqCst) + 1, SeqCst);
                         if v < 2 && threads > 1 {
@@ -649,8 +775,15 @@ mod tests {
                         busy[wid.lane].store(false, SeqCst);
                     }
                     Ok::<(), TaskError<Infallible>>(())
+                }, |outside| {
+                    for &id in &arrivals {
+                        outside.retire(id);
+                        std::thread::yield_now();
+                    }
+                    outside.wait_finished();
                 })
                 .unwrap();
+            prop_assert!(!ran_arrival.into_inner(), "a worker ran an arrival");
             prop_assert!(!overlap.into_inner(), "two tasks of one lane overlapped");
             let free_max = free_max.into_inner();
             prop_assert!(free_max <= threads, "{free_max} order-free tasks on {threads} workers");

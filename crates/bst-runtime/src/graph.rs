@@ -421,7 +421,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "a scoped thread panicked")]
+    #[should_panic(expected = "boom")]
     fn handler_panic_propagates() {
         let mut g: TaskGraph<u32> = TaskGraph::new();
         g.add_task(1, w(0, 0));
@@ -522,7 +522,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "a scoped thread panicked")]
+    #[should_panic(expected = "boom")]
     fn panic_does_not_hang_other_workers() {
         // Worker 1 waits on a task that can never become ready because
         // worker 0 panics; the engine must poison the queues so the test

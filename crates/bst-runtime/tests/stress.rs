@@ -129,7 +129,7 @@ fn traced_wide_diamond_graphs_stay_valid() {
 /// A panicking handler must still tear a wide execution down cleanly (no
 /// worker left waiting for a task that will never complete).
 #[test]
-#[should_panic(expected = "a scoped thread panicked")]
+#[should_panic(expected = "boom at 150")]
 fn traced_stress_panic_still_propagates() {
     let mut g: TaskGraph<usize> = TaskGraph::new();
     let workers: Vec<WorkerId> = (0..6).map(|l| w(0, l)).collect();

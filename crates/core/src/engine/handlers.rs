@@ -13,8 +13,9 @@
 //! Ownership discipline: every handler reads tiles only from **its own
 //! node's** store (`stores[w.node]`, with the reader declared — a
 //! cross-node read panics in debug builds). Data crosses nodes exclusively
-//! through [`CommFabric`]: `SendA` puts a tile on the wire, and `RecvA`
-//! blocks until the destination's progress thread deposited it.
+//! through [`CommFabric`]: `SendA` puts a tile on the wire, and the
+//! destination's progress thread, depositing it, completes the `RecvA` —
+//! an arrival task, which no handler runs.
 //!
 //! C leaves in one pass. `LoadBlock` lends each C tile a buffer from the
 //! process's C reserve when one is there
@@ -215,14 +216,6 @@ impl HandlerEnv<'_> {
                         reason: e.reason,
                     })),
                 }
-            }
-            (Op::RecvA { i, k, from: _ }, Ctx::Cpu) => {
-                // The receive completes when this node's progress thread has
-                // deposited the tile — "a tile is usable only after its
-                // message arrived". Safe to block: the paired SendA task
-                // finished only after the frame entered our inbox.
-                self.fabric.wait_delivered(w.node, DataKey::A(*i, *k));
-                Ok(())
             }
             (Op::GenB { k, j }, Ctx::Cpu) => {
                 // Persistent-cache fast path: a resident tile short-circuits
@@ -428,6 +421,7 @@ impl HandlerEnv<'_> {
                 *self.c_tiles.lock() = folded;
                 Ok(())
             }
+            // `RecvA` is an arrival, which no handler runs.
             (op, _) => unreachable!("op {op:?} on wrong lane"),
         }
     }

@@ -24,8 +24,9 @@
 //!   device); `SendA → RecvA → LoadA`, one hop from the tile's owner to
 //!   each consuming node, a real send/receive pair over
 //!   [`bst_runtime::comm`]: the send puts the message on the owner's wire,
-//!   the receive completes when the destination's progress thread has
-//!   deposited it, and only then may a device transfer read the tile;
+//!   the receive is an arrival that no worker runs — the destination's
+//!   progress thread completes it when it has deposited the tile — and only
+//!   then may a device transfer read the tile;
 //!   `FlushBlock → ReduceC` and every other node's `ReduceC` → the root's;
 //! * **control flow** — `first-use stack(n − 2) → GenB(n)`
 //!   ([`GENB_WINDOW`]): removing it lets B pile up on the host, and changes
@@ -39,9 +40,10 @@
 //! last stack of the block. `GenB` is order-free ([`WorkerId::any`]): the
 //! window edges are its only order, so any pooled worker runs it once they
 //! and its tile's data allow, and the pool's size bounds how many run at
-//! once. An in-process `RecvA` is order-free too: its `SendA` fixes when
-//! it may complete. `SendA`, `LoadA` and every other task keep a lane,
-//! because the wire's order or the device's matters to them.
+//! once. A `RecvA` is order-free too, and never holds a worker: its
+//! `SendA` and its tile's deposit fix when it completes. `SendA`, `LoadA`
+//! and every other task keep a lane, because the wire's order or the
+//! device's matters to them.
 //!
 //! The unit of device work is a **stack**, not a product: all products of
 //! one chunk against one resident B tile are one `Gemm` task
@@ -57,6 +59,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use bst_runtime::comm::Topology;
+use bst_runtime::data::DataKey;
 use bst_runtime::graph::{TaskGraph, TaskId, WorkerId};
 
 use super::policies::ExecOptions;
@@ -76,8 +79,11 @@ pub enum Op {
         /// Destination node.
         to: u32,
     },
-    /// Receive `A(i,k)` on this task's node: complete when the message from
-    /// `from` has been deposited into the node-private store.
+    /// Receive `A(i,k)` on this task's node: an arrival task
+    /// ([`bst_runtime::engine::Engine::run_with`]) that no worker runs. It
+    /// completes when the message from `from` has been deposited into the
+    /// node-private store — the receiving node's progress thread retires it
+    /// — and, in-process, its `SendA` has completed.
     RecvA {
         /// A-tile row.
         i: u32,
@@ -318,10 +324,6 @@ pub struct Lowered {
     /// (shared, not copied, by [`Lowered::restrict`]), so an `Op` stays
     /// plain data and a stack allocates nothing of its own.
     pub stack_rows: Arc<[u32]>,
-    /// The lane [`Lowered::restrict`] moves the `RecvA`s to: the one lane
-    /// whose tasks block on another process, so the engine serves it from
-    /// a thread of its own rather than the pool. `None` in-process.
-    pub wait_lane: Option<WorkerId>,
 }
 
 impl Lowered {
@@ -351,37 +353,18 @@ impl Lowered {
     /// Every process lowers the *full* plan (so sends, consumer refcounts
     /// and C key counts are globally consistent), then keeps only its own
     /// node's tasks. The dropped edges are `SendA → RecvA`, whose ordering
-    /// the transport enforces at runtime (the `RecvA` body blocks in
-    /// [`bst_runtime::comm::CommFabric::wait_delivered`] until the frame
-    /// arrives over the wire), and every other `ReduceC` → the root's, which
-    /// orders nothing across processes: there each rank keeps its own C.
-    /// Relative task order is preserved, so the `dep < task` lowering
-    /// invariant and the lane programs hold in the projection; the
-    /// send/consumption maps stay global — an owner's `SendA` tells the
-    /// destination its refcount.
+    /// the transport enforces at runtime (a `RecvA` completes only when its
+    /// frame, sent over the wire by the peer's `SendA`, has been deposited),
+    /// and every other `ReduceC` → the root's, which orders nothing across
+    /// processes: there each rank keeps its own C. Relative task order is
+    /// preserved, so the `dep < task` lowering invariant and the lane
+    /// programs hold in the projection; the send/consumption maps stay
+    /// global — an owner's `SendA` tells the destination its refcount.
     pub fn restrict(&self, rank: usize) -> Lowered {
-        // The blocking waiters (`RecvA` in `wait_delivered`) move onto a
-        // wait lane with a thread of its own. In-process the `SendA → RecvA`
-        // edges put their frames in flight before they run; here those edges
-        // are gone, every `RecvA` is ready at seed time, and pooled they
-        // would hold the workers that run the `SendA`s their peers wait for.
-        // Lane 0 keeps the `SendA`s, which depend on no task, and the
-        // `ReduceC`, which folds what its own flushes left and waits on no
-        // peer.
-        let top = self.workers.iter().filter(|w| w.node == rank).map(|w| w.lane).max();
-        let wait_lane = WorkerId { node: rank, lane: 1 + top.unwrap_or(0) };
         let mut graph: TaskGraph<Op> = TaskGraph::new();
         let mut remap: Vec<Option<TaskId>> = vec![None; self.graph.len()];
-        for id in 0..self.graph.len() {
-            let mut w = self.graph.worker(id);
-            if w.node != rank {
-                continue;
-            }
-            let op = self.graph.payload(id);
-            if matches!(op, Op::RecvA { .. }) {
-                w = wait_lane;
-            }
-            let new_id = graph.add_task(op.clone(), w);
+        for id in (0..self.graph.len()).filter(|&id| self.graph.worker(id).node == rank) {
+            let new_id = graph.add_task(self.graph.payload(id).clone(), self.graph.worker(id));
             for &dep in self.graph.deps(id) {
                 if let Some(mapped) = remap[dep] {
                     graph.add_dep(new_id, mapped);
@@ -389,20 +372,27 @@ impl Lowered {
             }
             remap[id] = Some(new_id);
         }
-        let mut workers: Vec<WorkerId> =
-            self.workers.iter().copied().filter(|w| w.node == rank).collect();
-        workers.push(wait_lane);
         Lowered {
             graph,
-            workers,
+            workers: self.workers.iter().copied().filter(|w| w.node == rank).collect(),
             b_uses: self.b_uses.clone(),
             a_loads: self.a_loads.clone(),
             sends: self.sends.clone(),
             topology: self.topology,
             reduce: self.reduce.clone(),
             stack_rows: Arc::clone(&self.stack_rows),
-            wait_lane: Some(wait_lane),
         }
+    }
+
+    /// Every `RecvA` by the node and A tile it receives: the arrival tasks
+    /// a tile's deposit completes.
+    pub fn arrivals(&self) -> HashMap<(usize, DataKey), TaskId> {
+        (0..self.graph.len())
+            .filter_map(|id| match self.graph.payload(id) {
+                &Op::RecvA { i, k, .. } => Some(((self.graph.worker(id).node, DataKey::A(i, k)), id)),
+                _ => None,
+            })
+            .collect()
     }
 }
 
@@ -452,7 +442,7 @@ pub fn lower(spec: &ProblemSpec, plan: &ExecutionPlan, opts: &ExecOptions) -> Lo
     // SendA/RecvA pairs (the background broadcast of A across grid rows):
     // one real message from the owner to each consuming node — the send runs
     // on the owner's CPU lane and puts the tile on the wire, the order-free
-    // receive completes when the destination's progress thread deposited it.
+    // receive completes once the destination's progress thread deposited it.
     let mut recva_ids: HashMap<(usize, (u32, u32)), TaskId> = HashMap::new();
     for (&(owner, t), dests) in send_order {
         for &to in dests {
@@ -578,6 +568,5 @@ pub fn lower(spec: &ProblemSpec, plan: &ExecutionPlan, opts: &ExecOptions) -> Lo
         topology: Topology::new(n_nodes, opts.node_size.max(1)),
         reduce,
         stack_rows: stack_rows.into(),
-        wait_lane: None,
     }
 }

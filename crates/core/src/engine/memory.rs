@@ -19,8 +19,8 @@ use bst_tile::Tile;
 /// [`MemoryManager`], built on the lane's first task, which moves with the
 /// lane between the engine's pooled workers.
 pub(crate) enum Ctx {
-    /// Lane 0 (`SendA`/`RecvA`, `ReduceC`), the wait lane and the
-    /// order-free `GenB`s.
+    /// Lane 0 (`SendA`, `ReduceC`) and the order-free `GenB`s. (A `RecvA`
+    /// is an arrival: no handler runs it, so it needs no context.)
     Cpu,
     /// A GPU executor lane.
     Gpu(Box<MemoryManager>),

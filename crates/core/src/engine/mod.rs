@@ -29,9 +29,18 @@
 //!
 //! A lane is a program, not a thread: one worker per core serves every
 //! lane of every simulated node, as PaRSEC's do, and runs the order-free
-//! `GenB`s and in-process `RecvA`s between them. A task may block only on
-//! a progress or pump thread; [`inspector::Lowered::wait_lane`], which
-//! waits on other processes, keeps a thread of its own.
+//! `GenB`s between them. A `RecvA` holds no worker: it is an arrival,
+//! which the receiving node's progress thread completes when it deposits
+//! the tile, as PaRSEC's communication engine activates a task when its
+//! remote data lands.
+//!
+//! Deadlock freedom: no pooled task waits on another process, or on a
+//! task. A `SendA` waits only for credit, which the destination's progress
+//! thread returns; the root's `ReduceC` only for gathered tiles, which its
+//! progress thread deposits after the `ReduceC`s it depends on sent them.
+//! Every arrival is retired by a thread outside the pool, from a frame a
+//! `SendA` sent, and a `SendA` depends on no task: so every `RecvA`
+//! completes, and the engine's lane rule does the rest.
 //!
 //! The engine is split by responsibility:
 //!
@@ -73,7 +82,8 @@ use std::sync::Arc;
 use bst_runtime::comm::{CommConfig, CommFabric, RemoteLink, Wire};
 use bst_runtime::device::NodeResidency;
 use bst_runtime::engine::Engine;
-use bst_runtime::graph::{FallibleRun, RunAbort, WorkerId};
+use bst_runtime::data::DataKey;
+use bst_runtime::graph::{TaskId, WorkerId};
 use bst_runtime::trace::{aggregate_by_kind, TaskRecord, TraceClock};
 use bst_runtime::TileStore;
 use bst_sparse::BlockSparseMatrix;
@@ -204,13 +214,12 @@ pub(crate) fn run(
         };
 
     let (p, q) = (plan.config.grid.p, plan.config.grid.q);
-    let g = plan.config.device.gpus_per_node;
     let n_nodes = p * q;
 
     // ---- Inspector: lower the plan to the task DAG -----------------------
     // Multi-process mode lowers the full plan (global sends, consumer
-    // refcounts and C key counts), then keeps only this rank's tasks: the transport's
-    // blocking waits replace the dropped cross-node edges.
+    // refcounts and C key counts), then keeps only this rank's tasks: a
+    // `RecvA`'s deposit replaces its dropped `SendA` edge.
     let low = inspector::lower(spec, plan, &opts);
     let low = match &remote {
         Some(link) => low.restrict(link.rank),
@@ -242,7 +251,7 @@ pub(crate) fn run(
             } else {
                 Arc::clone(tile)
             };
-            stores[owner].put(bst_runtime::data::DataKey::A(t.0, t.1), seeded, consumers);
+            stores[owner].put(DataKey::A(t.0, t.1), seeded, consumers);
         }
     }
 
@@ -255,8 +264,8 @@ pub(crate) fn run(
     let clock = TraceClock::start();
 
     // The transport: per-node bounded inboxes, one progress thread per node
-    // (spawned into the scope below), credit backpressure, optional link
-    // shaping and delivery reordering.
+    // (started beside the engine's pool, below), credit backpressure,
+    // optional link shaping and delivery reordering.
     let fabric = CommFabric::with_remote(
         n_nodes,
         CommConfig {
@@ -294,8 +303,8 @@ pub(crate) fn run(
     };
 
     let mk_ctx = |w: WorkerId| {
-        if w.lane == 0 || w.lane > g {
-            Ctx::Cpu // lane 0: SendA/RecvA/ReduceC; above g: the wait lane, GenB
+        if w.lane == 0 || w.is_any() {
+            Ctx::Cpu // lane 0: SendA/ReduceC; order-free: GenB
         } else {
             Ctx::Gpu(Box::new(MemoryManager::new(
                 w.lane - 1,
@@ -308,37 +317,48 @@ pub(crate) fn run(
     let handler =
         |op: &Op, w: WorkerId, ctx: &mut Ctx, attempt: u32| env.handle(op, w, ctx, attempt);
 
-    let engine =
-        Engine::new().with_clock(clock).with_retry(opts.retry).with_own_thread(low.wait_lane);
-    // Progress threads live exactly as long as the engine run: spawned just
-    // before it, shut down (completion control frames) right after — on the
-    // success, the abort *and* the panic path, so in-flight frames always
-    // drain and the scope never waits on a thread nobody will stop.
-    let run: Result<FallibleRun, RunAbort<ExecError>> = std::thread::scope(|s| {
-        fabric.start(s, &stores);
-        // Multi-process mode: the pump thread feeds inbound wire frames
-        // into the fabric's inboxes. It exits when the wire's inbound side
-        // closes (below, after the local engine completed — or when the
-        // remote side shut the connections down).
-        if let Some(link) = &remote {
-            let wire = Arc::clone(&link.wire);
-            let pump_fabric = &fabric;
-            s.spawn(move || {
-                while let Some(frame) = wire.recv() {
-                    pump_fabric.inject(frame);
-                }
-            });
-        }
-        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            engine.run(&low.graph, &low.workers, mk_ctx, handler)
-        }));
-        fabric.shutdown();
-        if let Some(link) = &remote {
-            // The engine completed (or panicked): nothing more addressed to
-            // this rank is consumed; unblock the pump so the scope can join.
-            link.wire.close_inbound();
-        }
-        run.unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+    // Each `RecvA` completes when its node's progress thread deposits the
+    // tile: the deposit hook retires it.
+    let arrivals = low.arrivals();
+    let arrival_ids: Vec<TaskId> = arrivals.values().copied().collect();
+    let engine = Engine::new().with_clock(clock).with_retry(opts.retry);
+    // Progress threads live exactly as long as the engine run: started
+    // beside its pool, shut down (completion control frames) once it
+    // finished — on the success, the abort *and* the panic path — so
+    // in-flight frames always drain and the scope never waits on a thread
+    // nobody will stop. A deposit after the run finished retires nothing.
+    let run = engine.run_with(&low.graph, &low.workers, &arrival_ids, mk_ctx, handler, |outside| {
+        let deposited = |node: usize, key: DataKey| {
+            if let Some(&id) = arrivals.get(&(node, key)) {
+                outside.retire(id);
+            }
+        };
+        std::thread::scope(|s| {
+            fabric.start_with(s, &stores, &deposited);
+            // Multi-process mode: the pump thread feeds inbound wire frames
+            // into the fabric's inboxes. It exits when the wire's inbound
+            // side closes (below, once the run finished — or when the remote
+            // side shut the connections down).
+            if let Some(link) = &remote {
+                let wire = Arc::clone(&link.wire);
+                let pump_fabric = &fabric;
+                std::thread::Builder::new()
+                    .name(format!("n{}.pump", link.rank))
+                    .spawn_scoped(s, move || {
+                        while let Some(frame) = wire.recv() {
+                            pump_fabric.inject(frame);
+                        }
+                    })
+                    .expect("spawn the pump thread");
+            }
+            outside.wait_finished();
+            fabric.shutdown();
+            if let Some(link) = &remote {
+                // Nothing more addressed to this rank is consumed: unblock
+                // the pump so the scope can join.
+                link.wire.close_inbound();
+            }
+        });
     });
     let run = match run {
         Ok(run) => run,
