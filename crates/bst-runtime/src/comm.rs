@@ -9,10 +9,10 @@
 //! * a **bounded inbox** (a `crossbeam` bounded channel of frames) that
 //!   is the only way data enters the node,
 //! * a **progress thread** that drains the inbox into the node's private
-//!   [`TileStore`] (and, for C tiles gathered to the root, into a reduction
-//!   buffer), and tells the caller's deposit hook each A tile it deposited
-//!   ([`CommFabric::start_with`]): that is how a tile's arrival completes
-//!   the `RecvA` awaiting it, without any thread waiting on the wire,
+//!   [`TileStore`] and tells the caller's deposit hook each A tile it
+//!   deposited ([`CommFabric::start_with`]): that is how a tile's arrival
+//!   completes the `RecvA` awaiting it, without any thread waiting on the
+//!   wire,
 //! * **per-link-class credit gates**: a sender must acquire a credit on the
 //!   destination's gate for the link class it crosses
 //!   ([`topology::LinkClass::Intra`] vs [`topology::LinkClass::Inter`], see
@@ -36,14 +36,11 @@
 //! Frame vocabulary: `Frame::BcastA` carries an A tile from its owner to
 //! one consuming rank ([`TileMsg`]: `{key, payload, epoch}` — the epoch is the
 //! sending task's attempt number, which makes duplicate delivery
-//! detectable), `Frame::ReduceC` carries a rank's folded C tiles
-//! ([`CPart`]s) on their one hop to rank 0 — all of them in one frame and
-//! one credit ([`CommFabric::gather`]) — and `Frame::Shutdown` is the
-//! completion control frame. A rank's own partials never cross the fabric:
-//! its flushes fold them in place. Over a [`Wire`] only A tiles travel
-//! ([`WireFrame::Tile`]): each process of a multi-process run keeps the C
-//! it folded and hands it to its own caller. Credits are the flow-control
-//! frames collapsed into semaphores: releasing a credit *is* the
+//! detectable), and `Frame::Shutdown` is the completion control frame. A is
+//! the only datum that crosses the fabric: every rank keeps the C it folded
+//! and hands it to its own caller, in one process as across processes, where
+//! A tiles travel over a [`Wire`] ([`WireFrame::Tile`]). Credits are the
+//! flow-control frames collapsed into semaphores: releasing a credit *is* the
 //! credit-return message.
 //!
 //! Delivery is idempotent: the progress thread tracks delivered keys and
@@ -57,7 +54,7 @@ pub mod topology;
 pub mod wire;
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -220,40 +217,10 @@ pub struct TileMsg {
     pub consumers: usize,
 }
 
-/// One C-block partial sum: a flush's partial in its rank's fold, or a
-/// rank's folded tile gathered to rank 0.
-#[derive(Clone, Debug)]
-pub struct CPart {
-    /// C block-row.
-    pub i: usize,
-    /// C block-column.
-    pub j: usize,
-    /// Deterministic ordinal of this partial — `(node, gpu, block)` of the
-    /// flush that produced it; a folded tile carries the *minimum* origin
-    /// of the partials folded into it. A rank folds its partials sorted on
-    /// `(i, j, origin)`, so the floating-point accumulation order is
-    /// independent of delivery order.
-    pub origin: (usize, usize, usize),
-    /// The partial-sum tile.
-    pub tile: Tile,
-    /// `tile`'s [`Tile::frobenius_norm`], computed by the lane that produced
-    /// its final value, so C's assembly need not read the tile again.
-    /// `None` when unknown: a fold just changed the tile.
-    pub norm: Option<f64>,
-}
-
 /// What travels on a node's inbox.
 enum Frame {
     /// An A tile on its one hop from its owner.
     BcastA(TileMsg),
-    /// C tiles from `src` on their way to the root: every folded tile of
-    /// that rank in one frame.
-    ReduceC {
-        /// The tiles.
-        parts: Vec<CPart>,
-        /// Sending node.
-        src: usize,
-    },
     /// Completion control frame: the progress thread drains and exits.
     Shutdown,
 }
@@ -302,7 +269,7 @@ pub struct CommEvent {
     pub class: LinkClass,
     /// Payload bytes.
     pub bytes: u64,
-    /// Sending attempt (A tiles; 0 for C partials).
+    /// Sending attempt (1-based).
     pub epoch: u32,
     /// Nanoseconds on the fabric's [`TraceClock`].
     pub t_ns: u64,
@@ -434,24 +401,9 @@ struct Endpoint {
     /// [`CommFabric::wait_delivered`]'s notification).
     delivered: Mutex<HashSet<DataKey>>,
     arrived: Condvar,
-    /// C tiles delivered to this node and not yet taken: on rank 0, every
-    /// other rank's folded tiles.
-    reduced: Mutex<Vec<CPart>>,
-    /// Signalled on every `reduced` push (see
-    /// [`CommFabric::take_reduced_at_least`]).
-    part_arrived: Condvar,
-    sent_bytes: AtomicU64,
-    sent_msgs: AtomicU64,
-    recv_bytes: AtomicU64,
-    recv_msgs: AtomicU64,
-    inter_sent_bytes: AtomicU64,
-    inter_sent_msgs: AtomicU64,
-    inter_recv_bytes: AtomicU64,
-    inter_recv_msgs: AtomicU64,
-    dropped_msgs: AtomicU64,
-    duplicate_msgs: AtomicU64,
-    inter_busy_ns: AtomicU64,
-    intra_busy_ns: AtomicU64,
+    /// This node's transport totals; the high-water marks and windows stay
+    /// with the credit gates and join them in [`CommFabric::node_stats`].
+    stats: Mutex<NodeCommStats>,
 }
 
 impl Endpoint {
@@ -463,39 +415,12 @@ impl Endpoint {
             credits: [CreditGate::new(intra_window), CreditGate::new(inter_window)],
             delivered: Mutex::new(HashSet::new()),
             arrived: Condvar::new(),
-            reduced: Mutex::new(Vec::new()),
-            part_arrived: Condvar::new(),
-            sent_bytes: AtomicU64::new(0),
-            sent_msgs: AtomicU64::new(0),
-            recv_bytes: AtomicU64::new(0),
-            recv_msgs: AtomicU64::new(0),
-            inter_sent_bytes: AtomicU64::new(0),
-            inter_sent_msgs: AtomicU64::new(0),
-            inter_recv_bytes: AtomicU64::new(0),
-            inter_recv_msgs: AtomicU64::new(0),
-            dropped_msgs: AtomicU64::new(0),
-            duplicate_msgs: AtomicU64::new(0),
-            inter_busy_ns: AtomicU64::new(0),
-            intra_busy_ns: AtomicU64::new(0),
+            stats: Mutex::new(NodeCommStats::default()),
         }
     }
 
-    fn count_sent(&self, bytes: u64, class: LinkClass) {
-        self.sent_bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.sent_msgs.fetch_add(1, Ordering::Relaxed);
-        if class == LinkClass::Inter {
-            self.inter_sent_bytes.fetch_add(bytes, Ordering::Relaxed);
-            self.inter_sent_msgs.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    fn count_recv(&self, bytes: u64, class: LinkClass) {
-        self.recv_bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.recv_msgs.fetch_add(1, Ordering::Relaxed);
-        if class == LinkClass::Inter {
-            self.inter_recv_bytes.fetch_add(bytes, Ordering::Relaxed);
-            self.inter_recv_msgs.fetch_add(1, Ordering::Relaxed);
-        }
+    fn stats(&self) -> std::sync::MutexGuard<'_, NodeCommStats> {
+        self.stats.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -541,17 +466,6 @@ impl CommFabric {
             events: Mutex::new(Vec::new()),
             remote,
         }
-    }
-
-    /// The remote rank/wire binding, when this fabric is one process of a
-    /// multi-process run.
-    pub fn remote(&self) -> Option<&wire::RemoteLink> {
-        self.remote.as_ref()
-    }
-
-    /// Number of connected nodes.
-    pub fn nodes(&self) -> usize {
-        self.endpoints.len()
     }
 
     /// The node-aware topology frames are classified against.
@@ -660,61 +574,43 @@ impl CommFabric {
     ) -> Result<(), SendError> {
         let bytes = msg.payload.stored_bytes();
         let class = self.topology.link_class(msg.src, dst);
-        if let Some(remote) = self.remote.as_ref().filter(|r| dst != r.rank) {
-            let src_ep = &self.endpoints[msg.src];
-            src_ep.count_sent(bytes, class);
-            self.record(TracePhase::Sent, msg.key, msg.src, dst, bytes, msg.epoch);
-            if drop_in_flight {
-                src_ep.dropped_msgs.fetch_add(1, Ordering::Relaxed);
-                self.record(TracePhase::Failed, msg.key, msg.src, dst, bytes, msg.epoch);
-                return Err(SendError::Dropped);
-            }
-            return remote
-                .wire
-                .send(WireFrame::Tile { dst, msg })
-                .map_err(SendError::Wire);
+        let remote = self.remote.as_ref().filter(|r| dst != r.rank);
+        // A frame for a local inbox takes one of the destination's credits
+        // before it counts as sent and holds it until the progress thread
+        // deposits it; a frame that leaves the process takes its credit in
+        // the peer's pump (`inject`).
+        let gate = remote.is_none().then(|| &self.endpoints[dst].credits[gate_of(class)]);
+        if let Some(gate) = gate {
+            gate.acquire();
         }
-        let ep = &self.endpoints[dst];
-        let gate = &ep.credits[gate_of(class)];
-        gate.acquire();
-        let src_ep = &self.endpoints[msg.src];
-        src_ep.count_sent(bytes, class);
+        {
+            let mut s = self.endpoints[msg.src].stats();
+            s.sent_bytes += bytes;
+            s.sent_msgs += 1;
+            if class == LinkClass::Inter {
+                s.inter_sent_bytes += bytes;
+                s.inter_sent_msgs += 1;
+            }
+            s.dropped_msgs += u64::from(drop_in_flight);
+        }
         self.record(TracePhase::Sent, msg.key, msg.src, dst, bytes, msg.epoch);
         if drop_in_flight {
-            src_ep.dropped_msgs.fetch_add(1, Ordering::Relaxed);
             self.record(TracePhase::Failed, msg.key, msg.src, dst, bytes, msg.epoch);
-            gate.release();
+            if let Some(gate) = gate {
+                gate.release();
+            }
             return Err(SendError::Dropped);
         }
-        ep.tx
-            .send(Frame::BcastA(msg))
-            .unwrap_or_else(|_| panic!("node {dst}'s progress thread is gone"));
-        Ok(())
-    }
-
-    /// Gathers rank `src`'s folded C tiles to `dst` (rank 0; never `src`
-    /// itself): all of `parts` travel in one frame that holds one credit.
-    /// Each tile is one message of `stored_bytes` in the transport totals and
-    /// the trace, so the counts do not depend on how the tiles were framed.
-    /// In-process only: the ranks of a multi-process run keep their own C.
-    pub fn gather(&self, src: usize, dst: usize, parts: Vec<CPart>) {
-        debug_assert_ne!(src, dst, "a rank's own tiles never cross the fabric");
-        debug_assert!(self.remote.is_none(), "C never crosses a wire");
-        if parts.is_empty() {
-            return;
+        match remote {
+            Some(remote) => remote.wire.send(WireFrame::Tile { dst, msg }).map_err(SendError::Wire),
+            None => {
+                self.endpoints[dst]
+                    .tx
+                    .send(Frame::BcastA(msg))
+                    .unwrap_or_else(|_| panic!("node {dst}'s progress thread is gone"));
+                Ok(())
+            }
         }
-        let class = self.topology.link_class(src, dst);
-        self.endpoints[dst].credits[gate_of(class)].acquire();
-        for part in &parts {
-            let bytes = part.tile.stored_bytes();
-            self.endpoints[src].count_sent(bytes, class);
-            let key = DataKey::C(part.i as u32, part.j as u32);
-            self.record(TracePhase::Sent, key, src, dst, bytes, 0);
-        }
-        self.endpoints[dst]
-            .tx
-            .send(Frame::ReduceC { parts, src })
-            .unwrap_or_else(|_| panic!("node {dst}'s progress thread is gone"));
     }
 
     /// Deposits an inbound wire frame into the destination rank's inbox —
@@ -764,23 +660,6 @@ impl CommFabric {
         }
     }
 
-    /// Blocks until at least `expected` C tiles have been delivered to
-    /// `node` since the last take, then takes them — the root's `ReduceC`
-    /// awaiting the other ranks' gathers. The expected count is structural
-    /// (from the lowering), so the taken set is independent of delivery
-    /// timing.
-    pub fn take_reduced_at_least(&self, node: usize, expected: usize) -> Vec<CPart> {
-        let ep = &self.endpoints[node];
-        let mut reduced = ep.reduced.lock().unwrap_or_else(|e| e.into_inner());
-        while reduced.len() < expected {
-            reduced = ep
-                .part_arrived
-                .wait(reduced)
-                .unwrap_or_else(|e| e.into_inner());
-        }
-        std::mem::take(&mut *reduced)
-    }
-
     /// Takes the recorded transport events, sorted by time (empty unless
     /// the fabric was given a clock).
     pub fn take_events(&self) -> Vec<CommEvent> {
@@ -794,23 +673,15 @@ impl CommFabric {
     pub fn node_stats(&self) -> Vec<NodeCommStats> {
         self.endpoints
             .iter()
-            .map(|ep| NodeCommStats {
-                sent_bytes: ep.sent_bytes.load(Ordering::Relaxed),
-                sent_msgs: ep.sent_msgs.load(Ordering::Relaxed),
-                recv_bytes: ep.recv_bytes.load(Ordering::Relaxed),
-                recv_msgs: ep.recv_msgs.load(Ordering::Relaxed),
-                inter_sent_bytes: ep.inter_sent_bytes.load(Ordering::Relaxed),
-                inter_sent_msgs: ep.inter_sent_msgs.load(Ordering::Relaxed),
-                inter_recv_bytes: ep.inter_recv_bytes.load(Ordering::Relaxed),
-                inter_recv_msgs: ep.inter_recv_msgs.load(Ordering::Relaxed),
-                dropped_msgs: ep.dropped_msgs.load(Ordering::Relaxed),
-                duplicate_msgs: ep.duplicate_msgs.load(Ordering::Relaxed),
-                max_in_flight: ep.credits[1].max_in_flight.load(Ordering::Relaxed),
-                credit_window: ep.credits[1].window,
-                intra_max_in_flight: ep.credits[0].max_in_flight.load(Ordering::Relaxed),
-                intra_credit_window: ep.credits[0].window,
-                inter_busy_ns: ep.inter_busy_ns.load(Ordering::Relaxed),
-                intra_busy_ns: ep.intra_busy_ns.load(Ordering::Relaxed),
+            .map(|ep| {
+                let [intra, inter] = &ep.credits;
+                NodeCommStats {
+                    max_in_flight: inter.max_in_flight.load(Ordering::Relaxed),
+                    credit_window: inter.window,
+                    intra_max_in_flight: intra.max_in_flight.load(Ordering::Relaxed),
+                    intra_credit_window: intra.window,
+                    ..*ep.stats()
+                }
             })
             .collect()
     }
@@ -828,7 +699,7 @@ impl CommFabric {
             DeliveryPolicy::InOrder => 1,
             DeliveryPolicy::Reorder { window, .. } => window.max(1),
         };
-        let mut staged: Vec<Frame> = Vec::with_capacity(window);
+        let mut staged: Vec<TileMsg> = Vec::with_capacity(window);
         let mut draws: u64 = 0;
         let mut closing = false;
         loop {
@@ -837,7 +708,7 @@ impl CommFabric {
             while staged.len() < window {
                 match rx.try_recv() {
                     Ok(Frame::Shutdown) => closing = true,
-                    Ok(f) => staged.push(f),
+                    Ok(Frame::BcastA(msg)) => staged.push(msg),
                     Err(_) => break,
                 }
             }
@@ -847,7 +718,7 @@ impl CommFabric {
                 }
                 match rx.recv() {
                     Ok(Frame::Shutdown) => closing = true,
-                    Ok(f) => staged.push(f),
+                    Ok(Frame::BcastA(msg)) => staged.push(msg),
                     Err(_) => break, // every sender gone: nothing more can come
                 }
                 continue;
@@ -859,8 +730,8 @@ impl CommFabric {
                     (mix(seed ^ mix(draws)) % staged.len() as u64) as usize
                 }
             };
-            let frame = staged.remove(idx);
-            self.deliver(node, store, frame, deposited);
+            let msg = staged.remove(idx);
+            self.deliver(node, store, msg, deposited);
         }
     }
 
@@ -872,64 +743,54 @@ impl CommFabric {
             return;
         }
         let delay = shaper.delay(bytes);
-        let busy = match class {
-            LinkClass::Inter => &self.endpoints[node].inter_busy_ns,
-            _ => &self.endpoints[node].intra_busy_ns,
-        };
-        busy.fetch_add(delay.as_nanos() as u64, Ordering::Relaxed);
+        let busy_ns = delay.as_nanos() as u64;
+        let mut s = self.endpoints[node].stats();
+        match class {
+            LinkClass::Inter => s.inter_busy_ns += busy_ns,
+            _ => s.intra_busy_ns += busy_ns,
+        }
+        drop(s);
         std::thread::sleep(delay);
     }
 
+    /// Deposits `msg` into `node`'s store — once per key: a re-delivery is
+    /// counted and dropped — and returns its credit.
     fn deliver(
         &self,
         node: usize,
         store: &TileStore,
-        frame: Frame,
+        msg: TileMsg,
         deposited: &(dyn Fn(usize, DataKey) + Sync),
     ) {
         let ep = &self.endpoints[node];
-        match frame {
-            Frame::BcastA(msg) => {
-                let bytes = msg.payload.stored_bytes();
-                let class = self.topology.link_class(msg.src, node);
-                self.shape(node, class, bytes);
-                let mut delivered = ep.delivered.lock().unwrap_or_else(|e| e.into_inner());
-                let first = delivered.insert(msg.key);
-                if first {
-                    store.put(msg.key, msg.payload, msg.consumers);
-                    ep.count_recv(bytes, class);
-                    self.record(TracePhase::Received, msg.key, msg.src, node, bytes, msg.epoch);
-                } else {
-                    // Idempotent duplicate suppression: the key already
-                    // arrived under an earlier epoch.
-                    ep.duplicate_msgs.fetch_add(1, Ordering::Relaxed);
-                    self.record(TracePhase::Retried, msg.key, msg.src, node, bytes, msg.epoch);
-                }
-                drop(delivered);
-                if first {
-                    deposited(node, msg.key);
-                }
-                ep.arrived.notify_all();
-                ep.credits[gate_of(class)].release();
+        let bytes = msg.payload.stored_bytes();
+        let class = self.topology.link_class(msg.src, node);
+        self.shape(node, class, bytes);
+        let mut delivered = ep.delivered.lock().unwrap_or_else(|e| e.into_inner());
+        let first = delivered.insert(msg.key);
+        if first {
+            store.put(msg.key, msg.payload, msg.consumers);
+            let mut s = ep.stats();
+            s.recv_bytes += bytes;
+            s.recv_msgs += 1;
+            if class == LinkClass::Inter {
+                s.inter_recv_bytes += bytes;
+                s.inter_recv_msgs += 1;
             }
-            Frame::ReduceC { parts, src } => {
-                let class = self.topology.link_class(src, node);
-                for part in &parts {
-                    let bytes = part.tile.stored_bytes();
-                    self.shape(node, class, bytes);
-                    ep.count_recv(bytes, class);
-                    let key = DataKey::C(part.i as u32, part.j as u32);
-                    self.record(TracePhase::Received, key, src, node, bytes, 0);
-                }
-                ep.reduced
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .extend(parts);
-                ep.part_arrived.notify_all();
-                ep.credits[gate_of(class)].release();
-            }
-            Frame::Shutdown => unreachable!("Shutdown is consumed by the progress loop"),
+            drop(s);
+            self.record(TracePhase::Received, msg.key, msg.src, node, bytes, msg.epoch);
+        } else {
+            // Idempotent duplicate suppression: the key already arrived
+            // under an earlier epoch.
+            ep.stats().duplicate_msgs += 1;
+            self.record(TracePhase::Retried, msg.key, msg.src, node, bytes, msg.epoch);
         }
+        drop(delivered);
+        if first {
+            deposited(node, msg.key);
+        }
+        ep.arrived.notify_all();
+        ep.credits[gate_of(class)].release();
     }
 }
 

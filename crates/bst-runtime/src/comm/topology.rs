@@ -10,9 +10,9 @@
 //! statistics per class.
 //!
 //! There are no collective trees: an `A` tile goes from its owner straight
-//! to each rank of its grid row, and every `C(i, j)` is produced on exactly
-//! one rank, which sends its folded C tiles straight to rank 0. Each hop
-//! crosses whichever link class its `(src, dst)` pair is.
+//! to each rank of its grid row, and each hop crosses whichever link class
+//! its `(src, dst)` pair is. C never travels: every `C(i, j)` is produced
+//! on exactly one rank, which keeps it.
 //!
 //! The grid placement is implicit: the engine numbers its `p × q` process
 //! grid row-major, so a grid row (the A-broadcast set) is a contiguous rank

@@ -53,7 +53,7 @@ pub mod trace;
 
 pub use bst_tile::pool::{PoolStats, TilePool};
 pub use comm::{
-    CommConfig, CommEvent, CommFabric, CPart, DeliveryPolicy, LinkShaper, NodeCommStats,
+    CommConfig, CommEvent, CommFabric, DeliveryPolicy, LinkShaper, NodeCommStats,
     RemoteLink, SendError, TileMsg, Wire, WireError, WireFrame,
 };
 pub use data::{BCacheKey, BCacheStats, BTileCache, DataKey, TileStore};

@@ -182,48 +182,3 @@ fn late_redelivery_is_suppressed() {
     let _ = stores[2].get(2, key);
     stores[2].consume(2, key);
 }
-
-/// Gather frames ride the same per-class links as tile frames: intra-node
-/// tiles count against the intra gate and stats, inter-node ones against
-/// the NIC. One frame carries a rank's tiles under one credit but counts one
-/// message per tile. The blocking take returns exactly the expected
-/// structural count.
-#[test]
-fn gather_frames_classify_per_link() {
-    use bst_runtime::comm::CPart;
-    let part = |i: usize, origin_node: usize| CPart {
-        i,
-        j: 0,
-        origin: (origin_node, 0, 0),
-        tile: Tile::zeros(2, 2),
-        norm: Some(0.0),
-    };
-    let fabric = CommFabric::new(
-        4,
-        CommConfig {
-            node_size: 2, // physical nodes {0,1} and {2,3}
-            ..CommConfig::default()
-        },
-    );
-    let stores: Vec<TileStore> = (0..4).map(TileStore::for_node).collect();
-    std::thread::scope(|s| {
-        fabric.start(s, &stores);
-        fabric.gather(3, 0, Vec::new()); // nothing to gather: no frame
-        fabric.gather(1, 0, vec![part(1, 1)]); // intra-node
-        fabric.gather(2, 0, vec![part(2, 2), part(3, 2)]); // inter-node, one frame
-        let parts = fabric.take_reduced_at_least(0, 3);
-        assert_eq!(parts.len(), 3, "all three tiles arrive before the take returns");
-        assert!(parts.iter().all(|p| p.norm == Some(0.0)), "a gathered tile keeps its norm");
-        fabric.shutdown();
-    });
-    let stats = fabric.node_stats();
-    assert_eq!(stats[1].sent_msgs, 1);
-    assert_eq!(stats[1].inter_sent_msgs, 0, "1 → 0 shares a physical node");
-    assert_eq!(stats[2].sent_msgs, 2, "a gather frame counts one message per tile");
-    assert_eq!(stats[2].inter_sent_msgs, 2, "2 → 0 crosses the NIC");
-    assert_eq!(stats[2].sent_bytes, 2 * 32);
-    assert_eq!(stats[3].sent_msgs, 0, "an empty gather is not traffic");
-    assert_eq!(stats[0].recv_msgs, 3);
-    assert_eq!(stats[0].inter_recv_msgs, 2);
-    assert_eq!(stats[0].max_in_flight, 1, "one gather frame holds one credit");
-}

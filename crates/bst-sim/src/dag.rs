@@ -17,7 +17,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use bst_contract::engine::inspector::{self, Op, REDUCE_ROOT};
+use bst_contract::engine::inspector::{self, Op};
 use bst_contract::{ExecOptions, ExecReport, ExecTraceData, ExecutionPlan, ProblemSpec};
 use bst_runtime::comm::{CommEvent, LinkClass, NodeCommStats};
 use bst_runtime::data::DataKey;
@@ -240,18 +240,8 @@ pub fn replay_dag(
                 sample_after = Some((w.node, w.lane - 1));
                 ns(bytes as f64 / platform.d2h_bw + tiles as f64 * platform.h2d_latency_s)
             }
-            // The fold itself is a handful of tile additions (HBM bound,
-            // negligible next to the wire); sending one folded tile per key
-            // to the root is what costs — charged on the sender, over the
-            // link class of `(node, root)`.
-            Op::ReduceC { .. } if w.node != REDUCE_ROOT => {
-                let shaper = shaper_of(w.node, REDUCE_ROOT);
-                let keys = &low.reduce[w.node].keys;
-                ns(keys
-                    .iter()
-                    .map(|&(i, j)| platform.nic_msg_overhead_s + shaper.delay_s(c_bytes(i, j)))
-                    .sum())
-            }
+            // The fold is a handful of tile additions on the node that
+            // produced them (HBM bound), and C stays there.
             Op::ReduceC { .. } => 0,
         };
 
@@ -288,14 +278,6 @@ pub fn replay_dag(
             Op::RecvA { i, k, from } => {
                 let bytes = a_bytes(*i as usize, *k as usize);
                 wire(TracePhase::Received, DataKey::A(*i, *k), *from as usize, w.node, bytes, 1);
-            }
-            Op::ReduceC { .. } if w.node != REDUCE_ROOT => {
-                for &(i, j) in &low.reduce[w.node].keys {
-                    let key = DataKey::C(i as u32, j as u32);
-                    for phase in [TracePhase::Sent, TracePhase::Received] {
-                        wire(phase, key, w.node, REDUCE_ROOT, c_bytes(i, j), 0);
-                    }
-                }
             }
             _ => {}
         }

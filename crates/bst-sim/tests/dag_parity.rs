@@ -61,8 +61,9 @@ fn fingerprint(report: &ExecReport) -> Fingerprint {
 #[test]
 fn numeric_and_simulated_runs_execute_the_same_dag() {
     let (spec, plan, config) = problem();
-    // Two ranks per physical node, so both link classes carry traffic.
-    let opts = ExecOptions::builder().tracing(true).node_size(2).build();
+    // Three ranks per physical node: grid row {0, 1} shares one, row
+    // {2, 3} straddles two, so A's hops cross both link classes.
+    let opts = ExecOptions::builder().tracing(true).node_size(3).build();
 
     let a = BlockSparseMatrix::random_from_structure(spec.a.clone(), 3);
     let b_gen = |k: usize, j: usize, r: usize, c: usize, pool: &TilePool| {
@@ -74,8 +75,9 @@ fn numeric_and_simulated_runs_execute_the_same_dag() {
     platform.gpus_per_node = 2;
     let simulated = replay_dag(&spec, &plan, &platform, &opts);
 
-    // The transport's own per-node accounting (A hops and the C gather)
-    // against the replay's: bytes and messages, each way, per link class.
+    // The transport's own per-node accounting against the replay's: bytes
+    // and messages, each way, per link class. Only A hops cross the fabric;
+    // C stays on the rank that folded it.
     let traffic = |report: &ExecReport| -> Vec<[u64; 8]> {
         report
             .comm

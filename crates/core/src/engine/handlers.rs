@@ -17,34 +17,33 @@
 //! destination's progress thread, depositing it, completes the `RecvA` —
 //! an arrival task, which no handler runs.
 //!
-//! C leaves in one pass. `LoadBlock` lends each C tile a buffer from the
-//! process's C reserve when one is there
+//! C leaves in one pass and never crosses the fabric. `LoadBlock` lends
+//! each C tile a buffer from the process's C reserve when one is there
 //! ([`bst_tile::pool::TilePool::take_c`]), and its first product
 //! zero-fills it. A `FlushBlock` computes the norm of each C tile it evicts
 //! and appends the block's partials to its node's fold buffer
 //! ([`HandlerEnv::folds`]) under one lock. The node's `ReduceC` folds that
 //! buffer in place, recomputing the norm of a tile it changed; the buffers
 //! of the partials it folds away go back to the C reserve as they drop.
-//! In-process, every rank but the root then hands its folded tiles to the
-//! root in one [`CommFabric::gather`], and the root's `ReduceC` adds the
-//! gathered tiles to its own for the assembly, which inserts each with its
-//! known norm.
-//! Across processes no C crosses between ranks: every rank's `ReduceC`
-//! hands its own tiles to its own assembly, and its process streams them
-//! to the launcher.
+//! Every rank's `ReduceC` then appends its folded tiles to the run's C
+//! ([`HandlerEnv::c_tiles`]), which the assembly inserts by key, each with
+//! its known norm: C stays on the rank that folded it, in one process as
+//! across processes, where each process streams its own share to the
+//! launcher.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use bst_runtime::comm::{CPart, CommFabric, LinkClass, SendError, TileMsg};
+use bst_runtime::comm::{CommFabric, LinkClass, SendError, TileMsg};
 use bst_runtime::data::{BCacheKey, DataKey};
 use bst_runtime::device::DeviceStats;
 use bst_runtime::graph::{TaskError, WorkerId};
 use bst_runtime::TileStore;
 use bst_tile::kernel::{select_heuristic, KernelKind};
 use bst_tile::pool::TilePool;
+use bst_tile::Tile;
 use parking_lot::Mutex;
 
-use super::inspector::{block_c_tiles, Lowered, Op, REDUCE_ROOT};
+use super::inspector::{block_c_tiles, Lowered, Op};
 use super::memory::Ctx;
 use super::report::DeviceMemLog;
 use super::BGen;
@@ -52,6 +51,27 @@ use crate::error::{ExecError, GenError};
 use crate::fault::{FaultPlan, FaultSite};
 use crate::plan::ExecutionPlan;
 use crate::spec::ProblemSpec;
+
+/// One C-block partial sum: a flush's partial in its rank's fold, or a
+/// folded tile on its way to the assembly.
+pub(crate) struct CPart {
+    /// C block-row.
+    pub i: usize,
+    /// C block-column.
+    pub j: usize,
+    /// Deterministic ordinal of this partial — `(node, gpu, block)` of the
+    /// flush that produced it; a folded tile carries the *minimum* origin
+    /// of the partials folded into it. A rank folds its partials sorted on
+    /// `(i, j, origin)`, so the floating-point accumulation order is
+    /// independent of the order the flushes ran in.
+    pub origin: (usize, usize, usize),
+    /// The partial-sum tile.
+    pub tile: Tile,
+    /// `tile`'s [`Tile::frobenius_norm`], computed by the lane that produced
+    /// its final value, so C's assembly need not read the tile again.
+    /// `None` when unknown: a fold just changed the tile.
+    pub norm: Option<f64>,
+}
 
 /// Computes the norm of every tile that does not carry one: a `k`-split
 /// key's fold.
@@ -106,9 +126,9 @@ pub(crate) struct HandlerEnv<'a> {
     /// Per node, the C partials its flushes left for its `ReduceC` to fold.
     pub folds: Vec<Mutex<Vec<CPart>>>,
     /// The C this execution returns, one folded tile per key, each with its
-    /// norm, for the final assembly to move into the result: all of C, left
-    /// by the root's `ReduceC` — or, across processes, this rank's share,
-    /// left by its own `ReduceC`.
+    /// norm, for the final assembly to move into the result: every rank's
+    /// `ReduceC` appends its own keys (in a multi-process run, only this
+    /// rank's).
     pub c_tiles: Mutex<Vec<CPart>>,
 }
 
@@ -403,22 +423,7 @@ impl HandlerEnv<'_> {
                     w.node
                 );
                 set_missing_norms(&mut folded);
-                // Across processes every rank keeps its own share of C: the
-                // shares are disjoint, and each process streams its own.
-                if self.fabric.remote().is_none() {
-                    if w.node != REDUCE_ROOT {
-                        self.fabric.gather(w.node, REDUCE_ROOT, folded);
-                        return Ok(());
-                    }
-                    // The expected count is structural, so the taken set is
-                    // fixed by the plan, not by delivery timing. Safe to
-                    // block: every other fold finished (DAG deps), so every
-                    // gather frame is at least in flight.
-                    folded.extend(
-                        self.fabric.take_reduced_at_least(w.node, self.low.gathered_keys()),
-                    );
-                }
-                *self.c_tiles.lock() = folded;
+                self.c_tiles.lock().extend(folded);
                 Ok(())
             }
             // `RecvA` is an arrival, which no handler runs.

@@ -27,7 +27,8 @@
 //!   the receive is an arrival that no worker runs — the destination's
 //!   progress thread completes it when it has deposited the tile — and only
 //!   then may a device transfer read the tile;
-//!   `FlushBlock → ReduceC` and every other node's `ReduceC` → the root's;
+//!   `FlushBlock → ReduceC`, each node's flushes to its own fold (C stays
+//!   on the node that produced it: no edge joins two nodes' `ReduceC`s);
 //! * **control flow** — `first-use stack(n − 2) → GenB(n)`
 //!   ([`GENB_WINDOW`]): removing it lets B pile up on the host, and changes
 //!   no result.
@@ -148,11 +149,9 @@ pub enum Op {
         block: u32,
     },
     /// Fold the C partials this node's flushes left in place, in canonical
-    /// `(i, j, origin)` order, and gather the folded tiles straight to
-    /// [`REDUCE_ROOT`]; the root's own instance also waits for every other
-    /// node's tiles and hands the lot to the final assembly. In a
-    /// multi-process run every node's instance hands its own tiles to its
-    /// own process's assembly instead.
+    /// `(i, j, origin)` order, and hand the folded tiles to the final
+    /// assembly of this node's process. Every C key is produced on one
+    /// node, so no C tile crosses the fabric.
     ReduceC {
         /// The folding node.
         node: u32,
@@ -278,10 +277,6 @@ pub fn block_c_tiles(
 /// maps in [`Lowered`].
 pub type NodeTile = (usize, (u32, u32));
 
-/// The rank C is gathered on in-process: every other rank's `ReduceC` sends
-/// its folded tiles here, in one frame.
-pub const REDUCE_ROOT: usize = 0;
-
 /// What one node contributes to C. Every `C(i, j)` is produced on exactly
 /// one node (the planner deals a B column to one node of a grid row, and a
 /// column split along `k` stays inside that node's blocks), so the key sets
@@ -339,14 +334,6 @@ impl Lowered {
             + self.sends.get(&(node, t)).map_or(0, Vec::len)
     }
 
-    /// The C keys the root's `ReduceC` awaits in-process: one folded tile
-    /// per key of every other node. Structural — from the plan, never from
-    /// delivery timing.
-    pub fn gathered_keys(&self) -> usize {
-        let all_keys: usize = self.reduce.iter().map(|r| r.keys.len()).sum();
-        all_keys - self.reduce[REDUCE_ROOT].keys.len()
-    }
-
     /// The SPMD projection for multi-process execution: the sub-DAG of
     /// tasks pinned to node `rank`, with cross-node edges dropped.
     ///
@@ -354,12 +341,11 @@ impl Lowered {
     /// and C key counts are globally consistent), then keeps only its own
     /// node's tasks. The dropped edges are `SendA → RecvA`, whose ordering
     /// the transport enforces at runtime (a `RecvA` completes only when its
-    /// frame, sent over the wire by the peer's `SendA`, has been deposited),
-    /// and every other `ReduceC` → the root's, which orders nothing across
-    /// processes: there each rank keeps its own C. Relative task order is
-    /// preserved, so the `dep < task` lowering invariant and the lane
-    /// programs hold in the projection; the send/consumption maps stay
-    /// global — an owner's `SendA` tells the destination its refcount.
+    /// frame, sent over the wire by the peer's `SendA`, has been deposited).
+    /// Relative task order is preserved, so the `dep < task` lowering
+    /// invariant and the lane programs hold in the projection; the
+    /// send/consumption maps stay global — an owner's `SendA` tells the
+    /// destination its refcount.
     pub fn restrict(&self, rank: usize) -> Lowered {
         let mut graph: TaskGraph<Op> = TaskGraph::new();
         let mut remap: Vec<Option<TaskId>> = vec![None; self.graph.len()];
@@ -515,10 +501,8 @@ pub fn lower(spec: &ProblemSpec, plan: &ExecutionPlan, opts: &ExecOptions) -> Lo
         }
     }
 
-    // ReduceC tasks: one fold per node over its own flushes' partials. The
-    // root's is lowered last and also depends on every other node's, whose
-    // folded tiles it gathers — so the *set* of tiles each fold reads is
-    // structural, independent of delivery timing.
+    // ReduceC tasks: one fold per node over its own flushes' partials, so
+    // the *set* of tiles each fold reads is structural.
     let reduce: Vec<ReduceNode> = plan
         .nodes
         .iter()
@@ -536,18 +520,10 @@ pub fn lower(spec: &ProblemSpec, plan: &ExecutionPlan, opts: &ExecOptions) -> Lo
             }
         })
         .collect();
-    let mut senders: Vec<TaskId> = Vec::with_capacity(n_nodes.saturating_sub(1));
-    for ni in (0..n_nodes).rev() {
+    for (ni, flushes) in flush_ids.iter().enumerate() {
         let id = graph.add_task(Op::ReduceC { node: ix(ni) }, cpu_lane(ni));
-        for &f in &flush_ids[ni] {
+        for &f in flushes {
             graph.add_dep(id, f);
-        }
-        if ni == REDUCE_ROOT {
-            for &sender in &senders {
-                graph.add_dep(id, sender);
-            }
-        } else {
-            senders.push(id);
         }
     }
 

@@ -14,7 +14,7 @@
 //!   [`bst_tile::kernel::select_heuristic`] picks for its shape, run by
 //!   whichever pooled worker holds the device lane),
 //!   `EvictChunk`/`FlushBlock` (device memory recycling and C write-back)
-//!   and `ReduceC` (C's fold and gather);
+//!   and `ReduceC` (C's fold, on the node that produced it);
 //! * **control flow** — a lane runs its tasks in id order, so a device
 //!   lane's program is its control flow: `LoadBlock(b+1)` follows
 //!   `FlushBlock(b)` (§3.2.2), a chunk's `EvictChunk` precedes the next
@@ -34,13 +34,11 @@
 //! the tile, as PaRSEC's communication engine activates a task when its
 //! remote data lands.
 //!
-//! Deadlock freedom: no pooled task waits on another process, or on a
-//! task. A `SendA` waits only for credit, which the destination's progress
-//! thread returns; the root's `ReduceC` only for gathered tiles, which its
-//! progress thread deposits after the `ReduceC`s it depends on sent them.
-//! Every arrival is retired by a thread outside the pool, from a frame a
-//! `SendA` sent, and a `SendA` depends on no task: so every `RecvA`
-//! completes, and the engine's lane rule does the rest.
+//! Deadlock freedom: a pooled task blocks only on a credit, which the
+//! destination's progress thread — outside the pool — returns once it has
+//! deposited the frame; every arrival is retired by that thread from a frame
+//! a `SendA`, which depends on no task, sent, and the engine's lane rule
+//! does the rest.
 //!
 //! The engine is split by responsibility:
 //!
@@ -53,8 +51,8 @@
 //! * `memory` — the per-GPU `MemoryManager`: residency, eviction, OOM, and
 //!   occupancy sampling behind one interface;
 //! * `handlers` — the task bodies (`GenB`/`SendA`/`Gemm`/loads/evictions,
-//!   and C's path out: flush → in-place fold → one gather frame per rank,
-//!   or, across processes, each rank's own share)
+//!   and C's path out: flush → in-place fold → the assembly, each rank's
+//!   share staying on the rank that folded it)
 //!   plus kernel dispatch and fault injection;
 //! * [`report`] — [`report::ExecReport`], recovery statistics,
 //!   and the trace-invariant checker.
@@ -299,7 +297,7 @@ pub(crate) fn run(
         // Sized up front, here: grown by the flushing lanes instead, the
         // buffers would leave their discarded halves between C's tiles.
         folds: low.reduce.iter().map(|rn| Mutex::new(Vec::with_capacity(rn.partials))).collect(),
-        c_tiles: Mutex::new(Vec::new()),
+        c_tiles: Mutex::new(Vec::with_capacity(low.reduce.iter().map(|rn| rn.keys.len()).sum())),
     };
 
     let mk_ctx = |w: WorkerId| {
@@ -419,11 +417,11 @@ pub(crate) fn run(
     };
 
     // ---- Assemble the result ----------------------------------------------
-    // The root's ReduceC left one folded tile per C key, with its norm
-    // (each rank's ReduceC its own keys, in a multi-process run): move each
-    // into the result. The C reserve may keep as many bytes as this C holds
-    // once the caller drops it, for the next contraction's C, and frees
-    // what it holds of capacities this C did not ask for.
+    // Every rank's ReduceC left its folded tiles, one per C key it produced,
+    // each with its norm (only this rank's, in a multi-process run): insert
+    // each into the result by key. The C reserve may keep as many bytes as
+    // this C holds once the caller drops it, for the next contraction's C,
+    // and frees what it holds of capacities this C did not ask for.
     let c_tiles = env.c_tiles.into_inner();
     let c_bytes: u64 = c_tiles.iter().map(|part| part.tile.stored_bytes()).sum();
     CReserve::global().assembled(c_bytes as usize);

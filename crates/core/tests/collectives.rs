@@ -1,6 +1,6 @@
 //! End-to-end tests of the transport's collectives over the real
-//! `bst-comm` transport: the one-hop A broadcast from each tile's owner, the
-//! one-hop gather of C to rank 0, and the per-link-class windows and
+//! `bst-comm` transport: the one-hop A broadcast from each tile's owner, C
+//! staying on the rank that folded it, and the per-link-class windows and
 //! shapers of the node-aware topology.
 
 use bst_contract::engine::execute;
@@ -10,7 +10,6 @@ use bst_contract::{
     PlannerConfig, ProblemSpec,
 };
 use bst_runtime::data::DataKey;
-use bst_runtime::trace::TracePhase;
 use bst_sparse::generate::{generate, SyntheticParams};
 use bst_sparse::matrix::tile_seed;
 use bst_sparse::BlockSparseMatrix;
@@ -50,47 +49,34 @@ fn run_nodes(spec: &ProblemSpec, nodes: usize, opts: ExecOptions) -> (BlockSpars
     execute(spec, &plan, &a, &b_gen, opts).expect("execution")
 }
 
-/// Every byte the run sends to another rank: each A tile once from its
-/// owner to each consuming rank (`Lowered::sends`), and each rank's folded
-/// C tiles once to rank 0 (`Lowered::reduce`). A pure function of the
-/// lowering.
-fn star_and_gather_bytes(spec: &ProblemSpec, nodes: usize, opts: &ExecOptions) -> u64 {
-    let low = lower(spec, &plan_for(spec, nodes), opts);
-    let a: u64 = low
+/// C stays where it is produced: on 8 ranks packed 4 per physical node, no
+/// transport event names a C tile, the fabric moves exactly the A bytes the
+/// lowering lists — each A tile once from its owner to each consuming rank
+/// (`Lowered::sends`) — and the result holds every key some rank folded,
+/// once.
+#[test]
+fn c_never_crosses_the_fabric() {
+    let spec = tiny_spec();
+    let opts = ExecOptions::builder().tracing(true).node_size(4).build();
+    let (c, report) = run_nodes(&spec, 8, opts);
+    let trace = report.trace.as_ref().expect("traced");
+    assert!(!trace.comm_events.is_empty(), "no A tile crossed the fabric on 8 ranks");
+    for e in &trace.comm_events {
+        assert!(!matches!(e.key, DataKey::C(..)), "{:?} crossed {} -> {}", e.key, e.src, e.dst);
+    }
+    let low = lower(&spec, &plan_for(&spec, 8), &opts);
+    let star_bytes: u64 = low
         .sends
         .iter()
         .map(|(&(_, (i, k)), dests)| spec.a.tile_bytes(i as usize, k as usize) * dests.len() as u64)
         .sum();
-    let c: u64 = low.reduce[1..]
-        .iter()
-        .flat_map(|rn| &rn.keys)
-        .map(|&(i, j)| spec.a.row_tiling().size(i) * spec.b.col_tiling().size(j) * 8)
-        .sum();
-    a + c
-}
-
-/// C is gathered, not reduced: on 8 ranks packed 4 per physical node every
-/// C tile leaves its rank once, addressed to rank 0 — no rank forwards
-/// another's tiles — and with every A tile sent once per consuming rank the
-/// run moves exactly the bytes the lowering lists.
-#[test]
-fn c_tiles_reach_the_root_in_one_hop() {
-    let spec = tiny_spec();
-    let opts = ExecOptions::builder().tracing(true).node_size(4).build();
-    let (_, report) = run_nodes(&spec, 8, opts);
-    let trace = report.trace.as_ref().expect("traced");
-    let mut sent = std::collections::HashSet::new();
-    for e in &trace.comm_events {
-        if let DataKey::C(i, j) = e.key {
-            assert_eq!(e.dst, 0, "C({i},{j}) sent {} -> {}", e.src, e.dst);
-            if e.phase == TracePhase::Sent {
-                assert!(sent.insert((i, j)), "C({i},{j}) sent twice");
-            }
-        }
-    }
-    assert!(!sent.is_empty(), "no C tile crossed the fabric on 8 ranks");
     let sent_bytes: u64 = report.comm.iter().map(|s| s.sent_bytes).sum();
-    assert_eq!(sent_bytes, star_and_gather_bytes(&spec, 8, &opts));
+    assert_eq!(sent_bytes, star_bytes);
+    let keys: Vec<(usize, usize)> = low.reduce.iter().flat_map(|rn| rn.keys.clone()).collect();
+    let produced: std::collections::BTreeSet<_> = keys.iter().copied().collect();
+    assert_eq!(produced.len(), keys.len(), "a C key was folded on two ranks");
+    let stored: std::collections::BTreeSet<_> = c.iter_tiles().map(|(&key, _)| key).collect();
+    assert_eq!(stored, produced);
 }
 
 /// Per-link-class plumbing end to end: distinct intra/inter credit windows

@@ -310,12 +310,12 @@ fn reached_c_tiles(low: &inspector::Lowered) -> usize {
 
 /// Every C norm in the result's shape is the one `insert_tile` computes,
 /// bit for bit, although the engine computes it where the tile is made: in
-/// the flush, again after a `k`-split key's fold, and on the root for the
-/// other ranks' gathered tiles. One run splits dense columns along
-/// `k` on a 2×2 grid; one gathers a 1×2 grid's tiles with two GPUs per
-/// node; one splits sparse columns, so that some blocks hold C tiles none
-/// of their products reach. Each runs twice, the second time into the C
-/// buffers the first one's result left behind.
+/// the flush and again after a `k`-split key's fold, on the rank that
+/// folded it. One run splits dense columns along `k` on a 2×2 grid; one
+/// assembles a 1×2 grid's tiles with two GPUs per node; one splits sparse
+/// columns, so that some blocks hold C tiles none of their products reach.
+/// Each runs twice, the second time into the C buffers the first one's
+/// result left behind.
 #[test]
 fn c_shape_norms_are_exact() {
     let synthetic = |m, n, k, density, tile_min, tile_max, seed| {

@@ -6,7 +6,7 @@
 
 use bst_contract::assign::assign_columns;
 use bst_contract::chunk::{build_chunks, needed_tiles_per_row};
-use bst_contract::engine::inspector::{block_c_tiles, lower, Lowered, Op, REDUCE_ROOT};
+use bst_contract::engine::inspector::{block_c_tiles, lower, Lowered, Op};
 use bst_contract::partition::{partition_spans, split_column, Block, ColumnSpan};
 use bst_contract::service::hash;
 use bst_contract::{
@@ -290,13 +290,14 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// What lets C be gathered instead of reduced across ranks, and each
-    /// process of a fleet return its own share of C: whatever the
-    /// grid, the device size (down to devices so small that B columns split
-    /// along `k` — there a rank holds several partials of one key) and the
-    /// degraded re-plan around a dead node, the ranks' C key sets are
-    /// pairwise disjoint and together are exactly C's kept structure; and
-    /// the root awaits one gathered tile per key of every other rank.
+    /// What lets every rank keep the C it folded, in one process as in a
+    /// fleet, with nothing reduced across ranks: whatever the grid, the
+    /// device size (down to devices so small that B columns split along `k`
+    /// — there a rank holds several partials of one key) and the degraded
+    /// re-plan around a dead node, the ranks' C key sets are pairwise
+    /// disjoint and together are exactly C's kept structure; a dead node,
+    /// whatever its rank, produces none; and every `ReduceC` waits only on
+    /// its own node's flushes.
     #[test]
     fn c_keys_are_disjoint_across_ranks(
         m in 40u64..=120,
@@ -332,8 +333,8 @@ proptest! {
         let low = lower(&spec, &plan, &ExecOptions::default());
 
         let mut union = BTreeSet::new();
-        let (mut others_keys, mut all_partials) = (0, 0);
-        for (rank, (rn, node)) in low.reduce.iter().zip(&plan.nodes).enumerate() {
+        let mut all_partials = 0;
+        for (rn, node) in low.reduce.iter().zip(&plan.nodes) {
             let partials: usize = node
                 .gpus
                 .iter()
@@ -345,18 +346,28 @@ proptest! {
             for &key in &rn.keys {
                 prop_assert!(union.insert(key), "C{key:?} is produced on two ranks");
             }
-            if rank != REDUCE_ROOT {
-                others_keys += rn.keys.len();
-            }
         }
         let kept: BTreeSet<(usize, usize)> = (0..spec.tile_cols())
             .flat_map(|j| spec.c_col_support(j, 0, 1).into_iter().map(move |i| (i, j)))
             .collect();
         prop_assert_eq!(&union, &kept);
         prop_assert!(all_partials >= union.len());
-        prop_assert_eq!(low.gathered_keys(), others_keys);
-        if dead.first().is_some_and(|&d| d != REDUCE_ROOT) {
-            prop_assert!(low.reduce[dead[0]].keys.is_empty());
+        if let Some(&d) = dead.first() {
+            prop_assert!(low.reduce[d].keys.is_empty(), "dead rank {} produces C", d);
+        }
+        for id in 0..low.graph.len() {
+            if !matches!(low.graph.payload(id), Op::ReduceC { .. }) {
+                continue;
+            }
+            let node = low.graph.worker(id).node;
+            for &dep in low.graph.deps(id) {
+                prop_assert!(
+                    matches!(low.graph.payload(dep), Op::FlushBlock { .. })
+                        && low.graph.worker(dep).node == node,
+                    "ReduceC on node {} waits on {:?} of node {}",
+                    node, low.graph.payload(dep), low.graph.worker(dep).node
+                );
+            }
         }
     }
     /// Stacks are exactly the plan's products, in the per-product order:
