@@ -17,8 +17,8 @@
 //!   uniformly, exactly like PTG control flows);
 //! * [`engine`] — the single policy-driven scheduler ([`engine::Engine`]):
 //!   a *lane* (a CPU lane or a GPU lane of a simulated node) is a program
-//!   that runs its tasks in id order, and one pooled worker per core
-//!   serves every lane, with
+//!   that runs its tasks in id order, and one process-wide pool of
+//!   workers, one per core, serves every lane of every run, with
 //!   the timestamp clock and transient-failure retry
 //!   ([`graph::RetryOptions`]) chosen independently on the one scheduler;
 //! * [`data`] — per-node [`data::TileStore`]s with consumer reference

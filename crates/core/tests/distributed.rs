@@ -102,8 +102,8 @@ impl Wire for DyingPeer {
 
 /// A fatal `SendA` aborts a rank while its peer's A tiles are still being
 /// deposited: the rank returns the typed error, the deposits that land on
-/// the finished run retire nothing and panic nowhere, and every thread the
-/// run started is joined.
+/// the finished run retire nothing and panic nowhere, and every progress
+/// and pump thread the run started is joined.
 #[test]
 fn fatal_send_aborts_while_frames_land() {
     let prob = generate(&SyntheticParams {
@@ -160,18 +160,22 @@ fn fatal_send_aborts_while_frames_land() {
     });
     let err = execute_rank(&spec, &plan, &a, &b_gen, opts, 0, wire).unwrap_err();
     assert!(matches!(err, ExecError::Wire { dst: 1, .. }), "got {err}");
-    // No pool, progress or pump thread outlives the call. A scoped thread
+    // No progress or pump thread outlives the call, and the process holds
+    // exactly the pool's workers, which persist by design. A scoped thread
     // whose closure returned may take a moment to leave the kernel's task
     // list, so a name still listed is given a few seconds to go.
-    let ours = |name: &str| name.starts_with("bst.w") || name.starts_with("n0.");
-    let running = || -> Vec<String> {
+    let running = |prefix: &str| -> Vec<String> {
         let Ok(tasks) = std::fs::read_dir("/proc/self/task") else { return Vec::new() };
         let names = tasks.flatten().map(|t| std::fs::read_to_string(t.path().join("comm")));
-        names.flatten().filter(|name| ours(name)).collect()
+        names.flatten().filter(|name| name.starts_with(prefix)).collect()
     };
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-    while !running().is_empty() && std::time::Instant::now() < deadline {
+    while !running("n0.").is_empty() && std::time::Instant::now() < deadline {
         std::thread::sleep(std::time::Duration::from_millis(10));
     }
-    assert_eq!(running(), Vec::<String>::new(), "threads outlived the run");
+    assert_eq!(running("n0."), Vec::<String>::new(), "threads outlived the run");
+    if std::path::Path::new("/proc/self/task").exists() {
+        let cores = std::thread::available_parallelism().map_or(1, usize::from);
+        assert_eq!(running("bst.w").len(), cores, "the pool holds one worker per core");
+    }
 }
