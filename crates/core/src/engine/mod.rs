@@ -27,9 +27,10 @@
 //! starts 2D-cyclic-distributed and crosses node boundaries only through
 //! explicit `SendA` tasks.
 //!
-//! A lane is a program, not a thread: one worker per core serves every
-//! lane of every simulated node, as PaRSEC's do, and runs the order-free
-//! `GenB`s between them. A `RecvA` holds no worker: it is an arrival,
+//! A lane is a program, not a thread: one process-wide pool of workers,
+//! one per core, serves every lane of every simulated node and of every
+//! run, as one PaRSEC context per process serves every taskpool, and runs
+//! the order-free `GenB`s between them. A `RecvA` holds no worker: it is an arrival,
 //! which the receiving node's progress thread completes when it deposits
 //! the tile, as PaRSEC's communication engine activates a task when its
 //! remote data lands.
