@@ -476,13 +476,16 @@ fn genb_fanout_overlaps() {
     // On a loaded (or single-core) machine two short GenB spans may never
     // be preempted mid-task, so force a rendezvous: the first generator
     // call spins until a second call is in flight. With real fan-out the
-    // second worker arrives and both spans overlap.
+    // second worker arrives and both spans overlap. The pool's workers also
+    // serve the tests running beside this one, so a second worker may come
+    // late: only a lone worker gives up soon.
+    let patience = if workers() > 1 { 10_000 } else { 500 };
     let entered = std::sync::atomic::AtomicUsize::new(0);
     let b_gen = |k: usize, j: usize, r: usize, c: usize, pool: &TilePool| {
         use std::sync::atomic::Ordering;
         let t = pool.random(r, c, tile_seed(3 ^ 0xB, k, j));
         entered.fetch_add(1, Ordering::SeqCst);
-        let deadline = std::time::Instant::now() + std::time::Duration::from_millis(500);
+        let deadline = std::time::Instant::now() + std::time::Duration::from_millis(patience);
         while entered.load(Ordering::SeqCst) < 2 && std::time::Instant::now() < deadline {
             std::thread::yield_now();
         }

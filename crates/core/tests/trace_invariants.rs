@@ -68,6 +68,10 @@ fn traced_run(spec: &ProblemSpec, opts: ExecOptions) -> ExecReport {
         }
         Ok(std::sync::Arc::new(t))
     };
+    // Every run of the process shares the pool's workers, so traced runs
+    // take turns: both workers are then free to meet at the rendezvous.
+    static TURN: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    let _turn = TURN.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     let (_c, report) = execute(
         spec,
         &plan,
